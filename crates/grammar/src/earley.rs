@@ -1,7 +1,11 @@
 //! Earley recognition and parsing for [`Grammar`]s.
 //!
-//! GLADE needs general context-free parsing in two places:
+//! GLADE needs general context-free parsing in three places:
 //!
+//! * **Membership oracles for the target languages** (Section 8.2): the
+//!   language-inference experiment answers every query by recognizing it
+//!   against a handwritten grammar, so this recognizer runs once per oracle
+//!   query.
 //! * **Recall measurement** (Section 8.2): deciding whether a string sampled
 //!   from the target language belongs to the synthesized grammar.
 //! * **The grammar-based fuzzer** (Section 8.3): constructing the parse tree
@@ -9,12 +13,40 @@
 //!   replaced by freshly sampled derivations.
 //!
 //! Synthesized grammars are arbitrary CFGs (left-recursive star expansions,
-//! ε-productions, ambiguity), so we use an Earley chart parser with the
-//! Aycock–Horspool nullable-prediction fix, plus a memoized top-down walk of
-//! the completed chart to extract a single parse tree.
+//! ε-productions, unary cycles, ambiguity), so we use an Earley chart
+//! parser with the Aycock–Horspool nullable fix, plus a memoized top-down
+//! walk of the completed chart to extract a single parse tree.
+//!
+//! # How recognition is laid out
+//!
+//! * **Compiled tables.** [`Recognizer::new`] flattens the grammar once
+//!   into dotted rules: one table gives the symbol after the dot of every
+//!   `(production, dot)`, another the dot-0 rules of each nonterminal, and
+//!   the nullable set is precomputed. The tables are owned, so an oracle
+//!   keeps them for its whole life; [`Earley`] pairs them with the borrowed
+//!   grammar for parse-tree extraction.
+//! * **Completion index.** Each chart position keeps, per nonterminal, a
+//!   list of its items whose dot sits before that nonterminal. Completing
+//!   `B` from origin `j` walks only set `j`'s list for `B` instead of
+//!   scanning all of set `j`. Completions with an empty span need no walk:
+//!   the Aycock–Horspool rule already advanced over every nullable `B` at
+//!   prediction time.
+//! * **Dedup stamps.** Only completion can produce an item twice in one set,
+//!   and only items whose dot directly follows a nonterminal. Each such
+//!   `(origin, dotted rule)` pair has a slot in a dense table holding the
+//!   stamp of the last set that added it, so a duplicate is one compare,
+//!   with no hashing. Predictions are deduplicated per nonterminal the same
+//!   way, and scans cannot produce duplicates at all.
+//! * **Per-thread scratch.** The chart and its tables live in a
+//!   thread-local scratch that is reused across queries and grammars and
+//!   not cleared between them: stamps grow monotonically, so entries from
+//!   earlier queries can never match. Queries from many threads on one shared
+//!   recognizer therefore never contend, and steady-state recognition does
+//!   not allocate.
 
 use crate::cfg::{Grammar, NtId, Sym};
-use std::collections::{HashMap, HashSet};
+use crate::CharClass;
+use std::cell::RefCell;
 use std::fmt;
 
 /// One node of a parse tree produced by [`Earley::parse`].
@@ -111,21 +143,322 @@ impl fmt::Display for ParseTree {
     }
 }
 
-/// Earley item: `lhs → rhs[..dot] · rhs[dot..]`, started at input position
-/// `origin`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// What follows the dot of one dotted rule.
+#[derive(Clone, Copy, Debug)]
+enum Next {
+    /// A terminal: index into `Recognizer::classes`.
+    Class(u32),
+    /// A nonterminal; `slot` is the dedup column of the dotted rule that
+    /// advancing over it yields.
+    Nt { nt: u32, slot: u32 },
+    /// The dot is at the end: `lhs` completes.
+    Done { lhs: u32 },
+}
+
+/// The compiled, owned form of a [`Grammar`] that Earley charts run on.
+///
+/// Compiling flattens every production into dotted rules, so the symbol
+/// after the dot is one table lookup, and precomputes the dot-0 rules of
+/// each nonterminal and the nullable set. A `Recognizer` owns its tables
+/// (it does not borrow the grammar), so long-lived holders such as a
+/// membership oracle compile once and answer many queries. Compiling costs
+/// time linear in the grammar's size; recognition allocates nothing once
+/// the calling thread's scratch chart has grown to the input's size.
+///
+/// # Examples
+///
+/// ```
+/// use glade_grammar::cfg::{GrammarBuilder, lit, nt};
+/// use glade_grammar::Recognizer;
+///
+/// let mut b = GrammarBuilder::new();
+/// let a = b.nt("A");
+/// b.prod(a, [lit(b"("), nt(a), lit(b")")].concat());
+/// b.prod(a, vec![]);
+/// let recognizer = Recognizer::new(&b.build(a).unwrap());
+/// assert!(recognizer.accepts(b"(())"));
+/// assert!(!recognizer.accepts(b"(()"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Recognizer {
+    start: u32,
+    /// The symbol after the dot, per dotted rule. Rule `r`'s dotted rules
+    /// are `rules[r]..=rules[r] + len(r)`.
+    next: Vec<Next>,
+    /// The dot-0 dotted rule of every production, nonterminal-major.
+    rules: Vec<u32>,
+    /// Nonterminal `b`'s productions are `rules[nt_rules[b]..nt_rules[b + 1]]`.
+    nt_rules: Vec<u32>,
+    nullable: Vec<bool>,
+    classes: Vec<CharClass>,
+    /// Number of dotted rules that directly follow a nonterminal (the
+    /// only ones that completion can produce twice in one set).
+    slots: u32,
+}
+
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("grammar or input too large for the Earley recognizer")
+}
+
+impl Recognizer {
+    /// Compiles `grammar`.
+    pub fn new(grammar: &Grammar) -> Self {
+        let rhs = || grammar.nonterminals().flat_map(|n| grammar.productions(n));
+        let symbols: usize = rhs().map(Vec::len).sum();
+        let mut next = Vec::with_capacity(symbols + grammar.num_productions());
+        let mut rules = Vec::with_capacity(grammar.num_productions());
+        let mut nt_rules = Vec::with_capacity(grammar.num_nonterminals() + 1);
+        nt_rules.push(0);
+        let mut classes = Vec::with_capacity(symbols);
+        let mut slots = 0;
+        for lhs in grammar.nonterminals() {
+            for rhs in grammar.productions(lhs) {
+                rules.push(index(next.len()));
+                for sym in rhs {
+                    next.push(match *sym {
+                        Sym::Class(c) => {
+                            classes.push(c);
+                            Next::Class(index(classes.len() - 1))
+                        }
+                        Sym::Nt(b) => {
+                            slots += 1;
+                            Next::Nt { nt: b.0, slot: slots - 1 }
+                        }
+                    });
+                }
+                next.push(Next::Done { lhs: lhs.0 });
+            }
+            nt_rules.push(index(rules.len()));
+        }
+        Recognizer {
+            start: grammar.start().0,
+            next,
+            rules,
+            nt_rules,
+            nullable: grammar.nullable_set(),
+            classes,
+            slots,
+        }
+    }
+
+    /// Decides membership of `input` in the grammar's language.
+    pub fn accepts(&self, input: &[u8]) -> bool {
+        with_chart(|chart| self.run(input, chart) && self.accepted(chart))
+    }
+
+    /// The dot-0 dotted rules of nonterminal `nt`.
+    fn dot0(&self, nt: u32) -> &[u32] {
+        &self.rules[self.nt_rules[nt as usize] as usize..self.nt_rules[nt as usize + 1] as usize]
+    }
+
+    fn nonterminals(&self) -> usize {
+        self.nt_rules.len() - 1
+    }
+
+    /// Whether the last set holds a completed start rule from origin 0.
+    fn accepted(&self, chart: &Chart) -> bool {
+        chart.last_set().iter().any(|it| {
+            it.origin == 0
+                && matches!(self.next[it.dot as usize], Next::Done { lhs } if lhs == self.start)
+        })
+    }
+
+    /// Runs the chart algorithm over `input` into `chart`. Returns `false`
+    /// as soon as a set comes out empty, since no later set can then be
+    /// reached (the chart then holds only the sets before it).
+    fn run(&self, input: &[u8], chart: &mut Chart) -> bool {
+        let n = input.len();
+        assert!(n < (u32::MAX / 2) as usize, "input too large for the Earley recognizer");
+        let base = chart.begin(n, self.slots as usize, self.nonterminals());
+        let slots = self.slots as usize;
+        let nts = self.nonterminals();
+        let Chart { items, set_start, scanned, stamps, predicted, waiting, .. } = chart;
+
+        predicted[self.start as usize] = base + 1;
+        for &dot in self.dot0(self.start) {
+            items.push(Item { origin: 0, dot, link: 0 });
+        }
+        for k in 0..=n {
+            let kk = k as u32;
+            let cur = base + kk + 1;
+            let mut i = set_start[k] as usize;
+            while i < items.len() {
+                let Item { origin, dot, .. } = items[i];
+                i += 1;
+                match self.next[dot as usize] {
+                    Next::Class(c) => {
+                        if k < n && self.classes[c as usize].contains(input[k]) {
+                            scanned.push(Item { origin, dot: dot + 1, link: 0 });
+                        }
+                    }
+                    Next::Nt { nt, slot } => {
+                        // Join the waiting list of (k, nt).
+                        let w = &mut waiting[k * nts + nt as usize];
+                        items[i - 1].link = if w.0 == cur { w.1 } else { 0 };
+                        *w = (cur, index(i));
+                        // Predict.
+                        if predicted[nt as usize] != cur {
+                            predicted[nt as usize] = cur;
+                            for &dot in self.dot0(nt) {
+                                items.push(Item { origin: kk, dot, link: 0 });
+                            }
+                        }
+                        // Aycock–Horspool: a nullable nonterminal is also
+                        // advanced over at once. This covers every
+                        // completion whose origin is the current set.
+                        if self.nullable[nt as usize] {
+                            let s = &mut stamps[origin as usize * slots + slot as usize];
+                            if *s != cur {
+                                *s = cur;
+                                items.push(Item { origin, dot: dot + 1, link: 0 });
+                            }
+                        }
+                    }
+                    Next::Done { lhs } if origin < kk => {
+                        // Complete: advance exactly the items of set
+                        // `origin` that wait on `lhs`.
+                        let w = waiting[origin as usize * nts + lhs as usize];
+                        let mut p = if w.0 == base + origin + 1 { w.1 } else { 0 };
+                        while p != 0 {
+                            let parent = items[p as usize - 1];
+                            p = parent.link;
+                            let Next::Nt { slot, .. } = self.next[parent.dot as usize] else {
+                                unreachable!("waiting items sit before a nonterminal")
+                            };
+                            let s = &mut stamps[parent.origin as usize * slots + slot as usize];
+                            if *s != cur {
+                                *s = cur;
+                                items.push(Item {
+                                    origin: parent.origin,
+                                    dot: parent.dot + 1,
+                                    link: 0,
+                                });
+                            }
+                        }
+                    }
+                    Next::Done { .. } => {}
+                }
+            }
+            set_start.push(index(items.len()));
+            if k == n {
+                break;
+            }
+            if scanned.is_empty() {
+                return false;
+            }
+            // Scans from distinct items give distinct items: no dedup.
+            items.append(scanned);
+        }
+        true
+    }
+}
+
+/// One Earley item: the dotted rule `dot` started at input position
+/// `origin`. `link` chains the items of one set that wait on the same
+/// nonterminal (1-based index of the previous one, 0 ends the list).
+#[derive(Clone, Copy, Debug)]
 struct Item {
-    nt: u32,
-    prod: u32,
-    dot: u32,
     origin: u32,
+    dot: u32,
+    link: u32,
+}
+
+/// Per-thread scratch for `Recognizer::run`: the chart plus its dense
+/// dedup tables, reused across queries and across grammars.
+///
+/// The tables are never cleared between queries. Every entry records the
+/// *stamp* of the set that wrote it: `base + k + 1` for set `k`, where
+/// `base` grows by `n + 1` per query, so entries from earlier queries
+/// (whatever their grammar) never equal a live stamp.
+#[derive(Debug, Default)]
+struct Chart {
+    /// Every set's items, concatenated; set `k` is
+    /// `items[set_start[k]..set_start[k + 1]]`.
+    items: Vec<Item>,
+    set_start: Vec<u32>,
+    /// Items scanned into the next set while the current one runs.
+    scanned: Vec<Item>,
+    /// `(origin, slot)` → stamp of the set that holds that item.
+    stamps: Vec<u32>,
+    /// Nonterminal → stamp of the set that predicted it.
+    predicted: Vec<u32>,
+    /// `(set, nonterminal)` → (stamp, head of that set's waiting list).
+    waiting: Vec<(u32, u32)>,
+    base: u32,
+}
+
+/// A scratch chart whose tables outgrow this many entries is dropped after
+/// its query instead of being kept for the thread's next one.
+const RETAINED_ENTRIES: usize = 1 << 16;
+
+impl Chart {
+    /// Readies the chart for an input of length `n` and returns the stamp
+    /// base of this query.
+    fn begin(&mut self, n: usize, slots: usize, nts: usize) -> u32 {
+        let sets = n + 1;
+        let cells = |width: usize| sets.checked_mul(width).expect("chart size overflows usize");
+        for (table, len) in [(&mut self.stamps, cells(slots)), (&mut self.predicted, nts)] {
+            if table.len() < len {
+                table.resize(len, 0);
+            }
+        }
+        if self.waiting.len() < cells(nts) {
+            self.waiting.resize(cells(nts), (0, 0));
+        }
+        if u32::MAX - self.base <= index(sets) {
+            self.stamps.fill(0);
+            self.predicted.fill(0);
+            self.waiting.fill((0, 0));
+            self.base = 0;
+        }
+        let base = self.base;
+        self.base += index(sets);
+        self.items.clear();
+        self.scanned.clear();
+        self.set_start.clear();
+        self.set_start.push(0);
+        base
+    }
+
+    fn set(&self, k: usize) -> &[Item] {
+        &self.items[self.set_start[k] as usize..self.set_start[k + 1] as usize]
+    }
+
+    /// The last set the run reached.
+    fn last_set(&self) -> &[Item] {
+        self.set(self.set_start.len() - 2)
+    }
+
+    fn entries(&self) -> usize {
+        self.items.capacity() + self.stamps.len() + self.predicted.len() + self.waiting.len()
+    }
+}
+
+thread_local! {
+    static CHART: RefCell<Chart> = RefCell::default();
+}
+
+/// Runs `f` on this thread's scratch chart.
+fn with_chart<R>(f: impl FnOnce(&mut Chart) -> R) -> R {
+    CHART.with(|cell| {
+        let mut chart = cell.borrow_mut();
+        let r = f(&mut chart);
+        if chart.entries() > RETAINED_ENTRIES {
+            *chart = Chart::default();
+        }
+        r
+    })
 }
 
 /// An Earley recognizer/parser for a borrowed [`Grammar`].
 ///
-/// Construction precomputes the nullable set; each call to
-/// [`Earley::accepts`] or [`Earley::parse`] runs the chart algorithm on one
-/// input.
+/// Construction compiles the grammar into a [`Recognizer`] (flat
+/// dotted-rule tables, dot-0 rules per nonterminal, the nullable set);
+/// each call to [`Earley::accepts`] or [`Earley::parse`] then runs the
+/// chart algorithm on one input, on the calling thread's reusable scratch
+/// chart. Completions visit only the items waiting on the completed
+/// nonterminal, and duplicate items are caught by dense stamp tables, so
+/// no item set is hashed. Build one `Earley` per grammar and reuse it.
 ///
 /// # Examples
 ///
@@ -146,14 +479,13 @@ struct Item {
 #[derive(Debug)]
 pub struct Earley<'g> {
     grammar: &'g Grammar,
-    nullable: Vec<bool>,
+    recognizer: Recognizer,
 }
 
 impl<'g> Earley<'g> {
-    /// Creates a parser for `grammar`.
+    /// Creates a parser for `grammar`, compiling it into a [`Recognizer`].
     pub fn new(grammar: &'g Grammar) -> Self {
-        let nullable = grammar.nullable_set();
-        Earley { grammar, nullable }
+        Earley { grammar, recognizer: Recognizer::new(grammar) }
     }
 
     /// The underlying grammar.
@@ -161,164 +493,105 @@ impl<'g> Earley<'g> {
         self.grammar
     }
 
-    fn rhs(&self, item: &Item) -> &'g [Sym] {
-        &self.grammar.productions(NtId(item.nt))[item.prod as usize]
-    }
-
-    /// Runs the chart algorithm, returning one item set per input position
-    /// (`n + 1` sets).
-    fn chart(&self, input: &[u8]) -> Vec<Vec<Item>> {
-        let n = input.len();
-        let mut sets: Vec<Vec<Item>> = vec![Vec::new(); n + 1];
-        let mut seen: Vec<HashSet<Item>> = vec![HashSet::new(); n + 1];
-
-        let start = self.grammar.start();
-        for prod in 0..self.grammar.productions(start).len() as u32 {
-            let it = Item { nt: start.0, prod, dot: 0, origin: 0 };
-            if seen[0].insert(it) {
-                sets[0].push(it);
-            }
-        }
-
-        for k in 0..=n {
-            let mut idx = 0;
-            while idx < sets[k].len() {
-                let item = sets[k][idx];
-                idx += 1;
-                let rhs = self.rhs(&item);
-                if (item.dot as usize) < rhs.len() {
-                    match rhs[item.dot as usize] {
-                        Sym::Nt(b) => {
-                            // Predict.
-                            for prod in 0..self.grammar.productions(b).len() as u32 {
-                                let it = Item { nt: b.0, prod, dot: 0, origin: k as u32 };
-                                if seen[k].insert(it) {
-                                    sets[k].push(it);
-                                }
-                            }
-                            // Aycock–Horspool: if B is nullable, also advance
-                            // over it immediately.
-                            if self.nullable[b.index()] {
-                                let it = Item { dot: item.dot + 1, ..item };
-                                if seen[k].insert(it) {
-                                    sets[k].push(it);
-                                }
-                            }
-                        }
-                        Sym::Class(c) => {
-                            // Scan.
-                            if k < n && c.contains(input[k]) {
-                                let it = Item { dot: item.dot + 1, ..item };
-                                if seen[k + 1].insert(it) {
-                                    sets[k + 1].push(it);
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // Complete: item.nt spans item.origin..k.
-                    let origin = item.origin as usize;
-                    // Note: when origin == k this loops over the growing set;
-                    // index-based iteration handles that safely.
-                    let mut j = 0;
-                    while j < sets[origin].len() {
-                        let parent = sets[origin][j];
-                        j += 1;
-                        let prhs = self.rhs(&parent);
-                        if (parent.dot as usize) < prhs.len()
-                            && prhs[parent.dot as usize] == Sym::Nt(NtId(item.nt))
-                        {
-                            let it = Item { dot: parent.dot + 1, ..parent };
-                            if seen[k].insert(it) {
-                                sets[k].push(it);
-                            }
-                        }
-                        if origin != k {
-                            // sets[origin] is frozen once k > origin; a plain
-                            // loop suffices but we keep the same structure.
-                        }
-                    }
-                }
-            }
-        }
-        sets
-    }
-
     /// Decides membership of `input` in the grammar's language.
     pub fn accepts(&self, input: &[u8]) -> bool {
-        let sets = self.chart(input);
-        let n = input.len();
-        let start = self.grammar.start();
-        sets[n]
-            .iter()
-            .any(|it| it.nt == start.0 && it.origin == 0 && it.dot as usize == self.rhs(it).len())
+        self.recognizer.accepts(input)
     }
 
     /// Parses `input`, returning one (arbitrary but deterministic) parse
-    /// tree, or `None` if the input is not in the language.
+    /// tree, or `None` if the input is not in the language. The tree is
+    /// read off the same chart [`Earley::accepts`] builds.
     pub fn parse(&self, input: &[u8]) -> Option<ParseTree> {
-        let sets = self.chart(input);
-        let n = input.len();
-        let start = self.grammar.start();
-        let accepted = sets[n]
-            .iter()
-            .any(|it| it.nt == start.0 && it.origin == 0 && it.dot as usize == self.rhs(it).len());
-        if !accepted {
-            return None;
-        }
-
-        // completed[(nt, start)] = ascending list of end positions.
-        let mut completed: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        for (k, set) in sets.iter().enumerate() {
-            for it in set {
-                if it.dot as usize == self.rhs(it).len() {
-                    completed.entry((it.nt, it.origin)).or_default().push(k as u32);
+        let rec = &self.recognizer;
+        // Every completed `(nonterminal, start, end)`, sorted.
+        let completed = with_chart(|chart| {
+            if !rec.run(input, chart) || !rec.accepted(chart) {
+                return None;
+            }
+            let mut completed = Vec::new();
+            for k in 0..=input.len() {
+                for it in chart.set(k) {
+                    if let Next::Done { lhs } = rec.next[it.dot as usize] {
+                        completed.push((lhs, it.origin, k as u32));
+                    }
                 }
             }
-        }
-        for ends in completed.values_mut() {
-            ends.sort_unstable();
-            ends.dedup();
-        }
-
+            completed.sort_unstable();
+            completed.dedup();
+            Some(completed)
+        })?;
         let mut builder = TreeBuilder {
-            earley: self,
+            grammar: self.grammar,
             input,
-            completed,
-            fail: HashSet::new(),
-            in_progress: HashSet::new(),
+            state: vec![Span::Open; completed.len()],
+            completed: &completed,
+            depth: 0,
+            low: u32::MAX,
         };
-        builder.build(start.0, 0, n as u32)
+        builder.build(rec.start, 0, index(input.len()))
     }
 }
 
-struct TreeBuilder<'a, 'g> {
-    earley: &'a Earley<'g>,
-    input: &'a [u8],
-    completed: HashMap<(u32, u32), Vec<u32>>,
-    fail: HashSet<(u32, u32, u32)>,
-    in_progress: HashSet<(u32, u32, u32)>,
+/// What [`TreeBuilder`] knows about one completed span.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Span {
+    Open,
+    /// On the walk's stack, at this depth.
+    InProgress(u32),
+    /// Has no derivation, whatever the stack.
+    Failed,
 }
 
-impl TreeBuilder<'_, '_> {
-    fn spans(&self, nt: u32, start: u32) -> &[u32] {
-        self.completed.get(&(nt, start)).map(Vec::as_slice).unwrap_or(&[])
+/// Extracts one parse tree from the completed spans of a chart by a
+/// memoized top-down walk.
+///
+/// A minimal derivation never revisits the same `(nt, span)` below itself,
+/// so the walk blocks re-entry into a span that is on its stack; that keeps
+/// unary and ε cycles finite. A failure is memoized only if it did not rest
+/// on blocking a span *above* the failing one: such a failure holds only
+/// for the current stack, and caching it could hide the sole derivation
+/// from a later, different path.
+struct TreeBuilder<'a> {
+    grammar: &'a Grammar,
+    input: &'a [u8],
+    completed: &'a [(u32, u32, u32)],
+    /// Per entry of `completed`.
+    state: Vec<Span>,
+    /// Stack depth of the walk.
+    depth: u32,
+    /// Lowest stack depth whose blocking the current failure rests on.
+    low: u32,
+}
+
+impl<'a> TreeBuilder<'a> {
+    /// The completed spans of `nt` from `start`, by ascending end.
+    fn spans(&self, nt: u32, start: u32) -> &'a [(u32, u32, u32)] {
+        let c = self.completed;
+        let lo = c.partition_point(|&(n, s, _)| (n, s) < (nt, start));
+        let hi = lo + c[lo..].partition_point(|&(n, s, _)| (n, s) == (nt, start));
+        &c[lo..hi]
     }
 
     fn build(&mut self, nt: u32, start: u32, end: u32) -> Option<ParseTree> {
-        let key = (nt, start, end);
-        if self.fail.contains(&key) || !self.spans(nt, start).contains(&end) {
-            return None;
+        let key = self.completed.binary_search(&(nt, start, end)).ok()?;
+        match self.state[key] {
+            Span::Open => {}
+            Span::InProgress(depth) => {
+                self.low = self.low.min(depth);
+                return None;
+            }
+            Span::Failed => return None,
         }
-        // A minimal derivation never revisits the same (nt, span); blocking
-        // re-entry keeps unary/ε cycles from looping forever.
-        if !self.in_progress.insert(key) {
-            return None;
-        }
-        let prods = self.earley.grammar.productions(NtId(nt));
+        let depth = self.depth;
+        self.depth += 1;
+        self.state[key] = Span::InProgress(depth);
+        let outer_low = std::mem::replace(&mut self.low, u32::MAX);
+        let prods = self.grammar.productions(NtId(nt));
         let mut result = None;
+        let mut children = Vec::new();
         for (pi, rhs) in prods.iter().enumerate() {
-            if let Some(children) = self.match_seq(rhs, 0, start, end) {
+            if self.match_seq(rhs, 0, start, end, &mut children) {
+                children.reverse();
                 result = Some(ParseTree::Node {
                     nt: NtId(nt),
                     prod: pi,
@@ -329,44 +602,53 @@ impl TreeBuilder<'_, '_> {
                 break;
             }
         }
-        self.in_progress.remove(&key);
-        if result.is_none() {
-            self.fail.insert(key);
+        self.depth -= 1;
+        if result.is_some() {
+            self.state[key] = Span::Open;
+            self.low = outer_low;
+        } else {
+            self.state[key] = if self.low >= depth { Span::Failed } else { Span::Open };
+            self.low = self.low.min(outer_low);
         }
         result
     }
 
-    fn match_seq(&mut self, rhs: &[Sym], k: usize, pos: u32, end: u32) -> Option<Vec<ParseTree>> {
+    /// Matches `rhs[k..]` against `input[pos..end]`. On success pushes the
+    /// children for `rhs[k..]` onto `out` last-first (so the caller
+    /// reverses once); on failure leaves `out` as it was.
+    fn match_seq(
+        &mut self,
+        rhs: &'a [Sym],
+        k: usize,
+        pos: u32,
+        end: u32,
+        out: &mut Vec<ParseTree>,
+    ) -> bool {
         if k == rhs.len() {
-            return (pos == end).then(Vec::new);
+            return pos == end;
         }
         match rhs[k] {
             Sym::Class(c) => {
-                if pos < end && c.contains(self.input[pos as usize]) {
-                    let mut rest = self.match_seq(rhs, k + 1, pos + 1, end)?;
-                    rest.insert(
-                        0,
-                        ParseTree::Leaf { byte: self.input[pos as usize], pos: pos as usize },
-                    );
-                    Some(rest)
-                } else {
-                    None
+                let matched = pos < end
+                    && c.contains(self.input[pos as usize])
+                    && self.match_seq(rhs, k + 1, pos + 1, end, out);
+                if matched {
+                    out.push(ParseTree::Leaf { byte: self.input[pos as usize], pos: pos as usize });
                 }
+                matched
             }
             Sym::Nt(n) => {
-                let mids: Vec<u32> =
-                    self.spans(n.0, pos).iter().copied().filter(|&m| m <= end).collect();
-                for mid in mids {
-                    if let Some(rest) = self.match_seq(rhs, k + 1, mid, end) {
+                for &(_, _, mid) in self.spans(n.0, pos).iter().take_while(|s| s.2 <= end) {
+                    let mark = out.len();
+                    if self.match_seq(rhs, k + 1, mid, end, out) {
                         if let Some(sub) = self.build(n.0, pos, mid) {
-                            let mut children = Vec::with_capacity(rest.len() + 1);
-                            children.push(sub);
-                            children.extend(rest);
-                            return Some(children);
+                            out.push(sub);
+                            return true;
                         }
+                        out.truncate(mark);
                     }
                 }
-                None
+                false
             }
         }
     }
@@ -512,6 +794,24 @@ mod tests {
             assert_eq!(t.to_bytes(), input);
         }
         assert!(!p.accepts(b"b"));
+    }
+
+    #[test]
+    fn scratch_survives_stamp_wraparound_and_trimming() {
+        let g = running_example();
+        let p = Earley::new(&g);
+        // Ten sets per query: the second query runs out of stamps and
+        // clears the tables.
+        CHART.with(|c| c.borrow_mut().base = u32::MAX - 20);
+        for _ in 0..5 {
+            assert!(p.accepts(b"<a>hi</a>"));
+            assert!(!p.accepts(b"<a>hi</a"));
+        }
+        // A long input grows the scratch past what a thread keeps.
+        assert!(p.accepts(&b"h".repeat(RETAINED_ENTRIES)));
+        assert!(CHART.with(|c| c.borrow().entries()) <= RETAINED_ENTRIES);
+        assert!(p.accepts(b"<a>hi</a>"));
+        assert!(!p.accepts(b"<a>hi</a"));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   output of GLADE's phase two and the representation of the handwritten
 //!   evaluation grammars).
 //! * [`Earley`] — a general CFG recognizer/parser used for recall
-//!   measurement and by the grammar-based fuzzer.
+//!   measurement and by the grammar-based fuzzer, over a [`Recognizer`]:
+//!   the grammar compiled once into owned tables, which membership oracles
+//!   keep for all their queries.
 //! * [`Sampler`] — bounded-depth uniform-production sampling of grammar
 //!   members (the distribution of Section 8.1 of the paper).
 //!
@@ -49,7 +51,7 @@ mod text;
 
 pub use cfg::{Grammar, GrammarBuilder, GrammarError, NtId, Sym};
 pub use charclass::CharClass;
-pub use earley::{Earley, ParseTree};
+pub use earley::{Earley, ParseTree, Recognizer};
 pub use regex::Regex;
 pub use sample::{Sampler, DEFAULT_MAX_DEPTH};
 pub use text::{grammar_from_text, grammar_to_text, ParseGrammarError};

@@ -11,7 +11,7 @@
 
 use glade_core::Oracle;
 use glade_grammar::cfg::{cls, lit, nt, GrammarBuilder};
-use glade_grammar::{CharClass, Earley, Grammar};
+use glade_grammar::{CharClass, Grammar, Recognizer};
 
 /// A named target language backed by a handwritten grammar.
 #[derive(Debug, Clone)]
@@ -33,20 +33,24 @@ impl Language {
 
     /// A membership oracle for the language (Earley recognition).
     pub fn oracle(&self) -> GrammarOracle {
-        GrammarOracle { grammar: self.grammar.clone() }
+        GrammarOracle::new(self.grammar.clone())
     }
 }
 
 /// Membership oracle backed by a [`Grammar`].
+///
+/// The grammar is compiled into a [`Recognizer`] once, here; each query
+/// then runs one Earley chart on the calling thread's scratch.
 #[derive(Debug, Clone)]
 pub struct GrammarOracle {
     grammar: Grammar,
+    recognizer: Recognizer,
 }
 
 impl GrammarOracle {
     /// Creates an oracle for `grammar`.
     pub fn new(grammar: Grammar) -> Self {
-        GrammarOracle { grammar }
+        GrammarOracle { recognizer: Recognizer::new(&grammar), grammar }
     }
 
     /// The underlying grammar.
@@ -57,7 +61,7 @@ impl GrammarOracle {
 
 impl Oracle for GrammarOracle {
     fn accepts(&self, input: &[u8]) -> bool {
-        Earley::new(&self.grammar).accepts(input)
+        self.recognizer.accepts(input)
     }
 }
 

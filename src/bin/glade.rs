@@ -93,8 +93,30 @@ use glade_repro::targets::languages::{section82_languages, toy_xml};
 use glade_repro::targets::programs::{all_targets, target_by_name};
 use glade_repro::targets::TargetOracle;
 use rand::SeedableRng;
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
+
+/// `println!` to stdout, treating a closed stdout as a clean exit.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. Once the reader has gone away (`glade targets | head
+/// -1`), nobody is left to read the rest, so a broken pipe ends the process
+/// with status 0 instead of a panic; any other write error exits 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("glade: cannot write to stdout: {e}");
+            std::process::exit(1)
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -111,7 +133,7 @@ fn main() -> ExitCode {
         Some("client") => cmd_client(&args[1..]),
         Some("targets") => {
             for t in all_targets() {
-                println!(
+                outln!(
                     "{:<12} {:>5} source lines, {:>4} coverage points, {} seeds",
                     t.name(),
                     t.source_lines(),
@@ -427,7 +449,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
             std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("grammar written to {path}");
         }
-        None => print!("{text}"),
+        None => write_stdout(format_args!("{text}")),
     }
     Ok(())
 }
@@ -481,23 +503,20 @@ fn cache_inspect(path: &str) -> Result<(), String> {
     drop(file);
     if is_binary_snapshot(&magic[..got]) {
         let snapshot = BinaryCacheFile::open(path).map_err(|e| format!("{path}: {e}"))?;
-        println!("format:       binary (glade-cachebin v1)");
-        println!("entries:      {}", snapshot.len());
-        println!("memo entries: {}", snapshot.memo_len());
-        println!("oracle:       {}", snapshot.fingerprint().unwrap_or("(untagged)"));
-        println!("file size:    {} bytes", snapshot.file_len());
+        outln!("format:       binary (glade-cachebin v1)");
+        outln!("entries:      {}", snapshot.len());
+        outln!("memo entries: {}", snapshot.memo_len());
+        outln!("oracle:       {}", snapshot.fingerprint().unwrap_or("(untagged)"));
+        outln!("file size:    {} bytes", snapshot.file_len());
     } else {
         let bytes = read_file(path)?;
         let header = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
         let snapshot = snapshot_from_reader(&bytes[..]).map_err(|e| format!("{path}: {e}"))?;
-        println!("format:       text ({})", String::from_utf8_lossy(header).trim_end());
-        println!("entries:      {}", snapshot.entries.len());
-        println!("memo entries: {}", snapshot.memo.len());
-        println!(
-            "oracle:       {}",
-            snapshot.oracle_fingerprint.as_deref().unwrap_or("(untagged)")
-        );
-        println!("file size:    {} bytes", bytes.len());
+        outln!("format:       text ({})", String::from_utf8_lossy(header).trim_end());
+        outln!("entries:      {}", snapshot.entries.len());
+        outln!("memo entries: {}", snapshot.memo.len());
+        outln!("oracle:       {}", snapshot.oracle_fingerprint.as_deref().unwrap_or("(untagged)"));
+        outln!("file size:    {} bytes", bytes.len());
     }
     Ok(())
 }
@@ -870,7 +889,7 @@ fn cmd_client(argv: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("grammar written to {path}");
         }
-        None => print!("{}", outcome.grammar_text),
+        None => write_stdout(format_args!("{}", outcome.grammar_text)),
     }
     Ok(())
 }
@@ -899,7 +918,7 @@ fn cmd_sample(argv: &[String]) -> Result<(), String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(rng_seed);
     for _ in 0..count {
         match sampler.sample(&mut rng) {
-            Some(s) => println!("{}", String::from_utf8_lossy(&s)),
+            Some(s) => outln!("{}", String::from_utf8_lossy(&s)),
             None => return Err("grammar is non-productive".into()),
         }
     }
@@ -926,11 +945,12 @@ fn cmd_check(argv: &[String]) -> Result<(), String> {
             buf
         }
     };
-    if Earley::new(&grammar).accepts(&input) {
-        println!("member");
+    let member = Earley::new(&grammar).accepts(&input);
+    // The exit status carries the verdict, so a closed stdout is ignored.
+    let _ = writeln!(std::io::stdout(), "{}", if member { "member" } else { "NOT a member" });
+    if member {
         Ok(())
     } else {
-        println!("NOT a member");
         Err("input rejected".into())
     }
 }
@@ -960,7 +980,7 @@ fn cmd_fuzz(argv: &[String]) -> Result<(), String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(rng_seed);
     for _ in 0..count {
         let input = fuzzer.next_input(&mut rng);
-        println!("{}", String::from_utf8_lossy(&input));
+        outln!("{}", String::from_utf8_lossy(&input));
     }
     Ok(())
 }
