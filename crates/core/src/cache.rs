@@ -1,34 +1,39 @@
-//! Mutex-striped concurrent query cache with a negative-lookup filter and
+//! Mutex-striped concurrent query cache keyed by a precomputed hash, with
 //! optional residency caps.
 //!
 //! Both [`CachingOracle`](crate::CachingOracle) and the internal
-//! `QueryRunner` memoize membership queries. The single-threaded seed
-//! implementation used `RefCell<HashMap>`; to let checks fan out across
-//! worker threads the cache is now sharded: keys are distributed over N
+//! `QueryRunner` memoize membership queries. To let checks fan out across
+//! worker threads the cache is sharded: keys are distributed over N
 //! independently locked `HashMap` shards by hash, so concurrent lookups and
 //! inserts of different keys almost never contend on the same mutex.
 //!
-//! Two production-scale layers sit on top of the shards:
+//! **One hash per query.** A key is the pair `(hash, bytes)`, where the
+//! hash is [`hash_query`] — computed once, where a check's bytes are first
+//! assembled (see `arena.rs`), and carried from there through the runner
+//! into [`ShardedCache::get_hashed`] and [`ShardedCache::insert_hashed`].
+//! The shard maps use a pass-through hasher, so neither a lookup, an
+//! insert, nor a shard's growth ever hashes the key bytes again; equal
+//! hashes are always confirmed on the bytes, so colliding keys never share
+//! an entry. Keys are stored as exactly-sized boxes that the caller moves
+//! in: an insert allocates nothing beyond the map's own amortized growth.
 //!
-//! * **Negative-lookup filter** — synthesis is miss-dominated (most checks
-//!   are posed exactly once), so the hot path of `get` consults a
-//!   fixed-size lock-free bloom filter first and returns without touching
-//!   any mutex when the key was definitely never inserted. The filter is
-//!   marked on every insert (including snapshot loads, which go through
-//!   `insert`); false positives merely fall through to the shard lock,
-//!   false negatives cannot occur because marking precedes map insertion.
-//! * **Residency cap** — [`ShardedCache::with_max_entries`] bounds the
-//!   number of resident entries per cache for long-lived campaigns,
-//!   evicting with a second-chance (clock) sweep over each shard's
-//!   deterministic iteration order. Eviction can only cause a later
-//!   re-query (same verdict — oracles are deterministic), never a changed
-//!   answer, so grammars are unaffected. [`ShardedCache::len`] counts
-//!   *distinct keys ever inserted* — an 8-byte per-key ledger survives
-//!   eviction so `unique_queries` accounting stays exact.
+//! **Residency cap.** [`ShardedCache::with_max_entries`] bounds the
+//! number of resident entries per cache for long-lived campaigns, evicting
+//! with a second-chance (clock) sweep over each shard's deterministic
+//! iteration order. Eviction can only cause a later re-query (same verdict
+//! — oracles are deterministic), never a changed answer, so grammars are
+//! unaffected. [`ShardedCache::len`] counts *distinct keys ever inserted*
+//! — an 8-byte per-key ledger of hashes survives eviction so
+//! `unique_queries` accounting stays exact. That ledger identifies a key
+//! by its 64-bit hash alone, which is one reason the hash must stay a
+//! strong one (SipHash): a weak hash would make two different queries
+//! count as one.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Number of mutex stripes. 16 keeps contention negligible for the worker
@@ -36,21 +41,104 @@ use std::sync::{Mutex, MutexGuard};
 /// cost.
 const SHARD_COUNT: usize = 16;
 
-/// Negative-lookup filter size: 2²¹ bits (256 KiB) with two probes per
-/// key keeps the false-positive rate under ~1% at 10⁵ entries. Past ~10⁶
-/// entries the filter saturates and `get` degrades gracefully to the
-/// always-lock behavior.
-const FILTER_WORDS: usize = 1 << 15;
-const FILTER_BITS: u64 = (FILTER_WORDS as u64) * 64;
-
-/// Deterministic (unkeyed) hasher: shard choice and dedup hashing must not
-/// vary between runs, so synthesis stays reproducible.
-type FixedState = BuildHasherDefault<DefaultHasher>;
-
-/// Hashes a query string with the crate's fixed hasher.
+/// Hashes a query string. This is the snapshot index hash
+/// ([`index_hash`](crate::persist::index_hash)): deterministic across
+/// runs and toolchains, so shard choice and eviction order are
+/// reproducible, and a lookup in an attached binary snapshot reuses it.
 pub(crate) fn hash_query(key: &[u8]) -> u64 {
-    FixedState::default().hash_one(key)
+    crate::persist::index_hash(key)
 }
+
+/// A [`Hasher`] for maps whose keys already are a [`hash_query`] value:
+/// the hash passes through unchanged.
+#[derive(Debug, Default)]
+pub(crate) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PassThrough only hashes precomputed u64 hashes");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Builds [`PassThrough`] hashers.
+pub(crate) type PassThroughState = BuildHasherDefault<PassThrough>;
+
+/// An owned cache key: the query bytes and their [`hash_query`] value.
+#[derive(Debug, Clone)]
+struct Key {
+    hash: u64,
+    bytes: Box<[u8]>,
+}
+
+/// A key as a shard lookup compares it, owned ([`Key`]) or borrowed
+/// (`(hash, &bytes)`), so lookups need no owned key.
+trait KeyView {
+    fn key_hash(&self) -> u64;
+    fn key_bytes(&self) -> &[u8];
+}
+
+impl KeyView for Key {
+    fn key_hash(&self) -> u64 {
+        self.hash
+    }
+
+    fn key_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl KeyView for (u64, &[u8]) {
+    fn key_hash(&self) -> u64 {
+        self.0
+    }
+
+    fn key_bytes(&self) -> &[u8] {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.key_hash());
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_hash() == other.key_hash() && self.key_bytes() == other.key_bytes()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+// `Key`'s own `Hash`/`Eq` must agree with the `dyn KeyView` ones above.
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyView).hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn KeyView) == (other as &dyn KeyView)
+    }
+}
+
+impl Eq for Key {}
 
 /// One cached verdict plus its second-chance reference bit.
 #[derive(Debug)]
@@ -61,27 +149,23 @@ struct Slot {
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<Vec<u8>, Slot, FixedState>,
+    map: HashMap<Key, Slot, PassThroughState>,
     /// Hashes of every key ever inserted into this shard. Maintained only
     /// when a residency cap is set: it is what keeps distinct-key counting
     /// (and therefore `unique_queries`) exact after evictions, at 8 bytes
     /// per distinct key instead of the key bytes themselves.
-    seen: HashSet<u64, FixedState>,
+    seen: HashSet<u64, PassThroughState>,
 }
 
 /// A `Sync` map from query strings to oracle verdicts.
 #[derive(Debug)]
 pub(crate) struct ShardedCache {
     shards: Vec<Mutex<Shard>>,
-    /// Lock-free negative-lookup filter over every key ever inserted.
-    filter: Box<[AtomicU64]>,
     /// Distinct keys ever inserted (never decremented by eviction).
     len: AtomicUsize,
     /// Resident-entry cap per shard (`usize::MAX` = uncapped).
     shard_cap: usize,
     evictions: AtomicUsize,
-    /// `get` calls answered "absent" by the filter alone (no lock taken).
-    filter_negatives: AtomicUsize,
 }
 
 impl ShardedCache {
@@ -95,50 +179,32 @@ impl ShardedCache {
     pub fn with_max_entries(max_entries: Option<usize>) -> Self {
         ShardedCache {
             shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::default())).collect(),
-            filter: (0..FILTER_WORDS).map(|_| AtomicU64::new(0)).collect(),
             len: AtomicUsize::new(0),
             shard_cap: max_entries.map_or(usize::MAX, |n| n.div_ceil(SHARD_COUNT).max(1)),
             evictions: AtomicUsize::new(0),
-            filter_negatives: AtomicUsize::new(0),
         }
     }
 
+    /// The shard of a key hash. Middle bits: the shard maps place entries
+    /// by the low bits and tag them with the top seven.
     fn shard_index(h: u64) -> usize {
-        // High bits: the low bits also pick the HashMap bucket.
-        (h >> 59) as usize % SHARD_COUNT
+        (h >> 32) as usize % SHARD_COUNT
     }
 
-    /// The filter's two probe positions for a key hash: disjoint bit
-    /// ranges of the (already well-mixed) 64-bit hash.
-    fn filter_probes(h: u64) -> [(usize, u64); 2] {
-        let b1 = h & (FILTER_BITS - 1);
-        let b2 = (h >> 21) & (FILTER_BITS - 1);
-        [((b1 / 64) as usize, 1u64 << (b1 % 64)), ((b2 / 64) as usize, 1u64 << (b2 % 64))]
+    fn shard(&self, h: u64) -> MutexGuard<'_, Shard> {
+        self.shards[Self::shard_index(h)].lock().expect("cache shard poisoned")
     }
 
-    /// Whether `h` might have been inserted. `false` is definitive.
-    fn filter_maybe_contains(&self, h: u64) -> bool {
-        Self::filter_probes(h)
-            .iter()
-            .all(|&(word, bit)| self.filter[word].load(Ordering::Relaxed) & bit != 0)
-    }
-
-    fn filter_mark(&self, h: u64) {
-        for (word, bit) in Self::filter_probes(h) {
-            self.filter[word].fetch_or(bit, Ordering::Relaxed);
-        }
-    }
-
-    /// Looks up a cached verdict. Keys never inserted are usually
-    /// answered by the negative filter without locking any shard.
+    /// Looks up a cached verdict.
     pub fn get(&self, key: &[u8]) -> Option<bool> {
-        let h = hash_query(key);
-        if !self.filter_maybe_contains(h) {
-            self.filter_negatives.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut shard = self.shards[Self::shard_index(h)].lock().expect("cache shard poisoned");
-        let slot = shard.map.get_mut(key)?;
+        self.get_hashed(hash_query(key), key)
+    }
+
+    /// Looks up the cached verdict of `key`, whose [`hash_query`] value is
+    /// `h`.
+    pub fn get_hashed(&self, h: u64, key: &[u8]) -> Option<bool> {
+        let mut shard = self.shard(h);
+        let slot = shard.map.get_mut(&(h, key) as &dyn KeyView)?;
         slot.referenced = true;
         Some(slot.verdict)
     }
@@ -148,20 +214,33 @@ impl ShardedCache {
     /// already counted). An already-resident key keeps its original
     /// verdict (oracles are deterministic, so both verdicts agree).
     pub fn insert(&self, key: Vec<u8>, verdict: bool) -> bool {
-        let h = hash_query(&key);
-        // Mark before the map insert: a concurrent `get` that sees the
-        // map entry must also see the filter bits.
-        self.filter_mark(h);
-        let mut guard = self.shards[Self::shard_index(h)].lock().expect("cache shard poisoned");
+        self.insert_hashed(hash_query(&key), key.into_boxed_slice(), verdict)
+    }
+
+    /// [`ShardedCache::insert`] for a key whose [`hash_query`] value is
+    /// `h`; the key moves into the cache.
+    pub fn insert_hashed(&self, h: u64, key: Box<[u8]>, verdict: bool) -> bool {
+        let mut guard = self.shard(h);
         let shard = &mut *guard;
-        if shard.map.contains_key(&key) {
-            return false;
-        }
-        if shard.map.len() >= self.shard_cap {
-            Self::evict_one(shard, &self.evictions);
-        }
-        let fresh = if self.shard_cap == usize::MAX { true } else { shard.seen.insert(h) };
-        shard.map.insert(key, Slot { verdict, referenced: false });
+        let slot = Slot { verdict, referenced: false };
+        let fresh = if self.shard_cap == usize::MAX {
+            match shard.map.entry(Key { hash: h, bytes: key }) {
+                Entry::Occupied(_) => false,
+                Entry::Vacant(vacant) => {
+                    vacant.insert(slot);
+                    true
+                }
+            }
+        } else {
+            if shard.map.contains_key(&(h, &key[..]) as &dyn KeyView) {
+                return false;
+            }
+            if shard.map.len() >= self.shard_cap {
+                Self::evict_one(shard, &self.evictions);
+            }
+            shard.map.insert(Key { hash: h, bytes: key }, slot);
+            shard.seen.insert(h)
+        };
         drop(guard);
         if fresh {
             self.len.fetch_add(1, Ordering::Relaxed);
@@ -170,12 +249,12 @@ impl ShardedCache {
     }
 
     /// Evicts one entry from a full shard: a second-chance sweep in the
-    /// map's iteration order (deterministic — the hasher is fixed) clears
+    /// map's iteration order (deterministic — the hash is fixed) clears
     /// reference bits until it finds an unreferenced entry; if every
     /// entry had its second chance pending, the first entry goes (its bit
     /// was just cleared, making the next sweep a plain clock pass).
     fn evict_one(shard: &mut Shard, evictions: &AtomicUsize) {
-        let mut victim: Option<Vec<u8>> = None;
+        let mut victim: Option<Key> = None;
         for (key, slot) in shard.map.iter_mut() {
             if slot.referenced {
                 slot.referenced = false;
@@ -210,12 +289,6 @@ impl ShardedCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// `get` calls answered "absent" by the negative filter alone, i.e.
-    /// without taking any shard lock.
-    pub fn filter_negatives(&self) -> usize {
-        self.filter_negatives.load(Ordering::Relaxed)
-    }
-
     /// Copies every resident `(query, verdict)` entry out, in unspecified
     /// order (serialization via `persist::cache_to_text` sorts; sorting
     /// here too would be a redundant O(n log n) pass on every snapshot).
@@ -232,7 +305,7 @@ impl ShardedCache {
             self.shards.iter().map(|s| s.lock().expect("cache shard poisoned")).collect();
         let mut out = Vec::with_capacity(guards.iter().map(|g| g.map.len()).sum());
         for guard in &guards {
-            out.extend(guard.map.iter().map(|(k, slot)| (k.clone(), slot.verdict)));
+            out.extend(guard.map.iter().map(|(k, slot)| (k.bytes.to_vec(), slot.verdict)));
         }
         out
     }
@@ -310,22 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn negative_filter_answers_absent_keys_without_locking() {
-        let c = ShardedCache::new();
-        c.insert(b"present".to_vec(), true);
-        assert_eq!(c.get(b"present"), Some(true));
-        let before = c.filter_negatives();
-        for i in 0..100u32 {
-            assert_eq!(c.get(format!("absent-{i}").as_bytes()), None);
-        }
-        // With 2 probes over 2^21 bits and one insert, essentially every
-        // absent key is filtered; tolerate a stray false positive.
-        assert!(c.filter_negatives() - before >= 99, "{}", c.filter_negatives() - before);
-        // Present keys are never filtered (no false negatives).
-        assert_eq!(c.get(b"present"), Some(true));
-    }
-
-    #[test]
     fn residency_cap_evicts_but_len_counts_distinct_ever() {
         let cap = 64;
         let c = ShardedCache::with_max_entries(Some(cap));
@@ -369,6 +426,30 @@ mod tests {
         assert_eq!(c.get(&keys[0]), Some(true), "referenced key survived");
         assert_eq!(c.get(&keys[1]), None, "unreferenced key was evicted");
         assert_eq!(c.get(&keys[2]), Some(true));
+    }
+
+    #[test]
+    fn colliding_hashes_never_alias() {
+        // Two different keys forced onto one hash keep separate entries.
+        let h = 0x5eed_c0de_0000_0000;
+        let c = ShardedCache::new();
+        assert!(c.insert_hashed(h, b"<a>hi</I>"[..].into(), true));
+        assert!(c.insert_hashed(h, b"<a>hi</a9"[..].into(), false), "a colliding key is fresh");
+        assert!(!c.insert_hashed(h, b"<a>hi</I>"[..].into(), false), "a repeat is not");
+        assert_eq!(c.get_hashed(h, b"<a>hi</I>"), Some(true));
+        assert_eq!(c.get_hashed(h, b"<a>hi</a9"), Some(false));
+        assert_eq!(c.get_hashed(h, b"<a>hi</a>"), None, "equal hash, unknown bytes");
+        assert_eq!((c.len(), c.resident()), (2, 2));
+
+        // Eviction removes exactly the victim; the colliding survivor
+        // keeps its own verdict. (The capped ledger counts by hash alone,
+        // so `len` is not asserted here; see the module docs.)
+        let capped = ShardedCache::with_max_entries(Some(SHARD_COUNT)); // 1 per shard
+        capped.insert_hashed(h, b"first"[..].into(), true);
+        capped.insert_hashed(h, b"second"[..].into(), false);
+        assert_eq!(capped.evictions(), 1);
+        assert_eq!(capped.get_hashed(h, b"first"), None, "the victim is gone");
+        assert_eq!(capped.get_hashed(h, b"second"), Some(false), "the survivor is intact");
     }
 
     #[test]

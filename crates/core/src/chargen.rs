@@ -67,7 +67,8 @@
 //! and the [`SynthEvent::ProbesElided`](crate::SynthEvent::ProbesElided)
 //! event.
 
-use crate::cache::{hash_query, ShardedCache};
+use crate::arena::KeyArena;
+use crate::cache::ShardedCache;
 use crate::memo::{memo_key, ByteClassMemo};
 use crate::runner::{CheckSpec, QueryRunner};
 use crate::tree::{ConstNode, Node};
@@ -285,9 +286,9 @@ pub(crate) struct StagedChargen<'t> {
     consts: Vec<StagedConst<'t>>,
     /// Probes ready to plan their next context.
     active: Vec<StagedProbe>,
-    /// Probes parked on this wave's posed checks, one entry per distinct
-    /// check in planning order (= the wave's verdict order).
-    slots: Vec<Vec<StagedProbe>>,
+    /// This wave's distinct checks in planning order (= the wave's verdict
+    /// order), each owned by the probes parked on it.
+    keys: KeyArena<StagedProbe>,
     accepted: usize,
     memo_hits: usize,
     probes_elided: usize,
@@ -312,7 +313,7 @@ impl<'t> StagedChargen<'t> {
             test_bytes,
             consts,
             active: Vec::new(),
-            slots: Vec::new(),
+            keys: KeyArena::default(),
             accepted: 0,
             memo_hits: 0,
             probes_elided: 0,
@@ -396,14 +397,11 @@ impl<'t> StagedChargen<'t> {
 
     /// Plans the next wave: every live probe either resolves against the
     /// session cache (possibly through several contexts), accepts, dies,
-    /// or poses exactly one check. Returns the number of checks appended;
-    /// zero means the staged run is complete (every probe resolved).
-    pub fn plan_wave(&mut self, checks: &mut Vec<CheckSpec<'t>>, cache: &ShardedCache) -> usize {
-        debug_assert!(self.slots.is_empty(), "previous wave not folded");
-        let start = checks.len();
-        let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut slot_keys: Vec<Vec<u8>> = Vec::new();
-        let mut scratch: Vec<u8> = Vec::new();
+    /// or poses exactly one check. Returns the number of distinct checks
+    /// planned (take them with [`StagedChargen::take_keys`]); zero means
+    /// the staged run is complete (every probe resolved).
+    pub fn plan_wave(&mut self, cache: &ShardedCache) -> usize {
+        debug_assert!(self.keys.len() == 0, "previous wave not folded");
         for mut probe in std::mem::take(&mut self.active) {
             loop {
                 let num_contexts = self.consts[probe.const_idx].node.contexts.len();
@@ -415,9 +413,8 @@ impl<'t> StagedChargen<'t> {
                     break;
                 }
                 let spec = self.check_spec(&probe);
-                scratch.clear();
-                spec.write_into(&mut scratch);
-                match cache.get(&scratch) {
+                let h = self.keys.stage(|buf| spec.write_into(buf));
+                match cache.get_hashed(h, self.keys.staged()) {
                     Some(true) => {
                         // Cache fold: the one-shot plan would have posed
                         // this (as a cache hit); the probe advances free.
@@ -434,47 +431,45 @@ impl<'t> StagedChargen<'t> {
                         // A genuine miss: pose it — unless an identical
                         // string is already posed this wave, in which case
                         // the probe co-owns that slot's verdict.
-                        let h = hash_query(&scratch);
-                        let candidates = dedup.entry(h).or_default();
-                        if let Some(&s) = candidates.iter().find(|&&s| slot_keys[s] == scratch) {
-                            self.slots[s].push(probe);
+                        if !self.keys.intern_staged(h, probe) {
                             self.probes_elided += 1;
-                        } else {
-                            candidates.push(self.slots.len());
-                            slot_keys.push(scratch.clone());
-                            self.slots.push(vec![probe]);
-                            checks.push(spec);
                         }
                         break;
                     }
                 }
             }
         }
-        checks.len() - start
+        self.keys.len()
     }
 
-    /// Folds the wave's verdicts (one per check `plan_wave` appended, in
-    /// order) back into the probes: accepted probes advance to their next
-    /// context, rejected probes die and elide their remaining contexts.
+    /// Moves the wave's planned checks out as `(hash, key)` pairs, in
+    /// verdict order, for [`QueryRunner::accepts_keyed`].
+    pub fn take_keys(&mut self) -> impl Iterator<Item = (u64, Box<[u8]>)> + '_ {
+        self.keys.take_keys()
+    }
+
+    /// Folds the wave's verdicts (one per planned check, in order) back
+    /// into the probes: accepted probes advance to their next context,
+    /// rejected probes die and elide their remaining contexts.
     pub fn fold_wave(&mut self, verdicts: &[bool]) {
-        debug_assert_eq!(verdicts.len(), self.slots.len());
-        for (owners, &verdict) in std::mem::take(&mut self.slots).into_iter().zip(verdicts) {
-            for mut probe in owners {
+        debug_assert_eq!(verdicts.len(), self.keys.len());
+        for (slot, &verdict) in verdicts.iter().enumerate() {
+            for &probe in self.keys.owners(slot) {
                 if verdict {
-                    probe.next_ctx += 1;
-                    self.active.push(probe);
+                    self.active.push(StagedProbe { next_ctx: probe.next_ctx + 1, ..probe });
                 } else {
                     let num_contexts = self.consts[probe.const_idx].node.contexts.len();
                     self.probes_elided += num_contexts - probe.next_ctx - 1;
                 }
             }
         }
+        self.keys.clear();
     }
 
     /// Resolves adopted terminals and returns the owned outcome. Call only
     /// after `plan_wave` returned zero.
     pub fn finish(self) -> ChargenOutcome {
-        debug_assert!(self.active.is_empty() && self.slots.is_empty(), "staged run incomplete");
+        debug_assert!(self.active.is_empty() && self.keys.len() == 0, "staged run incomplete");
         let StagedChargen { test_bytes, consts, accepted, memo_hits, probes_elided, .. } = self;
         let mut accepted = accepted;
         // Snapshot the representatives' classes first, so sibling
@@ -634,12 +629,8 @@ mod tests {
     ) -> (usize, usize, usize) {
         let outcome = {
             let mut staged = StagedChargen::new(trees, test_bytes, memo);
-            loop {
-                let mut checks: Vec<CheckSpec<'_>> = Vec::new();
-                if staged.plan_wave(&mut checks, cache) == 0 {
-                    break;
-                }
-                let verdicts = runner.accepts_batch(&checks);
+            while staged.plan_wave(cache) > 0 {
+                let verdicts = runner.accepts_keyed(staged.take_keys());
                 staged.fold_wave(&verdicts);
             }
             staged.finish()

@@ -140,6 +140,7 @@
 
 #![warn(missing_docs)]
 
+mod arena;
 mod cache;
 mod chargen;
 mod events;

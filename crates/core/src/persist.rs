@@ -74,7 +74,7 @@
 //! | magic | 0 | the 18 bytes `glade-cachebin v1\n` |
 //! | header | 18 | `u32` fingerprint length, `u64` entry count, `u64` memo count, `u64` index offset, `u64` records offset, `u64` memo offset, `u64` total length |
 //! | fingerprint | 70 | UTF-8 fingerprint bytes (absent when length is 0) |
-//! | index | header's index offset | entry count × (`u64` query hash, `u64` absolute record offset), sorted by (hash, offset) |
+//! | index | header's index offset | entry count × (`u64` query hash, `u64` absolute record offset), sorted by (hash, offset); the hash is [`index_hash`] |
 //! | records | header's records offset | entry count × (`u8` verdict, `u32` query length, query bytes), sorted by query bytes |
 //! | memo | header's memo offset | memo count × (16-byte key, `u32` class count, classes), keys sorted; each class is a `u32` member count followed by its member bytes |
 //!
@@ -85,8 +85,12 @@
 //! sorted hash index lets [`BinaryCacheFile`] answer point lookups by
 //! binary-searching the index *on disk* — a multi-gigabyte snapshot is
 //! opened by reading ~100 bytes of header and faulted in one record at a
-//! time. [`is_binary_snapshot`] sniffs the magic so load paths accept
-//! either format transparently; text v1–v3 snapshots keep loading forever.
+//! time. The index hash is part of the format: [`index_hash`] pins it as
+//! SipHash-1-3 with zero keys over the query's little-endian `u64` length
+//! followed by its bytes, so snapshots written by one build keep answering
+//! lookups in every later build. [`is_binary_snapshot`] sniffs the magic
+//! so load paths accept either format transparently; text v1–v3 snapshots
+//! keep loading forever.
 //!
 //! # Ops note: cache sizing and eviction
 //!
@@ -108,7 +112,6 @@
 //!   with a residency cap to serve warm starts from snapshots much larger
 //!   than memory.
 
-use crate::cache::hash_query;
 use glade_grammar::CharClass;
 use std::fmt::Write as _;
 use std::io::{BufRead, Read, Seek, SeekFrom};
@@ -604,6 +607,65 @@ const BIN_HEADER_LEN: usize = 4 + 6 * 8;
 /// One index slot: `u64` query hash, `u64` absolute record offset.
 const BIN_INDEX_SLOT: usize = 16;
 
+/// The `glade-cachebin v1` index hash of a query: SipHash-1-3 with keys
+/// `(0, 0)` over the query's length as a little-endian `u64` followed by
+/// the query bytes.
+///
+/// This is the value `std::hash::DefaultHasher` produced for a `&[u8]` on
+/// 64-bit little-endian targets when the format was defined. The standard
+/// library leaves that hasher's algorithm unspecified across releases, so
+/// the format spells the function out here instead: a snapshot written by
+/// one toolchain must keep answering [`BinaryCacheFile::lookup`] in every
+/// later one. The in-memory query cache keys its shards by the same value
+/// (see `cache.rs`), so a lookup in an attached snapshot reuses the hash
+/// the engine already computed.
+pub(crate) fn index_hash(query: &[u8]) -> u64 {
+    const C_ROUNDS: usize = 1;
+    const D_ROUNDS: usize = 3;
+    let mut v = [
+        0x736f_6d65_7073_6575u64,
+        0x646f_7261_6e64_6f6du64,
+        0x6c79_6765_6e65_7261u64,
+        0x7465_6462_7974_6573u64,
+    ];
+    fn round(v: &mut [u64; 4]) {
+        v[0] = v[0].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[2] = v[2].rotate_left(32);
+    }
+    let mut compress = |m: u64| {
+        v[3] ^= m;
+        for _ in 0..C_ROUNDS {
+            round(&mut v);
+        }
+        v[0] ^= m;
+    };
+    // The length prefix is exactly one message word, so the query's own
+    // words start word-aligned.
+    compress(query.len() as u64);
+    let mut words = query.chunks_exact(8);
+    for word in &mut words {
+        compress(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+    }
+    let mut last = ((query.len() as u64 + 8) & 0xff) << 56;
+    for (i, &b) in words.remainder().iter().enumerate() {
+        last |= u64::from(b) << (8 * i);
+    }
+    compress(last);
+    v[2] ^= 0xff;
+    for _ in 0..D_ROUNDS {
+        round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
 /// Whether `prefix` begins a `glade-cachebin v1` snapshot. Callers sniff
 /// the first [`BufRead::fill_buf`] of a snapshot file to route between
 /// [`snapshot_from_binary_reader`] and [`snapshot_from_reader`].
@@ -633,7 +695,7 @@ pub fn snapshot_to_binary(
     let mut records = Vec::new();
     let mut index: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
     for (query, verdict) in &sorted {
-        index.push((hash_query(query), records_off + records.len() as u64));
+        index.push((index_hash(query), records_off + records.len() as u64));
         records.push(u8::from(*verdict));
         records
             .extend_from_slice(&u32::try_from(query.len()).expect("query > 4 GiB").to_le_bytes());
@@ -987,7 +1049,16 @@ impl BinaryCacheFile {
     /// [`CacheError::Io`] for read failures, [`CacheError::Corrupt`] if
     /// the index or a record is inconsistent. Absence is `Ok(None)`.
     pub fn lookup(&mut self, query: &[u8]) -> Result<Option<bool>, CacheError> {
-        let target = hash_query(query);
+        self.lookup_hashed(index_hash(query), query)
+    }
+
+    /// [`BinaryCacheFile::lookup`] for a query whose [`index_hash`] the
+    /// caller already holds.
+    pub(crate) fn lookup_hashed(
+        &mut self,
+        target: u64,
+        query: &[u8],
+    ) -> Result<Option<bool>, CacheError> {
         // Lower bound of `target` in the sorted (hash, offset) index.
         let (mut lo, mut hi) = (0u64, self.header.entry_count);
         while lo < hi {
@@ -1098,6 +1169,39 @@ fn decode_hex(hex: &str, lineno: usize) -> Result<Vec<u8>, CacheError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_hash_golden_vectors() {
+        // The `glade-cachebin v1` index hash is part of the on-disk
+        // format: these values are what every existing snapshot stores
+        // (`std`'s `DefaultHasher` over a `&[u8]` on x86_64 when the
+        // format was defined). A change here orphans old snapshots.
+        // The inputs cover an empty query, a partial word, exactly one
+        // word, one word plus a byte, and non-ASCII bytes.
+        let vectors: &[(&[u8], u64)] = &[
+            (b"", 0xbd60_acb6_58c7_9e45),
+            (b"a", 0xbeb9_a6bb_f61b_58b4),
+            (b"<a>hi</a>", 0x8da8_323a_287c_f40c),
+            (b"0123456", 0xd193_f509_3593_6a68),
+            (b"01234567", 0x919a_0a9c_421e_9086),
+            (b"012345678", 0x3ba1_8f46_97c8_fa57),
+            (b"glade-cachebin v1 index hash pin", 0xea8d_709e_952b_0da4),
+            (&[0, 255, 10, 13], 0x9581_01dd_9c27_6c1a),
+        ];
+        for &(query, expected) in vectors {
+            assert_eq!(index_hash(query), expected, "{:?}", String::from_utf8_lossy(query));
+        }
+    }
+
+    #[test]
+    fn binary_index_stores_the_pinned_hash() {
+        // The first index slot of a one-entry snapshot is the entry's
+        // `index_hash`, byte for byte.
+        let bytes = snapshot_to_binary(&[(b"<a>hi</a>".to_vec(), true)], &[], None);
+        let index_off = BINARY_MAGIC.len() + BIN_HEADER_LEN;
+        let stored = u64::from_le_bytes(bytes[index_off..index_off + 8].try_into().unwrap());
+        assert_eq!(stored, 0x8da8_323a_287c_f40c);
+    }
 
     #[test]
     fn roundtrip_preserves_entries() {

@@ -20,11 +20,11 @@
 //! style recursion (Definition 5.2, Proposition 5.3) that no regular
 //! expression captures.
 
-use crate::cache::{hash_query, ShardedCache};
+use crate::arena::KeyArena;
+use crate::cache::ShardedCache;
 use crate::events::{SynthEvent, SynthesisObserver};
 use crate::runner::{CheckSpec, QueryRunner};
 use crate::tree::{Node, StarNode, UnionFind};
-use std::collections::HashMap;
 
 /// Outcome counters for phase two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -176,9 +176,9 @@ pub(crate) struct MergeOutcome {
 pub(crate) struct StagedMerge<'t> {
     pairs: Vec<StagedPair<'t>>,
     num_stars: usize,
-    /// `(pair index, which check)` owners parked per posed check this
-    /// wave, in planning order (= the wave's verdict order).
-    slots: Vec<Vec<(usize, Which)>>,
+    /// This wave's distinct checks in planning order (= the wave's verdict
+    /// order), each owned by the `(pair index, which check)` it resolves.
+    keys: KeyArena<(usize, Which)>,
     probes_elided: usize,
 }
 
@@ -207,19 +207,15 @@ impl<'t> StagedMerge<'t> {
                 pairs.push(StagedPair { left: si, right: sj, state });
             }
         }
-        StagedMerge { pairs, num_stars, slots: Vec::new(), probes_elided }
+        StagedMerge { pairs, num_stars, keys: KeyArena::default(), probes_elided }
     }
 
     /// Plans the next wave: every unresolved pair resolves against the
     /// session cache as far as possible, then poses at most one check.
-    /// Returns the number of checks appended; zero means every pair is
-    /// resolved.
-    pub fn plan_wave(&mut self, checks: &mut Vec<CheckSpec<'t>>, cache: &ShardedCache) -> usize {
-        debug_assert!(self.slots.is_empty(), "previous wave not folded");
-        let start = checks.len();
-        let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut slot_keys: Vec<Vec<u8>> = Vec::new();
-        let mut scratch: Vec<u8> = Vec::new();
+    /// Returns the number of distinct checks planned (take them with
+    /// [`StagedMerge::take_keys`]); zero means every pair is resolved.
+    pub fn plan_wave(&mut self, cache: &ShardedCache) -> usize {
+        debug_assert!(self.keys.len() == 0, "previous wave not folded");
         for idx in 0..self.pairs.len() {
             loop {
                 let which = match self.pairs[idx].state {
@@ -232,9 +228,8 @@ impl<'t> StagedMerge<'t> {
                     Which::A => CheckSpec::wrapped(&pair.left.ctx, &pair.right.residual_parts()),
                     Which::B => CheckSpec::wrapped(&pair.right.ctx, &pair.left.residual_parts()),
                 };
-                scratch.clear();
-                spec.write_into(&mut scratch);
-                match (cache.get(&scratch), which) {
+                let h = self.keys.stage(|buf| spec.write_into(buf));
+                match (cache.get_hashed(h, self.keys.staged()), which) {
                     (Some(true), Which::A) => {
                         // Cache fold: A passes for free; try B this wave.
                         self.probes_elided += 1;
@@ -252,32 +247,30 @@ impl<'t> StagedMerge<'t> {
                         break;
                     }
                     (None, which) => {
-                        let h = hash_query(&scratch);
-                        let candidates = dedup.entry(h).or_default();
-                        if let Some(&s) = candidates.iter().find(|&&s| slot_keys[s] == scratch) {
-                            self.slots[s].push((idx, which));
+                        if !self.keys.intern_staged(h, (idx, which)) {
                             self.probes_elided += 1;
-                        } else {
-                            candidates.push(self.slots.len());
-                            slot_keys.push(scratch.clone());
-                            self.slots.push(vec![(idx, which)]);
-                            checks.push(spec);
                         }
                         break;
                     }
                 }
             }
         }
-        checks.len() - start
+        self.keys.len()
     }
 
-    /// Folds the wave's verdicts (one per check `plan_wave` appended, in
-    /// order) back into the pairs: a passed A advances to B (posed next
-    /// wave), a failed A resolves the pair and elides its B check.
+    /// Moves the wave's planned checks out as `(hash, key)` pairs, in
+    /// verdict order, for [`QueryRunner::accepts_keyed`].
+    pub fn take_keys(&mut self) -> impl Iterator<Item = (u64, Box<[u8]>)> + '_ {
+        self.keys.take_keys()
+    }
+
+    /// Folds the wave's verdicts (one per planned check, in order) back
+    /// into the pairs: a passed A advances to B (posed next wave), a
+    /// failed A resolves the pair and elides its B check.
     pub fn fold_wave(&mut self, verdicts: &[bool]) {
-        debug_assert_eq!(verdicts.len(), self.slots.len());
-        for (owners, &verdict) in std::mem::take(&mut self.slots).into_iter().zip(verdicts) {
-            for (idx, which) in owners {
+        debug_assert_eq!(verdicts.len(), self.keys.len());
+        for (slot, &verdict) in verdicts.iter().enumerate() {
+            for &(idx, which) in self.keys.owners(slot) {
                 match which {
                     Which::A => {
                         if verdict {
@@ -291,13 +284,14 @@ impl<'t> StagedMerge<'t> {
                 }
             }
         }
+        self.keys.clear();
     }
 
     /// Applies the unions in ascending pair order (identical to the
     /// one-shot plan's order) and returns the owned outcome. Call only
     /// after `plan_wave` returned zero.
     pub fn finish(self) -> MergeOutcome {
-        debug_assert!(self.slots.is_empty(), "staged run incomplete");
+        debug_assert!(self.keys.len() == 0, "staged run incomplete");
         let mut uf = UnionFind::new(self.num_stars);
         let mut stats = MergeStats::default();
         let mut accepted: Vec<(usize, usize)> = Vec::new();
@@ -474,12 +468,8 @@ mod tests {
         cache: &ShardedCache,
     ) -> MergeOutcome {
         let mut staged = StagedMerge::new(trees, num_stars);
-        loop {
-            let mut checks: Vec<CheckSpec<'_>> = Vec::new();
-            if staged.plan_wave(&mut checks, cache) == 0 {
-                break;
-            }
-            let verdicts = runner.accepts_batch(&checks);
+        while staged.plan_wave(cache) > 0 {
+            let verdicts = runner.accepts_keyed(staged.take_keys());
             staged.fold_wave(&verdicts);
         }
         staged.finish()

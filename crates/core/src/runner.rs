@@ -12,17 +12,28 @@
 //!   `persist.rs`) answer repeated checks without re-paying oracle calls —
 //!   and all counters are atomics, making [`QueryRunner`] `Sync`;
 //! * callers describe checks as segment lists ([`CheckSpec`]) instead of
-//!   pre-concatenated strings, so check construction writes into one
-//!   reusable scratch buffer and allocates only for genuine cache misses;
+//!   pre-concatenated strings; a check is assembled in the staging buffer
+//!   of a [`KeyArena`] (see `arena.rs`) that the runner reuses across
+//!   calls, so phase one's many two-check batches pay no per-call setup;
+//! * **one hash, one allocation per distinct query:** a check is hashed
+//!   exactly once, where its bytes are first assembled — by the runner
+//!   for [`QueryRunner::accepts_batch`], or by the chargen and merge wave
+//!   planners, whose already hashed keys arrive through
+//!   [`QueryRunner::accepts_keyed`]. The hash is reused for the cache
+//!   lookup, the in-batch dedup, the backing-snapshot lookup (it is also
+//!   the snapshot's index hash) and the cache insert. Cache hits and
+//!   duplicates allocate nothing; a distinct miss is one exactly-sized key
+//!   that moves into the cache;
 //! * a partially loaded binary snapshot ([`BackingStore`], see
 //!   `persist::BinaryCacheFile`) sits between the in-memory cache and the
 //!   oracle: misses consult its on-disk index before paying an oracle
 //!   call, and hits are faulted into the cache on demand — so a multi-GB
 //!   warm-start snapshot costs index probes for the entries a campaign
 //!   actually revisits instead of an up-front full materialization;
-//! * [`QueryRunner::accepts_batch`] deduplicates a batch, consults the
-//!   cache once per distinct check, and fans the remaining misses out
-//!   across a scoped worker pool (`std::thread::scope` — no dependencies);
+//! * [`QueryRunner::accepts_batch`] deduplicates a batch (on the bytes —
+//!   equal hashes alone never merge two checks), consults the cache once
+//!   per check, and fans the remaining misses out across a scoped worker
+//!   pool (`std::thread::scope` — no dependencies);
 //! * dispatch inside a batch is **work-stealing**: workers pull the next
 //!   un-posed miss from a shared atomic cursor instead of owning a static
 //!   chunk, so one slow query (real oracles have heavy-tailed latencies —
@@ -52,12 +63,12 @@
 //! speed, so degraded runs are reproducible only in their guarantees
 //! (fail-closed, seeds preserved), not byte-for-byte.
 
+use crate::arena::KeyArena;
 use crate::cache::{hash_query, ShardedCache};
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::persist::BinaryCacheFile;
 use crate::tree::Context;
 use crate::Oracle;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -228,6 +239,37 @@ pub(crate) struct QueryRunner<'s> {
     trips_reported: AtomicUsize,
     recoveries_at_start: usize,
     recoveries_reported: AtomicUsize,
+    /// Batch scratch reused across calls (see [`QueryRunner::with_scratch`]).
+    scratch: Mutex<BatchScratch>,
+}
+
+/// Reusable per-batch scratch: the distinct misses of the batch in flight
+/// (owners are check positions) and their verdicts.
+#[derive(Debug, Default)]
+struct BatchScratch {
+    keys: KeyArena<usize>,
+    verdicts: Vec<Option<bool>>,
+}
+
+/// The per-call side of a batch: its answers, in check order, and how
+/// many were cache (or backing-snapshot) hits.
+struct Batch {
+    results: Vec<bool>,
+    cached: usize,
+}
+
+impl Batch {
+    fn new(capacity: usize) -> Self {
+        Batch { results: Vec::with_capacity(capacity), cached: 0 }
+    }
+}
+
+/// A check's bytes as [`QueryRunner::admit`] receives them.
+enum Incoming {
+    /// In the scratch arena's staging buffer.
+    Staged,
+    /// Already an owned key (assembled by a wave planner).
+    Owned(Box<[u8]>),
 }
 
 impl<'s> QueryRunner<'s> {
@@ -259,6 +301,7 @@ impl<'s> QueryRunner<'s> {
             trips_reported: AtomicUsize::new(trips_at_start),
             recoveries_at_start,
             recoveries_reported: AtomicUsize::new(recoveries_at_start),
+            scratch: Mutex::default(),
         }
     }
 
@@ -376,18 +419,19 @@ impl<'s> QueryRunner<'s> {
         reserved
     }
 
-    /// Consults the partially loaded backing snapshot for a cache miss.
-    /// Hits are faulted into the in-memory cache (so later lookups answer
-    /// lock-free) and charged to the store's `faulted` ledger exactly once
-    /// per distinct entry — a re-fault after eviction is answered but not
+    /// Consults the partially loaded backing snapshot for a cache miss
+    /// (`h` is the key's hash — also the snapshot's index hash). Hits are
+    /// faulted into the in-memory cache (so later lookups answer there)
+    /// and charged to the store's `faulted` ledger exactly once per
+    /// distinct entry — a re-fault after eviction is answered but not
     /// re-counted. I/O errors on a damaged file degrade to a miss: the
     /// oracle re-answers, trading queries for availability.
-    fn backing_lookup(&self, key: &[u8]) -> Option<bool> {
+    fn backing_lookup(&self, h: u64, key: &[u8]) -> Option<bool> {
         let store = self.backing?;
         let mut store = store.lock().expect("backing cache poisoned");
-        match store.file.lookup(key) {
+        match store.file.lookup_hashed(h, key) {
             Ok(Some(v)) => {
-                if self.cache.insert(key.to_vec(), v) {
+                if self.cache.insert_hashed(h, key.into(), v) {
                     store.faulted += 1;
                 }
                 Some(v)
@@ -402,11 +446,12 @@ impl<'s> QueryRunner<'s> {
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn accepts(&self, input: &[u8]) -> bool {
         self.total.fetch_add(1, Ordering::Relaxed);
-        if let Some(v) = self.cache.get(input) {
+        let h = hash_query(input);
+        if let Some(v) = self.cache.get_hashed(h, input) {
             return v;
         }
         // Backing-snapshot hits are warm answers: not budgeted.
-        if let Some(v) = self.backing_lookup(input) {
+        if let Some(v) = self.backing_lookup(h, input) {
             return v;
         }
         if !self.reserve_budget() {
@@ -414,7 +459,7 @@ impl<'s> QueryRunner<'s> {
         }
         // Execution failures answer `false` but are not cached.
         let Some(v) = self.oracle.accepts_checked(input) else { return false };
-        self.cache.insert(input.to_vec(), v);
+        self.cache.insert_hashed(h, input.into(), v);
         v
     }
 
@@ -439,51 +484,87 @@ impl<'s> QueryRunner<'s> {
     /// are skipped (answering `false`, *not* cached — only real oracle
     /// verdicts enter the cache) and the runner is marked exhausted.
     pub fn accepts_batch(&self, checks: &[CheckSpec<'_>]) -> Vec<bool> {
-        let mut results = vec![false; checks.len()];
-        // Distinct cache misses to send to the oracle, with the positions
-        // in `checks` each one answers. `dedup` buckets candidate miss
-        // indices by hash; equality is confirmed on the bytes.
-        let mut miss_keys: Vec<Vec<u8>> = Vec::new();
-        let mut miss_targets: Vec<Vec<usize>> = Vec::new();
-        let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut cached = 0usize;
+        self.with_scratch(|scratch| {
+            let mut batch = Batch::new(checks.len());
+            for spec in checks {
+                let h = scratch.keys.stage(|buf| spec.write_into(buf));
+                self.admit(scratch, &mut batch, h, Incoming::Staged);
+            }
+            self.dispatch(scratch, batch)
+        })
+    }
 
-        for (i, spec) in checks.iter().enumerate() {
-            self.total.fetch_add(1, Ordering::Relaxed);
-            scratch.clear();
-            spec.write_into(&mut scratch);
-            if let Some(v) = self.cache.get(&scratch) {
-                results[i] = v;
-                cached += 1;
-                continue;
+    /// [`QueryRunner::accepts_batch`] for checks a wave planner already
+    /// assembled and hashed (`(hash, key)` pairs, see `arena.rs`): the
+    /// keys are not rehashed, and each posed key moves into the cache.
+    pub fn accepts_keyed(&self, checks: impl IntoIterator<Item = (u64, Box<[u8]>)>) -> Vec<bool> {
+        self.with_scratch(|scratch| {
+            let mut batch = Batch::new(0);
+            for (h, key) in checks {
+                self.admit(scratch, &mut batch, h, Incoming::Owned(key));
             }
-            let h = hash_query(&scratch);
-            if let Some(candidates) = dedup.get(&h) {
-                if let Some(&m) = candidates.iter().find(|&&m| miss_keys[m] == scratch) {
-                    miss_targets[m].push(i);
-                    continue;
-                }
+            self.dispatch(scratch, batch)
+        })
+    }
+
+    /// Runs `f` on the runner's reusable batch scratch, or on a fresh one
+    /// if another thread is using it.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut BatchScratch) -> R) -> R {
+        match self.scratch.try_lock() {
+            Ok(mut scratch) => {
+                scratch.keys.clear();
+                f(&mut scratch)
             }
-            // Backing-snapshot hits are warm answers: counted as cached,
-            // not budgeted, never posed. The fault inserts the entry into
-            // the cache, so later duplicates in this batch hit there.
-            if let Some(v) = self.backing_lookup(&scratch) {
-                results[i] = v;
-                cached += 1;
-                continue;
-            }
-            if !self.reserve_budget() {
-                // Over budget: this check (and its later duplicates, which
-                // re-enter here and fail the same way) answers false.
-                continue;
-            }
-            dedup.entry(h).or_default().push(miss_keys.len());
-            miss_targets.push(vec![i]);
-            miss_keys.push(scratch.clone());
+            Err(_) => f(&mut BatchScratch::default()),
         }
+    }
 
-        // Dispatch the distinct misses. Two strategies, same results:
+    /// Admits the batch's next check (hash `h`): answers it from the cache
+    /// or the backing snapshot, attaches it to an identical miss already
+    /// admitted, or admits it as a new distinct miss if the budget allows
+    /// (a check over budget answers `false`, and so do its later
+    /// duplicates, which re-enter here and fail the same way).
+    fn admit(&self, scratch: &mut BatchScratch, batch: &mut Batch, h: u64, incoming: Incoming) {
+        let i = batch.results.len();
+        batch.results.push(false);
+        self.total.fetch_add(1, Ordering::Relaxed);
+        let keys = &mut scratch.keys;
+        let key: &[u8] = match &incoming {
+            Incoming::Staged => keys.staged(),
+            Incoming::Owned(key) => key,
+        };
+        if let Some(v) = self.cache.get_hashed(h, key) {
+            batch.results[i] = v;
+            batch.cached += 1;
+            return;
+        }
+        if let Some(slot) = keys.find(h, key) {
+            keys.push_owner(slot, i);
+            return;
+        }
+        // Backing-snapshot hits are warm answers: counted as cached, not
+        // budgeted, never posed. The fault inserts the entry into the
+        // cache, so later duplicates in this batch hit there.
+        if let Some(v) = self.backing_lookup(h, key) {
+            batch.results[i] = v;
+            batch.cached += 1;
+            return;
+        }
+        if !self.reserve_budget() {
+            return;
+        }
+        match incoming {
+            Incoming::Staged => keys.commit_staged(h, i),
+            Incoming::Owned(key) => keys.commit(h, key, i),
+        };
+    }
+
+    /// Poses the batch's distinct misses (the scratch arena's slots),
+    /// caches their verdicts, and answers every owner.
+    fn dispatch(&self, scratch: &mut BatchScratch, mut batch: Batch) -> Vec<bool> {
+        let keys = &mut scratch.keys;
+        let misses = keys.len();
+        // Two strategies, same results:
         //
         // * **Native batch dispatch** — oracles that multiplex a whole
         //   batch themselves ([`Oracle::native_batching`], e.g. the pooled
@@ -506,74 +587,60 @@ impl<'s> QueryRunner<'s> {
         // execution failure: it answers `false` but is not cached (only
         // real oracle verdicts may enter the cache, or a persisted
         // snapshot would poison every warm start).
-        let verdicts: Vec<Option<bool>> = if self.oracle.native_batching() {
-            let mut verdicts: Vec<Option<bool>> = vec![None; miss_keys.len()];
-            for start in (0..miss_keys.len()).step_by(NATIVE_DISPATCH_SUB_BATCH) {
-                if self.cancel_requested() {
-                    self.trip_exhausted(true);
+        let verdicts = &mut scratch.verdicts;
+        verdicts.clear();
+        verdicts.resize(misses, None);
+        // Spawning threads costs tens of microseconds; only fan out when
+        // the batch is big enough to amortize it (tiny batches — e.g.
+        // phase 1's residual pairs against an in-process oracle — run
+        // inline). Results are identical either way.
+        let threads = if misses >= MIN_PARALLEL_MISSES { self.workers.min(misses) } else { 1 };
+        if self.oracle.native_batching() {
+            for start in (0..misses).step_by(NATIVE_DISPATCH_SUB_BATCH) {
+                if self.stop_requested() {
                     break;
                 }
-                if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.trip_exhausted(false);
-                    break;
-                }
-                let end = (start + NATIVE_DISPATCH_SUB_BATCH).min(miss_keys.len());
-                let refs: Vec<&[u8]> = miss_keys[start..end].iter().map(Vec::as_slice).collect();
+                let end = (start + NATIVE_DISPATCH_SUB_BATCH).min(misses);
+                let refs: Vec<&[u8]> = (start..end).map(|slot| keys.key(slot)).collect();
                 let answers = self.oracle.accepts_batch_checked(&refs);
                 debug_assert_eq!(answers.len(), refs.len());
                 verdicts[start..end].copy_from_slice(&answers);
             }
-            verdicts
-        } else {
+        } else if threads > 1 {
             const SLOT_SKIPPED: u8 = 0;
             const SLOT_REJECT: u8 = 1;
             const SLOT_ACCEPT: u8 = 2;
-            let slots: Vec<AtomicU8> =
-                miss_keys.iter().map(|_| AtomicU8::new(SLOT_SKIPPED)).collect();
+            let slots: Vec<AtomicU8> = (0..misses).map(|_| AtomicU8::new(SLOT_SKIPPED)).collect();
             let cursor = AtomicUsize::new(0);
+            let keys = &*keys;
             let steal_loop = || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= miss_keys.len() {
+                if i >= misses || self.stop_requested() {
                     break;
                 }
-                if self.cancel_requested() {
-                    self.trip_exhausted(true);
-                    break;
-                }
-                if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.trip_exhausted(false);
-                    break;
-                }
-                if let Some(v) = self.oracle.accepts_checked(&miss_keys[i]) {
+                if let Some(v) = self.oracle.accepts_checked(keys.key(i)) {
                     slots[i].store(if v { SLOT_ACCEPT } else { SLOT_REJECT }, Ordering::Relaxed);
                 }
             };
-            // Spawning threads costs tens of microseconds; only fan out
-            // when the batch is big enough to amortize it (tiny batches —
-            // e.g. phase 1's residual pairs against an in-process oracle —
-            // run inline). Results are identical either way.
-            let threads = if miss_keys.len() >= MIN_PARALLEL_MISSES {
-                self.workers.min(miss_keys.len())
-            } else {
-                1
-            };
-            if threads > 1 {
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(steal_loop);
-                    }
-                });
-            } else {
-                steal_loop();
-            }
-            slots
-                .iter()
-                .map(|s| match s.load(Ordering::Relaxed) {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(steal_loop);
+                }
+            });
+            for (verdict, slot) in verdicts.iter_mut().zip(&slots) {
+                *verdict = match slot.load(Ordering::Relaxed) {
                     SLOT_SKIPPED => None,
                     v => Some(v == SLOT_ACCEPT),
-                })
-                .collect()
-        };
+                };
+            }
+        } else {
+            for (slot, verdict) in verdicts.iter_mut().enumerate() {
+                if self.stop_requested() {
+                    break;
+                }
+                *verdict = self.oracle.accepts_checked(keys.key(slot));
+            }
+        }
         self.report_oracle_failures();
         self.report_oracle_health();
 
@@ -581,20 +648,34 @@ impl<'s> QueryRunner<'s> {
             // `posed` counts misses that actually reached the oracle —
             // slots left `None` were skipped by the deadline or a cancel.
             self.emit(SynthEvent::QueryBatch {
-                checks: checks.len(),
-                cached,
+                checks: batch.results.len(),
+                cached: batch.cached,
                 posed: verdicts.iter().filter(|v| v.is_some()).count(),
             });
         }
 
-        for ((key, verdict), targets) in miss_keys.into_iter().zip(verdicts).zip(miss_targets) {
+        for (slot, &verdict) in verdicts.iter().enumerate() {
             let Some(verdict) = verdict else { continue };
-            self.cache.insert(key, verdict);
-            for i in targets {
-                results[i] = verdict;
+            self.cache.insert_hashed(keys.hash(slot), keys.take_key(slot), verdict);
+            for &i in keys.owners(slot) {
+                batch.results[i] = verdict;
             }
         }
-        results
+        batch.results
+    }
+
+    /// Whether a batch in flight must stop posing: trips the fail-closed
+    /// flag (and emits its event) on a cancel or a passed deadline.
+    fn stop_requested(&self) -> bool {
+        if self.cancel_requested() {
+            self.trip_exhausted(true);
+            return true;
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.trip_exhausted(false);
+            return true;
+        }
+        false
     }
 
     /// Unbudgeted query used for seed validation (seeds must be consulted
@@ -602,17 +683,18 @@ impl<'s> QueryRunner<'s> {
     /// charged against `max_queries`, and ignores cancellation — a
     /// returned `Synthesis` must always have validated its seeds.
     pub fn accepts_unbudgeted(&self, input: &[u8]) -> bool {
-        if let Some(v) = self.cache.get(input) {
+        let h = hash_query(input);
+        if let Some(v) = self.cache.get_hashed(h, input) {
             return v;
         }
-        if let Some(v) = self.backing_lookup(input) {
+        if let Some(v) = self.backing_lookup(h, input) {
             return v;
         }
         // A seed whose validation *execution* fails is rejected (the
         // premise `E_in ⊆ L*` cannot be confirmed) without caching the
         // non-verdict.
         let Some(v) = self.oracle.accepts_checked(input) else { return false };
-        self.cache.insert(input.to_vec(), v);
+        self.cache.insert_hashed(h, input.into(), v);
         v
     }
 
@@ -920,6 +1002,30 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 0);
         assert!(!r.exhausted());
         assert_eq!(r.unique_queries(), 2);
+    }
+
+    #[test]
+    fn keyed_batches_dedup_on_bytes_not_hashes() {
+        // Planner keys arrive already hashed. Different strings forced
+        // onto one hash are each posed once, answered with their own
+        // verdicts, and cached as separate entries.
+        let calls = AtomicUsize::new(0);
+        let o = FnOracle::new(|i: &[u8]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i == b"yes"
+        });
+        let cache = ShardedCache::new();
+        let r = runner(&o, &cache, None, None, 1);
+        let keyed = |key: &[u8]| (7u64, Box::<[u8]>::from(key));
+        let verdicts = r.accepts_keyed([keyed(b"yes"), keyed(b"no"), keyed(b"yes"), keyed(b"no")]);
+        assert_eq!(verdicts, vec![true, false, true, false]);
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "each string posed once");
+        assert_eq!((r.unique_queries(), r.total_queries()), (2, 4));
+        assert_eq!(cache.get_hashed(7, b"yes"), Some(true));
+        assert_eq!(cache.get_hashed(7, b"no"), Some(false));
+        // A later batch with the same collisions is answered by the cache.
+        assert_eq!(r.accepts_keyed([keyed(b"no"), keyed(b"yes")]), vec![false, true]);
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::persist::{
 };
 use crate::phase1::Phase1;
 use crate::phase2::{apply_merge_verdicts, plan_merge_checks, StagedMerge};
-use crate::runner::{BackingStore, CheckSpec, QueryRunner, RunnerOptions};
+use crate::runner::{BackingStore, QueryRunner, RunnerOptions};
 use crate::synth::{Glade, GladeConfig, Synthesis, SynthesisError, SynthesisStats};
 use crate::tree::{trees_to_grammar, Node, UnionFind};
 use crate::Oracle;
@@ -419,12 +419,6 @@ impl<'o> Session<'o> {
         self.cache.evictions()
     }
 
-    /// Cache lookups answered "absent" by the negative filter alone,
-    /// without taking a shard lock — the hot-miss fast path.
-    pub fn cache_filter_negatives(&self) -> usize {
-        self.cache.filter_negatives()
-    }
-
     /// Extends the synthesis with `seeds` and returns the full result over
     /// *all* seeds submitted so far.
     ///
@@ -658,18 +652,21 @@ impl<'o> Session<'o> {
 
             let mut batch_total = Duration::ZERO;
             let mut chargen_batch_share = Duration::ZERO;
-            let mut wave_checks: Vec<CheckSpec<'_>> = Vec::new();
             loop {
-                wave_checks.clear();
-                let cg_n =
-                    staged_cg.as_mut().map_or(0, |s| s.plan_wave(&mut wave_checks, &self.cache));
-                let mg_n =
-                    staged_mg.as_mut().map_or(0, |s| s.plan_wave(&mut wave_checks, &self.cache));
+                let cg_n = staged_cg.as_mut().map_or(0, |s| s.plan_wave(&self.cache));
+                let mg_n = staged_mg.as_mut().map_or(0, |s| s.plan_wave(&self.cache));
                 if cg_n + mg_n == 0 {
                     break;
                 }
                 let wave_start = Instant::now();
-                let verdicts = runner.accepts_batch(&wave_checks);
+                // The planners hand their already hashed keys over: the
+                // runner neither reassembles nor rehashes them.
+                let verdicts = runner.accepts_keyed(
+                    staged_cg
+                        .iter_mut()
+                        .flat_map(StagedChargen::take_keys)
+                        .chain(staged_mg.iter_mut().flat_map(StagedMerge::take_keys)),
+                );
                 let wave_time = wave_start.elapsed();
                 batch_total += wave_time;
                 // Attribute shared-wave wall time pro rata by check count,
@@ -682,7 +679,6 @@ impl<'o> Session<'o> {
                     s.fold_wave(&verdicts[cg_n..]);
                 }
             }
-            drop(wave_checks); // releases the immutable borrow of the trees
             let cg_outcome = staged_cg.map(StagedChargen::finish);
             let mg_outcome = staged_mg.map(StagedMerge::finish);
 

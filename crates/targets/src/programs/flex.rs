@@ -37,7 +37,7 @@ impl Target for Flex {
     }
 
     fn coverable_lines(&self) -> usize {
-        count_points(SRC)
+        const { count_points(SRC) }
     }
 
     fn source_lines(&self) -> usize {

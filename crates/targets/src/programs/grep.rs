@@ -30,7 +30,7 @@ impl Target for Grep {
     }
 
     fn coverable_lines(&self) -> usize {
-        count_points(SRC)
+        const { count_points(SRC) }
     }
 
     fn source_lines(&self) -> usize {

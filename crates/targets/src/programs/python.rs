@@ -35,7 +35,7 @@ impl Target for Python {
     }
 
     fn coverable_lines(&self) -> usize {
-        count_points(SRC)
+        const { count_points(SRC) }
     }
 
     fn source_lines(&self) -> usize {

@@ -29,7 +29,7 @@ impl Target for Sed {
     }
 
     fn coverable_lines(&self) -> usize {
-        count_points(SRC)
+        const { count_points(SRC) }
     }
 
     fn source_lines(&self) -> usize {

@@ -31,7 +31,7 @@ impl Target for Xml {
     }
 
     fn coverable_lines(&self) -> usize {
-        count_points(SRC)
+        const { count_points(SRC) }
     }
 
     fn source_lines(&self) -> usize {
