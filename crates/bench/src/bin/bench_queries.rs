@@ -1,7 +1,7 @@
 //! `bench-queries` — machine-readable benchmark of the membership-query
 //! engine, emitted as `BENCH_queries.json`.
 //!
-//! Eleven experiment families, so the perf trajectory of the query layer
+//! Ten experiment families, so the perf trajectory of the query layer
 //! is recorded in-repo:
 //!
 //! 1. **`parallel_speedup`** — the full pipeline on the paper's running
@@ -42,16 +42,7 @@
 //!    query `ProcessOracle` versus `PooledProcessOracle` cold (pool spawn
 //!    included) and warm. Asserts pooled execution sustains ≥ 5× the
 //!    spawn-per-query queries/sec.
-//! 7. **`batched_frames`** — the v2 batched wire protocol against v1
-//!    per-query framing, both through the pool's event-driven batch
-//!    dispatcher on small payloads with near-zero verdict compute
-//!    (`--tiny-worker`), so the measurement isolates the per-query
-//!    syscall/scheduling round-trip the batching exists to amortize. The
-//!    v1 side runs against a genuine v1-only self-exec worker
-//!    (`glade_core::serve_oracle_worker_v1`), so version negotiation
-//!    itself is exercised. Asserts batched frames sustain ≥ 1.5× the v1
-//!    per-query queries/sec.
-//! 8. **`fault_recovery`** — throughput and query accounting under
+//! 7. **`fault_recovery`** — throughput and query accounting under
 //!    injected faults, against a clean pool run under the same query
 //!    deadline. Three cells over the same workload: a clean pool (asserts
 //!    zero failures/respawns/timeouts — the deadline machinery is free
@@ -61,13 +52,13 @@
 //!    the spawn-per-query fallback), and a hangy pool (`--hangy-worker`
 //!    hangs after 64 answers; only the deadline unwedges it). Every
 //!    verdict in every cell must match the in-process reference.
-//! 9. **`serve_overhead`** — the multi-tenant `glade serve` path versus a
+//! 8. **`serve_overhead`** — the multi-tenant `glade serve` path versus a
 //!    direct in-process session on the running example; the served
 //!    grammar must be byte-identical and within 1.5× of direct.
-//! 10. **`serve_restart`** — crash-safe campaign resume: cold run through
-//!     a journaling server, abrupt restart, `RESUME` replay. Asserts the
-//!     replay re-pays zero unique queries and reproduces the bytes.
-//! 11. **`cache_scale`** — the binary snapshot codec at production cache
+//! 9. **`serve_restart`** — crash-safe campaign resume: cold run through
+//!    a journaling server, abrupt restart, `RESUME` replay. Asserts the
+//!    replay re-pays zero unique queries and reproduces the bytes.
+//! 10. **`cache_scale`** — the binary snapshot codec at production cache
 //!     sizes (`GLADE_BENCH_CACHE_N` synthetic entries, default 100 000):
 //!     timed full loads in both formats plus the indexed partial-load
 //!     path over a sparse query set. Asserts the binary full load is
@@ -80,14 +71,14 @@
 //! `GLADE_BENCH_SKEW_N`, `GLADE_BENCH_SKEW_SLOW_US`,
 //! `GLADE_BENCH_SKEW_BASE_US`, `GLADE_BENCH_MEMO_SEEDS`,
 //! `GLADE_BENCH_SPAWN_QUERIES`,
-//! `GLADE_BENCH_POOLED_QUERIES`, `GLADE_BENCH_FRAME_QUERIES`,
+//! `GLADE_BENCH_POOLED_QUERIES`,
 //! `GLADE_BENCH_FAULT_QUERIES`, `GLADE_BENCH_FAULT_TIMEOUT_MS`,
 //! `GLADE_BENCH_CACHE_N`.
 
 use glade_core::{
-    serve_faulty_worker, serve_oracle_worker, serve_oracle_worker_v1, snapshot_from_binary_reader,
-    snapshot_from_reader, snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile,
-    FaultPlan, FnOracle, GladeBuilder, Oracle, PooledProcessOracle, ProcessOracle, SynthesisStats,
+    serve_faulty_worker, serve_oracle_worker, snapshot_from_binary_reader, snapshot_from_reader,
+    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, FaultPlan, FnOracle,
+    GladeBuilder, Oracle, PooledProcessOracle, ProcessOracle, SynthesisStats,
 };
 use glade_eval::sample_seeds;
 use glade_grammar::grammar_to_text;
@@ -219,13 +210,6 @@ fn process_workload(count: usize, offset: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The `--tiny-worker` predicate: deterministic mixed verdicts at
-/// essentially zero compute, so the `batched_frames` experiment measures
-/// wire-protocol overhead rather than target parsing cost.
-fn tiny_accepts(input: &[u8]) -> bool {
-    input.iter().fold(0u32, |acc, &b| acc.wrapping_mul(31).wrapping_add(u32::from(b))) % 3 != 0
-}
-
 /// Minimal JSON writer (no serde in the dependency set).
 struct Json {
     out: String,
@@ -311,28 +295,9 @@ fn main() {
     // external worker binary to be built or located.
     match std::env::args().nth(1).as_deref() {
         Some("--oracle-worker") => {
-            // Persistent protocol worker for PooledProcessOracle
-            // (negotiates v2 batched frames).
+            // Persistent protocol worker for PooledProcessOracle.
             let oracle = toy_xml().oracle();
             serve_oracle_worker(|input| oracle.accepts(input)).expect("worker protocol");
-            return;
-        }
-        Some("--oracle-worker-v1") => {
-            // v1-pinned worker: never upgrades, so the oracle speaks
-            // legacy one-query-per-round-trip frames against it.
-            let oracle = toy_xml().oracle();
-            serve_oracle_worker_v1(|input| oracle.accepts(input)).expect("worker protocol");
-            return;
-        }
-        Some("--tiny-worker") => {
-            // Near-zero-cost verdicts for the batched_frames experiment:
-            // with the target compute stripped out, what remains is the
-            // wire protocol's own per-query cost.
-            serve_oracle_worker(tiny_accepts).expect("worker protocol");
-            return;
-        }
-        Some("--tiny-worker-v1") => {
-            serve_oracle_worker_v1(tiny_accepts).expect("worker protocol");
             return;
         }
         Some("--crashy-worker") => {
@@ -738,64 +703,7 @@ fn main() {
     j.int("oracle_failures", pooled_oracle.failure_count());
     j.close_obj();
 
-    // ---- Experiment 7: v2 batched frames vs. v1 per-query frames. ----
-    // Same event-driven dispatcher, same small-payload workload, two wire
-    // versions: v1 pays a write+read round-trip (and two scheduler hops)
-    // per query, v2 amortizes them over a whole frame. The workers answer
-    // near-zero-cost verdicts (`tiny_accepts`) so the wire overhead is
-    // what is measured; the v1 worker is a genuine v1-only server, so the
-    // measurement includes real version negotiation falling back.
-    let frame_queries = env_usize("GLADE_BENCH_FRAME_QUERIES", 4096);
-    let frame_pool = 4usize;
-    let mut frame_results: Vec<(String, f64)> = Vec::new();
-    for (mode, worker_flag) in
-        [("v1_per_query", "--tiny-worker-v1"), ("v2_batched", "--tiny-worker")]
-    {
-        let oracle = PooledProcessOracle::new(&self_exe).arg(worker_flag).pool_size(frame_pool);
-        // Warm the whole pool (spawns + negotiation) outside the timed
-        // window: enough queries that the dispatcher wants every worker.
-        let warmup = process_workload(frame_pool * 64, 30_000);
-        let warmup_refs: Vec<&[u8]> = warmup.iter().map(Vec::as_slice).collect();
-        let _ = oracle.accepts_batch_checked(&warmup_refs);
-        let workload = process_workload(frame_queries, 40_000);
-        let refs: Vec<&[u8]> = workload.iter().map(Vec::as_slice).collect();
-        let start = Instant::now();
-        let verdicts = oracle.accepts_batch_checked(&refs);
-        let wall = start.elapsed();
-        for (input, verdict) in workload.iter().zip(&verdicts) {
-            assert_eq!(*verdict, Some(tiny_accepts(input)), "batched verdict drifted");
-        }
-        assert_eq!(oracle.failure_count(), 0, "{mode} degraded");
-        let qps = frame_queries as f64 / secs(wall).max(1e-9);
-        eprintln!(
-            "[bench-queries] batched_frames {mode}: {:.0} q/s ({} queries, {:.3}s, {} workers)",
-            qps,
-            frame_queries,
-            secs(wall),
-            frame_pool,
-        );
-        frame_results.push((mode.to_owned(), qps));
-    }
-    let v1_qps = frame_results[0].1;
-    let v2_qps = frame_results[1].1;
-    let frame_speedup = v2_qps / v1_qps.max(1e-9);
-    eprintln!("[bench-queries] batched_frames: v2 is x{frame_speedup:.2} vs v1 per-query frames");
-    assert!(
-        frame_speedup >= 1.5,
-        "v2 batched frames must sustain >= 1.5x v1 per-query framing on small payloads \
-         (v1 {v1_qps:.0} q/s, v2 {v2_qps:.0} q/s)"
-    );
-    j.open_obj(Some("batched_frames"));
-    j.string("target", "self (near-zero-cost verdicts; measures wire overhead)");
-    j.int("pool_workers", frame_pool);
-    j.int("queries", frame_queries);
-    j.num("v1_per_query_queries_per_sec", v1_qps);
-    j.num("v2_batched_queries_per_sec", v2_qps);
-    j.num("v2_speedup_vs_v1", frame_speedup);
-    j.boolean("v2_beats_v1_by_1_5x", frame_speedup >= 1.5);
-    j.close_obj();
-
-    // ---- Experiment 8: fault recovery — throughput under injected
+    // ---- Experiment 7: fault recovery — throughput under injected
     // faults. The same workload and the same query deadline, three worker
     // personalities: clean (the deadline machinery must be free when
     // nothing hangs), crashy (~10% content-poisoned queries that defeat
@@ -876,7 +784,7 @@ fn main() {
     }
     j.close_obj();
 
-    // ---- Experiment 9: serve_overhead — the multi-tenant `glade serve`
+    // ---- Experiment 8: serve_overhead — the multi-tenant `glade serve`
     // path (campaign thread + fair-scheduler turns + result framing over a
     // unix socket) versus a direct in-process Session on the running
     // example. Best-of-N walls on both sides; the served grammar must be
@@ -966,7 +874,7 @@ fn main() {
         j.int("total_queries", served_stats.total_queries);
         j.close_obj();
 
-        // ---- Experiment 10: serve_restart — crash-safe campaign resume.
+        // ---- Experiment 9: serve_restart — crash-safe campaign resume.
         // A campaign runs cold (filling the journal + persistent cache),
         // the server dies without a clean close, a fresh server over the
         // same cache dir replays the campaign via RESUME. The replay must
@@ -1034,7 +942,7 @@ fn main() {
         j.close_obj();
     }
 
-    // ---- Experiment 11: cache_scale — the binary snapshot codec at
+    // ---- Experiment 10: cache_scale — the binary snapshot codec at
     // production cache sizes. A synthetic cache of `GLADE_BENCH_CACHE_N`
     // entries (deterministic ~36-byte queries, the scale of a long-lived
     // serve deployment) is written in both formats; full loads are timed

@@ -11,9 +11,8 @@
 //!
 //! Three integration points:
 //!
-//! - [`serve_faulty_worker`] / [`serve_faulty_worker_v1`] — drop-in
-//!   replacements for [`crate::serve_oracle_worker`] /
-//!   [`crate::serve_oracle_worker_v1`] that a worker binary routes through
+//! - [`serve_faulty_worker`] — a drop-in replacement for
+//!   [`crate::serve_oracle_worker`] that a worker binary routes through
 //!   when fault flags are set (`glade-oracle-worker --hang-after N
 //!   --stall-ms M …`). A no-op plan delegates to the clean serve loop, so
 //!   the fast path stays byte-identical.
@@ -30,9 +29,9 @@
 //! faulty run is exactly reproducible: same seed, same queries, same
 //! injected faults, same recovery sequence.
 
-use crate::oracle::{read_frame_prefix, Oracle};
+use crate::oracle::Oracle;
 use crate::wire;
-use std::io::{BufReader, Read as _, Write as _};
+use std::io::{BufReader, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -41,7 +40,7 @@ use std::time::Duration;
 /// The default plan is a no-op (every fault disabled); builders switch the
 /// individual fault modes on. Counters are in *answered queries*: e.g.
 /// `hang_after(3)` answers three queries correctly and hangs on the
-/// fourth — mid-frame if the fourth arrives inside a v2 batch, which is
+/// fourth — mid-frame if the fourth arrives inside a batch, which is
 /// exactly the torn-frame case the dispatcher's hang scan must recover.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -71,7 +70,7 @@ impl FaultPlan {
         self
     }
 
-    /// Sleep `ms` milliseconds before every verdict byte, and write v2
+    /// Sleep `ms` milliseconds before every verdict byte, and write
     /// verdict runs one byte at a time (slow-loris). A stalling worker
     /// that keeps answering within the deadline is healthy — the
     /// dispatcher re-arms per verdict byte — so this mode separates
@@ -186,14 +185,13 @@ fn execute_worker_fault(action: FaultAction) {
 }
 
 /// Like [`crate::serve_oracle_worker`], but routed through `plan`: the
-/// negotiation handshake is untouched (faults target queries, not the
-/// hello), verdict bytes are stalled/garbled/withheld per the plan, and a
-/// no-op plan delegates to the clean loop so the fast path stays
-/// byte-identical.
+/// handshake is untouched (faults target queries, not the hello), verdict
+/// bytes are stalled/garbled/withheld per the plan, and a no-op plan
+/// delegates to the clean loop so the fast path stays byte-identical.
 ///
-/// When any fault is enabled, v2 verdict runs are written one byte at a
-/// time with a flush each — the slow-loris framing the dispatcher must
-/// tolerate (and, with a hang, the mid-frame tear it must recover from).
+/// When any fault is enabled, verdict runs are written one byte at a time
+/// with a flush each — the slow-loris framing the dispatcher must tolerate
+/// (and, with a hang, the mid-frame tear it must recover from).
 ///
 /// # Errors
 ///
@@ -209,33 +207,14 @@ pub fn serve_faulty_worker<F: FnMut(&[u8]) -> bool>(
     let stdout = std::io::stdout();
     let mut input = BufReader::new(stdin.lock());
     let mut output = stdout.lock();
-    let mut buf = Vec::new();
-    let mut answered = 0usize;
-    let mut first_frame = true;
-    // v1 loop, watching for the upgrade probe (see serve_oracle_worker).
-    loop {
-        let Some(len) = read_frame_prefix(&mut input)? else { return Ok(()) };
-        buf.clear();
-        buf.resize(len as usize, 0);
-        input.read_exact(&mut buf)?;
-        if first_frame && buf == wire::WIRE_V2_PROBE {
-            output.write_all(&[wire::WIRE_V2_ACK])?;
-            output.flush()?;
-            break;
-        }
-        first_frame = false;
-        let action = plan.action(answered, &buf);
-        execute_worker_fault(action);
-        let verdict = if action == FaultAction::Garbage { 0x7f } else { u8::from(f(&buf)) };
-        answered += 1;
-        plan.stall();
-        output.write_all(&[verdict])?;
-        output.flush()?;
+    if !wire::accept_handshake(&mut input, &mut output)? {
+        return Ok(());
     }
-    // v2 loop: verdicts go out one stalled byte at a time, and a fault
-    // fires exactly at its query's position — tearing the frame there.
+    // A fault fires exactly at its query's position, tearing the frame
+    // there.
+    let mut answered = 0usize;
     loop {
-        let Some(count) = read_frame_prefix(&mut input)? else { return Ok(()) };
+        let Some(count) = wire::read_frame_prefix(&mut input)? else { return Ok(()) };
         let queries = wire::decode_batch_frame_after_count(count, &mut input)?;
         for q in &queries {
             let action = plan.action(answered, q);
@@ -246,41 +225,6 @@ pub fn serve_faulty_worker<F: FnMut(&[u8]) -> bool>(
             output.write_all(&[verdict])?;
             output.flush()?;
         }
-    }
-}
-
-/// Like [`serve_faulty_worker`], but pinned to the legacy v1 single-query
-/// protocol (the probe is answered as an ordinary query), mirroring
-/// [`crate::serve_oracle_worker_v1`].
-///
-/// # Errors
-///
-/// As [`crate::serve_oracle_worker_v1`].
-pub fn serve_faulty_worker_v1<F: FnMut(&[u8]) -> bool>(
-    plan: &FaultPlan,
-    mut f: F,
-) -> std::io::Result<()> {
-    if plan.is_noop() {
-        return crate::serve_oracle_worker_v1(f);
-    }
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = BufReader::new(stdin.lock());
-    let mut output = stdout.lock();
-    let mut buf = Vec::new();
-    let mut answered = 0usize;
-    loop {
-        let Some(len) = read_frame_prefix(&mut input)? else { return Ok(()) };
-        buf.clear();
-        buf.resize(len as usize, 0);
-        input.read_exact(&mut buf)?;
-        let action = plan.action(answered, &buf);
-        execute_worker_fault(action);
-        let verdict = if action == FaultAction::Garbage { 0x7f } else { u8::from(f(&buf)) };
-        answered += 1;
-        plan.stall();
-        output.write_all(&[verdict])?;
-        output.flush()?;
     }
 }
 

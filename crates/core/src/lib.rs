@@ -85,18 +85,6 @@
 //! # Ok::<(), glade_core::SynthesisError>(())
 //! ```
 //!
-//! # Migrating from `Glade::synthesize`
-//!
-//! The original blocking entry point remains as a deprecated wrapper with
-//! identical behavior. The translations are mechanical:
-//!
-//! | Old | New |
-//! |---|---|
-//! | `Glade::new().synthesize(seeds, &o)` | `GladeBuilder::new().synthesize(seeds, &o)` |
-//! | `GladeConfig { max_queries: Some(n), .. }` + `Glade::with_config` | `GladeBuilder::new().max_queries(n)` |
-//! | `Glade::with_config(existing_config)` | `GladeBuilder::from_config(existing_config)` |
-//! | repeated `synthesize` on growing seed sets | one [`Session`], repeated [`Session::add_seeds`] |
-//!
 //! # Oracle thread-safety contract
 //!
 //! Membership queries dominate GLADE's cost, so the query layer is built
@@ -132,7 +120,7 @@
 //! The query-reduction layer preserves this: staged waves are planned from
 //! the (deterministically evolving) cache and memo state alone, so which
 //! checks are elided — and the resulting grammar — is identical across
-//! worker counts, pool sizes, and wire versions.
+//! worker counts, pool sizes, and frame batch sizes.
 //! With a `time_limit` (or a [`CancelToken`] trip), which queries beat the
 //! cutoff depends on wall-clock speed — and therefore on the machine and
 //! the worker count — so degraded runs keep the safety guarantees
@@ -160,12 +148,10 @@ mod tree;
 pub mod wire;
 
 pub use events::{CancelToken, EventLog, SynthEvent, SynthPhase, SynthesisObserver};
-pub use fault::{
-    flaky_spawn_should_die, serve_faulty_worker, serve_faulty_worker_v1, FaultPlan, FaultyOracle,
-};
+pub use fault::{flaky_spawn_should_die, serve_faulty_worker, FaultPlan, FaultyOracle};
 pub use oracle::{
-    serve_oracle_worker, serve_oracle_worker_v1, CachingOracle, FnOracle, InputMode, Oracle,
-    PooledProcessOracle, ProcessOracle,
+    serve_oracle_worker, CachingOracle, FnOracle, InputMode, Oracle, PooledProcessOracle,
+    ProcessOracle,
 };
 pub use persist::{
     cache_from_text, cache_to_text, is_binary_snapshot, snapshot_from_binary,
@@ -174,4 +160,4 @@ pub use persist::{
     CacheSnapshot, IntoEntries, MemoEntry, SnapshotEntries,
 };
 pub use session::{GladeBuilder, Session};
-pub use synth::{Glade, GladeConfig, Synthesis, SynthesisError, SynthesisStats};
+pub use synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};

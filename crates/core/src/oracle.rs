@@ -42,23 +42,23 @@
 //! cost model ("each query to O takes constant time") assumes queries are
 //! cheap. [`PooledProcessOracle`] amortizes the spawn by keeping N
 //! long-lived workers speaking a length-prefixed verdict protocol over
-//! stdin/stdout. Two wire versions exist; which one a worker speaks is
-//! settled once, immediately after it spawns (see *Version negotiation*).
+//! stdin/stdout: one handshake when a worker spawns, then batched frames.
 //!
-//! **v1 — single-query frames** (the original protocol):
+//! **Handshake.** The oracle opens every freshly spawned worker with one
+//! frame: the `u32` little-endian byte length 16, then the fixed payload
+//! [`wire::WIRE_V2_PROBE`](crate::wire::WIRE_V2_PROBE). A conforming worker
+//! answers the single byte [`wire::WIRE_V2_ACK`](crate::wire::WIRE_V2_ACK)
+//! (`0x02`). The handshake is the pool's dead-on-arrival check: a worker
+//! that cannot complete it counts as a spawn failure (fallback, circuit
+//! breaker, failure counting). A worker that answers a verdict byte
+//! (`0x00`/`0x01`) speaks only the retired single-query protocol, which
+//! took the handshake for a query; it is refused the same way, so it can
+//! never misread a batch frame's count as a length and stall the pool.
+//! Any other byte is a protocol error.
 //!
-//! ```text
-//! request  (oracle → worker):  u32 little-endian byte length, then the
-//!                              input bytes (arbitrary binary, may be empty)
-//! response (worker → oracle):  one byte, 0x01 = accept, 0x00 = reject
-//! ```
-//!
-//! v1 requests are posed strictly one at a time per worker: the oracle
-//! waits for the verdict byte before framing the next query.
-//!
-//! **v2 — batched frames**: one request frame carries N queries, one
-//! response carries N verdict bytes, so a batch pays two pipe round-trips
-//! instead of 2·N:
+//! **Batched frames.** After the handshake, one request frame carries N
+//! queries and one response carries N verdict bytes, so a batch pays two
+//! pipe round-trips instead of 2·N:
 //!
 //! ```text
 //! request  (oracle → worker):  u32 LE query count N (1 ≤ N ≤ 2^16), then
@@ -73,38 +73,18 @@
 //! prefixes exceed the caps is malformed; conforming workers treat it as a
 //! protocol error and exit nonzero, and the oracle treats the resulting
 //! crash like any other (see *Failure semantics*). The oracle may keep
-//! several v2 frames in flight per worker (a bounded window); responses
-//! arrive strictly in request order.
-//!
-//! **Version negotiation.** The oracle opens every freshly spawned worker
-//! with a v1 frame whose payload is the fixed probe
-//! [`wire::WIRE_V2_PROBE`](crate::wire::WIRE_V2_PROBE):
-//!
-//! * a **v2-capable** worker recognizes the payload and answers the single
-//!   byte [`wire::WIRE_V2_ACK`](crate::wire::WIRE_V2_ACK) (`0x02`); the
-//!   connection speaks v2 batch frames from then on;
-//! * a **v1** worker cannot tell the probe from a real query and answers
-//!   an ordinary verdict byte (`0x00`/`0x01`), which the oracle discards;
-//!   the connection stays on v1 single-query frames.
-//!
-//! Any other response byte is a protocol error. Because the oracle only
-//! ever probes immediately after a worker spawns, workers treat the probe
-//! payload as special on the **first frame of a connection only**; a
-//! mid-stream membership query that happens to equal it is answered like
-//! any other input. The probe does reach a v1 worker's target once per
-//! worker spawn (its verdict is discarded, never cached); targets for
-//! which even that is unacceptable can pin
-//! [`PooledProcessOracle::max_wire_version`]`(1)`, which skips the probe
-//! and reproduces the v1-only oracle framing byte for byte.
+//! several frames in flight per worker (a bounded window); responses
+//! arrive strictly in request order. Workers treat the probe payload as
+//! special in the handshake only: a later membership query that happens
+//! to equal it is answered like any other input.
 //!
 //! **Batched dispatch.** On Unix hosts the pool implements
 //! [`Oracle::accepts_batch_checked`] with an event-driven dispatcher: the
 //! calling thread puts every checked-out worker's pipes into nonblocking
 //! mode and multiplexes them with `poll(2)` readiness, keeping each worker
-//! saturated with a bounded in-flight window (whole batch frames for v2
-//! workers, strict request–response for v1 workers) — no helper threads,
-//! no async runtime, no engine thread parked per in-flight query. The
-//! engine routes whole miss sets here (see
+//! saturated with a bounded in-flight window of whole batch frames — no
+//! helper threads, no async runtime, no engine thread parked per in-flight
+//! query. The engine routes whole miss sets here (see
 //! [`Oracle::native_batching`]); single queries still use the blocking
 //! per-query path.
 //!
@@ -184,10 +164,7 @@
 //! Any `fn(&[u8]) -> bool` target becomes a protocol-speaking worker with
 //! [`serve_oracle_worker`] — call it from a binary's `main` (the
 //! `glade-oracle-worker` binary in `glade-targets` does exactly this for
-//! the built-in evaluation targets). `serve_oracle_worker` answers the
-//! negotiation probe, so its workers speak v2 automatically;
-//! [`serve_oracle_worker_v1`] pins the legacy single-query protocol for
-//! compatibility testing.
+//! the built-in evaluation targets).
 //!
 //! # Oracle execution failures
 //!
@@ -223,7 +200,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default queries per v2 batch frame (see
+/// Default queries per batch frame (see
 /// [`PooledProcessOracle::frame_batch`]).
 const DEFAULT_FRAME_BATCH: usize = 32;
 
@@ -988,11 +965,10 @@ impl Oracle for ProcessOracle {
 ///
 /// This is the reusable wrapper that turns any `fn(&[u8]) -> bool` target
 /// into a [`PooledProcessOracle`] worker: call it from a binary's `main`
-/// and point the oracle at that binary. The loop starts in v1 single-query
-/// mode, upgrades to v2 batched frames when the oracle's negotiation probe
-/// arrives (see the module docs for both wire formats), answers verdicts
-/// accordingly, and returns `Ok(())` on a clean EOF between frames — which
-/// is how the pool shuts workers down.
+/// and point the oracle at that binary. The loop acknowledges the oracle's
+/// spawn-time handshake, then answers batch frames (see the module docs
+/// for the wire format), and returns `Ok(())` on a clean EOF between
+/// frames — which is how the pool shuts workers down.
 ///
 /// Anything the target prints to stdout would corrupt the protocol, so
 /// route target diagnostics to stderr.
@@ -1000,105 +976,30 @@ impl Oracle for ProcessOracle {
 /// # Errors
 ///
 /// Returns the first I/O error encountered on the protocol streams (a
-/// truncated request, a malformed batch frame, a closed pipe
-/// mid-response). Binaries typically exit nonzero on `Err`, which the pool
-/// observes as a worker crash — this is the fail-closed half of the
-/// protocol's failure semantics.
+/// missing handshake, a truncated request, a malformed batch frame, a
+/// closed pipe mid-response). Binaries typically exit nonzero on `Err`,
+/// which the pool observes as a worker crash — this is the fail-closed
+/// half of the protocol's failure semantics.
 pub fn serve_oracle_worker<F: FnMut(&[u8]) -> bool>(mut f: F) -> std::io::Result<()> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut input = BufReader::new(stdin.lock());
     let mut output = stdout.lock();
-    let mut buf = Vec::new();
-    // v1 loop, watching for the upgrade probe. The oracle only ever
-    // probes immediately after spawning a worker, so the probe payload is
-    // special on the FIRST frame only — a later membership query that
-    // happens to equal it is answered like any other input (a v1-capped
-    // oracle mid-stream must never trip an accidental upgrade).
-    let mut first_frame = true;
-    loop {
-        let Some(len) = read_frame_prefix(&mut input)? else { return Ok(()) };
-        buf.clear();
-        buf.resize(len as usize, 0);
-        input.read_exact(&mut buf)?;
-        if first_frame && buf == wire::WIRE_V2_PROBE {
-            output.write_all(&[wire::WIRE_V2_ACK])?;
-            output.flush()?;
-            break;
-        }
-        first_frame = false;
-        let verdict = f(&buf);
-        output.write_all(&[u8::from(verdict)])?;
-        output.flush()?;
+    if !wire::accept_handshake(&mut input, &mut output)? {
+        return Ok(());
     }
-    // v2 loop: one batch frame in, one run of verdict bytes out. Verdicts
-    // are buffered and written once per frame — that is the whole point of
+    // One batch frame in, one run of verdict bytes out. Verdicts are
+    // buffered and written once per frame — that is the whole point of
     // batching (two syscalls per frame, not per query).
     let mut verdicts = Vec::new();
     loop {
-        let Some(count) = read_frame_prefix(&mut input)? else { return Ok(()) };
+        let Some(count) = wire::read_frame_prefix(&mut input)? else { return Ok(()) };
         let queries = wire::decode_batch_frame_after_count(count, &mut input)?;
         verdicts.clear();
         verdicts.extend(queries.iter().map(|q| u8::from(f(q))));
         output.write_all(&verdicts)?;
         output.flush()?;
     }
-}
-
-/// Like [`serve_oracle_worker`], but pinned to the legacy v1 single-query
-/// protocol: the worker never answers the negotiation probe (it is treated
-/// as an ordinary query) and never speaks batched frames.
-///
-/// Exists for wire-compatibility pinning — the test suites and benchmarks
-/// use it to prove that a v2 oracle degrades cleanly to v1 framing against
-/// an old worker — and for targets whose input language could collide with
-/// the probe payload.
-///
-/// # Errors
-///
-/// As [`serve_oracle_worker`].
-pub fn serve_oracle_worker_v1<F: FnMut(&[u8]) -> bool>(mut f: F) -> std::io::Result<()> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = BufReader::new(stdin.lock());
-    let mut output = stdout.lock();
-    let mut buf = Vec::new();
-    loop {
-        let Some(len) = read_frame_prefix(&mut input)? else { return Ok(()) };
-        buf.clear();
-        buf.resize(len as usize, 0);
-        input.read_exact(&mut buf)?;
-        let verdict = f(&buf);
-        output.write_all(&[u8::from(verdict)])?;
-        output.flush()?;
-    }
-}
-
-/// Reads a frame's leading `u32` (v1 byte length / v2 query count),
-/// mapping a clean EOF *before* the prefix to `None` (the protocol's
-/// shutdown signal) and EOF *inside* it to an error.
-pub(crate) fn read_frame_prefix(input: &mut impl std::io::Read) -> std::io::Result<Option<u32>> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        let n = match input.read(&mut prefix[got..]) {
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            return if got == 0 {
-                Ok(None)
-            } else {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "stream truncated inside a frame prefix",
-                ))
-            };
-        }
-        got += n;
-    }
-    Ok(Some(u32::from_le_bytes(prefix)))
 }
 
 /// One long-lived protocol-speaking child process.
@@ -1109,9 +1010,6 @@ struct PooledWorker {
     /// which is the protocol's clean-shutdown signal.
     stdin: Option<ChildStdin>,
     stdout: BufReader<ChildStdout>,
-    /// Wire version settled by negotiation at spawn time: 1 (single-query
-    /// frames) or 2 (batched frames).
-    version: u8,
     /// Pool slot this worker occupies (indexes `PoolState::slots`).
     slot: usize,
     /// Whether this worker ever answered a query. A crash *after* an
@@ -1122,38 +1020,27 @@ struct PooledWorker {
 }
 
 impl PooledWorker {
-    /// Settles the wire version right after spawn: pose the v1-framed
-    /// [`wire::WIRE_V2_PROBE`] and classify the one response byte. Any I/O
-    /// failure or illegal byte is an error — the caller treats the worker
-    /// as dead on arrival.
-    fn negotiate(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        let mut frame = Vec::with_capacity(4 + wire::WIRE_V2_PROBE.len());
-        wire::encode_v1_frame(wire::WIRE_V2_PROBE, &mut frame)?;
-        self.version = match self.exchange(&frame, timeout)? {
-            wire::WIRE_V2_ACK => 2,
-            // A v1 worker answered the probe as a query; the verdict is
-            // discarded (never cached — it is not a verdict about any
-            // input the engine asked about).
-            0 | 1 => 1,
-            b => {
-                return Err(std::io::Error::other(format!(
-                    "bad negotiation response byte {b:#04x}"
-                )))
-            }
-        };
-        Ok(())
+    /// Runs the spawn-time handshake and classifies the one response byte.
+    /// Any I/O failure or other byte than [`wire::WIRE_V2_ACK`] is an
+    /// error — the caller treats the worker as dead on arrival.
+    fn handshake(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        match self.exchange(&wire::handshake_frame(), timeout)? {
+            wire::WIRE_V2_ACK => Ok(()),
+            0 | 1 => Err(std::io::Error::other(
+                "worker answered the handshake with a verdict byte: it speaks only the \
+                 retired v1 single-query protocol",
+            )),
+            b => Err(std::io::Error::other(format!("bad handshake response byte {b:#04x}"))),
+        }
     }
 
-    /// Poses one query over the worker's pipes (whichever wire version the
-    /// worker speaks). Any I/O deviation is an error — the caller treats
-    /// it as a worker crash; an [`std::io::ErrorKind::TimedOut`] error
-    /// specifically means the worker is hung.
+    /// Poses one query as a one-query batch frame. Any I/O deviation is an
+    /// error — the caller treats it as a worker crash; an
+    /// [`std::io::ErrorKind::TimedOut`] error specifically means the worker
+    /// is hung.
     fn query(&mut self, input: &[u8], timeout: Option<Duration>) -> std::io::Result<bool> {
         let mut frame = Vec::with_capacity(8 + input.len());
-        match self.version {
-            2 => wire::encode_batch_frame(&[input], &mut frame)?,
-            _ => wire::encode_v1_frame(input, &mut frame)?,
-        }
+        wire::encode_batch_frame(&[input], &mut frame)?;
         match self.exchange(&frame, timeout)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -1325,11 +1212,8 @@ struct PoolInner {
     program: PathBuf,
     args: Vec<String>,
     size: usize,
-    /// Queries per v2 batch frame in the batched dispatcher.
+    /// Queries per batch frame in the batched dispatcher.
     frame_batch: usize,
-    /// Highest wire version to negotiate: 1 pins the legacy protocol
-    /// (no probe is ever sent), 2 (the default) probes for batched frames.
-    max_wire: u8,
     state: Mutex<PoolState>,
     available: Condvar,
     /// Queries for which no real verdict could be obtained (degraded
@@ -1401,7 +1285,6 @@ impl PooledProcessOracle {
                 args: Vec::new(),
                 size: 1,
                 frame_batch: DEFAULT_FRAME_BATCH,
-                max_wire: 2,
                 state: Mutex::new(PoolState::default()),
                 available: Condvar::new(),
                 failures: AtomicUsize::new(0),
@@ -1436,12 +1319,11 @@ impl PooledProcessOracle {
         self
     }
 
-    /// Sets the number of queries packed into one v2 batch frame by the
+    /// Sets the number of queries packed into one batch frame by the
     /// batched dispatcher (must be in `1..=`[`wire::MAX_FRAME_QUERIES`]).
     /// Larger frames amortize more syscall round-trips but delay the first
     /// verdicts of a batch; the default of 32 is a good trade for
-    /// millisecond-or-faster targets. Irrelevant for v1 workers, which are
-    /// always posed one query at a time. Affects throughput only, never
+    /// millisecond-or-faster targets. Affects throughput only, never
     /// verdicts — grammar bytes and query counts are invariant across
     /// frame batch sizes.
     pub fn frame_batch(mut self, n: usize) -> Self {
@@ -1451,20 +1333,6 @@ impl PooledProcessOracle {
             wire::MAX_FRAME_QUERIES
         );
         self.inner_mut().frame_batch = n;
-        self
-    }
-
-    /// Caps the wire version negotiated with workers (must be 1 or 2).
-    ///
-    /// The default (2) probes every fresh worker for batched-frame
-    /// support; `max_wire_version(1)` skips the probe entirely and speaks
-    /// the legacy single-query protocol, byte-for-byte — for workers whose
-    /// target must never see the probe payload, and for pinning v1
-    /// behavior in compatibility tests. Affects throughput only, never
-    /// verdicts.
-    pub fn max_wire_version(mut self, version: u8) -> Self {
-        assert!(version == 1 || version == 2, "wire versions are 1 and 2");
-        self.inner_mut().max_wire = version;
         self
     }
 
@@ -1537,16 +1405,13 @@ impl PooledProcessOracle {
             .spawn()?;
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        let mut worker =
-            PooledWorker { child, stdin: Some(stdin), stdout, version: 1, slot, answered: false };
-        if self.inner.max_wire >= 2 {
-            // A worker that cannot even complete negotiation is dead on
-            // arrival: report it as a spawn failure so the callers'
-            // degradation paths (fallback oracle, failure counting) apply.
-            // Negotiation honors the query deadline too — a worker hung at
-            // hello is as dead as one hung mid-query.
-            worker.negotiate(self.query_timeout_duration())?;
-        }
+        let mut worker = PooledWorker { child, stdin: Some(stdin), stdout, slot, answered: false };
+        // A worker that cannot complete the handshake is dead on arrival:
+        // report it as a spawn failure so the callers' degradation paths
+        // (fallback oracle, breaker, failure counting) apply. The handshake
+        // honors the query deadline too — a worker hung at hello is as dead
+        // as one hung mid-query.
+        worker.handshake(self.query_timeout_duration())?;
         Ok(worker)
     }
 
@@ -1850,11 +1715,10 @@ impl PooledProcessOracle {
     /// Event-driven batched dispatch (see the module docs): multiplexes
     /// every checked-out worker pipe with `poll(2)` readiness from the
     /// calling thread, keeping each worker saturated with a bounded
-    /// in-flight window — batched v2 frames, or strict request–response
-    /// for v1 workers. Crash recovery, retry-once, fallback, and failure
-    /// accounting follow the per-query path exactly; results are one
-    /// verdict (or `None` for an execution failure) per input, in input
-    /// order.
+    /// in-flight window of batch frames. Crash recovery, retry-once,
+    /// fallback, and failure accounting follow the per-query path exactly;
+    /// results are one verdict (or `None` for an execution failure) per
+    /// input, in input order.
     fn dispatch_batch(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
         let n = inputs.len();
         let frame_batch = self.inner.frame_batch;
@@ -1872,9 +1736,10 @@ impl PooledProcessOracle {
         let mut pending: VecDeque<usize> = VecDeque::with_capacity(n);
         let mut remaining = 0usize;
         for (i, input) in inputs.iter().enumerate() {
-            if u32::try_from(input.len()).is_err() {
-                // Unframeable behind the protocol's u32 length prefix;
-                // `accepts_checked` repeats the check and degrades.
+            if input.len() > wire::MAX_FRAME_BYTES {
+                // Beyond the frame payload cap, so it cannot be posed over
+                // this channel at all; `accepts_checked` repeats the check
+                // and degrades.
                 no_verdict.push(i);
             } else {
                 pending.push_back(i);
@@ -1904,11 +1769,9 @@ impl PooledProcessOracle {
                     }
                 }
             }
-            let per_worker =
-                if slots.first().is_some_and(|s| s.worker.version >= 2) { frame_batch } else { 1 };
             while !pending.is_empty()
                 && slots.len() < self.inner.size
-                && slots.len() < pending.len().div_ceil(per_worker)
+                && slots.len() < pending.len().div_ceil(frame_batch)
             {
                 match self.try_checkout().and_then(|w| self.open_slot(w)) {
                     Some(slot) => slots.push(slot),
@@ -1917,39 +1780,23 @@ impl PooledProcessOracle {
             }
 
             // Fill: top every live slot's in-flight window up from the
-            // pending queue. v2 workers take whole batch frames (up to two
-            // frames outstanding so the pipe never drains between frames);
-            // v1 workers are posed strictly one query at a time, per the
-            // protocol.
+            // pending queue with whole batch frames (up to two frames
+            // outstanding so the pipe never drains between frames).
             for slot in &mut slots {
                 if !slot.wants_write() && !slot.outbuf.is_empty() {
                     slot.outbuf.clear();
                     slot.written = 0;
                 }
-                loop {
-                    let v2 = slot.worker.version >= 2;
-                    let window = if v2 { frame_batch.saturating_mul(2) } else { 1 };
-                    if pending.is_empty() || slot.inflight.len() >= window {
-                        break;
-                    }
+                while !pending.is_empty() && slot.inflight.len() < frame_batch.saturating_mul(2) {
                     // Assemble one frame's worth of queries, respecting
-                    // the v2 frame caps so encoding cannot fail.
+                    // the frame caps so encoding cannot fail (oversized
+                    // single queries were set aside above).
                     let mut frame_queries: Vec<usize> = Vec::new();
                     let mut frame_bytes = 0u64;
-                    let take_limit = if v2 { frame_batch } else { 1 };
-                    while frame_queries.len() < take_limit {
+                    while frame_queries.len() < frame_batch {
                         let Some(&i) = pending.front() else { break };
                         let len = inputs[i].len() as u64;
-                        if v2 && len > wire::MAX_FRAME_BYTES as u64 {
-                            // A single query beyond the v2 frame cap
-                            // cannot be posed over this channel at all.
-                            pending.pop_front();
-                            no_verdict.push(i);
-                            remaining -= 1;
-                            continue;
-                        }
-                        if v2
-                            && !frame_queries.is_empty()
+                        if !frame_queries.is_empty()
                             && frame_bytes + len > wire::MAX_FRAME_BYTES as u64
                         {
                             break;
@@ -1958,17 +1805,9 @@ impl PooledProcessOracle {
                         frame_queries.push(i);
                         frame_bytes += len;
                     }
-                    if frame_queries.is_empty() {
-                        break;
-                    }
-                    if v2 {
-                        let refs: Vec<&[u8]> = frame_queries.iter().map(|&i| inputs[i]).collect();
-                        wire::encode_batch_frame(&refs, &mut slot.outbuf)
-                            .expect("frame pre-validated against the protocol caps");
-                    } else {
-                        wire::encode_v1_frame(inputs[frame_queries[0]], &mut slot.outbuf)
-                            .expect("length pre-validated against the u32 prefix");
-                    }
+                    let refs: Vec<&[u8]> = frame_queries.iter().map(|&i| inputs[i]).collect();
+                    wire::encode_batch_frame(&refs, &mut slot.outbuf)
+                        .expect("frame pre-validated against the protocol caps");
                     slot.inflight.extend(frame_queries);
                 }
                 if let Some(t) = timeout {
@@ -2211,24 +2050,17 @@ impl Oracle for PooledProcessOracle {
     }
 
     fn accepts_checked(&self, input: &[u8]) -> Option<bool> {
-        // The protocol cannot frame inputs beyond the u32 length prefix;
+        // The protocol cannot frame inputs beyond the frame payload cap;
         // detect that before any I/O rather than punishing (and reaping) a
-        // healthy worker for an unpose-able query.
-        if u32::try_from(input.len()).is_err() {
+        // healthy worker for an unpose-able query. The fallback oracle, if
+        // any, still produces a real verdict.
+        if input.len() > wire::MAX_FRAME_BYTES {
             return self.degraded(input);
         }
         let Some(mut worker) = self.checkout() else {
             // Could not spawn a worker at all.
             return self.degraded(input);
         };
-        // The v2 channel additionally caps a frame's payload: a query
-        // beyond it is unpose-able on *this worker*, not a worker crash —
-        // return the healthy worker and degrade (the fallback oracle, if
-        // any, still produces a real verdict).
-        if worker.version >= 2 && input.len() > wire::MAX_FRAME_BYTES {
-            self.checkin(worker);
-            return self.degraded(input);
-        }
         let timeout = self.query_timeout_duration();
         match worker.query(input, timeout) {
             Ok(v) => {
@@ -2250,27 +2082,19 @@ impl Oracle for PooledProcessOracle {
                     return self.degraded(input);
                 }
                 match self.spawn_worker(slot) {
-                    Ok(mut fresh) => {
-                        if fresh.version >= 2 && input.len() > wire::MAX_FRAME_BYTES {
-                            // Same unpose-able-on-v2 guard as above (the
-                            // replacement may negotiate differently).
+                    Ok(mut fresh) => match fresh.query(input, timeout) {
+                        Ok(v) => {
+                            fresh.answered = true;
                             self.checkin(fresh);
-                            return self.degraded(input);
+                            Some(v)
                         }
-                        match fresh.query(input, timeout) {
-                            Ok(v) => {
-                                fresh.answered = true;
-                                self.checkin(fresh);
-                                Some(v)
-                            }
-                            Err(e) => {
-                                self.kill_if_hung(&mut fresh, &e);
-                                drop(fresh);
-                                self.strike_and_release(slot, false);
-                                self.degraded(input)
-                            }
+                        Err(e) => {
+                            self.kill_if_hung(&mut fresh, &e);
+                            drop(fresh);
+                            self.strike_and_release(slot, false);
+                            self.degraded(input)
                         }
-                    }
+                    },
                     Err(_) => {
                         self.strike_and_release(slot, false);
                         self.degraded(input)
@@ -2471,6 +2295,18 @@ mod tests {
         assert!(o.accepts(b"axb"));
         assert!(!o.accepts(b"abc"));
         assert_eq!(o.failure_count(), 0, "fallback verdicts are real");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn handshake_refuses_a_v1_only_worker_by_name() {
+        // The shell worker reads the 20 handshake bytes and answers a
+        // verdict byte, as a single-query worker would: dead on arrival.
+        let o = PooledProcessOracle::new("sh")
+            .arg("-c")
+            .arg("head -c 20 >/dev/null; printf '\\001'; cat >/dev/null");
+        let err = o.spawn_worker(0).expect_err("refused at spawn");
+        assert!(err.to_string().contains("v1 single-query protocol"), "{err}");
     }
 
     #[test]

@@ -534,3 +534,192 @@ mod tests {
         assert!(stats_from_text("unique-queries five\n").is_err());
     }
 }
+
+/// Fuzz battery for every decoder that reads bytes from a socket peer:
+/// arbitrary bytes are a typed error or a parse, never a panic; canonical
+/// encodings round-trip byte-identically; and a frame stream split at any
+/// byte boundary drains the same frames.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// A canonical oracle spec: printable ASCII, no leading or trailing
+    /// space (`from_body` trims lines, so only trimmed specs round-trip).
+    fn arb_spec() -> impl Strategy<Value = String> {
+        (0x21u8..0x7f, vec(0x20u8..0x7f, 0..30), 0x21u8..0x7f).prop_map(|(first, mid, last)| {
+            let mut spec = vec![first];
+            spec.extend(mid);
+            spec.push(last);
+            String::from_utf8(spec).expect("ASCII")
+        })
+    }
+
+    /// Arbitrary Unicode text of up to `max` chars.
+    fn arb_text(max: usize) -> impl Strategy<Value = String> {
+        vec(0u32..0x11_0000, 0..max)
+            .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    fn arb_open_request() -> impl Strategy<Value = OpenRequest> {
+        (arb_spec(), (any::<bool>(), any::<usize>()), any::<bool>(), any::<bool>(), any::<bool>())
+            .prop_map(|(oracle_spec, (limited, n), memoize, events, cache)| OpenRequest {
+                oracle_spec,
+                max_queries: limited.then_some(n),
+                memoize,
+                events,
+                cache,
+            })
+    }
+
+    fn arb_stats() -> impl Strategy<Value = SynthesisStats> {
+        (vec(any::<usize>(), 15), any::<bool>(), any::<bool>(), vec(any::<u64>(), 3)).prop_map(
+            |(n, budget_exhausted, cancelled, ns)| SynthesisStats {
+                unique_queries: n[0],
+                new_unique_queries: n[1],
+                total_queries: n[2],
+                seeds_used: n[3],
+                seeds_skipped: n[4],
+                star_count: n[5],
+                tree_nodes: n[6],
+                merge_pairs_tried: n[7],
+                merges_accepted: n[8],
+                chars_generalized: n[9],
+                memo_hits: n[10],
+                probes_elided: n[11],
+                oracle_failures: n[12],
+                timed_out_queries: n[13],
+                tripped_workers: n[14],
+                budget_exhausted,
+                cancelled,
+                phase1_time: Duration::from_nanos(ns[0]),
+                chargen_time: Duration::from_nanos(ns[1]),
+                phase2_time: Duration::from_nanos(ns[2]),
+            },
+        )
+    }
+
+    /// Keys the `OPEN` and stats decoders know (a sample covering every
+    /// value parser), plus one they do not.
+    const KEYS: &[&str] = &[
+        "oracle",
+        "max-queries",
+        "memo",
+        "events",
+        "cache",
+        "unique-queries",
+        "total-queries",
+        "budget-exhausted",
+        "phase1-ns",
+        "chargen-ns",
+        "tripped-workers",
+        "no-such-key",
+    ];
+
+    /// Arbitrary bytes, sometimes behind a plausible small length or count
+    /// prefix so the decoders get past their first check.
+    fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            vec(any::<u8>(), 0..64),
+            (0u32..16, vec(any::<u8>(), 0..64)).prop_map(|(n, mut rest)| {
+                let mut bytes = n.to_le_bytes().to_vec();
+                bytes.append(&mut rest);
+                bytes
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_a_decoder(bytes in arb_bytes()) {
+            let _ = drain_frames(&mut bytes.clone());
+            let _ = read_frame(&mut &bytes[..]);
+            let _ = OpenRequest::from_body(&bytes);
+            let _ = decode_seeds_body(&bytes);
+            let _ = decode_resume(&bytes);
+            let _ = decode_open_ack(&bytes);
+            let _ = decode_result(&bytes);
+            let _ = stats_from_text(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn key_value_lines_never_panic_the_text_decoders(lines in vec((0usize..KEYS.len(), arb_text(6)), 0..8)) {
+            // Known keys with arbitrary values reach every parse arm.
+            let text: String =
+                lines.iter().map(|(k, value)| format!("{} {value}\n", KEYS[*k])).collect();
+            let _ = OpenRequest::from_body(text.as_bytes());
+            let _ = stats_from_text(&text);
+        }
+
+        #[test]
+        fn frames_round_trip_byte_identically(tag in any::<u8>(), body in vec(any::<u8>(), 0..128)) {
+            let mut encoded = Vec::new();
+            encode_frame(tag, &body, &mut encoded);
+            let mut buf = encoded.clone();
+            let drained = drain_frames(&mut buf).expect("canonical frame drains");
+            prop_assert_eq!(&drained, &vec![(tag, body.clone())]);
+            prop_assert!(buf.is_empty());
+            let (read_tag, read_body) = read_frame(&mut &encoded[..]).expect("canonical frame reads");
+            let mut reencoded = Vec::new();
+            encode_frame(read_tag, &read_body, &mut reencoded);
+            prop_assert_eq!(reencoded, encoded);
+        }
+
+        #[test]
+        fn open_requests_round_trip_byte_identically(req in arb_open_request()) {
+            let body = req.to_body();
+            let parsed = OpenRequest::from_body(&body).expect("canonical body parses");
+            prop_assert_eq!(&parsed, &req);
+            prop_assert_eq!(parsed.to_body(), body);
+        }
+
+        #[test]
+        fn seeds_bodies_round_trip_byte_identically(seeds in vec(vec(any::<u8>(), 0..32), 0..8)) {
+            let body = encode_seeds_body(&seeds).expect("encodes");
+            let decoded = decode_seeds_body(&body).expect("canonical body decodes");
+            prop_assert_eq!(&decoded, &seeds);
+            prop_assert_eq!(encode_seeds_body(&decoded).expect("re-encodes"), body);
+        }
+
+        #[test]
+        fn resume_and_open_ack_round_trip_byte_identically(campaign in any::<u32>(), fingerprint in arb_text(24)) {
+            let resume = encode_resume(campaign);
+            prop_assert_eq!(encode_resume(decode_resume(&resume).expect("decodes")), resume);
+            let ack = encode_open_ack(campaign, &fingerprint);
+            let (id, fp) = decode_open_ack(&ack).expect("decodes");
+            prop_assert_eq!(id, campaign);
+            prop_assert_eq!(&fp, &fingerprint);
+            prop_assert_eq!(encode_open_ack(id, &fp), ack);
+        }
+
+        #[test]
+        fn results_round_trip_byte_identically(stats in arb_stats(), grammar in arb_text(40)) {
+            let body = encode_result(&stats, &grammar);
+            let (back, back_grammar) = decode_result(&body).expect("canonical result decodes");
+            prop_assert_eq!(stats_to_text(&back), stats_to_text(&stats));
+            prop_assert_eq!(&back_grammar, &grammar);
+            prop_assert_eq!(encode_result(&back, &back_grammar), body);
+        }
+
+        #[test]
+        fn a_stream_split_at_any_byte_drains_the_same_frames(
+            frames in vec((any::<u8>(), vec(any::<u8>(), 0..12)), 1..4),
+        ) {
+            let mut stream = Vec::new();
+            for (tag, body) in &frames {
+                encode_frame(*tag, body, &mut stream);
+            }
+            for cut in 0..=stream.len() {
+                let mut buf = stream[..cut].to_vec();
+                let mut drained = drain_frames(&mut buf).expect("prefix drains");
+                buf.extend_from_slice(&stream[cut..]);
+                drained.extend(drain_frames(&mut buf).expect("rest drains"));
+                prop_assert_eq!(&drained, &frames, "cut={}", cut);
+                prop_assert!(buf.is_empty(), "cut={}", cut);
+            }
+        }
+    }
+}

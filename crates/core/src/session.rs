@@ -1,9 +1,9 @@
 //! The session-based synthesis API: observable, cancellable, incremental
 //! runs over one long-lived membership-query cache.
 //!
-//! [`Glade::synthesize`](crate::Glade::synthesize) modelled synthesis as a
-//! single blocking call; production use wants more control. A [`Session`]
-//! ties one oracle to one persistent query cache and supports:
+//! A one-shot blocking call ([`GladeBuilder::synthesize`]) is enough for
+//! a single run; production use wants more control. A [`Session`] ties one
+//! oracle to one persistent query cache and supports:
 //!
 //! * **Incremental synthesis** — [`Session::add_seeds`] extends the
 //!   current grammar with new seeds without re-deriving the trees of
@@ -47,7 +47,7 @@ use crate::persist::{
 use crate::phase1::Phase1;
 use crate::phase2::{apply_merge_verdicts, plan_merge_checks, StagedMerge};
 use crate::runner::{BackingStore, QueryRunner, RunnerOptions};
-use crate::synth::{Glade, GladeConfig, Synthesis, SynthesisError, SynthesisStats};
+use crate::synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};
 use crate::tree::{trees_to_grammar, Node, UnionFind};
 use crate::Oracle;
 use glade_grammar::Regex;
@@ -302,12 +302,6 @@ impl GladeBuilder {
         oracle: &dyn Oracle,
     ) -> Result<Synthesis, SynthesisError> {
         self.session(oracle).add_seeds(seeds)
-    }
-}
-
-impl From<Glade> for GladeBuilder {
-    fn from(glade: Glade) -> Self {
-        GladeBuilder::from_config(glade.config().clone())
     }
 }
 
@@ -1283,13 +1277,6 @@ mod tests {
         assert!(v1.starts_with("glade-cache v1\n"));
         let fresh = GladeBuilder::new().session(&oracle);
         assert_eq!(fresh.import_cache(&v1).unwrap(), legacy_first.stats.unique_queries);
-    }
-
-    #[test]
-    fn builder_from_glade_carries_config() {
-        let glade = Glade::with_config(GladeConfig::phase1_only());
-        let builder = GladeBuilder::from(glade);
-        assert!(!builder.config().phase2);
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {

@@ -1,16 +1,11 @@
-//! Synthesis configuration, statistics, results, and the legacy one-shot
-//! entry point.
+//! Synthesis configuration, statistics, and results.
 //!
 //! The pipeline itself (Algorithm 1 plus the Section 6 extensions) is
 //! driven by [`Session::add_seeds`](crate::Session::add_seeds) in
 //! `session.rs`; this module holds the shared value types —
-//! [`GladeConfig`], [`SynthesisStats`], [`Synthesis`], [`SynthesisError`] —
-//! and [`Glade`], the deprecated blocking wrapper kept for source
-//! compatibility.
+//! [`GladeConfig`], [`SynthesisStats`], [`Synthesis`], [`SynthesisError`].
 
 use crate::chargen::default_test_bytes;
-use crate::session::GladeBuilder;
-use crate::Oracle;
 use glade_grammar::{Grammar, Regex};
 use std::fmt;
 use std::time::Duration;
@@ -204,8 +199,7 @@ pub struct Synthesis {
     pub stats: SynthesisStats,
 }
 
-/// Errors reported by [`Session::add_seeds`](crate::Session::add_seeds)
-/// and the [`Glade::synthesize`] wrapper.
+/// Errors reported by [`Session::add_seeds`](crate::Session::add_seeds).
 ///
 /// `#[non_exhaustive]`: the session API may add error variants (match with
 /// a wildcard arm).
@@ -231,80 +225,6 @@ impl fmt::Display for SynthesisError {
 }
 
 impl std::error::Error for SynthesisError {}
-
-/// The legacy one-shot GLADE synthesizer.
-///
-/// Kept as a thin compatibility wrapper over the session API; new code
-/// should use [`GladeBuilder`](crate::GladeBuilder) — either its one-shot
-/// [`synthesize`](crate::GladeBuilder::synthesize) or a full
-/// [`Session`](crate::Session) for observation, cancellation, incremental
-/// seeds, and cache persistence.
-///
-/// # Examples
-///
-/// The paper's running example (Figures 1–3) through the builder:
-///
-/// ```
-/// use glade_core::{FnOracle, GladeBuilder};
-/// use glade_core::testing::xml_like;
-/// use glade_grammar::Earley;
-///
-/// let oracle = FnOracle::new(xml_like);
-/// let result = GladeBuilder::new().synthesize(&[b"<a>hi</a>".to_vec()], &oracle)?;
-/// let parser = Earley::new(&result.grammar);
-/// assert!(parser.accepts(b"<a><a>xyz</a></a>"));
-/// assert!(!parser.accepts(b"<a>oops"));
-/// # Ok::<(), glade_core::SynthesisError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Glade {
-    config: GladeConfig,
-}
-
-impl Glade {
-    /// Creates a synthesizer with the default configuration.
-    pub fn new() -> Self {
-        Glade { config: GladeConfig::default() }
-    }
-
-    /// Creates a synthesizer with an explicit configuration.
-    pub fn with_config(config: GladeConfig) -> Self {
-        Glade { config }
-    }
-
-    /// Starts a fluent [`GladeBuilder`] — the session API's entry point.
-    pub fn builder() -> GladeBuilder {
-        GladeBuilder::new()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GladeConfig {
-        &self.config
-    }
-
-    /// Synthesizes a grammar from `seeds` and blackbox `oracle` access.
-    ///
-    /// Equivalent to `GladeBuilder::from_config(config).synthesize(seeds,
-    /// oracle)`: one blocking run with no observer, no cancellation, and a
-    /// cache that dies with the call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SynthesisError::NoSeeds`] for an empty seed set and
-    /// [`SynthesisError::SeedRejected`] if the oracle rejects a seed.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use GladeBuilder::synthesize for one-shot runs, or GladeBuilder::session \
-                for observable, cancellable, incremental synthesis"
-    )]
-    pub fn synthesize(
-        &self,
-        seeds: &[Vec<u8>],
-        oracle: &dyn Oracle,
-    ) -> Result<Synthesis, SynthesisError> {
-        GladeBuilder::from_config(self.config.clone()).synthesize(seeds, oracle)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -343,22 +263,6 @@ mod tests {
         assert_eq!(result.stats.star_count, 2);
         assert_eq!(result.stats.merges_accepted, 1);
         assert!(result.stats.unique_queries > 0);
-    }
-
-    #[test]
-    fn deprecated_wrapper_matches_builder() {
-        // The compatibility contract: Glade::synthesize and the session
-        // API produce identical results for identical configs.
-        let oracle = FnOracle::new(xml_like);
-        #[allow(deprecated)]
-        let old = Glade::new().synthesize(&[b"<a>hi</a>".to_vec()], &oracle).unwrap();
-        let new = GladeBuilder::new().synthesize(&[b"<a>hi</a>".to_vec()], &oracle).unwrap();
-        assert_eq!(
-            glade_grammar::grammar_to_text(&old.grammar),
-            glade_grammar::grammar_to_text(&new.grammar)
-        );
-        assert_eq!(old.stats.unique_queries, new.stats.unique_queries);
-        assert_eq!(old.stats.total_queries, new.stats.total_queries);
     }
 
     #[test]

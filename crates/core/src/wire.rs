@@ -1,54 +1,56 @@
-//! The pooled-oracle wire codec: v2 batched frames and version
-//! negotiation constants.
+//! The pooled-oracle wire codec: the spawn-time handshake and batched
+//! frames.
 //!
 //! [`PooledProcessOracle`](crate::PooledProcessOracle) and
 //! [`serve_oracle_worker`](crate::serve_oracle_worker) speak a
-//! length-prefixed verdict protocol over a worker's stdin/stdout. Protocol
-//! **v1** frames one query per request; protocol **v2** batches N queries
-//! per request frame and N verdict bytes per response, cutting the
-//! syscall + scheduling round-trips per query by the batch factor. This
-//! module holds the pure encode/decode halves of the v2 framing so they
-//! can be property-tested in isolation from any process plumbing; the full
-//! wire-format specification (negotiation included) lives in the
-//! [`oracle`](crate::Oracle) module documentation.
+//! length-prefixed verdict protocol over a worker's stdin/stdout. Each
+//! connection opens with one handshake frame ([`handshake_frame`]), which
+//! the worker acknowledges with [`WIRE_V2_ACK`]; after that every request
+//! is a batch frame of N queries and every response is N verdict bytes, so
+//! a batch pays two pipe round-trips instead of 2·N. This module holds the
+//! pure encode/decode halves of that framing so they can be property-tested
+//! in isolation from any process plumbing; the full wire-format
+//! specification lives in the [`oracle`](crate::Oracle) module
+//! documentation.
 //!
 //! All decoding fails closed: a malformed, truncated, or oversized frame
 //! is an [`FrameError`], never a panic and never a fabricated verdict. The
 //! pool turns such errors into counted oracle failures (the worker is
 //! treated as crashed).
 
-use std::io::Read;
+use std::io::{Read, Write};
 
-/// Payload of the version-negotiation probe, sent by the oracle as an
-/// ordinary v1 single-query frame right after a worker spawns.
+/// Payload of the spawn-time handshake: the oracle sends it behind a `u32`
+/// little-endian length prefix (see [`handshake_frame`]) right after a
+/// worker spawns, before any query.
 ///
-/// A v2-capable worker recognizes the exact payload and answers
-/// [`WIRE_V2_ACK`]; a v1 worker cannot distinguish it from a real
-/// membership query and answers an ordinary verdict byte (`0`/`1`), which
-/// the oracle discards. The payload starts with two NUL bytes precisely to
-/// make a collision with a genuine membership query of some target
-/// language implausible.
+/// A conforming worker recognizes the exact payload and answers
+/// [`WIRE_V2_ACK`]. A worker that speaks only the retired single-query
+/// protocol takes the handshake for a membership query and answers a
+/// verdict byte (`0`/`1`); the oracle refuses such a worker as dead on
+/// arrival. The payload starts with two NUL bytes precisely to make a
+/// collision with a genuine membership query of some target language
+/// implausible.
 pub const WIRE_V2_PROBE: &[u8] = b"\x00\x00glade-wire-v2?";
 
-/// Response byte acknowledging the v2 upgrade. Deliberately outside the
-/// verdict byte range (`0x00`/`0x01`), so a v1 oracle that accidentally
-/// poses the probe as a query to a v2 worker observes a protocol error (a
-/// crash, recoverable) rather than a wrong verdict.
+/// Response byte acknowledging the handshake. Deliberately outside the
+/// verdict byte range (`0x00`/`0x01`), so a worker that answers the
+/// handshake as a query is told apart from one that acknowledges it.
 pub const WIRE_V2_ACK: u8 = 0x02;
 
-/// Maximum number of queries a single v2 batch frame may carry.
+/// Maximum number of queries a single batch frame may carry.
 ///
 /// The bound exists to fail fast on a corrupted count prefix: a decoder
 /// must reject a bigger count *before* allocating for it.
 pub const MAX_FRAME_QUERIES: usize = 1 << 16;
 
 /// Maximum total payload bytes (the queries themselves, excluding the
-/// length prefixes) a single v2 batch frame may carry. As with
+/// length prefixes) a single batch frame may carry. As with
 /// [`MAX_FRAME_QUERIES`], the cap turns a corrupted length prefix into an
 /// immediate decode error instead of an absurd allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
-/// A v2 frame failed to encode or decode. Decoding errors mean the peer
+/// A batch frame failed to encode or decode. Decoding errors mean the peer
 /// (or the pipe) is broken; the pool reacts by reaping the worker and
 /// counting the affected queries as oracle failures if retries are also
 /// exhausted — malformed frames fail closed, they never produce verdicts.
@@ -111,22 +113,79 @@ impl From<FrameError> for std::io::Error {
     }
 }
 
-/// Appends one v1 single-query frame (`u32` little-endian byte length,
-/// then the raw bytes) to `out`.
+/// The handshake request the oracle writes to every fresh worker:
+/// [`WIRE_V2_PROBE`] behind its `u32` little-endian byte length.
+pub fn handshake_frame() -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + WIRE_V2_PROBE.len());
+    frame.extend_from_slice(&(WIRE_V2_PROBE.len() as u32).to_le_bytes());
+    frame.extend_from_slice(WIRE_V2_PROBE);
+    frame
+}
+
+/// The worker half of the handshake: reads the first frame of a connection
+/// from `input` and, if it is [`handshake_frame`], answers [`WIRE_V2_ACK`]
+/// on `output`. Returns `Ok(false)` on a clean EOF before any byte (the
+/// oracle closed the connection without using it).
 ///
 /// # Errors
 ///
-/// [`FrameError::QueryTooLong`] when the query cannot be framed behind a
-/// `u32` length prefix.
-pub fn encode_v1_frame(query: &[u8], out: &mut Vec<u8>) -> Result<(), FrameError> {
-    let len = u32::try_from(query.len()).map_err(|_| FrameError::QueryTooLong(query.len()))?;
-    out.reserve(4 + query.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(query);
-    Ok(())
+/// Any other first frame is an [`std::io::ErrorKind::InvalidData`] error,
+/// as are I/O failures on either stream. The declared length is checked
+/// before the payload is read, so a garbage prefix allocates nothing.
+pub(crate) fn accept_handshake(
+    input: &mut impl Read,
+    output: &mut impl Write,
+) -> std::io::Result<bool> {
+    let Some(len) = read_frame_prefix(input)? else { return Ok(false) };
+    let mut payload = [0u8; WIRE_V2_PROBE.len()];
+    if len as usize != payload.len() {
+        return Err(not_a_handshake());
+    }
+    input.read_exact(&mut payload)?;
+    if payload != WIRE_V2_PROBE {
+        return Err(not_a_handshake());
+    }
+    output.write_all(&[WIRE_V2_ACK])?;
+    output.flush()?;
+    Ok(true)
 }
 
-/// Appends one v2 batch frame to `out`: a `u32` little-endian query count,
+fn not_a_handshake() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        "the first frame of a connection must be the pooled-oracle handshake",
+    )
+}
+
+/// Reads a frame's leading `u32` (the handshake's byte length or a batch
+/// frame's query count), mapping a clean EOF *before* the prefix to
+/// `None` (the protocol's shutdown signal) and EOF *inside* it to an
+/// error.
+pub(crate) fn read_frame_prefix(input: &mut impl Read) -> std::io::Result<Option<u32>> {
+    let mut prefix = [0u8; 4];
+    let mut got = 0usize;
+    while got < 4 {
+        let n = match input.read(&mut prefix[got..]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if n == 0 {
+            return if got == 0 {
+                Ok(None)
+            } else {
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "stream truncated inside a frame prefix",
+                ))
+            };
+        }
+        got += n;
+    }
+    Ok(Some(u32::from_le_bytes(prefix)))
+}
+
+/// Appends one batch frame to `out`: a `u32` little-endian query count,
 /// then each query as a `u32` little-endian length followed by its bytes.
 ///
 /// # Errors
@@ -162,7 +221,7 @@ pub fn encode_batch_frame(queries: &[&[u8]], out: &mut Vec<u8>) -> Result<(), Fr
     Ok(())
 }
 
-/// Reads exactly one v2 batch frame from `input`, returning the decoded
+/// Reads exactly one batch frame from `input`, returning the decoded
 /// queries in frame order.
 ///
 /// This is the worker-side decode half: it expects the stream to be
@@ -228,13 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_frame_layout_is_the_legacy_wire_format() {
-        let mut buf = Vec::new();
-        encode_v1_frame(b"abc", &mut buf).expect("encodes");
-        assert_eq!(buf, [3, 0, 0, 0, b'a', b'b', b'c']);
-    }
-
-    #[test]
     fn empty_batch_is_rejected_on_both_sides() {
         let mut buf = Vec::new();
         assert!(matches!(encode_batch_frame(&[], &mut buf), Err(FrameError::EmptyFrame)));
@@ -273,13 +325,41 @@ mod tests {
     }
 
     #[test]
+    fn v1_frame_layout_is_the_legacy_wire_format() {
+        // The handshake keeps the legacy single-query frame layout byte for
+        // byte: the u32 LE byte length, then the payload.
+        let mut expected = vec![16, 0, 0, 0];
+        expected.extend_from_slice(b"\x00\x00glade-wire-v2?");
+        assert_eq!(handshake_frame(), expected);
+    }
+
+    #[test]
     #[allow(clippy::assertions_on_constants)]
     fn probe_is_a_legal_v1_query_payload() {
-        // The negotiation probe must be frameable as an ordinary v1 query
-        // (that is what a v1 worker will take it for).
-        let mut buf = Vec::new();
-        encode_v1_frame(WIRE_V2_PROBE, &mut buf).expect("probe frames as v1");
-        assert_eq!(&buf[4..], WIRE_V2_PROBE);
+        // A v1-only worker takes the handshake for an ordinary query and
+        // answers a verdict byte, which the ack must not look like.
+        assert_eq!(&handshake_frame()[4..], WIRE_V2_PROBE);
         assert!(WIRE_V2_ACK > 1, "ack byte must sit outside the verdict range");
+    }
+
+    #[test]
+    fn worker_acks_the_handshake_and_refuses_anything_else() {
+        let mut out = Vec::new();
+        assert!(accept_handshake(&mut &handshake_frame()[..], &mut out).expect("handshake"));
+        assert_eq!(out, [WIRE_V2_ACK]);
+        // A clean EOF before the first byte is a clean shutdown.
+        assert!(!accept_handshake(&mut &[][..], &mut Vec::new()).expect("clean EOF"));
+        // A batch frame (or any other payload) in first position is refused
+        // without answering — even one whose only query is the probe.
+        let mut batch = Vec::new();
+        encode_batch_frame(&[WIRE_V2_PROBE], &mut batch).expect("encodes");
+        let mut wrong_payload = handshake_frame();
+        wrong_payload[4] = b'x';
+        for first in [batch, wrong_payload, u32::MAX.to_le_bytes().to_vec()] {
+            let mut out = Vec::new();
+            let err = accept_handshake(&mut &first[..], &mut out).expect_err("refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(out.is_empty());
+        }
     }
 }

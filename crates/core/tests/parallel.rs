@@ -281,9 +281,9 @@ fn skewed_latency_does_not_change_grammar_or_query_counts() {
 /// Language: nonempty strings of `x`.
 ///
 /// Flags exercising the protocol's failure paths:
-/// * `--v1-only` — never acknowledge the v2 negotiation probe (the probe
-///   is answered like any other query), pinning the legacy single-query
-///   wire format end to end;
+/// * `--v1-only` — never acknowledge the handshake probe (the probe is
+///   answered like any other query, as a worker of the retired
+///   single-query protocol would): the pool must refuse such a worker;
 /// * `--crash-after N` — exit abruptly after answering N queries; in v2
 ///   mode a mid-frame hit writes the *partial* verdict run first, so the
 ///   oracle must recover from a torn batch response;
@@ -514,15 +514,6 @@ fn matrix_pool_sizes() -> Vec<usize> {
     }
 }
 
-/// Wire-version cap for the protocol matrix; `GLADE_TEST_WIRE=v1` pins the
-/// legacy single-query framing (the CI matrix sweeps it).
-fn matrix_wire_cap() -> u8 {
-    match std::env::var("GLADE_TEST_WIRE").as_deref() {
-        Ok("v1") | Ok("1") => 1,
-        _ => 2,
-    }
-}
-
 #[test]
 fn pooled_oracle_protocol_round_trip() {
     let _guard = Watchdog::arm("pooled_oracle_protocol_round_trip");
@@ -530,7 +521,7 @@ fn pooled_oracle_protocol_round_trip() {
         eprintln!("skipping: rustc unavailable, cannot build the protocol worker");
         return;
     };
-    let pool = PooledProcessOracle::new(bin).pool_size(3).max_wire_version(matrix_wire_cap());
+    let pool = PooledProcessOracle::new(bin).pool_size(3);
     // Single-threaded sanity, including the empty input (a zero-length
     // frame) and binary bytes.
     assert!(pool.accepts(b"x"));
@@ -619,10 +610,9 @@ fn x_workload(count: usize, offset: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
-    // The event-driven dispatcher (poll-multiplexed pipes, batched v2
-    // frames or strict v1 request–response) must produce exactly the
-    // verdicts of the blocking per-query path, at every pool size, wire
-    // version, and frame batch size the matrix requests.
+    // The event-driven dispatcher (poll-multiplexed pipes, batched
+    // frames) must produce exactly the verdicts of the blocking per-query
+    // path, at every pool size and frame batch size the matrix requests.
     let _guard = Watchdog::arm("batched_dispatch_agrees_with_per_query_path_across_matrix");
     let Some(bin) = test_worker_bin() else {
         eprintln!("skipping: rustc unavailable, cannot build the protocol worker");
@@ -633,10 +623,7 @@ fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
     let expected: Vec<Option<bool>> = inputs.iter().map(|i| Some(x_language(i))).collect();
     for pool_size in matrix_pool_sizes() {
         for frame_batch in [1usize, 7, 64] {
-            let pool = PooledProcessOracle::new(bin)
-                .pool_size(pool_size)
-                .frame_batch(frame_batch)
-                .max_wire_version(matrix_wire_cap());
+            let pool = PooledProcessOracle::new(bin).pool_size(pool_size).frame_batch(frame_batch);
             let verdicts = pool.accepts_batch_checked(&refs);
             assert_eq!(
                 verdicts, expected,
@@ -649,30 +636,34 @@ fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
 }
 
 #[test]
-fn v1_only_worker_pins_version_negotiation() {
-    // A worker that never acknowledges the upgrade probe must be driven
-    // with legacy single-query frames — including by the batched
-    // dispatcher — and the probe's discarded verdict must never surface.
-    let _guard = Watchdog::arm("v1_only_worker_pins_version_negotiation");
+fn v1_only_worker_is_refused_at_spawn() {
+    // A worker that answers the handshake with a verdict byte speaks only
+    // the retired single-query protocol, which would read a batch frame's
+    // count as a length and stall. The pool refuses it as dead on arrival:
+    // without a fallback its queries are counted failures, with one the
+    // fallback answers them — never a fabricated verdict, never a hang.
+    let _guard = Watchdog::arm("v1_only_worker_is_refused_at_spawn");
     let Some(bin) = test_worker_bin() else {
         eprintln!("skipping: rustc unavailable, cannot build the protocol worker");
         return;
     };
-    let pool = PooledProcessOracle::new(bin).arg("--v1-only").pool_size(2);
-    assert!(pool.accepts(b"x"));
-    assert!(!pool.accepts(b""));
-    let inputs = x_workload(120, 31);
+    let inputs = x_workload(40, 31);
     let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-    let expected: Vec<Option<bool>> = inputs.iter().map(|i| Some(x_language(i))).collect();
-    assert_eq!(pool.accepts_batch_checked(&refs), expected);
-    assert_eq!(pool.failure_count(), 0);
-    assert_eq!(pool.respawn_count(), 0, "negotiating down is not a crash");
 
-    // And capping the oracle to v1 against a v2-capable worker speaks
-    // byte-identical legacy frames (no probe is ever sent).
-    let capped = PooledProcessOracle::new(bin).pool_size(2).max_wire_version(1);
-    assert_eq!(capped.accepts_batch_checked(&refs), expected);
-    assert_eq!(capped.failure_count(), 0);
+    let refused = PooledProcessOracle::new(bin).arg("--v1-only").pool_size(2);
+    assert_eq!(refused.accepts_checked(b"x"), None);
+    assert_eq!(refused.accepts_batch_checked(&refs), vec![None; refs.len()]);
+    assert_eq!(refused.failure_count(), 1 + refs.len(), "every query is a counted failure");
+    assert!(refused.tripped_worker_count() > 0, "refused spawns walk the breaker");
+
+    let rescued = PooledProcessOracle::new(bin)
+        .arg("--v1-only")
+        .pool_size(2)
+        .fallback(ProcessOracle::new("grep").arg("-Eqx").arg("x+"));
+    let expected: Vec<Option<bool>> = inputs.iter().map(|i| Some(x_language(i))).collect();
+    assert_eq!(rescued.accepts_checked(b"x"), Some(true));
+    assert_eq!(rescued.accepts_batch_checked(&refs), expected);
+    assert_eq!(rescued.failure_count(), 0, "the fallback answered every query");
 }
 
 #[test]
@@ -922,11 +913,8 @@ fn full_synthesis_through_crashing_pool_matches_in_process_run() {
         .synthesize(&seeds, &reference_oracle)
         .expect("valid seed");
     for pool_size in matrix_pool_sizes() {
-        let pool = PooledProcessOracle::new(bin)
-            .arg("--crash-after")
-            .arg("19")
-            .pool_size(pool_size)
-            .max_wire_version(matrix_wire_cap());
+        let pool =
+            PooledProcessOracle::new(bin).arg("--crash-after").arg("19").pool_size(pool_size);
         let pooled = GladeBuilder::new()
             .memoize_byte_classes(matrix_memo())
             .synthesize(&seeds, &pool)

@@ -1,4 +1,4 @@
-//! Property-based battery for the v2 batched-frame codec (`glade_core::wire`)
+//! Property-based battery for the batched-frame codec (`glade_core::wire`)
 //! and its fail-closed decoding contract: arbitrary query batches
 //! round-trip byte-identically, and malformed / truncated / oversized
 //! frames are typed errors — never a panic, never a fabricated verdict.
@@ -9,7 +9,7 @@
 //! against an independently implemented worker binary.
 
 use glade_core::wire::{
-    decode_batch_frame, encode_batch_frame, encode_v1_frame, FrameError, MAX_FRAME_QUERIES,
+    decode_batch_frame, encode_batch_frame, handshake_frame, FrameError, MAX_FRAME_QUERIES,
     WIRE_V2_ACK, WIRE_V2_PROBE,
 };
 use proptest::collection::vec;
@@ -116,17 +116,8 @@ proptest! {
     }
 
     #[test]
-    fn v1_frames_roundtrip_through_the_legacy_layout(query in arb_query()) {
-        let mut encoded = Vec::new();
-        encode_v1_frame(&query, &mut encoded).expect("encodes");
-        prop_assert_eq!(encoded.len(), 4 + query.len());
-        prop_assert_eq!(u32::from_le_bytes(encoded[..4].try_into().unwrap()) as usize, query.len());
-        prop_assert_eq!(&encoded[4..], &query[..]);
-    }
-
-    #[test]
     fn probe_never_collides_with_small_engine_queries(query in arb_query()) {
-        // The negotiation probe must be recognizable unambiguously; the
+        // The handshake probe must be recognizable unambiguously; the
         // generator's arbitrary bytes stand in for engine-made queries.
         // (Not a proof — the real guarantee is the leading NUL NUL pair,
         // which no text-protocol target accepts — but a cheap tripwire.)
@@ -163,12 +154,13 @@ fn too_many_queries_rejected_at_encode_time() {
 #[test]
 #[allow(clippy::assertions_on_constants)]
 fn ack_byte_is_outside_the_verdict_range() {
-    // The negotiation contract: v1 verdicts are 0x00/0x01, so the upgrade
-    // ack must be distinguishable from both.
+    // The handshake contract: verdicts are 0x00/0x01, so the ack must be
+    // distinguishable from both — that is how the pool tells a conforming
+    // worker from one that answered the handshake as a query.
     assert!(WIRE_V2_ACK != 0 && WIRE_V2_ACK != 1);
-    // And the probe itself frames as a legal v1 query (that is exactly
-    // what a v1-only worker will take it for).
-    let mut framed = Vec::new();
-    encode_v1_frame(WIRE_V2_PROBE, &mut framed).expect("probe frames");
+    // And the handshake is the probe behind its u32 length: exactly what
+    // a single-query worker takes for a query.
+    let framed = handshake_frame();
+    assert_eq!(framed[..4], (WIRE_V2_PROBE.len() as u32).to_le_bytes());
     assert_eq!(&framed[4..], WIRE_V2_PROBE);
 }

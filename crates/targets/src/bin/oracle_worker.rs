@@ -11,7 +11,6 @@
 //! ```text
 //! glade-oracle-worker <NAME>                 # serve the protocol until EOF
 //! glade-oracle-worker <NAME> --once          # read all of stdin, exit 0/1
-//! glade-oracle-worker <NAME> --wire-v1       # pin legacy single-query frames
 //! glade-oracle-worker <NAME> --crash-after N # die after N answers (tests)
 //! glade-oracle-worker <NAME> --hang-after N  # answer N, then hang forever
 //! glade-oracle-worker <NAME> --stall-ms M    # slow-loris: M ms per verdict
@@ -23,18 +22,15 @@
 //! `--once` makes the same subject drivable by a spawn-per-query
 //! `ProcessOracle` (validity = exit status), which is exactly what the
 //! pooled oracle's fallback path and the pooled-vs-spawn benchmark need.
-//! The protocol mode negotiates v2 batched frames automatically;
-//! `--wire-v1` pins the legacy single-query wire format (the worker never
-//! acknowledges the upgrade probe), which the protocol compatibility
-//! matrix drives.
+//! The protocol mode acknowledges the pool's spawn-time handshake and then
+//! answers batched frames.
 //!
 //! The fault flags feed a deterministic `glade_core::FaultPlan` and route
 //! serving through `glade_core::serve_faulty_worker`: `--crash-after N`
 //! exits abruptly after answering N queries (the crash-recovery battery
 //! kills workers mid-batch this way), `--hang-after N` answers N queries
 //! and then goes silent without exiting (the query-deadline battery's
-//! hung-worker mode — mid-v2-frame when query N+1 arrives inside a
-//! batch), `--stall-ms M` trickles verdicts one byte every M milliseconds
+//! hung-worker mode — mid-frame when query N+1 arrives inside a batch), `--stall-ms M` trickles verdicts one byte every M milliseconds
 //! (slow-loris — slow but healthy, which a per-verdict deadline must
 //! tolerate), `--garbage-after N` deviates from the protocol without
 //! dying, and `--flaky-spawn PATH` makes alternate spawns of this command
@@ -46,9 +42,7 @@
 //! and then a handwritten language (`url-lang`, `lisp-lang`, `toy-xml`, …
 //! — suffixed to avoid clashing with the same-named targets).
 
-use glade_core::{
-    flaky_spawn_should_die, serve_faulty_worker, serve_faulty_worker_v1, FaultPlan, Oracle,
-};
+use glade_core::{flaky_spawn_should_die, serve_faulty_worker, FaultPlan, Oracle};
 use glade_targets::languages::{section82_languages, toy_xml};
 use glade_targets::programs::{all_targets, target_by_name};
 use glade_targets::TargetOracle;
@@ -95,13 +89,12 @@ fn main() -> ExitCode {
     }
     let Some((name, rest)) = args.split_first() else {
         eprintln!(
-            "usage: glade-oracle-worker <NAME> [--once|--wire-v1] [--crash-after N] \
+            "usage: glade-oracle-worker <NAME> [--once] [--crash-after N] \
              [--hang-after N] [--stall-ms M] [--garbage-after N] [--flaky-spawn PATH] | --list"
         );
         return ExitCode::FAILURE;
     };
     let mut once = false;
-    let mut wire_v1 = false;
     let mut plan = FaultPlan::new();
     let mut flaky_spawn: Option<std::path::PathBuf> = None;
     let mut i = 0;
@@ -117,7 +110,6 @@ fn main() -> ExitCode {
     while i < rest.len() {
         match rest[i].as_str() {
             "--once" => once = true,
-            "--wire-v1" => wire_v1 = true,
             "--crash-after" => match counted(rest, &mut i, "--crash-after") {
                 Some(n) => plan = plan.crash_after(n),
                 None => return ExitCode::FAILURE,
@@ -171,16 +163,10 @@ fn main() -> ExitCode {
         }
         return if oracle.accepts(&input) { ExitCode::SUCCESS } else { ExitCode::from(1) };
     }
-    // A no-op plan serves the clean loops byte-identically; any fault flag
+    // A no-op plan serves the clean loop byte-identically; any fault flag
     // routes through the deterministic fault harness (see
     // `glade_core::FaultPlan`).
-    let predicate = move |input: &[u8]| oracle.accepts(input);
-    let served = if wire_v1 {
-        serve_faulty_worker_v1(&plan, predicate)
-    } else {
-        serve_faulty_worker(&plan, predicate)
-    };
-    match served {
+    match serve_faulty_worker(&plan, |input: &[u8]| oracle.accepts(input)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("glade-oracle-worker: protocol error: {e}");

@@ -1,9 +1,8 @@
 //! End-to-end tests for the `glade-oracle-worker` harness: the pooled
 //! worker protocol against real child processes, spawn-per-query `--once`
 //! mode, and full-pipeline synthesis over the pool — swept across the
-//! pool-size × frame-version × memo matrix (`GLADE_TEST_POOL_SIZE`,
-//! `GLADE_TEST_WIRE`, `GLADE_TEST_MEMO`) and hardened against workers
-//! that crash mid-batch.
+//! pool-size × memo matrix (`GLADE_TEST_POOL_SIZE`, `GLADE_TEST_MEMO`)
+//! and hardened against workers that crash mid-batch.
 
 use glade_core::{GladeBuilder, Oracle, PooledProcessOracle, ProcessOracle};
 use glade_targets::programs::Xml;
@@ -55,11 +54,6 @@ fn matrix_pool_sizes() -> Vec<usize> {
         Some(n) => vec![n],
         None => vec![1, 2, 8],
     }
-}
-
-/// Whether the matrix pins the legacy v1 wire (`GLADE_TEST_WIRE=v1`).
-fn matrix_wire_v1() -> bool {
-    matches!(std::env::var("GLADE_TEST_WIRE").as_deref(), Ok("v1") | Ok("1"))
 }
 
 /// Per-test timeout guard: a dispatcher bug over nonblocking pipes would
@@ -172,13 +166,11 @@ fn full_synthesis_over_the_pool_matches_in_process_synthesis() {
     assert_eq!(in_process.stats.total_queries, golden_total());
     let reference_grammar = glade_grammar::grammar_to_text(&in_process.grammar);
     for pool_size in matrix_pool_sizes() {
-        for frame_batch in [1usize, 32] {
-            let mut pooled_oracle =
-                PooledProcessOracle::new(worker_bin()).arg("toy-xml").pool_size(pool_size);
-            if matrix_wire_v1() {
-                pooled_oracle = pooled_oracle.max_wire_version(1);
-            }
-            pooled_oracle = pooled_oracle.frame_batch(frame_batch);
+        for frame_batch in [1usize, 7, 32, 64] {
+            let pooled_oracle = PooledProcessOracle::new(worker_bin())
+                .arg("toy-xml")
+                .pool_size(pool_size)
+                .frame_batch(frame_batch);
             let mut session = GladeBuilder::new()
                 .worker_threads(4)
                 .memoize_byte_classes(matrix_memo())
@@ -202,7 +194,7 @@ fn full_synthesis_over_the_pool_matches_in_process_synthesis() {
 fn synthesis_over_crashing_workers_matches_in_process_synthesis() {
     // Crash-recovery acceptance at the harness level: every worker dies
     // after 150 answers (well inside the 1324-query run, so the pool
-    // reaps and respawns repeatedly, tearing v2 batches mid-frame), and
+    // reaps and respawns repeatedly, tearing batches mid-frame), and
     // the result must still be byte- and count-identical to the
     // in-process run, with zero counted failures.
     let _guard = Watchdog::arm("synthesis_over_crashing_workers_matches_in_process_synthesis");
@@ -216,14 +208,11 @@ fn synthesis_over_crashing_workers_matches_in_process_synthesis() {
             .expect("valid seed")
     };
     for pool_size in matrix_pool_sizes() {
-        let mut pooled_oracle = PooledProcessOracle::new(worker_bin())
+        let pooled_oracle = PooledProcessOracle::new(worker_bin())
             .arg("toy-xml")
             .arg("--crash-after")
             .arg("150")
             .pool_size(pool_size);
-        if matrix_wire_v1() {
-            pooled_oracle = pooled_oracle.max_wire_version(1);
-        }
         let mut session = GladeBuilder::new()
             .worker_threads(4)
             .memoize_byte_classes(matrix_memo())
@@ -367,44 +356,24 @@ fn flaky_spawns_trip_the_breaker_and_recover_via_fallback() {
 }
 
 #[test]
-fn v1_pinned_worker_full_synthesis_still_matches() {
-    // The `--wire-v1` worker flag pins the legacy protocol end to end
-    // (worker side), independent of the oracle-side cap: negotiation must
-    // settle on v1 and the synthesis result must not change.
-    let _guard = Watchdog::arm("v1_pinned_worker_full_synthesis_still_matches");
-    let seeds = vec![b"<a>hi</a>".to_vec()];
-    let in_process = {
-        let xml = glade_targets::languages::toy_xml();
-        let oracle = xml.oracle();
-        GladeBuilder::new().synthesize(&seeds, &oracle).expect("valid seed")
-    };
-    let pooled_oracle =
-        PooledProcessOracle::new(worker_bin()).arg("toy-xml").arg("--wire-v1").pool_size(2);
-    let pooled = GladeBuilder::new().synthesize(&seeds, &pooled_oracle).expect("valid seed");
-    assert_eq!(
-        glade_grammar::grammar_to_text(&pooled.grammar),
-        glade_grammar::grammar_to_text(&in_process.grammar)
-    );
-    assert_eq!(pooled.stats.unique_queries, in_process.stats.unique_queries);
-    assert_eq!(pooled.stats.oracle_failures, 0);
-    assert_eq!(pooled_oracle.respawn_count(), 0, "negotiating down is not a crash");
-}
-
-#[test]
 fn mid_stream_probe_payload_is_an_ordinary_query() {
-    // A v1-capped oracle never probes, so a *membership query* that
-    // happens to equal the negotiation probe must be answered like any
-    // other input by a v2-capable worker — the probe is special on the
-    // first frame of a connection only. (Regression: the worker used to
-    // intercept it mid-stream, tripping an accidental upgrade that the
-    // v1 oracle could only read as a crash.)
+    // The probe is special in the spawn-time handshake only: a membership
+    // query that happens to equal it, posed after the handshake, is
+    // answered like any other input — on the blocking path (a one-query
+    // frame) and inside a batch frame alike.
     let _guard = Watchdog::arm("mid_stream_probe_payload_is_an_ordinary_query");
-    let pool = PooledProcessOracle::new(worker_bin()).arg("toy-xml").max_wire_version(1);
-    assert!(pool.accepts(b"<a>hi</a>"), "warm the connection past its first frame");
-    assert!(!pool.accepts(glade_core::wire::WIRE_V2_PROBE), "probe bytes are not toy-xml");
+    let probe = glade_core::wire::WIRE_V2_PROBE;
+    let pool = PooledProcessOracle::new(worker_bin()).arg("toy-xml");
+    assert!(pool.accepts(b"<a>hi</a>"), "complete the handshake first");
+    assert_eq!(pool.accepts_checked(probe), Some(false), "probe bytes are not toy-xml");
+    let batch: Vec<&[u8]> = vec![b"<a>ok</a>", probe, b"<a>", probe, b"xyz"];
+    assert_eq!(
+        pool.accepts_batch_checked(&batch),
+        vec![Some(true), Some(false), Some(false), Some(false), Some(true)]
+    );
     assert!(pool.accepts(b"<a>ok</a>"), "the connection survived");
     assert_eq!(pool.failure_count(), 0);
-    assert_eq!(pool.respawn_count(), 0, "no accidental upgrade, no crash");
+    assert_eq!(pool.respawn_count(), 0, "the probe as a query is no crash");
 }
 
 #[test]

@@ -4,14 +4,14 @@
 //! glade synth  --seed FILE...  (--cmd 'PROG ARGS…' | --target NAME)  [-o grammar.txt]
 //!              [--cache FILE] [--cache-format text|binary]
 //!              [--stdin|--tempfile|--pool N] [--frame-batch N]
-//!              [--wire-v1] [--oracle-timeout SECS] [--max-respawns N]
+//!              [--oracle-timeout SECS] [--max-respawns N]
 //!              [--max-queries N] [--no-chargen] [--no-phase2] [--no-memo]
 //! glade sample --grammar grammar.txt [--count N] [--max-depth D] [--seed-rng S]
 //! glade check  --grammar grammar.txt [FILE]       # membership test (stdin default)
 //! glade fuzz   --grammar grammar.txt --seed FILE... [--count N]    # splice fuzzing
 //! glade cache  inspect FILE                        # snapshot format + counts
 //! glade cache  convert SRC DST [--format text|binary]  # re-encode a snapshot
-//! glade worker NAME [--wire-v1]                    # serve a built-in subject
+//! glade worker NAME                                # serve a built-in subject
 //! glade targets                                    # list built-in targets
 //! glade serve  --socket PATH [--pool N] [--oracle-timeout S] [--cache-dir DIR]
 //!              [--cache-format text|binary] [--max-queries N] [--drain-timeout S]
@@ -29,12 +29,10 @@
 //! processes answering queries over the length-prefixed verdict protocol
 //! (see `glade_core::serve_oracle_worker` and the `glade-oracle-worker`
 //! harness) instead of one process spawn per query — the throughput
-//! difference on real targets is an order of magnitude. Pooled commands
-//! are automatically probed for the v2 *batched-frame* protocol (many
-//! queries per pipe round-trip, dispatched from one event loop over
-//! nonblocking pipes); `--frame-batch N` tunes the batch size and
-//! `--wire-v1` pins the legacy single-query framing for workers whose
-//! target must never see the negotiation probe. `--oracle-timeout SECS`
+//! difference on real targets is an order of magnitude. Pooled workers
+//! answer *batched frames* (many queries per pipe round-trip, dispatched
+//! from one event loop over nonblocking pipes) after a one-frame handshake
+//! at spawn; `--frame-batch N` tunes the batch size. `--oracle-timeout SECS`
 //! bounds every oracle interaction with a per-query deadline (a worker or
 //! process that hangs is killed and the query retried or counted as a
 //! failure — a hung parser can cost queries, never the run), and
@@ -82,10 +80,10 @@ use glade_repro::core::serve::{
     ServeConfig, Server,
 };
 use glade_repro::core::{
-    is_binary_snapshot, serve_oracle_worker, serve_oracle_worker_v1, snapshot_from_binary,
-    snapshot_from_reader, snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile,
-    CacheFormat, CachingOracle, CancelToken, GladeBuilder, GladeConfig, InputMode, Oracle,
-    PooledProcessOracle, ProcessOracle, SynthEvent, SynthesisObserver,
+    is_binary_snapshot, serve_oracle_worker, snapshot_from_binary, snapshot_from_reader,
+    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, CacheFormat, CancelToken,
+    GladeBuilder, GladeConfig, InputMode, Oracle, PooledProcessOracle, ProcessOracle, SynthEvent,
+    SynthesisObserver,
 };
 use glade_repro::fuzz::{Fuzzer, GrammarFuzzer};
 use glade_repro::grammar::{grammar_from_text, grammar_to_text, Earley, Grammar, Sampler};
@@ -165,7 +163,7 @@ USAGE:
   glade synth  --seed FILE... (--cmd 'PROG ARGS…' | --target NAME) [-o OUT]
                [--cache FILE] [--cache-format text|binary]
                [--stdin|--tempfile|--pool N] [--frame-batch N]
-               [--wire-v1] [--oracle-timeout SECS] [--max-respawns N]
+               [--oracle-timeout SECS] [--max-respawns N]
                [--max-queries N] [--no-chargen] [--no-phase2] [--no-memo]
                [--events]
   glade sample --grammar FILE [--count N] [--max-depth D] [--seed-rng S]
@@ -175,7 +173,7 @@ USAGE:
   glade cache  convert SRC DST [--format text|binary]
                                    # re-encode a snapshot (default: the
                                    # opposite of the source format)
-  glade worker NAME [--wire-v1]    # serve a built-in subject over the
+  glade worker NAME                # serve a built-in subject over the
                                    # pooled-oracle protocol (for --pool)
   glade targets
   glade serve  --socket PATH [--pool N] [--oracle-timeout SECS]
@@ -235,7 +233,6 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     let mut input_mode = InputMode::Stdin;
     let mut pool: Option<usize> = None;
     let mut frame_batch: Option<usize> = None;
-    let mut wire_v1 = false;
     let mut max_respawns: Option<u32> = None;
     let mut events = false;
     let mut config = GladeConfig::default();
@@ -275,7 +272,6 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
                 }
                 frame_batch = Some(n);
             }
-            "--wire-v1" => wire_v1 = true,
             "--oracle-timeout" => {
                 let secs: f64 = args
                     .value("--oracle-timeout")?
@@ -313,8 +309,8 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     if seeds.is_empty() {
         return Err("at least one --seed FILE is required".into());
     }
-    if pool.is_none() && (frame_batch.is_some() || wire_v1) {
-        return Err("--frame-batch and --wire-v1 tune pooled oracles; add --pool N".into());
+    if pool.is_none() && frame_batch.is_some() {
+        return Err("--frame-batch tunes pooled oracles; add --pool N".into());
     }
     if pool.is_none() && max_respawns.is_some() {
         return Err("--max-respawns tunes pooled oracles; add --pool N".into());
@@ -346,9 +342,6 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
                     if let Some(fb) = frame_batch {
                         o = o.frame_batch(fb);
                     }
-                    if wire_v1 {
-                        o = o.max_wire_version(1);
-                    }
                     if let Some(k) = max_respawns {
                         o = o.max_respawns(k);
                     }
@@ -378,14 +371,13 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
         (Some(_), Some(_)) => return Err("--cmd and --target are mutually exclusive".into()),
         (None, None) => return Err("one of --cmd or --target is required".into()),
     };
-    let oracle = CachingOracle::new(oracle);
 
     let start = std::time::Instant::now();
     let mut builder = GladeBuilder::from_config(config).oracle_fingerprint(fingerprint);
     if events {
         builder = builder.observer(StderrEvents);
     }
-    let mut session = builder.session(&oracle);
+    let mut session = builder.session(&*oracle);
     if let Some(path) = &cache_path {
         if std::path::Path::new(path).exists() {
             let loaded = session.load_cache(path).map_err(|e| format!("{path}: {e}"))?;
@@ -564,19 +556,15 @@ fn cache_convert(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `glade worker NAME [--wire-v1]` — serve a built-in instrumented target
+/// `glade worker NAME` — serve a built-in instrumented target
 /// or Section 8.2 language over the pooled-oracle wire protocol, so
 /// `glade synth --cmd 'glade worker NAME' --pool N` (and the test suites)
 /// need no separate harness binary. Targets resolve first; languages are
 /// suffixed `-lang` (except `toy-xml`), mirroring `glade-oracle-worker`.
 fn cmd_worker(argv: &[String]) -> ExitCode {
-    let (name, wire_v1) = match argv {
-        [name] => (name.as_str(), false),
-        [name, flag] if flag == "--wire-v1" => (name.as_str(), true),
-        _ => {
-            eprintln!("usage: glade worker NAME [--wire-v1]");
-            return ExitCode::FAILURE;
-        }
+    let [name] = argv else {
+        eprintln!("usage: glade worker NAME");
+        return ExitCode::FAILURE;
     };
     let oracle: Box<dyn Oracle> = match subject_oracle(name) {
         Some(oracle) => oracle,
@@ -585,12 +573,7 @@ fn cmd_worker(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let served = if wire_v1 {
-        serve_oracle_worker_v1(|input| oracle.accepts(input))
-    } else {
-        serve_oracle_worker(|input| oracle.accepts(input))
-    };
-    match served {
+    match serve_oracle_worker(|input| oracle.accepts(input)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("glade worker: protocol error: {e}");
