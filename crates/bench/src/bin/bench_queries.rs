@@ -1,7 +1,7 @@
 //! `bench-queries` — machine-readable benchmark of the membership-query
 //! engine, emitted as `BENCH_queries.json`.
 //!
-//! Ten experiment families, so the perf trajectory of the query layer
+//! Nine experiment families, so the perf trajectory of the query layer
 //! is recorded in-repo:
 //!
 //! 1. **`parallel_speedup`** — the full pipeline on the paper's running
@@ -17,32 +17,25 @@
 //!    the toy-XML running-example language, with grammar-membership
 //!    oracles and sampled seeds. Reports wall time, unique/total queries,
 //!    and merge-pair counts.
-//! 3. **`chargen_memo`** — the query-reduction layer measured at the
-//!    source: the same fig4/fig5 configurations run with the byte-class
-//!    memo table + check-context dedup off and then on (the default).
-//!    Reports unique/total query counts, elided probes, memo hits, and
-//!    wall time per mode; asserts the grammar is byte-identical in both
-//!    modes for every language and that the url language — the
-//!    memo-heaviest workload — sheds ≥ 1.3× of its unique queries.
-//! 4. **`cache_reuse`** — the session API's persistent query cache: one
+//! 3. **`cache_reuse`** — the session API's persistent query cache: one
 //!    cold run on the running example, snapshot, then the identical run in
 //!    a fresh session warm-started from the snapshot. Records wall times
 //!    and asserts the warm run pays zero new unique queries.
-//! 5. **`skewed_latency`** — heterogeneous query latencies, the workload
+//! 4. **`skewed_latency`** — heterogeneous query latencies, the workload
 //!    work-stealing dispatch exists for. A clustered 10–100× latency skew
 //!    is dispatched under both static `chunks(div_ceil)` partitioning (the
 //!    pre-PR-4 engine) and the engine's shared-cursor work stealing, and
 //!    the full pipeline is swept over worker counts with a hash-skewed
 //!    oracle, asserting grammar bytes and query counts stay invariant.
 //!    Asserts work stealing beats static chunking.
-//! 6. **`pooled_vs_spawn`** — real process-target oracle throughput. The
+//! 5. **`pooled_vs_spawn`** — real process-target oracle throughput. The
 //!    bench binary re-executes *itself* as a protocol worker
 //!    (`--oracle-worker`, via `glade_core::serve_oracle_worker`) and as a
 //!    spawn-per-query target (`--oracle-once`), then measures spawn-per-
 //!    query `ProcessOracle` versus `PooledProcessOracle` cold (pool spawn
 //!    included) and warm. Asserts pooled execution sustains ≥ 5× the
 //!    spawn-per-query queries/sec.
-//! 7. **`fault_recovery`** — throughput and query accounting under
+//! 6. **`fault_recovery`** — throughput and query accounting under
 //!    injected faults, against a clean pool run under the same query
 //!    deadline. Three cells over the same workload: a clean pool (asserts
 //!    zero failures/respawns/timeouts — the deadline machinery is free
@@ -52,28 +45,29 @@
 //!    the spawn-per-query fallback), and a hangy pool (`--hangy-worker`
 //!    hangs after 64 answers; only the deadline unwedges it). Every
 //!    verdict in every cell must match the in-process reference.
-//! 8. **`serve_overhead`** — the multi-tenant `glade serve` path versus a
-//!    direct in-process session on the running example; the served
-//!    grammar must be byte-identical and within 1.5× of direct.
-//! 9. **`serve_restart`** — crash-safe campaign resume: cold run through
+//! 7. **`serve_overhead`** — the multi-tenant `glade serve` path versus a
+//!    direct in-process session on the running example, timed as
+//!    `GLADE_BENCH_SERVE_RUNS` (default 15) alternating direct/served
+//!    pairs; the served grammar must be byte-identical and the median
+//!    per-pair served/direct ratio within 1.5×.
+//! 8. **`serve_restart`** — crash-safe campaign resume: cold run through
 //!    a journaling server, abrupt restart, `RESUME` replay. Asserts the
 //!    replay re-pays zero unique queries and reproduces the bytes.
-//! 10. **`cache_scale`** — the binary snapshot codec at production cache
-//!     sizes (`GLADE_BENCH_CACHE_N` synthetic entries, default 100 000):
-//!     timed full loads in both formats plus the indexed partial-load
-//!     path over a sparse query set. Asserts the binary full load is
-//!     ≥ 5× faster than text (at the default size) and that the sparse
-//!     partial load touches < 10% of the file.
+//! 9. **`cache_scale`** — the binary snapshot codec at production cache
+//!    sizes (`GLADE_BENCH_CACHE_N` synthetic entries, default 100 000):
+//!    timed full loads in both formats plus the indexed partial-load
+//!    path over a sparse query set. Asserts the binary full load is
+//!    ≥ 5× faster than text (at the default size) and that the sparse
+//!    partial load touches < 10% of the file.
 //!
 //! Usage: `cargo run --release -p glade-bench --bin bench-queries`
 //! (writes `BENCH_queries.json` to the current directory, override with
 //! `GLADE_BENCH_OUT`). Workload sizes are env-tunable for CI smoke runs:
 //! `GLADE_BENCH_SKEW_N`, `GLADE_BENCH_SKEW_SLOW_US`,
-//! `GLADE_BENCH_SKEW_BASE_US`, `GLADE_BENCH_MEMO_SEEDS`,
-//! `GLADE_BENCH_SPAWN_QUERIES`,
+//! `GLADE_BENCH_SKEW_BASE_US`, `GLADE_BENCH_SPAWN_QUERIES`,
 //! `GLADE_BENCH_POOLED_QUERIES`,
 //! `GLADE_BENCH_FAULT_QUERIES`, `GLADE_BENCH_FAULT_TIMEOUT_MS`,
-//! `GLADE_BENCH_CACHE_N`.
+//! `GLADE_BENCH_SERVE_RUNS`, `GLADE_BENCH_CACHE_N`.
 
 use glade_core::{
     serve_faulty_worker, serve_oracle_worker, snapshot_from_binary_reader, snapshot_from_reader,
@@ -144,6 +138,19 @@ fn run_cache_reuse(oracle_delay: Duration) -> (glade_core::Synthesis, glade_core
 
 fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
+}
+
+/// Sorts `xs` and returns its lower quartile, median and upper quartile
+/// (linear interpolation between closest ranks).
+fn quartiles(xs: &mut [f64]) -> [f64; 3] {
+    assert!(!xs.is_empty(), "quartiles of an empty sample");
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (xs.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -426,82 +433,7 @@ fn main() {
     }
     j.close_arr();
 
-    // ---- Experiment 3: byte-class memoization — fewer queries planned.
-    // The same fig4/fig5 configurations with the byte-class memo table +
-    // check-context dedup off, then on (the default). The savings are
-    // measured at the source — how many distinct membership checks the
-    // planner poses at all — and the grammar must be byte-identical in
-    // both modes: elision may only remove provably-redundant probes.
-    let memo_seed_count = env_usize("GLADE_BENCH_MEMO_SEEDS", 10);
-    j.open_arr("chargen_memo");
-    for language in &languages {
-        let run = |memo: bool| {
-            let mut rng = StdRng::seed_from_u64(17);
-            let seeds = sample_seeds(language, memo_seed_count, &mut rng);
-            let oracle = language.oracle();
-            let start = Instant::now();
-            let result = GladeBuilder::new()
-                .max_queries(200_000)
-                .memoize_byte_classes(memo)
-                .synthesize(&seeds, &oracle)
-                .expect("synthesis succeeds");
-            assert!(
-                !result.stats.budget_exhausted,
-                "{} exhausted the query budget (memo={memo}); the reduction ratio \
-                 would be meaningless",
-                language.name()
-            );
-            (grammar_to_text(&result.grammar), result.stats, start.elapsed())
-        };
-        let (grammar_off, off, wall_off) = run(false);
-        let (grammar_on, on, wall_on) = run(true);
-        assert_eq!(
-            grammar_on,
-            grammar_off,
-            "{}: memoization changed the synthesized grammar",
-            language.name()
-        );
-        assert_eq!(off.probes_elided, 0, "memo-off run elided probes");
-        let reduction = off.unique_queries as f64 / (on.unique_queries as f64).max(1e-9);
-        eprintln!(
-            "[bench-queries] chargen_memo {}: unique {} -> {} (x{:.2}), \
-             {} probes elided, {} memo hits, wall {:.3}s -> {:.3}s",
-            language.name(),
-            off.unique_queries,
-            on.unique_queries,
-            reduction,
-            on.probes_elided,
-            on.memo_hits,
-            secs(wall_off),
-            secs(wall_on),
-        );
-        if language.name() == "url" {
-            assert!(
-                reduction >= 1.3,
-                "byte-class memoization must shed >= 1.3x of url's unique queries \
-                 (off {}, on {})",
-                off.unique_queries,
-                on.unique_queries
-            );
-        }
-        j.open_obj(None);
-        j.string("language", language.name());
-        j.int("num_seeds", memo_seed_count);
-        j.int("unique_queries_off", off.unique_queries);
-        j.int("unique_queries_on", on.unique_queries);
-        j.int("total_queries_off", off.total_queries);
-        j.int("total_queries_on", on.total_queries);
-        j.num("unique_query_reduction", reduction);
-        j.int("probes_elided", on.probes_elided);
-        j.int("memo_hits", on.memo_hits);
-        j.num("wall_secs_off", secs(wall_off));
-        j.num("wall_secs_on", secs(wall_on));
-        j.boolean("grammar_identical", grammar_on == grammar_off);
-        j.close_obj();
-    }
-    j.close_arr();
-
-    // ---- Experiment 4: persistent-cache warm start. ----
+    // ---- Experiment 3: persistent-cache warm start. ----
     let cold_start = Instant::now();
     let (cold, warm) = run_cache_reuse(oracle_delay);
     let reuse_wall = cold_start.elapsed();
@@ -523,7 +455,7 @@ fn main() {
     );
     j.close_obj();
 
-    // ---- Experiment 5: skewed latencies — work stealing vs. static. ----
+    // ---- Experiment 4: skewed latencies — work stealing vs. static. ----
     // Clustered skew (the first eighth of the batch is 10–100× slower —
     // think "all the deeply nested candidates landed together"): static
     // chunking hands the whole slow cluster to one worker while the rest
@@ -619,7 +551,7 @@ fn main() {
     j.close_arr();
     j.close_obj();
 
-    // ---- Experiment 6: pooled vs. spawn-per-query process oracle. ----
+    // ---- Experiment 5: pooled vs. spawn-per-query process oracle. ----
     // This binary is its own process target (see the self-exec modes at
     // the top of main): spawn-per-query pays a full process start per
     // verdict, the pool pays one start per worker and a pipe round-trip
@@ -703,7 +635,7 @@ fn main() {
     j.int("oracle_failures", pooled_oracle.failure_count());
     j.close_obj();
 
-    // ---- Experiment 7: fault recovery — throughput under injected
+    // ---- Experiment 6: fault recovery — throughput under injected
     // faults. The same workload and the same query deadline, three worker
     // personalities: clean (the deadline machinery must be free when
     // nothing hangs), crashy (~10% content-poisoned queries that defeat
@@ -784,35 +716,22 @@ fn main() {
     }
     j.close_obj();
 
-    // ---- Experiment 8: serve_overhead — the multi-tenant `glade serve`
+    // ---- Experiment 7: serve_overhead — the multi-tenant `glade serve`
     // path (campaign thread + fair-scheduler turns + result framing over a
     // unix socket) versus a direct in-process Session on the running
-    // example. Best-of-N walls on both sides; the served grammar must be
-    // byte-identical and the server path must stay within 1.5x of direct.
+    // example. One run takes about a millisecond, so a single slow run is
+    // noise: the gate is the *median* served/direct ratio over N
+    // alternating pairs (each pair's order flips, so neither side always
+    // runs on the warmer caches). The served grammar must be byte-identical
+    // and the median ratio within 1.5x.
     #[cfg(any(target_os = "linux", target_os = "macos"))]
     {
         use glade_core::serve::{OpenRequest, OracleFactory, ServeClient, ServeConfig, Server};
         use std::sync::Arc;
 
-        let serve_runs = env_usize("GLADE_BENCH_SERVE_RUNS", 3);
+        let serve_runs = env_usize("GLADE_BENCH_SERVE_RUNS", 15).max(1);
         let seeds = vec![b"<a>hi</a>".to_vec()];
         let direct_oracle = toy_xml().oracle();
-        let mut direct_best = f64::INFINITY;
-        let mut direct_grammar = String::new();
-        let mut direct_stats = SynthesisStats::default();
-        for _ in 0..serve_runs {
-            let start = Instant::now();
-            let result = GladeBuilder::new()
-                .synthesize(&seeds, &direct_oracle)
-                .expect("running example synthesizes");
-            let wall = secs(start.elapsed());
-            if wall < direct_best {
-                direct_best = wall;
-            }
-            direct_grammar = grammar_to_text(&result.grammar);
-            direct_stats = result.stats;
-        }
-
         let factory: Arc<dyn OracleFactory> =
             Arc::new(|spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
                 match spec {
@@ -825,10 +744,15 @@ fn main() {
         let server = Server::new(factory, ServeConfig::default())
             .spawn(&socket)
             .expect("spawn bench server");
-        let mut served_best = f64::INFINITY;
-        let mut served_grammar = String::new();
-        let mut served_stats = SynthesisStats::default();
-        for _ in 0..serve_runs {
+
+        let run_direct = || {
+            let start = Instant::now();
+            let result = GladeBuilder::new()
+                .synthesize(&seeds, &direct_oracle)
+                .expect("running example synthesizes");
+            (secs(start.elapsed()), grammar_to_text(&result.grammar), result.stats)
+        };
+        let run_served = || {
             // A fresh campaign per run (no persistent cache), so every
             // timed window pays the same cold query load as the direct
             // run plus the server machinery under measurement.
@@ -839,42 +763,59 @@ fn main() {
             client.open(&request).expect("open bench campaign");
             let outcome = client.synthesize(&seeds, |_| {}).expect("served run");
             client.close().expect("close bench client");
-            let wall = secs(start.elapsed());
-            if wall < served_best {
-                served_best = wall;
-            }
-            served_grammar = outcome.grammar_text;
-            served_stats = outcome.stats;
+            (secs(start.elapsed()), outcome.grammar_text, outcome.stats)
+        };
+        let mut direct_walls = Vec::with_capacity(serve_runs);
+        let mut served_walls = Vec::with_capacity(serve_runs);
+        let mut ratios = Vec::with_capacity(serve_runs);
+        let mut served_stats = SynthesisStats::default();
+        for pair in 0..serve_runs {
+            let (direct, served) = if pair % 2 == 0 {
+                let direct = run_direct();
+                (direct, run_served())
+            } else {
+                let served = run_served();
+                (run_direct(), served)
+            };
+            assert_eq!(served.1, direct.1, "served grammar drifted from direct Session");
+            assert_eq!(
+                served.2.unique_queries, direct.2.unique_queries,
+                "served query count drifted from direct Session"
+            );
+            ratios.push(served.0 / direct.0.max(1e-9));
+            direct_walls.push(direct.0);
+            served_walls.push(served.0);
+            served_stats = served.2;
         }
         server.shutdown().expect("bench server shutdown");
 
-        let overhead = served_best / direct_best.max(1e-9);
+        let [q1, median, q3] = quartiles(&mut ratios);
+        let direct_median = quartiles(&mut direct_walls)[1];
+        let served_median = quartiles(&mut served_walls)[1];
         eprintln!(
-            "[bench-queries] serve_overhead: direct {:.3}s, served {:.3}s (x{:.2}, best of {})",
-            direct_best, served_best, overhead, serve_runs,
-        );
-        assert_eq!(served_grammar, direct_grammar, "served grammar drifted from direct Session");
-        assert_eq!(
-            served_stats.unique_queries, direct_stats.unique_queries,
-            "served query count drifted from direct Session"
+            "[bench-queries] serve_overhead: direct {direct_median:.4}s, served \
+             {served_median:.4}s (median ratio x{median:.2}, IQR {q1:.2}..{q3:.2}, {serve_runs} pairs)",
         );
         assert!(
-            overhead <= 1.5,
+            median <= 1.5,
             "the serve path must stay within 1.5x of a direct Session \
-             (direct {direct_best:.3}s, served {served_best:.3}s)"
+             (median ratio x{median:.2} over {serve_runs} pairs, IQR {q1:.2}..{q3:.2})"
         );
         j.open_obj(Some("serve_overhead"));
         j.string("target", "toy-xml running example (in-process server, unix socket)");
-        j.int("runs", serve_runs);
-        j.num("direct_best_secs", direct_best);
-        j.num("served_best_secs", served_best);
-        j.num("served_overhead_vs_direct", overhead);
-        j.boolean("grammar_identical", served_grammar == direct_grammar);
+        j.int("pairs", serve_runs);
+        j.num("direct_median_secs", direct_median);
+        j.num("served_median_secs", served_median);
+        j.num("served_overhead_median", median);
+        j.num("served_overhead_q1", q1);
+        j.num("served_overhead_q3", q3);
+        j.num("served_overhead_iqr", q3 - q1);
+        j.boolean("grammar_identical", true);
         j.int("unique_queries", served_stats.unique_queries);
         j.int("total_queries", served_stats.total_queries);
         j.close_obj();
 
-        // ---- Experiment 9: serve_restart — crash-safe campaign resume.
+        // ---- Experiment 8: serve_restart — crash-safe campaign resume.
         // A campaign runs cold (filling the journal + persistent cache),
         // the server dies without a clean close, a fresh server over the
         // same cache dir replays the campaign via RESUME. The replay must
@@ -942,7 +883,7 @@ fn main() {
         j.close_obj();
     }
 
-    // ---- Experiment 10: cache_scale — the binary snapshot codec at
+    // ---- Experiment 9: cache_scale — the binary snapshot codec at
     // production cache sizes. A synthetic cache of `GLADE_BENCH_CACHE_N`
     // entries (deterministic ~36-byte queries, the scale of a long-lived
     // serve deployment) is written in both formats; full loads are timed

@@ -12,33 +12,24 @@
 //! check passes in *every* context, which matches the two example checks
 //! the paper gives for generalizing `h` (`<a>ai</a>` and `<a>a</a>`).
 //!
-//! # Batch aggregation
+//! # Planning in waves
 //!
-//! Every probe of this phase — each `(terminal, position, candidate byte,
-//! context)` quadruple, across *all* terminals of *all* newly generalized
-//! trees — is independent of every other, so the phase is split into a
-//! plan/apply pair around one aggregated membership batch:
+//! Every widening probe — each `(terminal, position, candidate byte)`
+//! triple, across *all* terminals of *all* newly generalized trees — is
+//! independent of every other, so [`StagedChargen`] plans them together
+//! in waves. Each wave poses at most one check (one context) per live
+//! probe as part of one aggregated membership batch, which the session
+//! shares with phase two's merge checks (see `session.rs`) so the worker
+//! pool stays saturated across the stage boundary. Verdicts are folded
+//! back in planning order, so the result is independent of worker count
+//! and of how a batch was scheduled.
 //!
-//! * [`plan_char_probes`] walks the trees immutably and appends every
-//!   probe's [`CheckSpec`] to a shared check list (the session appends
-//!   phase two's merge checks to the same list, see `session.rs`);
-//! * [`apply_char_probes`] walks the trees mutably and folds the verdicts
-//!   back into the byte classes, in planning order — so the result is
-//!   independent of worker count and of how the batch was scheduled.
+//! # The query-reduction layer
 //!
-//! The seed implementation posed one small batch per terminal, draining
-//! the worker pool between terminals; aggregation keeps the pool saturated
-//! for the whole phase (and, combined with the phase-two merge checks, for
-//! the back half of the pipeline).
-//!
-//! # The query-reduction layer (staged planning)
-//!
-//! The one-shot plan above poses every `(position, byte, context)` check
-//! unconditionally — including checks whose verdict is already determined.
-//! When [`GladeConfig::memoize_byte_classes`](crate::GladeConfig) is on
-//! (the default), the session drives [`StagedChargen`] instead, which
-//! elides three kinds of provably-redundant probes *before* they reach the
-//! query engine:
+//! The *unreduced plan* poses every `(position, byte, context)` check
+//! unconditionally — including checks whose verdict is already
+//! determined. The planner elides three kinds of provably-redundant
+//! probes before they reach the query engine:
 //!
 //! * **Byte-class memoization.** A terminal's final classes are a pure
 //!   function of its *memo key* — the 128-bit FNV-1a fingerprint of the
@@ -52,8 +43,8 @@
 //! * **Context short-circuiting.** A byte joins a class only if accepted
 //!   in *every* context, and conjunction short-circuits: probes are posed
 //!   one context per wave, and a candidate rejected in context `k` never
-//!   poses its checks for contexts `k+1..` — the exact strings the
-//!   one-shot plan would have paid distinct queries for.
+//!   poses its checks for contexts `k+1..` — strings the unreduced plan
+//!   would have paid distinct queries for.
 //! * **Check canonicalization + dedup.** Distinct `(terminal, position,
 //!   byte, context)` quadruples can assemble byte-identical query strings;
 //!   within a wave these collapse to one posed check whose verdict fans
@@ -61,8 +52,10 @@
 //!   cache are folded at plan time without reaching the engine at all.
 //!
 //! All three elisions are *exact*: the accepted byte set — and therefore
-//! the synthesized grammar — is byte-identical to the one-shot plan's for
-//! a deterministic oracle. The count of avoided checks is surfaced as
+//! the synthesized grammar — is byte-identical to the unreduced plan's for
+//! a deterministic oracle. The test-only `reference` module keeps the
+//! unreduced one-shot planner and pins this equality. The count of avoided
+//! checks is surfaced as
 //! [`SynthesisStats::probes_elided`](crate::SynthesisStats::probes_elided)
 //! and the [`SynthEvent::ProbesElided`](crate::SynthEvent::ProbesElided)
 //! event.
@@ -70,140 +63,10 @@
 use crate::arena::KeyArena;
 use crate::cache::ShardedCache;
 use crate::memo::{memo_key, ByteClassMemo};
-use crate::runner::{CheckSpec, QueryRunner};
+use crate::runner::CheckSpec;
 use crate::tree::{ConstNode, Node};
 use glade_grammar::CharClass;
 use std::collections::HashMap;
-
-/// One planned `(position, candidate byte)` widening probe of one terminal.
-///
-/// Deliberately owns no borrowed data: the plan must outlive the check
-/// list (which borrows the trees immutably) so the verdicts can be applied
-/// through a *mutable* walk of the same trees.
-#[derive(Debug, Clone, Copy)]
-struct CharProbe {
-    /// Index of the tree within the planned slice.
-    tree: usize,
-    /// Ordinal of the const within the tree, in visit order.
-    const_ordinal: usize,
-    /// Byte position within the terminal.
-    position: usize,
-    /// Candidate byte.
-    byte: u8,
-    /// Number of consecutive verdicts (one per context) this probe owns.
-    contexts: usize,
-}
-
-/// The bookkeeping side of an aggregated character-generalization batch:
-/// maps a contiguous slice of batch verdicts back onto tree terminals.
-#[derive(Debug, Default)]
-pub(crate) struct CharGenPlan {
-    probes: Vec<CharProbe>,
-    /// Number of checks this plan appended to the shared check list.
-    pub checks_len: usize,
-}
-
-/// Plans every widening probe for every terminal of `trees` against
-/// `test_bytes`, appending the checks to `checks` (one per context per
-/// candidate) and returning the bookkeeping needed to apply the verdicts.
-pub(crate) fn plan_char_probes<'t>(
-    trees: &'t [Node],
-    test_bytes: &'t [u8],
-    checks: &mut Vec<CheckSpec<'t>>,
-) -> CharGenPlan {
-    let mut plan = CharGenPlan::default();
-    let start = checks.len();
-    for (t, tree) in trees.iter().enumerate() {
-        let mut ordinal = 0usize;
-        tree.visit_consts(&mut |c| {
-            for i in 0..c.original.len() {
-                for (k, &sigma) in test_bytes.iter().enumerate() {
-                    if sigma == c.original[i] || c.classes[i].contains(sigma) {
-                        continue;
-                    }
-                    for ctx in &c.contexts {
-                        checks.push(CheckSpec::new(&[
-                            &ctx.before,
-                            &c.original[..i],
-                            &test_bytes[k..k + 1],
-                            &c.original[i + 1..],
-                            &ctx.after,
-                        ]));
-                    }
-                    plan.probes.push(CharProbe {
-                        tree: t,
-                        const_ordinal: ordinal,
-                        position: i,
-                        byte: sigma,
-                        contexts: c.contexts.len(),
-                    });
-                }
-            }
-            ordinal += 1;
-        });
-    }
-    plan.checks_len = checks.len() - start;
-    plan
-}
-
-/// Folds the verdict slice of an aggregated batch back into the byte
-/// classes of `trees` (the same slice that was planned). A byte joins the
-/// class at a position only if its probe was accepted in *every* context.
-/// Verdicts are folded sequentially in planning order, so the result is
-/// independent of worker count.
-///
-/// Returns the number of (position, byte) pairs accepted.
-pub(crate) fn apply_char_probes(
-    trees: &mut [Node],
-    plan: &CharGenPlan,
-    verdicts: &[bool],
-) -> usize {
-    debug_assert_eq!(verdicts.len(), plan.checks_len);
-    let mut accepted = 0usize;
-    let mut next_probe = 0usize;
-    let mut verdict_cursor = 0usize;
-    for (t, tree) in trees.iter_mut().enumerate() {
-        let mut ordinal = 0usize;
-        tree.visit_consts_mut(&mut |c| {
-            while let Some(p) = plan.probes.get(next_probe) {
-                if p.tree != t || p.const_ordinal != ordinal {
-                    break;
-                }
-                let vs = &verdicts[verdict_cursor..verdict_cursor + p.contexts];
-                verdict_cursor += p.contexts;
-                next_probe += 1;
-                if vs.iter().all(|&v| v) {
-                    c.classes[p.position].insert(p.byte);
-                    accepted += 1;
-                }
-            }
-            ordinal += 1;
-        });
-    }
-    debug_assert_eq!(next_probe, plan.probes.len(), "every planned probe applied");
-    accepted
-}
-
-/// Widens every terminal position of `trees` against `test_bytes` as one
-/// self-contained aggregated batch (plan → pose → apply).
-///
-/// The session drives the plan/apply halves directly so the batch can also
-/// carry phase two's merge checks; this wrapper serves callers that run the
-/// phase in isolation (tests).
-///
-/// Returns the number of (position, byte) pairs accepted.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn generalize_chars(
-    trees: &mut [Node],
-    runner: &QueryRunner<'_>,
-    test_bytes: &[u8],
-) -> usize {
-    let mut checks: Vec<CheckSpec<'_>> = Vec::new();
-    let plan = plan_char_probes(trees, test_bytes, &mut checks);
-    let verdicts = runner.accepts_batch(&checks);
-    drop(checks);
-    apply_char_probes(trees, &plan, &verdicts)
-}
 
 /// The default test alphabet: printable ASCII plus tab and newline.
 pub(crate) fn default_test_bytes() -> Vec<u8> {
@@ -256,13 +119,13 @@ pub(crate) struct ChargenOutcome {
     /// Final per-terminal classes, in const visit order over the planned
     /// tree slice.
     pub classes: Vec<Vec<CharClass>>,
-    /// `(position, byte)` pairs accepted — the one-shot plan's count, so
-    /// `chars_generalized` parity holds however the classes were obtained.
+    /// `(position, byte)` pairs accepted — the unreduced plan's count, so
+    /// `chars_generalized` is the same however the classes were obtained.
     pub accepted: usize,
     /// Terminals whose classes were adopted (memo table or in-plan
     /// sibling) instead of probed.
     pub memo_hits: usize,
-    /// Checks the one-shot plan would have posed that never reached the
+    /// Checks the unreduced plan would have posed that never reached the
     /// query engine (adopted terminals, short-circuited contexts, in-wave
     /// duplicates, and plan-time cache folds).
     pub probes_elided: usize,
@@ -326,7 +189,7 @@ impl<'t> StagedChargen<'t> {
             }
             let key = memo_key(&c.original, &c.contexts, test_bytes);
             staged.consts[idx].key = Some(key);
-            // The number of checks the one-shot plan would pose for this
+            // The number of checks the unreduced plan would pose for this
             // terminal — the elision value of adopting its classes.
             let full_cost = staged.probe_cost(idx);
             if let Some(stored) = memo.get(key) {
@@ -365,7 +228,7 @@ impl<'t> StagedChargen<'t> {
         staged
     }
 
-    /// Checks the one-shot plan would pose for const `idx` (probe count ×
+    /// Checks the unreduced plan would pose for const `idx` (probe count ×
     /// context count).
     fn probe_cost(&self, idx: usize) -> usize {
         let c = self.consts[idx].node;
@@ -416,7 +279,7 @@ impl<'t> StagedChargen<'t> {
                 let h = self.keys.stage(|buf| spec.write_into(buf));
                 match cache.get_hashed(h, self.keys.staged()) {
                     Some(true) => {
-                        // Cache fold: the one-shot plan would have posed
+                        // Cache fold: the unreduced plan would have posed
                         // this (as a cache hit); the probe advances free.
                         self.probes_elided += 1;
                         probe.next_ctx += 1;
@@ -443,7 +306,8 @@ impl<'t> StagedChargen<'t> {
     }
 
     /// Moves the wave's planned checks out as `(hash, key)` pairs, in
-    /// verdict order, for [`QueryRunner::accepts_keyed`].
+    /// verdict order, for
+    /// [`QueryRunner::accepts_keyed`](crate::runner::QueryRunner::accepts_keyed).
     pub fn take_keys(&mut self) -> impl Iterator<Item = (u64, Box<[u8]>)> + '_ {
         self.keys.take_keys()
     }
@@ -484,7 +348,7 @@ impl<'t> StagedChargen<'t> {
             };
             if !matches!(c.source, ConstSource::Probed) {
                 // Adopted terminals still count the (position, byte) pairs
-                // the one-shot plan would have accepted: exactly the
+                // the unreduced plan would have accepted: exactly the
                 // probe-generating candidates that ended up in the class.
                 for (position, &orig) in c.node.original.iter().enumerate() {
                     accepted += test_bytes
@@ -526,7 +390,7 @@ mod tests {
     use super::*;
     use crate::cache::ShardedCache;
     use crate::phase1::Phase1;
-    use crate::runner::RunnerOptions;
+    use crate::runner::{QueryRunner, RunnerOptions};
     use crate::testing::xml_like;
     use crate::{FnOracle, Oracle};
 
@@ -543,7 +407,7 @@ mod tests {
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
-        generalize_chars(&mut trees, &runner, &default_test_bytes());
+        widen(&mut trees, &runner, &cache);
         let r = trees[0].to_regex();
         // Letters widened.
         assert!(r.is_match(b"<a>zz</a>"));
@@ -562,7 +426,7 @@ mod tests {
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"7")];
-        generalize_chars(&mut trees, &runner, &default_test_bytes());
+        widen(&mut trees, &runner, &cache);
         let r = trees[0].to_regex();
         for d in b'0'..=b'9' {
             assert!(r.is_match(&[d]), "digit {}", d as char);
@@ -577,7 +441,7 @@ mod tests {
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m")];
-        let n = generalize_chars(&mut trees, &runner, &default_test_bytes());
+        let n = widen(&mut trees, &runner, &cache);
         // 25 other lowercase letters accepted... unless phase 1 starred the
         // single letter; in this language "mm" is invalid so no star forms.
         assert_eq!(n, 25);
@@ -592,7 +456,7 @@ mod tests {
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m"), p1.generalize_seed(b"q")];
-        let n = generalize_chars(&mut trees, &runner, &default_test_bytes());
+        let n = widen(&mut trees, &runner, &cache);
         // Each tree widens to the full lowercase class (25 accepted each).
         assert_eq!(n, 50);
         for tree in &trees {
@@ -613,7 +477,7 @@ mod tests {
         );
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"q")];
-        let n = generalize_chars(&mut trees, &runner, &default_test_bytes());
+        let n = widen(&mut trees, &runner, &cache);
         assert_eq!(n, 0, "no budget, no generalization");
     }
 
@@ -642,6 +506,12 @@ mod tests {
         (outcome.accepted, outcome.memo_hits, outcome.probes_elided)
     }
 
+    /// Widens `trees` through a staged run with a fresh memo table over
+    /// the default alphabet; returns the accepted (position, byte) pairs.
+    fn widen(trees: &mut [Node], runner: &QueryRunner<'_>, cache: &ShardedCache) -> usize {
+        run_staged(trees, runner, cache, &mut ByteClassMemo::new(), &default_test_bytes()).0
+    }
+
     #[test]
     fn staged_run_matches_one_shot_classes_and_counts() {
         let oracle = FnOracle::new(xml_like);
@@ -651,7 +521,7 @@ mod tests {
         let legacy_runner = test_runner(&oracle, &legacy_cache);
         let mut p1 = Phase1::new(&legacy_runner, 0);
         let mut legacy_trees = vec![p1.generalize_seed(b"<a>hi</a>")];
-        let legacy_n = generalize_chars(&mut legacy_trees, &legacy_runner, &tb);
+        let legacy_n = crate::reference::generalize_chars(&mut legacy_trees, &legacy_runner, &tb);
 
         let cache = ShardedCache::new();
         let runner = test_runner(&oracle, &cache);

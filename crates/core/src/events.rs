@@ -125,8 +125,8 @@ pub enum SynthEvent {
     /// [`add_seeds`](crate::Session::add_seeds) run, after both stages
     /// complete, when anything was elided.
     ProbesElided {
-        /// Checks the one-shot planners would have posed that were elided
-        /// (this run; see
+        /// Checks that posing every Section 5 / 6.2 check would have cost
+        /// but that were elided (this run; see
         /// [`SynthesisStats::probes_elided`](crate::SynthesisStats::probes_elided)).
         elided: usize,
         /// Terminals whose byte classes were adopted from the memo table
@@ -694,6 +694,111 @@ mod tests {
     fn wire_line_tolerates_surrounding_whitespace() {
         let parsed = SynthEvent::from_wire_line("  seed-skipped 7 \t").unwrap();
         assert_eq!(parsed, Some(SynthEvent::SeedSkipped { seed_index: 7 }));
+    }
+
+    /// Fuzz battery for the event-line decoder, which reads `EVENT` frames
+    /// from a serve peer: arbitrary text is a typed error or a parse,
+    /// never a panic, and every canonical line round-trips byte-identically.
+    mod fuzz {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        fn arb_event() -> impl Strategy<Value = SynthEvent> {
+            let phase = prop_oneof![
+                Just(SynthPhase::Phase1),
+                Just(SynthPhase::CharGeneralization),
+                Just(SynthPhase::Phase2),
+            ];
+            (0usize..every_event().len(), phase, any::<u64>(), vec(any::<usize>(), 3)).prop_map(
+                |(variant, phase, nanos, n)| match every_event().swap_remove(variant) {
+                    SynthEvent::PhaseStarted { .. } => SynthEvent::PhaseStarted { phase },
+                    SynthEvent::PhaseFinished { .. } => SynthEvent::PhaseFinished {
+                        phase,
+                        elapsed: Duration::from_nanos(nanos),
+                        unique_queries: n[0],
+                    },
+                    SynthEvent::SeedGeneralized { .. } => {
+                        SynthEvent::SeedGeneralized { seed_index: n[0], new_stars: n[1] }
+                    }
+                    SynthEvent::SeedSkipped { .. } => SynthEvent::SeedSkipped { seed_index: n[0] },
+                    SynthEvent::MergeAccepted { .. } => {
+                        SynthEvent::MergeAccepted { left_star: n[0], right_star: n[1] }
+                    }
+                    SynthEvent::ProbesElided { .. } => {
+                        SynthEvent::ProbesElided { elided: n[0], memo_hits: n[1] }
+                    }
+                    SynthEvent::QueryBatch { .. } => {
+                        SynthEvent::QueryBatch { checks: n[0], cached: n[1], posed: n[2] }
+                    }
+                    SynthEvent::OracleFailures { .. } => {
+                        SynthEvent::OracleFailures { new_failures: n[0], run_failures: n[1] }
+                    }
+                    SynthEvent::WorkerHung { .. } => {
+                        SynthEvent::WorkerHung { new_timeouts: n[0], run_timeouts: n[1] }
+                    }
+                    SynthEvent::BreakerTripped { .. } => {
+                        SynthEvent::BreakerTripped { new_trips: n[0], run_trips: n[1] }
+                    }
+                    SynthEvent::BreakerRecovered { .. } => {
+                        SynthEvent::BreakerRecovered { new_recoveries: n[0], run_recoveries: n[1] }
+                    }
+                    SynthEvent::EventsDropped { .. } => SynthEvent::EventsDropped { dropped: n[0] },
+                    other => other,
+                },
+            )
+        }
+
+        /// A line with a known tag (or a stranger's) and fields drawn from
+        /// numbers, phase tokens, and noise, joined by assorted whitespace.
+        fn arb_line() -> impl Strategy<Value = String> {
+            let tag = (0usize..every_event().len() + 1).prop_map(|i| {
+                every_event()
+                    .get(i)
+                    .map_or("no-such-event".to_string(), |e| e.to_wire_line())
+                    .split(' ')
+                    .next()
+                    .expect("a tag")
+                    .to_string()
+            });
+            let field = prop_oneof![
+                any::<u64>().prop_map(|n| n.to_string()),
+                Just("phase1".to_string()),
+                Just("chargen".to_string()),
+                Just("-1".to_string()),
+                vec(0x21u8..0x7f, 0..6).prop_map(|b| String::from_utf8(b).expect("ASCII")),
+            ];
+            let sep = prop_oneof![Just(" "), Just("  "), Just("\t")];
+            (tag, vec((sep, field), 0..5)).prop_map(|(tag, fields)| {
+                fields.into_iter().fold(tag, |line, (sep, field)| line + sep + &field)
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn arbitrary_lines_never_panic_the_decoder(
+                bytes in vec(any::<u8>(), 0..48), line in arb_line()
+            ) {
+                let _ = SynthEvent::from_wire_line(&String::from_utf8_lossy(&bytes));
+                if let Ok(Some(event)) = SynthEvent::from_wire_line(&line) {
+                    // Whatever parses re-encodes to a line that parses back.
+                    let again = SynthEvent::from_wire_line(&event.to_wire_line());
+                    prop_assert_eq!(again, Ok(Some(event)));
+                }
+            }
+
+            #[test]
+            fn canonical_lines_round_trip_byte_identically(event in arb_event()) {
+                let line = event.to_wire_line();
+                let back = SynthEvent::from_wire_line(&line)
+                    .expect("canonical line parses")
+                    .expect("known tag");
+                prop_assert_eq!(&back, &event);
+                prop_assert_eq!(back.to_wire_line(), line);
+            }
+        }
     }
 
     #[test]

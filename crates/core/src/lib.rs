@@ -38,12 +38,12 @@
 //! * **Warm-startable** — [`Session::save_cache`]/[`Session::load_cache`]
 //!   snapshot the query cache in a stable text format (see [`cache_to_text`]),
 //!   so repeated runs against the same target stop re-paying oracle calls.
-//! * **Query-frugal** — a query-reduction layer (on by default, see
-//!   [`GladeBuilder::memoize_byte_classes`]) memoizes learned byte
+//! * **Query-frugal** — character generalization and phase two plan their
+//!   checks through a query-reduction layer that memoizes learned byte
 //!   classes across identical terminals, short-circuits per-context
 //!   probes, dedups byte-identical checks within a batch, and prunes
 //!   provably-redundant merge checks — every elision is exact, so the
-//!   grammar is byte-identical with the layer on or off
+//!   grammar is byte-identical to posing every check
 //!   ([`SynthesisStats::probes_elided`] counts the savings). The memo
 //!   table rides along in cache snapshots (`glade-cache v3`).
 //!
@@ -138,6 +138,8 @@ mod oracle;
 mod persist;
 mod phase1;
 mod phase2;
+#[cfg(test)]
+mod reference;
 mod runner;
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 pub mod serve;

@@ -29,12 +29,10 @@
 //! candidate set)` replays already-learned character classes without
 //! re-probing (persisted alongside the query cache, see
 //! [`Session`](crate::Session)). Only provably-redundant checks are
-//! elided — the synthesized grammar is byte-identical with the layer on
-//! or off — and the savings are surfaced as
+//! elided — the synthesized grammar is byte-identical to posing every
+//! check — and the savings are surfaced as
 //! [`SynthesisStats::probes_elided`](crate::SynthesisStats) and
-//! `memo_hits` before a single byte reaches any oracle here. Disable it
-//! with [`GladeBuilder::memoize_byte_classes`](crate::GladeBuilder::memoize_byte_classes)
-//! (CLI: `--no-memo`) to measure or debug the unreduced query stream.
+//! `memo_hits` before a single byte reaches any oracle here.
 //!
 //! # The pooled worker protocol
 //!

@@ -19,11 +19,21 @@
 //! nonterminals. Merging is what lets GLADE express matching-parentheses
 //! style recursion (Definition 5.2, Proposition 5.3) that no regular
 //! expression captures.
+//!
+//! # Planning in waves
+//!
+//! [`StagedMerge`] plans the pair checks in waves that share one
+//! aggregated membership batch with character generalization's probes
+//! (see `chargen.rs` and `session.rs`). Posing both checks of every pair
+//! unconditionally — the *unreduced plan*, kept as the test-only
+//! `reference` module — pays for checks whose verdict is already
+//! determined; the planner prunes them exactly (see [`StagedMerge`]), and
+//! the unions are applied in ascending pair order, so the grammar is the
+//! unreduced plan's, byte for byte, at every worker count.
 
 use crate::arena::KeyArena;
 use crate::cache::ShardedCache;
-use crate::events::{SynthEvent, SynthesisObserver};
-use crate::runner::{CheckSpec, QueryRunner};
+use crate::runner::CheckSpec;
 use crate::tree::{Node, StarNode, UnionFind};
 
 /// Outcome counters for phase two.
@@ -31,88 +41,6 @@ use crate::tree::{Node, StarNode, UnionFind};
 pub(crate) struct MergeStats {
     pub pairs_tried: usize,
     pub merges_accepted: usize,
-}
-
-/// The bookkeeping side of an aggregated merge batch: the unordered star
-/// pairs, in ascending (id, id) order, whose 2-check verdict pairs occupy
-/// a contiguous slice of the batch. Owns no borrowed data (star *ids*, not
-/// star references), so the session can drop the check list — and its
-/// immutable borrow of the trees — before folding.
-#[derive(Debug, Default)]
-pub(crate) struct MergePlan {
-    /// Star-id pairs, two consecutive batch verdicts each.
-    pairs: Vec<(usize, usize)>,
-    num_stars: usize,
-    /// Number of checks this plan appended to the shared check list.
-    pub checks_len: usize,
-}
-
-/// Plans the merge phase over all star nodes of all seed trees, appending
-/// the O(stars²) cross-substitution checks to `checks`.
-///
-/// The checks are independent of one another, so they are all described up
-/// front (as borrowed [`CheckSpec`] segments — no residual strings are
-/// materialized) onto the shared check list, where the session aggregates
-/// them with character generalization's probes into one batch that the
-/// [`QueryRunner`] dedups, caches, and fans out across its worker pool.
-pub(crate) fn plan_merge_checks<'t>(
-    trees: &'t [Node],
-    num_stars: usize,
-    checks: &mut Vec<CheckSpec<'t>>,
-) -> MergePlan {
-    let mut stars: Vec<&StarNode> = Vec::new();
-    for t in trees {
-        t.collect_stars(&mut stars);
-    }
-    stars.sort_by_key(|s| s.id);
-    let start = checks.len();
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(stars.len() * stars.len() / 2);
-    // Two checks per unordered pair (Section 5.3): R_j's residual in R_i's
-    // context and vice versa.
-    for i in 0..stars.len() {
-        for j in i + 1..stars.len() {
-            let (si, sj) = (stars[i], stars[j]);
-            checks.push(CheckSpec::wrapped(&si.ctx, &sj.residual_parts()));
-            checks.push(CheckSpec::wrapped(&sj.ctx, &si.residual_parts()));
-            pairs.push((si.id, sj.id));
-        }
-    }
-    MergePlan { pairs, num_stars, checks_len: checks.len() - start }
-}
-
-/// Folds the verdict slice of an aggregated batch into the union-find.
-///
-/// The *unions* are applied sequentially in ascending pair order, so the
-/// resulting union-find — and therefore the synthesized grammar — is
-/// byte-identical for every worker count.
-///
-/// Accepted merges are reported to `observer` (when installed) as
-/// [`SynthEvent::MergeAccepted`] events, in the same ascending pair order
-/// the unions are applied in.
-///
-/// Returns the union-find over star ids (indexed `0..num_stars`) and the
-/// counters.
-pub(crate) fn apply_merge_verdicts(
-    plan: &MergePlan,
-    verdicts: &[bool],
-    observer: Option<&dyn SynthesisObserver>,
-) -> (UnionFind, MergeStats) {
-    debug_assert_eq!(verdicts.len(), plan.checks_len);
-    let mut uf = UnionFind::new(plan.num_stars);
-    let mut stats = MergeStats::default();
-    for (p, &(left, right)) in plan.pairs.iter().enumerate() {
-        stats.pairs_tried += 1;
-        // The two candidates per pair (Section 5.2): merge, or keep the
-        // current grammar. Merge wins iff both checks pass.
-        if verdicts[2 * p] && verdicts[2 * p + 1] {
-            uf.union(left, right);
-            stats.merges_accepted += 1;
-            if let Some(obs) = observer {
-                obs.on_event(&SynthEvent::MergeAccepted { left_star: left, right_star: right });
-            }
-        }
-    }
-    (uf, stats)
 }
 
 /// Which of a pair's two cross-substitution checks a posed slot resolves.
@@ -149,7 +77,7 @@ struct StagedPair<'t> {
 pub(crate) struct MergeOutcome {
     pub uf: UnionFind,
     pub stats: MergeStats,
-    /// Checks the one-shot plan would have posed that never reached the
+    /// Checks the unreduced plan would have posed that never reached the
     /// query engine (pre-accepted pairs, B-checks short-circuited by a
     /// failed A, in-wave duplicates, and plan-time cache folds).
     pub probes_elided: usize,
@@ -160,13 +88,12 @@ pub(crate) struct MergeOutcome {
 
 /// Wave-driven merge planner (see `chargen.rs`' query-reduction section).
 ///
-/// The one-shot plan poses both cross-substitution checks of every pair
-/// unconditionally. The staged run exploits the conjunction: check B is
-/// only posed once check A has passed, pairs of stars with byte-identical
-/// originals are accepted structurally (their checks are their phase-one
-/// creation checks), and checks whose assembled string is already cached —
-/// or already posed this wave — resolve without a new query. The accept
-/// set is provably identical to the one-shot plan's.
+/// The planner exploits the conjunction of a pair's two checks: check B
+/// is only posed once check A has passed, pairs of stars with
+/// byte-identical originals are accepted structurally (their checks are
+/// their phase-one creation checks), and checks whose assembled string is
+/// already cached — or already posed this wave — resolve without a new
+/// query. The accept set is provably identical to the unreduced plan's.
 ///
 /// Drive as: loop { [`StagedMerge::plan_wave`] → pose →
 /// [`StagedMerge::fold_wave`] } until `plan_wave` appends no checks, then
@@ -259,7 +186,8 @@ impl<'t> StagedMerge<'t> {
     }
 
     /// Moves the wave's planned checks out as `(hash, key)` pairs, in
-    /// verdict order, for [`QueryRunner::accepts_keyed`].
+    /// verdict order, for
+    /// [`QueryRunner::accepts_keyed`](crate::runner::QueryRunner::accepts_keyed).
     pub fn take_keys(&mut self) -> impl Iterator<Item = (u64, Box<[u8]>)> + '_ {
         self.keys.take_keys()
     }
@@ -288,7 +216,7 @@ impl<'t> StagedMerge<'t> {
     }
 
     /// Applies the unions in ascending pair order (identical to the
-    /// one-shot plan's order) and returns the owned outcome. Call only
+    /// unreduced plan's order) and returns the owned outcome. Call only
     /// after `plan_wave` returned zero.
     pub fn finish(self) -> MergeOutcome {
         debug_assert!(self.keys.len() == 0, "staged run incomplete");
@@ -311,30 +239,13 @@ impl<'t> StagedMerge<'t> {
     }
 }
 
-/// Runs the merge phase as one self-contained batch (plan → pose → apply).
-///
-/// The session drives the plan/apply halves directly so the batch can also
-/// carry character generalization's probes; this wrapper serves callers
-/// that run the phase in isolation (tests).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn merge_stars(
-    trees: &[Node],
-    num_stars: usize,
-    runner: &QueryRunner<'_>,
-    observer: Option<&dyn SynthesisObserver>,
-) -> (UnionFind, MergeStats) {
-    let mut checks: Vec<CheckSpec<'_>> = Vec::new();
-    let plan = plan_merge_checks(trees, num_stars, &mut checks);
-    let verdicts = runner.accepts_batch(&checks);
-    apply_merge_verdicts(&plan, &verdicts, observer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::ShardedCache;
     use crate::phase1::Phase1;
-    use crate::runner::RunnerOptions;
+    use crate::reference;
+    use crate::runner::{QueryRunner, RunnerOptions};
     use crate::testing::{xml_like, xml_like_with_self_closing};
     use crate::tree::trees_to_grammar;
     use crate::FnOracle;
@@ -357,7 +268,7 @@ mod tests {
         assert_eq!(num_stars, 2);
 
         let trees = vec![tree];
-        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut uf, stats) = merge(&trees, num_stars, &runner, &cache);
         assert_eq!(stats.pairs_tried, 1);
         assert_eq!(stats.merges_accepted, 1);
 
@@ -388,7 +299,7 @@ mod tests {
         let tree = p1.generalize_seed(b"xy");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (_, stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (_, stats) = merge(&trees, num_stars, &runner, &cache);
         assert_eq!(stats.merges_accepted, 1);
     }
 
@@ -408,7 +319,7 @@ mod tests {
         let tree = p1.generalize_seed(b"axb");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut uf, stats) = merge(&trees, num_stars, &runner, &cache);
         assert_eq!(stats.merges_accepted, 0);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
@@ -430,7 +341,7 @@ mod tests {
         let tree = p1.generalize_seed(b"<a><a/></a>");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (mut uf, _) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut uf, _) = merge(&trees, num_stars, &runner, &cache);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
         // The synthesized language is a valid subset…
@@ -451,7 +362,7 @@ mod tests {
         let t2 = p1.generalize_seed(b"<a>hi</a>");
         let num_stars = p1.next_star_id();
         let trees = vec![t1, t2];
-        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut uf, stats) = merge(&trees, num_stars, &runner, &cache);
         assert!(stats.merges_accepted > 0);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
@@ -475,9 +386,21 @@ mod tests {
         staged.finish()
     }
 
+    /// Runs the merge phase through the staged planner; returns the
+    /// union-find and the counters.
+    fn merge(
+        trees: &[Node],
+        num_stars: usize,
+        runner: &QueryRunner<'_>,
+        cache: &ShardedCache,
+    ) -> (UnionFind, MergeStats) {
+        let outcome = run_staged(trees, num_stars, runner, cache);
+        (outcome.uf, outcome.stats)
+    }
+
     #[test]
     fn staged_merge_matches_one_shot_plan() {
-        // The staged planner must reproduce the one-shot plan's accept set
+        // The staged planner must reproduce the one-shot reference's accept set
         // (and union order) exactly on the running example.
         let oracle = FnOracle::new(xml_like);
         let cache = ShardedCache::new();
@@ -486,7 +409,7 @@ mod tests {
         let trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let num_stars = p1.next_star_id();
 
-        let (legacy_uf, legacy_stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (legacy_uf, legacy_stats) = reference::merge_stars(&trees, num_stars, &runner, None);
         let outcome = run_staged(&trees, num_stars, &runner, &cache);
         assert_eq!(outcome.stats, legacy_stats);
         let (mut uf_a, mut uf_b) = (legacy_uf, outcome.uf);
@@ -520,8 +443,9 @@ mod tests {
         assert_eq!(cache.len(), before + 2, "duplicate pairs posed duplicate queries");
         assert!(outcome.probes_elided >= 2 * 2 + 3, "pre-accepts + folded duplicates");
 
-        // And the accept set still matches the one-shot plan's.
-        let (mut legacy_uf, legacy_stats) = merge_stars(&trees, num_stars, &runner, None);
+        // And the accept set still matches the one-shot reference's.
+        let (mut legacy_uf, legacy_stats) =
+            reference::merge_stars(&trees, num_stars, &runner, None);
         assert_eq!(outcome.stats, legacy_stats);
         let mut uf = outcome.uf;
         for s in 0..num_stars {
@@ -532,7 +456,7 @@ mod tests {
     #[test]
     fn staged_merge_elides_b_check_after_failed_a() {
         // a* x b*: check A fails for the only pair, so the staged run never
-        // poses check B — one of the one-shot plan's two checks is elided.
+        // poses check B — one of the unreduced plan's two checks is elided.
         let oracle = FnOracle::new(|i: &[u8]| {
             let Some(x) = i.iter().position(|&b| b == b'x') else { return false };
             i[..x].iter().all(|&b| b == b'a') && i[x + 1..].iter().all(|&b| b == b'b')

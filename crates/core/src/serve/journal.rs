@@ -428,4 +428,107 @@ mod tests {
         assert_eq!(campaign.last_unique, Some(42));
         assert_eq!(back.max_seen_id, 7);
     }
+
+    #[test]
+    fn legacy_memo_off_records_replay_and_compact_without_the_line() {
+        // `o` records written before the single planner may carry a
+        // `memo off` line; it decodes as an unknown option.
+        let seeds = vec![b"<a>hi</a>".to_vec()];
+        let legacy = format!(
+            "glade-journal v1\no 4 {}\ns 4 0 {}\n",
+            hex_encode(b"oracle target:xml\nmemo off\n"),
+            hex_encode(&encode_seeds_body(&seeds).unwrap())
+        );
+        let state = parse_journal(&legacy);
+        let campaign = &state.campaigns[&4];
+        assert_eq!(campaign.req, OpenRequest::new("target:xml"));
+        assert_eq!(campaign.batches, vec![seeds]);
+        let compacted = render_journal(&state);
+        assert!(compacted.contains(&format!("o 4 {}\n", hex_encode(b"oracle target:xml\n"))));
+        assert!(!compacted.contains(&hex_encode(b"memo off")), "{compacted}");
+        assert_eq!(render_journal(&parse_journal(&compacted)), compacted, "compaction is stable");
+    }
+}
+
+/// Fuzz battery for the journal decoder, which reads whatever a crashed
+/// server left on disk: arbitrary text never panics the parser, and a
+/// canonical journal (as compaction renders it) round-trips byte-identically.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use crate::serve::protocol::fuzz::arb_open_request;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn arb_campaign() -> impl Strategy<Value = JournaledCampaign> {
+        (arb_open_request(), vec(vec(vec(any::<u8>(), 0..8), 0..3), 0..3), any::<usize>()).prop_map(
+            |(req, batches, cut)| {
+                let checkpointed = cut % (batches.len() + 1);
+                let last_unique = (checkpointed > 0).then_some(cut);
+                JournaledCampaign { req, batches, checkpointed, last_unique }
+            },
+        )
+    }
+
+    /// A live-record state compaction can produce: the high-water id is
+    /// at least every open campaign's id, and a checkpoint always records
+    /// its distinct-query count.
+    fn arb_state() -> impl Strategy<Value = JournalState> {
+        (vec((0u32..1000, arb_campaign()), 0..4), 0u32..5).prop_map(|(campaigns, extra)| {
+            let campaigns: HashMap<u32, JournaledCampaign> = campaigns.into_iter().collect();
+            let max_id = campaigns.keys().copied().max().unwrap_or(0);
+            JournalState { campaigns, max_seen_id: max_id + extra }
+        })
+    }
+
+    /// A journal-shaped line: a known (or unknown) record kind followed by
+    /// fields drawn from digits, hex, and noise.
+    fn arb_line() -> impl Strategy<Value = String> {
+        let field = prop_oneof![
+            (0u32..6).prop_map(|n| n.to_string()),
+            vec(any::<u8>(), 0..12).prop_map(|b| hex_encode(&b)),
+            vec(0x20u8..0x7f, 0..8).prop_map(|b| String::from_utf8(b).expect("ASCII")),
+        ];
+        (
+            prop_oneof![Just("n"), Just("o"), Just("s"), Just("c"), Just("x"), Just("?")],
+            vec(field, 0..4),
+        )
+            .prop_map(|(kind, fields)| format!("{kind} {}", fields.join(" ")))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_text_never_panics_the_parser(
+            bytes in vec(any::<u8>(), 0..96),
+            lines in vec(arb_line(), 0..8),
+            torn in any::<bool>(),
+        ) {
+            let _ = parse_journal(&String::from_utf8_lossy(&bytes));
+            let mut text = format!("{JOURNAL_HEADER}\n{}", lines.join("\n"));
+            if !torn {
+                text.push('\n');
+            }
+            let state = parse_journal(&text);
+            // Whatever parsed is live state that compaction can render.
+            let _ = render_journal(&state);
+        }
+
+        #[test]
+        fn canonical_journals_round_trip_byte_identically(state in arb_state()) {
+            let text = render_journal(&state);
+            let back = parse_journal(&text);
+            prop_assert_eq!(back.max_seen_id, state.max_seen_id);
+            prop_assert_eq!(back.campaigns.len(), state.campaigns.len());
+            for (id, campaign) in &state.campaigns {
+                let parsed = &back.campaigns[id];
+                prop_assert_eq!(&parsed.req, &campaign.req);
+                prop_assert_eq!(&parsed.batches, &campaign.batches);
+                prop_assert_eq!(parsed.checkpointed, campaign.checkpointed);
+                prop_assert_eq!(parsed.last_unique, campaign.last_unique);
+            }
+            prop_assert_eq!(render_journal(&back), text);
+        }
+    }
 }

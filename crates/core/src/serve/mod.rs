@@ -55,8 +55,9 @@
 //! rejects — the campaign stays usable). `OPEN` bodies are
 //! newline-separated `key value` lines: `oracle <spec>` (required; the
 //! spec's meaning is up to the server's [`OracleFactory`]), and optional
-//! `max-queries <n>`, `memo off`, `events off`, `cache on`. Unknown
-//! option lines and unknown event tags are skipped, and unknown *frame*
+//! `max-queries <n>`, `events off`, `cache on`. Unknown option lines
+//! (including the retired `memo off`) and unknown event tags are skipped,
+//! and unknown *frame*
 //! tags are answered with `ERROR` — a peer never wedges on a newer peer's
 //! traffic.
 //!

@@ -144,8 +144,8 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ProtocolErr
 /// The options a client sends in an `OPEN` frame.
 ///
 /// Only the oracle spec is required; everything else defaults to the
-/// engine's local-session defaults (memoization on, events on, no cache,
-/// server-default query budget).
+/// engine's local-session defaults (events on, no cache, server-default
+/// query budget).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpenRequest {
     /// The oracle the campaign runs against. Interpretation is up to the
@@ -157,9 +157,6 @@ pub struct OpenRequest {
     /// ([`GladeBuilder::max_queries`](crate::GladeBuilder::max_queries)).
     /// `None` uses the server default.
     pub max_queries: Option<usize>,
-    /// Byte-class memoization
-    /// ([`GladeBuilder::memoize_byte_classes`](crate::GladeBuilder::memoize_byte_classes)).
-    pub memoize: bool,
     /// Whether the server streams `EVENT` frames for this campaign.
     pub events: bool,
     /// Whether the server loads/saves this campaign's persistent query
@@ -173,7 +170,6 @@ impl OpenRequest {
         OpenRequest {
             oracle_spec: oracle_spec.into(),
             max_queries: None,
-            memoize: true,
             events: true,
             cache: false,
         }
@@ -183,9 +179,6 @@ impl OpenRequest {
         let mut body = format!("oracle {}\n", self.oracle_spec);
         if let Some(n) = self.max_queries {
             body.push_str(&format!("max-queries {n}\n"));
-        }
-        if !self.memoize {
-            body.push_str("memo off\n");
         }
         if !self.events {
             body.push_str("events off\n");
@@ -220,10 +213,11 @@ impl OpenRequest {
                     })?;
                     req.max_queries = Some(n);
                 }
-                "memo" => req.memoize = value != "off",
                 "events" => req.events = value != "off",
                 "cache" => req.cache = value == "on",
-                // Unknown option from a newer client: skip, don't reject.
+                // Unknown option from a newer client, or a retired one
+                // (`memo off`, from clients and journals that predate the
+                // single planner): skip, don't reject.
                 _ => {}
             }
         }
@@ -449,7 +443,6 @@ mod tests {
     fn open_request_round_trips() {
         let mut req = OpenRequest::new("target:xml");
         req.max_queries = Some(5000);
-        req.memoize = false;
         req.events = false;
         req.cache = true;
         let body = req.to_body();
@@ -473,6 +466,16 @@ mod tests {
         assert_eq!(parsed.oracle_spec, "target:xml");
         assert!(OpenRequest::from_body(b"max-queries 5\n").is_err(), "oracle line is required");
         assert!(OpenRequest::from_body(b"oracle target:xml\nmax-queries zap\n").is_err());
+    }
+
+    #[test]
+    fn legacy_memo_off_line_decodes_to_the_default_request() {
+        // Clients that predate the single planner could send `memo off` to
+        // select the retired one-shot planner; the line is now an unknown
+        // option.
+        let parsed = OpenRequest::from_body(b"oracle target:xml\nmemo off\n").expect("parses");
+        assert_eq!(parsed, OpenRequest::new("target:xml"));
+        assert_eq!(parsed.to_body(), b"oracle target:xml\n");
     }
 
     #[test]
@@ -540,7 +543,7 @@ mod tests {
 /// encodings round-trip byte-identically; and a frame stream split at any
 /// byte boundary drains the same frames.
 #[cfg(test)]
-mod fuzz {
+pub(crate) mod fuzz {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -562,15 +565,17 @@ mod fuzz {
             .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
     }
 
-    fn arb_open_request() -> impl Strategy<Value = OpenRequest> {
-        (arb_spec(), (any::<bool>(), any::<usize>()), any::<bool>(), any::<bool>(), any::<bool>())
-            .prop_map(|(oracle_spec, (limited, n), memoize, events, cache)| OpenRequest {
+    /// A canonical `OPEN` request (every field round-trips through the
+    /// body codec).
+    pub(crate) fn arb_open_request() -> impl Strategy<Value = OpenRequest> {
+        (arb_spec(), (any::<bool>(), any::<usize>()), any::<bool>(), any::<bool>()).prop_map(
+            |(oracle_spec, (limited, n), events, cache)| OpenRequest {
                 oracle_spec,
                 max_queries: limited.then_some(n),
-                memoize,
                 events,
                 cache,
-            })
+            },
+        )
     }
 
     fn arb_stats() -> impl Strategy<Value = SynthesisStats> {
@@ -601,7 +606,7 @@ mod fuzz {
     }
 
     /// Keys the `OPEN` and stats decoders know (a sample covering every
-    /// value parser), plus one they do not.
+    /// value parser), plus the retired `memo` key and one they never knew.
     const KEYS: &[&str] = &[
         "oracle",
         "max-queries",

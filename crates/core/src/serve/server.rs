@@ -390,8 +390,7 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
     let oracle = ScheduledOracle::new(ctx.oracle, ctx.sched, ctx.tenant);
     let mut builder = GladeBuilder::new()
         .oracle_fingerprint(ctx.fingerprint.clone())
-        .cancel_token(ctx.cancel.clone())
-        .memoize_byte_classes(ctx.req.memoize);
+        .cancel_token(ctx.cancel.clone());
     if let Some(limit) = ctx.req.max_queries.or(ctx.default_max_queries) {
         builder = builder.max_queries(limit);
     }

@@ -36,7 +36,7 @@
 //! ```
 
 use crate::cache::ShardedCache;
-use crate::chargen::{apply_char_probes, apply_staged_classes, plan_char_probes, StagedChargen};
+use crate::chargen::{apply_staged_classes, StagedChargen};
 use crate::events::{CancelToken, SynthEvent, SynthPhase, SynthesisObserver};
 use crate::memo::ByteClassMemo;
 use crate::persist::{
@@ -45,7 +45,7 @@ use crate::persist::{
     CacheSnapshot, MemoEntry,
 };
 use crate::phase1::Phase1;
-use crate::phase2::{apply_merge_verdicts, plan_merge_checks, StagedMerge};
+use crate::phase2::StagedMerge;
 use crate::runner::{BackingStore, QueryRunner, RunnerOptions};
 use crate::synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};
 use crate::tree::{trees_to_grammar, Node, UnionFind};
@@ -133,18 +133,6 @@ impl GladeBuilder {
     /// Sets the candidate bytes tried during character generalization.
     pub fn char_test_bytes(mut self, bytes: Vec<u8>) -> Self {
         self.config.char_test_bytes = bytes;
-        self
-    }
-
-    /// Enables or disables the query-reduction layer (byte-class
-    /// memoization, context short-circuiting, in-wave check dedup, and
-    /// merge-check pruning — see the `chargen.rs` module docs). On by
-    /// default; every elision is exact, so the synthesized grammar is
-    /// byte-identical either way — only the query counts change. Disable
-    /// for A/B measurement (`glade synth --no-memo`) or to reproduce the
-    /// historical one-shot query counts.
-    pub fn memoize_byte_classes(mut self, enabled: bool) -> Self {
-        self.config.memoize_byte_classes = enabled;
         self
     }
 
@@ -524,216 +512,130 @@ impl<'o> Session<'o> {
         // the session cache) share aggregated membership batches, so the
         // worker pool stays saturated across the stage boundary instead of
         // draining between chargen's per-terminal work and the merge sweep.
+        //
+        // Both stages plan in waves through the query-reduction layer
+        // (byte-class memoization, context short-circuiting, in-wave
+        // dedup, merge pre-accept — see `chargen.rs`), eliding
+        // provably-redundant checks before they reach the runner: each
+        // advances one context / one check per probe per wave, resolving
+        // as much as possible against the session cache and memo table
+        // between waves. Each wave is one aggregated batch; the loop ends
+        // when neither stage has anything left to pose (chargen needs at
+        // most max-contexts waves, merge at most two, and they overlap).
         // Verdicts are folded sequentially in planning order, keeping the
         // grammar worker-count-independent.
-        //
-        // Two planners implement the stages. The default *staged* path
-        // plans in waves through the query-reduction layer (byte-class
-        // memoization, context short-circuiting, in-wave dedup, merge
-        // pre-accept — see `chargen.rs`), eliding provably-redundant
-        // checks before they reach the runner. With
-        // `memoize_byte_classes(false)` the historical *one-shot* path
-        // plans every check up front and poses them as a single batch.
-        // Every staged elision is exact, so both paths synthesize
-        // byte-identical grammars; only the query counts differ.
         let do_chargen =
             self.config.character_generalization && self.chargen_done < self.trees.len();
         let t1 = Instant::now();
-        let mut merges = if !self.config.memoize_byte_classes {
-            let mut checks = Vec::new();
-            let chargen_plan = if do_chargen {
-                emit(SynthEvent::PhaseStarted { phase: SynthPhase::CharGeneralization });
-                Some(plan_char_probes(
-                    &self.trees[self.chargen_done..],
-                    &self.config.char_test_bytes,
-                    &mut checks,
-                ))
-            } else {
-                None
-            };
-            // When chargen has no work the batch is phase two's alone and
-            // runs inside the phase-two window; otherwise phase two's
-            // checks ride along in the batch posed during chargen and its
-            // own window only folds the (already computed) verdicts.
-            if self.config.phase2 && chargen_plan.is_none() {
-                emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
-            }
-            let merge_plan = self
-                .config
-                .phase2
-                .then(|| plan_merge_checks(&self.trees, self.next_star_id, &mut checks));
-            // Nothing planned (e.g. a phase1-only config) poses nothing —
-            // the runner is not consulted, so no phantom empty QueryBatch
-            // event.
-            let batch_start = Instant::now();
-            let verdicts =
-                if checks.is_empty() { Vec::new() } else { runner.accepts_batch(&checks) };
-            let batch_time = batch_start.elapsed();
-            let total_checks = checks.len();
-            drop(checks); // releases the immutable borrow of the trees
-
-            // The batch is shared, its wall time is not one phase's:
-            // attribute it pro rata by check count so chargen_time /
-            // phase2_time keep meaning "time spent on this phase's oracle
-            // work" (phase two's O(stars²) merge checks dominate real
-            // batches and must not be billed to chargen).
-            let merge_offset = chargen_plan.as_ref().map_or(0, |p| p.checks_len);
-            let chargen_batch_share = if total_checks == 0 {
-                Duration::ZERO
-            } else {
-                batch_time.mul_f64(merge_offset as f64 / total_checks as f64)
-            };
-            if let Some(plan) = &chargen_plan {
-                self.chars_generalized += apply_char_probes(
-                    &mut self.trees[self.chargen_done..],
-                    plan,
-                    &verdicts[..plan.checks_len],
-                );
-                self.chargen_done = self.trees.len();
-                stats.chargen_time = t1.elapsed().saturating_sub(batch_time) + chargen_batch_share;
-                emit(SynthEvent::PhaseFinished {
-                    phase: SynthPhase::CharGeneralization,
-                    elapsed: stats.chargen_time,
-                    unique_queries: runner.unique_queries(),
-                });
-            }
-
-            let t2 = Instant::now();
-            if let Some(plan) = &merge_plan {
-                if chargen_plan.is_some() {
-                    emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
-                }
-                let (uf, mstats) = apply_merge_verdicts(plan, &verdicts[merge_offset..], observer);
-                stats.merge_pairs_tried = mstats.pairs_tried;
-                stats.merges_accepted = mstats.merges_accepted;
-                stats.phase2_time = if chargen_plan.is_some() {
-                    t2.elapsed() + batch_time.saturating_sub(chargen_batch_share)
-                } else {
-                    t1.elapsed()
-                };
-                emit(SynthEvent::PhaseFinished {
-                    phase: SynthPhase::Phase2,
-                    elapsed: stats.phase2_time,
-                    unique_queries: runner.unique_queries(),
-                });
-                uf
-            } else {
-                UnionFind::new(self.next_star_id)
-            }
+        let mut staged_cg = if do_chargen {
+            emit(SynthEvent::PhaseStarted { phase: SynthPhase::CharGeneralization });
+            let memo = self.memo.lock().expect("memo mutex poisoned");
+            Some(StagedChargen::new(
+                &self.trees[self.chargen_done..],
+                &self.config.char_test_bytes,
+                &memo,
+            ))
         } else {
-            // Staged path: both stages advance one context / one check per
-            // probe per wave, resolving as much as possible against the
-            // session cache and memo table between waves. Each wave is one
-            // aggregated batch; the loop ends when neither stage has
-            // anything left to pose (chargen needs at most max-contexts
-            // waves, merge at most two, and they overlap).
-            let mut staged_cg = if do_chargen {
-                emit(SynthEvent::PhaseStarted { phase: SynthPhase::CharGeneralization });
-                let memo = self.memo.lock().expect("memo mutex poisoned");
-                Some(StagedChargen::new(
-                    &self.trees[self.chargen_done..],
-                    &self.config.char_test_bytes,
-                    &memo,
-                ))
-            } else {
-                None
-            };
-            if self.config.phase2 && staged_cg.is_none() {
+            None
+        };
+        // When chargen has no work the waves are phase two's alone and run
+        // inside the phase-two window; otherwise phase two's checks ride
+        // along in chargen's waves and its window opens after them.
+        if self.config.phase2 && staged_cg.is_none() {
+            emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
+        }
+        let mut staged_mg =
+            self.config.phase2.then(|| StagedMerge::new(&self.trees, self.next_star_id));
+
+        let mut batch_total = Duration::ZERO;
+        let mut chargen_batch_share = Duration::ZERO;
+        loop {
+            let cg_n = staged_cg.as_mut().map_or(0, |s| s.plan_wave(&self.cache));
+            let mg_n = staged_mg.as_mut().map_or(0, |s| s.plan_wave(&self.cache));
+            if cg_n + mg_n == 0 {
+                break;
+            }
+            let wave_start = Instant::now();
+            // The planners hand their already hashed keys over: the runner
+            // neither reassembles nor rehashes them.
+            let verdicts = runner.accepts_keyed(
+                staged_cg
+                    .iter_mut()
+                    .flat_map(StagedChargen::take_keys)
+                    .chain(staged_mg.iter_mut().flat_map(StagedMerge::take_keys)),
+            );
+            let wave_time = wave_start.elapsed();
+            batch_total += wave_time;
+            // A shared wave's wall time is not one phase's: attribute it
+            // pro rata by check count, so chargen_time / phase2_time keep
+            // meaning "time spent on this phase's oracle work".
+            chargen_batch_share += wave_time.mul_f64(cg_n as f64 / (cg_n + mg_n) as f64);
+            if let Some(s) = staged_cg.as_mut() {
+                s.fold_wave(&verdicts[..cg_n]);
+            }
+            if let Some(s) = staged_mg.as_mut() {
+                s.fold_wave(&verdicts[cg_n..]);
+            }
+        }
+        let cg_outcome = staged_cg.map(StagedChargen::finish);
+        let mg_outcome = staged_mg.map(StagedMerge::finish);
+
+        let mut run_elided = 0usize;
+        let mut run_memo_hits = 0usize;
+        if let Some(outcome) = cg_outcome {
+            apply_staged_classes(&mut self.trees[self.chargen_done..], &outcome.classes);
+            self.chargen_done = self.trees.len();
+            self.chars_generalized += outcome.accepted;
+            run_elided += outcome.probes_elided;
+            run_memo_hits += outcome.memo_hits;
+            // A degraded run's classes embed fail-closed verdicts — they
+            // are safe for *this* run's grammar but are not facts about the
+            // language, so they must never be memoized.
+            if !runner.exhausted() {
+                let mut memo = self.memo.lock().expect("memo mutex poisoned");
+                for (key, classes) in outcome.memo_inserts {
+                    memo.insert(key, classes);
+                }
+            }
+            stats.chargen_time = t1.elapsed().saturating_sub(batch_total) + chargen_batch_share;
+            emit(SynthEvent::PhaseFinished {
+                phase: SynthPhase::CharGeneralization,
+                elapsed: stats.chargen_time,
+                unique_queries: runner.unique_queries(),
+            });
+        }
+
+        let t2 = Instant::now();
+        let mut merges = if let Some(outcome) = mg_outcome {
+            if do_chargen {
                 emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
             }
-            let mut staged_mg =
-                self.config.phase2.then(|| StagedMerge::new(&self.trees, self.next_star_id));
-
-            let mut batch_total = Duration::ZERO;
-            let mut chargen_batch_share = Duration::ZERO;
-            loop {
-                let cg_n = staged_cg.as_mut().map_or(0, |s| s.plan_wave(&self.cache));
-                let mg_n = staged_mg.as_mut().map_or(0, |s| s.plan_wave(&self.cache));
-                if cg_n + mg_n == 0 {
-                    break;
-                }
-                let wave_start = Instant::now();
-                // The planners hand their already hashed keys over: the
-                // runner neither reassembles nor rehashes them.
-                let verdicts = runner.accepts_keyed(
-                    staged_cg
-                        .iter_mut()
-                        .flat_map(StagedChargen::take_keys)
-                        .chain(staged_mg.iter_mut().flat_map(StagedMerge::take_keys)),
-                );
-                let wave_time = wave_start.elapsed();
-                batch_total += wave_time;
-                // Attribute shared-wave wall time pro rata by check count,
-                // as the one-shot path does for its single batch.
-                chargen_batch_share += wave_time.mul_f64(cg_n as f64 / (cg_n + mg_n) as f64);
-                if let Some(s) = staged_cg.as_mut() {
-                    s.fold_wave(&verdicts[..cg_n]);
-                }
-                if let Some(s) = staged_mg.as_mut() {
-                    s.fold_wave(&verdicts[cg_n..]);
-                }
+            for &(left, right) in &outcome.accepted {
+                emit(SynthEvent::MergeAccepted { left_star: left, right_star: right });
             }
-            let cg_outcome = staged_cg.map(StagedChargen::finish);
-            let mg_outcome = staged_mg.map(StagedMerge::finish);
-
-            let mut run_elided = 0usize;
-            let mut run_memo_hits = 0usize;
-            if let Some(outcome) = cg_outcome {
-                apply_staged_classes(&mut self.trees[self.chargen_done..], &outcome.classes);
-                self.chargen_done = self.trees.len();
-                self.chars_generalized += outcome.accepted;
-                run_elided += outcome.probes_elided;
-                run_memo_hits += outcome.memo_hits;
-                // A degraded run's classes embed fail-closed verdicts —
-                // they are safe for *this* run's grammar but are not facts
-                // about the language, so they must never be memoized.
-                if !runner.exhausted() {
-                    let mut memo = self.memo.lock().expect("memo mutex poisoned");
-                    for (key, classes) in outcome.memo_inserts {
-                        memo.insert(key, classes);
-                    }
-                }
-                stats.chargen_time = t1.elapsed().saturating_sub(batch_total) + chargen_batch_share;
-                emit(SynthEvent::PhaseFinished {
-                    phase: SynthPhase::CharGeneralization,
-                    elapsed: stats.chargen_time,
-                    unique_queries: runner.unique_queries(),
-                });
-            }
-
-            let t2 = Instant::now();
-            let merges = if let Some(outcome) = mg_outcome {
-                if do_chargen {
-                    emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
-                }
-                for &(left, right) in &outcome.accepted {
-                    emit(SynthEvent::MergeAccepted { left_star: left, right_star: right });
-                }
-                stats.merge_pairs_tried = outcome.stats.pairs_tried;
-                stats.merges_accepted = outcome.stats.merges_accepted;
-                run_elided += outcome.probes_elided;
-                stats.phase2_time = if do_chargen {
-                    t2.elapsed() + batch_total.saturating_sub(chargen_batch_share)
-                } else {
-                    t1.elapsed()
-                };
-                emit(SynthEvent::PhaseFinished {
-                    phase: SynthPhase::Phase2,
-                    elapsed: stats.phase2_time,
-                    unique_queries: runner.unique_queries(),
-                });
-                outcome.uf
+            stats.merge_pairs_tried = outcome.stats.pairs_tried;
+            stats.merges_accepted = outcome.stats.merges_accepted;
+            run_elided += outcome.probes_elided;
+            stats.phase2_time = if do_chargen {
+                t2.elapsed() + batch_total.saturating_sub(chargen_batch_share)
             } else {
-                UnionFind::new(self.next_star_id)
+                t1.elapsed()
             };
-
-            self.probes_elided += run_elided;
-            self.memo_hits += run_memo_hits;
-            if run_elided + run_memo_hits > 0 {
-                emit(SynthEvent::ProbesElided { elided: run_elided, memo_hits: run_memo_hits });
-            }
-            merges
+            emit(SynthEvent::PhaseFinished {
+                phase: SynthPhase::Phase2,
+                elapsed: stats.phase2_time,
+                unique_queries: runner.unique_queries(),
+            });
+            outcome.uf
+        } else {
+            UnionFind::new(self.next_star_id)
         };
+
+        self.probes_elided += run_elided;
+        self.memo_hits += run_memo_hits;
+        if run_elided + run_memo_hits > 0 {
+            emit(SynthEvent::ProbesElided { elided: run_elided, memo_hits: run_memo_hits });
+        }
 
         let grammar = trees_to_grammar(&self.trees, &mut merges);
         let regex = Regex::alt(self.trees.iter().map(Node::to_regex).collect());
@@ -960,7 +862,6 @@ mod tests {
             .phase2(false)
             .character_generalization(false)
             .char_test_bytes(vec![b'a', b'b'])
-            .memoize_byte_classes(false)
             .max_queries(7)
             .time_limit(Duration::from_secs(3))
             .oracle_timeout(Duration::from_secs(9))
@@ -970,7 +871,6 @@ mod tests {
         assert!(!c.phase2);
         assert!(!c.character_generalization);
         assert_eq!(c.char_test_bytes, vec![b'a', b'b']);
-        assert!(!c.memoize_byte_classes);
         assert_eq!(c.max_queries, Some(7));
         assert_eq!(c.time_limit, Some(Duration::from_secs(3)));
         assert_eq!(c.oracle_timeout, Some(Duration::from_secs(9)));
@@ -1097,7 +997,7 @@ mod tests {
         assert!(result.stats.budget_exhausted, "cancel shares the fail-closed path");
         assert!(log.events().contains(&SynthEvent::Cancelled));
         assert!(Earley::new(&result.grammar).accepts(b"<a>hi</a>"), "seed survives");
-        // Far fewer queries than the full run's 1324.
+        // Far fewer queries than the full run's 965.
         assert!(result.stats.unique_queries < 300, "{}", result.stats.unique_queries);
     }
 
@@ -1172,10 +1072,10 @@ mod tests {
     #[test]
     fn fingerprinted_sessions_tag_and_validate_snapshots() {
         let oracle = FnOracle::new(xml_like);
-        // Memo off: the memo table stays empty, so tagged snapshots keep
-        // the historical v2 format byte-for-byte.
+        // No character generalization, so no memo entries: tagged
+        // snapshots keep the historical v2 format byte-for-byte.
         let mut tagged = GladeBuilder::new()
-            .memoize_byte_classes(false)
+            .character_generalization(false)
             .oracle_fingerprint("target:toy-xml")
             .session(&oracle);
         tagged.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
@@ -1213,8 +1113,7 @@ mod tests {
         let seeds = [b"<a>hi</a>".to_vec(), b"<a><a>x</a></a>".to_vec()];
         let oracle = FnOracle::new(xml_like);
         let on = GladeBuilder::new().synthesize(&seeds, &oracle).unwrap();
-        let off =
-            GladeBuilder::new().memoize_byte_classes(false).synthesize(&seeds, &oracle).unwrap();
+        let off = crate::reference::synthesize(&GladeConfig::default(), &seeds, &oracle).unwrap();
         assert_eq!(
             glade_grammar::grammar_to_text(&on.grammar),
             glade_grammar::grammar_to_text(&off.grammar),
@@ -1227,8 +1126,6 @@ mod tests {
         assert!(on.stats.probes_elided > 0, "staged run elided nothing");
         assert!(on.stats.unique_queries < off.stats.unique_queries);
         assert!(on.stats.total_queries < off.stats.total_queries);
-        assert_eq!(off.stats.probes_elided, 0);
-        assert_eq!(off.stats.memo_hits, 0);
     }
 
     #[test]
@@ -1269,14 +1166,20 @@ mod tests {
             glade_grammar::grammar_to_text(&second.grammar)
         );
 
-        // And a pre-memo (v2/v1) snapshot still loads cleanly: same cache
-        // warm start, just no memo adoption.
-        let mut legacy = GladeBuilder::new().memoize_byte_classes(false).session(&oracle);
-        let legacy_first = legacy.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let v1 = legacy.export_cache();
+        // And a pre-memo (v1) snapshot of the same cache still warm-starts
+        // cleanly: every verdict answered, just no memo adoption beyond the
+        // run's own in-plan siblings.
+        let v1 = crate::persist::snapshot_to_text(&warm.cache.snapshot(), None);
         assert!(v1.starts_with("glade-cache v1\n"));
-        let fresh = GladeBuilder::new().session(&oracle);
-        assert_eq!(fresh.import_cache(&v1).unwrap(), legacy_first.stats.unique_queries);
+        let mut legacy = GladeBuilder::new().session(&oracle);
+        assert_eq!(legacy.import_cache(&v1).unwrap(), first.stats.unique_queries);
+        let replay = legacy.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+        assert_eq!(replay.stats.new_unique_queries, 0);
+        assert_eq!(replay.stats.memo_hits, first.stats.memo_hits);
+        assert_eq!(
+            glade_grammar::grammar_to_text(&first.grammar),
+            glade_grammar::grammar_to_text(&replay.grammar)
+        );
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {

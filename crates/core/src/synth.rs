@@ -58,13 +58,6 @@ pub struct GladeConfig {
     /// waits forever. Affects liveness only, never verdicts — in-process
     /// oracles ignore it.
     pub oracle_timeout: Option<Duration>,
-    /// Run the query-reduction layer (byte-class memoization, context
-    /// short-circuiting, in-wave check dedup, and merge-check pruning —
-    /// see the `chargen.rs` module docs). On by default; every elision is
-    /// exact, so the synthesized grammar is byte-identical either way —
-    /// only the query counts change. `false` restores the historical
-    /// one-shot planners (and their query counts).
-    pub memoize_byte_classes: bool,
 }
 
 impl Default for GladeConfig {
@@ -78,7 +71,6 @@ impl Default for GladeConfig {
             skip_redundant_seeds: true,
             worker_threads: None,
             oracle_timeout: None,
-            memoize_byte_classes: true,
         }
     }
 }
@@ -129,15 +121,13 @@ pub struct SynthesisStats {
     /// Terminals whose byte classes were adopted from the query-reduction
     /// layer's memo table (or from an identical in-run sibling) instead of
     /// being re-probed. Cumulative across the session, like
-    /// `chars_generalized`. Always zero with
-    /// [`memoize_byte_classes`](GladeConfig::memoize_byte_classes) off.
+    /// `chars_generalized`.
     pub memo_hits: usize,
-    /// Membership checks the one-shot planners would have posed that the
-    /// query-reduction layer elided before they reached the query engine
-    /// (memo adoptions, context short-circuits, in-wave duplicates,
-    /// plan-time cache folds, and pruned merge checks). Cumulative across
-    /// the session. Always zero with
-    /// [`memoize_byte_classes`](GladeConfig::memoize_byte_classes) off.
+    /// Membership checks that posing every Section 5 / 6.2 check would
+    /// have cost but the query-reduction layer elided before they reached
+    /// the query engine (memo adoptions, context short-circuits, in-wave
+    /// duplicates, plan-time cache folds, and pruned merge checks).
+    /// Cumulative across the session.
     pub probes_elided: usize,
     /// Oracle *execution* failures during this run: queries for which no
     /// real verdict could be obtained (process spawn failed, pooled worker

@@ -3,7 +3,9 @@
 //! re-serialization, and *clean* under truncation — a torn binary
 //! snapshot may only ever produce a [`CacheError`], never a panic or a
 //! silently short load. The indexed partial-load path
-//! ([`BinaryCacheFile`]) must agree with a full load on every key.
+//! ([`BinaryCacheFile`]) must agree with a full load on every key. The
+//! text decoders, which read whatever is on disk, never panic on
+//! arbitrary input, and the slice and streaming parsers always agree.
 
 use glade_core::{
     is_binary_snapshot, snapshot_from_binary, snapshot_from_reader, snapshot_from_text,
@@ -71,8 +73,85 @@ fn scratch_file(bytes: &[u8]) -> std::path::PathBuf {
     path
 }
 
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Text-snapshot-shaped input: a known (or foreign) header, then lines
+/// whose directives the parser knows, with fields drawn from verdicts,
+/// hex, comma-separated class lists, and noise.
+fn arb_text_snapshot() -> impl Strategy<Value = String> {
+    let header = prop_oneof![
+        Just("glade-cache v1"),
+        Just("glade-cache v2"),
+        Just("glade-cache v3"),
+        Just("glade-cache v9"),
+    ];
+    let field = prop_oneof![
+        Just("0".to_string()),
+        Just("1".to_string()),
+        proptest::collection::vec(any::<u8>(), 0..17).prop_map(|b| hex(&b)),
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..3), 1..4)
+            .prop_map(|classes| classes.iter().map(|c| hex(c)).collect::<Vec<_>>().join(",")),
+        proptest::collection::vec(0x20u8..0x7f, 0..6)
+            .prop_map(|b| String::from_utf8(b).expect("ASCII")),
+    ];
+    let directive =
+        prop_oneof![Just("q"), Just("m"), Just("oracle"), Just("#"), Just(""), Just("x")];
+    let line = (directive, proptest::collection::vec(field, 0..3))
+        .prop_map(|(directive, fields)| format!("{directive} {}", fields.join(" ")));
+    (header, proptest::collection::vec(line, 0..6), prop_oneof![Just("\n"), Just("\r\n")]).prop_map(
+        |(header, lines, eol)| {
+            let mut text = format!("{header}{eol}");
+            for line in lines {
+                text.push_str(&line);
+                text.push_str(eol);
+            }
+            text
+        },
+    )
+}
+
+/// Runs both text decoders on `text`: neither may panic, and they must
+/// agree on the snapshot or on the error.
+fn decode_text_both_ways(text: &str) -> Result<(), TestCaseError> {
+    let from_text = snapshot_from_text(text);
+    let from_reader = snapshot_from_reader(text.as_bytes());
+    match (&from_text, &from_reader) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+        (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        _ => prop_assert!(false, "decoders disagree on {text:?}: {from_text:?} vs {from_reader:?}"),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes and snapshot-shaped text never panic the text
+    /// decoders, and the slice and streaming parsers agree.
+    #[test]
+    fn arbitrary_text_never_panics_the_text_decoders(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96), text in arb_text_snapshot()
+    ) {
+        decode_text_both_ways(&String::from_utf8_lossy(&bytes))?;
+        decode_text_both_ways(&text)?;
+    }
+
+    /// Text roundtrip is lossless, and re-serializing the parse is
+    /// byte-identical.
+    #[test]
+    fn text_roundtrip_is_lossless_and_byte_stable(
+        entries in arb_entries(), memo in arb_memo(), fp in arb_fingerprint()
+    ) {
+        let text = snapshot_to_text_with_memo(&entries, &memo, fp.as_deref());
+        let parsed = snapshot_from_text(&text).expect("roundtrip parses");
+        prop_assert_eq!(&parsed, &expected(&entries, &memo, &fp));
+        let again = snapshot_to_text_with_memo(
+            &parsed.entries.to_vec(), &parsed.memo, parsed.oracle_fingerprint.as_deref(),
+        );
+        prop_assert_eq!(again, text);
+    }
 
     /// Binary roundtrip is lossless, and re-serializing the parse is
     /// byte-identical (the format is canonical: one cache, one encoding).

@@ -21,12 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Golden counts for the running example (`<a>hi</a>` against
-/// [`xml_like`]) with the query-reduction layer on — the same pins as
-/// `tests/parallel.rs`. The serve tests always open campaigns with
-/// `memoize = true` explicitly, so the pins hold regardless of the
-/// `GLADE_TEST_MEMO` matrix variable.
-const GOLDEN_UNIQUE_ON: usize = 965;
-const GOLDEN_TOTAL_ON: usize = 985;
+/// [`xml_like`]) — the same pins as `tests/parallel.rs`.
+const GOLDEN_UNIQUE: usize = 965;
+const GOLDEN_TOTAL: usize = 985;
 
 /// Per-test timeout guard (same rationale as in `tests/parallel.rs`): a
 /// wedged accept loop or a lost wake would otherwise hang the whole CI
@@ -201,9 +198,9 @@ fn concurrent_tenants_match_solo_runs_and_golden_pins() {
         );
     }
 
-    // The running example keeps its golden memo-on pins through the server.
-    assert_eq!(outcomes[0].1.unique_queries, GOLDEN_UNIQUE_ON);
-    assert_eq!(outcomes[0].1.total_queries, GOLDEN_TOTAL_ON);
+    // The running example keeps its golden pins through the server.
+    assert_eq!(outcomes[0].1.unique_queries, GOLDEN_UNIQUE);
+    assert_eq!(outcomes[0].1.total_queries, GOLDEN_TOTAL);
 
     handle.shutdown().expect("server shutdown");
 }
@@ -223,7 +220,7 @@ fn incremental_seed_batches_match_combined_local_session() {
     let mut client = ServeClient::connect(&socket).expect("connect");
     client.open(&OpenRequest::new("xml")).expect("open");
     let first = client.synthesize(&batches[0], |_| {}).expect("first batch");
-    assert_eq!(first.stats.unique_queries, GOLDEN_UNIQUE_ON);
+    assert_eq!(first.stats.unique_queries, GOLDEN_UNIQUE);
     let second = client.synthesize(&batches[1], |_| {}).expect("second batch");
     assert_eq!(second.grammar_text, solo_grammar, "incremental batches must compose");
     assert_eq!(count_fields(&second.stats), count_fields(&solo_stats));
@@ -383,8 +380,8 @@ fn per_tenant_budget_degrades_only_that_tenant() {
     // ... and never perturbs the unbudgeted tenant next door.
     assert_eq!(full.0, full_grammar);
     assert_eq!(count_fields(&full.1), count_fields(&full_stats));
-    assert_eq!(full.1.unique_queries, GOLDEN_UNIQUE_ON);
-    assert_eq!(full.1.total_queries, GOLDEN_TOTAL_ON);
+    assert_eq!(full.1.unique_queries, GOLDEN_UNIQUE);
+    assert_eq!(full.1.total_queries, GOLDEN_TOTAL);
     assert!(!full.1.budget_exhausted);
 
     handle.shutdown().expect("server shutdown");
@@ -521,7 +518,7 @@ fn persistent_caches_namespace_by_fingerprint_and_survive_restart() {
     // Cold run on a fresh server.
     let handle = Server::new(test_factory(), config.clone()).spawn(&socket).expect("first spawn");
     let (cold_grammar, cold_stats, _) = client_run(&socket, &request, std::slice::from_ref(&seeds));
-    assert_eq!(cold_stats.new_unique_queries, GOLDEN_UNIQUE_ON, "cold start fills the cache");
+    assert_eq!(cold_stats.new_unique_queries, GOLDEN_UNIQUE, "cold start fills the cache");
     handle.shutdown().expect("first shutdown");
 
     let cache_files = || {
@@ -582,8 +579,8 @@ fn rejected_seeds_and_empty_runs_leave_the_campaign_usable() {
     // The same campaign then completes a normal run with the golden pins
     // (+1: the rejected seed's admission check stays in the session cache).
     let outcome = client.synthesize(&[b"<a>hi</a>".to_vec()], |_| {}).expect("recovered run");
-    assert_eq!(outcome.stats.unique_queries, GOLDEN_UNIQUE_ON + 1);
-    assert_eq!(outcome.stats.total_queries, GOLDEN_TOTAL_ON);
+    assert_eq!(outcome.stats.unique_queries, GOLDEN_UNIQUE + 1);
+    assert_eq!(outcome.stats.total_queries, GOLDEN_TOTAL);
     client.close().expect("close");
 
     handle.shutdown().expect("server shutdown");
@@ -610,8 +607,8 @@ fn interrupted_campaign_resumes_byte_identical_after_restart() {
         let mut client = ServeClient::connect(&socket).expect("connect");
         let (id, _) = client.open(&request).expect("open");
         let first = client.synthesize(&batches[0], |_| {}).expect("first batch");
-        assert_eq!(first.stats.unique_queries, GOLDEN_UNIQUE_ON);
-        assert_eq!(first.stats.total_queries, GOLDEN_TOTAL_ON);
+        assert_eq!(first.stats.unique_queries, GOLDEN_UNIQUE);
+        assert_eq!(first.stats.total_queries, GOLDEN_TOTAL);
         client.synthesize(&batches[1], |_| {}).expect("second batch");
         id
         // `client` drops here without close(), like a killed process.
@@ -698,7 +695,7 @@ fn serve_cache_format_flip_keeps_warm_starts() {
     };
     let handle = Server::new(test_factory(), text_config).spawn(&socket).expect("first spawn");
     let (cold_grammar, cold_stats, _) = client_run(&socket, &request, std::slice::from_ref(&seeds));
-    assert_eq!(cold_stats.new_unique_queries, GOLDEN_UNIQUE_ON, "cold start fills the cache");
+    assert_eq!(cold_stats.new_unique_queries, GOLDEN_UNIQUE, "cold start fills the cache");
     handle.shutdown().expect("first shutdown");
 
     let snapshot_is_binary = || {
@@ -810,7 +807,7 @@ fn slow_reader_is_demoted_to_result_only() {
         client_run(&socket, &OpenRequest::new("xml"), std::slice::from_ref(&seeds));
     assert_eq!(grammar, solo_grammar, "demotion never changes the grammar bytes");
     assert_eq!(count_fields(&stats), count_fields(&solo_stats));
-    assert_eq!(stats.unique_queries, GOLDEN_UNIQUE_ON);
+    assert_eq!(stats.unique_queries, GOLDEN_UNIQUE);
     assert_eq!(
         events.len(),
         1,

@@ -1,8 +1,8 @@
 //! End-to-end tests for the `glade-oracle-worker` harness: the pooled
 //! worker protocol against real child processes, spawn-per-query `--once`
-//! mode, and full-pipeline synthesis over the pool — swept across the
-//! pool-size × memo matrix (`GLADE_TEST_POOL_SIZE`, `GLADE_TEST_MEMO`)
-//! and hardened against workers that crash mid-batch.
+//! mode, and full-pipeline synthesis over the pool — swept across pool
+//! sizes (`GLADE_TEST_POOL_SIZE`) and hardened against workers that crash
+//! mid-batch.
 
 use glade_core::{GladeBuilder, Oracle, PooledProcessOracle, ProcessOracle};
 use glade_targets::programs::Xml;
@@ -18,34 +18,8 @@ fn worker_bin() -> &'static str {
 
 /// Golden distinct/total query counts for the seed `<a>hi</a>` (pinned in
 /// `glade-core`'s `parallel.rs`); the pooled path must reproduce them.
-/// With the query-reduction layer on (the default) the planner poses
-/// fewer distinct queries than the raw memo-off cost model.
-const GOLDEN_UNIQUE_OFF: usize = 1324;
-const GOLDEN_TOTAL_OFF: usize = 1442;
-const GOLDEN_UNIQUE_ON: usize = 965;
-const GOLDEN_TOTAL_ON: usize = 985;
-
-/// Memo mode for the matrix; `GLADE_TEST_MEMO=off` disables the query-
-/// reduction layer (the CI matrix sweeps it). Default: on.
-fn matrix_memo() -> bool {
-    !matches!(std::env::var("GLADE_TEST_MEMO").as_deref(), Ok("off") | Ok("0") | Ok("false"))
-}
-
-fn golden_unique() -> usize {
-    if matrix_memo() {
-        GOLDEN_UNIQUE_ON
-    } else {
-        GOLDEN_UNIQUE_OFF
-    }
-}
-
-fn golden_total() -> usize {
-    if matrix_memo() {
-        GOLDEN_TOTAL_ON
-    } else {
-        GOLDEN_TOTAL_OFF
-    }
-}
+const GOLDEN_UNIQUE: usize = 965;
+const GOLDEN_TOTAL: usize = 985;
 
 /// Pool sizes to sweep; `GLADE_TEST_POOL_SIZE` pins one (the CI matrix
 /// sweeps it so every cell stays fast).
@@ -148,22 +122,19 @@ fn unknown_subject_exits_nonzero_and_pool_degrades() {
 #[test]
 fn full_synthesis_over_the_pool_matches_in_process_synthesis() {
     // The running example driven entirely through child processes, swept
-    // over the pool-size × frame-version × frame-batch matrix through the
-    // session API: grammar bytes and both query counts must be exactly
-    // what the in-process oracle produces — the golden 1324/1442 pins —
-    // in every cell.
+    // over the pool-size × frame-batch matrix through the session API:
+    // grammar bytes and both query counts must be exactly what the
+    // in-process oracle produces — the golden 965/985 pins — in every
+    // cell.
     let _guard = Watchdog::arm("full_synthesis_over_the_pool_matches_in_process_synthesis");
     let seeds = vec![b"<a>hi</a>".to_vec()];
     let in_process = {
         let xml = glade_targets::languages::toy_xml();
         let oracle = xml.oracle();
-        GladeBuilder::new()
-            .memoize_byte_classes(matrix_memo())
-            .synthesize(&seeds, &oracle)
-            .expect("valid seed")
+        GladeBuilder::new().synthesize(&seeds, &oracle).expect("valid seed")
     };
-    assert_eq!(in_process.stats.unique_queries, golden_unique());
-    assert_eq!(in_process.stats.total_queries, golden_total());
+    assert_eq!(in_process.stats.unique_queries, GOLDEN_UNIQUE);
+    assert_eq!(in_process.stats.total_queries, GOLDEN_TOTAL);
     let reference_grammar = glade_grammar::grammar_to_text(&in_process.grammar);
     for pool_size in matrix_pool_sizes() {
         for frame_batch in [1usize, 7, 32, 64] {
@@ -171,10 +142,7 @@ fn full_synthesis_over_the_pool_matches_in_process_synthesis() {
                 .arg("toy-xml")
                 .pool_size(pool_size)
                 .frame_batch(frame_batch);
-            let mut session = GladeBuilder::new()
-                .worker_threads(4)
-                .memoize_byte_classes(matrix_memo())
-                .session(&pooled_oracle);
+            let mut session = GladeBuilder::new().worker_threads(4).session(&pooled_oracle);
             let pooled = session.add_seeds(&seeds).expect("valid seed");
             let cell = format!("pool={pool_size} frame_batch={frame_batch}");
             assert_eq!(
@@ -182,8 +150,8 @@ fn full_synthesis_over_the_pool_matches_in_process_synthesis() {
                 reference_grammar,
                 "pooled execution changed the synthesized grammar ({cell})"
             );
-            assert_eq!(pooled.stats.unique_queries, golden_unique(), "{cell}");
-            assert_eq!(pooled.stats.total_queries, golden_total(), "{cell}");
+            assert_eq!(pooled.stats.unique_queries, GOLDEN_UNIQUE, "{cell}");
+            assert_eq!(pooled.stats.total_queries, GOLDEN_TOTAL, "{cell}");
             assert_eq!(pooled.stats.oracle_failures, 0, "{cell}");
             assert_eq!(pooled_oracle.respawn_count(), 0, "healthy workers respawned ({cell})");
         }
@@ -193,7 +161,7 @@ fn full_synthesis_over_the_pool_matches_in_process_synthesis() {
 #[test]
 fn synthesis_over_crashing_workers_matches_in_process_synthesis() {
     // Crash-recovery acceptance at the harness level: every worker dies
-    // after 150 answers (well inside the 1324-query run, so the pool
+    // after 150 answers (well inside the 965-query run, so the pool
     // reaps and respawns repeatedly, tearing batches mid-frame), and
     // the result must still be byte- and count-identical to the
     // in-process run, with zero counted failures.
@@ -202,10 +170,7 @@ fn synthesis_over_crashing_workers_matches_in_process_synthesis() {
     let in_process = {
         let xml = glade_targets::languages::toy_xml();
         let oracle = xml.oracle();
-        GladeBuilder::new()
-            .memoize_byte_classes(matrix_memo())
-            .synthesize(&seeds, &oracle)
-            .expect("valid seed")
+        GladeBuilder::new().synthesize(&seeds, &oracle).expect("valid seed")
     };
     for pool_size in matrix_pool_sizes() {
         let pooled_oracle = PooledProcessOracle::new(worker_bin())
@@ -213,10 +178,7 @@ fn synthesis_over_crashing_workers_matches_in_process_synthesis() {
             .arg("--crash-after")
             .arg("150")
             .pool_size(pool_size);
-        let mut session = GladeBuilder::new()
-            .worker_threads(4)
-            .memoize_byte_classes(matrix_memo())
-            .session(&pooled_oracle);
+        let mut session = GladeBuilder::new().worker_threads(4).session(&pooled_oracle);
         let pooled = session.add_seeds(&seeds).expect("valid seed");
         assert_eq!(
             glade_grammar::grammar_to_text(&pooled.grammar),
@@ -248,10 +210,7 @@ fn synthesis_over_hanging_workers_keeps_golden_pins() {
     let in_process = {
         let xml = glade_targets::languages::toy_xml();
         let oracle = xml.oracle();
-        GladeBuilder::new()
-            .memoize_byte_classes(matrix_memo())
-            .synthesize(&seeds, &oracle)
-            .expect("valid seed")
+        GladeBuilder::new().synthesize(&seeds, &oracle).expect("valid seed")
     };
     let pooled_oracle = PooledProcessOracle::new(worker_bin())
         .arg("toy-xml")
@@ -260,7 +219,6 @@ fn synthesis_over_hanging_workers_keeps_golden_pins() {
         .pool_size(2);
     let mut session = GladeBuilder::new()
         .worker_threads(4)
-        .memoize_byte_classes(matrix_memo())
         .oracle_timeout(Duration::from_millis(250))
         .session(&pooled_oracle);
     let pooled = session.add_seeds(&seeds).expect("valid seed");
@@ -269,13 +227,13 @@ fn synthesis_over_hanging_workers_keeps_golden_pins() {
         glade_grammar::grammar_to_text(&in_process.grammar),
         "hang recovery changed the grammar"
     );
-    assert_eq!(pooled.stats.unique_queries, golden_unique());
-    assert_eq!(pooled.stats.total_queries, golden_total());
+    assert_eq!(pooled.stats.unique_queries, GOLDEN_UNIQUE);
+    assert_eq!(pooled.stats.total_queries, GOLDEN_TOTAL);
     assert_eq!(pooled.stats.oracle_failures, 0, "every hang was recovered");
     assert!(
         pooled.stats.timed_out_queries > 0,
         "a {}-query run must outlive 150-answer workers",
-        golden_unique()
+        GOLDEN_UNIQUE
     );
     assert!(pooled_oracle.respawn_count() > 0);
 }

@@ -5,7 +5,7 @@
 //!              [--cache FILE] [--cache-format text|binary]
 //!              [--stdin|--tempfile|--pool N] [--frame-batch N]
 //!              [--oracle-timeout SECS] [--max-respawns N]
-//!              [--max-queries N] [--no-chargen] [--no-phase2] [--no-memo]
+//!              [--max-queries N] [--no-chargen] [--no-phase2]
 //! glade sample --grammar grammar.txt [--count N] [--max-depth D] [--seed-rng S]
 //! glade check  --grammar grammar.txt [FILE]       # membership test (stdin default)
 //! glade fuzz   --grammar grammar.txt --seed FILE... [--count N]    # splice fuzzing
@@ -18,7 +18,7 @@
 //!              [--max-event-buffer N]
 //!                                                  # multi-tenant synthesis daemon
 //! glade client --socket PATH (--oracle SPEC | --resume ID) [--seed FILE...]
-//!              [-o OUT] [--max-queries N] [--no-memo] [--no-events] [--cache]
+//!              [-o OUT] [--max-queries N] [--no-events] [--cache]
 //!              [--connect-retries N] [--connect-backoff SECS]
 //! ```
 //!
@@ -164,7 +164,7 @@ USAGE:
                [--cache FILE] [--cache-format text|binary]
                [--stdin|--tempfile|--pool N] [--frame-batch N]
                [--oracle-timeout SECS] [--max-respawns N]
-               [--max-queries N] [--no-chargen] [--no-phase2] [--no-memo]
+               [--max-queries N] [--no-chargen] [--no-phase2]
                [--events]
   glade sample --grammar FILE [--count N] [--max-depth D] [--seed-rng S]
   glade check  --grammar FILE [INPUT-FILE]
@@ -183,7 +183,7 @@ USAGE:
                # SIGTERM/SIGINT drains (campaigns finish or checkpoint);
                # a second signal hard-stops
   glade client --socket PATH (--oracle SPEC | --resume ID) [--seed FILE...]
-               [-o OUT] [--max-queries N] [--no-memo] [--no-events] [--cache]
+               [-o OUT] [--max-queries N] [--no-events] [--cache]
                [--connect-retries N] [--connect-backoff SECS]
                # SPEC: target:NAME (built-in) or cmd:CMDLINE (pooled worker)
                # --resume re-attaches a journaled campaign after a restart
@@ -301,7 +301,6 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
             }
             "--no-chargen" => config.character_generalization = false,
             "--no-phase2" => config.phase2 = false,
-            "--no-memo" => config.memoize_byte_classes = false,
             "--events" => events = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -396,8 +395,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     );
     if result.stats.probes_elided > 0 || result.stats.memo_hits > 0 {
         eprintln!(
-            "query reduction: {} probe(s) elided, {} byte-class memo hit(s) \
-             (disable with --no-memo)",
+            "query reduction: {} probe(s) elided, {} byte-class memo hit(s)",
             result.stats.probes_elided, result.stats.memo_hits
         );
     }
@@ -774,7 +772,6 @@ fn cmd_client(argv: &[String]) -> Result<(), String> {
     let mut request: Option<OpenRequest> = None;
     let mut resume: Option<u32> = None;
     let mut max_queries: Option<usize> = None;
-    let mut memoize = true;
     let mut events = true;
     let mut cache = false;
     let mut connect_retries: u32 = 0;
@@ -799,7 +796,6 @@ fn cmd_client(argv: &[String]) -> Result<(), String> {
                         .map_err(|_| "--max-queries needs an integer".to_owned())?,
                 )
             }
-            "--no-memo" => memoize = false,
             "--no-events" => events = false,
             "--cache" => cache = true,
             "--connect-retries" => {
@@ -848,7 +844,6 @@ fn cmd_client(argv: &[String]) -> Result<(), String> {
     } else {
         let mut request = request.expect("checked above");
         request.max_queries = max_queries;
-        request.memoize = memoize;
         request.events = events;
         request.cache = cache;
         let (campaign, fingerprint) = client.open(&request).map_err(|e| e.to_string())?;

@@ -195,8 +195,8 @@ fn sigkilled_campaign_resumes_byte_identical_on_restart() {
     let mut client = ServeClient::connect(&socket).expect("connect");
     let (campaign, _fingerprint) = client.open(&request).expect("open");
     let first = client.synthesize(&[b"<a>hi</a>".to_vec()], |_| {}).expect("first batch");
-    assert_eq!(first.stats.unique_queries, 965, "golden memo-on unique pin");
-    assert_eq!(first.stats.total_queries, 985, "golden memo-on total pin");
+    assert_eq!(first.stats.unique_queries, 965, "golden unique pin");
+    assert_eq!(first.stats.total_queries, 985, "golden total pin");
 
     // SIGKILL mid-campaign: no drain, no flush, no goodbye.
     server.kill().expect("SIGKILL glade serve");
