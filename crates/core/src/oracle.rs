@@ -364,7 +364,9 @@ pub trait Oracle: Send + Sync {
     /// ordinary oracles need not override it. Oracles that can answer a
     /// whole batch more efficiently than query-at-a-time — the pooled
     /// process oracle multiplexes all its worker pipes from the calling
-    /// thread — override this *and* [`Oracle::native_batching`], which is
+    /// thread, and an in-process Earley oracle (`GrammarOracle` in
+    /// `glade-targets`) shares one chart across queries with common
+    /// prefixes — override this *and* [`Oracle::native_batching`], which is
     /// how the query engine decides to hand them whole miss sets instead
     /// of fanning single queries out across engine threads.
     ///
@@ -378,6 +380,15 @@ pub trait Oracle: Send + Sync {
     /// implementation that the query engine should route whole miss sets
     /// to (from one calling thread), instead of dispatching queries
     /// one-at-a-time across its own worker threads.
+    ///
+    /// A native batcher runs on the session's thread, in sub-batches of up
+    /// to 1024 misses, and
+    /// [`GladeBuilder::worker_threads`](crate::GladeBuilder::worker_threads)
+    /// does not apply to it: the batch is only worth having whole (a pool
+    /// keeps every worker process busy from one thread; an in-process
+    /// batcher reuses work between neighbouring queries, which splitting
+    /// the batch across threads would lose, along with the thread spawns
+    /// and cold per-thread state that would cost more than it saves).
     ///
     /// Defaults to `false`. Wrappers forward the inner oracle's answer.
     fn native_batching(&self) -> bool {

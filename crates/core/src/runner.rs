@@ -39,12 +39,16 @@
 //!   chunk, so one slow query (real oracles have heavy-tailed latencies —
 //!   a pathological input can take 100× the median) delays only the worker
 //!   running it while the rest drain the remaining misses;
-//! * oracles that multiplex batches natively ([`Oracle::native_batching`],
-//!   e.g. the pooled process oracle's `poll(2)` dispatcher over batched
-//!   protocol frames) are instead handed the whole miss set from the
-//!   calling thread in bounded sub-batches — no engine thread is parked
-//!   per in-flight query, and the oracle keeps its own worker processes
-//!   saturated regardless of the engine's `worker_threads` setting.
+//! * oracles that batch natively ([`Oracle::native_batching`]) are
+//!   instead handed the whole miss set on the calling (session) thread in
+//!   bounded sub-batches, and the engine's `worker_threads` setting does
+//!   not apply to them. The pooled process oracle's `poll(2)` dispatcher
+//!   keeps its own worker processes saturated from that one thread, with
+//!   no engine thread parked per in-flight query. The in-process
+//!   `GrammarOracle` (`glade-targets`) answers a sub-batch on one Earley
+//!   chart, reusing the work neighbouring queries share; splitting it
+//!   across threads would lose that reuse and pay thread spawns and cold
+//!   per-thread charts instead.
 //!
 //! The runner is also the engine's observation and cancellation point:
 //! every batch emits a [`SynthEvent::QueryBatch`] to the installed
@@ -244,11 +248,22 @@ pub(crate) struct QueryRunner<'s> {
 }
 
 /// Reusable per-batch scratch: the distinct misses of the batch in flight
-/// (owners are check positions) and their verdicts.
+/// (owners are check positions), their verdicts, and the buffer a native
+/// sub-batch's borrowed keys are listed in (kept empty between batches,
+/// see [`recycle`]).
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: KeyArena<usize>,
     verdicts: Vec<Option<bool>>,
+    refs: Vec<&'static [u8]>,
+}
+
+/// Empties `refs` and hands its buffer on as a vector of borrows with
+/// another lifetime: `collect` from a vector's own iterator reuses the
+/// allocation when the element layouts match, as they do here.
+fn recycle<'a>(mut refs: Vec<&[u8]>) -> Vec<&'a [u8]> {
+    refs.clear();
+    refs.into_iter().map(|_| -> &'a [u8] { unreachable!("the vector is empty") }).collect()
 }
 
 /// The per-call side of a batch: its answers, in check order, and how
@@ -566,13 +581,15 @@ impl<'s> QueryRunner<'s> {
         let misses = keys.len();
         // Two strategies, same results:
         //
-        // * **Native batch dispatch** — oracles that multiplex a whole
-        //   batch themselves ([`Oracle::native_batching`], e.g. the pooled
-        //   process oracle's poll(2) dispatcher) are handed the miss set
-        //   in bounded sub-batches from this thread. No engine thread is
-        //   parked per in-flight query; the oracle keeps its own workers
-        //   saturated. The sub-batch bound exists so the deadline and the
-        //   cancel token are still honored *during* a large batch.
+        // * **Native batch dispatch** — oracles that batch themselves
+        //   ([`Oracle::native_batching`]: the pooled process oracle's
+        //   poll(2) dispatcher, the in-process Earley `GrammarOracle`) are
+        //   handed the miss set in bounded sub-batches from this thread,
+        //   whatever `workers` says. No engine thread is parked per
+        //   in-flight query; the oracle keeps its own workers saturated or
+        //   reuses work across the sub-batch. The sub-batch bound exists so
+        //   the deadline and the cancel token are still honored *during* a
+        //   large batch.
         // * **Work stealing** — for ordinary per-query oracles, a shared
         //   atomic cursor hands each idle engine worker the next un-posed
         //   miss, so a single slow query (heterogeneous latencies are the
@@ -596,16 +613,19 @@ impl<'s> QueryRunner<'s> {
         // inline). Results are identical either way.
         let threads = if misses >= MIN_PARALLEL_MISSES { self.workers.min(misses) } else { 1 };
         if self.oracle.native_batching() {
+            let mut refs = recycle(std::mem::take(&mut scratch.refs));
             for start in (0..misses).step_by(NATIVE_DISPATCH_SUB_BATCH) {
                 if self.stop_requested() {
                     break;
                 }
                 let end = (start + NATIVE_DISPATCH_SUB_BATCH).min(misses);
-                let refs: Vec<&[u8]> = (start..end).map(|slot| keys.key(slot)).collect();
+                refs.clear();
+                refs.extend((start..end).map(|slot| keys.key(slot)));
                 let answers = self.oracle.accepts_batch_checked(&refs);
                 debug_assert_eq!(answers.len(), refs.len());
                 verdicts[start..end].copy_from_slice(&answers);
             }
+            scratch.refs = recycle(refs);
         } else if threads > 1 {
             const SLOT_SKIPPED: u8 = 0;
             const SLOT_REJECT: u8 = 1;

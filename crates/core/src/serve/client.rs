@@ -59,24 +59,49 @@ impl CancelHandle {
 pub struct ServeClient {
     stream: UnixStream,
     campaign: Option<(u32, String)>,
+    /// Whether the server's answer to `HELLO` is still unread.
+    greeting: bool,
 }
 
 impl ServeClient {
-    /// Connects to a server socket and exchanges the protocol banner.
+    /// Connects to a server socket and sends the protocol banner.
+    ///
+    /// The server's answer to the banner is read together with the answer
+    /// to the first request ([`open`](ServeClient::open) or
+    /// [`resume`](ServeClient::resume)), so opening a campaign costs one
+    /// round trip instead of two. A server that refuses the banner fails
+    /// that first request with its message.
     pub fn connect(socket: impl AsRef<Path>) -> std::io::Result<Self> {
         let mut stream = UnixStream::connect(socket)?;
         let mut frame = Vec::new();
         encode_frame(TAG_HELLO, SERVE_PROTOCOL, &mut frame);
         stream.write_all(&frame)?;
-        let (tag, body) = read_frame(&mut stream).map_err(std::io::Error::from)?;
-        match tag {
-            TAG_HELLO_ACK if body == SERVE_PROTOCOL => Ok(ServeClient { stream, campaign: None }),
-            TAG_ERROR => Err(server_error(&body)),
-            _ => {
-                Err(ProtocolError::Malformed(format!("unexpected frame {tag:#04x} to HELLO"))
+        Ok(ServeClient { stream, campaign: None, greeting: true })
+    }
+
+    /// Sends one request frame and reads the first frame of its answer,
+    /// first reading the answer to `HELLO` if it is still unread. A refused
+    /// banner is reported ahead of a failed write: the server closes the
+    /// connection after refusing it.
+    fn request(&mut self, tag: u8, body: &[u8]) -> std::io::Result<(u8, Vec<u8>)> {
+        let mut frame = Vec::new();
+        encode_frame(tag, body, &mut frame);
+        let sent = self.stream.write_all(&frame);
+        if std::mem::take(&mut self.greeting) {
+            let (tag, body) = read_frame(&mut self.stream).map_err(std::io::Error::from)?;
+            match tag {
+                TAG_HELLO_ACK if body == SERVE_PROTOCOL => {}
+                TAG_ERROR => return Err(server_error(&body)),
+                _ => {
+                    return Err(ProtocolError::Malformed(format!(
+                        "unexpected frame {tag:#04x} to HELLO"
+                    ))
                     .into())
+                }
             }
         }
+        sent?;
+        read_frame(&mut self.stream).map_err(std::io::Error::from)
     }
 
     /// Connects like [`connect`](ServeClient::connect), retrying while the
@@ -86,8 +111,9 @@ impl ServeClient {
     /// engine's standard backoff curve seeded from `backoff_base`
     /// (deterministic exponential growth with bounded jitter — the same
     /// schedule the pooled oracle uses for worker respawns). Other errors
-    /// (including a protocol mismatch) fail immediately; exhaustion
-    /// returns the last connect error annotated with the attempt count.
+    /// fail immediately (a refused banner surfaces at the first request,
+    /// as with [`connect`](ServeClient::connect)); exhaustion returns the
+    /// last connect error annotated with the attempt count.
     pub fn connect_with_retry(
         socket: impl AsRef<Path>,
         retries: u32,
@@ -143,10 +169,7 @@ impl ServeClient {
         if self.campaign.is_some() {
             return Err(std::io::Error::other("campaign already open"));
         }
-        let mut frame = Vec::new();
-        encode_frame(TAG_RESUME, &encode_resume(campaign), &mut frame);
-        self.stream.write_all(&frame)?;
-        let (tag, body) = read_frame(&mut self.stream).map_err(std::io::Error::from)?;
+        let (tag, body) = self.request(TAG_RESUME, &encode_resume(campaign))?;
         match tag {
             TAG_OPEN_ACK => {
                 let (id, fingerprint) = decode_open_ack(&body).map_err(std::io::Error::from)?;
@@ -181,10 +204,7 @@ impl ServeClient {
         if self.campaign.is_some() {
             return Err(std::io::Error::other("campaign already open"));
         }
-        let mut frame = Vec::new();
-        encode_frame(TAG_OPEN, &request.to_body(), &mut frame);
-        self.stream.write_all(&frame)?;
-        let (tag, body) = read_frame(&mut self.stream).map_err(std::io::Error::from)?;
+        let (tag, body) = self.request(TAG_OPEN, &request.to_body())?;
         match tag {
             TAG_OPEN_ACK => {
                 let (id, fingerprint) = decode_open_ack(&body).map_err(std::io::Error::from)?;

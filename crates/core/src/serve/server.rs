@@ -5,7 +5,8 @@
 //! single-threaded and never blocks on a peer (nonblocking fds multiplexed
 //! with `poll(2)`, the same discipline as the pooled oracle's batched
 //! dispatcher). Campaigns run on their own threads and communicate with
-//! the loop through channels plus a wake pipe.
+//! the loop through channels plus a wake pipe; a campaign thread whose
+//! campaign ends waits for the next one instead of exiting.
 
 use super::journal::{Journal, JournaledCampaign};
 use super::protocol::{
@@ -24,7 +25,7 @@ use std::io::{Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -109,9 +110,69 @@ pub struct ServeConfig {
 
 /// What a campaign thread sends back to the accept loop.
 enum Outbound {
-    Event { line: String, tally: bool },
-    Result { stats: SynthesisStats, grammar: String },
+    Event {
+        line: String,
+        tally: bool,
+    },
+    Result {
+        stats: SynthesisStats,
+        grammar: String,
+    },
     Error(String),
+    /// The campaign put a run's `RESULT` or `ERROR` in the connection's
+    /// [`Outbox`] itself.
+    Answered,
+}
+
+/// A connection's socket and the serialized frames waiting to go out on
+/// it. The accept loop owns the connection; the campaign thread of a
+/// connection without live events shares its outbox, so a run's answer
+/// goes straight to the client instead of waking the accept loop first.
+/// Each frame is appended whole under the lock, so frames from the two
+/// threads never interleave.
+struct Outbox {
+    stream: UnixStream,
+    buf: Mutex<Vec<u8>>,
+}
+
+impl Outbox {
+    fn buf(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {
+        self.buf.lock().expect("connection outbox poisoned")
+    }
+
+    fn queue(&self, tag: u8, body: &[u8]) {
+        encode_frame(tag, body, &mut self.buf());
+    }
+
+    fn len(&self) -> usize {
+        self.buf().len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.buf().is_empty()
+    }
+
+    fn clear(&self) {
+        self.buf().clear();
+    }
+
+    /// Writes as much of the queued output as the socket accepts; `false`
+    /// means the peer is gone.
+    fn flush(&self) -> bool {
+        let mut buf = self.buf();
+        while !buf.is_empty() {
+            match (&self.stream).write(&buf) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    buf.drain(..n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        true
+    }
 }
 
 /// Bounded, coalescing queue of outbound event lines for one connection.
@@ -223,10 +284,9 @@ struct CampaignSeat {
 
 /// One client connection's state in the accept loop.
 struct Conn {
-    stream: UnixStream,
+    out: Arc<Outbox>,
     inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    /// Bounded, coalescing buffer between campaign events and `outbuf`.
+    /// Bounded, coalescing buffer between campaign events and `out`.
     events: EventQueue,
     greeted: bool,
     /// `CLOSE` received: stop reading, finish pending runs, flush, drop.
@@ -239,9 +299,8 @@ struct Conn {
 impl Conn {
     fn new(stream: UnixStream, max_event_buffer: usize) -> Self {
         Conn {
-            stream,
+            out: Arc::new(Outbox { stream, buf: Mutex::new(Vec::new()) }),
             inbuf: Vec::new(),
-            outbuf: Vec::new(),
             events: EventQueue::new(max_event_buffer),
             greeted: false,
             closing: false,
@@ -251,21 +310,21 @@ impl Conn {
     }
 
     fn queue(&mut self, tag: u8, body: &[u8]) {
-        encode_frame(tag, body, &mut self.outbuf);
+        self.out.queue(tag, body);
     }
 
-    /// Moves queued events into `outbuf` while it stays below the soft
-    /// cap, so a healthy reader streams live while a stalled one backs
-    /// events up into the bounded queue.
+    /// Moves queued events into `out` while it stays below the soft cap,
+    /// so a healthy reader streams live while a stalled one backs events
+    /// up into the bounded queue.
     fn pump_events(&mut self) {
-        while self.outbuf.len() < OUTBUF_SOFT_CAP {
+        while self.out.len() < OUTBUF_SOFT_CAP {
             let Some(line) = self.events.pop() else { break };
             self.queue(TAG_EVENT, line.as_bytes());
         }
     }
 
     /// Flushes *all* queued events ahead of a `RESULT`/`ERROR` frame (the
-    /// queue is bounded, so this cannot balloon `outbuf`), and reports a
+    /// queue is bounded, so this cannot balloon `out`), and reports a
     /// demoted connection's losses with one `events-dropped` notice.
     fn drain_events_before_result(&mut self) {
         while let Some(line) = self.events.pop() {
@@ -281,7 +340,7 @@ impl Conn {
     /// Whether nothing is pending on this connection (drain-mode exit
     /// test): no running batch, nothing buffered, nothing queued.
     fn is_idle(&self) -> bool {
-        self.outbuf.is_empty()
+        self.out.is_empty()
             && self.events.is_empty()
             && self.campaign.as_ref().is_none_or(|seat| seat.pending == 0)
     }
@@ -295,7 +354,7 @@ impl Conn {
     fn fill(&mut self) -> bool {
         let mut buf = [0u8; 1 << 16];
         loop {
-            match self.stream.read(&mut buf) {
+            match (&self.out.stream).read(&mut buf) {
                 Ok(0) => return false,
                 Ok(n) => self.inbuf.extend_from_slice(&buf[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
@@ -303,23 +362,6 @@ impl Conn {
                 Err(_) => return false,
             }
         }
-    }
-
-    /// Writes as much of `outbuf` as the socket accepts; `false` means the
-    /// peer is gone.
-    fn flush(&mut self) -> bool {
-        while !self.outbuf.is_empty() {
-            match self.stream.write(&self.outbuf) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.outbuf.drain(..n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        true
     }
 }
 
@@ -339,6 +381,9 @@ struct CampaignCtx {
     cancel: CancelToken,
     out: mpsc::Sender<(u64, Outbound)>,
     wake: WakeHandle,
+    /// The connection's outbox, shared when the campaign streams no events
+    /// (nothing then has to reach the client ahead of a run's answer).
+    outbox: Option<Arc<Outbox>>,
     journal: Option<Arc<Mutex<Journal>>>,
     /// Whether this campaign re-attaches a journaled campaign (`RESUME`)
     /// rather than opening a fresh one.
@@ -387,7 +432,7 @@ fn journal_append(
 /// oracle queries) and answers with a single `RESULT` for the replayed
 /// state.
 fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
-    let oracle = ScheduledOracle::new(ctx.oracle, ctx.sched, ctx.tenant);
+    let oracle = ScheduledOracle::new(Arc::clone(&ctx.oracle), Arc::clone(&ctx.sched), ctx.tenant);
     let mut builder = GladeBuilder::new()
         .oracle_fingerprint(ctx.fingerprint.clone())
         .cancel_token(ctx.cancel.clone());
@@ -472,18 +517,117 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
         let outcome = last.unwrap_or_else(|| {
             Outbound::Error("campaign has no journaled seed batches to replay".into())
         });
-        if ctx.out.send((ctx.conn, outcome)).is_err() {
+        if !answer(&ctx, outcome) {
             return;
         }
-        ctx.wake.wake();
     }
 
     while let Ok(seeds) = seeds_rx.recv() {
         let outcome = run_batch(&mut session, &seeds);
-        if ctx.out.send((ctx.conn, outcome)).is_err() {
+        if !answer(&ctx, outcome) {
             break;
         }
-        ctx.wake.wake();
+    }
+}
+
+/// Hands a run's `RESULT` or `ERROR` to the client: straight into the
+/// connection's outbox when the campaign shares it, else through the
+/// accept loop. Either way the accept loop learns that the run is
+/// answered. Returns `false` once the accept loop is gone.
+fn answer(ctx: &CampaignCtx, outcome: Outbound) -> bool {
+    let outcome = match (&ctx.outbox, outcome) {
+        (Some(outbox), Outbound::Result { stats, grammar }) => {
+            outbox.queue(TAG_RESULT, &encode_result(&stats, &grammar));
+            outbox.flush();
+            Outbound::Answered
+        }
+        (Some(outbox), Outbound::Error(message)) => {
+            outbox.queue(TAG_ERROR, message.as_bytes());
+            outbox.flush();
+            Outbound::Answered
+        }
+        (_, outcome) => outcome,
+    };
+    if ctx.out.send((ctx.conn, outcome)).is_err() {
+        return false;
+    }
+    ctx.wake.wake();
+    true
+}
+
+/// A campaign to run: its context and the channel its seed batches
+/// arrive on.
+type CampaignJob = (CampaignCtx, mpsc::Receiver<Vec<Vec<u8>>>);
+
+/// The threads campaigns run on.
+///
+/// A thread whose campaign ends waits for the next one instead of exiting.
+/// Opening a campaign then hands it to an idle thread, so neither a thread
+/// spawn nor (when the campaign closes) a thread exit sits on the client's
+/// round trips, and the thread's per-thread scratch (the Earley chart of
+/// an in-process oracle) stays warm. A thread is added only when none is
+/// idle, so a campaign never waits for another one to end.
+///
+/// Campaigns opened during an accept-loop iteration are launched at its
+/// end, after the `OPEN_ACK`s are flushed: a woken campaign thread can
+/// preempt the accept loop, and the client should not wait for that.
+struct CampaignThreads {
+    jobs: mpsc::Sender<CampaignJob>,
+    queue: Arc<Mutex<mpsc::Receiver<CampaignJob>>>,
+    /// Threads waiting for a campaign that no queued job has claimed yet.
+    idle: Arc<AtomicUsize>,
+    threads: Vec<JoinHandle<()>>,
+    /// Campaigns opened in this iteration, not launched yet.
+    opened: Vec<CampaignJob>,
+}
+
+impl CampaignThreads {
+    fn new() -> Self {
+        let (jobs, queue) = mpsc::channel();
+        CampaignThreads {
+            jobs,
+            queue: Arc::new(Mutex::new(queue)),
+            idle: Arc::new(AtomicUsize::new(0)),
+            threads: Vec::new(),
+            opened: Vec::new(),
+        }
+    }
+
+    /// Queues a campaign for the next [`launch`](CampaignThreads::launch).
+    fn open(&mut self, ctx: CampaignCtx, seeds: mpsc::Receiver<Vec<Vec<u8>>>) {
+        self.opened.push((ctx, seeds));
+    }
+
+    /// Runs each opened campaign on an idle thread, or on a new one if none
+    /// is idle: every queued job has a thread of its own.
+    fn launch(&mut self) {
+        for job in std::mem::take(&mut self.opened) {
+            let claimed =
+                self.idle.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
+            if claimed.is_err() {
+                let (queue, idle) = (Arc::clone(&self.queue), Arc::clone(&self.idle));
+                let thread = std::thread::Builder::new()
+                    .name("glade-serve-campaign".into())
+                    .spawn(move || loop {
+                        let job = queue.lock().expect("campaign queue poisoned").recv();
+                        let Ok((ctx, seeds)) = job else { break };
+                        run_campaign(ctx, seeds);
+                        idle.fetch_add(1, Ordering::AcqRel);
+                    })
+                    .expect("spawn campaign thread");
+                self.threads.push(thread);
+            }
+            self.jobs.send(job).expect("the campaign queue outlives its sender");
+        }
+    }
+
+    /// Waits for every running campaign to end, then for its thread.
+    /// Campaigns opened but not launched never start.
+    fn join(self) {
+        drop(self.jobs);
+        for thread in self.threads {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -582,10 +726,10 @@ impl Server {
         Some(dir.join(format!("{:016x}.glade-cache", fnv1a64(fingerprint.as_bytes()))))
     }
 
-    /// Spawns one campaign thread (fresh `OPEN` or `RESUME` replay) and
-    /// seats it on `conn`, answering with `OPEN_ACK`.
+    /// Starts one campaign (fresh `OPEN` or `RESUME` replay) on a campaign
+    /// thread and seats it on `conn`, answering with `OPEN_ACK`.
     #[allow(clippy::too_many_arguments)]
-    fn spawn_campaign(
+    fn start_campaign(
         &self,
         conn_id: u64,
         conn: &mut Conn,
@@ -595,10 +739,11 @@ impl Server {
         fingerprint: String,
         out_tx: &mpsc::Sender<(u64, Outbound)>,
         wake: &WakeHandle,
+        threads: &mut CampaignThreads,
         replay: Vec<Vec<Vec<u8>>>,
         replay_expect_unique: Option<usize>,
         is_resume: bool,
-    ) -> JoinHandle<()> {
+    ) {
         let tenant = self.sched.register();
         let cancel = CancelToken::new();
         let cache_path = self.cache_path_for(&fingerprint, req.cache);
@@ -606,6 +751,7 @@ impl Server {
         let next_batch = replay.len();
         // A resume owes the client one RESULT (or ERROR) for the replay.
         let pending = usize::from(is_resume);
+        let outbox = (!req.events).then(|| Arc::clone(&conn.out));
         let ctx = CampaignCtx {
             conn: conn_id,
             tenant,
@@ -620,22 +766,19 @@ impl Server {
             cancel: cancel.clone(),
             out: out_tx.clone(),
             wake: wake.clone(),
+            outbox,
             journal: self.journal.clone(),
             is_resume,
             replay,
             replay_expect_unique,
         };
-        let join = std::thread::Builder::new()
-            .name(format!("glade-serve-campaign-{campaign_id}"))
-            .spawn(move || run_campaign(ctx, cmd_rx))
-            .expect("spawn campaign thread");
+        threads.open(ctx, cmd_rx);
         conn.campaign = Some(CampaignSeat { cmd_tx, cancel, id: campaign_id, next_batch, pending });
         conn.queue(TAG_OPEN_ACK, &encode_open_ack(campaign_id, &fingerprint));
-        join
     }
 
-    /// Handles one parsed frame for `conn`. Returns the campaign thread's
-    /// join handle when the frame opened (or resumed) a campaign.
+    /// Handles one parsed frame for `conn`; a frame that opens (or
+    /// resumes) a campaign queues it on `threads`.
     #[allow(clippy::too_many_arguments)]
     fn handle_frame(
         &self,
@@ -645,8 +788,9 @@ impl Server {
         body: Vec<u8>,
         out_tx: &mpsc::Sender<(u64, Outbound)>,
         wake: &WakeHandle,
+        threads: &mut CampaignThreads,
         draining: bool,
-    ) -> Option<JoinHandle<()>> {
+    ) {
         match tag {
             TAG_HELLO => {
                 if body != SERVE_PROTOCOL && body != SERVE_PROTOCOL_V1 {
@@ -659,40 +803,38 @@ impl Server {
                     conn.greeted = true;
                     conn.queue(TAG_HELLO_ACK, &body);
                 }
-                None
             }
             _ if !conn.greeted => {
                 conn.fail("expected HELLO first");
-                None
             }
             TAG_OPEN => {
                 if conn.campaign.is_some() {
                     conn.fail("campaign already open on this connection");
-                    return None;
+                    return;
                 }
                 if draining {
                     conn.fail("server is draining; no new campaigns");
-                    return None;
+                    return;
                 }
                 let req = match OpenRequest::from_body(&body) {
                     Ok(req) => req,
                     Err(e) => {
                         conn.fail(&e.to_string());
-                        return None;
+                        return;
                     }
                 };
                 let (oracle, fingerprint) = match self.resolve_oracle(&req.oracle_spec) {
                     Ok(resolved) => resolved,
                     Err(e) => {
                         conn.fail(&format!("oracle {:?}: {e}", req.oracle_spec));
-                        return None;
+                        return;
                     }
                 };
                 let campaign_id = self.next_campaign.fetch_add(1, Ordering::SeqCst);
                 // Journal the open before the campaign exists, so no `s`
                 // or `c` record can ever precede its `o`.
                 journal_append(&self.journal, campaign_id, |j| j.append_open(campaign_id, &req));
-                Some(self.spawn_campaign(
+                self.start_campaign(
                     conn_id,
                     conn,
                     campaign_id,
@@ -701,25 +843,26 @@ impl Server {
                     fingerprint,
                     out_tx,
                     wake,
+                    threads,
                     Vec::new(),
                     None,
                     false,
-                ))
+                );
             }
             TAG_RESUME => {
                 if conn.campaign.is_some() {
                     conn.fail("campaign already open on this connection");
-                    return None;
+                    return;
                 }
                 if draining {
                     conn.fail("server is draining; no new campaigns");
-                    return None;
+                    return;
                 }
                 let id = match decode_resume(&body) {
                     Ok(id) => id,
                     Err(e) => {
                         conn.fail(&e.to_string());
-                        return None;
+                        return;
                     }
                 };
                 // A server started without `--cache-dir` keeps no journal,
@@ -731,13 +874,13 @@ impl Server {
                         "server has no journal (started without --cache-dir): \
                          campaign {id} is not resumable"
                     ));
-                    return None;
+                    return;
                 }
                 let Some(entry) =
                     self.resumable.lock().expect("resumable registry poisoned").remove(&id)
                 else {
                     conn.fail(&format!("campaign {id} is not resumable on this server"));
-                    return None;
+                    return;
                 };
                 let (oracle, fingerprint) = match self.resolve_oracle(&entry.req.oracle_spec) {
                     Ok(resolved) => resolved,
@@ -750,7 +893,7 @@ impl Server {
                             .expect("resumable registry poisoned")
                             .insert(id, entry);
                         conn.fail(&format!("oracle {spec:?}: {e}"));
-                        return None;
+                        return;
                     }
                 };
                 let expect = if entry.checkpointed == entry.batches.len() {
@@ -758,7 +901,7 @@ impl Server {
                 } else {
                     None
                 };
-                Some(self.spawn_campaign(
+                self.start_campaign(
                     conn_id,
                     conn,
                     id,
@@ -767,15 +910,16 @@ impl Server {
                     fingerprint,
                     out_tx,
                     wake,
+                    threads,
                     entry.batches,
                     expect,
                     true,
-                ))
+                );
             }
             TAG_SEEDS => {
                 let Some(seat) = conn.campaign.as_mut() else {
                     conn.fail("SEEDS before OPEN");
-                    return None;
+                    return;
                 };
                 match decode_seeds_body(&body) {
                     Ok(seeds) => {
@@ -793,7 +937,6 @@ impl Server {
                     }
                     Err(e) => conn.fail(&e.to_string()),
                 }
-                None
             }
             TAG_CANCEL => {
                 if let Some(seat) = &conn.campaign {
@@ -804,16 +947,13 @@ impl Server {
                 } else {
                     conn.fail("CANCEL before OPEN");
                 }
-                None
             }
             TAG_CLOSE => {
                 conn.closing = true;
-                None
             }
             other => {
                 // Unknown frame from a newer client: answer, don't wedge.
                 conn.queue(TAG_ERROR, format!("unknown frame tag {other:#04x}").as_bytes());
-                None
             }
         }
     }
@@ -857,7 +997,7 @@ impl Server {
         let wake = WakeHandle { tx: Arc::new(wake_tx) };
         let (out_tx, out_rx) = mpsc::channel::<(u64, Outbound)>();
         let mut conns: HashMap<u64, Conn> = HashMap::new();
-        let mut campaign_joins: Vec<JoinHandle<()>> = Vec::new();
+        let mut threads = CampaignThreads::new();
         let mut next_conn: u64 = 1;
         let drain_timeout = self.config.drain_timeout.unwrap_or(DEFAULT_DRAIN_TIMEOUT);
         let max_event_buffer = self.config.max_event_buffer.unwrap_or(DEFAULT_MAX_EVENT_BUFFER);
@@ -894,10 +1034,10 @@ impl Server {
             let mut order: Vec<u64> = Vec::with_capacity(conns.len());
             for (&id, conn) in &conns {
                 let mut events = sys::POLLIN;
-                if !conn.outbuf.is_empty() {
+                if !conn.out.is_empty() {
                     events |= sys::POLLOUT;
                 }
-                fds.push(sys::PollFd { fd: conn.stream.as_raw_fd(), events, revents: 0 });
+                fds.push(sys::PollFd { fd: conn.out.stream.as_raw_fd(), events, revents: 0 });
                 order.push(id);
             }
             // Bounded sleep so a shutdown or drain request is noticed
@@ -915,7 +1055,7 @@ impl Server {
                 let Some(conn) = conns.get_mut(&conn_id) else { continue };
                 match outbound {
                     // Events land in the bounded per-connection queue, not
-                    // the outbuf: a stuck reader fills the queue (which
+                    // the outbox: a stuck reader fills the queue (which
                     // coalesces and eventually demotes) instead of growing
                     // server memory without bound.
                     Outbound::Event { line, tally } => conn.events.push(line, tally),
@@ -933,15 +1073,25 @@ impl Server {
                         conn.drain_events_before_result();
                         conn.queue(TAG_ERROR, message.as_bytes());
                     }
+                    Outbound::Answered => {
+                        if let Some(seat) = conn.campaign.as_mut() {
+                            seat.pending = seat.pending.saturating_sub(1);
+                        }
+                    }
                 }
             }
 
-            // New connections.
+            // New connections. A client sends its first frames right after
+            // connecting, so each new connection joins this iteration's I/O
+            // as if the poll had reported it readable.
             if !draining && fds[0].revents & sys::POLLIN != 0 {
                 loop {
                     match listener.accept() {
                         Ok((stream, _addr)) => {
                             stream.set_nonblocking(true)?;
+                            let fd = stream.as_raw_fd();
+                            fds.push(sys::PollFd { fd, events: 0, revents: sys::POLLIN });
+                            order.push(next_conn);
                             conns.insert(next_conn, Conn::new(stream, max_event_buffer));
                             next_conn += 1;
                         }
@@ -973,33 +1123,42 @@ impl Server {
                                 if conn.dead || conn.closing {
                                     break;
                                 }
-                                if let Some(join) = self.handle_frame(
-                                    conn_id, conn, tag, frame_body, &out_tx, &wake, draining,
-                                ) {
-                                    campaign_joins.push(join);
-                                }
+                                self.handle_frame(
+                                    conn_id,
+                                    conn,
+                                    tag,
+                                    frame_body,
+                                    &out_tx,
+                                    &wake,
+                                    &mut threads,
+                                    draining,
+                                );
                             }
                         }
                         Err(e) => conn.fail(&e.to_string()),
                     }
                 }
-                // Move queued events into the outbuf only while the reader
-                // is keeping up (soft cap on outbuf size).
+                // Move queued events into the outbox only while the reader
+                // is keeping up (soft cap on its size).
                 conn.pump_events();
-                if !conn.outbuf.is_empty() && !conn.flush() {
-                    conn.outbuf.clear();
+                if !conn.out.flush() {
+                    conn.out.clear();
                     conn.dead = true;
                 }
                 let finished_close = conn.closing
-                    && conn.outbuf.is_empty()
+                    && conn.out.is_empty()
                     && conn.campaign.as_ref().is_none_or(|seat| seat.pending == 0);
-                let finished_dead = conn.dead && conn.outbuf.is_empty();
+                let finished_dead = conn.dead && conn.out.is_empty();
                 if finished_close || finished_dead {
                     doomed.push(conn_id);
                 }
             }
+            threads.launch();
             for conn_id in doomed {
                 if let Some(conn) = conns.remove(&conn_id) {
+                    // The client sees its EOF before the campaign thread
+                    // is woken to wind down.
+                    let _ = conn.out.stream.shutdown(std::net::Shutdown::Both);
                     if let Some(seat) = conn.campaign {
                         if conn.dead {
                             // Disconnect/error preemption; a graceful CLOSE
@@ -1025,9 +1184,7 @@ impl Server {
                 seat.cancel.cancel();
             }
         }
-        for join in campaign_joins {
-            let _ = join.join();
-        }
+        threads.join();
         Ok(())
     }
 

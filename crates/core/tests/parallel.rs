@@ -20,7 +20,7 @@ use glade_core::{
     Oracle, PooledProcessOracle, ProcessOracle, SynthEvent, SynthesisStats,
 };
 use glade_eval::sample_seeds;
-use glade_grammar::grammar_to_text;
+use glade_grammar::{grammar_to_text, Recognizer};
 use glade_targets::languages::{section82_languages, toy_xml};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -1023,6 +1023,11 @@ fn per_language_query_pins() {
     // and byte-identical grammars against them, are pinned by glade-core's
     // test-only one-shot reference. A drift here means the planner's cost
     // model changed.
+    //
+    // `language.oracle()` batches natively (whole miss sets go to one
+    // Earley chart). Each language also runs on an `FnOracle` over
+    // `Recognizer::accepts`, the per-query path, at 1 and 4 workers: the
+    // grammar bytes and both query counts must be identical.
     let pins: &[(&str, usize)] = &[
         ("url", 13_280),
         ("grep", 4_524),
@@ -1038,6 +1043,7 @@ fn per_language_query_pins() {
         let mut rng = StdRng::seed_from_u64(17);
         let seeds = sample_seeds(language, 4, &mut rng);
         let oracle = language.oracle();
+        assert!(oracle.native_batching());
         let result = GladeBuilder::new()
             .max_queries(200_000)
             .synthesize(&seeds, &oracle)
@@ -1054,5 +1060,23 @@ fn per_language_query_pins() {
             "{} total < unique",
             language.name()
         );
+
+        let recognizer = Recognizer::new(language.grammar());
+        let per_query = FnOracle::new(|input: &[u8]| recognizer.accepts(input));
+        for workers in [1, 4] {
+            let single = GladeBuilder::new()
+                .max_queries(200_000)
+                .worker_threads(workers)
+                .synthesize(&seeds, &per_query)
+                .expect("sampled seeds are members");
+            let name = language.name();
+            assert_eq!(
+                grammar_to_text(&single.grammar),
+                grammar_to_text(&result.grammar),
+                "{name}: per-query grammar differs at {workers} workers"
+            );
+            assert_eq!(single.stats.unique_queries, result.stats.unique_queries, "{name}");
+            assert_eq!(single.stats.total_queries, result.stats.total_queries, "{name}");
+        }
     }
 }

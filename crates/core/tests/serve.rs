@@ -153,7 +153,9 @@ fn concurrent_tenants_match_solo_runs_and_golden_pins() {
     let dir = scratch_dir("concurrent");
     let socket = dir.join("sock");
 
-    // Three tenants with distinct seed sets, all sharing one oracle.
+    // Three tenants with distinct seed sets, all sharing one oracle. The
+    // second streams no events, so its campaign writes its RESULT to the
+    // socket itself instead of handing it to the accept loop.
     let seed_sets: Vec<Vec<Vec<u8>>> = vec![
         vec![b"<a>hi</a>".to_vec()],
         vec![b"<a><a>deep</a></a>".to_vec()],
@@ -170,11 +172,12 @@ fn concurrent_tenants_match_solo_runs_and_golden_pins() {
     let outcomes: Vec<(String, SynthesisStats, Vec<SynthEvent>)> = std::thread::scope(|s| {
         let joins: Vec<_> = seed_sets
             .iter()
-            .map(|seeds| {
+            .enumerate()
+            .map(|(tenant, seeds)| {
                 let socket = socket.clone();
-                s.spawn(move || {
-                    client_run(&socket, &OpenRequest::new("xml"), std::slice::from_ref(seeds))
-                })
+                let mut request = OpenRequest::new("xml");
+                request.events = tenant != 1;
+                s.spawn(move || client_run(&socket, &request, std::slice::from_ref(seeds)))
             })
             .collect();
         joins.into_iter().map(|j| j.join().expect("client thread")).collect()
@@ -189,6 +192,10 @@ fn concurrent_tenants_match_solo_runs_and_golden_pins() {
             count_fields(solo_stats),
             "tenant {tenant}: query counts must match the solo run"
         );
+        if tenant == 1 {
+            assert!(events.is_empty(), "tenant {tenant} asked for no events");
+            continue;
+        }
         assert!(!events.is_empty(), "tenant {tenant}: the event stream must be live");
         assert!(
             events
@@ -561,27 +568,39 @@ fn rejected_seeds_and_empty_runs_leave_the_campaign_usable() {
     let handle =
         Server::new(test_factory(), ServeConfig::default()).spawn(&socket).expect("spawn server");
 
-    let mut client = ServeClient::connect(&socket).expect("connect");
-    client.open(&OpenRequest::new("xml")).expect("open");
+    // With events on, answers pass through the accept loop; with events
+    // off, the campaign thread writes them to the socket itself.
+    let mut grammars = Vec::new();
+    for events in [true, false] {
+        let mut client = ServeClient::connect(&socket).expect("connect");
+        let mut request = OpenRequest::new("xml");
+        request.events = events;
+        client.open(&request).expect("open");
 
-    // An empty first batch has nothing to synthesize from.
-    let empty = client.synthesize(&[], |_| {}).expect_err("no seeds yet");
-    assert_eq!(empty.kind(), std::io::ErrorKind::InvalidData);
+        // An empty first batch has nothing to synthesize from.
+        let empty = client.synthesize(&[], |_| {}).expect_err("no seeds yet");
+        assert_eq!(empty.kind(), std::io::ErrorKind::InvalidData);
 
-    // A seed the oracle rejects errors without poisoning the campaign.
-    let rejected = client.synthesize(&[b"<a>HI</a>".to_vec()], |_| {}).expect_err("bad seed");
-    assert_eq!(rejected.kind(), std::io::ErrorKind::InvalidData);
-    assert!(
-        rejected.to_string().contains("reject"),
-        "the server's message names the rejection: {rejected}"
-    );
+        // A seed the oracle rejects errors without poisoning the campaign.
+        let rejected = client.synthesize(&[b"<a>HI</a>".to_vec()], |_| {}).expect_err("bad seed");
+        assert_eq!(rejected.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            rejected.to_string().contains("reject"),
+            "the server's message names the rejection: {rejected}"
+        );
 
-    // The same campaign then completes a normal run with the golden pins
-    // (+1: the rejected seed's admission check stays in the session cache).
-    let outcome = client.synthesize(&[b"<a>hi</a>".to_vec()], |_| {}).expect("recovered run");
-    assert_eq!(outcome.stats.unique_queries, GOLDEN_UNIQUE + 1);
-    assert_eq!(outcome.stats.total_queries, GOLDEN_TOTAL);
-    client.close().expect("close");
+        // The same campaign then completes a normal run with the golden
+        // pins (+1: the rejected seed's admission check stays in the
+        // session cache), and a second run re-synthesizes from the cache.
+        let outcome = client.synthesize(&[b"<a>hi</a>".to_vec()], |_| {}).expect("recovered run");
+        assert_eq!(outcome.stats.unique_queries, GOLDEN_UNIQUE + 1, "events {events}");
+        assert_eq!(outcome.stats.total_queries, GOLDEN_TOTAL, "events {events}");
+        let again = client.synthesize(&[], |_| {}).expect("re-synthesis");
+        assert_eq!(again.grammar_text, outcome.grammar_text, "events {events}");
+        client.close().expect("close");
+        grammars.push(outcome.grammar_text);
+    }
+    assert_eq!(grammars[0], grammars[1], "both answer paths carry the same grammar");
 
     handle.shutdown().expect("server shutdown");
 }
@@ -885,4 +904,36 @@ fn unknown_oracle_specs_are_rejected_by_name() {
     assert!(err.to_string().contains("no-such-spec"), "the error names the spec: {err}");
 
     handle.shutdown().expect("server shutdown");
+}
+
+/// `ServeClient::connect` only sends the banner; the server's answer is
+/// read with the answer to the first request, so a server that refuses the
+/// banner (and hangs up) fails `open` with the server's own message.
+#[test]
+fn refused_banner_surfaces_at_open() {
+    use std::io::{Read, Write};
+    let _watchdog = Watchdog::arm("refused_banner_surfaces_at_open");
+    let dir = scratch_dir("banner");
+    let socket = dir.join("sock");
+    let listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind");
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut len = [0u8; 4];
+        stream.read_exact(&mut len).expect("HELLO length");
+        let mut hello = vec![0u8; u32::from_le_bytes(len) as usize];
+        stream.read_exact(&mut hello).expect("HELLO body");
+        let message = b"unsupported protocol version";
+        let mut frame = (message.len() as u32 + 1).to_le_bytes().to_vec();
+        frame.push(0x85); // ERROR
+        frame.extend_from_slice(message);
+        stream.write_all(&frame).expect("ERROR frame");
+        hello
+    });
+
+    let mut client = ServeClient::connect(&socket).expect("connect sends the banner only");
+    let err = client.open(&OpenRequest::new("xml")).expect_err("refused banner");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("unsupported protocol"), "server's message: {err}");
+    let hello = server.join().expect("fake server");
+    assert_eq!(hello[0], 0x01, "the client opened with HELLO");
 }

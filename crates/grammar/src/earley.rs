@@ -4,8 +4,8 @@
 //!
 //! * **Membership oracles for the target languages** (Section 8.2): the
 //!   language-inference experiment answers every query by recognizing it
-//!   against a handwritten grammar, so this recognizer runs once per oracle
-//!   query.
+//!   against a handwritten grammar, so this recognizer answers every oracle
+//!   query (a whole batch of them per chart, see *Batches* below).
 //! * **Recall measurement** (Section 8.2): deciding whether a string sampled
 //!   from the target language belongs to the synthesized grammar.
 //! * **The grammar-based fuzzer** (Section 8.3): constructing the parse tree
@@ -37,12 +37,34 @@
 //!   stamp of the last set that added it, so a duplicate is one compare,
 //!   with no hashing. Predictions are deduplicated per nonterminal the same
 //!   way, and scans cannot produce duplicates at all.
+//! * **Per-set stamps.** Every time a set is closed it takes a fresh stamp
+//!   from a monotone per-thread counter, and every table entry it writes
+//!   carries that stamp (the waiting lists too, which completion reads
+//!   against the stamp of the origin set). An entry therefore counts only
+//!   for the closing of the set that wrote it: entries left by an earlier
+//!   input, an earlier grammar or an earlier closing of the same position
+//!   never equal a live stamp, so a set can be re-closed in place without
+//!   clearing anything. The tables are cleared only when the counter would
+//!   overflow.
 //! * **Per-thread scratch.** The chart and its tables live in a
 //!   thread-local scratch that is reused across queries and grammars and
-//!   not cleared between them: stamps grow monotonically, so entries from
-//!   earlier queries can never match. Queries from many threads on one shared
-//!   recognizer therefore never contend, and steady-state recognition does
-//!   not allocate.
+//!   not cleared between them (see the stamps above). Queries from many
+//!   threads on one shared recognizer therefore never contend, and
+//!   steady-state recognition does not allocate.
+//! * **Batches.** [`Recognizer::accepts_batch`] runs a whole batch on one
+//!   chart and lets each input reuse what the previous one decided. Set
+//!   `k` depends only on `input[..k]`, so the sets of the common prefix
+//!   with the previous input are kept and only the sets after it are
+//!   re-closed (prefix reuse). If the previous input's scan at position
+//!   `d` came out empty, an input sharing its first `d + 1` bytes is
+//!   rejected at once (dead prefix). Inputs that differ from their
+//!   predecessor only in the byte at one position form a group (character
+//!   generalization poses exactly such families); within it, two bytes
+//!   whose scan of that position's set yields the same items lead to the
+//!   same next set and share the suffix, so they share the verdict (scan
+//!   classes). All three shortcuts are exact, so a batch's verdicts equal
+//!   the one-input ones in any order; [`Recognizer::accepts`] is the
+//!   one-input case of the same set loop.
 
 use crate::cfg::{Grammar, NtId, Sym};
 use crate::CharClass;
@@ -243,7 +265,32 @@ impl Recognizer {
 
     /// Decides membership of `input` in the grammar's language.
     pub fn accepts(&self, input: &[u8]) -> bool {
-        with_chart(|chart| self.run(input, chart) && self.accepted(chart))
+        with_chart(|chart| self.recognize(chart, None, input))
+    }
+
+    /// Decides membership of every input of a batch, in order.
+    ///
+    /// The verdicts are exactly those of [`Recognizer::accepts`] on each
+    /// input, for any batch order. One chart serves the whole batch, and
+    /// each input reuses what the previous one already decided (see the
+    /// module docs): the sets of their common prefix, a rejection that
+    /// prefix already implies, and the verdict of an earlier input that
+    /// differs from it in one byte which scans the same items. Batches
+    /// whose neighbours share long prefixes, such as character
+    /// generalization's one-byte substitutions, therefore cost far less
+    /// than one chart per input.
+    pub fn accepts_batch(&self, inputs: &[&[u8]]) -> Vec<bool> {
+        with_chart(|chart| {
+            let mut prev = None;
+            inputs
+                .iter()
+                .map(|&input| {
+                    let verdict = self.recognize(chart, prev, input);
+                    prev = Some((input, verdict));
+                    verdict
+                })
+                .collect()
+        })
     }
 
     /// The dot-0 dotted rules of nonterminal `nt`.
@@ -255,42 +302,126 @@ impl Recognizer {
         self.nt_rules.len() - 1
     }
 
-    /// Whether the last set holds a completed start rule from origin 0.
-    fn accepted(&self, chart: &Chart) -> bool {
-        chart.last_set().iter().any(|it| {
+    /// Whether set `n` holds a completed start rule from origin 0.
+    fn accepted(&self, chart: &Chart, n: usize) -> bool {
+        chart.set(n).iter().any(|it| {
             it.origin == 0
                 && matches!(self.next[it.dot as usize], Next::Done { lhs } if lhs == self.start)
         })
     }
 
-    /// Runs the chart algorithm over `input` into `chart`. Returns `false`
-    /// as soon as a set comes out empty, since no later set can then be
-    /// reached (the chart then holds only the sets before it).
-    fn run(&self, input: &[u8], chart: &mut Chart) -> bool {
+    /// The verdict on `input`. `prev` is the previous input of the same
+    /// batch with its verdict; `chart` then still holds that input's sets,
+    /// and only what they do not already decide is run. Without `prev`,
+    /// an accepted input leaves every one of its sets in `chart`.
+    fn recognize(&self, chart: &mut Chart, prev: Option<(&[u8], bool)>, input: &[u8]) -> bool {
         let n = input.len();
-        assert!(n < (u32::MAX / 2) as usize, "input too large for the Earley recognizer");
-        let base = chart.begin(n, self.slots as usize, self.nonterminals());
+        let cleared = chart.prepare(n, self.slots as usize, self.nonterminals());
+        let Some((prev, prev_verdict)) = prev.filter(|_| !cleared) else {
+            chart.reset();
+            return self.run_from(input, chart, 0) && self.accepted(chart, n);
+        };
+        let l = input.iter().zip(prev).take_while(|(a, b)| a == b).count();
+        if l == n && l == prev.len() {
+            return prev_verdict;
+        }
+        // Whether `input` differs from `prev` in exactly the byte at `l`.
+        let sibling = l < n && prev.len() == n && input[l + 1..] == prev[l + 1..];
+        if !(sibling && chart.group == Some(l)) {
+            chart.forget_group();
+        }
+        // Dead prefix: `prev` left set `d + 1` empty, and `input` shares
+        // the bytes that emptied it.
+        if chart.dead.is_some_and(|d| l > d) {
+            return false;
+        }
+        // Prefix reuse: sets `0..=k` are also `input`'s.
+        let k = l.min(chart.closed() - 1);
+        chart.truncate(k);
+        if k == n {
+            return self.accepted(chart, n);
+        }
+        // Scan-class reuse: the siblings at `k` whose scan of set `k`
+        // yields the same items share the rest of the chart and the verdict.
+        let grouped = sibling && k == l;
+        if grouped && chart.group.is_none() {
+            self.scan(chart, k, prev[k]);
+            chart.push_class(prev_verdict);
+            chart.group = Some(k);
+        }
+        if !self.scan(chart, k, input[k]) {
+            chart.dead = Some(k);
+            return false;
+        }
+        if grouped {
+            if let Some(verdict) = chart.class_verdict() {
+                return verdict;
+            }
+            chart.push_class(false);
+        }
+        let verdict = self.run_from(input, chart, k + 1) && self.accepted(chart, n);
+        if grouped {
+            chart.set_last_class_verdict(verdict);
+        }
+        verdict
+    }
+
+    /// Scans set `k` of `chart` over `byte`, leaving the kernel of set
+    /// `k + 1` in `chart.scanned`. Returns whether that kernel is nonempty.
+    fn scan(&self, chart: &mut Chart, k: usize, byte: u8) -> bool {
+        let Chart { terms, term_start, scanned, .. } = chart;
+        scanned.clear();
+        for t in &terms[term_start[k] as usize..term_start[k + 1] as usize] {
+            if self.classes[t.class as usize].contains(byte) {
+                scanned.push(Item { origin: t.origin, dot: t.dot + 1, link: 0 });
+            }
+        }
+        !scanned.is_empty()
+    }
+
+    /// Closes the sets `from..=input.len()` of `chart`, which holds the
+    /// closed sets before `from` and, unless `from` is 0, the kernel of
+    /// set `from` in `chart.scanned`. Returns `false` as soon as a scan
+    /// comes out empty, since no later set can then be reached (the chart
+    /// then holds only the sets up to the one that died, and records it in
+    /// `chart.dead`).
+    fn run_from(&self, input: &[u8], chart: &mut Chart, from: usize) -> bool {
+        let n = input.len();
         let slots = self.slots as usize;
         let nts = self.nonterminals();
-        let Chart { items, set_start, scanned, stamps, predicted, waiting, .. } = chart;
-
-        predicted[self.start as usize] = base + 1;
-        for &dot in self.dot0(self.start) {
-            items.push(Item { origin: 0, dot, link: 0 });
-        }
-        for k in 0..=n {
+        for k in from..=n {
+            let Chart {
+                items,
+                set_start,
+                set_stamp,
+                terms,
+                term_start,
+                scanned,
+                stamps,
+                predicted,
+                waiting,
+                clock,
+                ..
+            } = &mut *chart;
             let kk = k as u32;
-            let cur = base + kk + 1;
+            *clock += 1;
+            let cur = *clock;
+            set_stamp.push(cur);
+            if k == 0 {
+                predicted[self.start as usize] = cur;
+                for &dot in self.dot0(self.start) {
+                    items.push(Item { origin: 0, dot, link: 0 });
+                }
+            } else {
+                // Scans from distinct items give distinct items: no dedup.
+                items.append(scanned);
+            }
             let mut i = set_start[k] as usize;
             while i < items.len() {
                 let Item { origin, dot, .. } = items[i];
                 i += 1;
                 match self.next[dot as usize] {
-                    Next::Class(c) => {
-                        if k < n && self.classes[c as usize].contains(input[k]) {
-                            scanned.push(Item { origin, dot: dot + 1, link: 0 });
-                        }
-                    }
+                    Next::Class(class) => terms.push(Term { class, origin, dot }),
                     Next::Nt { nt, slot } => {
                         // Join the waiting list of (k, nt).
                         let w = &mut waiting[k * nts + nt as usize];
@@ -318,7 +449,7 @@ impl Recognizer {
                         // Complete: advance exactly the items of set
                         // `origin` that wait on `lhs`.
                         let w = waiting[origin as usize * nts + lhs as usize];
-                        let mut p = if w.0 == base + origin + 1 { w.1 } else { 0 };
+                        let mut p = if w.0 == set_stamp[origin as usize] { w.1 } else { 0 };
                         while p != 0 {
                             let parent = items[p as usize - 1];
                             p = parent.link;
@@ -340,14 +471,14 @@ impl Recognizer {
                 }
             }
             set_start.push(index(items.len()));
+            term_start.push(index(terms.len()));
             if k == n {
                 break;
             }
-            if scanned.is_empty() {
+            if !self.scan(chart, k, input[k]) {
+                chart.dead = Some(k);
                 return false;
             }
-            // Scans from distinct items give distinct items: no dedup.
-            items.append(scanned);
         }
         true
     }
@@ -356,27 +487,44 @@ impl Recognizer {
 /// One Earley item: the dotted rule `dot` started at input position
 /// `origin`. `link` chains the items of one set that wait on the same
 /// nonterminal (1-based index of the previous one, 0 ends the list).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Item {
     origin: u32,
     dot: u32,
     link: u32,
 }
 
-/// Per-thread scratch for `Recognizer::run`: the chart plus its dense
-/// dedup tables, reused across queries and across grammars.
+/// An item of a closed set whose dot sits before a terminal, with the
+/// index of that terminal's class: what scanning the set's byte tests.
+#[derive(Clone, Copy, Debug)]
+struct Term {
+    class: u32,
+    origin: u32,
+    dot: u32,
+}
+
+/// Per-thread scratch for the chart loop: the chart plus its dense dedup
+/// tables, reused across inputs and across grammars.
 ///
-/// The tables are never cleared between queries. Every entry records the
-/// *stamp* of the set that wrote it: `base + k + 1` for set `k`, where
-/// `base` grows by `n + 1` per query, so entries from earlier queries
-/// (whatever their grammar) never equal a live stamp.
+/// The tables are never cleared between inputs. Every entry records the
+/// *stamp* of the set that wrote it, and each set takes a fresh stamp from
+/// `clock` each time it is closed, so an entry left by an earlier input,
+/// an earlier grammar or an earlier closing of the same set never equals a
+/// live stamp. That is what lets a batch keep the sets of a common prefix
+/// and re-close only the sets after it, in place.
 #[derive(Debug, Default)]
 struct Chart {
     /// Every set's items, concatenated; set `k` is
     /// `items[set_start[k]..set_start[k + 1]]`.
     items: Vec<Item>,
     set_start: Vec<u32>,
-    /// Items scanned into the next set while the current one runs.
+    /// Stamp of each closed set.
+    set_stamp: Vec<u32>,
+    /// Each closed set's items before a terminal; set `k`'s are
+    /// `terms[term_start[k]..term_start[k + 1]]`.
+    terms: Vec<Term>,
+    term_start: Vec<u32>,
+    /// The kernel of the next set, scanned from the last closed one.
     scanned: Vec<Item>,
     /// `(origin, slot)` → stamp of the set that holds that item.
     stamps: Vec<u32>,
@@ -384,7 +532,18 @@ struct Chart {
     predicted: Vec<u32>,
     /// `(set, nonterminal)` → (stamp, head of that set's waiting list).
     waiting: Vec<(u32, u32)>,
-    base: u32,
+    /// The last stamp handed out.
+    clock: u32,
+    /// Set when the scan of the last closed set, `d`, came out empty.
+    dead: Option<usize>,
+    /// The position at which the batch's current run of siblings (inputs
+    /// equal to the previous one except in the byte at this position)
+    /// differ, and the scan classes seen among them: each class is a
+    /// scanned kernel in `signatures`, ending at its offset, with the
+    /// verdict it led to.
+    group: Option<usize>,
+    signatures: Vec<Item>,
+    classes: Vec<(u32, bool)>,
 }
 
 /// A scratch chart whose tables outgrow this many entries is dropped after
@@ -392,9 +551,10 @@ struct Chart {
 const RETAINED_ENTRIES: usize = 1 << 16;
 
 impl Chart {
-    /// Readies the chart for an input of length `n` and returns the stamp
-    /// base of this query.
-    fn begin(&mut self, n: usize, slots: usize, nts: usize) -> u32 {
+    /// Readies the tables for an input of length `n`. Returns whether the
+    /// stamps ran out and were cleared, which also drops every set.
+    fn prepare(&mut self, n: usize, slots: usize, nts: usize) -> bool {
+        assert!(n < (u32::MAX / 2) as usize, "input too large for the Earley recognizer");
         let sets = n + 1;
         let cells = |width: usize| sets.checked_mul(width).expect("chart size overflows usize");
         for (table, len) in [(&mut self.stamps, cells(slots)), (&mut self.predicted, nts)] {
@@ -405,32 +565,85 @@ impl Chart {
         if self.waiting.len() < cells(nts) {
             self.waiting.resize(cells(nts), (0, 0));
         }
-        if u32::MAX - self.base <= index(sets) {
-            self.stamps.fill(0);
-            self.predicted.fill(0);
-            self.waiting.fill((0, 0));
-            self.base = 0;
+        if u32::MAX - self.clock > index(sets) {
+            return false;
         }
-        let base = self.base;
-        self.base += index(sets);
+        self.stamps.fill(0);
+        self.predicted.fill(0);
+        self.waiting.fill((0, 0));
+        self.clock = 0;
+        self.reset();
+        true
+    }
+
+    /// Drops every set and the batch state that rests on them.
+    fn reset(&mut self) {
         self.items.clear();
         self.scanned.clear();
         self.set_start.clear();
         self.set_start.push(0);
-        base
+        self.set_stamp.clear();
+        self.terms.clear();
+        self.term_start.clear();
+        self.term_start.push(0);
+        self.dead = None;
+        self.forget_group();
+    }
+
+    /// Keeps the closed sets `0..=k` only.
+    fn truncate(&mut self, k: usize) {
+        self.items.truncate(self.set_start[k + 1] as usize);
+        self.set_start.truncate(k + 2);
+        self.set_stamp.truncate(k + 1);
+        self.terms.truncate(self.term_start[k + 1] as usize);
+        self.term_start.truncate(k + 2);
+        self.dead = None;
+    }
+
+    /// Number of closed sets.
+    fn closed(&self) -> usize {
+        self.set_stamp.len()
+    }
+
+    fn forget_group(&mut self) {
+        self.group = None;
+        self.signatures.clear();
+        self.classes.clear();
+    }
+
+    /// Records the kernel in `scanned` as a scan class of the group.
+    fn push_class(&mut self, verdict: bool) {
+        self.signatures.extend_from_slice(&self.scanned);
+        self.classes.push((index(self.signatures.len()), verdict));
+    }
+
+    fn set_last_class_verdict(&mut self, verdict: bool) {
+        self.classes.last_mut().expect("a class was pushed").1 = verdict;
+    }
+
+    /// The verdict of the group's scan class equal to the kernel in
+    /// `scanned`, if it has one.
+    fn class_verdict(&self) -> Option<bool> {
+        let mut start = 0;
+        for &(end, verdict) in &self.classes {
+            if self.signatures[start..end as usize] == self.scanned[..] {
+                return Some(verdict);
+            }
+            start = end as usize;
+        }
+        None
     }
 
     fn set(&self, k: usize) -> &[Item] {
         &self.items[self.set_start[k] as usize..self.set_start[k + 1] as usize]
     }
 
-    /// The last set the run reached.
-    fn last_set(&self) -> &[Item] {
-        self.set(self.set_start.len() - 2)
-    }
-
     fn entries(&self) -> usize {
-        self.items.capacity() + self.stamps.len() + self.predicted.len() + self.waiting.len()
+        self.items.capacity()
+            + self.terms.capacity()
+            + self.stamps.len()
+            + self.predicted.len()
+            + self.waiting.len()
     }
 }
 
@@ -505,7 +718,7 @@ impl<'g> Earley<'g> {
         let rec = &self.recognizer;
         // Every completed `(nonterminal, start, end)`, sorted.
         let completed = with_chart(|chart| {
-            if !rec.run(input, chart) || !rec.accepted(chart) {
+            if !rec.recognize(chart, None, input) {
                 return None;
             }
             let mut completed = Vec::new();
@@ -802,7 +1015,7 @@ mod tests {
         let p = Earley::new(&g);
         // Ten sets per query: the second query runs out of stamps and
         // clears the tables.
-        CHART.with(|c| c.borrow_mut().base = u32::MAX - 20);
+        CHART.with(|c| c.borrow_mut().clock = u32::MAX - 20);
         for _ in 0..5 {
             assert!(p.accepts(b"<a>hi</a>"));
             assert!(!p.accepts(b"<a>hi</a"));
@@ -812,6 +1025,25 @@ mod tests {
         assert!(CHART.with(|c| c.borrow().entries()) <= RETAINED_ENTRIES);
         assert!(p.accepts(b"<a>hi</a>"));
         assert!(!p.accepts(b"<a>hi</a"));
+
+        let r = &p.recognizer;
+        let batch: [&[u8]; 6] =
+            [b"<a>hi</a>", b"<a>hi</a", b"<a>hx</a>", b"<a>ih</a>", b"", b"<a>"];
+        let expected = [true, false, false, true, true, false];
+        // The stamps run out at the second input of a batch, which then goes
+        // on from a cleared chart.
+        CHART.with(|c| c.borrow_mut().clock = u32::MAX - 12);
+        assert_eq!(r.accepts_batch(&batch), expected);
+        assert!(CHART.with(|c| c.borrow().clock) < 100, "the batch crossed the wraparound");
+        assert_eq!(r.accepts_batch(&batch), expected);
+        // One input of a batch grows the scratch past what a thread keeps.
+        let long = b"h".repeat(RETAINED_ENTRIES);
+        let mut long_bad = long.clone();
+        long_bad[RETAINED_ENTRIES / 2] = b'x';
+        let grown: [&[u8]; 4] = [b"<a>hi</a>", &long, &long_bad, b"<a>hi</a"];
+        assert_eq!(r.accepts_batch(&grown), [true, true, false, false]);
+        assert!(CHART.with(|c| c.borrow().entries()) <= RETAINED_ENTRIES);
+        assert_eq!(r.accepts_batch(&batch), expected);
     }
 
     #[test]

@@ -6,16 +6,23 @@
 //! yield is the input. Grammars come from two generators: random CFGs (with
 //! ε-productions, unary cycles, and left and right recursion all likely)
 //! and the regex→CFG translation of `tests/common`.
+//!
+//! Batches get the same treatment: every verdict of
+//! `Recognizer::accepts_batch` must equal the single-input verdict and the
+//! reference's, whatever the batch's order, on batches shaped like the ones
+//! a synthesis run poses (families of one-byte substitutions, inputs that
+//! are prefixes of one another, duplicates, the empty input).
 
 mod common;
 mod reference;
 
 use common::{arb_input, arb_regex, mutate, regex_to_cfg, small_byte};
 use glade_grammar::cfg::{cls, lit, nt, GrammarBuilder};
-use glade_grammar::{CharClass, Earley, Grammar, Regex, Sampler};
+use glade_grammar::{CharClass, Earley, Grammar, Recognizer, Regex, Sampler};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Checks the compiled recognizer against the reference on one input.
 fn agree(g: &Grammar, input: &[u8]) -> Result<(), TestCaseError> {
@@ -30,6 +37,52 @@ fn agree(g: &Grammar, input: &[u8]) -> Result<(), TestCaseError> {
         prop_assert_eq!(t.span(), (0, input.len()));
     }
     Ok(())
+}
+
+/// Checks `Recognizer::accepts_batch` on `batch` against single-input
+/// recognition and the reference, input by input.
+fn batch_agrees(g: &Grammar, batch: &[Vec<u8>]) -> Result<(), TestCaseError> {
+    let recognizer = Recognizer::new(g);
+    let reference = reference::Earley::new(g);
+    let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+    let verdicts = recognizer.accepts_batch(&refs);
+    prop_assert_eq!(verdicts.len(), batch.len());
+    for (input, verdict) in batch.iter().zip(verdicts) {
+        prop_assert_eq!(verdict, recognizer.accepts(input), "input {:?} grammar\n{}", input, g);
+        prop_assert_eq!(verdict, reference.accepts(input), "input {:?} grammar\n{}", input, g);
+    }
+    Ok(())
+}
+
+/// A batch in the shapes synthesis poses, built from `bases`: for each
+/// base, every one-byte substitution family (all of `a`–`d` at one
+/// position, positions in order, as character generalization plans them),
+/// then its prefixes from longest to shortest, then the base itself. The
+/// empty input and a few duplicates are mixed in, and a shuffled copy of
+/// the whole batch follows it.
+fn synthesis_shaped_batch(bases: &[Vec<u8>], rng: &mut StdRng) -> Vec<Vec<u8>> {
+    let mut batch = vec![Vec::new()];
+    for base in bases {
+        for i in 0..base.len() {
+            for byte in *b"abcd" {
+                let mut sibling = base.clone();
+                sibling[i] = byte;
+                batch.push(sibling);
+            }
+        }
+        batch.extend((0..base.len()).rev().map(|j| base[..j].to_vec()));
+        batch.push(base.clone());
+    }
+    for _ in 0..3 {
+        let copy = batch[rng.gen_range(0..batch.len())].clone();
+        batch.insert(rng.gen_range(0..batch.len() + 1), copy);
+    }
+    let mut shuffled = batch.clone();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.gen_range(0..i + 1));
+    }
+    batch.extend(shuffled);
+    batch
 }
 
 /// One right-hand-side symbol of a generated grammar.
@@ -108,6 +161,44 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random CFGs on synthesis-shaped batches around a sampled member and
+    /// an arbitrary input.
+    #[test]
+    fn random_cfg_batches_agree_with_single_queries(
+        g in arb_cfg(),
+        seed in any::<u64>(),
+        input in arb_input(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bases = vec![input];
+        bases.extend(Sampler::with_max_depth(&g, 10).sample(&mut rng));
+        batch_agrees(&g, &synthesis_shaped_batch(&bases, &mut rng))?;
+    }
+
+    /// Regex→CFG translations on synthesis-shaped batches.
+    #[test]
+    fn regex_cfg_batches_agree_with_single_queries(
+        r in arb_regex(),
+        seed in any::<u64>(),
+        input in arb_input(),
+    ) {
+        let g = regex_to_cfg(&r);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bases = vec![input];
+        bases.extend(Sampler::with_max_depth(&g, 10).sample(&mut rng));
+        batch_agrees(&g, &synthesis_shaped_batch(&bases, &mut rng))?;
+    }
+
+    /// Arbitrary batches of arbitrary inputs, in arbitrary order.
+    #[test]
+    fn random_cfg_arbitrary_batches_agree(g in arb_cfg(), batch in vec(arb_input(), 0..24)) {
+        batch_agrees(&g, &batch)?;
+    }
+}
+
 /// Hand-picked shapes, each on every input over `{a, b}` up to length 6.
 #[test]
 fn hand_grammars_agree_on_all_short_inputs() {
@@ -164,7 +255,7 @@ fn hand_grammars_agree_on_all_short_inputs() {
 
 /// One recognizer alternating between grammars on one thread: the shared
 /// scratch chart must not carry state from one grammar's query into the
-/// other's.
+/// other's, whether a call is a single query, a parse or a batch.
 #[test]
 fn interleaved_grammars_share_scratch_safely() {
     // (ab)*, a*b, and [ab]*aa.
@@ -184,6 +275,25 @@ fn interleaved_grammars_share_scratch_safely() {
         for input in inputs {
             for (p, r) in parsers.iter().zip(&references) {
                 assert_eq!(p.accepts(input), r.accepts(input), "round {round} input {input:?}");
+            }
+        }
+    }
+
+    // Batches on two grammars, each followed by a single query and a parse
+    // on the other one, on one thread.
+    let recognizers: Vec<Recognizer> = grammars.iter().map(Recognizer::new).collect();
+    let batch: Vec<&[u8]> = vec![b"abab", b"abaa", b"abab", b"ab", b"aab", b"aaab", b"", b"baa"];
+    for round in 0..3 {
+        for (i, recognizer) in recognizers.iter().enumerate().take(2) {
+            let other = 1 - i;
+            let verdicts = recognizer.accepts_batch(&batch);
+            for (input, verdict) in batch.iter().zip(verdicts) {
+                assert_eq!(verdict, references[i].accepts(input), "round {round} batch {input:?}");
+            }
+            for input in inputs {
+                let expected = references[other].accepts(input);
+                assert_eq!(parsers[other].accepts(input), expected, "round {round} {input:?}");
+                assert_eq!(parsers[other].parse(input).is_some(), expected, "parse {input:?}");
             }
         }
     }
