@@ -249,8 +249,8 @@ pub(crate) struct QueryRunner<'s> {
 
 /// Reusable per-batch scratch: the distinct misses of the batch in flight
 /// (owners are check positions), their verdicts, and the buffer a native
-/// sub-batch's borrowed keys are listed in (kept empty between batches,
-/// see [`recycle`]).
+/// sub-batch's borrowed keys are listed in (empty between batches, see
+/// [`recycle`]).
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: KeyArena<usize>,
@@ -258,12 +258,17 @@ struct BatchScratch {
     refs: Vec<&'static [u8]>,
 }
 
-/// Empties `refs` and hands its buffer on as a vector of borrows with
-/// another lifetime: `collect` from a vector's own iterator reuses the
-/// allocation when the element layouts match, as they do here.
+/// Empties `refs` and hands its allocation on as a vector of borrows with
+/// another lifetime, so one buffer lists the keys of every native
+/// sub-batch instead of one allocation per sub-batch.
 fn recycle<'a>(mut refs: Vec<&[u8]>) -> Vec<&'a [u8]> {
     refs.clear();
-    refs.into_iter().map(|_| -> &'a [u8] { unreachable!("the vector is empty") }).collect()
+    let mut refs = std::mem::ManuallyDrop::new(refs);
+    let (ptr, capacity) = (refs.as_mut_ptr(), refs.capacity());
+    // SAFETY: the allocation passes unchanged from one vector to the
+    // other, which holds no element; `&[u8]` has the same layout for every
+    // lifetime.
+    unsafe { Vec::from_raw_parts(ptr.cast::<&'a [u8]>(), 0, capacity) }
 }
 
 /// The per-call side of a batch: its answers, in check order, and how

@@ -18,13 +18,11 @@
 //! [`Session`](crate::Session); commands flow accept-loop → campaign over
 //! an mpsc channel, and events/results flow back over a shared outbound
 //! channel plus a wake pipe that interrupts the poll sleep. A campaign
-//! that streams no events writes each run's `RESULT` (or `ERROR`) into
-//! the connection's output itself, so the answer does not wait for the
-//! accept loop to wake; the loop is told afterwards. Campaign threads are
-//! reused: a thread whose campaign closed waits for the next one, so
-//! opening a campaign costs no thread spawn. The client sends `HELLO`
-//! without waiting for its answer, which it reads with the answer to
-//! `OPEN`: a campaign opens in one round trip. Campaigns
+//! starts after its `OPEN_ACK` is flushed, on a campaign thread left
+//! waiting by an earlier campaign when there is one (at most two wait),
+//! else on a new thread. The client sends `HELLO` without waiting for its
+//! answer, which it reads with the answer to `OPEN`: a campaign opens in
+//! one round trip. Campaigns
 //! named by the same oracle spec share one oracle instance (e.g. one
 //! [`PooledProcessOracle`](crate::PooledProcessOracle) worker pool) through
 //! the **fair scheduler** below.

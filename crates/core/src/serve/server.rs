@@ -5,8 +5,7 @@
 //! single-threaded and never blocks on a peer (nonblocking fds multiplexed
 //! with `poll(2)`, the same discipline as the pooled oracle's batched
 //! dispatcher). Campaigns run on their own threads and communicate with
-//! the loop through channels plus a wake pipe; a campaign thread whose
-//! campaign ends waits for the next one instead of exiting.
+//! the loop through channels plus a wake pipe.
 
 use super::journal::{Journal, JournaledCampaign};
 use super::protocol::{
@@ -25,7 +24,7 @@ use std::io::{Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -110,69 +109,9 @@ pub struct ServeConfig {
 
 /// What a campaign thread sends back to the accept loop.
 enum Outbound {
-    Event {
-        line: String,
-        tally: bool,
-    },
-    Result {
-        stats: SynthesisStats,
-        grammar: String,
-    },
+    Event { line: String, tally: bool },
+    Result { stats: SynthesisStats, grammar: String },
     Error(String),
-    /// The campaign put a run's `RESULT` or `ERROR` in the connection's
-    /// [`Outbox`] itself.
-    Answered,
-}
-
-/// A connection's socket and the serialized frames waiting to go out on
-/// it. The accept loop owns the connection; the campaign thread of a
-/// connection without live events shares its outbox, so a run's answer
-/// goes straight to the client instead of waking the accept loop first.
-/// Each frame is appended whole under the lock, so frames from the two
-/// threads never interleave.
-struct Outbox {
-    stream: UnixStream,
-    buf: Mutex<Vec<u8>>,
-}
-
-impl Outbox {
-    fn buf(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {
-        self.buf.lock().expect("connection outbox poisoned")
-    }
-
-    fn queue(&self, tag: u8, body: &[u8]) {
-        encode_frame(tag, body, &mut self.buf());
-    }
-
-    fn len(&self) -> usize {
-        self.buf().len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.buf().is_empty()
-    }
-
-    fn clear(&self) {
-        self.buf().clear();
-    }
-
-    /// Writes as much of the queued output as the socket accepts; `false`
-    /// means the peer is gone.
-    fn flush(&self) -> bool {
-        let mut buf = self.buf();
-        while !buf.is_empty() {
-            match (&self.stream).write(&buf) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    buf.drain(..n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        true
-    }
 }
 
 /// Bounded, coalescing queue of outbound event lines for one connection.
@@ -284,9 +223,10 @@ struct CampaignSeat {
 
 /// One client connection's state in the accept loop.
 struct Conn {
-    out: Arc<Outbox>,
+    stream: UnixStream,
     inbuf: Vec<u8>,
-    /// Bounded, coalescing buffer between campaign events and `out`.
+    outbuf: Vec<u8>,
+    /// Bounded, coalescing buffer between campaign events and `outbuf`.
     events: EventQueue,
     greeted: bool,
     /// `CLOSE` received: stop reading, finish pending runs, flush, drop.
@@ -299,8 +239,9 @@ struct Conn {
 impl Conn {
     fn new(stream: UnixStream, max_event_buffer: usize) -> Self {
         Conn {
-            out: Arc::new(Outbox { stream, buf: Mutex::new(Vec::new()) }),
+            stream,
             inbuf: Vec::new(),
+            outbuf: Vec::new(),
             events: EventQueue::new(max_event_buffer),
             greeted: false,
             closing: false,
@@ -310,21 +251,21 @@ impl Conn {
     }
 
     fn queue(&mut self, tag: u8, body: &[u8]) {
-        self.out.queue(tag, body);
+        encode_frame(tag, body, &mut self.outbuf);
     }
 
-    /// Moves queued events into `out` while it stays below the soft cap,
-    /// so a healthy reader streams live while a stalled one backs events
-    /// up into the bounded queue.
+    /// Moves queued events into `outbuf` while it stays below the soft
+    /// cap, so a healthy reader streams live while a stalled one backs
+    /// events up into the bounded queue.
     fn pump_events(&mut self) {
-        while self.out.len() < OUTBUF_SOFT_CAP {
+        while self.outbuf.len() < OUTBUF_SOFT_CAP {
             let Some(line) = self.events.pop() else { break };
             self.queue(TAG_EVENT, line.as_bytes());
         }
     }
 
     /// Flushes *all* queued events ahead of a `RESULT`/`ERROR` frame (the
-    /// queue is bounded, so this cannot balloon `out`), and reports a
+    /// queue is bounded, so this cannot balloon `outbuf`), and reports a
     /// demoted connection's losses with one `events-dropped` notice.
     fn drain_events_before_result(&mut self) {
         while let Some(line) = self.events.pop() {
@@ -340,7 +281,7 @@ impl Conn {
     /// Whether nothing is pending on this connection (drain-mode exit
     /// test): no running batch, nothing buffered, nothing queued.
     fn is_idle(&self) -> bool {
-        self.out.is_empty()
+        self.outbuf.is_empty()
             && self.events.is_empty()
             && self.campaign.as_ref().is_none_or(|seat| seat.pending == 0)
     }
@@ -354,7 +295,7 @@ impl Conn {
     fn fill(&mut self) -> bool {
         let mut buf = [0u8; 1 << 16];
         loop {
-            match (&self.out.stream).read(&mut buf) {
+            match self.stream.read(&mut buf) {
                 Ok(0) => return false,
                 Ok(n) => self.inbuf.extend_from_slice(&buf[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
@@ -362,6 +303,23 @@ impl Conn {
                 Err(_) => return false,
             }
         }
+    }
+
+    /// Writes as much of `outbuf` as the socket accepts; `false` means the
+    /// peer is gone.
+    fn flush(&mut self) -> bool {
+        while !self.outbuf.is_empty() {
+            match self.stream.write(&self.outbuf) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.outbuf.drain(..n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        true
     }
 }
 
@@ -381,9 +339,6 @@ struct CampaignCtx {
     cancel: CancelToken,
     out: mpsc::Sender<(u64, Outbound)>,
     wake: WakeHandle,
-    /// The connection's outbox, shared when the campaign streams no events
-    /// (nothing then has to reach the client ahead of a run's answer).
-    outbox: Option<Arc<Outbox>>,
     journal: Option<Arc<Mutex<Journal>>>,
     /// Whether this campaign re-attaches a journaled campaign (`RESUME`)
     /// rather than opening a fresh one.
@@ -425,6 +380,82 @@ fn journal_append(
     }
 }
 
+/// A seated campaign whose thread is not started yet: its context and the
+/// channel its seed batches arrive on.
+type CampaignStart = (CampaignCtx, mpsc::Receiver<Vec<Vec<u8>>>);
+
+/// Most campaign threads kept waiting for a next campaign; a thread whose
+/// campaign ends while this many wait exits instead.
+const MAX_IDLE_CAMPAIGN_THREADS: usize = 2;
+
+/// The threads campaigns run on.
+///
+/// A thread whose campaign ends waits for the next one (up to
+/// [`MAX_IDLE_CAMPAIGN_THREADS`] of them; any more exit). Starting a
+/// campaign hands it to a waiting thread when there is one, so a new
+/// campaign neither pays a thread spawn nor starts on a cold thread: its
+/// per-thread state, such as an in-process oracle's Earley chart and the
+/// allocator's thread cache, is already warm.
+struct CampaignThreads {
+    /// One sender per waiting thread; `None` once the server shuts down,
+    /// when finishing threads exit instead of waiting.
+    idle: Arc<Mutex<Option<Vec<mpsc::Sender<CampaignStart>>>>>,
+    joins: Vec<JoinHandle<()>>,
+}
+
+impl CampaignThreads {
+    fn new() -> Self {
+        CampaignThreads { idle: Arc::new(Mutex::new(Some(Vec::new()))), joins: Vec::new() }
+    }
+
+    /// Runs `campaign` on a waiting thread, or on a new one.
+    fn start(&mut self, mut campaign: CampaignStart) {
+        loop {
+            let waiting = self
+                .idle
+                .lock()
+                .expect("idle campaign threads poisoned")
+                .as_mut()
+                .and_then(Vec::pop);
+            let Some(thread) = waiting else { break };
+            match thread.send(campaign) {
+                Ok(()) => return,
+                Err(mpsc::SendError(back)) => campaign = back,
+            }
+        }
+        self.joins.retain(|join| !join.is_finished());
+        let idle = Arc::clone(&self.idle);
+        let join = std::thread::Builder::new()
+            .name("glade-serve-campaign".into())
+            .spawn(move || {
+                let mut campaign = campaign;
+                loop {
+                    let (ctx, seeds_rx) = campaign;
+                    run_campaign(ctx, seeds_rx);
+                    let (tx, rx) = mpsc::channel();
+                    match idle.lock().expect("idle campaign threads poisoned").as_mut() {
+                        Some(waiting) if waiting.len() < MAX_IDLE_CAMPAIGN_THREADS => {
+                            waiting.push(tx);
+                        }
+                        _ => return,
+                    }
+                    let Ok(next) = rx.recv() else { return };
+                    campaign = next;
+                }
+            })
+            .expect("spawn campaign thread");
+        self.joins.push(join);
+    }
+
+    /// Releases the waiting threads, then waits for every thread to end.
+    fn join(self) {
+        self.idle.lock().expect("idle campaign threads poisoned").take();
+        for join in self.joins {
+            let _ = join.join();
+        }
+    }
+}
+
 /// Body of one campaign thread: a private [`Session`] over the shared
 /// oracle (through the fair scheduler), fed seed batches until the accept
 /// loop drops the channel. A resumed campaign first re-runs its journaled
@@ -432,7 +463,7 @@ fn journal_append(
 /// oracle queries) and answers with a single `RESULT` for the replayed
 /// state.
 fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
-    let oracle = ScheduledOracle::new(Arc::clone(&ctx.oracle), Arc::clone(&ctx.sched), ctx.tenant);
+    let oracle = ScheduledOracle::new(ctx.oracle, ctx.sched, ctx.tenant);
     let mut builder = GladeBuilder::new()
         .oracle_fingerprint(ctx.fingerprint.clone())
         .cancel_token(ctx.cancel.clone());
@@ -517,117 +548,18 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
         let outcome = last.unwrap_or_else(|| {
             Outbound::Error("campaign has no journaled seed batches to replay".into())
         });
-        if !answer(&ctx, outcome) {
+        if ctx.out.send((ctx.conn, outcome)).is_err() {
             return;
         }
+        ctx.wake.wake();
     }
 
     while let Ok(seeds) = seeds_rx.recv() {
         let outcome = run_batch(&mut session, &seeds);
-        if !answer(&ctx, outcome) {
+        if ctx.out.send((ctx.conn, outcome)).is_err() {
             break;
         }
-    }
-}
-
-/// Hands a run's `RESULT` or `ERROR` to the client: straight into the
-/// connection's outbox when the campaign shares it, else through the
-/// accept loop. Either way the accept loop learns that the run is
-/// answered. Returns `false` once the accept loop is gone.
-fn answer(ctx: &CampaignCtx, outcome: Outbound) -> bool {
-    let outcome = match (&ctx.outbox, outcome) {
-        (Some(outbox), Outbound::Result { stats, grammar }) => {
-            outbox.queue(TAG_RESULT, &encode_result(&stats, &grammar));
-            outbox.flush();
-            Outbound::Answered
-        }
-        (Some(outbox), Outbound::Error(message)) => {
-            outbox.queue(TAG_ERROR, message.as_bytes());
-            outbox.flush();
-            Outbound::Answered
-        }
-        (_, outcome) => outcome,
-    };
-    if ctx.out.send((ctx.conn, outcome)).is_err() {
-        return false;
-    }
-    ctx.wake.wake();
-    true
-}
-
-/// A campaign to run: its context and the channel its seed batches
-/// arrive on.
-type CampaignJob = (CampaignCtx, mpsc::Receiver<Vec<Vec<u8>>>);
-
-/// The threads campaigns run on.
-///
-/// A thread whose campaign ends waits for the next one instead of exiting.
-/// Opening a campaign then hands it to an idle thread, so neither a thread
-/// spawn nor (when the campaign closes) a thread exit sits on the client's
-/// round trips, and the thread's per-thread scratch (the Earley chart of
-/// an in-process oracle) stays warm. A thread is added only when none is
-/// idle, so a campaign never waits for another one to end.
-///
-/// Campaigns opened during an accept-loop iteration are launched at its
-/// end, after the `OPEN_ACK`s are flushed: a woken campaign thread can
-/// preempt the accept loop, and the client should not wait for that.
-struct CampaignThreads {
-    jobs: mpsc::Sender<CampaignJob>,
-    queue: Arc<Mutex<mpsc::Receiver<CampaignJob>>>,
-    /// Threads waiting for a campaign that no queued job has claimed yet.
-    idle: Arc<AtomicUsize>,
-    threads: Vec<JoinHandle<()>>,
-    /// Campaigns opened in this iteration, not launched yet.
-    opened: Vec<CampaignJob>,
-}
-
-impl CampaignThreads {
-    fn new() -> Self {
-        let (jobs, queue) = mpsc::channel();
-        CampaignThreads {
-            jobs,
-            queue: Arc::new(Mutex::new(queue)),
-            idle: Arc::new(AtomicUsize::new(0)),
-            threads: Vec::new(),
-            opened: Vec::new(),
-        }
-    }
-
-    /// Queues a campaign for the next [`launch`](CampaignThreads::launch).
-    fn open(&mut self, ctx: CampaignCtx, seeds: mpsc::Receiver<Vec<Vec<u8>>>) {
-        self.opened.push((ctx, seeds));
-    }
-
-    /// Runs each opened campaign on an idle thread, or on a new one if none
-    /// is idle: every queued job has a thread of its own.
-    fn launch(&mut self) {
-        for job in std::mem::take(&mut self.opened) {
-            let claimed =
-                self.idle.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
-            if claimed.is_err() {
-                let (queue, idle) = (Arc::clone(&self.queue), Arc::clone(&self.idle));
-                let thread = std::thread::Builder::new()
-                    .name("glade-serve-campaign".into())
-                    .spawn(move || loop {
-                        let job = queue.lock().expect("campaign queue poisoned").recv();
-                        let Ok((ctx, seeds)) = job else { break };
-                        run_campaign(ctx, seeds);
-                        idle.fetch_add(1, Ordering::AcqRel);
-                    })
-                    .expect("spawn campaign thread");
-                self.threads.push(thread);
-            }
-            self.jobs.send(job).expect("the campaign queue outlives its sender");
-        }
-    }
-
-    /// Waits for every running campaign to end, then for its thread.
-    /// Campaigns opened but not launched never start.
-    fn join(self) {
-        drop(self.jobs);
-        for thread in self.threads {
-            let _ = thread.join();
-        }
+        ctx.wake.wake();
     }
 }
 
@@ -726,10 +658,11 @@ impl Server {
         Some(dir.join(format!("{:016x}.glade-cache", fnv1a64(fingerprint.as_bytes()))))
     }
 
-    /// Starts one campaign (fresh `OPEN` or `RESUME` replay) on a campaign
-    /// thread and seats it on `conn`, answering with `OPEN_ACK`.
+    /// Seats one campaign (fresh `OPEN` or `RESUME` replay) on `conn`,
+    /// answering with `OPEN_ACK`, and returns what its thread needs; the
+    /// accept loop spawns that thread once the `OPEN_ACK` is flushed.
     #[allow(clippy::too_many_arguments)]
-    fn start_campaign(
+    fn seat_campaign(
         &self,
         conn_id: u64,
         conn: &mut Conn,
@@ -739,11 +672,10 @@ impl Server {
         fingerprint: String,
         out_tx: &mpsc::Sender<(u64, Outbound)>,
         wake: &WakeHandle,
-        threads: &mut CampaignThreads,
         replay: Vec<Vec<Vec<u8>>>,
         replay_expect_unique: Option<usize>,
         is_resume: bool,
-    ) {
+    ) -> CampaignStart {
         let tenant = self.sched.register();
         let cancel = CancelToken::new();
         let cache_path = self.cache_path_for(&fingerprint, req.cache);
@@ -751,7 +683,6 @@ impl Server {
         let next_batch = replay.len();
         // A resume owes the client one RESULT (or ERROR) for the replay.
         let pending = usize::from(is_resume);
-        let outbox = (!req.events).then(|| Arc::clone(&conn.out));
         let ctx = CampaignCtx {
             conn: conn_id,
             tenant,
@@ -766,19 +697,18 @@ impl Server {
             cancel: cancel.clone(),
             out: out_tx.clone(),
             wake: wake.clone(),
-            outbox,
             journal: self.journal.clone(),
             is_resume,
             replay,
             replay_expect_unique,
         };
-        threads.open(ctx, cmd_rx);
         conn.campaign = Some(CampaignSeat { cmd_tx, cancel, id: campaign_id, next_batch, pending });
         conn.queue(TAG_OPEN_ACK, &encode_open_ack(campaign_id, &fingerprint));
+        (ctx, cmd_rx)
     }
 
-    /// Handles one parsed frame for `conn`; a frame that opens (or
-    /// resumes) a campaign queues it on `threads`.
+    /// Handles one parsed frame for `conn`. Returns the campaign to start
+    /// when the frame opened (or resumed) one.
     #[allow(clippy::too_many_arguments)]
     fn handle_frame(
         &self,
@@ -788,9 +718,8 @@ impl Server {
         body: Vec<u8>,
         out_tx: &mpsc::Sender<(u64, Outbound)>,
         wake: &WakeHandle,
-        threads: &mut CampaignThreads,
         draining: bool,
-    ) {
+    ) -> Option<CampaignStart> {
         match tag {
             TAG_HELLO => {
                 if body != SERVE_PROTOCOL && body != SERVE_PROTOCOL_V1 {
@@ -803,38 +732,40 @@ impl Server {
                     conn.greeted = true;
                     conn.queue(TAG_HELLO_ACK, &body);
                 }
+                None
             }
             _ if !conn.greeted => {
                 conn.fail("expected HELLO first");
+                None
             }
             TAG_OPEN => {
                 if conn.campaign.is_some() {
                     conn.fail("campaign already open on this connection");
-                    return;
+                    return None;
                 }
                 if draining {
                     conn.fail("server is draining; no new campaigns");
-                    return;
+                    return None;
                 }
                 let req = match OpenRequest::from_body(&body) {
                     Ok(req) => req,
                     Err(e) => {
                         conn.fail(&e.to_string());
-                        return;
+                        return None;
                     }
                 };
                 let (oracle, fingerprint) = match self.resolve_oracle(&req.oracle_spec) {
                     Ok(resolved) => resolved,
                     Err(e) => {
                         conn.fail(&format!("oracle {:?}: {e}", req.oracle_spec));
-                        return;
+                        return None;
                     }
                 };
                 let campaign_id = self.next_campaign.fetch_add(1, Ordering::SeqCst);
                 // Journal the open before the campaign exists, so no `s`
                 // or `c` record can ever precede its `o`.
                 journal_append(&self.journal, campaign_id, |j| j.append_open(campaign_id, &req));
-                self.start_campaign(
+                Some(self.seat_campaign(
                     conn_id,
                     conn,
                     campaign_id,
@@ -843,26 +774,25 @@ impl Server {
                     fingerprint,
                     out_tx,
                     wake,
-                    threads,
                     Vec::new(),
                     None,
                     false,
-                );
+                ))
             }
             TAG_RESUME => {
                 if conn.campaign.is_some() {
                     conn.fail("campaign already open on this connection");
-                    return;
+                    return None;
                 }
                 if draining {
                     conn.fail("server is draining; no new campaigns");
-                    return;
+                    return None;
                 }
                 let id = match decode_resume(&body) {
                     Ok(id) => id,
                     Err(e) => {
                         conn.fail(&e.to_string());
-                        return;
+                        return None;
                     }
                 };
                 // A server started without `--cache-dir` keeps no journal,
@@ -874,13 +804,13 @@ impl Server {
                         "server has no journal (started without --cache-dir): \
                          campaign {id} is not resumable"
                     ));
-                    return;
+                    return None;
                 }
                 let Some(entry) =
                     self.resumable.lock().expect("resumable registry poisoned").remove(&id)
                 else {
                     conn.fail(&format!("campaign {id} is not resumable on this server"));
-                    return;
+                    return None;
                 };
                 let (oracle, fingerprint) = match self.resolve_oracle(&entry.req.oracle_spec) {
                     Ok(resolved) => resolved,
@@ -893,7 +823,7 @@ impl Server {
                             .expect("resumable registry poisoned")
                             .insert(id, entry);
                         conn.fail(&format!("oracle {spec:?}: {e}"));
-                        return;
+                        return None;
                     }
                 };
                 let expect = if entry.checkpointed == entry.batches.len() {
@@ -901,7 +831,7 @@ impl Server {
                 } else {
                     None
                 };
-                self.start_campaign(
+                Some(self.seat_campaign(
                     conn_id,
                     conn,
                     id,
@@ -910,16 +840,15 @@ impl Server {
                     fingerprint,
                     out_tx,
                     wake,
-                    threads,
                     entry.batches,
                     expect,
                     true,
-                );
+                ))
             }
             TAG_SEEDS => {
                 let Some(seat) = conn.campaign.as_mut() else {
                     conn.fail("SEEDS before OPEN");
-                    return;
+                    return None;
                 };
                 match decode_seeds_body(&body) {
                     Ok(seeds) => {
@@ -937,6 +866,7 @@ impl Server {
                     }
                     Err(e) => conn.fail(&e.to_string()),
                 }
+                None
             }
             TAG_CANCEL => {
                 if let Some(seat) = &conn.campaign {
@@ -947,13 +877,16 @@ impl Server {
                 } else {
                     conn.fail("CANCEL before OPEN");
                 }
+                None
             }
             TAG_CLOSE => {
                 conn.closing = true;
+                None
             }
             other => {
                 // Unknown frame from a newer client: answer, don't wedge.
                 conn.queue(TAG_ERROR, format!("unknown frame tag {other:#04x}").as_bytes());
+                None
             }
         }
     }
@@ -998,6 +931,7 @@ impl Server {
         let (out_tx, out_rx) = mpsc::channel::<(u64, Outbound)>();
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut threads = CampaignThreads::new();
+        let mut opened: Vec<CampaignStart> = Vec::new();
         let mut next_conn: u64 = 1;
         let drain_timeout = self.config.drain_timeout.unwrap_or(DEFAULT_DRAIN_TIMEOUT);
         let max_event_buffer = self.config.max_event_buffer.unwrap_or(DEFAULT_MAX_EVENT_BUFFER);
@@ -1034,10 +968,10 @@ impl Server {
             let mut order: Vec<u64> = Vec::with_capacity(conns.len());
             for (&id, conn) in &conns {
                 let mut events = sys::POLLIN;
-                if !conn.out.is_empty() {
+                if !conn.outbuf.is_empty() {
                     events |= sys::POLLOUT;
                 }
-                fds.push(sys::PollFd { fd: conn.out.stream.as_raw_fd(), events, revents: 0 });
+                fds.push(sys::PollFd { fd: conn.stream.as_raw_fd(), events, revents: 0 });
                 order.push(id);
             }
             // Bounded sleep so a shutdown or drain request is noticed
@@ -1055,7 +989,7 @@ impl Server {
                 let Some(conn) = conns.get_mut(&conn_id) else { continue };
                 match outbound {
                     // Events land in the bounded per-connection queue, not
-                    // the outbox: a stuck reader fills the queue (which
+                    // the outbuf: a stuck reader fills the queue (which
                     // coalesces and eventually demotes) instead of growing
                     // server memory without bound.
                     Outbound::Event { line, tally } => conn.events.push(line, tally),
@@ -1073,25 +1007,15 @@ impl Server {
                         conn.drain_events_before_result();
                         conn.queue(TAG_ERROR, message.as_bytes());
                     }
-                    Outbound::Answered => {
-                        if let Some(seat) = conn.campaign.as_mut() {
-                            seat.pending = seat.pending.saturating_sub(1);
-                        }
-                    }
                 }
             }
 
-            // New connections. A client sends its first frames right after
-            // connecting, so each new connection joins this iteration's I/O
-            // as if the poll had reported it readable.
+            // New connections.
             if !draining && fds[0].revents & sys::POLLIN != 0 {
                 loop {
                     match listener.accept() {
                         Ok((stream, _addr)) => {
                             stream.set_nonblocking(true)?;
-                            let fd = stream.as_raw_fd();
-                            fds.push(sys::PollFd { fd, events: 0, revents: sys::POLLIN });
-                            order.push(next_conn);
                             conns.insert(next_conn, Conn::new(stream, max_event_buffer));
                             next_conn += 1;
                         }
@@ -1123,42 +1047,38 @@ impl Server {
                                 if conn.dead || conn.closing {
                                     break;
                                 }
-                                self.handle_frame(
-                                    conn_id,
-                                    conn,
-                                    tag,
-                                    frame_body,
-                                    &out_tx,
-                                    &wake,
-                                    &mut threads,
-                                    draining,
-                                );
+                                opened.extend(self.handle_frame(
+                                    conn_id, conn, tag, frame_body, &out_tx, &wake, draining,
+                                ));
                             }
                         }
                         Err(e) => conn.fail(&e.to_string()),
                     }
                 }
-                // Move queued events into the outbox only while the reader
-                // is keeping up (soft cap on its size).
+                // Move queued events into the outbuf only while the reader
+                // is keeping up (soft cap on outbuf size).
                 conn.pump_events();
-                if !conn.out.flush() {
-                    conn.out.clear();
+                if !conn.outbuf.is_empty() && !conn.flush() {
+                    conn.outbuf.clear();
                     conn.dead = true;
                 }
                 let finished_close = conn.closing
-                    && conn.out.is_empty()
+                    && conn.outbuf.is_empty()
                     && conn.campaign.as_ref().is_none_or(|seat| seat.pending == 0);
-                let finished_dead = conn.dead && conn.out.is_empty();
+                let finished_dead = conn.dead && conn.outbuf.is_empty();
                 if finished_close || finished_dead {
                     doomed.push(conn_id);
                 }
             }
-            threads.launch();
+            // Campaigns start only now, after this iteration's `OPEN_ACK`s
+            // are flushed: a thread spawn, or a woken campaign thread
+            // preempting this one, then overlaps the client's next request
+            // instead of delaying its answer.
+            for campaign in opened.drain(..) {
+                threads.start(campaign);
+            }
             for conn_id in doomed {
                 if let Some(conn) = conns.remove(&conn_id) {
-                    // The client sees its EOF before the campaign thread
-                    // is woken to wind down.
-                    let _ = conn.out.stream.shutdown(std::net::Shutdown::Both);
                     if let Some(seat) = conn.campaign {
                         if conn.dead {
                             // Disconnect/error preemption; a graceful CLOSE
@@ -1317,6 +1237,63 @@ pub fn drain_signal_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A campaign that ends at once: its seed channel is already closed.
+    fn ended_campaign(campaign_id: u32, wake: &WakeHandle) -> CampaignStart {
+        let (out, _) = mpsc::channel();
+        let (_, seeds_rx) = mpsc::channel();
+        let oracle: Arc<dyn Oracle> = Arc::new(crate::FnOracle::new(|_: &[u8]| true));
+        let ctx = CampaignCtx {
+            conn: 0,
+            tenant: 0,
+            campaign_id,
+            oracle,
+            fingerprint: "test".into(),
+            sched: Arc::new(FairScheduler::new()),
+            req: OpenRequest::new("test"),
+            default_max_queries: None,
+            cache_path: None,
+            cache_format: CacheFormat::Binary,
+            cancel: CancelToken::new(),
+            out,
+            wake: wake.clone(),
+            journal: None,
+            is_resume: false,
+            replay: Vec::new(),
+            replay_expect_unique: None,
+        };
+        (ctx, seeds_rx)
+    }
+
+    #[test]
+    fn campaign_threads_keep_a_bounded_number_waiting() {
+        let (_wake_rx, wake_tx) = UnixStream::pair().expect("wake pipe");
+        wake_tx.set_nonblocking(true).expect("nonblocking wake pipe");
+        let wake = WakeHandle { tx: Arc::new(wake_tx) };
+        let waiting =
+            |threads: &CampaignThreads| threads.idle.lock().unwrap().as_ref().map_or(0, Vec::len);
+        let settle = |threads: &CampaignThreads, waiting_now: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while waiting(threads) != waiting_now
+                || threads.joins.iter().filter(|join| !join.is_finished()).count() != waiting_now
+            {
+                assert!(Instant::now() < deadline, "campaign threads never settled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        let mut threads = CampaignThreads::new();
+        for id in 0..5 {
+            threads.start(ended_campaign(id, &wake));
+        }
+        settle(&threads, MAX_IDLE_CAMPAIGN_THREADS);
+        // A waiting thread runs the next campaign and waits again.
+        let spawned = threads.joins.len();
+        threads.start(ended_campaign(5, &wake));
+        settle(&threads, MAX_IDLE_CAMPAIGN_THREADS);
+        assert_eq!(threads.joins.len(), spawned, "a waiting thread took the campaign");
+        threads.join();
+    }
 
     fn tally(n: usize) -> String {
         SynthEvent::QueryBatch { checks: n, cached: 0, posed: n }.to_wire_line()
