@@ -4,13 +4,13 @@
 //! same bookkeeping: assemble the check's bytes, hash them, collapse
 //! byte-identical checks into one posed query, and remember which owners
 //! (chargen probes, merge pairs, batch positions) share that query's
-//! verdict. The wave planners (`chargen.rs`, `phase2.rs`) and the runner
-//! (`runner.rs`) all do it through [`KeyArena`]:
+//! verdict. The wave planners (`chargen.rs`, `phase2.rs`) and the runner's
+//! phase-one path (`runner.rs`) all do it through [`KeyArena`]:
 //!
 //! * a check is assembled in one reusable staging buffer and hashed once
 //!   ([`hash_query`]); the hash then travels with the key through the
-//!   runner into the shard maps of
-//!   [`ShardedCache`](crate::cache::ShardedCache), which never rehash;
+//!   runner into the map of [`QueryCache`](crate::cache::QueryCache),
+//!   which never rehashes;
 //! * byte-identical keys collapse through a hash → slot index; each hash
 //!   heads a chain of the slots sharing it, and a match is confirmed on
 //!   the bytes, so different strings with equal hashes never share a slot;
@@ -22,6 +22,13 @@
 //!   a slot's owners in push order, so folding slot by slot replays the
 //!   planning order exactly.
 //!
+//! **Admitted once.** Whoever fills an arena looks each staged key up in
+//! the session cache *before* interning it, so every slot is a distinct
+//! check that missed the cache. The runner poses an arena's key half
+//! ([`KeySet`]) as it stands — `QueryRunner::pose` charges budget per
+//! slot, dispatches, and moves the posed keys into the cache — and hands
+//! back one verdict per slot, which the owner chains fan out.
+//!
 //! Arenas are cleared, not dropped, between waves and batches: their
 //! index and vectors are allocated once per run.
 
@@ -31,11 +38,11 @@ use std::collections::HashMap;
 /// End of a slot chain or an owner chain.
 const NONE: u32 = u32::MAX;
 
-/// One batch's distinct keys, each with its hash and its owners. See the
-/// module docs.
-#[derive(Debug)]
-pub(crate) struct KeyArena<O> {
-    /// The key being assembled (see [`KeyArena::stage`]).
+/// The distinct keys of a [`KeyArena`], each with its hash: what the
+/// runner poses. See the module docs.
+#[derive(Debug, Default)]
+pub(crate) struct KeySet {
+    /// The key being assembled (see [`KeySet::stage`]).
     staged: Vec<u8>,
     /// Per slot: the key bytes (empty once taken) and their hash.
     keys: Vec<Box<[u8]>>,
@@ -44,42 +51,15 @@ pub(crate) struct KeyArena<O> {
     /// with the same hash.
     heads: HashMap<u64, u32, PassThroughState>,
     older: Vec<u32>,
-    /// Per slot: first and last owner index.
-    first_owner: Vec<u32>,
-    last_owner: Vec<u32>,
-    /// Owners in push order, each chained to the next owner of its slot.
-    owners: Vec<O>,
-    next_owner: Vec<u32>,
 }
 
-impl<O> Default for KeyArena<O> {
-    fn default() -> Self {
-        KeyArena {
-            staged: Vec::new(),
-            keys: Vec::new(),
-            hashes: Vec::new(),
-            heads: HashMap::default(),
-            older: Vec::new(),
-            first_owner: Vec::new(),
-            last_owner: Vec::new(),
-            owners: Vec::new(),
-            next_owner: Vec::new(),
-        }
-    }
-}
-
-impl<O> KeyArena<O> {
-    /// Empties the arena, keeping its allocations for the next batch.
-    pub fn clear(&mut self) {
+impl KeySet {
+    fn clear(&mut self) {
         self.staged.clear();
         self.keys.clear();
         self.hashes.clear();
         self.heads.clear();
         self.older.clear();
-        self.first_owner.clear();
-        self.last_owner.clear();
-        self.owners.clear();
-        self.next_owner.clear();
     }
 
     /// Number of distinct keys (slots).
@@ -95,7 +75,7 @@ impl<O> KeyArena<O> {
         hash_query(&self.staged)
     }
 
-    /// The key assembled by the last [`KeyArena::stage`].
+    /// The key assembled by the last [`KeySet::stage`].
     pub fn staged(&self) -> &[u8] {
         &self.staged
     }
@@ -112,43 +92,105 @@ impl<O> KeyArena<O> {
         None
     }
 
-    /// Adds `key` (hash `h`, not yet in the arena) as a new slot whose
-    /// first owner is `owner`; returns the slot.
-    pub fn commit(&mut self, h: u64, key: Box<[u8]>, owner: O) -> usize {
+    /// Adds the staged key (hash `h`, not yet in the set) as a new slot,
+    /// copied into its own exactly-sized allocation; returns the slot.
+    fn commit_staged(&mut self, h: u64) -> u32 {
         let slot = u32::try_from(self.keys.len()).expect("arena slot overflow");
-        self.keys.push(key);
+        self.keys.push(Box::from(&self.staged[..]));
         self.hashes.push(h);
         self.older.push(self.heads.insert(h, slot).unwrap_or(NONE));
-        self.first_owner.push(NONE);
-        self.last_owner.push(NONE);
-        self.push_owner(slot as usize, owner);
-        slot as usize
+        slot
     }
 
-    /// [`KeyArena::commit`] for the staged key, copied into its own
-    /// exactly-sized allocation.
-    pub fn commit_staged(&mut self, h: u64, owner: O) -> usize {
-        let key = Box::from(&self.staged[..]);
-        self.commit(h, key, owner)
+    /// `slot`'s key bytes (empty once taken).
+    pub fn key(&self, slot: usize) -> &[u8] {
+        &self.keys[slot]
+    }
+
+    /// `slot`'s hash.
+    pub fn hash(&self, slot: usize) -> u64 {
+        self.hashes[slot]
+    }
+
+    /// Moves `slot`'s key out, leaving it empty.
+    pub fn take_key(&mut self, slot: usize) -> Box<[u8]> {
+        std::mem::take(&mut self.keys[slot])
+    }
+}
+
+/// One batch's distinct keys, each with its hash and its owners. See the
+/// module docs.
+#[derive(Debug)]
+pub(crate) struct KeyArena<O> {
+    keys: KeySet,
+    /// Per slot: first and last owner index.
+    first_owner: Vec<u32>,
+    last_owner: Vec<u32>,
+    /// Owners in push order, each chained to the next owner of its slot.
+    owners: Vec<O>,
+    next_owner: Vec<u32>,
+}
+
+impl<O> Default for KeyArena<O> {
+    fn default() -> Self {
+        KeyArena {
+            keys: KeySet::default(),
+            first_owner: Vec::new(),
+            last_owner: Vec::new(),
+            owners: Vec::new(),
+            next_owner: Vec::new(),
+        }
+    }
+}
+
+impl<O> KeyArena<O> {
+    /// Empties the arena, keeping its allocations for the next batch.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.first_owner.clear();
+        self.last_owner.clear();
+        self.owners.clear();
+        self.next_owner.clear();
+    }
+
+    /// Number of distinct keys (slots).
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// [`KeySet::stage`].
+    pub fn stage(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        self.keys.stage(write)
+    }
+
+    /// The key assembled by the last [`KeyArena::stage`].
+    pub fn staged(&self) -> &[u8] {
+        self.keys.staged()
+    }
+
+    /// The arena's keys, for the runner to pose.
+    pub fn keys_mut(&mut self) -> &mut KeySet {
+        &mut self.keys
     }
 
     /// Adds `owner` to the slot already holding the staged key (hash `h`),
     /// or commits the staged key as a new slot; returns whether it was new.
+    /// Callers look the staged key up in the cache first: a slot must be a
+    /// cache miss.
     pub fn intern_staged(&mut self, h: u64, owner: O) -> bool {
-        match self.find(h, &self.staged) {
-            Some(slot) => {
-                self.push_owner(slot, owner);
-                false
-            }
-            None => {
-                self.commit_staged(h, owner);
-                true
-            }
+        if let Some(slot) = self.keys.find(h, &self.keys.staged) {
+            self.push_owner(slot, owner);
+            return false;
         }
+        let slot = self.keys.commit_staged(h) as usize;
+        self.first_owner.push(NONE);
+        self.last_owner.push(NONE);
+        self.push_owner(slot, owner);
+        true
     }
 
     /// Adds another owner to `slot`'s verdict.
-    pub fn push_owner(&mut self, slot: usize, owner: O) {
+    fn push_owner(&mut self, slot: usize, owner: O) {
         let index = u32::try_from(self.owners.len()).expect("arena owner overflow");
         self.owners.push(owner);
         self.next_owner.push(NONE);
@@ -168,26 +210,6 @@ impl<O> KeyArena<O> {
             Some(owner)
         })
     }
-
-    /// `slot`'s key bytes (empty once taken).
-    pub fn key(&self, slot: usize) -> &[u8] {
-        &self.keys[slot]
-    }
-
-    /// `slot`'s hash.
-    pub fn hash(&self, slot: usize) -> u64 {
-        self.hashes[slot]
-    }
-
-    /// Moves `slot`'s key out, leaving it empty; its owners stay.
-    pub fn take_key(&mut self, slot: usize) -> Box<[u8]> {
-        std::mem::take(&mut self.keys[slot])
-    }
-
-    /// Moves every key out, in slot order, as `(hash, key)` pairs.
-    pub fn take_keys(&mut self) -> impl Iterator<Item = (u64, Box<[u8]>)> + '_ {
-        self.hashes.iter().copied().zip(self.keys.iter_mut().map(std::mem::take))
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +220,7 @@ mod tests {
     fn intern(arena: &mut KeyArena<char>, key: &[u8], owner: char) -> (usize, bool) {
         let h = arena.stage(|buf| buf.extend_from_slice(key));
         let new = arena.intern_staged(h, owner);
-        (arena.find(h, key).expect("interned"), new)
+        (arena.keys_mut().find(h, key).expect("interned"), new)
     }
 
     fn owners(arena: &KeyArena<char>, slot: usize) -> String {
@@ -217,10 +239,10 @@ mod tests {
         assert_eq!(owners(&arena, 0), "acd");
         assert_eq!(owners(&arena, 1), "b");
         assert_eq!(owners(&arena, 2), "e");
-        assert_eq!((arena.key(1), arena.hash(1)), (&b"y"[..], hash_query(b"y")));
-
-        let taken: Vec<(u64, Box<[u8]>)> = arena.take_keys().collect();
-        assert_eq!(taken[0], (hash_query(b"x"), b"x"[..].into()));
+        let keys = arena.keys_mut();
+        assert_eq!((keys.key(1), keys.hash(1)), (&b"y"[..], hash_query(b"y")));
+        assert_eq!(keys.take_key(0), b"x"[..].into());
+        assert_eq!(keys.key(0), b"", "a taken key leaves its slot empty");
         assert_eq!(owners(&arena, 0), "acd", "owners survive taking the keys");
 
         arena.clear();
@@ -243,13 +265,18 @@ mod tests {
         ] {
             arena.stage(|buf| buf.extend_from_slice(key));
             let new = arena.intern_staged(h, owner);
-            assert_eq!((arena.find(h, key).expect("interned"), new), expected, "{key:?}");
+            assert_eq!(
+                (arena.keys_mut().find(h, key).expect("interned"), new),
+                expected,
+                "{key:?}"
+            );
         }
         assert_eq!(
             (owners(&arena, 0), owners(&arena, 1), owners(&arena, 2)),
             ("ad".into(), "be".into(), "c".into())
         );
-        assert_eq!(arena.find(h, b"other"), None);
-        assert_eq!(arena.find(h + 1, b"<a>hi</I>"), None, "the hash is part of the key");
+        let keys = arena.keys_mut();
+        assert_eq!(keys.find(h, b"other"), None);
+        assert_eq!(keys.find(h + 1, b"<a>hi</I>"), None, "the hash is part of the key");
     }
 }

@@ -60,8 +60,8 @@
 //! and the [`SynthEvent::ProbesElided`](crate::SynthEvent::ProbesElided)
 //! event.
 
-use crate::arena::KeyArena;
-use crate::cache::ShardedCache;
+use crate::arena::{KeyArena, KeySet};
+use crate::cache::CacheEntries;
 use crate::memo::{memo_key, ByteClassMemo};
 use crate::runner::CheckSpec;
 use crate::tree::{ConstNode, Node};
@@ -261,9 +261,9 @@ impl<'t> StagedChargen<'t> {
     /// Plans the next wave: every live probe either resolves against the
     /// session cache (possibly through several contexts), accepts, dies,
     /// or poses exactly one check. Returns the number of distinct checks
-    /// planned (take them with [`StagedChargen::take_keys`]); zero means
+    /// planned (pose them through [`StagedChargen::keys_mut`]); zero means
     /// the staged run is complete (every probe resolved).
-    pub fn plan_wave(&mut self, cache: &ShardedCache) -> usize {
+    pub fn plan_wave(&mut self, cache: &mut CacheEntries) -> usize {
         debug_assert!(self.keys.len() == 0, "previous wave not folded");
         for mut probe in std::mem::take(&mut self.active) {
             loop {
@@ -305,11 +305,11 @@ impl<'t> StagedChargen<'t> {
         self.keys.len()
     }
 
-    /// Moves the wave's planned checks out as `(hash, key)` pairs, in
-    /// verdict order, for
-    /// [`QueryRunner::accepts_keyed`](crate::runner::QueryRunner::accepts_keyed).
-    pub fn take_keys(&mut self) -> impl Iterator<Item = (u64, Box<[u8]>)> + '_ {
-        self.keys.take_keys()
+    /// The wave's planned checks, in verdict order, for
+    /// [`QueryRunner::pose`](crate::runner::QueryRunner::pose). Every slot
+    /// missed the cache when it was planned.
+    pub fn keys_mut(&mut self) -> &mut KeySet {
+        self.keys.keys_mut()
     }
 
     /// Folds the wave's verdicts (one per planned check, in order) back
@@ -388,13 +388,13 @@ pub(crate) fn apply_staged_classes(trees: &mut [Node], classes: &[Vec<CharClass>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ShardedCache;
+    use crate::cache::QueryCache;
     use crate::phase1::Phase1;
     use crate::runner::{QueryRunner, RunnerOptions};
     use crate::testing::xml_like;
     use crate::{FnOracle, Oracle};
 
-    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s ShardedCache) -> QueryRunner<'s> {
+    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
     }
 
@@ -403,7 +403,7 @@ mod tests {
         // Section 6.2: h and i generalize to a..z; the tag bytes < a > /
         // do not generalize.
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
@@ -422,7 +422,7 @@ mod tests {
     fn digits_generalize_in_digit_language() {
         // L = nonempty digit strings.
         let oracle = FnOracle::new(|i: &[u8]| !i.is_empty() && i.iter().all(u8::is_ascii_digit));
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"7")];
@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn counts_accepted_pairs() {
         let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m")];
@@ -452,7 +452,7 @@ mod tests {
         // Two single-letter seeds in one plan: the aggregated batch answers
         // both trees' probes, and applying distributes verdicts per tree.
         let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m"), p1.generalize_seed(b"q")];
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn respects_budget() {
         let oracle = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = QueryRunner::new(
             &oracle,
             &cache,
@@ -487,14 +487,14 @@ mod tests {
     fn run_staged(
         trees: &mut [Node],
         runner: &QueryRunner<'_>,
-        cache: &ShardedCache,
+        cache: &QueryCache,
         memo: &mut ByteClassMemo,
         test_bytes: &[u8],
     ) -> (usize, usize, usize) {
         let outcome = {
             let mut staged = StagedChargen::new(trees, test_bytes, memo);
-            while staged.plan_wave(cache) > 0 {
-                let verdicts = runner.accepts_keyed(staged.take_keys());
+            while staged.plan_wave(&mut cache.lock()) > 0 {
+                let verdicts = runner.pose(&mut [staged.keys_mut()]);
                 staged.fold_wave(&verdicts);
             }
             staged.finish()
@@ -508,7 +508,7 @@ mod tests {
 
     /// Widens `trees` through a staged run with a fresh memo table over
     /// the default alphabet; returns the accepted (position, byte) pairs.
-    fn widen(trees: &mut [Node], runner: &QueryRunner<'_>, cache: &ShardedCache) -> usize {
+    fn widen(trees: &mut [Node], runner: &QueryRunner<'_>, cache: &QueryCache) -> usize {
         run_staged(trees, runner, cache, &mut ByteClassMemo::new(), &default_test_bytes()).0
     }
 
@@ -517,13 +517,13 @@ mod tests {
         let oracle = FnOracle::new(xml_like);
         let tb = default_test_bytes();
 
-        let legacy_cache = ShardedCache::new();
+        let legacy_cache = QueryCache::new();
         let legacy_runner = test_runner(&oracle, &legacy_cache);
         let mut p1 = Phase1::new(&legacy_runner, 0);
         let mut legacy_trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let legacy_n = crate::reference::generalize_chars(&mut legacy_trees, &legacy_runner, &tb);
 
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
@@ -545,7 +545,7 @@ mod tests {
         // Two identical seeds yield byte-identical terminals in identical
         // contexts: one representative is probed, siblings adopt.
         let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m"), p1.generalize_seed(b"m")];
@@ -568,7 +568,7 @@ mod tests {
         let tb = default_test_bytes();
         let mut memo = ByteClassMemo::new();
 
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
@@ -577,7 +577,7 @@ mod tests {
 
         // Fresh cache, fresh trees, warm memo: every terminal adopts, the
         // runner sees zero chargen checks, and the classes are identical.
-        let cache2 = ShardedCache::new();
+        let cache2 = QueryCache::new();
         let runner2 = test_runner(&oracle, &cache2);
         let mut p1 = Phase1::new(&runner2, 0);
         let mut trees2 = vec![p1.generalize_seed(b"<a>hi</a>")];

@@ -91,8 +91,8 @@
 //! for concurrency: phase two's pairwise merge checks and character
 //! generalization's byte probes are aggregated into one batch and fanned
 //! out across a scoped worker pool with work-stealing dispatch, and every
-//! cache on the query path is sharded and lock-striped (no
-//! `RefCell`/`Cell` anywhere on the hot path). For real process targets,
+//! cache on the query path sits behind a mutex (no `RefCell`/`Cell`
+//! anywhere on the hot path). For real process targets,
 //! [`PooledProcessOracle`] amortizes the per-query process spawn across a
 //! pool of persistent protocol-speaking workers (see
 //! [`serve_oracle_worker`]) — and oracles that multiplex whole batches

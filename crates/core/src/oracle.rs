@@ -187,7 +187,7 @@
 //! threads and queried concurrently. See the crate-level documentation for
 //! the full contract (determinism + thread safety).
 
-use crate::cache::ShardedCache;
+use crate::cache::QueryCache;
 use crate::wire;
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use std::collections::VecDeque;
@@ -522,8 +522,9 @@ impl<F: Fn(&[u8]) -> bool + Send + Sync> Oracle for FnOracle<F> {
 /// GLADE issues many duplicate membership queries (identical checks arise
 /// from different candidates); caching them is the paper's implicit
 /// assumption that "each query to O takes constant time" (Section 4.4).
-/// The cache is mutex-striped and the counters are atomic, so a single
-/// `CachingOracle` serves all query worker threads concurrently.
+/// The cache is one mutex-guarded map, locked once per lookup and once
+/// per insert, and the counters are atomic, so a single `CachingOracle`
+/// serves all query worker threads concurrently.
 ///
 /// # Examples
 ///
@@ -540,14 +541,14 @@ impl<F: Fn(&[u8]) -> bool + Send + Sync> Oracle for FnOracle<F> {
 #[derive(Debug)]
 pub struct CachingOracle<O> {
     inner: O,
-    cache: ShardedCache,
+    cache: QueryCache,
     total: AtomicUsize,
 }
 
 impl<O: Oracle> CachingOracle<O> {
     /// Wraps `inner` with an empty cache.
     pub fn new(inner: O) -> Self {
-        CachingOracle { inner, cache: ShardedCache::new(), total: AtomicUsize::new(0) }
+        CachingOracle { inner, cache: QueryCache::new(), total: AtomicUsize::new(0) }
     }
 
     /// Number of queries answered (including cache hits).

@@ -106,11 +106,10 @@
 //!   identical verdict, so grammars and `unique_queries` are unchanged —
 //!   only oracle traffic can grow. An 8-byte-per-distinct-query ledger
 //!   remains so `unique_queries` stays exact under eviction.
-//! * **Partial load** ([`BinaryCacheFile`] via
-//!   [`Session::attach_cache`](crate::Session::attach_cache)) keeps the
-//!   snapshot on disk entirely and faults verdicts in on demand — pair it
-//!   with a residency cap to serve warm starts from snapshots much larger
-//!   than memory.
+//! * **Point lookups** ([`BinaryCacheFile`]) answer single queries from
+//!   a binary snapshot on disk without loading it (`glade cache inspect`
+//!   reads only its header). Sessions always load a snapshot in full
+//!   ([`Session::load_cache`](crate::Session::load_cache)).
 
 use glade_grammar::CharClass;
 use std::fmt::Write as _;
@@ -616,9 +615,8 @@ const BIN_INDEX_SLOT: usize = 16;
 /// library leaves that hasher's algorithm unspecified across releases, so
 /// the format spells the function out here instead: a snapshot written by
 /// one toolchain must keep answering [`BinaryCacheFile::lookup`] in every
-/// later one. The in-memory query cache keys its shards by the same value
-/// (see `cache.rs`), so a lookup in an attached snapshot reuses the hash
-/// the engine already computed.
+/// later one. The in-memory query cache keys its map by the same value
+/// (see `cache.rs`).
 pub(crate) fn index_hash(query: &[u8]) -> u64 {
     const C_ROUNDS: usize = 1;
     const D_ROUNDS: usize = 3;
@@ -941,8 +939,7 @@ pub fn snapshot_from_binary(bytes: &[u8]) -> Result<CacheSnapshot, CacheError> {
 /// snapshot far larger than memory, paying I/O only for the queries it
 /// actually poses — [`bytes_touched`](BinaryCacheFile::bytes_touched)
 /// measures exactly how little (the `cache_scale` bench pins it under 10%
-/// of the file for sparse query sets). Sessions wire this in through
-/// [`Session::attach_cache`](crate::Session::attach_cache).
+/// of the file for sparse query sets).
 #[derive(Debug)]
 pub struct BinaryCacheFile {
     file: std::fs::File,
@@ -1049,16 +1046,7 @@ impl BinaryCacheFile {
     /// [`CacheError::Io`] for read failures, [`CacheError::Corrupt`] if
     /// the index or a record is inconsistent. Absence is `Ok(None)`.
     pub fn lookup(&mut self, query: &[u8]) -> Result<Option<bool>, CacheError> {
-        self.lookup_hashed(index_hash(query), query)
-    }
-
-    /// [`BinaryCacheFile::lookup`] for a query whose [`index_hash`] the
-    /// caller already holds.
-    pub(crate) fn lookup_hashed(
-        &mut self,
-        target: u64,
-        query: &[u8],
-    ) -> Result<Option<bool>, CacheError> {
+        let target = index_hash(query);
         // Lower bound of `target` in the sorted (hash, offset) index.
         let (mut lo, mut hi) = (0u64, self.header.entry_count);
         while lo < hi {

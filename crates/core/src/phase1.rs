@@ -167,19 +167,19 @@ impl<'a, 'o> Phase1<'a, 'o> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ShardedCache;
+    use crate::cache::QueryCache;
     use crate::runner::RunnerOptions;
     use crate::testing::xml_like;
     use crate::{FnOracle, Oracle};
     use glade_grammar::Regex;
 
-    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s ShardedCache) -> QueryRunner<'s> {
+    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
     }
 
     fn synthesize_regex(seed: &[u8]) -> Regex {
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         p1.generalize_seed(seed).to_regex()
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn running_example_star_metadata() {
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"<a>hi</a>");
@@ -246,7 +246,7 @@ mod tests {
     fn fixed_format_stays_constant() {
         // Language: exactly "ab". Nothing can generalize.
         let oracle = FnOracle::new(|i: &[u8]| i == b"ab");
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let r = p1.generalize_seed(b"ab").to_regex();
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_degrades_to_seed() {
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = QueryRunner::new(
             &oracle,
             &cache,
@@ -304,7 +304,7 @@ mod tests {
         ];
         for (seed, f) in oracles {
             let oracle = FnOracle::new(f);
-            let cache = ShardedCache::new();
+            let cache = QueryCache::new();
             let runner = test_runner(&oracle, &cache);
             let mut p1 = Phase1::new(&runner, 0);
             let r = p1.generalize_seed(seed).to_regex();
@@ -316,7 +316,7 @@ mod tests {
     fn terminates_on_permissive_oracle() {
         // Σ* accepts everything: the greedy search must still terminate.
         let oracle = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let r = p1.generalize_seed(b"abcd").to_regex();

@@ -31,8 +31,8 @@
 //! the unions are applied in ascending pair order, so the grammar is the
 //! unreduced plan's, byte for byte, at every worker count.
 
-use crate::arena::KeyArena;
-use crate::cache::ShardedCache;
+use crate::arena::{KeyArena, KeySet};
+use crate::cache::CacheEntries;
 use crate::runner::CheckSpec;
 use crate::tree::{Node, StarNode, UnionFind};
 
@@ -139,9 +139,9 @@ impl<'t> StagedMerge<'t> {
 
     /// Plans the next wave: every unresolved pair resolves against the
     /// session cache as far as possible, then poses at most one check.
-    /// Returns the number of distinct checks planned (take them with
-    /// [`StagedMerge::take_keys`]); zero means every pair is resolved.
-    pub fn plan_wave(&mut self, cache: &ShardedCache) -> usize {
+    /// Returns the number of distinct checks planned (pose them through
+    /// [`StagedMerge::keys_mut`]); zero means every pair is resolved.
+    pub fn plan_wave(&mut self, cache: &mut CacheEntries) -> usize {
         debug_assert!(self.keys.len() == 0, "previous wave not folded");
         for idx in 0..self.pairs.len() {
             loop {
@@ -185,11 +185,11 @@ impl<'t> StagedMerge<'t> {
         self.keys.len()
     }
 
-    /// Moves the wave's planned checks out as `(hash, key)` pairs, in
-    /// verdict order, for
-    /// [`QueryRunner::accepts_keyed`](crate::runner::QueryRunner::accepts_keyed).
-    pub fn take_keys(&mut self) -> impl Iterator<Item = (u64, Box<[u8]>)> + '_ {
-        self.keys.take_keys()
+    /// The wave's planned checks, in verdict order, for
+    /// [`QueryRunner::pose`](crate::runner::QueryRunner::pose). Every slot
+    /// missed the cache when it was planned.
+    pub fn keys_mut(&mut self) -> &mut KeySet {
+        self.keys.keys_mut()
     }
 
     /// Folds the wave's verdicts (one per planned check, in order) back
@@ -242,7 +242,7 @@ impl<'t> StagedMerge<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ShardedCache;
+    use crate::cache::QueryCache;
     use crate::phase1::Phase1;
     use crate::reference;
     use crate::runner::{QueryRunner, RunnerOptions};
@@ -251,7 +251,7 @@ mod tests {
     use crate::FnOracle;
     use glade_grammar::Earley;
 
-    fn runner<'s>(oracle: &'s dyn crate::Oracle, cache: &'s ShardedCache) -> QueryRunner<'s> {
+    fn runner<'s>(oracle: &'s dyn crate::Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
     }
 
@@ -260,7 +260,7 @@ mod tests {
         // Figure 2 steps C1–C2: the two stars of (<a>(h+i)*</a>)* merge,
         // yielding the recursive grammar A → (<a>A</a>)* , A → (h+i)*.
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"<a>hi</a>");
@@ -293,7 +293,7 @@ mod tests {
             let split = i.iter().position(|&b| b == b'y').unwrap_or(i.len());
             i[..split].iter().all(|&b| b == b'x') && i[split..].iter().all(|&b| b == b'y')
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"xy");
@@ -313,7 +313,7 @@ mod tests {
             let Some(x) = i.iter().position(|&b| b == b'x') else { return false };
             i[..x].iter().all(|&b| b == b'a') && i[x + 1..].iter().all(|&b| b == b'b')
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"axb");
@@ -335,7 +335,7 @@ mod tests {
         // <a><a/></a> yields a suboptimal (but still valid) grammar whose
         // stars cannot merge, because the check ><a/ is invalid.
         let oracle = FnOracle::new(xml_like_with_self_closing);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"<a><a/></a>");
@@ -355,7 +355,7 @@ mod tests {
     fn section7_recovery_with_two_seeds() {
         // Section 7 continued: seeds {<a/>, <a>hi</a>} recover the target.
         let oracle = FnOracle::new(xml_like_with_self_closing);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let t1 = p1.generalize_seed(b"<a/>");
@@ -376,11 +376,11 @@ mod tests {
         trees: &[Node],
         num_stars: usize,
         runner: &QueryRunner<'_>,
-        cache: &ShardedCache,
+        cache: &QueryCache,
     ) -> MergeOutcome {
         let mut staged = StagedMerge::new(trees, num_stars);
-        while staged.plan_wave(cache) > 0 {
-            let verdicts = runner.accepts_keyed(staged.take_keys());
+        while staged.plan_wave(&mut cache.lock()) > 0 {
+            let verdicts = runner.pose(&mut [staged.keys_mut()]);
             staged.fold_wave(&verdicts);
         }
         staged.finish()
@@ -392,7 +392,7 @@ mod tests {
         trees: &[Node],
         num_stars: usize,
         runner: &QueryRunner<'_>,
-        cache: &ShardedCache,
+        cache: &QueryCache,
     ) -> (UnionFind, MergeStats) {
         let outcome = run_staged(trees, num_stars, runner, cache);
         (outcome.uf, outcome.stats)
@@ -403,7 +403,7 @@ mod tests {
         // The staged planner must reproduce the one-shot reference's accept set
         // (and union order) exactly on the running example.
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let trees = vec![p1.generalize_seed(b"<a>hi</a>")];
@@ -425,7 +425,7 @@ mod tests {
         // byte-identical originals; their cross-checks are the accepted
         // creation checks, so the staged run unions them structurally.
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let t1 = p1.generalize_seed(b"<a>hi</a>");
@@ -461,7 +461,7 @@ mod tests {
             let Some(x) = i.iter().position(|&b| b == b'x') else { return false };
             i[..x].iter().all(|&b| b == b'a') && i[x + 1..].iter().all(|&b| b == b'b')
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let trees = vec![p1.generalize_seed(b"axb")];

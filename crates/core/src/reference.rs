@@ -20,7 +20,7 @@
 //! 8.2 language. This module plays the role for the planners that
 //! `crates/grammar/tests/reference` plays for the old Earley chart.
 
-use crate::cache::ShardedCache;
+use crate::cache::QueryCache;
 use crate::events::{SynthEvent, SynthesisObserver};
 use crate::phase1::Phase1;
 use crate::phase2::MergeStats;
@@ -244,7 +244,7 @@ pub(crate) fn synthesize(
     seeds: &[Vec<u8>],
     oracle: &dyn Oracle,
 ) -> Result<Synthesis, SynthesisError> {
-    let cache = ShardedCache::new();
+    let cache = QueryCache::new();
     let runner = QueryRunner::new(
         oracle,
         &cache,

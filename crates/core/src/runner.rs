@@ -6,34 +6,28 @@
 //! runs the program under test). This module is therefore built for
 //! concurrency end to end:
 //!
-//! * the query cache is a mutex-striped [`ShardedCache`] owned by the
+//! * the query cache is a [`QueryCache`] owned by the
 //!   [`Session`](crate::Session) — it outlives any single run, so
 //!   incremental `add_seeds` calls and warm-started runs (see
 //!   `persist.rs`) answer repeated checks without re-paying oracle calls —
 //!   and all counters are atomics, making [`QueryRunner`] `Sync`;
-//! * callers describe checks as segment lists ([`CheckSpec`]) instead of
-//!   pre-concatenated strings; a check is assembled in the staging buffer
-//!   of a [`KeyArena`] (see `arena.rs`) that the runner reuses across
-//!   calls, so phase one's many two-check batches pay no per-call setup;
-//! * **one hash, one allocation per distinct query:** a check is hashed
-//!   exactly once, where its bytes are first assembled — by the runner
-//!   for [`QueryRunner::accepts_batch`], or by the chargen and merge wave
-//!   planners, whose already hashed keys arrive through
-//!   [`QueryRunner::accepts_keyed`]. The hash is reused for the cache
-//!   lookup, the in-batch dedup, the backing-snapshot lookup (it is also
-//!   the snapshot's index hash) and the cache insert. Cache hits and
-//!   duplicates allocate nothing; a distinct miss is one exactly-sized key
-//!   that moves into the cache;
-//! * a partially loaded binary snapshot ([`BackingStore`], see
-//!   `persist::BinaryCacheFile`) sits between the in-memory cache and the
-//!   oracle: misses consult its on-disk index before paying an oracle
-//!   call, and hits are faulted into the cache on demand — so a multi-GB
-//!   warm-start snapshot costs index probes for the entries a campaign
-//!   actually revisits instead of an up-front full materialization;
-//! * [`QueryRunner::accepts_batch`] deduplicates a batch (on the bytes —
-//!   equal hashes alone never merge two checks), consults the cache once
-//!   per check, and fans the remaining misses out across a scoped worker
-//!   pool (`std::thread::scope` — no dependencies);
+//! * **each check is admitted once, one hash and one allocation per
+//!   distinct query:** a check is hashed exactly once, where its bytes are
+//!   first assembled in a [`KeyArena`] (see `arena.rs`), looked up in the
+//!   cache once, and interned once. The chargen and merge wave planners do
+//!   this at plan time under one cache lock per wave, and hand their
+//!   arenas' keys ([`KeySet`]s) to [`QueryRunner::pose`] as they stand:
+//!   every slot is a distinct plan-time miss. Phase one's
+//!   [`QueryRunner::accepts_batch`] does the same into an arena the runner
+//!   reuses across calls, then poses it the same way. The hash is reused
+//!   for the in-arena dedup and the cache insert; cache hits and duplicates
+//!   allocate nothing, and a posed key moves into the cache;
+//! * [`QueryRunner::pose`] charges budget per slot in slot order, poses
+//!   each key once even when two planners' arenas hold it (the later slot
+//!   is its earlier twin's co-owner), inserts the verdicts under one cache
+//!   lock, and answers every slot;
+//! * misses fan out across a scoped worker pool (`std::thread::scope` —
+//!   no dependencies);
 //! * dispatch inside a batch is **work-stealing**: workers pull the next
 //!   un-posed miss from a shared atomic cursor instead of owning a static
 //!   chunk, so one slow query (real oracles have heavy-tailed latencies —
@@ -67,10 +61,9 @@
 //! speed, so degraded runs are reproducible only in their guarantees
 //! (fail-closed, seeds preserved), not byte-for-byte.
 
-use crate::arena::KeyArena;
-use crate::cache::{hash_query, ShardedCache};
+use crate::arena::{KeyArena, KeySet};
+use crate::cache::{hash_query, QueryCache};
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
-use crate::persist::BinaryCacheFile;
 use crate::tree::Context;
 use crate::Oracle;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -136,31 +129,6 @@ impl<'a> CheckSpec<'a> {
     }
 }
 
-/// A partially loaded binary cache snapshot serving as a read-only
-/// second cache level.
-///
-/// Opened by [`Session::attach_cache`](crate::Session::attach_cache): the
-/// snapshot's index stays on disk and entries are faulted into the
-/// in-memory [`ShardedCache`] the first time a run revisits them.
-/// `faulted` counts the *distinct* backing entries materialized so far, so
-/// `unique_queries` accounting stays exact: distinct queries known to the
-/// session = `cache.len() + (file.len() - faulted)` — every backing entry
-/// is either still pending on disk or has been faulted (and is then
-/// counted by the cache's distinct-ever ledger, which survives eviction).
-#[derive(Debug)]
-pub(crate) struct BackingStore {
-    pub file: BinaryCacheFile,
-    /// Distinct backing entries faulted into the in-memory cache.
-    pub faulted: usize,
-}
-
-impl BackingStore {
-    /// Backing entries not yet faulted into the in-memory cache.
-    pub fn pending(&self) -> usize {
-        self.file.len().saturating_sub(self.faulted)
-    }
-}
-
 /// Construction-time knobs for a [`QueryRunner`], separate from the
 /// borrowed oracle and cache so call sites stay readable.
 pub(crate) struct RunnerOptions<'s> {
@@ -168,15 +136,13 @@ pub(crate) struct RunnerOptions<'s> {
     pub max_queries: Option<usize>,
     /// Wall-clock limit for this run.
     pub time_limit: Option<Duration>,
-    /// Worker threads used by `accepts_batch` (1 = fully sequential).
+    /// Worker threads a batch of misses fans out to (1 = fully sequential).
     pub workers: usize,
     /// Progress observer; receives `QueryBatch`/`BudgetExhausted`/
     /// `Cancelled` events.
     pub observer: Option<&'s dyn SynthesisObserver>,
     /// Cooperative cancellation flag checked between and inside batches.
     pub cancel: Option<&'s CancelToken>,
-    /// Session-owned partially loaded snapshot consulted on cache misses.
-    pub backing: Option<&'s Mutex<BackingStore>>,
 }
 
 impl Default for RunnerOptions<'_> {
@@ -187,7 +153,6 @@ impl Default for RunnerOptions<'_> {
             workers: 1,
             observer: None,
             cancel: None,
-            backing: None,
         }
     }
 }
@@ -209,10 +174,7 @@ impl Default for RunnerOptions<'_> {
 pub(crate) struct QueryRunner<'s> {
     oracle: &'s dyn Oracle,
     /// Session-owned cache; shared across the runs of one session.
-    cache: &'s ShardedCache,
-    /// Partially loaded snapshot consulted on cache misses (see
-    /// [`BackingStore`]).
-    backing: Option<&'s Mutex<BackingStore>>,
+    cache: &'s QueryCache,
     observer: Option<&'s dyn SynthesisObserver>,
     cancel: Option<&'s CancelToken>,
     /// All queries, including cache hits.
@@ -227,7 +189,7 @@ pub(crate) struct QueryRunner<'s> {
     /// One-shot latches so `BudgetExhausted`/`Cancelled` are emitted once.
     budget_event_sent: AtomicBool,
     cancel_event_sent: AtomicBool,
-    /// Worker threads used by `accepts_batch` (1 = fully sequential).
+    /// Worker threads a batch of misses fans out to (1 = fully sequential).
     workers: usize,
     /// Oracle execution failures already accumulated before this run, so
     /// the runner reports per-run deltas (see [`Oracle::failure_count`]).
@@ -247,53 +209,40 @@ pub(crate) struct QueryRunner<'s> {
     scratch: Mutex<BatchScratch>,
 }
 
-/// Reusable per-batch scratch: the distinct misses of the batch in flight
-/// (owners are check positions), their verdicts, and the buffer a native
-/// sub-batch's borrowed keys are listed in (empty between batches, see
-/// [`recycle`]).
+/// Scratch reused across calls (see [`QueryRunner::with_scratch`]):
+/// phase one's arena, whose owners are check positions, and the buffers
+/// of [`QueryRunner::pose`].
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: KeyArena<usize>,
+    pose: PoseScratch,
+}
+
+/// The buffers of one [`QueryRunner::pose`] call.
+#[derive(Debug, Default)]
+struct PoseScratch {
+    /// One verdict per slot of every posed set, sets in order. `None`
+    /// answers `false` and is never cached: a slot over budget, skipped by
+    /// a deadline or a cancel, or failed by the oracle.
     verdicts: Vec<Option<bool>>,
-    refs: Vec<&'static [u8]>,
+    /// The slots that won budget, in slot order.
+    misses: Vec<Miss>,
+    /// `(slot, earlier slot)`: a key an earlier set already holds. Both
+    /// are indices into `verdicts`.
+    twins: Vec<(usize, usize)>,
 }
 
-/// Empties `refs` and hands its allocation on as a vector of borrows with
-/// another lifetime, so one buffer lists the keys of every native
-/// sub-batch instead of one allocation per sub-batch.
-fn recycle<'a>(mut refs: Vec<&[u8]>) -> Vec<&'a [u8]> {
-    refs.clear();
-    let mut refs = std::mem::ManuallyDrop::new(refs);
-    let (ptr, capacity) = (refs.as_mut_ptr(), refs.capacity());
-    // SAFETY: the allocation passes unchanged from one vector to the
-    // other, which holds no element; `&[u8]` has the same layout for every
-    // lifetime.
-    unsafe { Vec::from_raw_parts(ptr.cast::<&'a [u8]>(), 0, capacity) }
-}
-
-/// The per-call side of a batch: its answers, in check order, and how
-/// many were cache (or backing-snapshot) hits.
-struct Batch {
-    results: Vec<bool>,
-    cached: usize,
-}
-
-impl Batch {
-    fn new(capacity: usize) -> Self {
-        Batch { results: Vec::with_capacity(capacity), cached: 0 }
-    }
-}
-
-/// A check's bytes as [`QueryRunner::admit`] receives them.
-enum Incoming {
-    /// In the scratch arena's staging buffer.
-    Staged,
-    /// Already an owned key (assembled by a wave planner).
-    Owned(Box<[u8]>),
+/// A slot that won budget: its set, its slot there, and its index into
+/// [`PoseScratch::verdicts`].
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    set: usize,
+    slot: usize,
+    at: usize,
 }
 
 impl<'s> QueryRunner<'s> {
-    pub fn new(oracle: &'s dyn Oracle, cache: &'s ShardedCache, opts: RunnerOptions<'s>) -> Self {
+    pub fn new(oracle: &'s dyn Oracle, cache: &'s QueryCache, opts: RunnerOptions<'s>) -> Self {
         let failures_at_start = oracle.failure_count();
         let timeouts_at_start = oracle.timed_out_count();
         let trips_at_start = oracle.tripped_worker_count();
@@ -301,7 +250,6 @@ impl<'s> QueryRunner<'s> {
         QueryRunner {
             oracle,
             cache,
-            backing: opts.backing,
             observer: opts.observer,
             cancel: opts.cancel,
             total: AtomicUsize::new(0),
@@ -439,27 +387,6 @@ impl<'s> QueryRunner<'s> {
         reserved
     }
 
-    /// Consults the partially loaded backing snapshot for a cache miss
-    /// (`h` is the key's hash — also the snapshot's index hash). Hits are
-    /// faulted into the in-memory cache (so later lookups answer there)
-    /// and charged to the store's `faulted` ledger exactly once per
-    /// distinct entry — a re-fault after eviction is answered but not
-    /// re-counted. I/O errors on a damaged file degrade to a miss: the
-    /// oracle re-answers, trading queries for availability.
-    fn backing_lookup(&self, h: u64, key: &[u8]) -> Option<bool> {
-        let store = self.backing?;
-        let mut store = store.lock().expect("backing cache poisoned");
-        match store.file.lookup_hashed(h, key) {
-            Ok(Some(v)) => {
-                if self.cache.insert_hashed(h, key.into(), v) {
-                    store.faulted += 1;
-                }
-                Some(v)
-            }
-            Ok(None) | Err(_) => None,
-        }
-    }
-
     /// Budget-aware membership query (single-check form of
     /// [`QueryRunner::accepts_batch`]; the synthesis phases all batch, so
     /// production builds reach this only through the batch path).
@@ -468,10 +395,6 @@ impl<'s> QueryRunner<'s> {
         self.total.fetch_add(1, Ordering::Relaxed);
         let h = hash_query(input);
         if let Some(v) = self.cache.get_hashed(h, input) {
-            return v;
-        }
-        // Backing-snapshot hits are warm answers: not budgeted.
-        if let Some(v) = self.backing_lookup(h, input) {
             return v;
         }
         if !self.reserve_budget() {
@@ -485,50 +408,67 @@ impl<'s> QueryRunner<'s> {
 
     /// Budget-aware batched membership query.
     ///
-    /// Deduplicates `checks`, answers what it can from the cache, reserves
-    /// budget for the distinct misses (misses beyond the budget answer
-    /// `false`, exactly like [`QueryRunner::accepts`]), then dispatches the
-    /// misses across up to `workers` scoped threads. Results are returned
-    /// in input order and are identical for every worker count. When an
-    /// observer is installed, one [`SynthEvent::QueryBatch`] is emitted per
-    /// call with the batch/cached/posed breakdown.
+    /// Answers what it can from the cache, interns the remaining checks
+    /// into the runner's scratch arena (deduplicating on the bytes — equal
+    /// hashes alone never merge two checks), and poses that arena through
+    /// [`QueryRunner::pose`]: misses beyond the budget answer `false`,
+    /// exactly like [`QueryRunner::accepts`]. Results are returned in input
+    /// order and are identical for every worker count.
     ///
     /// Budget note: a batch charges every distinct miss it poses. Callers
     /// that previously short-circuited (stop at the first failing check of
     /// a candidate) now pay for the whole batch — that is the price of
     /// posing the checks concurrently, and it is the same in sequential
     /// mode so query counts stay worker-count-independent.
-    ///
-    /// The time budget and the cancel token are enforced during execution
-    /// too: once the deadline passes or the token flips, remaining misses
-    /// are skipped (answering `false`, *not* cached — only real oracle
-    /// verdicts enter the cache) and the runner is marked exhausted.
     pub fn accepts_batch(&self, checks: &[CheckSpec<'_>]) -> Vec<bool> {
         self.with_scratch(|scratch| {
-            let mut batch = Batch::new(checks.len());
-            for spec in checks {
-                let h = scratch.keys.stage(|buf| spec.write_into(buf));
-                self.admit(scratch, &mut batch, h, Incoming::Staged);
+            let mut results = vec![false; checks.len()];
+            let mut cached = 0;
+            {
+                let mut cache = self.cache.lock();
+                for (i, spec) in checks.iter().enumerate() {
+                    let h = scratch.keys.stage(|buf| spec.write_into(buf));
+                    match cache.get_hashed(h, scratch.keys.staged()) {
+                        Some(v) => {
+                            results[i] = v;
+                            cached += 1;
+                        }
+                        None => {
+                            scratch.keys.intern_staged(h, i);
+                        }
+                    }
+                }
             }
-            self.dispatch(scratch, batch)
+            let pose = &mut scratch.pose;
+            self.pose_into(pose, &mut [scratch.keys.keys_mut()], checks.len(), cached);
+            for (slot, verdict) in pose.verdicts.iter().enumerate() {
+                for &i in scratch.keys.owners(slot) {
+                    results[i] = verdict.unwrap_or(false);
+                }
+            }
+            results
         })
     }
 
-    /// [`QueryRunner::accepts_batch`] for checks a wave planner already
-    /// assembled and hashed (`(hash, key)` pairs, see `arena.rs`): the
-    /// keys are not rehashed, and each posed key moves into the cache.
-    pub fn accepts_keyed(&self, checks: impl IntoIterator<Item = (u64, Box<[u8]>)>) -> Vec<bool> {
+    /// Poses the distinct misses of a wave: `sets` are the planners' key
+    /// sets, each slot a distinct check that missed the cache at plan time
+    /// (see `arena.rs`). Returns one verdict per slot, sets in order.
+    ///
+    /// Budget is reserved per slot in slot order; a slot over budget
+    /// answers `false`. A key that an earlier set already holds is posed
+    /// and charged once, through that earlier slot, and both slots get its
+    /// verdict. Every slot still counts as one query in
+    /// [`QueryRunner::total_queries`]. The posed keys move into the cache.
+    pub fn pose(&self, sets: &mut [&mut KeySet]) -> Vec<bool> {
+        let checks = sets.iter().map(|set| set.len()).sum();
         self.with_scratch(|scratch| {
-            let mut batch = Batch::new(0);
-            for (h, key) in checks {
-                self.admit(scratch, &mut batch, h, Incoming::Owned(key));
-            }
-            self.dispatch(scratch, batch)
+            self.pose_into(&mut scratch.pose, sets, checks, 0);
+            scratch.pose.verdicts.iter().map(|v| v.unwrap_or(false)).collect()
         })
     }
 
-    /// Runs `f` on the runner's reusable batch scratch, or on a fresh one
-    /// if another thread is using it.
+    /// Runs `f` on the runner's reusable scratch, or on a fresh one if
+    /// another thread is using it.
     fn with_scratch<R>(&self, f: impl FnOnce(&mut BatchScratch) -> R) -> R {
         match self.scratch.try_lock() {
             Ok(mut scratch) => {
@@ -539,51 +479,87 @@ impl<'s> QueryRunner<'s> {
         }
     }
 
-    /// Admits the batch's next check (hash `h`): answers it from the cache
-    /// or the backing snapshot, attaches it to an identical miss already
-    /// admitted, or admits it as a new distinct miss if the budget allows
-    /// (a check over budget answers `false`, and so do its later
-    /// duplicates, which re-enter here and fail the same way).
-    fn admit(&self, scratch: &mut BatchScratch, batch: &mut Batch, h: u64, incoming: Incoming) {
-        let i = batch.results.len();
-        batch.results.push(false);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        let keys = &mut scratch.keys;
-        let key: &[u8] = match &incoming {
-            Incoming::Staged => keys.staged(),
-            Incoming::Owned(key) => key,
-        };
-        if let Some(v) = self.cache.get_hashed(h, key) {
-            batch.results[i] = v;
-            batch.cached += 1;
-            return;
-        }
-        if let Some(slot) = keys.find(h, key) {
-            keys.push_owner(slot, i);
-            return;
-        }
-        // Backing-snapshot hits are warm answers: counted as cached, not
-        // budgeted, never posed. The fault inserts the entry into the
-        // cache, so later duplicates in this batch hit there.
-        if let Some(v) = self.backing_lookup(h, key) {
-            batch.results[i] = v;
-            batch.cached += 1;
-            return;
-        }
-        if !self.reserve_budget() {
-            return;
-        }
-        match incoming {
-            Incoming::Staged => keys.commit_staged(h, i),
-            Incoming::Owned(key) => keys.commit(h, key, i),
-        };
+    /// Whether any slot of `sets` is already cached — a planner that
+    /// interned a key without looking it up first.
+    fn any_slot_cached(&self, sets: &[&mut KeySet]) -> bool {
+        let cache = self.cache.lock();
+        sets.iter()
+            .any(|set| (0..set.len()).any(|s| cache.contains_hashed(set.hash(s), set.key(s))))
     }
 
-    /// Poses the batch's distinct misses (the scratch arena's slots),
-    /// caches their verdicts, and answers every owner.
-    fn dispatch(&self, scratch: &mut BatchScratch, mut batch: Batch) -> Vec<bool> {
-        let keys = &mut scratch.keys;
-        let misses = keys.len();
+    /// [`QueryRunner::pose`] into `buf.verdicts`. `checks` is the number
+    /// of checks the batch was planned from, `cached` how many of them the
+    /// cache answered before interning: both go to
+    /// [`QueryRunner::total_queries`] and the [`SynthEvent::QueryBatch`]
+    /// event.
+    ///
+    /// The time budget and the cancel token are enforced during execution
+    /// too: once the deadline passes or the token flips, remaining misses
+    /// are skipped (answering `false`, *not* cached — only real oracle
+    /// verdicts enter the cache) and the runner is marked exhausted.
+    fn pose_into(
+        &self,
+        buf: &mut PoseScratch,
+        sets: &mut [&mut KeySet],
+        checks: usize,
+        cached: usize,
+    ) {
+        debug_assert!(!self.any_slot_cached(sets), "a planner interned a key the cache answers");
+        self.total.fetch_add(checks, Ordering::Relaxed);
+        buf.verdicts.clear();
+        buf.misses.clear();
+        buf.twins.clear();
+        // Admission: budget per distinct miss, in slot order. A key an
+        // earlier set holds is that slot's twin and is neither charged nor
+        // posed again.
+        let mut at = 0;
+        for (set_index, set) in sets.iter().enumerate() {
+            for slot in 0..set.len() {
+                let (h, key) = (set.hash(slot), set.key(slot));
+                let mut start = 0;
+                let earlier = sets[..set_index].iter().find_map(|other| {
+                    let found = other.find(h, key).map(|s| start + s);
+                    start += other.len();
+                    found
+                });
+                match earlier {
+                    Some(twin) => buf.twins.push((at, twin)),
+                    None if self.reserve_budget() => {
+                        buf.misses.push(Miss { set: set_index, slot, at })
+                    }
+                    None => {}
+                }
+                at += 1;
+            }
+        }
+        buf.verdicts.resize(at, None);
+        self.dispatch(&*sets, &buf.misses, &mut buf.verdicts);
+        self.report_oracle_failures();
+        self.report_oracle_health();
+
+        if self.observer.is_some() {
+            // `posed` counts misses that actually reached the oracle —
+            // slots left `None` were skipped by the deadline or a cancel.
+            let posed = buf.misses.iter().filter(|m| buf.verdicts[m.at].is_some()).count();
+            self.emit(SynthEvent::QueryBatch { checks, cached, posed });
+        }
+
+        let mut cache = self.cache.lock();
+        for m in &buf.misses {
+            if let Some(verdict) = buf.verdicts[m.at] {
+                let set = &mut sets[m.set];
+                cache.insert_hashed(set.hash(m.slot), set.take_key(m.slot), verdict);
+            }
+        }
+        drop(cache);
+        for &(at, twin) in &buf.twins {
+            buf.verdicts[at] = buf.verdicts[twin];
+        }
+    }
+
+    /// Poses `misses`, writing each real verdict to its `verdicts` index.
+    fn dispatch(&self, sets: &[&mut KeySet], misses: &[Miss], verdicts: &mut [Option<bool>]) {
+        let key = |m: &Miss| sets[m.set].key(m.slot);
         // Two strategies, same results:
         //
         // * **Native batch dispatch** — oracles that batch themselves
@@ -609,41 +585,50 @@ impl<'s> QueryRunner<'s> {
         // execution failure: it answers `false` but is not cached (only
         // real oracle verdicts may enter the cache, or a persisted
         // snapshot would poison every warm start).
-        let verdicts = &mut scratch.verdicts;
-        verdicts.clear();
-        verdicts.resize(misses, None);
+        //
         // Spawning threads costs tens of microseconds; only fan out when
         // the batch is big enough to amortize it (tiny batches — e.g.
         // phase 1's residual pairs against an in-process oracle — run
         // inline). Results are identical either way.
-        let threads = if misses >= MIN_PARALLEL_MISSES { self.workers.min(misses) } else { 1 };
+        let n = misses.len();
+        let threads = if n >= MIN_PARALLEL_MISSES { self.workers.min(n) } else { 1 };
         if self.oracle.native_batching() {
-            let mut refs = recycle(std::mem::take(&mut scratch.refs));
-            for start in (0..misses).step_by(NATIVE_DISPATCH_SUB_BATCH) {
+            // A sub-batch's keys are listed on the stack when they fit
+            // (phase one's pairs), else in one buffer per call.
+            let mut inline: [&[u8]; 2] = [&[]; 2];
+            let mut heap: Vec<&[u8]> = Vec::new();
+            for chunk in misses.chunks(NATIVE_DISPATCH_SUB_BATCH) {
                 if self.stop_requested() {
                     break;
                 }
-                let end = (start + NATIVE_DISPATCH_SUB_BATCH).min(misses);
-                refs.clear();
-                refs.extend((start..end).map(|slot| keys.key(slot)));
-                let answers = self.oracle.accepts_batch_checked(&refs);
+                let refs: &[&[u8]] = if chunk.len() <= inline.len() {
+                    for (r, m) in inline.iter_mut().zip(chunk) {
+                        *r = key(m);
+                    }
+                    &inline[..chunk.len()]
+                } else {
+                    heap.clear();
+                    heap.extend(chunk.iter().map(key));
+                    &heap
+                };
+                let answers = self.oracle.accepts_batch_checked(refs);
                 debug_assert_eq!(answers.len(), refs.len());
-                verdicts[start..end].copy_from_slice(&answers);
+                for (m, answer) in chunk.iter().zip(answers) {
+                    verdicts[m.at] = answer;
+                }
             }
-            scratch.refs = recycle(refs);
         } else if threads > 1 {
             const SLOT_SKIPPED: u8 = 0;
             const SLOT_REJECT: u8 = 1;
             const SLOT_ACCEPT: u8 = 2;
-            let slots: Vec<AtomicU8> = (0..misses).map(|_| AtomicU8::new(SLOT_SKIPPED)).collect();
+            let slots: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(SLOT_SKIPPED)).collect();
             let cursor = AtomicUsize::new(0);
-            let keys = &*keys;
             let steal_loop = || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= misses || self.stop_requested() {
+                if i >= n || self.stop_requested() {
                     break;
                 }
-                if let Some(v) = self.oracle.accepts_checked(keys.key(i)) {
+                if let Some(v) = self.oracle.accepts_checked(key(&misses[i])) {
                     slots[i].store(if v { SLOT_ACCEPT } else { SLOT_REJECT }, Ordering::Relaxed);
                 }
             };
@@ -652,41 +637,20 @@ impl<'s> QueryRunner<'s> {
                     scope.spawn(steal_loop);
                 }
             });
-            for (verdict, slot) in verdicts.iter_mut().zip(&slots) {
-                *verdict = match slot.load(Ordering::Relaxed) {
+            for (m, slot) in misses.iter().zip(&slots) {
+                verdicts[m.at] = match slot.load(Ordering::Relaxed) {
                     SLOT_SKIPPED => None,
                     v => Some(v == SLOT_ACCEPT),
                 };
             }
         } else {
-            for (slot, verdict) in verdicts.iter_mut().enumerate() {
+            for m in misses {
                 if self.stop_requested() {
                     break;
                 }
-                *verdict = self.oracle.accepts_checked(keys.key(slot));
+                verdicts[m.at] = self.oracle.accepts_checked(key(m));
             }
         }
-        self.report_oracle_failures();
-        self.report_oracle_health();
-
-        if self.observer.is_some() {
-            // `posed` counts misses that actually reached the oracle —
-            // slots left `None` were skipped by the deadline or a cancel.
-            self.emit(SynthEvent::QueryBatch {
-                checks: batch.results.len(),
-                cached: batch.cached,
-                posed: verdicts.iter().filter(|v| v.is_some()).count(),
-            });
-        }
-
-        for (slot, &verdict) in verdicts.iter().enumerate() {
-            let Some(verdict) = verdict else { continue };
-            self.cache.insert_hashed(keys.hash(slot), keys.take_key(slot), verdict);
-            for &i in keys.owners(slot) {
-                batch.results[i] = verdict;
-            }
-        }
-        batch.results
     }
 
     /// Whether a batch in flight must stop posing: trips the fail-closed
@@ -712,9 +676,6 @@ impl<'s> QueryRunner<'s> {
         if let Some(v) = self.cache.get_hashed(h, input) {
             return v;
         }
-        if let Some(v) = self.backing_lookup(h, input) {
-            return v;
-        }
         // A seed whose validation *execution* fails is rejected (the
         // premise `E_in ⊆ L*` cannot be confirmed) without caching the
         // non-verdict.
@@ -723,14 +684,10 @@ impl<'s> QueryRunner<'s> {
         v
     }
 
-    /// Distinct inputs known so far (cumulative across the session):
-    /// the in-memory cache's distinct-ever count plus the backing
-    /// snapshot's not-yet-faulted entries, so partial and full loads of
-    /// the same snapshot report identical `unique_queries`.
+    /// Distinct inputs known so far (cumulative across the session): the
+    /// cache's distinct-ever count.
     pub fn unique_queries(&self) -> usize {
-        let pending =
-            self.backing.map_or(0, |b| b.lock().expect("backing cache poisoned").pending());
-        self.cache.len() + pending
+        self.cache.len()
     }
 
     /// Total queries posed through this runner, including cache hits.
@@ -762,7 +719,7 @@ mod tests {
 
     fn runner<'s>(
         oracle: &'s dyn Oracle,
-        cache: &'s ShardedCache,
+        cache: &'s QueryCache,
         max_queries: Option<usize>,
         time_limit: Option<Duration>,
         workers: usize,
@@ -777,7 +734,7 @@ mod tests {
     #[test]
     fn caches_and_counts() {
         let o = FnOracle::new(|i: &[u8]| i.len() < 2);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, None, 1);
         assert!(r.accepts(b"a"));
         assert!(r.accepts(b"a"));
@@ -790,7 +747,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_fails_closed() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, Some(2), None, 1);
         assert!(r.accepts(b"1"));
         assert!(r.accepts(b"2"));
@@ -809,7 +766,7 @@ mod tests {
         // the *cache size*, so seed validation (unbudgeted) silently ate
         // distinct-query budget.
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, Some(2), None, 1);
         assert!(r.accepts_unbudgeted(b"seed-1"));
         assert!(r.accepts_unbudgeted(b"seed-2"));
@@ -825,7 +782,7 @@ mod tests {
     #[test]
     fn time_limit_expires() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, Some(Duration::from_nanos(1)), 1);
         std::thread::sleep(Duration::from_millis(2));
         assert!(!r.accepts(b"x"));
@@ -840,7 +797,7 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             true
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let token = CancelToken::new();
         let log = EventLog::new();
         let r = QueryRunner::new(
@@ -877,7 +834,7 @@ mod tests {
             }
             true
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = QueryRunner::new(
             &o,
             &cache,
@@ -900,7 +857,7 @@ mod tests {
         });
         for workers in [1, 4] {
             calls.store(0, Ordering::Relaxed);
-            let cache = ShardedCache::new();
+            let cache = QueryCache::new();
             let r = runner(&o, &cache, None, None, workers);
             let checks =
                 [spec(b"aa"), spec(b"b"), spec(b"aa"), spec(b"cccc"), spec(b"b"), spec(b"")];
@@ -915,7 +872,7 @@ mod tests {
     #[test]
     fn batch_emits_query_batch_event() {
         let o = FnOracle::new(|i: &[u8]| i.len().is_multiple_of(2));
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         cache.insert(b"hit".to_vec(), false);
         let log = EventLog::new();
         let r = QueryRunner::new(
@@ -931,7 +888,7 @@ mod tests {
     #[test]
     fn batch_mixed_segments_concatenate() {
         let o = FnOracle::new(|i: &[u8]| i == b"<a>hi</a>");
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, None, 2);
         let (pre, mid, post) = (&b"<a>"[..], &b"hi"[..], &b"</a>"[..]);
         let checks = [CheckSpec::new(&[pre, mid, post]), CheckSpec::new(&[pre, post])];
@@ -945,7 +902,7 @@ mod tests {
     #[test]
     fn batch_budget_answers_false_beyond_limit() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let log = EventLog::new();
         let r = QueryRunner::new(
             &o,
@@ -980,7 +937,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             true
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, Some(Duration::from_millis(30)), 1);
         let inputs: Vec<Vec<u8>> = (0..10u8).map(|b| vec![b]).collect();
         let specs: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
@@ -995,8 +952,8 @@ mod tests {
     #[test]
     fn batch_agrees_with_sequential_accepts() {
         let o = FnOracle::new(|i: &[u8]| i.iter().all(|&b| b == b'x'));
-        let seq_cache = ShardedCache::new();
-        let par_cache = ShardedCache::new();
+        let seq_cache = QueryCache::new();
+        let par_cache = QueryCache::new();
         let seq = runner(&o, &seq_cache, None, None, 1);
         let par = runner(&o, &par_cache, None, None, 8);
         let inputs: Vec<Vec<u8>> =
@@ -1018,7 +975,7 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             true
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         cache.insert(b"p".to_vec(), true);
         cache.insert(b"q".to_vec(), false);
         let r = runner(&o, &cache, Some(0), None, 2);
@@ -1029,28 +986,148 @@ mod tests {
         assert_eq!(r.unique_queries(), 2);
     }
 
+    /// An arena holding `keys` (owner = position), as a planner fills
+    /// one: each key looked up in `cache` first, hits left out.
+    fn planned(cache: &QueryCache, keys: &[&[u8]]) -> KeyArena<usize> {
+        let mut arena = KeyArena::default();
+        for (i, key) in keys.iter().enumerate() {
+            let h = arena.stage(|buf| buf.extend_from_slice(key));
+            if cache.get_hashed(h, key).is_none() {
+                arena.intern_staged(h, i);
+            }
+        }
+        arena
+    }
+
     #[test]
     fn keyed_batches_dedup_on_bytes_not_hashes() {
-        // Planner keys arrive already hashed. Different strings forced
-        // onto one hash are each posed once, answered with their own
-        // verdicts, and cached as separate entries.
+        // Different strings forced onto one hash are each posed once,
+        // answered with their own verdicts, and cached as separate entries.
         let calls = AtomicUsize::new(0);
         let o = FnOracle::new(|i: &[u8]| {
             calls.fetch_add(1, Ordering::Relaxed);
             i == b"yes"
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, None, 1);
-        let keyed = |key: &[u8]| (7u64, Box::<[u8]>::from(key));
-        let verdicts = r.accepts_keyed([keyed(b"yes"), keyed(b"no"), keyed(b"yes"), keyed(b"no")]);
-        assert_eq!(verdicts, vec![true, false, true, false]);
+        let mut arena = KeyArena::default();
+        for (owner, key) in [&b"yes"[..], b"no", b"yes", b"no"].into_iter().enumerate() {
+            arena.stage(|buf| buf.extend_from_slice(key));
+            arena.intern_staged(7, owner);
+        }
+        assert_eq!(arena.len(), 2, "equal bytes share a slot, equal hashes do not");
+        assert_eq!(r.pose(&mut [arena.keys_mut()]), vec![true, false]);
         assert_eq!(calls.load(Ordering::Relaxed), 2, "each string posed once");
-        assert_eq!((r.unique_queries(), r.total_queries()), (2, 4));
+        assert_eq!((r.unique_queries(), r.total_queries()), (2, 2));
         assert_eq!(cache.get_hashed(7, b"yes"), Some(true));
         assert_eq!(cache.get_hashed(7, b"no"), Some(false));
-        // A later batch with the same collisions is answered by the cache.
-        assert_eq!(r.accepts_keyed([keyed(b"no"), keyed(b"yes")]), vec![false, true]);
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn pose_shares_a_key_across_sets() {
+        // Two planners' arenas both hold "both": it is posed and charged
+        // once, both slots get its verdict, and each slot counts as a query.
+        let calls = AtomicUsize::new(0);
+        let o = FnOracle::new(|i: &[u8]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i.len() > 2
+        });
+        for workers in [1, 4] {
+            calls.store(0, Ordering::Relaxed);
+            let cache = QueryCache::new();
+            let log = EventLog::new();
+            let r = QueryRunner::new(
+                &o,
+                &cache,
+                RunnerOptions {
+                    max_queries: Some(3),
+                    workers,
+                    observer: Some(&log),
+                    ..RunnerOptions::default()
+                },
+            );
+            let mut first = planned(&cache, &[b"both", b"a"]);
+            let mut second = planned(&cache, &[b"bb", b"both"]);
+            let verdicts = r.pose(&mut [first.keys_mut(), second.keys_mut()]);
+            assert_eq!(verdicts, vec![true, false, false, true], "workers={workers}");
+            assert_eq!(calls.load(Ordering::Relaxed), 3, "the shared key is posed once");
+            assert!(!r.exhausted(), "the shared key is charged once");
+            assert_eq!((r.unique_queries(), r.total_queries()), (3, 4));
+            assert_eq!(
+                log.events(),
+                vec![SynthEvent::QueryBatch { checks: 4, cached: 0, posed: 3 }]
+            );
+        }
+    }
+
+    #[test]
+    fn pose_over_budget_slots_and_their_twins_stay_uncached() {
+        let o = FnOracle::new(|_: &[u8]| true);
+        let cache = QueryCache::new();
+        let r = runner(&o, &cache, Some(2), None, 1);
+        let mut first = planned(&cache, &[b"1", b"2", b"3"]);
+        let mut second = planned(&cache, &[b"3", b"1", b"4"]);
+        let verdicts = r.pose(&mut [first.keys_mut(), second.keys_mut()]);
+        // Budget goes in slot order: "1" and "2" fit, "3" runs it out, and
+        // its twin answers false with it; "1"'s twin shares its verdict.
+        assert_eq!(verdicts, vec![true, true, false, false, true, false]);
+        assert!(r.exhausted());
+        assert_eq!((r.unique_queries(), r.total_queries()), (2, 6));
+        assert_eq!((cache.get(b"3"), cache.get(b"4")), (None, None), "over budget is not cached");
+    }
+
+    #[test]
+    fn pose_cancelled_between_sub_batches_skips_the_rest() {
+        // The first native sub-batch flips the cancel token: the second is
+        // never posed, and its slots, and a twin of one of them, answer
+        // false and stay uncached.
+        struct CancellingOracle {
+            token: CancelToken,
+        }
+        impl Oracle for CancellingOracle {
+            fn accepts(&self, _input: &[u8]) -> bool {
+                true
+            }
+            fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
+                self.token.cancel();
+                inputs.iter().map(|_| Some(true)).collect()
+            }
+            fn native_batching(&self) -> bool {
+                true
+            }
+        }
+        let token = CancelToken::new();
+        let o = CancellingOracle { token: token.clone() };
+        let cache = QueryCache::new();
+        let r = QueryRunner::new(
+            &o,
+            &cache,
+            RunnerOptions { cancel: Some(&token), ..RunnerOptions::default() },
+        );
+        let n = super::NATIVE_DISPATCH_SUB_BATCH + 10;
+        let inputs: Vec<Vec<u8>> = (0..n as u32).map(|b| b.to_le_bytes().to_vec()).collect();
+        let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+        let mut first = planned(&cache, &refs);
+        let mut second = planned(&cache, &[&inputs[n - 1], b"fresh"]);
+        let verdicts = r.pose(&mut [first.keys_mut(), second.keys_mut()]);
+        assert!(r.was_cancelled());
+        let answered = super::NATIVE_DISPATCH_SUB_BATCH;
+        assert!(verdicts[..answered].iter().all(|&v| v), "the first sub-batch is answered");
+        assert!(verdicts[answered..].iter().all(|&v| !v), "the rest answers false");
+        assert_eq!(r.unique_queries(), answered, "skipped misses are not cached");
+        assert_eq!(cache.get(&inputs[n - 1]), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a planner interned a key the cache answers")]
+    fn pose_rejects_a_cached_slot() {
+        let o = FnOracle::new(|_: &[u8]| true);
+        let cache = QueryCache::new();
+        let r = runner(&o, &cache, None, None, 1);
+        let mut arena = planned(&cache, &[b"seen"]);
+        cache.insert(b"seen".to_vec(), true);
+        r.pose(&mut [arena.keys_mut()]);
     }
 
     #[test]
@@ -1097,7 +1174,7 @@ mod tests {
     #[test]
     fn native_batching_oracle_receives_whole_miss_sets() {
         let o = BatchingOracle::new();
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         cache.insert(b"zz".to_vec(), true); // a hit that must not be posed
         let r = runner(&o, &cache, None, None, 8);
         let inputs: Vec<Vec<u8>> = (0..40u8).map(|b| vec![b'x'; b as usize % 5]).collect();
@@ -1122,8 +1199,8 @@ mod tests {
         // verdicts and the same cached set.
         let native = BatchingOracle::new();
         let plain = FnOracle::new(|i: &[u8]| i.len().is_multiple_of(2));
-        let native_cache = ShardedCache::new();
-        let plain_cache = ShardedCache::new();
+        let native_cache = QueryCache::new();
+        let plain_cache = QueryCache::new();
         let rn = runner(&native, &native_cache, None, None, 4);
         let rp = runner(&plain, &plain_cache, None, None, 4);
         let inputs: Vec<Vec<u8>> = (0..64u16).map(|b| vec![b'y'; (b % 9) as usize]).collect();
@@ -1155,7 +1232,7 @@ mod tests {
         }
         let token = CancelToken::new();
         let o = CancellingOracle { token: token.clone() };
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = QueryRunner::new(
             &o,
             &cache,

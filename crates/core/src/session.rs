@@ -35,18 +35,19 @@
 //! # Ok::<(), glade_core::SynthesisError>(())
 //! ```
 
-use crate::cache::ShardedCache;
+use crate::arena::KeySet;
+use crate::cache::{hash_query, QueryCache};
 use crate::chargen::{apply_staged_classes, StagedChargen};
 use crate::events::{CancelToken, SynthEvent, SynthPhase, SynthesisObserver};
 use crate::memo::ByteClassMemo;
 use crate::persist::{
     is_binary_snapshot, snapshot_from_binary_reader, snapshot_from_reader, snapshot_from_text,
-    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, CacheError, CacheFormat,
-    CacheSnapshot, MemoEntry,
+    snapshot_to_binary, snapshot_to_text_with_memo, CacheError, CacheFormat, CacheSnapshot,
+    MemoEntry,
 };
 use crate::phase1::Phase1;
 use crate::phase2::StagedMerge;
-use crate::runner::{BackingStore, QueryRunner, RunnerOptions};
+use crate::runner::{QueryRunner, RunnerOptions};
 use crate::synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};
 use crate::tree::{trees_to_grammar, Node, UnionFind};
 use crate::Oracle;
@@ -233,8 +234,8 @@ impl GladeBuilder {
         self
     }
 
-    /// Caps the session cache's *resident* entries at roughly `limit`,
-    /// evicting with a second-chance sweep once a shard fills (see the
+    /// Caps the session cache's *resident* entries at `limit`, evicting
+    /// with a second-chance sweep once the cache is full (see the
     /// `persist.rs` ops note for sizing guidance). For long-lived serve
     /// campaigns whose cache would otherwise grow without bound: eviction
     /// may make the session re-pay an oracle query it once knew, but the
@@ -261,8 +262,7 @@ impl GladeBuilder {
             observer: self.observer,
             cancel: self.cancel.unwrap_or_default(),
             fingerprint: self.fingerprint,
-            cache: ShardedCache::with_max_entries(self.max_cache_entries),
-            backing: None,
+            cache: QueryCache::with_max_entries(self.max_cache_entries),
             memo: Mutex::new(ByteClassMemo::new()),
             trees: Vec::new(),
             chargen_done: 0,
@@ -321,11 +321,7 @@ pub struct Session<'o> {
     /// Declared oracle identity for snapshot tagging/validation.
     fingerprint: Option<String>,
     /// Session-lifetime membership-query cache (snapshot-able).
-    cache: ShardedCache,
-    /// Partially loaded binary snapshot attached by
-    /// [`Session::attach_cache`]: a read-only second cache level whose
-    /// entries fault into `cache` on first use.
-    backing: Option<Mutex<BackingStore>>,
+    cache: QueryCache,
     /// Session-lifetime byte-class memo table (snapshot-able alongside the
     /// cache; see `memo.rs`). Behind a mutex so [`Session::import_cache`]
     /// — which takes `&self`, like the cache it feeds — can extend it.
@@ -377,20 +373,14 @@ impl<'o> Session<'o> {
     }
 
     /// Distinct membership queries known so far: every distinct key ever
-    /// inserted into the in-memory cache, plus the entries of an attached
-    /// binary snapshot not yet faulted in — so a partial load reports the
-    /// same count as a full load of the same snapshot.
+    /// inserted into the cache.
     pub fn unique_queries(&self) -> usize {
-        let pending = self
-            .backing
-            .as_ref()
-            .map_or(0, |b| b.lock().expect("backing cache poisoned").pending());
-        self.cache.len() + pending
+        self.cache.len()
     }
 
     /// Entries currently resident in the in-memory cache. Differs from
     /// [`Session::unique_queries`] only under a
-    /// [`GladeBuilder::max_cache_entries`] cap or an attached snapshot.
+    /// [`GladeBuilder::max_cache_entries`] cap.
     pub fn cache_resident(&self) -> usize {
         self.cache.resident()
     }
@@ -444,7 +434,6 @@ impl<'o> Session<'o> {
                 workers,
                 observer,
                 cancel: Some(&self.cancel),
-                backing: self.backing.as_ref(),
             },
         );
         let unique_before = runner.unique_queries();
@@ -550,20 +539,26 @@ impl<'o> Session<'o> {
         let mut batch_total = Duration::ZERO;
         let mut chargen_batch_share = Duration::ZERO;
         loop {
-            let cg_n = staged_cg.as_mut().map_or(0, |s| s.plan_wave(&self.cache));
-            let mg_n = staged_mg.as_mut().map_or(0, |s| s.plan_wave(&self.cache));
+            // One cache lock for the whole wave's plan-time lookups.
+            let (cg_n, mg_n) = {
+                let mut cache = self.cache.lock();
+                (
+                    staged_cg.as_mut().map_or(0, |s| s.plan_wave(&mut cache)),
+                    staged_mg.as_mut().map_or(0, |s| s.plan_wave(&mut cache)),
+                )
+            };
             if cg_n + mg_n == 0 {
                 break;
             }
             let wave_start = Instant::now();
-            // The planners hand their already hashed keys over: the runner
-            // neither reassembles nor rehashes them.
-            let verdicts = runner.accepts_keyed(
-                staged_cg
-                    .iter_mut()
-                    .flat_map(StagedChargen::take_keys)
-                    .chain(staged_mg.iter_mut().flat_map(StagedMerge::take_keys)),
-            );
+            // Every planned slot is a distinct plan-time miss: the runner
+            // poses the planners' keys as they stand, chargen's first.
+            let mut sets: Vec<&mut KeySet> = staged_cg
+                .iter_mut()
+                .map(StagedChargen::keys_mut)
+                .chain(staged_mg.iter_mut().map(StagedMerge::keys_mut))
+                .collect();
+            let verdicts = runner.pose(&mut sets);
             let wave_time = wave_start.elapsed();
             batch_total += wave_time;
             // A shared wave's wall time is not one phase's: attribute it
@@ -681,9 +676,7 @@ impl<'o> Session<'o> {
     /// byte-identical snapshots.
     ///
     /// Both exports serialize the *resident* cache: entries evicted by a
-    /// [`GladeBuilder::max_cache_entries`] cap, or never faulted in from
-    /// an attached snapshot, are not re-exported (the attached file still
-    /// holds the latter).
+    /// [`GladeBuilder::max_cache_entries`] cap are not re-exported.
     pub fn export_cache_binary(&self) -> Vec<u8> {
         snapshot_to_binary(
             &self.cache.snapshot(),
@@ -727,9 +720,11 @@ impl<'o> Session<'o> {
     fn import_snapshot(&self, snapshot: CacheSnapshot) -> Result<usize, CacheError> {
         self.check_fingerprint(snapshot.oracle_fingerprint.as_deref())?;
         let count = snapshot.entries.len();
+        let mut cache = self.cache.lock();
         for (query, verdict) in snapshot.entries {
-            self.cache.insert(query, verdict);
+            cache.insert_hashed(hash_query(&query), query.into_boxed_slice(), verdict);
         }
+        drop(cache);
         if !snapshot.memo.is_empty() {
             let mut memo = self.memo.lock().expect("memo mutex poisoned");
             for entry in snapshot.memo {
@@ -811,39 +806,6 @@ impl<'o> Session<'o> {
             snapshot_from_reader(reader)?
         };
         self.import_snapshot(snapshot)
-    }
-
-    /// Attaches a binary snapshot as a read-only second cache level
-    /// *without* loading its entries: the header is validated (and its
-    /// fingerprint checked like [`Session::load_cache`]), memo entries
-    /// load eagerly (they are few and all consulted up front), and query
-    /// entries fault into the in-memory cache on first use via the
-    /// snapshot's on-disk index — the partial-load path for snapshots
-    /// larger than memory. Returns the snapshot's entry count.
-    ///
-    /// Grammar bytes and `unique_queries` are identical to a full
-    /// [`Session::load_cache`] of the same snapshot; only I/O differs.
-    /// At most one snapshot is attached — a second call replaces the
-    /// first — and attaching a snapshot that was *also* fully loaded into
-    /// this session would double-count its entries; use one or the other.
-    ///
-    /// # Errors
-    ///
-    /// As [`BinaryCacheFile::open`], plus
-    /// [`CacheError::OracleMismatch`] on fingerprint mismatch.
-    pub fn attach_cache(&mut self, path: impl AsRef<Path>) -> Result<usize, CacheError> {
-        let mut file = BinaryCacheFile::open(path)?;
-        self.check_fingerprint(file.fingerprint())?;
-        if file.memo_len() > 0 {
-            let entries = file.load_memo()?;
-            let mut memo = self.memo.lock().expect("memo mutex poisoned");
-            for entry in entries {
-                memo.insert(u128::from_be_bytes(entry.key), entry.classes);
-            }
-        }
-        let count = file.len();
-        self.backing = Some(Mutex::new(BackingStore { file, faulted: 0 }));
-        Ok(count)
     }
 }
 
@@ -1106,6 +1068,15 @@ mod tests {
         assert!(v1.starts_with("glade-cache v1\n"));
         let tagged2 = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
         assert_eq!(tagged2.import_cache(&v1).unwrap(), 0);
+
+        // Binary snapshots carry the tag too, and `load_cache` checks it.
+        let path = temp_path("fp.glade-cache");
+        tagged.save_cache_as(&path, crate::persist::CacheFormat::Binary).unwrap();
+        let err = other.load_cache(&path).unwrap_err();
+        assert!(matches!(err, CacheError::OracleMismatch { .. }), "{err}");
+        assert_eq!(other.unique_queries(), 0);
+        assert!(same.load_cache(&path).unwrap() > 0);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1236,68 +1207,6 @@ mod tests {
         assert_eq!(via_text.unique_queries(), via_bin.unique_queries());
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&bin_path).ok();
-    }
-
-    #[test]
-    fn attached_partial_load_matches_full_load() {
-        let oracle = FnOracle::new(xml_like);
-        let mut warm = GladeBuilder::new().session(&oracle);
-        let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let path = temp_path("partial.glade-cache");
-        warm.save_cache_as(&path, crate::persist::CacheFormat::Binary).unwrap();
-
-        let counted = AtomicUsize::new(0);
-        let counting_oracle = FnOracle::new(|i: &[u8]| {
-            counted.fetch_add(1, Ordering::Relaxed);
-            xml_like(i)
-        });
-        let mut partial = GladeBuilder::new().session(&counting_oracle);
-        let attached = partial.attach_cache(&path).unwrap();
-        assert_eq!(attached, first.stats.unique_queries);
-        assert_eq!(partial.unique_queries(), first.stats.unique_queries, "pending count");
-        let replay = partial.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        assert_eq!(counted.load(Ordering::Relaxed), 0, "every check faulted from the snapshot");
-        assert_eq!(replay.stats.new_unique_queries, 0);
-        assert_eq!(replay.stats.unique_queries, first.stats.unique_queries);
-        assert!(replay.stats.memo_hits > 0, "attached memo entries unused");
-        assert_eq!(
-            glade_grammar::grammar_to_text(&first.grammar),
-            glade_grammar::grammar_to_text(&replay.grammar)
-        );
-        // Not every snapshot entry is revisited by the replay, so faulting
-        // stayed partial.
-        assert!(
-            partial.cache_resident() < first.stats.unique_queries,
-            "partial load materialized everything ({} of {})",
-            partial.cache_resident(),
-            first.stats.unique_queries
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn attach_cache_rejects_fingerprint_mismatch() {
-        let oracle = FnOracle::new(xml_like);
-        let mut tagged = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
-        tagged.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let path = temp_path("fp.glade-cache");
-        tagged.save_cache_as(&path, crate::persist::CacheFormat::Binary).unwrap();
-
-        let mut other = GladeBuilder::new().oracle_fingerprint("target:lisp").session(&oracle);
-        let err = other.attach_cache(&path).unwrap_err();
-        assert!(
-            matches!(&err, CacheError::OracleMismatch { snapshot, expected }
-                if snapshot == "target:toy-xml" && expected == "target:lisp"),
-            "{err}"
-        );
-        assert_eq!(other.unique_queries(), 0);
-        // Same fingerprint attaches, and the binary loader validates the
-        // tag through load_cache as well.
-        let mut same = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
-        assert!(same.attach_cache(&path).unwrap() > 0);
-        let same_full = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
-        assert!(same_full.load_cache(&path).unwrap() > 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
