@@ -151,10 +151,9 @@ pub mod wire;
 
 pub use events::{CancelToken, EventLog, SynthEvent, SynthPhase, SynthesisObserver};
 pub use fault::{flaky_spawn_should_die, serve_faulty_worker, FaultPlan, FaultyOracle};
-pub use oracle::{
-    serve_oracle_worker, CachingOracle, FnOracle, InputMode, Oracle, PooledProcessOracle,
-    ProcessOracle,
-};
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+pub use oracle::PooledProcessOracle;
+pub use oracle::{serve_oracle_worker, CachingOracle, FnOracle, InputMode, Oracle, ProcessOracle};
 pub use persist::{
     cache_from_text, cache_to_text, is_binary_snapshot, snapshot_from_binary,
     snapshot_from_binary_reader, snapshot_from_reader, snapshot_from_text, snapshot_to_binary,

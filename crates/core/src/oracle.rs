@@ -76,28 +76,30 @@
 //! special in the handshake only: a later membership query that happens
 //! to equal it is answered like any other input.
 //!
-//! **Batched dispatch.** On Unix hosts the pool implements
-//! [`Oracle::accepts_batch_checked`] with an event-driven dispatcher: the
-//! calling thread puts every checked-out worker's pipes into nonblocking
-//! mode and multiplexes them with `poll(2)` readiness, keeping each worker
-//! saturated with a bounded in-flight window of whole batch frames — no
-//! helper threads, no async runtime, no engine thread parked per in-flight
-//! query. The engine routes whole miss sets here (see
-//! [`Oracle::native_batching`]); single queries still use the blocking
-//! per-query path.
+//! **One dispatcher.** The pool (Linux and macOS only) talks to its
+//! workers through one event-driven loop. Worker pipes are made
+//! nonblocking once, at spawn, and stay so. The calling thread
+//! multiplexes every checked-out worker's pipes with `poll(2)` readiness,
+//! keeping each worker saturated with a bounded in-flight window of whole
+//! batch frames — no helper threads, no async runtime, no engine thread
+//! parked per in-flight query. [`Oracle::accepts_batch_checked`] runs the
+//! loop over a whole batch (the engine routes whole miss sets here, see
+//! [`Oracle::native_batching`]); [`Oracle::accepts_checked`] is the
+//! loop's one-query case.
 //!
 //! **Failure semantics.** A clean EOF on the worker's stdin (between
 //! frames) tells it to exit. Any other deviation — the worker dying, a
 //! short read, a malformed frame, a verdict byte other than the legal
-//! responses — is treated as a worker crash: the worker is reaped, a
-//! replacement is spawned, and the affected queries are retried on fresh
-//! workers (in-flight batch queries are requeued once; a query whose
-//! retry also crashes is replayed through the blocking per-query path,
-//! which performs one final fresh-worker retry of its own). Only when all
-//! of that fails does the oracle give up on the pooled path — falling
-//! back to a spawn-per-query [`ProcessOracle`] when one is configured,
-//! and otherwise counting an oracle failure and answering `false`. A
-//! worker that answers a malformed or oversized frame with garbage can
+//! responses — is treated as a worker crash: the loop reaps the worker,
+//! spawns a replacement into its slot, and retries each query the worker
+//! held once, on the replacement. A query whose retry also fails is
+//! settled query by query: in a batch it gets one isolated one-query run
+//! of its own (a crashing worker tears whole frames, so a query can use
+//! up its retry without being at fault); a single query that still has
+//! no verdict makes the oracle give up on the pooled path — falling back
+//! to a spawn-per-query [`ProcessOracle`] when one is configured, and
+//! otherwise counting an oracle failure and answering `false`. A worker
+//! that answers a malformed or oversized frame with garbage can
 //! therefore never produce a silent wrong verdict: illegal bytes are
 //! crashes, and degraded queries are always visible in
 //! [`Oracle::failure_count`].
@@ -106,15 +108,14 @@
 //! per-query deadline with [`PooledProcessOracle::query_timeout`], or let
 //! the engine flow one in through
 //! [`GladeBuilder::oracle_timeout`](crate::GladeBuilder::oracle_timeout)
-//! and [`Oracle::configure_timeout`]. The batched dispatcher then polls
-//! with a finite timeout and tracks one deadline per worker, re-armed by
-//! every verdict byte — a slow-but-steady worker (or a slow-loris writer
+//! and [`Oracle::configure_timeout`]. The dispatcher then polls with a
+//! finite timeout and tracks one deadline per worker, re-armed by every
+//! verdict byte — a slow-but-steady worker (or a slow-loris writer
 //! dribbling one verdict byte at a time) never trips it, while a worker
 //! that stops answering for a whole window is *hung*: it is killed,
 //! reaped, counted in [`Oracle::timed_out_count`], and its in-flight
-//! queries take the ordinary crash path (requeue once, then the blocking
-//! replay). The blocking per-query path enforces the same deadline with
-//! nonblocking pipe I/O, and [`ProcessOracle::timeout`] bounds
+//! queries take the ordinary crash path. The spawn-time handshake is
+//! bounded by the same deadline, and [`ProcessOracle::timeout`] bounds
 //! spawn-per-query children with a kill-on-expiry wait. A timed-out query
 //! is never a silent `false`: it either recovers on a fresh
 //! worker/fallback or surfaces as a counted failure.
@@ -189,28 +190,38 @@
 
 use crate::cache::QueryCache;
 use crate::wire;
-#[cfg(any(target_os = "linux", target_os = "macos"))]
-use std::collections::VecDeque;
-use std::io::{BufReader, Read as _, Write as _};
+use std::io::{BufReader, Write as _};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+// The pool and the timed child wait need poll(2) and nonblocking pipes.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use std::{
+    collections::VecDeque,
+    io::Read as _,
+    os::unix::io::{AsFd as _, AsRawFd as _},
+    process::{Child, ChildStdin, ChildStdout},
+    time::Instant,
+};
 
 /// Default queries per batch frame (see
 /// [`PooledProcessOracle::frame_batch`]).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 const DEFAULT_FRAME_BATCH: usize = 32;
 
 /// Default strike count that trips a worker slot's circuit breaker (see
 /// [`PooledProcessOracle::max_respawns`]).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 const DEFAULT_MAX_RESPAWNS: u32 = 4;
 
 /// Default base delay of the exponential respawn backoff (see
 /// [`PooledProcessOracle::respawn_backoff`]).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(10);
 
-/// Raw `poll(2)`/`fcntl(2)` bindings for the batched dispatcher and the
+/// Raw `poll(2)`/`fcntl(2)` bindings for the pool's dispatcher and the
 /// serve accept loop. The workspace builds offline (no `libc` crate), so
 /// the handful of constants and prototypes they need are declared here;
 /// the symbols come from the C library every Unix Rust binary already
@@ -218,7 +229,7 @@ const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(10);
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 pub(crate) mod sys {
     use std::os::raw::{c_int, c_short};
-    use std::os::unix::io::RawFd;
+    use std::os::unix::io::{AsRawFd as _, BorrowedFd, RawFd};
     use std::time::{Duration, Instant};
 
     #[repr(C)]
@@ -273,8 +284,11 @@ pub(crate) mod sys {
                     c_int::try_from(left.as_millis().saturating_add(1)).unwrap_or(c_int::MAX)
                 }
             };
-            // SAFETY: `fds` is a valid, exclusively borrowed slice of
-            // `#[repr(C)]` pollfd records for the duration of the call.
+            // SAFETY: `fds` is exclusively borrowed for the call, so the
+            // kernel may write every `revents` field and nothing else
+            // reads or moves the slice meanwhile. `PollFd` is
+            // `#[repr(C)]` with the field order and types of `struct
+            // pollfd`, and `nfds` is the slice's own length.
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, ms) };
             if rc > 0 {
                 return Ok(rc as usize);
@@ -291,16 +305,21 @@ pub(crate) mod sys {
         }
     }
 
-    /// Switches `O_NONBLOCK` on or off for `fd`.
-    pub fn set_nonblocking(fd: RawFd, on: bool) -> std::io::Result<()> {
-        // SAFETY: fcntl with F_GETFL/F_SETFL on an owned, open fd.
+    /// Switches `O_NONBLOCK` on for `fd`, once, right after the child
+    /// that owns the pipe is spawned; it stays on for the pipe's life.
+    pub fn set_nonblocking(fd: BorrowedFd<'_>) -> std::io::Result<()> {
+        let fd = fd.as_raw_fd();
+        // SAFETY: `fd` comes from a `BorrowedFd`, so the `ChildStdin`,
+        // `ChildStdout` or `ChildStderr` that owns it is alive and keeps
+        // it open for the whole call. F_GETFL and F_SETFL only read and
+        // write that descriptor's status flags, and the variadic third
+        // argument is the `c_int` F_SETFL expects.
         unsafe {
             let flags = fcntl(fd, F_GETFL);
             if flags < 0 {
                 return Err(std::io::Error::last_os_error());
             }
-            let wanted = if on { flags | O_NONBLOCK } else { flags & !O_NONBLOCK };
-            if wanted != flags && fcntl(fd, F_SETFL, wanted) < 0 {
+            if flags & O_NONBLOCK == 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0 {
                 return Err(std::io::Error::last_os_error());
             }
         }
@@ -314,6 +333,7 @@ pub(crate) mod sys {
 /// jitter ≤ `base/4`, so independent retriers sharing a schedule do not
 /// fire in lockstep yet stay reproducible. Used by the pooled oracle's
 /// respawn path and by the serve client's connect retry.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 pub(crate) fn retry_backoff_delay(base: Duration, salt: u64, strikes: u32) -> Option<Duration> {
     if strikes < 2 {
         return None;
@@ -839,8 +859,6 @@ impl ProcessOracle {
     /// than inventing a verdict.
     #[cfg(any(target_os = "linux", target_os = "macos"))]
     fn wait_with_deadline(&self, mut child: Child, limit: Duration) -> Option<(bool, Vec<u8>)> {
-        use std::os::unix::io::AsRawFd as _;
-
         fn drain(err: &mut Option<std::process::ChildStderr>, buf: &mut Vec<u8>) {
             let mut chunk = [0u8; 4096];
             if let Some(e) = err {
@@ -859,7 +877,7 @@ impl ProcessOracle {
         let deadline = Instant::now() + limit;
         let mut stderr = child.stderr.take();
         if let Some(err) = &stderr {
-            if sys::set_nonblocking(err.as_raw_fd(), true).is_err() {
+            if sys::set_nonblocking(err.as_fd()).is_err() {
                 // Unreadable stderr: judge by exit status alone.
                 stderr = None;
             }
@@ -1012,14 +1030,23 @@ pub fn serve_oracle_worker<F: FnMut(&[u8]) -> bool>(mut f: F) -> std::io::Result
     }
 }
 
-/// One long-lived protocol-speaking child process.
+/// A read or write on a nonblocking pipe that must wait for `poll(2)`
+/// readiness and be retried, as opposed to a real failure.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+fn must_wait(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted)
+}
+
+/// One long-lived protocol-speaking child process. Both pipes are
+/// nonblocking from spawn to drop: every exchange waits in `poll(2)`.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[derive(Debug)]
 struct PooledWorker {
     child: Child,
     /// `Some` for the worker's whole life; taken (closed) only on drop,
     /// which is the protocol's clean-shutdown signal.
     stdin: Option<ChildStdin>,
-    stdout: BufReader<ChildStdout>,
+    stdout: ChildStdout,
     /// Pool slot this worker occupies (indexes `PoolState::slots`).
     slot: usize,
     /// Whether this worker ever answered a query. A crash *after* an
@@ -1029,12 +1056,48 @@ struct PooledWorker {
     answered: bool,
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl PooledWorker {
-    /// Runs the spawn-time handshake and classifies the one response byte.
-    /// Any I/O failure or other byte than [`wire::WIRE_V2_ACK`] is an
-    /// error — the caller treats the worker as dead on arrival.
+    /// Runs the spawn-time handshake and classifies the one response byte,
+    /// waiting in `poll(2)` for at most `timeout` in all (`None` waits
+    /// forever). Any I/O failure, an expired deadline, or another byte
+    /// than [`wire::WIRE_V2_ACK`] is an error — the caller treats the
+    /// worker as dead on arrival.
     fn handshake(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self.exchange(&wire::handshake_frame(), timeout)? {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let frame = wire::handshake_frame();
+        let stdin = self.stdin.as_mut().expect("stdin open until drop");
+        let mut written = 0;
+        let mut ack = [0u8; 1];
+        loop {
+            let (fd, events) = if written < frame.len() {
+                match stdin.write(&frame[written..]) {
+                    Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                    Ok(k) => {
+                        written += k;
+                        continue;
+                    }
+                    Err(e) if must_wait(&e) => (stdin.as_raw_fd(), sys::POLLOUT),
+                    Err(e) => return Err(e),
+                }
+            } else {
+                match self.stdout.read(&mut ack) {
+                    Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                    Ok(_) => break,
+                    Err(e) if must_wait(&e) => (self.stdout.as_raw_fd(), sys::POLLIN),
+                    Err(e) => return Err(e),
+                }
+            };
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "worker blew the handshake deadline",
+                ));
+            }
+            sys::poll_ready(&mut [sys::PollFd { fd, events, revents: 0 }], left)?;
+        }
+        match ack[0] {
             wire::WIRE_V2_ACK => Ok(()),
             0 | 1 => Err(std::io::Error::other(
                 "worker answered the handshake with a verdict byte: it speaks only the \
@@ -1043,121 +1106,9 @@ impl PooledWorker {
             b => Err(std::io::Error::other(format!("bad handshake response byte {b:#04x}"))),
         }
     }
-
-    /// Poses one query as a one-query batch frame. Any I/O deviation is an
-    /// error — the caller treats it as a worker crash; an
-    /// [`std::io::ErrorKind::TimedOut`] error specifically means the worker
-    /// is hung.
-    fn query(&mut self, input: &[u8], timeout: Option<Duration>) -> std::io::Result<bool> {
-        let mut frame = Vec::with_capacity(8 + input.len());
-        wire::encode_batch_frame(&[input], &mut frame)?;
-        match self.exchange(&frame, timeout)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(std::io::Error::other(format!("bad verdict byte {b:#04x}"))),
-        }
-    }
-
-    /// Writes `frame` and reads the one response byte — blocking when
-    /// `timeout` is `None`, and via polled nonblocking I/O bounded by the
-    /// deadline otherwise. [`std::io::ErrorKind::TimedOut`] means the
-    /// worker blew the deadline; the caller must treat it as hung (kill,
-    /// don't wait on it).
-    fn exchange(&mut self, frame: &[u8], timeout: Option<Duration>) -> std::io::Result<u8> {
-        #[cfg(any(target_os = "linux", target_os = "macos"))]
-        if let Some(limit) = timeout {
-            return self.timed_exchange(frame, Instant::now() + limit);
-        }
-        let _ = timeout;
-        let stdin = self.stdin.as_mut().expect("stdin open until drop");
-        stdin.write_all(frame)?;
-        stdin.flush()?;
-        let mut response = [0u8; 1];
-        self.stdout.read_exact(&mut response)?;
-        Ok(response[0])
-    }
-
-    /// The deadline-bounded arm of [`PooledWorker::exchange`]: flips both
-    /// pipes into nonblocking mode for the exchange and restores blocking
-    /// mode afterwards (a restore failure poisons the worker like any
-    /// other I/O error — later blocking use would misbehave).
-    #[cfg(any(target_os = "linux", target_os = "macos"))]
-    fn timed_exchange(&mut self, frame: &[u8], deadline: Instant) -> std::io::Result<u8> {
-        use std::os::unix::io::AsRawFd as _;
-        let in_fd = self.stdin.as_ref().expect("stdin open until drop").as_raw_fd();
-        let out_fd = self.stdout.get_ref().as_raw_fd();
-        sys::set_nonblocking(in_fd, true)?;
-        sys::set_nonblocking(out_fd, true)?;
-        let result = self.timed_exchange_nonblocking(frame, deadline);
-        let restored =
-            sys::set_nonblocking(in_fd, false).and_then(|()| sys::set_nonblocking(out_fd, false));
-        match result {
-            Ok(b) => restored.map(|()| b),
-            Err(e) => Err(e),
-        }
-    }
-
-    #[cfg(any(target_os = "linux", target_os = "macos"))]
-    fn timed_exchange_nonblocking(
-        &mut self,
-        frame: &[u8],
-        deadline: Instant,
-    ) -> std::io::Result<u8> {
-        use std::os::unix::io::AsRawFd as _;
-        fn timed_out() -> std::io::Error {
-            std::io::Error::new(std::io::ErrorKind::TimedOut, "worker blew the query deadline")
-        }
-        let mut written = 0usize;
-        while written < frame.len() {
-            let stdin = self.stdin.as_mut().expect("stdin open until drop");
-            match stdin.write(&frame[written..]) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => written += n,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::Interrupted =>
-                {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(timed_out());
-                    }
-                    let mut fds =
-                        [sys::PollFd { fd: stdin.as_raw_fd(), events: sys::POLLOUT, revents: 0 }];
-                    sys::poll_ready(&mut fds, Some(left))?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // The dispatcher invariant holds here too: between requests the
-        // BufReader holds nothing, so reading the raw fd underneath it
-        // cannot skip buffered bytes.
-        debug_assert!(self.stdout.buffer().is_empty());
-        loop {
-            let mut byte = [0u8; 1];
-            match self.stdout.get_mut().read(&mut byte) {
-                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
-                Ok(_) => return Ok(byte[0]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::Interrupted =>
-                {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(timed_out());
-                    }
-                    let mut fds = [sys::PollFd {
-                        fd: self.stdout.get_ref().as_raw_fd(),
-                        events: sys::POLLIN,
-                        revents: 0,
-                    }];
-                    sys::poll_ready(&mut fds, Some(left))?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl Drop for PooledWorker {
     fn drop(&mut self) {
         // Closing stdin is the protocol's clean-exit signal: a conforming
@@ -1180,6 +1131,7 @@ impl Drop for PooledWorker {
 
 /// Respawn-backoff and circuit-breaker bookkeeping for one worker slot
 /// (see the module-level state machine).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[derive(Debug, Clone, Default)]
 struct SlotHealth {
     /// Consecutive spawn-or-crash failures without an answered query.
@@ -1199,6 +1151,7 @@ struct SlotHealth {
 }
 
 /// Idle workers plus the count of live (idle or checked-out) workers.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[derive(Debug, Default)]
 struct PoolState {
     idle: Vec<PooledWorker>,
@@ -1208,6 +1161,7 @@ struct PoolState {
     slots: Vec<SlotHealth>,
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl PoolState {
     fn health(&mut self, slot: usize) -> &mut SlotHealth {
         if self.slots.len() <= slot {
@@ -1217,12 +1171,13 @@ impl PoolState {
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[derive(Debug)]
 struct PoolInner {
     program: PathBuf,
     args: Vec<String>,
     size: usize,
-    /// Queries per batch frame in the batched dispatcher.
+    /// Queries per batch frame in the dispatcher.
     frame_batch: usize,
     state: Mutex<PoolState>,
     available: Condvar,
@@ -1259,15 +1214,22 @@ struct PoolInner {
 /// in-process predicate with [`serve_oracle_worker`] to get a conforming
 /// worker binary.
 ///
-/// Workers are spawned lazily (the first `pool_size` concurrent queries
-/// each start one) and checked out exclusively per query, so the pool also
-/// bounds process concurrency the way [`ProcessOracle::max_concurrent`]
-/// does. A crashed worker is reaped and replaced, and the in-flight query
-/// is retried once on the replacement; if the pooled path still cannot
-/// produce a verdict, the query falls back to a spawn-per-query
-/// [`ProcessOracle`] when one was configured with
-/// [`PooledProcessOracle::fallback`], and otherwise answers `false` and
-/// increments [`Oracle::failure_count`].
+/// Workers are spawned lazily and checked out exclusively per call, so
+/// the pool also bounds process concurrency the way
+/// [`ProcessOracle::max_concurrent`] does. Every call — a single query or
+/// a batch — runs one `poll(2)` dispatcher loop over the checked-out
+/// workers' nonblocking pipes; a single query is its one-query case. A
+/// crashed or hung worker is reaped and replaced, and each query it held
+/// is retried once on the replacement. A query still without a verdict
+/// is settled query by query: in a batch it gets one isolated one-query
+/// run of its own (fresh worker, one more retry); a single query falls
+/// back to a spawn-per-query [`ProcessOracle`] when one was configured
+/// with [`PooledProcessOracle::fallback`], and otherwise answers `false`
+/// and increments [`Oracle::failure_count`].
+///
+/// Unix only (Linux and macOS), like the serve daemon: the dispatcher
+/// needs `poll(2)` and nonblocking pipes to enforce its deadlines.
+/// [`ProcessOracle`] and [`serve_oracle_worker`] stay portable.
 ///
 /// Clones share the pool, its workers, and its counters.
 ///
@@ -1280,11 +1242,13 @@ struct PoolInner {
 /// let oracle = PooledProcessOracle::new("my-worker").pool_size(8);
 /// assert!(oracle.accepts(b"<a>hi</a>") || true);
 /// ```
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[derive(Debug, Clone)]
 pub struct PooledProcessOracle {
     inner: Arc<PoolInner>,
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl PooledProcessOracle {
     /// Creates a pool that runs `program` as its worker command, with a
     /// single worker. Use [`PooledProcessOracle::pool_size`] to widen.
@@ -1330,7 +1294,7 @@ impl PooledProcessOracle {
     }
 
     /// Sets the number of queries packed into one batch frame by the
-    /// batched dispatcher (must be in `1..=`[`wire::MAX_FRAME_QUERIES`]).
+    /// dispatcher (must be in `1..=`[`wire::MAX_FRAME_QUERIES`]).
     /// Larger frames amortize more syscall round-trips but delay the first
     /// verdicts of a batch; the default of 32 is a good trade for
     /// millisecond-or-faster targets. Affects throughput only, never
@@ -1357,11 +1321,12 @@ impl PooledProcessOracle {
 
     /// Bounds every pooled query with a per-query deadline. A worker that
     /// has not produced its next verdict byte within `limit` (measured
-    /// from the query being posed — or, in the batched dispatcher, from
-    /// its previous verdict byte) is hung: it is killed and reaped, the
-    /// timeout is counted in [`Oracle::timed_out_count`], and its
-    /// in-flight queries take the ordinary crash path (requeue-once,
-    /// fallback rescue, counted failure — never a silent `false`). Unset
+    /// from its first owed query being posed, then from its previous
+    /// verdict byte) is hung: it is killed and reaped, the timeout is
+    /// counted in [`Oracle::timed_out_count`], and its in-flight queries
+    /// take the ordinary crash path (retry once, then fallback rescue or
+    /// a counted failure — never a silent `false`). The spawn handshake
+    /// gets the same limit. Unset
     /// (the default) waits forever. Runtime-configurable on a live pool
     /// via [`Oracle::configure_timeout`]. Affects liveness only, never
     /// verdicts.
@@ -1392,8 +1357,14 @@ impl PooledProcessOracle {
         (nanos > 0).then(|| Duration::from_nanos(nanos))
     }
 
-    /// Number of workers replaced after a crash, across the pool's
-    /// lifetime.
+    /// Number of respawns across the pool's lifetime. A respawn is a
+    /// reaped worker (crashed, hung past its deadline, or broken off the
+    /// protocol) that still had work to replace it for: a query not yet
+    /// retried, or nothing in flight at all (it died between queries).
+    /// Counted once per reaped worker, whether or not its replacement
+    /// spawns. A worker reaped holding only queries that had already
+    /// used their retry is not a respawn: it takes a breaker strike and
+    /// its slot is released.
     pub fn respawn_count(&self) -> usize {
         self.inner.respawns.load(Ordering::Relaxed)
     }
@@ -1414,8 +1385,13 @@ impl PooledProcessOracle {
             .stderr(Stdio::null())
             .spawn()?;
         let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let stdout = child.stdout.take().expect("piped stdout");
+        // Built before the pipes go nonblocking, so a failing `fcntl`
+        // drops (and so reaps) the child. The pipes stay nonblocking for
+        // the worker's whole life.
         let mut worker = PooledWorker { child, stdin: Some(stdin), stdout, slot, answered: false };
+        sys::set_nonblocking(worker.stdin.as_ref().expect("stdin open until drop").as_fd())?;
+        sys::set_nonblocking(worker.stdout.as_fd())?;
         // A worker that cannot complete the handshake is dead on arrival:
         // report it as a spawn failure so the callers' degradation paths
         // (fallback oracle, breaker, failure counting) apply. The handshake
@@ -1588,7 +1564,7 @@ impl PooledProcessOracle {
 
     /// Like [`PooledProcessOracle::checkout`], but never blocks: returns
     /// `None` when every worker is busy (or a needed spawn fails, or the
-    /// breakers forbid spawning). The batched dispatcher uses this to
+    /// breakers forbid spawning). The dispatcher uses this to
     /// widen its worker set opportunistically without stalling on pools
     /// shared with other callers.
     fn try_checkout(&self) -> Option<PooledWorker> {
@@ -1620,17 +1596,6 @@ impl PooledProcessOracle {
         self.inner.available.notify_one();
     }
 
-    /// A [`std::io::ErrorKind::TimedOut`] exchange means the worker is
-    /// hung, not crashed: count the timeout and kill it immediately, so
-    /// the drop-time grace period (meant for workers that honor EOF) does
-    /// not stall the caller.
-    fn kill_if_hung(&self, worker: &mut PooledWorker, err: &std::io::Error) {
-        if err.kind() == std::io::ErrorKind::TimedOut {
-            self.inner.timeouts.fetch_add(1, Ordering::Relaxed);
-            let _ = worker.child.kill();
-        }
-    }
-
     /// The pooled path produced no verdict: consult the fallback oracle or
     /// record a failure (`None` — the caller must not cache the answer).
     fn degraded(&self, input: &[u8]) -> Option<bool> {
@@ -1642,120 +1607,26 @@ impl PooledProcessOracle {
             }
         }
     }
-}
 
-/// A checked-out worker inside the batched dispatcher, with its pipes in
-/// nonblocking mode.
-#[cfg(any(target_os = "linux", target_os = "macos"))]
-struct DispatchSlot {
-    worker: PooledWorker,
-    /// Encoded-but-not-fully-written frame bytes.
-    outbuf: Vec<u8>,
-    written: usize,
-    /// Query indices whose verdict bytes are still owed, in frame order
-    /// (this includes queries whose frame is still in `outbuf`).
-    inflight: VecDeque<usize>,
-    /// Set when the worker deviates from the protocol; the crash pass
-    /// requeues its in-flight queries and replaces it.
-    dead: bool,
-    /// When the worker's next verdict byte is due: armed as queries enter
-    /// an empty in-flight window, re-armed on every verdict byte, cleared
-    /// when the window drains. `None` while nothing is owed or no
-    /// [`PooledProcessOracle::query_timeout`] is configured.
-    deadline: Option<Instant>,
-}
-
-#[cfg(any(target_os = "linux", target_os = "macos"))]
-impl DispatchSlot {
-    fn wants_write(&self) -> bool {
-        self.written < self.outbuf.len()
-    }
-}
-
-#[cfg(any(target_os = "linux", target_os = "macos"))]
-impl PooledProcessOracle {
-    /// Puts a freshly checked-out worker's pipes into nonblocking mode and
-    /// wraps it into a dispatch slot. On failure the worker is dropped and
-    /// its pool slot released.
-    fn open_slot(&self, worker: PooledWorker) -> Option<DispatchSlot> {
-        use std::os::unix::io::AsRawFd as _;
-        // The dispatcher reads the raw ChildStdout underneath the worker's
-        // BufReader; that is sound only while the BufReader holds nothing,
-        // which the request/response protocol guarantees for an idle
-        // worker (every response has been consumed exactly).
-        debug_assert!(worker.stdout.buffer().is_empty());
-        let ok = sys::set_nonblocking(worker.stdin.as_ref().expect("stdin open").as_raw_fd(), true)
-            .and_then(|()| sys::set_nonblocking(worker.stdout.get_ref().as_raw_fd(), true))
-            .is_ok();
-        if !ok {
-            let slot = worker.slot;
-            drop(worker);
-            self.release_slot(slot);
-            return None;
-        }
-        Some(DispatchSlot {
-            worker,
-            outbuf: Vec::new(),
-            written: 0,
-            inflight: VecDeque::new(),
-            dead: false,
-            deadline: None,
-        })
-    }
-
-    /// Restores blocking mode and returns the worker to the pool (or
-    /// gives its slot up if the fds cannot be restored).
-    fn close_slot(&self, slot: DispatchSlot) {
-        use std::os::unix::io::AsRawFd as _;
-        debug_assert!(!slot.dead && slot.inflight.is_empty());
-        let worker = slot.worker;
-        let ok =
-            sys::set_nonblocking(worker.stdin.as_ref().expect("stdin open").as_raw_fd(), false)
-                .and_then(|()| sys::set_nonblocking(worker.stdout.get_ref().as_raw_fd(), false))
-                .is_ok();
-        if ok {
-            self.checkin(worker);
-        } else {
-            let slot = worker.slot;
-            drop(worker);
-            self.release_slot(slot);
-        }
-    }
-
-    /// Event-driven batched dispatch (see the module docs): multiplexes
+    /// The pool's one dispatcher loop (see the module docs): multiplexes
     /// every checked-out worker pipe with `poll(2)` readiness from the
     /// calling thread, keeping each worker saturated with a bounded
-    /// in-flight window of batch frames. Crash recovery, retry-once,
-    /// fallback, and failure accounting follow the per-query path exactly;
-    /// results are one verdict (or `None` for an execution failure) per
-    /// input, in input order.
-    fn dispatch_batch(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
-        let n = inputs.len();
+    /// in-flight window of batch frames, and reaps, replaces and retries
+    /// around crashed and hung workers. Returns one verdict per input, in
+    /// input order; `None` marks a query the loop could not answer, which
+    /// the caller settles (the loop itself never records a failure).
+    fn dispatch(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
         let frame_batch = self.inner.frame_batch;
         let timeout = self.query_timeout_duration();
-        let mut results: Vec<Option<bool>> = vec![None; n];
-        let mut retried = vec![false; n];
-        // Indices that exhausted the event-driven path. They are resolved
-        // at the end through the blocking per-query path
-        // ([`Oracle::accepts_checked`]), which carries its own
-        // fresh-worker retry, fallback-oracle rescue, and failure
-        // accounting — so a query degrades to a counted failure only when
-        // a freshly spawned worker cannot answer it either, exactly as in
-        // per-query operation.
-        let mut no_verdict: Vec<usize> = Vec::new();
-        let mut pending: VecDeque<usize> = VecDeque::with_capacity(n);
-        let mut remaining = 0usize;
-        for (i, input) in inputs.iter().enumerate() {
-            if input.len() > wire::MAX_FRAME_BYTES {
-                // Beyond the frame payload cap, so it cannot be posed over
-                // this channel at all; `accepts_checked` repeats the check
-                // and degrades.
-                no_verdict.push(i);
-            } else {
-                pending.push_back(i);
-                remaining += 1;
-            }
-        }
+        let mut results: Vec<Option<bool>> = vec![None; inputs.len()];
+        let mut retried = vec![false; inputs.len()];
+        // An input beyond the frame payload cap cannot be posed over this
+        // channel at all: it stays unanswered, before any I/O, rather than
+        // punishing (and reaping) a healthy worker.
+        let mut pending: VecDeque<usize> =
+            (0..inputs.len()).filter(|&i| inputs[i].len() <= wire::MAX_FRAME_BYTES).collect();
+        // Queries neither answered nor given up on.
+        let mut remaining = pending.len();
 
         let mut slots: Vec<DispatchSlot> = Vec::new();
         let mut read_buf = [0u8; 8192];
@@ -1763,35 +1634,31 @@ impl PooledProcessOracle {
         // Which (slot, direction) each pollfd belongs to; true = write.
         let mut fd_map: Vec<(usize, bool)> = Vec::new();
 
-        'dispatch: while remaining > 0 {
+        while remaining > 0 {
             // Worker acquisition: block for the first worker (an empty
             // worker set cannot make progress), then widen
             // opportunistically while there is more queued work than the
             // current slots' windows can hold.
             if slots.is_empty() {
-                match self.checkout().and_then(|w| self.open_slot(w)) {
-                    Some(slot) => slots.push(slot),
-                    None => {
-                        // No worker obtainable at all: everything left
-                        // degrades (the loop exits, `remaining` is moot).
-                        no_verdict.extend(pending.drain(..));
-                        break 'dispatch;
-                    }
-                }
+                // No worker obtainable at all: everything left is the
+                // caller's to settle.
+                let Some(worker) = self.checkout() else { break };
+                slots.push(DispatchSlot::new(worker));
             }
             while !pending.is_empty()
                 && slots.len() < self.inner.size
                 && slots.len() < pending.len().div_ceil(frame_batch)
             {
-                match self.try_checkout().and_then(|w| self.open_slot(w)) {
-                    Some(slot) => slots.push(slot),
+                match self.try_checkout() {
+                    Some(worker) => slots.push(DispatchSlot::new(worker)),
                     None => break,
                 }
             }
 
             // Fill: top every live slot's in-flight window up from the
             // pending queue with whole batch frames (up to two frames
-            // outstanding so the pipe never drains between frames).
+            // outstanding so the pipe never drains between frames), and
+            // write them at once; only a full pipe waits for `POLLOUT`.
             for slot in &mut slots {
                 if !slot.wants_write() && !slot.outbuf.is_empty() {
                     slot.outbuf.clear();
@@ -1828,16 +1695,16 @@ impl PooledProcessOracle {
                         slot.deadline = Some(Instant::now() + t);
                     }
                 }
+                slot.write_out();
             }
 
-            // Readiness: one pollfd per direction per slot with work.
+            // Readiness: one pollfd per direction per live slot with work.
             fds.clear();
             fd_map.clear();
-            for (si, slot) in slots.iter().enumerate() {
-                use std::os::unix::io::AsRawFd as _;
+            for (si, slot) in slots.iter().enumerate().filter(|(_, s)| !s.dead) {
                 if slot.wants_write() {
                     fds.push(sys::PollFd {
-                        fd: slot.worker.stdin.as_ref().expect("stdin open").as_raw_fd(),
+                        fd: slot.worker.stdin.as_ref().expect("stdin open until drop").as_raw_fd(),
                         events: sys::POLLOUT,
                         revents: 0,
                     });
@@ -1845,138 +1712,63 @@ impl PooledProcessOracle {
                 }
                 if !slot.inflight.is_empty() {
                     fds.push(sys::PollFd {
-                        fd: slot.worker.stdout.get_ref().as_raw_fd(),
+                        fd: slot.worker.stdout.as_raw_fd(),
                         events: sys::POLLIN,
                         revents: 0,
                     });
                     fd_map.push((si, false));
                 }
             }
-            if fds.is_empty() {
-                // No slot holds work: with remaining > 0 the fill pass
-                // must have queued something, so this means every slot
-                // died and was not replaced. Loop back to re-acquire.
-                continue;
-            }
             // Block until a pipe is ready or the earliest slot deadline
-            // passes (`Ok(0)`). `poll_ready` retries EINTR internally with
-            // the remaining time recomputed, so a stray signal never
+            // passes (`Ok(0)`); a slot that already died goes straight to
+            // the crash pass instead. `poll_ready` retries EINTR internally
+            // with the remaining time recomputed, so a stray signal never
             // degrades the batch.
-            let poll_timeout = slots
-                .iter()
-                .filter_map(|s| s.deadline)
-                .min()
-                .map(|d| d.saturating_duration_since(Instant::now()));
+            let poll_timeout = if fds.is_empty() || slots.iter().any(|s| s.dead) {
+                Some(Duration::ZERO)
+            } else {
+                slots
+                    .iter()
+                    .filter_map(|s| s.deadline)
+                    .min()
+                    .map(|d| d.saturating_duration_since(Instant::now()))
+            };
             if sys::poll_ready(&mut fds, poll_timeout).is_err() {
                 // poll(2) itself failed (resource exhaustion): no channel
-                // is trustworthy, degrade whatever is unanswered.
+                // is trustworthy; leave whatever is unanswered to the
+                // caller.
                 for slot in &mut slots {
-                    no_verdict.extend(slot.inflight.drain(..));
                     slot.dead = true;
                 }
-                no_verdict.extend(pending.drain(..));
-                break 'dispatch;
+                break;
             }
 
             // Service ready pipes. Errors and protocol deviations mark
             // the slot dead; the crash pass below deals with them.
-            for (k, fd) in fds.iter().enumerate() {
-                if fd.revents == 0 {
-                    continue;
-                }
-                let (si, is_write) = fd_map[k];
+            for (fd, &(si, is_write)) in fds.iter().zip(&fd_map) {
                 let slot = &mut slots[si];
-                if slot.dead {
+                if fd.revents == 0 || slot.dead {
                     continue;
                 }
                 if fd.revents & sys::POLLNVAL != 0 {
                     slot.dead = true;
-                    continue;
-                }
-                if is_write {
-                    while slot.wants_write() {
-                        let stdin = slot.worker.stdin.as_mut().expect("stdin open");
-                        match stdin.write(&slot.outbuf[slot.written..]) {
-                            Ok(0) => {
-                                slot.dead = true;
-                                break;
-                            }
-                            Ok(k) => slot.written += k,
-                            Err(e)
-                                if e.kind() == std::io::ErrorKind::WouldBlock
-                                    || e.kind() == std::io::ErrorKind::Interrupted =>
-                            {
-                                break;
-                            }
-                            Err(_) => {
-                                slot.dead = true;
-                                break;
-                            }
-                        }
-                    }
-                } else {
-                    let mut advanced = false;
-                    'read: loop {
-                        match slot.worker.stdout.get_mut().read(&mut read_buf) {
-                            Ok(0) => {
-                                slot.dead = true;
-                                break;
-                            }
-                            Ok(got) => {
-                                for &b in &read_buf[..got] {
-                                    let Some(idx) = slot.inflight.pop_front() else {
-                                        // Bytes we never asked for.
-                                        slot.dead = true;
-                                        break 'read;
-                                    };
-                                    match b {
-                                        0 | 1 => {
-                                            results[idx] = Some(b == 1);
-                                            remaining -= 1;
-                                            advanced = true;
-                                        }
-                                        _ => {
-                                            // Illegal verdict: the query is
-                                            // unanswered; let the crash pass
-                                            // requeue it with the rest.
-                                            slot.inflight.push_front(idx);
-                                            slot.dead = true;
-                                            break 'read;
-                                        }
-                                    }
-                                }
-                            }
-                            Err(e)
-                                if e.kind() == std::io::ErrorKind::WouldBlock
-                                    || e.kind() == std::io::ErrorKind::Interrupted =>
-                            {
-                                break;
-                            }
-                            Err(_) => {
-                                slot.dead = true;
-                                break;
-                            }
-                        }
-                    }
-                    if advanced {
-                        // Progress is per verdict byte: a slow worker that
-                        // keeps answering within the deadline is healthy,
-                        // however long the whole frame takes.
-                        slot.worker.answered = true;
-                        slot.deadline = if slot.inflight.is_empty() {
-                            None
-                        } else {
-                            timeout.map(|t| Instant::now() + t)
-                        };
-                    }
+                } else if is_write {
+                    slot.write_out();
+                } else if slot.read_verdicts(&mut read_buf, &mut results, &mut remaining) {
+                    // Progress is per verdict byte: a slow worker that
+                    // keeps answering within the deadline is healthy,
+                    // however long the whole frame takes.
+                    slot.deadline = if slot.inflight.is_empty() {
+                        None
+                    } else {
+                        timeout.map(|t| Instant::now() + t)
+                    };
                 }
             }
 
             // Hang scan: a slot still owing verdicts past its deadline is
             // hung — count its in-flight queries as timeouts, kill the
-            // worker, and let the crash pass recover them (requeue-once,
-            // then the blocking replay path with fallback and failure
-            // accounting — never a silent `false`).
+            // worker, and let the crash pass recover them.
             if timeout.is_some() {
                 let now = Instant::now();
                 for slot in &mut slots {
@@ -1991,139 +1783,200 @@ impl PooledProcessOracle {
                 }
             }
 
-            // Crash pass: reap dead workers, requeue their unanswered
-            // queries (one retry each, as in the per-query path), and
-            // spawn replacements into the same pool slots.
+            // Crash pass: reap dead workers. Each query a dead worker held
+            // is retried once, on a replacement spawned into the same pool
+            // slot; a query whose retry is used up, or whose slot cannot
+            // respawn now, is left to the caller.
             let mut si = 0;
             while si < slots.len() {
                 if !slots[si].dead {
                     si += 1;
                     continue;
                 }
-                let mut slot = slots.swap_remove(si);
-                for idx in slot.inflight.drain(..) {
-                    if retried[idx] {
-                        no_verdict.push(idx);
-                        remaining -= 1;
-                    } else {
-                        retried[idx] = true;
-                        pending.push_back(idx);
-                    }
+                let DispatchSlot { worker, inflight, .. } = slots.swap_remove(si);
+                let (pool_slot, answered) = (worker.slot, worker.answered);
+                drop(worker); // reap
+                let held = inflight.len();
+                let retry: Vec<usize> = inflight.into_iter().filter(|&i| !retried[i]).collect();
+                remaining -= held - retry.len();
+                if held > 0 && retry.is_empty() {
+                    // Every query it held already had its retry: nothing
+                    // is left to replace it for.
+                    self.strike_and_release(pool_slot, answered);
+                    continue;
                 }
-                let pool_slot = slot.worker.slot;
-                let answered = slot.worker.answered;
-                drop(slot.worker); // reap
+                // A worker that died holding nothing (say, it exited right
+                // after its last verdict) is still a respawn: the next
+                // query would have found it dead.
                 self.inner.respawns.fetch_add(1, Ordering::Relaxed);
                 if self.strike_in_place(pool_slot, answered) {
                     // Breaker open or backoff pending: give the slot up
-                    // rather than spawning into it; the top-of-loop
-                    // acquisition re-probes once spawning is allowed
-                    // again (and sleeps out backoffs off the hot path).
+                    // rather than spawning into it; its queries are the
+                    // caller's to settle.
+                    self.release_slot(pool_slot);
+                    remaining -= retry.len();
+                    continue;
+                }
+                if retry.is_empty() && pending.is_empty() {
                     self.release_slot(pool_slot);
                     continue;
                 }
                 match self.spawn_worker(pool_slot) {
                     Ok(fresh) => {
-                        // A `None` means open_slot released the pool slot.
-                        if let Some(replacement) = self.open_slot(fresh) {
-                            slots.push(replacement);
+                        for &i in &retry {
+                            retried[i] = true;
                         }
+                        pending.extend(retry);
+                        slots.push(DispatchSlot::new(fresh));
                     }
-                    Err(_) => self.strike_and_release(pool_slot, false),
+                    Err(_) => {
+                        self.strike_and_release(pool_slot, false);
+                        remaining -= retry.len();
+                    }
                 }
             }
         }
 
         for slot in slots {
-            if slot.dead {
+            if slot.dead || !slot.inflight.is_empty() {
                 // Only reachable on the poll-failure bailout: reap.
                 let pool_slot = slot.worker.slot;
                 drop(slot.worker);
                 self.release_slot(pool_slot);
             } else {
-                self.close_slot(slot);
+                self.checkin(slot.worker);
             }
-        }
-        // Last resort for queries the event loop could not settle: the
-        // blocking per-query path (fresh-worker retry, fallback, failure
-        // accounting included).
-        for idx in no_verdict {
-            results[idx] = self.accepts_checked(inputs[idx]);
         }
         results
     }
 }
 
+/// A checked-out worker inside the dispatcher loop.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+struct DispatchSlot {
+    worker: PooledWorker,
+    /// Encoded-but-not-fully-written frame bytes.
+    outbuf: Vec<u8>,
+    written: usize,
+    /// Query indices whose verdict bytes are still owed, in frame order
+    /// (this includes queries whose frame is still in `outbuf`).
+    inflight: VecDeque<usize>,
+    /// Set when the worker deviates from the protocol; the crash pass
+    /// reaps it and retries its in-flight queries.
+    dead: bool,
+    /// When the worker's next verdict byte is due: armed as queries enter
+    /// an empty in-flight window, re-armed on every verdict byte, cleared
+    /// when the window drains. `None` while nothing is owed or no
+    /// [`PooledProcessOracle::query_timeout`] is configured.
+    deadline: Option<Instant>,
+}
+
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+impl DispatchSlot {
+    fn new(worker: PooledWorker) -> Self {
+        DispatchSlot {
+            worker,
+            outbuf: Vec::new(),
+            written: 0,
+            inflight: VecDeque::new(),
+            dead: false,
+            deadline: None,
+        }
+    }
+
+    fn wants_write(&self) -> bool {
+        self.written < self.outbuf.len()
+    }
+
+    /// Writes as much of the encoded frames as the pipe takes now. A full
+    /// pipe leaves the rest for `POLLOUT`; any other failure marks the
+    /// slot dead.
+    fn write_out(&mut self) {
+        while self.wants_write() {
+            let stdin = self.worker.stdin.as_mut().expect("stdin open until drop");
+            match stdin.write(&self.outbuf[self.written..]) {
+                Ok(k) if k > 0 => self.written += k,
+                Err(e) if must_wait(&e) => return,
+                _ => {
+                    self.dead = true;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Reads every verdict byte the worker has written so far — until the
+    /// pipe would block, or to EOF, which marks the slot dead even with
+    /// nothing in flight — and settles the owed queries in frame order.
+    /// An illegal verdict byte, or a byte nobody asked for, marks the slot
+    /// dead with the query still owed. Returns whether a verdict landed.
+    fn read_verdicts(
+        &mut self,
+        buf: &mut [u8],
+        results: &mut [Option<bool>],
+        remaining: &mut usize,
+    ) -> bool {
+        let mut advanced = false;
+        while !self.dead {
+            match self.worker.stdout.read(buf) {
+                Ok(0) => self.dead = true,
+                Ok(got) => {
+                    for &b in &buf[..got] {
+                        match (self.inflight.front(), b) {
+                            (Some(&i), 0 | 1) => {
+                                self.inflight.pop_front();
+                                results[i] = Some(b == 1);
+                                *remaining -= 1;
+                                advanced = true;
+                            }
+                            _ => {
+                                self.dead = true;
+                                break;
+                            }
+                        }
+                    }
+                }
+                Err(e) if must_wait(&e) => break,
+                Err(_) => self.dead = true,
+            }
+        }
+        self.worker.answered |= advanced;
+        advanced
+    }
+}
+
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl Oracle for PooledProcessOracle {
     fn accepts(&self, input: &[u8]) -> bool {
         self.accepts_checked(input).unwrap_or(false)
     }
 
+    /// The dispatcher loop's one-query case; a query it cannot answer
+    /// degrades to the fallback or a counted failure.
     fn accepts_checked(&self, input: &[u8]) -> Option<bool> {
-        // The protocol cannot frame inputs beyond the frame payload cap;
-        // detect that before any I/O rather than punishing (and reaping) a
-        // healthy worker for an unpose-able query. The fallback oracle, if
-        // any, still produces a real verdict.
-        if input.len() > wire::MAX_FRAME_BYTES {
-            return self.degraded(input);
-        }
-        let Some(mut worker) = self.checkout() else {
-            // Could not spawn a worker at all.
-            return self.degraded(input);
-        };
-        let timeout = self.query_timeout_duration();
-        match worker.query(input, timeout) {
-            Ok(v) => {
-                worker.answered = true;
-                self.checkin(worker);
-                Some(v)
-            }
-            Err(e) => {
-                // Worker crashed (or hung and blew the deadline): reap it,
-                // respawn, retry once — unless the slot's breaker says the
-                // retry would just strike again.
-                let slot = worker.slot;
-                let answered = worker.answered;
-                self.kill_if_hung(&mut worker, &e);
-                drop(worker); // reap
-                self.inner.respawns.fetch_add(1, Ordering::Relaxed);
-                if self.strike_in_place(slot, answered) {
-                    self.release_slot(slot);
-                    return self.degraded(input);
-                }
-                match self.spawn_worker(slot) {
-                    Ok(mut fresh) => match fresh.query(input, timeout) {
-                        Ok(v) => {
-                            fresh.answered = true;
-                            self.checkin(fresh);
-                            Some(v)
-                        }
-                        Err(e) => {
-                            self.kill_if_hung(&mut fresh, &e);
-                            drop(fresh);
-                            self.strike_and_release(slot, false);
-                            self.degraded(input)
-                        }
-                    },
-                    Err(_) => {
-                        self.strike_and_release(slot, false);
-                        self.degraded(input)
-                    }
-                }
-            }
-        }
+        self.dispatch(&[input])[0].or_else(|| self.degraded(input))
     }
 
+    /// The dispatcher loop over the whole batch. Each query it could not
+    /// answer is then settled through [`Oracle::accepts_checked`] on its
+    /// own: a crashing worker tears whole frames, so a query can use up
+    /// its one retry without being at fault, and the isolated one-query
+    /// run (with its own fresh-worker retry) keeps it from degrading.
     fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
-        #[cfg(any(target_os = "linux", target_os = "macos"))]
-        if inputs.len() > 1 {
-            return self.dispatch_batch(inputs);
+        if let [input] = inputs {
+            return vec![self.accepts_checked(input)];
         }
-        inputs.iter().map(|i| self.accepts_checked(i)).collect()
+        let mut results = self.dispatch(inputs);
+        for (result, input) in results.iter_mut().zip(inputs) {
+            if result.is_none() {
+                *result = self.accepts_checked(input);
+            }
+        }
+        results
     }
 
     fn native_batching(&self) -> bool {
-        cfg!(any(target_os = "linux", target_os = "macos"))
+        true
     }
 
     fn failure_count(&self) -> usize {

@@ -1216,12 +1216,20 @@ pub fn install_drain_signals() {
     const SIGINT: std::os::raw::c_int = 2;
     const SIGTERM: std::os::raw::c_int = 15;
     extern "C" {
+        // C: `sighandler_t signal(int signum, sighandler_t handler)`, with
+        // `typedef void (*sighandler_t)(int)`. The previous handler comes
+        // back as a pointer-sized integer because it may be `SIG_ERR`,
+        // `SIG_DFL` or `SIG_IGN`, which are not Rust function pointers.
         fn signal(
             signum: std::os::raw::c_int,
             handler: extern "C" fn(std::os::raw::c_int),
         ) -> usize;
     }
-    // SAFETY: installs a handler that only touches a static atomic.
+    // SAFETY: the prototype above matches C's `signal`: an `extern "C"
+    // fn(c_int)` is a `sighandler_t`, and the returned handler is only
+    // ever an integer, never called. The installed handler touches only
+    // the static atomic `DRAIN_SIGNALS` with a lock-free `fetch_add`, which
+    // is async-signal-safe, so it may interrupt any thread at any point.
     unsafe {
         signal(SIGTERM, count_drain_signal);
         signal(SIGINT, count_drain_signal);

@@ -537,7 +537,12 @@ fn pooled_oracle_poison_input_degrades_and_recovers() {
     // before any answer: the query degrades to false and is counted.
     assert!(!pool.accepts(b"CRASH!"));
     assert_eq!(pool.failure_count(), 1);
-    assert!(pool.respawn_count() >= 1);
+    // One respawn: the first worker's crash. The replacement dies holding
+    // only the already-retried query, so it takes a strike and its slot is
+    // released without a second respawn; two strikes stay below the
+    // breaker's threshold.
+    assert_eq!(pool.respawn_count(), 1);
+    assert_eq!(pool.tripped_worker_count(), 0);
     // The pool is still serviceable afterwards.
     assert!(pool.accepts(b"xxx"));
     assert!(!pool.accepts(b"y"));
@@ -570,9 +575,10 @@ fn x_workload(count: usize, offset: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
-    // The event-driven dispatcher (poll-multiplexed pipes, batched
-    // frames) must produce exactly the verdicts of the blocking per-query
-    // path, at every pool size and frame batch size the matrix requests.
+    // A whole batch through the dispatcher loop (poll-multiplexed pipes,
+    // several workers, batched frames) must produce exactly the verdicts
+    // of its one-query case — the worker language's — at every pool size
+    // and frame batch size the matrix requests.
     let _guard = Watchdog::arm("batched_dispatch_agrees_with_per_query_path_across_matrix");
     let Some(bin) = test_worker_bin() else {
         eprintln!("skipping: rustc unavailable, cannot build the protocol worker");
@@ -674,12 +680,20 @@ fn garbage_verdict_bytes_are_crashes_not_verdicts() {
         eprintln!("skipping: rustc unavailable, cannot build the protocol worker");
         return;
     };
-    let pool =
-        PooledProcessOracle::new(bin).arg("--garbage-after").arg("20").pool_size(2).frame_batch(16);
+    let garbage_pool = || {
+        PooledProcessOracle::new(bin).arg("--garbage-after").arg("20").pool_size(2).frame_batch(16)
+    };
     let inputs = x_workload(200, 7);
     let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     let expected: Vec<Option<bool>> = inputs.iter().map(|i| Some(x_language(i))).collect();
+    let pool = garbage_pool();
     assert_eq!(pool.accepts_batch_checked(&refs), expected, "a garbage byte leaked a verdict");
+    assert_eq!(pool.failure_count(), 0);
+    assert!(pool.respawn_count() >= 5, "respawns: {}", pool.respawn_count());
+    // The same workload one query at a time, on a fresh pool.
+    let pool = garbage_pool();
+    let single: Vec<Option<bool>> = refs.iter().map(|q| pool.accepts_checked(q)).collect();
+    assert_eq!(single, expected, "a garbage byte leaked a single-query verdict");
     assert_eq!(pool.failure_count(), 0);
     assert!(pool.respawn_count() >= 5, "respawns: {}", pool.respawn_count());
 }
@@ -714,7 +728,7 @@ fn poison_query_inside_a_batch_degrades_only_itself() {
 fn hung_worker_is_killed_at_the_deadline_and_recovered() {
     // `--hang-after 2`: each worker answers two queries and then goes
     // silent without exiting, so the pipe never reaches EOF. Without a
-    // deadline the blocking per-query path would wedge forever; with one,
+    // deadline a single query would wait in `poll(2)` forever; with one,
     // the hung worker is killed at the deadline, the abandoned query is
     // counted in `timed_out_count`, and the retry lands on a fresh worker
     // that answers it — no verdict is ever lost or wrong.
@@ -752,13 +766,24 @@ fn slow_loris_verdicts_within_the_deadline_stay_healthy() {
     let inputs = x_workload(48, 5);
     let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     let expected: Vec<Option<bool>> = inputs.iter().map(|i| Some(x_language(i))).collect();
-    let pool = PooledProcessOracle::new(bin)
-        .arg("--stall-ms")
-        .arg("20")
-        .pool_size(2)
-        .frame_batch(16)
-        .query_timeout(Duration::from_millis(150));
+    let stalling_pool = || {
+        PooledProcessOracle::new(bin)
+            .arg("--stall-ms")
+            .arg("20")
+            .pool_size(2)
+            .frame_batch(16)
+            .query_timeout(Duration::from_millis(150))
+    };
+    let pool = stalling_pool();
     assert_eq!(pool.accepts_batch_checked(&refs), expected);
+    assert_eq!(pool.timed_out_count(), 0, "a slow-but-healthy worker was declared hung");
+    assert_eq!(pool.respawn_count(), 0, "a slow-but-healthy worker was killed");
+    assert_eq!(pool.failure_count(), 0);
+    // The same workload one query at a time, on a fresh pool: each verdict
+    // lands ~20 ms after its query, inside the 150 ms deadline.
+    let pool = stalling_pool();
+    let single: Vec<Option<bool>> = refs.iter().map(|q| pool.accepts_checked(q)).collect();
+    assert_eq!(single, expected);
     assert_eq!(pool.timed_out_count(), 0, "a slow-but-healthy worker was declared hung");
     assert_eq!(pool.respawn_count(), 0, "a slow-but-healthy worker was killed");
     assert_eq!(pool.failure_count(), 0);

@@ -25,7 +25,8 @@
 //! The oracle is either an external command (exit status 0 = valid input,
 //! input delivered on stdin or via a `{}` temp-file placeholder) or one of
 //! the built-in instrumented targets from `glade-targets`. `--pool N`
-//! switches the external command to pooled execution: N long-lived worker
+//! (Linux and macOS, like `serve`) switches the external command to
+//! pooled execution: N long-lived worker
 //! processes answering queries over the length-prefixed verdict protocol
 //! (see `glade_core::serve_oracle_worker` and the `glade-oracle-worker`
 //! harness) instead of one process spawn per query — the throughput
@@ -79,11 +80,12 @@ use glade_repro::core::serve::{
     drain_signal_count, install_drain_signals, OpenRequest, OracleFactory, ServeClient,
     ServeConfig, Server,
 };
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_repro::core::PooledProcessOracle;
 use glade_repro::core::{
     is_binary_snapshot, serve_oracle_worker, snapshot_from_binary, snapshot_from_reader,
     snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, CacheFormat, CancelToken,
-    GladeBuilder, GladeConfig, InputMode, Oracle, PooledProcessOracle, ProcessOracle, SynthEvent,
-    SynthesisObserver,
+    GladeBuilder, GladeConfig, InputMode, Oracle, ProcessOracle, SynthEvent, SynthesisObserver,
 };
 use glade_repro::fuzz::{Fuzzer, GrammarFuzzer};
 use glade_repro::grammar::{grammar_from_text, grammar_to_text, Earley, Grammar, Sampler};
@@ -326,6 +328,9 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
             let prog = parts.next().ok_or("--cmd is empty")?;
             let cmd_args: Vec<&str> = parts.collect();
             match pool {
+                #[cfg(not(any(target_os = "linux", target_os = "macos")))]
+                Some(_) => return Err("--pool needs poll(2): Linux and macOS only".into()),
+                #[cfg(any(target_os = "linux", target_os = "macos"))]
                 Some(n) => {
                     // Pooled mode: the command must speak the worker
                     // protocol (wrap predicates with serve_oracle_worker /
