@@ -72,8 +72,10 @@
 use glade_core::{
     serve_faulty_worker, serve_oracle_worker, snapshot_from_binary_reader, snapshot_from_reader,
     snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, FaultPlan, FnOracle,
-    GladeBuilder, Oracle, PooledProcessOracle, ProcessOracle, SynthesisStats,
+    GladeBuilder, Oracle, SynthesisStats,
 };
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_core::{PooledProcessOracle, ProcessOracle};
 use glade_eval::sample_seeds;
 use glade_grammar::grammar_to_text;
 use glade_targets::languages::{section82_languages, toy_xml};
@@ -142,6 +144,7 @@ fn secs(d: Duration) -> f64 {
 
 /// Sorts `xs` and returns its lower quartile, median and upper quartile
 /// (linear interpolation between closest ranks).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn quartiles(xs: &mut [f64]) -> [f64; 3] {
     assert!(!xs.is_empty(), "quartiles of an empty sample");
     xs.sort_by(f64::total_cmp);
@@ -204,6 +207,7 @@ fn skewed_delay(input: &[u8], base_us: u64) -> Duration {
 /// Distinct inputs for the pooled-vs-spawn oracle microbenchmark: a mix of
 /// valid and invalid toy-XML documents, `offset` shifting the set so the
 /// warm pooled round sees fresh queries.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn process_workload(count: usize, offset: usize) -> Vec<Vec<u8>> {
     (0..count)
         .map(|i| {
@@ -551,173 +555,12 @@ fn main() {
     j.close_arr();
     j.close_obj();
 
-    // ---- Experiment 5: pooled vs. spawn-per-query process oracle. ----
-    // This binary is its own process target (see the self-exec modes at
-    // the top of main): spawn-per-query pays a full process start per
-    // verdict, the pool pays one start per worker and a pipe round-trip
-    // per verdict.
-    let self_exe = std::env::current_exe().expect("current_exe");
-    let spawn_queries = env_usize("GLADE_BENCH_SPAWN_QUERIES", 48);
-    let pooled_queries = env_usize("GLADE_BENCH_POOLED_QUERIES", 512);
-    let pool_workers = 4usize;
-
-    let spawn_oracle = ProcessOracle::new(&self_exe).arg("--oracle-once");
-    let reference = toy_xml().oracle();
-    let spawn_workload = process_workload(spawn_queries, 0);
-    let spawn_start = Instant::now();
-    for input in &spawn_workload {
-        assert_eq!(spawn_oracle.accepts(input), reference.accepts(input), "spawn verdict");
-    }
-    let spawn_wall = spawn_start.elapsed();
-    let spawn_qps = spawn_queries as f64 / secs(spawn_wall).max(1e-9);
-
-    let pooled_oracle = PooledProcessOracle::new(&self_exe)
-        .arg("--oracle-worker")
-        .pool_size(pool_workers)
-        // A *fresh* fallback oracle: ProcessOracle clones share a failure
-        // counter, and any transient spawn failure absorbed by the spawn
-        // experiment above must not bleed into the pooled failure assert.
-        .fallback(ProcessOracle::new(&self_exe).arg("--oracle-once"));
-    // Cold: includes lazy worker spawns. Queries fan out across threads
-    // the way the engine's batch dispatch would.
-    let pose_all = |inputs: &[Vec<u8>]| {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..pool_workers {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(input) = inputs.get(i) else { break };
-                    assert_eq!(
-                        pooled_oracle.accepts(input),
-                        reference.accepts(input),
-                        "pooled verdict"
-                    );
-                });
-            }
-        });
-    };
-    let cold_workload = process_workload(pooled_queries, 10_000);
-    let cold_start = Instant::now();
-    pose_all(&cold_workload);
-    let pooled_cold_wall = cold_start.elapsed();
-    let warm_workload = process_workload(pooled_queries, 20_000);
-    let warm_start = Instant::now();
-    pose_all(&warm_workload);
-    let pooled_warm_wall = warm_start.elapsed();
-    let pooled_cold_qps = pooled_queries as f64 / secs(pooled_cold_wall).max(1e-9);
-    let pooled_warm_qps = pooled_queries as f64 / secs(pooled_warm_wall).max(1e-9);
-    let pooled_speedup = pooled_warm_qps / spawn_qps.max(1e-9);
-    eprintln!(
-        "[bench-queries] pooled_vs_spawn: spawn {:.0} q/s, pooled cold {:.0} q/s, \
-         pooled warm {:.0} q/s (x{:.1} vs spawn, {} workers)",
-        spawn_qps, pooled_cold_qps, pooled_warm_qps, pooled_speedup, pool_workers,
-    );
-    assert!(
-        pooled_speedup >= 5.0,
-        "pooled execution must sustain >= 5x spawn-per-query throughput \
-         (spawn {spawn_qps:.0} q/s, pooled warm {pooled_warm_qps:.0} q/s)"
-    );
-    assert_eq!(pooled_oracle.failure_count(), 0, "pooled path degraded to the fallback");
-
-    j.open_obj(Some("pooled_vs_spawn"));
-    j.string("target", "self (toy-xml verdicts over the worker protocol)");
-    j.int("pool_workers", pool_workers);
-    j.int("spawn_queries", spawn_queries);
-    j.int("pooled_queries", pooled_queries);
-    j.num("spawn_secs", secs(spawn_wall));
-    j.num("spawn_queries_per_sec", spawn_qps);
-    j.num("pooled_cold_secs", secs(pooled_cold_wall));
-    j.num("pooled_cold_queries_per_sec", pooled_cold_qps);
-    j.num("pooled_warm_secs", secs(pooled_warm_wall));
-    j.num("pooled_warm_queries_per_sec", pooled_warm_qps);
-    j.num("pooled_warm_speedup_vs_spawn", pooled_speedup);
-    j.int("pool_respawns", pooled_oracle.respawn_count());
-    j.int("oracle_failures", pooled_oracle.failure_count());
-    j.close_obj();
-
-    // ---- Experiment 6: fault recovery — throughput under injected
-    // faults. The same workload and the same query deadline, three worker
-    // personalities: clean (the deadline machinery must be free when
-    // nothing hangs), crashy (~10% content-poisoned queries that defeat
-    // replay and degrade to the fallback), and hangy (silent hangs that
-    // only the deadline can unwedge). Every verdict in every cell must
-    // match the in-process reference — faults shift cost, never answers.
-    let fault_queries = env_usize("GLADE_BENCH_FAULT_QUERIES", 512);
-    let fault_timeout_ms = env_usize("GLADE_BENCH_FAULT_TIMEOUT_MS", 250) as u64;
-    let fault_pool = 4usize;
-    let fault_workload = process_workload(fault_queries, 50_000);
-    let fault_refs: Vec<&[u8]> = fault_workload.iter().map(Vec::as_slice).collect();
-    let fault_expected: Vec<Option<bool>> =
-        fault_workload.iter().map(|i| Some(reference.accepts(i))).collect();
-    let run_fault_cell = |mode: &str, worker_flag: &str| {
-        let mut oracle = PooledProcessOracle::new(&self_exe)
-            .arg(worker_flag)
-            .pool_size(fault_pool)
-            .query_timeout(Duration::from_millis(fault_timeout_ms));
-        if mode == "crashy" {
-            // Content-poisoned queries defeat replay; only a clean
-            // spawn-per-query fallback can still answer them truthfully.
-            oracle = oracle.fallback(ProcessOracle::new(&self_exe).arg("--oracle-once"));
-        }
-        let start = Instant::now();
-        let verdicts = oracle.accepts_batch_checked(&fault_refs);
-        let wall = start.elapsed();
-        assert_eq!(verdicts, fault_expected, "{mode} pool changed a verdict");
-        (oracle, wall)
-    };
-    let (clean_oracle, clean_wall) = run_fault_cell("clean", "--oracle-worker");
-    assert_eq!(clean_oracle.failure_count(), 0, "clean pool counted failures");
-    assert_eq!(clean_oracle.respawn_count(), 0, "clean pool respawned workers");
-    assert_eq!(clean_oracle.timed_out_count(), 0, "clean pool hit the deadline");
-    assert_eq!(clean_oracle.tripped_worker_count(), 0, "clean pool tripped a breaker");
-    let (crashy_oracle, crashy_wall) = run_fault_cell("crashy", "--crashy-worker");
-    assert_eq!(crashy_oracle.failure_count(), 0, "the fallback answers every poisoned query");
-    assert!(crashy_oracle.respawn_count() > 0, "poisoned queries must kill workers");
-    let (hangy_oracle, hangy_wall) = run_fault_cell("hangy", "--hangy-worker");
-    assert_eq!(hangy_oracle.failure_count(), 0, "every hang was replayed successfully");
-    assert!(
-        hangy_oracle.timed_out_count() > 0,
-        "{fault_queries} queries across {fault_pool} workers must outlive 64-answer hangs"
-    );
-    let clean_qps = fault_queries as f64 / secs(clean_wall).max(1e-9);
-    let crashy_qps = fault_queries as f64 / secs(crashy_wall).max(1e-9);
-    let hangy_qps = fault_queries as f64 / secs(hangy_wall).max(1e-9);
-    eprintln!(
-        "[bench-queries] fault_recovery: clean {:.0} q/s, crashy {:.0} q/s ({} respawns, \
-         {} trips), hangy {:.0} q/s ({} hung queries killed at the {}ms deadline)",
-        clean_qps,
-        crashy_qps,
-        crashy_oracle.respawn_count(),
-        crashy_oracle.tripped_worker_count(),
-        hangy_qps,
-        hangy_oracle.timed_out_count(),
-        fault_timeout_ms,
-    );
-    j.open_obj(Some("fault_recovery"));
-    j.string("target", "self (toy-xml verdicts; seeded FaultPlan injection)");
-    j.int("pool_workers", fault_pool);
-    j.int("queries", fault_queries);
-    j.int("query_timeout_ms", fault_timeout_ms as usize);
-    for (mode, oracle, wall, qps) in [
-        ("clean", &clean_oracle, clean_wall, clean_qps),
-        ("crashy", &crashy_oracle, crashy_wall, crashy_qps),
-        ("hangy", &hangy_oracle, hangy_wall, hangy_qps),
-    ] {
-        j.open_obj(Some(mode));
-        j.num("wall_secs", secs(wall));
-        j.num("queries_per_sec", qps);
-        j.num("throughput_vs_clean", qps / clean_qps.max(1e-9));
-        j.int("oracle_failures", oracle.failure_count());
-        j.int("respawns", oracle.respawn_count());
-        j.int("timed_out_queries", oracle.timed_out_count());
-        j.int("breaker_trips", oracle.tripped_worker_count());
-        j.int("breaker_recoveries", oracle.recovered_worker_count());
-        j.close_obj();
-    }
-    j.close_obj();
+    // Experiments 5 and 6 drive `PooledProcessOracle` (Linux and macOS).
+    #[cfg(any(target_os = "linux", target_os = "macos"))]
+    pooled_experiments(&mut j);
 
     // ---- Experiment 7: serve_overhead — the multi-tenant `glade serve`
-    // path (campaign thread + fair-scheduler turns + result framing over a
+    // path (campaign thread, event streaming and result framing over a
     // unix socket) versus a direct in-process Session on the running
     // example. One run takes about a millisecond, so a single slow run is
     // noise: the gate is the *median* served/direct ratio over N
@@ -997,4 +840,174 @@ fn main() {
 
     std::fs::write(&out_path, format!("{}\n", j.out)).expect("write BENCH_queries.json");
     eprintln!("[bench-queries] wrote {out_path}");
+}
+
+/// Experiments 5 and 6: the pooled process oracle against spawning, and
+/// under injected faults.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+fn pooled_experiments(j: &mut Json) {
+    // ---- Experiment 5: pooled vs. spawn-per-query process oracle. ----
+    // This binary is its own process target (see the self-exec modes at
+    // the top of main): spawn-per-query pays a full process start per
+    // verdict, the pool pays one start per worker and a pipe round-trip
+    // per verdict.
+    let self_exe = std::env::current_exe().expect("current_exe");
+    let spawn_queries = env_usize("GLADE_BENCH_SPAWN_QUERIES", 48);
+    let pooled_queries = env_usize("GLADE_BENCH_POOLED_QUERIES", 512);
+    let pool_workers = 4usize;
+
+    let spawn_oracle = ProcessOracle::new(&self_exe).arg("--oracle-once");
+    let reference = toy_xml().oracle();
+    let spawn_workload = process_workload(spawn_queries, 0);
+    let spawn_start = Instant::now();
+    for input in &spawn_workload {
+        assert_eq!(spawn_oracle.accepts(input), reference.accepts(input), "spawn verdict");
+    }
+    let spawn_wall = spawn_start.elapsed();
+    let spawn_qps = spawn_queries as f64 / secs(spawn_wall).max(1e-9);
+
+    let pooled_oracle = PooledProcessOracle::new(&self_exe)
+        .arg("--oracle-worker")
+        .pool_size(pool_workers)
+        // A *fresh* fallback oracle: ProcessOracle clones share a failure
+        // counter, and any transient spawn failure absorbed by the spawn
+        // experiment above must not bleed into the pooled failure assert.
+        .fallback(ProcessOracle::new(&self_exe).arg("--oracle-once"));
+    // Cold: includes lazy worker spawns. Queries fan out across threads
+    // the way the engine's batch dispatch would.
+    let pose_all = |inputs: &[Vec<u8>]| {
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..pool_workers {
+                s.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(input) = inputs.get(i) else { break };
+                    assert_eq!(
+                        pooled_oracle.accepts(input),
+                        reference.accepts(input),
+                        "pooled verdict"
+                    );
+                });
+            }
+        });
+    };
+    let cold_workload = process_workload(pooled_queries, 10_000);
+    let cold_start = Instant::now();
+    pose_all(&cold_workload);
+    let pooled_cold_wall = cold_start.elapsed();
+    let warm_workload = process_workload(pooled_queries, 20_000);
+    let warm_start = Instant::now();
+    pose_all(&warm_workload);
+    let pooled_warm_wall = warm_start.elapsed();
+    let pooled_cold_qps = pooled_queries as f64 / secs(pooled_cold_wall).max(1e-9);
+    let pooled_warm_qps = pooled_queries as f64 / secs(pooled_warm_wall).max(1e-9);
+    let pooled_speedup = pooled_warm_qps / spawn_qps.max(1e-9);
+    eprintln!(
+        "[bench-queries] pooled_vs_spawn: spawn {:.0} q/s, pooled cold {:.0} q/s, \
+         pooled warm {:.0} q/s (x{:.1} vs spawn, {} workers)",
+        spawn_qps, pooled_cold_qps, pooled_warm_qps, pooled_speedup, pool_workers,
+    );
+    assert!(
+        pooled_speedup >= 5.0,
+        "pooled execution must sustain >= 5x spawn-per-query throughput \
+         (spawn {spawn_qps:.0} q/s, pooled warm {pooled_warm_qps:.0} q/s)"
+    );
+    assert_eq!(pooled_oracle.failure_count(), 0, "pooled path degraded to the fallback");
+
+    j.open_obj(Some("pooled_vs_spawn"));
+    j.string("target", "self (toy-xml verdicts over the worker protocol)");
+    j.int("pool_workers", pool_workers);
+    j.int("spawn_queries", spawn_queries);
+    j.int("pooled_queries", pooled_queries);
+    j.num("spawn_secs", secs(spawn_wall));
+    j.num("spawn_queries_per_sec", spawn_qps);
+    j.num("pooled_cold_secs", secs(pooled_cold_wall));
+    j.num("pooled_cold_queries_per_sec", pooled_cold_qps);
+    j.num("pooled_warm_secs", secs(pooled_warm_wall));
+    j.num("pooled_warm_queries_per_sec", pooled_warm_qps);
+    j.num("pooled_warm_speedup_vs_spawn", pooled_speedup);
+    j.int("pool_respawns", pooled_oracle.respawn_count());
+    j.int("oracle_failures", pooled_oracle.failure_count());
+    j.close_obj();
+
+    // ---- Experiment 6: fault recovery — throughput under injected
+    // faults. The same workload and the same query deadline, three worker
+    // personalities: clean (the deadline machinery must be free when
+    // nothing hangs), crashy (~10% content-poisoned queries that defeat
+    // replay and degrade to the fallback), and hangy (silent hangs that
+    // only the deadline can unwedge). Every verdict in every cell must
+    // match the in-process reference — faults shift cost, never answers.
+    let fault_queries = env_usize("GLADE_BENCH_FAULT_QUERIES", 512);
+    let fault_timeout_ms = env_usize("GLADE_BENCH_FAULT_TIMEOUT_MS", 250) as u64;
+    let fault_pool = 4usize;
+    let fault_workload = process_workload(fault_queries, 50_000);
+    let fault_refs: Vec<&[u8]> = fault_workload.iter().map(Vec::as_slice).collect();
+    let fault_expected: Vec<Option<bool>> =
+        fault_workload.iter().map(|i| Some(reference.accepts(i))).collect();
+    let run_fault_cell = |mode: &str, worker_flag: &str| {
+        let mut oracle = PooledProcessOracle::new(&self_exe)
+            .arg(worker_flag)
+            .pool_size(fault_pool)
+            .query_timeout(Duration::from_millis(fault_timeout_ms));
+        if mode == "crashy" {
+            // Content-poisoned queries defeat replay; only a clean
+            // spawn-per-query fallback can still answer them truthfully.
+            oracle = oracle.fallback(ProcessOracle::new(&self_exe).arg("--oracle-once"));
+        }
+        let start = Instant::now();
+        let verdicts = oracle.accepts_batch_checked(&fault_refs);
+        let wall = start.elapsed();
+        assert_eq!(verdicts, fault_expected, "{mode} pool changed a verdict");
+        (oracle, wall)
+    };
+    let (clean_oracle, clean_wall) = run_fault_cell("clean", "--oracle-worker");
+    assert_eq!(clean_oracle.failure_count(), 0, "clean pool counted failures");
+    assert_eq!(clean_oracle.respawn_count(), 0, "clean pool respawned workers");
+    assert_eq!(clean_oracle.timed_out_count(), 0, "clean pool hit the deadline");
+    assert_eq!(clean_oracle.tripped_worker_count(), 0, "clean pool tripped a breaker");
+    let (crashy_oracle, crashy_wall) = run_fault_cell("crashy", "--crashy-worker");
+    assert_eq!(crashy_oracle.failure_count(), 0, "the fallback answers every poisoned query");
+    assert!(crashy_oracle.respawn_count() > 0, "poisoned queries must kill workers");
+    let (hangy_oracle, hangy_wall) = run_fault_cell("hangy", "--hangy-worker");
+    assert_eq!(hangy_oracle.failure_count(), 0, "every hang was replayed successfully");
+    assert!(
+        hangy_oracle.timed_out_count() > 0,
+        "{fault_queries} queries across {fault_pool} workers must outlive 64-answer hangs"
+    );
+    let clean_qps = fault_queries as f64 / secs(clean_wall).max(1e-9);
+    let crashy_qps = fault_queries as f64 / secs(crashy_wall).max(1e-9);
+    let hangy_qps = fault_queries as f64 / secs(hangy_wall).max(1e-9);
+    eprintln!(
+        "[bench-queries] fault_recovery: clean {:.0} q/s, crashy {:.0} q/s ({} respawns, \
+         {} trips), hangy {:.0} q/s ({} hung queries killed at the {}ms deadline)",
+        clean_qps,
+        crashy_qps,
+        crashy_oracle.respawn_count(),
+        crashy_oracle.tripped_worker_count(),
+        hangy_qps,
+        hangy_oracle.timed_out_count(),
+        fault_timeout_ms,
+    );
+    j.open_obj(Some("fault_recovery"));
+    j.string("target", "self (toy-xml verdicts; seeded FaultPlan injection)");
+    j.int("pool_workers", fault_pool);
+    j.int("queries", fault_queries);
+    j.int("query_timeout_ms", fault_timeout_ms as usize);
+    for (mode, oracle, wall, qps) in [
+        ("clean", &clean_oracle, clean_wall, clean_qps),
+        ("crashy", &crashy_oracle, crashy_wall, crashy_qps),
+        ("hangy", &hangy_oracle, hangy_wall, hangy_qps),
+    ] {
+        j.open_obj(Some(mode));
+        j.num("wall_secs", secs(wall));
+        j.num("queries_per_sec", qps);
+        j.num("throughput_vs_clean", qps / clean_qps.max(1e-9));
+        j.int("oracle_failures", oracle.failure_count());
+        j.int("respawns", oracle.respawn_count());
+        j.int("timed_out_queries", oracle.timed_out_count());
+        j.int("breaker_trips", oracle.tripped_worker_count());
+        j.int("breaker_recoveries", oracle.recovered_worker_count());
+        j.close_obj();
+    }
+    j.close_obj();
 }

@@ -410,12 +410,37 @@ impl SynthEvent {
     }
 
     /// Whether this event is a *query tally* — a high-frequency progress
-    /// ticker where only the most recent sample matters to a live reader.
-    /// `glade serve` collapses consecutive tallies in a slow connection's
-    /// bounded event queue (the newest replaces the queued one); every
-    /// other kind is a lifecycle event and is never coalesced.
+    /// ticker counting one batch's checks. Tallies are not running totals:
+    /// consecutive ones add up, so `glade serve` sums them (a campaign
+    /// sends them summed at most every 50 ms between lifecycle events, and
+    /// a slow connection's bounded event queue merges consecutive queued
+    /// ones) without changing the totals a reader sees. Every other kind
+    /// is a lifecycle event and is never merged.
     pub fn is_query_tally(&self) -> bool {
         matches!(self, SynthEvent::QueryBatch { .. })
+    }
+
+    /// Adds `other`'s counts into this event when both are query tallies
+    /// (see [`SynthEvent::is_query_tally`]) and reports whether it did.
+    /// Counts saturate rather than wrap.
+    #[cfg_attr(not(any(target_os = "linux", target_os = "macos")), allow(dead_code))]
+    pub(crate) fn absorb_tally(&mut self, other: &SynthEvent) -> bool {
+        match (self, other) {
+            (
+                SynthEvent::QueryBatch { checks, cached, posed },
+                SynthEvent::QueryBatch {
+                    checks: more_checks,
+                    cached: more_cached,
+                    posed: more_posed,
+                },
+            ) => {
+                *checks = checks.saturating_add(*more_checks);
+                *cached = cached.saturating_add(*more_cached);
+                *posed = posed.saturating_add(*more_posed);
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -774,8 +799,55 @@ mod tests {
             })
         }
 
+        /// Arbitrary Unicode text: ASCII half the time (so tags and
+        /// whitespace turn up), any scalar value otherwise.
+        fn arb_text() -> impl Strategy<Value = String> {
+            vec((any::<bool>(), 0u32..0x11_0000), 0..40).prop_map(|codes| {
+                codes
+                    .into_iter()
+                    .map(|(ascii, code)| {
+                        char::from_u32(if ascii { code % 0x80 } else { code }).unwrap_or('\u{fffd}')
+                    })
+                    .collect()
+            })
+        }
+
+        /// Tally counts of every size: each right-shifted by a random
+        /// amount, so sums run from small through huge to saturated.
+        fn arb_tally() -> impl Strategy<Value = SynthEvent> {
+            (vec(any::<usize>(), 3), 0u32..64).prop_map(|(n, shift)| SynthEvent::QueryBatch {
+                checks: n[0] >> shift,
+                cached: n[1] >> shift,
+                posed: n[2] >> shift,
+            })
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn arbitrary_strings_never_panic_the_decoder(text in arb_text()) {
+                if let Ok(Some(event)) = SynthEvent::from_wire_line(&text) {
+                    let again = SynthEvent::from_wire_line(&event.to_wire_line());
+                    prop_assert_eq!(again, Ok(Some(event)));
+                }
+            }
+
+            #[test]
+            fn summed_tallies_round_trip_byte_identically(
+                tallies in vec(arb_tally(), 1..6)
+            ) {
+                let mut sum = tallies[0].clone();
+                for tally in &tallies[1..] {
+                    prop_assert!(sum.absorb_tally(tally));
+                }
+                let line = sum.to_wire_line();
+                let back = SynthEvent::from_wire_line(&line)
+                    .expect("canonical line parses")
+                    .expect("known tag");
+                prop_assert_eq!(&back, &sum);
+                prop_assert_eq!(back.to_wire_line(), line);
+            }
 
             #[test]
             fn arbitrary_lines_never_panic_the_decoder(

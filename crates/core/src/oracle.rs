@@ -346,6 +346,57 @@ pub(crate) fn retry_backoff_delay(base: Duration, salt: u64, strikes: u32) -> Op
     Some(base.saturating_mul(1 << exp).saturating_add(jitter))
 }
 
+/// Health events the calling thread's own oracle calls caused: queries
+/// abandoned to a deadline, breaker trips and breaker recoveries.
+///
+/// Each is counted on the thread that runs the call, beside the oracle's
+/// shared counter (see [`count_health`]), so a wrapper can attribute the
+/// events of one call to its caller by reading the tally before and after
+/// the call, even while other threads call the same oracle.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ThreadHealth {
+    pub(crate) timeouts: usize,
+    pub(crate) trips: usize,
+    pub(crate) recoveries: usize,
+}
+
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+thread_local! {
+    static THREAD_HEALTH: std::cell::Cell<ThreadHealth> =
+        const { std::cell::Cell::new(ThreadHealth { timeouts: 0, trips: 0, recoveries: 0 }) };
+}
+
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+impl ThreadHealth {
+    /// The calling thread's running tally.
+    pub(crate) fn current() -> Self {
+        THREAD_HEALTH.with(std::cell::Cell::get)
+    }
+
+    /// What this thread counted since `earlier`, a previous
+    /// [`ThreadHealth::current`].
+    pub(crate) fn since(self, earlier: Self) -> Self {
+        ThreadHealth {
+            timeouts: self.timeouts.wrapping_sub(earlier.timeouts),
+            trips: self.trips.wrapping_sub(earlier.trips),
+            recoveries: self.recoveries.wrapping_sub(earlier.recoveries),
+        }
+    }
+}
+
+/// Adds `n` to one of an oracle's shared health counters and to the same
+/// field of the calling thread's [`ThreadHealth`].
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+fn count_health(counter: &AtomicUsize, n: usize, field: fn(&mut ThreadHealth) -> &mut usize) {
+    counter.fetch_add(n, Ordering::Relaxed);
+    THREAD_HEALTH.with(|cell| {
+        let mut tally = cell.get();
+        *field(&mut tally) = field(&mut tally).wrapping_add(n);
+        cell.set(tally);
+    });
+}
+
 /// Blackbox membership access to a target language.
 ///
 /// # Contract
@@ -846,6 +897,7 @@ impl ProcessOracle {
         self.failures.fetch_add(1, Ordering::Relaxed);
     }
 
+    #[cfg(any(target_os = "linux", target_os = "macos"))]
     fn timeout_duration(&self) -> Option<Duration> {
         let nanos = self.timeout_nanos.load(Ordering::Relaxed);
         (nanos > 0).then(|| Duration::from_nanos(nanos))
@@ -900,7 +952,7 @@ impl ProcessOracle {
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
+                count_health(&self.timeouts, 1, |h| &mut h.timeouts);
                 let _ = child.kill();
                 let _ = child.wait();
                 return None;
@@ -1159,6 +1211,11 @@ struct PoolState {
     /// Per-slot breaker state, indexed by `PooledWorker::slot`; grown
     /// lazily to the pool size.
     slots: Vec<SlotHealth>,
+    /// Tickets of the blocked [`PooledProcessOracle::checkout`] calls, in
+    /// arrival order. Only the front ticket may take a worker, and
+    /// [`PooledProcessOracle::try_checkout`] takes none while any wait.
+    waiters: VecDeque<u64>,
+    next_ticket: u64,
 }
 
 #[cfg(any(target_os = "linux", target_os = "macos"))]
@@ -1430,7 +1487,7 @@ impl PooledProcessOracle {
             h.trips = h.trips.saturating_add(1);
             let trips = h.trips;
             state.health(slot).open_after = Some(Instant::now() + self.trip_cooldown(trips));
-            self.inner.trips.fetch_add(1, Ordering::Relaxed);
+            count_health(&self.inner.trips, 1, |h| &mut h.trips);
         } else {
             let delay = self.backoff_delay(slot, h.strikes);
             state.health(slot).open_after = delay.map(|d| Instant::now() + d);
@@ -1457,7 +1514,7 @@ impl PooledProcessOracle {
         self.record_strike(&mut state, slot, answered);
         state.health(slot).occupied = false;
         drop(state);
-        self.inner.available.notify_one();
+        self.inner.available.notify_all();
     }
 
     /// A half-open probe spawned successfully: close the slot's breaker
@@ -1470,7 +1527,7 @@ impl PooledProcessOracle {
         h.tripped = false;
         h.open_after = None;
         drop(state);
-        self.inner.recoveries.fetch_add(1, Ordering::Relaxed);
+        count_health(&self.inner.recoveries, 1, |h| &mut h.recoveries);
     }
 
     /// Checks a worker out of the pool, spawning one lazily into a
@@ -1481,10 +1538,37 @@ impl PooledProcessOracle {
     /// produced — needed spawns failed, or every idle slot's breaker is
     /// open (queries then degrade to the fallback rather than sleeping
     /// out a cool-down).
+    ///
+    /// Blocking callers are served first in, first out: each takes a
+    /// ticket and only the oldest waiting ticket may take a worker, while
+    /// a nonblocking caller takes none as long as anyone waits. So callers
+    /// sharing one pool alternate at worker hand-offs: a caller that
+    /// checks a worker in and at once asks for one again queues behind
+    /// those already waiting.
     fn checkout_inner(&self, block: bool) -> Option<PooledWorker> {
         let mut state = self.inner.state.lock().expect("pool poisoned");
+        if !block && !state.waiters.is_empty() {
+            return None;
+        }
+        let ticket = state.next_ticket;
+        if block {
+            state.next_ticket += 1;
+            state.waiters.push_back(ticket);
+        }
+        // Leaves the queue: the next ticket becomes the front.
+        let leave = |state: &mut PoolState| {
+            if block {
+                state.waiters.pop_front();
+                self.inner.available.notify_all();
+            }
+        };
         loop {
+            if block && state.waiters.front() != Some(&ticket) {
+                state = self.inner.available.wait(state).expect("pool poisoned");
+                continue;
+            }
             if let Some(w) = state.idle.pop() {
+                leave(&mut state);
                 return Some(w);
             }
             if state.live >= self.inner.size {
@@ -1504,6 +1588,7 @@ impl PooledProcessOracle {
                 let h = state.health(slot);
                 h.occupied = true;
                 let half_open = h.tripped;
+                leave(&mut state);
                 drop(state);
                 match self.spawn_worker(slot) {
                     Ok(w) => {
@@ -1517,7 +1602,10 @@ impl PooledProcessOracle {
                         if !block {
                             return None;
                         }
+                        // Back to the front: the failed spawn keeps this
+                        // caller's place in the queue.
                         state = self.inner.state.lock().expect("pool poisoned");
+                        state.waiters.push_front(ticket);
                         continue;
                     }
                 }
@@ -1531,6 +1619,7 @@ impl PooledProcessOracle {
                 !h.occupied && !h.tripped
             });
             if state.live == 0 && !waitable {
+                leave(&mut state);
                 return None;
             }
             if !block {
@@ -1563,10 +1652,11 @@ impl PooledProcessOracle {
     }
 
     /// Like [`PooledProcessOracle::checkout`], but never blocks: returns
-    /// `None` when every worker is busy (or a needed spawn fails, or the
-    /// breakers forbid spawning). The dispatcher uses this to
-    /// widen its worker set opportunistically without stalling on pools
-    /// shared with other callers.
+    /// `None` when every worker is busy, when a blocking checkout is
+    /// waiting (it has the first claim), or when a needed spawn fails or
+    /// the breakers forbid spawning. The dispatcher uses this to widen its
+    /// worker set opportunistically without stalling on, or starving,
+    /// other callers of a shared pool.
     fn try_checkout(&self) -> Option<PooledWorker> {
         self.checkout_inner(false)
     }
@@ -1583,7 +1673,7 @@ impl PooledProcessOracle {
         }
         state.idle.push(worker);
         drop(state);
-        self.inner.available.notify_one();
+        self.inner.available.notify_all();
     }
 
     /// Gives up a live slot (worker died and was not replaced, or a spawn
@@ -1593,7 +1683,7 @@ impl PooledProcessOracle {
         state.live -= 1;
         state.health(slot).occupied = false;
         drop(state);
-        self.inner.available.notify_one();
+        self.inner.available.notify_all();
     }
 
     /// The pooled path produced no verdict: consult the fallback oracle or
@@ -1776,7 +1866,9 @@ impl PooledProcessOracle {
                         && !slot.inflight.is_empty()
                         && slot.deadline.is_some_and(|d| d <= now)
                     {
-                        self.inner.timeouts.fetch_add(slot.inflight.len(), Ordering::Relaxed);
+                        count_health(&self.inner.timeouts, slot.inflight.len(), |h| {
+                            &mut h.timeouts
+                        });
                         let _ = slot.worker.child.kill();
                         slot.dead = true;
                     }
@@ -2071,6 +2163,7 @@ mod tests {
         assert_oracle::<FnOracle<fn(&[u8]) -> bool>>();
         assert_oracle::<CachingOracle<FnOracle<fn(&[u8]) -> bool>>>();
         assert_oracle::<ProcessOracle>();
+        #[cfg(any(target_os = "linux", target_os = "macos"))]
         assert_oracle::<PooledProcessOracle>();
         assert_oracle::<Box<dyn Oracle>>();
         assert_oracle::<Arc<dyn Oracle>>();
@@ -2139,6 +2232,7 @@ mod tests {
         assert_eq!(o.failure_count(), 2);
     }
 
+    #[cfg(any(target_os = "linux", target_os = "macos"))]
     #[test]
     fn pooled_oracle_missing_program_degrades_and_counts() {
         let o = PooledProcessOracle::new("/nonexistent/program/glade-worker");
@@ -2148,7 +2242,7 @@ mod tests {
         assert_eq!(o.respawn_count(), 0, "nothing ever lived to crash");
     }
 
-    #[cfg(unix)]
+    #[cfg(any(target_os = "linux", target_os = "macos"))]
     #[test]
     fn pooled_oracle_missing_program_uses_fallback() {
         // Pooled spawn always fails; the spawn-per-query fallback (grep on
@@ -2160,7 +2254,7 @@ mod tests {
         assert_eq!(o.failure_count(), 0, "fallback verdicts are real");
     }
 
-    #[cfg(unix)]
+    #[cfg(any(target_os = "linux", target_os = "macos"))]
     #[test]
     fn handshake_refuses_a_v1_only_worker_by_name() {
         // The shell worker reads the 20 handshake bytes and answers a
@@ -2172,6 +2266,50 @@ mod tests {
         assert!(err.to_string().contains("v1 single-query protocol"), "{err}");
     }
 
+    /// A blocked `checkout` gets the next released worker: before a
+    /// `try_checkout`, before the releasing caller's own next `checkout`,
+    /// and in arrival order among waiters.
+    #[cfg(any(target_os = "linux", target_os = "macos"))]
+    #[test]
+    fn blocked_checkouts_take_released_workers_first_in_first_out() {
+        // Answers the handshake, then idles until stdin closes.
+        let pool = PooledProcessOracle::new("sh")
+            .arg("-c")
+            .arg("head -c 20 >/dev/null; printf '\\002'; cat >/dev/null");
+        let waiting = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while pool.inner.state.lock().unwrap().waiters.len() < n {
+                assert!(Instant::now() < deadline, "checkout never queued");
+                std::thread::yield_now();
+            }
+        };
+        let order = Mutex::new(Vec::new());
+        let held = pool.checkout().expect("spawn the only worker");
+        std::thread::scope(|s| {
+            for (queued, name) in ["first waiter", "second waiter"].into_iter().enumerate() {
+                let (pool, order) = (&pool, &order);
+                s.spawn(move || {
+                    let worker = pool.checkout().expect("handed over");
+                    order.lock().unwrap().push(name);
+                    pool.checkin(worker);
+                });
+                waiting(queued + 1);
+            }
+            pool.checkin(held);
+            let worker = pool.checkout().expect("worker comes back");
+            order.lock().unwrap().push("releaser");
+            pool.checkin(worker);
+        });
+        assert_eq!(*order.lock().unwrap(), ["first waiter", "second waiter", "releaser"]);
+
+        // An idle worker stays put for a queued checkout that has not woken
+        // up yet.
+        pool.inner.state.lock().unwrap().waiters.push_back(u64::MAX);
+        assert!(pool.try_checkout().is_none(), "a waiting checkout comes first");
+        pool.inner.state.lock().unwrap().waiters.clear();
+        assert!(pool.try_checkout().is_some(), "nobody waits any more");
+    }
+
     #[test]
     fn fingerprints_are_stable_and_distinguish_configuration() {
         let a = ProcessOracle::new("prog").arg("-x").arg("{}").input_mode(InputMode::TempFile);
@@ -2179,6 +2317,12 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), ProcessOracle::new("prog").arg("-y").fingerprint());
         assert_ne!(a.fingerprint(), ProcessOracle::new("other").fingerprint());
+    }
+
+    #[cfg(any(target_os = "linux", target_os = "macos"))]
+    #[test]
+    fn pooled_fingerprints_are_stable_and_distinguish_configuration() {
+        let a = ProcessOracle::new("prog").arg("-x").arg("{}").input_mode(InputMode::TempFile);
         let p = PooledProcessOracle::new("prog").arg("-x");
         assert_eq!(p.fingerprint(), PooledProcessOracle::new("prog").arg("-x").fingerprint());
         assert_ne!(p.fingerprint(), a.fingerprint(), "pooled and spawn modes are distinct");

@@ -24,8 +24,9 @@
 //! answer, which it reads with the answer to `OPEN`: a campaign opens in
 //! one round trip. Campaigns
 //! named by the same oracle spec share one oracle instance (e.g. one
-//! [`PooledProcessOracle`](crate::PooledProcessOracle) worker pool) through
-//! the **fair scheduler** below.
+//! [`PooledProcessOracle`](crate::PooledProcessOracle) worker pool) and
+//! call it concurrently, each from its own thread (see **sharing an
+//! oracle** below).
 //!
 //! # Wire format (`glade-serve v2`)
 //!
@@ -124,27 +125,41 @@
 //!
 //! Events for each connection pass through a bounded queue
 //! ([`ServeConfig::max_event_buffer`]) before serialization, and move into
-//! the socket buffer only while the reader keeps up. Consecutive
-//! query-tally events coalesce (newest wins — they are cumulative);
-//! lifecycle events are never coalesced. A reader stuck past the bound is
+//! the socket buffer only while the reader keeps up. Query tallies
+//! ([`SynthEvent::QueryBatch`](crate::SynthEvent::QueryBatch)) each count
+//! one batch, so they add up: a campaign sends them summed, at most every
+//! 50 ms between lifecycle events and always before the next lifecycle
+//! event and before the batch's `RESULT`/`ERROR`, and consecutive tallies
+//! still queued for a slow reader merge into their sum. The totals a
+//! reader sees stay exact; lifecycle events are never coalesced, and keep
+//! their order and latency. A reader stuck past the bound is
 //! *demoted* to result-only: queued events drop, the campaign thread is
 //! never blocked, and an `events-dropped <n>` event is delivered before
 //! the next `RESULT` so the client knows its stream has a gap. `RESULT`
 //! and `ERROR` frames are never dropped.
 //!
-//! # Scheduling and fairness
+//! # Sharing an oracle
 //!
-//! Campaigns sharing an oracle contend in waves, not queries: the query
-//! engine hands a [`ScheduledOracle`] whole miss sets (it declares
-//! [`native_batching`](crate::Oracle::native_batching)), which the engine
-//! splits into bounded sub-batches, and the wrapper takes one scheduler
-//! *turn* per sub-batch. [`FairScheduler`] grants turns in round-robin
-//! order over the currently-waiting campaigns (cyclic by campaign id,
-//! starting after the last-served id), so N tenants interleave their query
-//! waves ~1/N each while a lone tenant keeps the oracle saturated.
-//! Because every tenant's access is serialized through its turn, the
-//! wrapper attributes the shared oracle's failure/timeout/breaker counter
-//! deltas to exactly the tenant that caused them.
+//! Each campaign reaches its oracle through a [`ScheduledOracle`], its own
+//! view of the shared instance. The query engine hands the view whole miss
+//! sets (it declares [`native_batching`](crate::Oracle::native_batching))
+//! in bounded sub-batches of up to 1024 queries, and the view passes each
+//! sub-batch straight to the shared oracle: campaigns call it at the same
+//! time, and nothing in the server serializes them. An in-process oracle
+//! answers each campaign on that campaign's thread. A
+//! [`PooledProcessOracle`](crate::PooledProcessOracle) shares its workers:
+//! a call that finds every worker busy waits for one, waiting calls get
+//! released workers first in, first out, and a call only widens onto extra
+//! idle workers while no other call waits. So a tenant streaming large
+//! sub-batches cannot starve another one, and a lone tenant still keeps
+//! every worker busy.
+//!
+//! Oracle health is charged per tenant and per call: a campaign's
+//! `oracle_failures` are the unanswered queries its own calls got back,
+//! and its `timed_out_queries`, `tripped_workers` and breaker recoveries
+//! are what the shared oracle counted on the campaign's thread during
+//! those calls. One tenant's faults never show in another's statistics,
+//! and the tenants' counts add up to the shared oracle's.
 //!
 //! # Budgets, preemption, and determinism
 //!
@@ -160,8 +175,8 @@
 //! grammar synthesized through the server is byte-identical to the same
 //! seeds run through a local [`Session`](crate::Session), including under
 //! concurrent tenants, because batch construction is cache-state-driven
-//! and the scheduler only decides *when* a sub-batch runs, never *what* is
-//! in it.
+//! and sharing an oracle only decides *when* a sub-batch runs, never
+//! *what* is in it.
 //!
 //! Per-campaign caches persist across server restarts when
 //! [`ServeConfig::cache_dir`] is set and the client opts in (`cache on`):
@@ -199,7 +214,7 @@ mod server;
 
 pub use client::{CancelHandle, RunOutcome, ServeClient};
 pub use protocol::{OpenRequest, ProtocolError, SERVE_PROTOCOL, SERVE_PROTOCOL_V1};
-pub use scheduler::{FairScheduler, ScheduledOracle, TurnGuard};
+pub use scheduler::ScheduledOracle;
 pub use server::{
     drain_signal_count, install_drain_signals, OracleFactory, ServeConfig, Server, ServerHandle,
 };

@@ -1,118 +1,34 @@
-//! Round-robin turn scheduling for campaigns sharing one oracle.
+//! Each campaign's view of the oracle it shares with other campaigns.
 //!
-//! The unit of interleaving is a *turn*: one oracle call — in practice one
-//! query sub-batch, since [`ScheduledOracle`] advertises
-//! [`native_batching`](crate::Oracle::native_batching) and the query
-//! engine hands native oracles bounded sub-batches of its miss sets. A
-//! turn is granted to the waiting tenant next in cyclic id order after the
-//! last-served tenant, so N active campaigns each get ~1/N of the oracle
-//! while a lone campaign runs unthrottled.
+//! Campaigns call a shared oracle concurrently; nothing here serializes
+//! them. A shared [`PooledProcessOracle`](crate::PooledProcessOracle)
+//! hands its workers to waiting callers first in, first out, so a tenant
+//! streaming large sub-batches cannot starve another one (see
+//! [`ScheduledOracle`]).
 
-use crate::oracle::Oracle;
-use std::collections::BTreeSet;
+use crate::oracle::{Oracle, ThreadHealth};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-#[derive(Debug, Default)]
-struct SchedState {
-    /// Next tenant id to hand out.
-    next_id: u64,
-    /// Whether a turn is currently held.
-    busy: bool,
-    /// The tenant whose turn most recently started; the cyclic order
-    /// resumes after it.
-    last: u64,
-    /// Tenants currently blocked in [`FairScheduler::turn`].
-    waiting: BTreeSet<u64>,
-}
-
-impl SchedState {
-    /// The waiter that owns the next turn: the smallest waiting id greater
-    /// than `last`, wrapping to the smallest overall.
-    fn next_turn(&self) -> Option<u64> {
-        self.waiting.range(self.last + 1..).next().or_else(|| self.waiting.iter().next()).copied()
-    }
-}
-
-/// Grants oracle turns to tenants in round-robin order.
+/// A per-tenant view of a shared [`Oracle`].
 ///
-/// Fairness is cyclic by tenant id over the *currently waiting* tenants:
-/// after tenant `t`'s turn, the next turn goes to the smallest waiting id
-/// above `t`, wrapping around. Tenants that are not waiting (busy
-/// planning, between waves, finished) are skipped rather than waited for,
-/// so the shared oracle never idles while any tenant has work.
-#[derive(Debug, Default)]
-pub struct FairScheduler {
-    state: Mutex<SchedState>,
-    turn_free: Condvar,
-}
-
-impl FairScheduler {
-    /// Creates a scheduler with no tenants.
-    pub fn new() -> Self {
-        FairScheduler::default()
-    }
-
-    /// Registers a tenant and returns its id (ids also define the
-    /// round-robin order).
-    pub fn register(&self) -> u64 {
-        let mut state = self.state.lock().expect("scheduler poisoned");
-        let id = state.next_id;
-        state.next_id += 1;
-        id
-    }
-
-    /// Blocks until it is `tenant`'s turn; the turn lasts until the
-    /// returned guard drops.
-    pub fn turn(&self, tenant: u64) -> TurnGuard<'_> {
-        let mut state = self.state.lock().expect("scheduler poisoned");
-        state.waiting.insert(tenant);
-        while state.busy || state.next_turn() != Some(tenant) {
-            state = self.turn_free.wait(state).expect("scheduler poisoned");
-        }
-        state.busy = true;
-        state.waiting.remove(&tenant);
-        state.last = tenant;
-        TurnGuard { sched: self }
-    }
-}
-
-/// Holds one scheduler turn; dropping it passes the oracle to the next
-/// waiting tenant.
-#[must_use = "dropping the guard immediately forfeits the turn"]
-#[derive(Debug)]
-pub struct TurnGuard<'a> {
-    sched: &'a FairScheduler,
-}
-
-impl Drop for TurnGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = self.sched.state.lock().expect("scheduler poisoned");
-        state.busy = false;
-        drop(state);
-        self.sched.turn_free.notify_all();
-    }
-}
-
-/// A per-tenant view of a shared [`Oracle`], serialized through a
-/// [`FairScheduler`].
+/// The wrapper always advertises
+/// [`native_batching`](Oracle::native_batching): the query engine then
+/// hands it whole miss sets in bounded sub-batches from the session thread
+/// rather than fanning single queries across engine workers, which keeps
+/// results byte-identical to a local run (batch construction is
+/// dispatch-independent; see the crate docs). Tenants call the shared
+/// oracle at the same time; a shared pool's first-in, first-out worker
+/// hand-off keeps them fair.
 ///
-/// Every oracle call takes one scheduler turn, so concurrent tenants'
-/// query waves interleave fairly instead of racing. The wrapper always
-/// advertises [`native_batching`](Oracle::native_batching): the query
-/// engine then routes whole miss sets here in bounded sub-batches from the
-/// session thread (one turn each) rather than fanning single queries
-/// across engine workers — which both matches the turn granularity and
-/// keeps results byte-identical to a local run (batch construction is
-/// dispatch-independent; see the crate docs).
-///
-/// Failure accounting is per tenant: because all access to the shared
-/// oracle is serialized through turns, the wrapper snapshots the inner
-/// failure/timeout/breaker counters around each call and accumulates the
-/// deltas locally, so [`failure_count`](Oracle::failure_count) (and
-/// friends) report only what *this* tenant's queries caused — one tenant's
-/// injected faults never leak into another tenant's statistics.
+/// Health accounting is per tenant and per call, so one tenant's injected
+/// faults never leak into another tenant's statistics:
+/// [`failure_count`](Oracle::failure_count) counts the `None` answers this
+/// wrapper's own calls returned, and the timeout, breaker-trip and
+/// recovery counts are what the shared oracle counted on the calling
+/// thread during those calls (the oracle counts each of them on the thread
+/// that runs the call).
 ///
 /// [`configure_timeout`](Oracle::configure_timeout) is deliberately a
 /// no-op: the per-query deadline of a shared oracle belongs to the server
@@ -120,8 +36,6 @@ impl Drop for TurnGuard<'_> {
 /// last.
 pub struct ScheduledOracle {
     inner: Arc<dyn Oracle>,
-    sched: Arc<FairScheduler>,
-    tenant: u64,
     failures: AtomicUsize,
     timeouts: AtomicUsize,
     trips: AtomicUsize,
@@ -129,12 +43,10 @@ pub struct ScheduledOracle {
 }
 
 impl ScheduledOracle {
-    /// Wraps `inner` for the given registered tenant.
-    pub fn new(inner: Arc<dyn Oracle>, sched: Arc<FairScheduler>, tenant: u64) -> Self {
+    /// Wraps the shared oracle `inner` for one tenant.
+    pub fn new(inner: Arc<dyn Oracle>) -> Self {
         ScheduledOracle {
             inner,
-            sched,
-            tenant,
             failures: AtomicUsize::new(0),
             timeouts: AtomicUsize::new(0),
             trips: AtomicUsize::new(0),
@@ -142,32 +54,17 @@ impl ScheduledOracle {
         }
     }
 
-    /// The tenant id this wrapper takes turns as.
-    pub fn tenant(&self) -> u64 {
-        self.tenant
-    }
-
-    /// Runs `call` under one scheduler turn, attributing the inner
-    /// oracle's counter growth during the call to this tenant.
-    fn with_turn<T>(&self, call: impl FnOnce(&dyn Oracle) -> T) -> T {
-        let _turn = self.sched.turn(self.tenant);
-        let before = (
-            self.inner.failure_count(),
-            self.inner.timed_out_count(),
-            self.inner.tripped_worker_count(),
-            self.inner.recovered_worker_count(),
-        );
+    /// Runs `call` on the shared oracle and charges this tenant with the
+    /// `failures` its answers count plus the health events the call
+    /// counted on this thread.
+    fn attributed<T>(&self, call: impl FnOnce(&dyn Oracle) -> T, failures: fn(&T) -> usize) -> T {
+        let before = ThreadHealth::current();
         let out = call(&*self.inner);
-        let after = (
-            self.inner.failure_count(),
-            self.inner.timed_out_count(),
-            self.inner.tripped_worker_count(),
-            self.inner.recovered_worker_count(),
-        );
-        self.failures.fetch_add(after.0 - before.0, Ordering::Relaxed);
-        self.timeouts.fetch_add(after.1 - before.1, Ordering::Relaxed);
-        self.trips.fetch_add(after.2 - before.2, Ordering::Relaxed);
-        self.recoveries.fetch_add(after.3 - before.3, Ordering::Relaxed);
+        let health = ThreadHealth::current().since(before);
+        self.failures.fetch_add(failures(&out), Ordering::Relaxed);
+        self.timeouts.fetch_add(health.timeouts, Ordering::Relaxed);
+        self.trips.fetch_add(health.trips, Ordering::Relaxed);
+        self.recoveries.fetch_add(health.recoveries, Ordering::Relaxed);
         out
     }
 }
@@ -175,7 +72,6 @@ impl ScheduledOracle {
 impl std::fmt::Debug for ScheduledOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScheduledOracle")
-            .field("tenant", &self.tenant)
             .field("failures", &self.failures.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -183,15 +79,18 @@ impl std::fmt::Debug for ScheduledOracle {
 
 impl Oracle for ScheduledOracle {
     fn accepts(&self, input: &[u8]) -> bool {
-        self.with_turn(|o| o.accepts(input))
+        self.accepts_checked(input).unwrap_or(false)
     }
 
     fn accepts_checked(&self, input: &[u8]) -> Option<bool> {
-        self.with_turn(|o| o.accepts_checked(input))
+        self.attributed(|o| o.accepts_checked(input), |v| usize::from(v.is_none()))
     }
 
     fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
-        self.with_turn(|o| o.accepts_batch_checked(inputs))
+        self.attributed(
+            |o| o.accepts_batch_checked(inputs),
+            |vs| vs.iter().filter(|v| v.is_none()).count(),
+        )
     }
 
     fn native_batching(&self) -> bool {
@@ -223,68 +122,6 @@ impl Oracle for ScheduledOracle {
 mod tests {
     use super::*;
     use crate::oracle::FnOracle;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn single_tenant_runs_unthrottled() {
-        let sched = FairScheduler::new();
-        let t = sched.register();
-        for _ in 0..100 {
-            let _turn = sched.turn(t);
-        }
-    }
-
-    #[test]
-    fn turns_are_mutually_exclusive_and_all_complete() {
-        let sched = Arc::new(FairScheduler::new());
-        let ids: Vec<u64> = (0..3).map(|_| sched.register()).collect();
-        let running = Arc::new(AtomicU64::new(0));
-        let served = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for &id in &ids {
-                let sched = Arc::clone(&sched);
-                let running = Arc::clone(&running);
-                let served = Arc::clone(&served);
-                s.spawn(move || {
-                    for _ in 0..20 {
-                        let _turn = sched.turn(id);
-                        assert_eq!(running.fetch_add(1, Ordering::SeqCst), 0);
-                        served.fetch_add(1, Ordering::SeqCst);
-                        running.fetch_sub(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert_eq!(served.load(Ordering::SeqCst), 60, "no tenant starved");
-    }
-
-    #[test]
-    fn waiting_tenants_are_served_in_cyclic_order() {
-        let sched = Arc::new(FairScheduler::new());
-        let a = sched.register();
-        let b = sched.register();
-        let c = sched.register();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|s| {
-            let guard = sched.turn(b);
-            for &id in &[a, c] {
-                let sched = Arc::clone(&sched);
-                let order = Arc::clone(&order);
-                s.spawn(move || {
-                    let _turn = sched.turn(id);
-                    order.lock().unwrap().push(id);
-                });
-            }
-            // Hold b's turn until both a and c are queued, so the grant
-            // order is decided by the scheduler, not thread start order.
-            while sched.state.lock().unwrap().waiting.len() < 2 {
-                std::thread::yield_now();
-            }
-            drop(guard);
-        });
-        // The cyclic order after b is c, then (wrapping) a.
-        assert_eq!(*order.lock().unwrap(), vec![c, a]);
-    }
 
     #[test]
     fn scheduled_oracle_attributes_failures_per_tenant() {
@@ -306,9 +143,8 @@ mod tests {
         }
 
         let shared: Arc<dyn Oracle> = Arc::new(FailingOracle { failures: AtomicUsize::new(0) });
-        let sched = Arc::new(FairScheduler::new());
-        let a = ScheduledOracle::new(Arc::clone(&shared), Arc::clone(&sched), sched.register());
-        let b = ScheduledOracle::new(Arc::clone(&shared), Arc::clone(&sched), sched.register());
+        let a = ScheduledOracle::new(Arc::clone(&shared));
+        let b = ScheduledOracle::new(Arc::clone(&shared));
         a.accepts_checked(b"x");
         a.accepts_checked(b"y");
         b.accepts_checked(b"z");
@@ -321,9 +157,7 @@ mod tests {
     fn scheduled_oracle_forwards_verdicts_and_batches() {
         let shared: Arc<dyn Oracle> =
             Arc::new(FnOracle::new(|input: &[u8]| input.starts_with(b"ok")));
-        let sched = Arc::new(FairScheduler::new());
-        let tenant = sched.register();
-        let o = ScheduledOracle::new(shared, sched, tenant);
+        let o = ScheduledOracle::new(shared);
         assert!(o.accepts(b"ok then"));
         assert!(!o.accepts(b"nope"));
         assert_eq!(o.accepts_checked(b"ok"), Some(true));

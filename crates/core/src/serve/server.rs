@@ -13,7 +13,7 @@ use super::protocol::{
     OpenRequest, SERVE_PROTOCOL, SERVE_PROTOCOL_V1, TAG_CANCEL, TAG_CLOSE, TAG_ERROR, TAG_EVENT,
     TAG_HELLO, TAG_HELLO_ACK, TAG_OPEN, TAG_OPEN_ACK, TAG_RESULT, TAG_RESUME, TAG_SEEDS,
 };
-use super::scheduler::{FairScheduler, ScheduledOracle};
+use super::scheduler::ScheduledOracle;
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::oracle::{sys, Oracle};
 use crate::persist::CacheFormat;
@@ -40,9 +40,11 @@ use std::time::{Duration, Instant};
 /// [`GladeBuilder::oracle_fingerprint`](crate::GladeBuilder::oracle_fingerprint)).
 ///
 /// Campaigns naming the same spec share one oracle instance (and its
-/// worker pool); the server serializes their access through the
-/// [`FairScheduler`], so implementations need not add their own locking
-/// beyond the ordinary [`Oracle`] thread-safety contract.
+/// worker pool) and call it concurrently, each from its own campaign
+/// thread, so the oracle must honour the ordinary [`Oracle`]
+/// thread-safety contract; the server adds no locking of its own. A
+/// [`PooledProcessOracle`](crate::PooledProcessOracle) hands its workers
+/// to waiting campaigns first in, first out.
 pub trait OracleFactory: Send + Sync {
     /// Creates (or fails to create) the oracle for `spec`.
     fn create(&self, spec: &str) -> Result<(Arc<dyn Oracle>, String), String>;
@@ -72,6 +74,10 @@ pub(crate) const DEFAULT_MAX_EVENT_BUFFER: usize = 4096;
 const OUTBUF_SOFT_CAP: usize = 1 << 16;
 
 /// Server-wide policy knobs.
+///
+/// None of them schedules oracle access: campaigns sharing an oracle call
+/// it concurrently, and a shared pool hands its workers to waiting
+/// campaigns first in, first out (see the [module docs](super)).
 #[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
     /// Per-query deadline pushed onto every shared oracle at creation
@@ -109,17 +115,17 @@ pub struct ServeConfig {
 
 /// What a campaign thread sends back to the accept loop.
 enum Outbound {
-    Event { line: String, tally: bool },
+    Event(SynthEvent),
     Result { stats: SynthesisStats, grammar: String },
     Error(String),
 }
 
-/// Bounded, coalescing queue of outbound event lines for one connection.
+/// Bounded, coalescing queue of outbound events for one connection.
 ///
-/// Query-tally events (see [`SynthEvent::is_query_tally`]) collapse — a
-/// newly arriving tally replaces a queued one, because only the latest
-/// sample matters to a live progress reader — while lifecycle events are
-/// never coalesced. If the queue still overflows `cap`, the connection is
+/// Consecutive query tallies (see [`SynthEvent::is_query_tally`]) merge:
+/// a newly arriving tally is added into a queued one, so a slow reader
+/// sees fewer tallies with the same totals. Lifecycle events are never
+/// coalesced. If the queue still overflows `cap`, the connection is
 /// *demoted*: everything queued is discarded, future events are dropped on
 /// arrival, and the reader only receives `RESULT`/`ERROR` frames plus one
 /// [`SynthEvent::EventsDropped`] notice before each result. Demotion is
@@ -127,9 +133,7 @@ enum Outbound {
 /// cannot keep up, and flapping between live and demoted would make the
 /// stream's gaps unpredictable.
 struct EventQueue {
-    queue: VecDeque<String>,
-    /// Whether the newest queued line is a coalescible tally.
-    back_is_tally: bool,
+    queue: VecDeque<SynthEvent>,
     cap: usize,
     demoted: bool,
     dropped: usize,
@@ -137,37 +141,28 @@ struct EventQueue {
 
 impl EventQueue {
     fn new(cap: usize) -> Self {
-        EventQueue { queue: VecDeque::new(), back_is_tally: false, cap, demoted: false, dropped: 0 }
+        EventQueue { queue: VecDeque::new(), cap, demoted: false, dropped: 0 }
     }
 
-    fn push(&mut self, line: String, tally: bool) {
+    fn push(&mut self, event: SynthEvent) {
         if self.demoted {
             self.dropped += 1;
             return;
         }
-        if tally && self.back_is_tally {
-            if let Some(back) = self.queue.back_mut() {
-                *back = line;
-                return;
-            }
+        if self.queue.back_mut().is_some_and(|back| back.absorb_tally(&event)) {
+            return;
         }
         if self.queue.len() >= self.cap {
             self.dropped += self.queue.len() + 1;
             self.queue.clear();
-            self.back_is_tally = false;
             self.demoted = true;
             return;
         }
-        self.queue.push_back(line);
-        self.back_is_tally = tally;
+        self.queue.push_back(event);
     }
 
-    fn pop(&mut self) -> Option<String> {
-        let line = self.queue.pop_front();
-        if self.queue.is_empty() {
-            self.back_is_tally = false;
-        }
-        line
+    fn pop(&mut self) -> Option<SynthEvent> {
+        self.queue.pop_front()
     }
 
     fn is_empty(&self) -> bool {
@@ -193,18 +188,69 @@ impl WakeHandle {
     }
 }
 
-/// Streams events straight into the outbound channel as wire lines.
+/// Longest a campaign holds back summed query tallies while more arrive.
+const TALLY_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Streams a campaign's events into the outbound channel.
+///
+/// Lifecycle events go out at once, one channel send and one wake each.
+/// Query tallies are summed into one pending tally instead, which goes out
+/// just before the next lifecycle event, before the batch's
+/// `RESULT`/`ERROR` ([`StreamObserver::flush`]), or with the first tally
+/// that arrives [`TALLY_INTERVAL`] after the last one sent. A phase-one
+/// wave poses one small batch per candidate, so sending every tally would
+/// wake the accept loop and the client once per oracle round trip.
 struct StreamObserver {
     conn: u64,
     out: mpsc::Sender<(u64, Outbound)>,
     wake: WakeHandle,
+    tally: Mutex<PendingTally>,
+}
+
+/// The tallies a [`StreamObserver`] has summed but not sent yet.
+struct PendingTally {
+    sum: Option<SynthEvent>,
+    last_sent: Instant,
+}
+
+impl StreamObserver {
+    fn new(conn: u64, out: mpsc::Sender<(u64, Outbound)>, wake: WakeHandle) -> Self {
+        let tally = Mutex::new(PendingTally { sum: None, last_sent: Instant::now() });
+        StreamObserver { conn, out, wake, tally }
+    }
+
+    /// Sends the pending tally, if any; callers hold the lock, so events
+    /// keep their order.
+    fn send_pending(&self, pending: &mut PendingTally) {
+        if let Some(sum) = pending.sum.take() {
+            pending.last_sent = Instant::now();
+            let _ = self.out.send((self.conn, Outbound::Event(sum)));
+        }
+    }
+
+    /// Sends the pending tally ahead of a `RESULT`/`ERROR`; the caller
+    /// wakes the accept loop after sending that.
+    fn flush(&self) {
+        self.send_pending(&mut self.tally.lock().expect("pending tally poisoned"));
+    }
 }
 
 impl SynthesisObserver for StreamObserver {
     fn on_event(&self, event: &SynthEvent) {
-        let outbound =
-            Outbound::Event { line: event.to_wire_line(), tally: event.is_query_tally() };
-        let _ = self.out.send((self.conn, outbound));
+        let mut pending = self.tally.lock().expect("pending tally poisoned");
+        if event.is_query_tally() {
+            if !pending.sum.as_mut().is_some_and(|sum| sum.absorb_tally(event)) {
+                pending.sum = Some(event.clone());
+            }
+            if pending.last_sent.elapsed() < TALLY_INTERVAL {
+                return;
+            }
+            self.send_pending(&mut pending);
+        } else {
+            self.send_pending(&mut pending);
+            let _ = self.out.send((self.conn, Outbound::Event(event.clone())));
+        }
+        drop(pending);
         self.wake.wake();
     }
 }
@@ -259,8 +305,8 @@ impl Conn {
     /// events up into the bounded queue.
     fn pump_events(&mut self) {
         while self.outbuf.len() < OUTBUF_SOFT_CAP {
-            let Some(line) = self.events.pop() else { break };
-            self.queue(TAG_EVENT, line.as_bytes());
+            let Some(event) = self.events.pop() else { break };
+            self.queue(TAG_EVENT, event.to_wire_line().as_bytes());
         }
     }
 
@@ -268,8 +314,8 @@ impl Conn {
     /// queue is bounded, so this cannot balloon `outbuf`), and reports a
     /// demoted connection's losses with one `events-dropped` notice.
     fn drain_events_before_result(&mut self) {
-        while let Some(line) = self.events.pop() {
-            self.queue(TAG_EVENT, line.as_bytes());
+        while let Some(event) = self.events.pop() {
+            self.queue(TAG_EVENT, event.to_wire_line().as_bytes());
         }
         let dropped = self.events.take_dropped();
         if dropped > 0 {
@@ -327,11 +373,9 @@ impl Conn {
 /// connection that spawned it without borrowing the accept loop.
 struct CampaignCtx {
     conn: u64,
-    tenant: u64,
     campaign_id: u32,
     oracle: Arc<dyn Oracle>,
     fingerprint: String,
-    sched: Arc<FairScheduler>,
     req: OpenRequest,
     default_max_queries: Option<usize>,
     cache_path: Option<PathBuf>,
@@ -456,27 +500,36 @@ impl CampaignThreads {
     }
 }
 
-/// Body of one campaign thread: a private [`Session`] over the shared
-/// oracle (through the fair scheduler), fed seed batches until the accept
-/// loop drops the channel. A resumed campaign first re-runs its journaled
-/// batches (over the warm persistent cache, so completed work re-pays no
-/// oracle queries) and answers with a single `RESULT` for the replayed
-/// state.
+/// Body of one campaign thread: a private [`Session`] over its
+/// [`ScheduledOracle`] view of the shared oracle, fed seed batches until
+/// the accept loop drops the channel. A resumed campaign first re-runs its
+/// journaled batches (over the warm persistent cache, so completed work
+/// re-pays no oracle queries) and answers with a single `RESULT` for the
+/// replayed state.
 fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
-    let oracle = ScheduledOracle::new(ctx.oracle, ctx.sched, ctx.tenant);
+    let oracle = ScheduledOracle::new(ctx.oracle);
     let mut builder = GladeBuilder::new()
         .oracle_fingerprint(ctx.fingerprint.clone())
         .cancel_token(ctx.cancel.clone());
     if let Some(limit) = ctx.req.max_queries.or(ctx.default_max_queries) {
         builder = builder.max_queries(limit);
     }
-    if ctx.req.events {
-        builder = builder.observer_shared(Arc::new(StreamObserver {
-            conn: ctx.conn,
-            out: ctx.out.clone(),
-            wake: ctx.wake.clone(),
-        }));
+    let observer = ctx
+        .req
+        .events
+        .then(|| Arc::new(StreamObserver::new(ctx.conn, ctx.out.clone(), ctx.wake.clone())));
+    if let Some(observer) = &observer {
+        builder = builder.observer_shared(Arc::clone(observer) as Arc<dyn SynthesisObserver>);
     }
+    // Sends a batch's answer after the tallies still pending for it.
+    let answer = |outcome: Outbound| {
+        if let Some(observer) = &observer {
+            observer.flush();
+        }
+        let sent = ctx.out.send((ctx.conn, outcome)).is_ok();
+        ctx.wake.wake();
+        sent
+    };
     let mut session = builder.session(&oracle);
     if let Some(path) = &ctx.cache_path {
         if path.exists() {
@@ -548,18 +601,16 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
         let outcome = last.unwrap_or_else(|| {
             Outbound::Error("campaign has no journaled seed batches to replay".into())
         });
-        if ctx.out.send((ctx.conn, outcome)).is_err() {
+        if !answer(outcome) {
             return;
         }
-        ctx.wake.wake();
     }
 
     while let Ok(seeds) = seeds_rx.recv() {
         let outcome = run_batch(&mut session, &seeds);
-        if ctx.out.send((ctx.conn, outcome)).is_err() {
+        if !answer(outcome) {
             break;
         }
-        ctx.wake.wake();
     }
 }
 
@@ -580,12 +631,13 @@ type OracleEntry = (Arc<dyn Oracle>, String);
 /// Construct with an [`OracleFactory`] and a [`ServeConfig`], then either
 /// [`run`](Server::run) the accept loop on the current thread or
 /// [`spawn`](Server::spawn) it onto a background thread with a
-/// [`ServerHandle`] for shutdown. See the [module docs](super) for the
-/// protocol, fairness, and determinism guarantees.
+/// [`ServerHandle`] for shutdown. Every campaign runs on its own thread
+/// and calls its shared oracle directly; the server holds no lock across
+/// an oracle call. See the [module docs](super) for the protocol, oracle
+/// sharing, and determinism guarantees.
 pub struct Server {
     factory: Arc<dyn OracleFactory>,
     config: ServeConfig,
-    sched: Arc<FairScheduler>,
     registry: Mutex<HashMap<String, OracleEntry>>,
     /// The campaign journal (present when `cache_dir` is set and usable).
     journal: Option<Arc<Mutex<Journal>>>,
@@ -619,7 +671,6 @@ impl Server {
         Server {
             factory,
             config,
-            sched: Arc::new(FairScheduler::new()),
             registry: Mutex::new(HashMap::new()),
             journal,
             resumable: Mutex::new(resumable),
@@ -676,7 +727,6 @@ impl Server {
         replay_expect_unique: Option<usize>,
         is_resume: bool,
     ) -> CampaignStart {
-        let tenant = self.sched.register();
         let cancel = CancelToken::new();
         let cache_path = self.cache_path_for(&fingerprint, req.cache);
         let (cmd_tx, cmd_rx) = mpsc::channel();
@@ -685,11 +735,9 @@ impl Server {
         let pending = usize::from(is_resume);
         let ctx = CampaignCtx {
             conn: conn_id,
-            tenant,
             campaign_id,
             oracle,
             fingerprint: fingerprint.clone(),
-            sched: Arc::clone(&self.sched),
             req,
             default_max_queries: self.config.default_max_queries,
             cache_path,
@@ -992,7 +1040,7 @@ impl Server {
                     // the outbuf: a stuck reader fills the queue (which
                     // coalesces and eventually demotes) instead of growing
                     // server memory without bound.
-                    Outbound::Event { line, tally } => conn.events.push(line, tally),
+                    Outbound::Event(event) => conn.events.push(event),
                     Outbound::Result { stats, grammar } => {
                         if let Some(seat) = conn.campaign.as_mut() {
                             seat.pending = seat.pending.saturating_sub(1);
@@ -1253,11 +1301,9 @@ mod tests {
         let oracle: Arc<dyn Oracle> = Arc::new(crate::FnOracle::new(|_: &[u8]| true));
         let ctx = CampaignCtx {
             conn: 0,
-            tenant: 0,
             campaign_id,
             oracle,
             fingerprint: "test".into(),
-            sched: Arc::new(FairScheduler::new()),
             req: OpenRequest::new("test"),
             default_max_queries: None,
             cache_path: None,
@@ -1303,56 +1349,99 @@ mod tests {
         threads.join();
     }
 
-    fn tally(n: usize) -> String {
-        SynthEvent::QueryBatch { checks: n, cached: 0, posed: n }.to_wire_line()
+    fn tally(n: usize) -> SynthEvent {
+        SynthEvent::QueryBatch { checks: n, cached: 0, posed: n }
+    }
+
+    fn lifecycle(seed_index: usize) -> SynthEvent {
+        SynthEvent::SeedSkipped { seed_index }
+    }
+
+    #[test]
+    fn stream_observer_sends_summed_tallies_ahead_of_lifecycle_events() {
+        let (_wake_rx, wake_tx) = UnixStream::pair().expect("wake pipe");
+        wake_tx.set_nonblocking(true).expect("nonblocking wake pipe");
+        let (out, rx) = mpsc::channel();
+        let observer = StreamObserver::new(7, out, WakeHandle { tx: Arc::new(wake_tx) });
+        let sent = || -> Vec<SynthEvent> {
+            rx.try_iter()
+                .map(|(conn, outbound)| match outbound {
+                    Outbound::Event(event) if conn == 7 => event,
+                    _ => panic!("unexpected outbound"),
+                })
+                .collect()
+        };
+        let last_sent = |at: Instant| observer.tally.lock().unwrap().last_sent = at;
+
+        // Inside the interval, tallies wait; a lifecycle event sends their
+        // sum first.
+        last_sent(Instant::now() + Duration::from_secs(3600));
+        observer.on_event(&tally(10));
+        observer.on_event(&tally(20));
+        assert_eq!(sent(), vec![]);
+        observer.on_event(&lifecycle(1));
+        assert_eq!(sent(), vec![tally(30), lifecycle(1)]);
+
+        // A flush (ahead of a RESULT) sends what is pending, once.
+        observer.on_event(&tally(5));
+        observer.flush();
+        observer.flush();
+        assert_eq!(sent(), vec![tally(5)]);
+
+        // Past the interval, the next tally goes out with what it joins.
+        last_sent(Instant::now() + Duration::from_secs(3600));
+        observer.on_event(&tally(1));
+        last_sent(Instant::now() - TALLY_INTERVAL);
+        observer.on_event(&tally(2));
+        assert_eq!(sent(), vec![tally(3)]);
     }
 
     #[test]
     fn event_queue_coalesces_consecutive_tallies() {
         let mut q = EventQueue::new(8);
-        q.push("phase start".into(), false);
-        q.push(tally(10), true);
-        q.push(tally(20), true);
-        q.push(tally(30), true);
-        q.push("phase done".into(), false);
-        let drained: Vec<String> = std::iter::from_fn(|| q.pop()).collect();
-        // The three tallies collapse to the most recent one; lifecycle
-        // events all survive.
-        assert_eq!(drained, vec!["phase start".to_string(), tally(30), "phase done".into()]);
+        q.push(lifecycle(1));
+        q.push(tally(10));
+        q.push(tally(20));
+        q.push(tally(30));
+        q.push(lifecycle(2));
+        let drained: Vec<SynthEvent> = std::iter::from_fn(|| q.pop()).collect();
+        // Each tally counts its own batch, so the three merge into their
+        // sum; lifecycle events all survive.
+        assert_eq!(drained, vec![lifecycle(1), tally(60), lifecycle(2)]);
         assert_eq!(q.take_dropped(), 0);
     }
 
     #[test]
     fn event_queue_does_not_coalesce_across_lifecycle_events() {
         let mut q = EventQueue::new(8);
-        q.push(tally(10), true);
-        q.push("phase done".into(), false);
-        q.push(tally(20), true);
-        let drained: Vec<String> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, vec![tally(10), "phase done".to_string(), tally(20)]);
+        q.push(tally(10));
+        q.push(lifecycle(1));
+        q.push(tally(20));
+        let drained: Vec<SynthEvent> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained, vec![tally(10), lifecycle(1), tally(20)]);
     }
 
     #[test]
     fn event_queue_overflow_demotes_and_counts_drops() {
         let mut q = EventQueue::new(2);
-        q.push("a".into(), false);
-        q.push("b".into(), false);
+        q.push(lifecycle(1));
+        q.push(lifecycle(2));
         // Third push overflows: the queue empties, and every later push is
         // dropped too (demotion is sticky).
-        q.push("c".into(), false);
+        q.push(lifecycle(3));
         assert!(q.pop().is_none());
-        q.push("d".into(), false);
+        q.push(lifecycle(4));
         assert!(q.pop().is_none());
         assert_eq!(q.take_dropped(), 4);
         // The counter resets once reported, but demotion persists.
-        q.push("e".into(), false);
+        q.push(lifecycle(5));
         assert_eq!(q.take_dropped(), 1);
     }
 
     #[test]
     fn event_queue_cap_zero_is_result_only() {
         let mut q = EventQueue::new(0);
-        q.push("a".into(), false);
+        q.push(lifecycle(1));
         assert!(q.pop().is_none());
         assert_eq!(q.take_dropped(), 1);
     }

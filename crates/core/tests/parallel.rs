@@ -15,9 +15,11 @@
 //! Section 8.2 language.
 
 use glade_core::testing::xml_like;
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_core::PooledProcessOracle;
 use glade_core::{
     is_binary_snapshot, CacheFormat, CachingOracle, CancelToken, EventLog, FnOracle, GladeBuilder,
-    Oracle, PooledProcessOracle, ProcessOracle, SynthEvent, SynthesisStats,
+    Oracle, ProcessOracle, SynthEvent, SynthesisStats,
 };
 use glade_eval::sample_seeds;
 use glade_grammar::{grammar_to_text, Recognizer};
@@ -26,8 +28,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use std::{sync::OnceLock, time::Duration};
 
 /// Golden distinct-query count for the single seed `<a>hi</a>`, with
 /// byte-class memoization, staged context waves, and merge-check pruning.
@@ -260,6 +263,7 @@ fn skewed_latency_does_not_change_grammar_or_query_counts() {
 /// * the input `CRASH!` makes the worker exit *without* answering (in v2
 ///   mode: after flushing the partial verdicts of the frame so far) — a
 ///   poison input that defeats every retry.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 const TEST_WORKER_SOURCE: &str = r#"
 use std::io::{Read, Write};
 
@@ -402,6 +406,7 @@ fn main() {
 
 /// Compiles the test worker once per test process. Returns `None` (and the
 /// dependent tests skip) when no `rustc` is available on PATH.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn test_worker_bin() -> Option<&'static str> {
     static BIN: OnceLock<Option<String>> = OnceLock::new();
     BIN.get_or_init(|| {
@@ -432,10 +437,12 @@ fn test_worker_bin() -> Option<&'static str> {
 /// watchdog turns "hung" into "failed fast": if the owning test has not
 /// disarmed it in time, the process exits with a diagnostic.
 /// `GLADE_TEST_TIMEOUT_SECS` tunes the limit (default 120 s).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 struct Watchdog {
     done: Arc<std::sync::atomic::AtomicBool>,
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl Watchdog {
     fn arm(name: &'static str) -> Self {
         let secs = std::env::var("GLADE_TEST_TIMEOUT_SECS")
@@ -459,6 +466,7 @@ impl Watchdog {
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl Drop for Watchdog {
     fn drop(&mut self) {
         self.done.store(true, Ordering::Relaxed);
@@ -467,6 +475,7 @@ impl Drop for Watchdog {
 
 /// Pool sizes for the protocol matrix; `GLADE_TEST_POOL_SIZE` pins one
 /// (the CI matrix sweeps it).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn matrix_pool_sizes() -> Vec<usize> {
     match std::env::var("GLADE_TEST_POOL_SIZE").ok().and_then(|v| v.parse().ok()) {
         Some(n) => vec![n],
@@ -474,6 +483,7 @@ fn matrix_pool_sizes() -> Vec<usize> {
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn pooled_oracle_protocol_round_trip() {
     let _guard = Watchdog::arm("pooled_oracle_protocol_round_trip");
@@ -505,6 +515,7 @@ fn pooled_oracle_protocol_round_trip() {
     assert_eq!(pool.respawn_count(), 0, "healthy workers are never respawned");
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn pooled_oracle_recovers_from_worker_crashes() {
     let _guard = Watchdog::arm("pooled_oracle_recovers_from_worker_crashes");
@@ -524,6 +535,7 @@ fn pooled_oracle_recovers_from_worker_crashes() {
     assert_eq!(pool.failure_count(), 0, "every crash was recovered");
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn pooled_oracle_poison_input_degrades_and_recovers() {
     let _guard = Watchdog::arm("pooled_oracle_poison_input_degrades_and_recovers");
@@ -550,11 +562,13 @@ fn pooled_oracle_poison_input_degrades_and_recovers() {
 }
 
 /// Reference predicate of the rustc-compiled test worker's language.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn x_language(input: &[u8]) -> bool {
     !input.is_empty() && input.iter().all(|&b| b == b'x')
 }
 
 /// A deterministic mixed workload for the batched-dispatch tests.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn x_workload(count: usize, offset: usize) -> Vec<Vec<u8>> {
     (0..count)
         .map(|i| {
@@ -573,6 +587,7 @@ fn x_workload(count: usize, offset: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
     // A whole batch through the dispatcher loop (poll-multiplexed pipes,
@@ -601,6 +616,7 @@ fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn v1_only_worker_is_refused_at_spawn() {
     // A worker that answers the handshake with a verdict byte speaks only
@@ -632,6 +648,7 @@ fn v1_only_worker_is_refused_at_spawn() {
     assert_eq!(rescued.failure_count(), 0, "the fallback answered every query");
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn crash_mid_batch_under_concurrent_load_recovers_every_query() {
     // Workers die after every 23 answers — with 64-query v2 frames the
@@ -668,6 +685,7 @@ fn crash_mid_batch_under_concurrent_load_recovers_every_query() {
     assert!(pool.respawn_count() >= 10, "respawns: {}", pool.respawn_count());
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn garbage_verdict_bytes_are_crashes_not_verdicts() {
     // After 20 good answers the worker answers 0x7f forever: the oracle
@@ -698,6 +716,7 @@ fn garbage_verdict_bytes_are_crashes_not_verdicts() {
     assert!(pool.respawn_count() >= 5, "respawns: {}", pool.respawn_count());
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn poison_query_inside_a_batch_degrades_only_itself() {
     // One unanswerable poison query rides along in a batch: it (and only
@@ -724,6 +743,7 @@ fn poison_query_inside_a_batch_degrades_only_itself() {
     assert!(pool.respawn_count() >= 2);
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn hung_worker_is_killed_at_the_deadline_and_recovered() {
     // `--hang-after 2`: each worker answers two queries and then goes
@@ -751,6 +771,7 @@ fn hung_worker_is_killed_at_the_deadline_and_recovered() {
     assert!(pool.respawn_count() >= 2, "respawns: {}", pool.respawn_count());
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn slow_loris_verdicts_within_the_deadline_stay_healthy() {
     // `--stall-ms 20` trickles each verdict as its own flushed byte ~20 ms
@@ -789,6 +810,7 @@ fn slow_loris_verdicts_within_the_deadline_stay_healthy() {
     assert_eq!(pool.failure_count(), 0);
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn hang_mid_v2_frame_under_concurrent_load_recovers_every_query() {
     // Workers answer 13 queries and then hang mid-v2-frame, after flushing
@@ -830,6 +852,7 @@ fn hang_mid_v2_frame_under_concurrent_load_recovers_every_query() {
     assert!(pool.respawn_count() >= 2, "respawns: {}", pool.respawn_count());
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn full_synthesis_with_hanging_workers_stays_exact_and_reports_hangs() {
     // The tentpole acceptance invariant for deadlines: a pooled synthesis
@@ -877,6 +900,7 @@ fn full_synthesis_with_hanging_workers_stays_exact_and_reports_hangs() {
     assert_eq!(reported, result.stats.timed_out_queries, "events account for every hang");
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn full_synthesis_through_crashing_pool_matches_in_process_run() {
     // The acceptance invariant of the crash-recovery machinery: a full

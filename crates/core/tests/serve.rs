@@ -13,7 +13,8 @@
 use glade_core::serve::{OpenRequest, OracleFactory, ServeClient, ServeConfig, Server};
 use glade_core::testing::{xml_like, xml_like_with_self_closing};
 use glade_core::{
-    FaultPlan, FaultyOracle, FnOracle, GladeBuilder, Oracle, SynthEvent, SynthesisStats,
+    EventLog, FaultPlan, FaultyOracle, FnOracle, GladeBuilder, Oracle, SynthEvent, SynthPhase,
+    SynthesisStats,
 };
 use glade_grammar::grammar_to_text;
 use std::path::PathBuf;
@@ -114,7 +115,7 @@ fn solo_run_with(
 /// The deterministic subset of [`SynthesisStats`] that must be identical
 /// between a server campaign and its solo baseline (wall-clock fields are
 /// excluded by construction).
-fn count_fields(stats: &SynthesisStats) -> [usize; 8] {
+fn count_fields(stats: &SynthesisStats) -> [usize; 10] {
     [
         stats.unique_queries,
         stats.new_unique_queries,
@@ -124,6 +125,8 @@ fn count_fields(stats: &SynthesisStats) -> [usize; 8] {
         stats.merges_accepted,
         stats.probes_elided,
         stats.oracle_failures,
+        stats.timed_out_queries,
+        stats.tripped_workers,
     ]
 }
 
@@ -323,9 +326,8 @@ fn mid_run_cancel_degrades_one_tenant_without_disturbing_another() {
             client_a.close().expect("close A");
             outcome
         });
-        // Tenant B runs a clean campaign concurrently. While A is parked
-        // it holds a scheduler turn, so B simply queues on the scheduler
-        // and resumes unharmed once the gate reopens.
+        // Tenant B runs a clean campaign concurrently on its own oracle;
+        // A's cancel and its parked query never touch it.
         let clean = s.spawn(|| {
             client_run(&socket, &OpenRequest::new("xml"), &[vec![b"<a>hi</a>".to_vec()]])
         });
@@ -936,4 +938,226 @@ fn refused_banner_surfaces_at_open() {
     assert!(err.to_string().contains("unsupported protocol"), "server's message: {err}");
     let hello = server.join().expect("fake server");
     assert_eq!(hello[0], 0x01, "the client opened with HELLO");
+}
+
+/// A campaign parked inside one oracle holds nothing another campaign
+/// needs: a campaign on a different oracle runs to its `RESULT` while the
+/// first is still parked.
+#[test]
+fn parked_campaign_does_not_delay_a_campaign_on_another_oracle() {
+    let _watchdog = Watchdog::arm("parked_campaign_does_not_delay_a_campaign_on_another_oracle");
+    let dir = scratch_dir("parked");
+    let socket = dir.join("sock");
+    let gate = Arc::new(GateOracle::new(50));
+    let seeds = vec![b"<a>hi</a>".to_vec()];
+    let (solo_grammar, solo_stats) =
+        solo_run(&FnOracle::new(xml_like), std::slice::from_ref(&seeds));
+
+    let factory_gate = Arc::clone(&gate);
+    let factory = Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
+        match spec {
+            "gated-xml" => {
+                Ok((Arc::clone(&factory_gate) as Arc<dyn Oracle>, "test:gated-xml".into()))
+            }
+            "xml" => Ok((Arc::new(FnOracle::new(xml_like)), "test:xml-like".into())),
+            other => Err(format!("unknown test spec {other:?}")),
+        }
+    });
+    let handle = Server::new(factory, ServeConfig::default()).spawn(&socket).expect("spawn server");
+
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| {
+            client_run(&socket, &OpenRequest::new("gated-xml"), std::slice::from_ref(&seeds))
+        });
+        gate.wait_until_parked();
+        // The gate stays shut until B has its result.
+        let (grammar, stats, _) =
+            client_run(&socket, &OpenRequest::new("xml"), std::slice::from_ref(&seeds));
+        assert_eq!(grammar, solo_grammar, "B finished while A was parked");
+        assert_eq!(count_fields(&stats), count_fields(&solo_stats));
+        gate.release();
+        let (grammar, stats, _) = parked.join().expect("parked tenant");
+        assert_eq!(grammar, solo_grammar, "A resumes unharmed");
+        assert_eq!(count_fields(&stats), count_fields(&solo_stats));
+    });
+
+    handle.shutdown().expect("server shutdown");
+}
+
+/// An [`xml_like`] oracle whose batch calls meet in pairs: each call blocks
+/// until a second call is in flight at the same time. Campaign threads
+/// call one at a time, so a pair is always one call from each of two
+/// tenants. A call that waits longer than the limit records the miss and
+/// stops the meeting for good, so a serializing server fails the test
+/// instead of hanging it.
+struct RendezvousOracle {
+    state: Mutex<(usize, u64)>,
+    cv: Condvar,
+    missed: std::sync::atomic::AtomicBool,
+    meetings: AtomicUsize,
+}
+
+impl RendezvousOracle {
+    const LIMIT: std::time::Duration = std::time::Duration::from_secs(10);
+
+    fn new() -> Self {
+        RendezvousOracle {
+            state: Mutex::new((0, 0)),
+            cv: Condvar::new(),
+            missed: std::sync::atomic::AtomicBool::new(false),
+            meetings: AtomicUsize::new(0),
+        }
+    }
+
+    fn meet(&self) {
+        if self.missed.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut state = self.state.lock().unwrap();
+        let generation = state.1;
+        state.0 += 1;
+        if state.0 == 2 {
+            *state = (0, generation + 1);
+            self.meetings.fetch_add(1, Ordering::SeqCst);
+            self.cv.notify_all();
+            return;
+        }
+        let deadline = std::time::Instant::now() + Self::LIMIT;
+        while state.1 == generation {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if left.is_zero() {
+                self.missed.store(true, Ordering::SeqCst);
+                state.0 -= 1;
+                return;
+            }
+            state = self.cv.wait_timeout(state, left).unwrap().0;
+        }
+    }
+}
+
+impl Oracle for RendezvousOracle {
+    fn accepts(&self, input: &[u8]) -> bool {
+        xml_like(input)
+    }
+
+    fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
+        self.meet();
+        inputs.iter().map(|i| Some(xml_like(i))).collect()
+    }
+}
+
+/// Tenants sharing one oracle call it at the same time: every batch call
+/// of two identical campaigns meets a call of the other one.
+#[test]
+fn tenants_sharing_an_oracle_call_it_concurrently() {
+    let _watchdog = Watchdog::arm("tenants_sharing_an_oracle_call_it_concurrently");
+    let dir = scratch_dir("rendezvous");
+    let socket = dir.join("sock");
+    let seeds = vec![b"<a>hi</a>".to_vec()];
+    let (solo_grammar, solo_stats) =
+        solo_run(&FnOracle::new(xml_like), std::slice::from_ref(&seeds));
+
+    let shared = Arc::new(RendezvousOracle::new());
+    let factory_oracle = Arc::clone(&shared);
+    let factory = Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
+        match spec {
+            "meet-xml" => {
+                Ok((Arc::clone(&factory_oracle) as Arc<dyn Oracle>, "test:meet-xml".into()))
+            }
+            other => Err(format!("unknown test spec {other:?}")),
+        }
+    });
+    let handle = Server::new(factory, ServeConfig::default()).spawn(&socket).expect("spawn server");
+
+    let outcomes: Vec<(String, SynthesisStats, Vec<SynthEvent>)> = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    client_run(&socket, &OpenRequest::new("meet-xml"), std::slice::from_ref(&seeds))
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().expect("client thread")).collect()
+    });
+
+    assert!(!shared.missed.load(Ordering::SeqCst), "a call waited alone: tenants were serialized");
+    assert!(shared.meetings.load(Ordering::SeqCst) > 0, "the tenants' calls met");
+    for (tenant, (grammar, stats, _)) in outcomes.iter().enumerate() {
+        assert_eq!(grammar, &solo_grammar, "tenant {tenant}");
+        assert_eq!(count_fields(stats), count_fields(&solo_stats), "tenant {tenant}");
+    }
+
+    handle.shutdown().expect("server shutdown");
+}
+
+/// Summed query tallies lose nothing: per run, the served stream's tally
+/// fields add up to the local session's, and its lifecycle events are the
+/// local ones in the same order (stage times aside).
+#[test]
+fn served_event_stream_matches_a_local_event_log() {
+    let _watchdog = Watchdog::arm("served_event_stream_matches_a_local_event_log");
+    let dir = scratch_dir("event-sums");
+    let socket = dir.join("sock");
+    let batches =
+        vec![vec![b"<a>hi</a>".to_vec()], vec![b"<a><a>deep</a></a>".to_vec(), b"ok".to_vec()]];
+
+    /// Lifecycle events with stage times zeroed, and the tally sums.
+    fn split(events: &[SynthEvent]) -> (Vec<SynthEvent>, [usize; 3]) {
+        let mut lifecycle = Vec::new();
+        let mut sums = [0usize; 3];
+        for event in events {
+            match event {
+                SynthEvent::QueryBatch { checks, cached, posed } => {
+                    sums[0] += checks;
+                    sums[1] += cached;
+                    sums[2] += posed;
+                }
+                SynthEvent::PhaseFinished { phase, unique_queries, .. } => {
+                    lifecycle.push(SynthEvent::PhaseFinished {
+                        phase: *phase,
+                        elapsed: std::time::Duration::ZERO,
+                        unique_queries: *unique_queries,
+                    });
+                }
+                other => lifecycle.push(other.clone()),
+            }
+        }
+        (lifecycle, sums)
+    }
+
+    let oracle = FnOracle::new(xml_like);
+    let local: Vec<Vec<SynthEvent>> = {
+        let log = Arc::new(EventLog::new());
+        let mut session = GladeBuilder::new().observer_shared(log.clone()).session(&oracle);
+        let mut runs = Vec::new();
+        for batch in &batches {
+            let before = log.events().len();
+            session.add_seeds(batch).expect("local run");
+            runs.push(log.events()[before..].to_vec());
+        }
+        runs
+    };
+
+    let handle =
+        Server::new(test_factory(), ServeConfig::default()).spawn(&socket).expect("spawn server");
+    let mut client = ServeClient::connect(&socket).expect("connect");
+    client.open(&OpenRequest::new("xml")).expect("open");
+    for (run, batch) in batches.iter().enumerate() {
+        let mut served = Vec::new();
+        client.synthesize(batch, |event| served.push(event)).expect("synthesize");
+        let (served_lifecycle, served_sums) = split(&served);
+        let (local_lifecycle, local_sums) = split(&local[run]);
+        assert!(local_sums[0] > 0, "run {run} posed checks");
+        assert_eq!(served_sums, local_sums, "run {run}: tally totals");
+        assert_eq!(served_lifecycle, local_lifecycle, "run {run}: lifecycle events");
+        assert!(
+            local_lifecycle.iter().any(
+                |e| matches!(e, SynthEvent::PhaseStarted { phase } if *phase == SynthPhase::Phase2)
+            ),
+            "run {run} covers every stage"
+        );
+    }
+    client.close().expect("close");
+
+    handle.shutdown().expect("server shutdown");
 }

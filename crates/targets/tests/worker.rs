@@ -4,12 +4,17 @@
 //! sizes (`GLADE_TEST_POOL_SIZE`) and hardened against workers that crash
 //! mid-batch.
 
-use glade_core::{GladeBuilder, Oracle, PooledProcessOracle, ProcessOracle};
+use glade_core::{Oracle, ProcessOracle};
 use glade_targets::programs::Xml;
 use glade_targets::TargetOracle;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use {
+    glade_core::serve::{OpenRequest, OracleFactory, ServeClient, ServeConfig, Server},
+    glade_core::{GladeBuilder, PooledProcessOracle, SynthesisStats},
+    std::sync::atomic::{AtomicBool, Ordering},
+    std::sync::Arc,
+    std::time::Duration,
+};
 
 /// Path of the worker binary, provided by cargo for same-package tests.
 fn worker_bin() -> &'static str {
@@ -18,11 +23,14 @@ fn worker_bin() -> &'static str {
 
 /// Golden distinct/total query counts for the seed `<a>hi</a>` (pinned in
 /// `glade-core`'s `parallel.rs`); the pooled path must reproduce them.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 const GOLDEN_UNIQUE: usize = 965;
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 const GOLDEN_TOTAL: usize = 985;
 
 /// Pool sizes to sweep; `GLADE_TEST_POOL_SIZE` pins one (the CI matrix
 /// sweeps it so every cell stays fast).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn matrix_pool_sizes() -> Vec<usize> {
     match std::env::var("GLADE_TEST_POOL_SIZE").ok().and_then(|v| v.parse().ok()) {
         Some(n) => vec![n],
@@ -33,10 +41,12 @@ fn matrix_pool_sizes() -> Vec<usize> {
 /// Per-test timeout guard: a dispatcher bug over nonblocking pipes would
 /// wedge the job in a never-waking `poll(2)`; the watchdog fails fast
 /// instead. `GLADE_TEST_TIMEOUT_SECS` tunes the limit (default 120 s).
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 struct Watchdog {
     done: Arc<AtomicBool>,
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl Watchdog {
     fn arm(name: &'static str) -> Self {
         let secs = std::env::var("GLADE_TEST_TIMEOUT_SECS")
@@ -60,12 +70,14 @@ impl Watchdog {
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 impl Drop for Watchdog {
     fn drop(&mut self) {
         self.done.store(true, Ordering::Relaxed);
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn pooled_worker_agrees_with_in_process_oracle() {
     let xml = Xml;
@@ -102,6 +114,7 @@ fn once_mode_supports_spawn_per_query() {
     assert_eq!(spawn.failure_count(), 0);
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn pooled_worker_serves_languages_too() {
     let pooled = PooledProcessOracle::new(worker_bin()).arg("toy-xml");
@@ -110,6 +123,7 @@ fn pooled_worker_serves_languages_too() {
     assert!(!pooled.accepts(b"<a>hi</a"));
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn unknown_subject_exits_nonzero_and_pool_degrades() {
     // The worker exits immediately on an unknown subject; every pooled
@@ -119,6 +133,7 @@ fn unknown_subject_exits_nonzero_and_pool_degrades() {
     assert!(pooled.failure_count() >= 1);
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn full_synthesis_over_the_pool_matches_in_process_synthesis() {
     // The running example driven entirely through child processes, swept
@@ -158,6 +173,7 @@ fn full_synthesis_over_the_pool_matches_in_process_synthesis() {
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn synthesis_over_crashing_workers_matches_in_process_synthesis() {
     // Crash-recovery acceptance at the harness level: every worker dies
@@ -195,6 +211,7 @@ fn synthesis_over_crashing_workers_matches_in_process_synthesis() {
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn synthesis_over_hanging_workers_keeps_golden_pins() {
     // Deadline acceptance at the harness level: every worker answers 150
@@ -238,6 +255,7 @@ fn synthesis_over_hanging_workers_keeps_golden_pins() {
     assert!(pooled_oracle.respawn_count() > 0);
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn stalling_worker_is_slow_but_healthy_under_a_deadline() {
     // `--stall-ms 20` makes the worker trickle each verdict as its own
@@ -272,6 +290,7 @@ fn stalling_worker_is_slow_but_healthy_under_a_deadline() {
     assert_eq!(pool.failure_count(), 0);
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn flaky_spawns_trip_the_breaker_and_recover_via_fallback() {
     // `--flaky-spawn` makes alternate spawns of the worker die instantly
@@ -313,6 +332,7 @@ fn flaky_spawns_trip_the_breaker_and_recover_via_fallback() {
     assert!(pool.respawn_count() >= 1);
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn mid_stream_probe_payload_is_an_ordinary_query() {
     // The probe is special in the spawn-time handshake only: a membership
@@ -334,6 +354,7 @@ fn mid_stream_probe_payload_is_an_ordinary_query() {
     assert_eq!(pool.respawn_count(), 0, "the probe as a query is no crash");
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn batched_dispatch_against_real_target_matches_reference() {
     // The batched entry point itself (not just synthesis) against the
@@ -357,4 +378,75 @@ fn batched_dispatch_against_real_target_matches_reference() {
     let pool = PooledProcessOracle::new(worker_bin()).arg("xml").pool_size(3).frame_batch(16);
     assert_eq!(pool.accepts_batch_checked(&refs), expected);
     assert_eq!(pool.failure_count(), 0);
+}
+
+/// Two served tenants share one pool of faulty workers: hangs past the
+/// deadline, and alternate spawns dying, which trips the breakers. The
+/// tenants call the pool at the same time, and each is charged exactly
+/// the failures, timeouts and trips its own calls caused, so their counts
+/// add up to the pool's.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+#[test]
+fn served_tenants_split_a_faulty_pools_health_counts_exactly() {
+    let _guard = Watchdog::arm("served_tenants_split_a_faulty_pools_health_counts_exactly");
+    let dir = std::env::temp_dir().join(format!("glade-worker-served-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let counter = dir.join("spawns.ctr");
+    let pool = PooledProcessOracle::new(worker_bin())
+        .arg("toy-xml")
+        .arg("--hang-after")
+        .arg("40")
+        .arg("--flaky-spawn")
+        .arg(counter.to_str().expect("temp path is utf-8"))
+        .pool_size(2)
+        .max_respawns(2)
+        .respawn_backoff(Duration::from_millis(1));
+    let shared = pool.clone();
+    let factory: Arc<dyn OracleFactory> =
+        Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
+            match spec {
+                "faulty-pool" => Ok((Arc::new(shared.clone()), "test:faulty-pool".into())),
+                other => Err(format!("unknown test spec {other:?}")),
+            }
+        });
+    let config =
+        ServeConfig { oracle_timeout: Some(Duration::from_millis(100)), ..ServeConfig::default() };
+    let socket = dir.join("sock");
+    let handle = Server::new(factory, config).spawn(&socket).expect("spawn server");
+
+    let health = |o: &PooledProcessOracle| {
+        [o.failure_count(), o.timed_out_count(), o.tripped_worker_count()]
+    };
+    let before = health(&pool);
+    let seed_sets = [b"<a>hi</a>".to_vec(), b"<a><a>deep</a></a>".to_vec()];
+    let stats: Vec<SynthesisStats> = std::thread::scope(|s| {
+        let joins: Vec<_> = seed_sets
+            .iter()
+            .map(|seed| {
+                let socket = &socket;
+                s.spawn(move || {
+                    let mut client = ServeClient::connect(socket).expect("connect");
+                    client.open(&OpenRequest::new("faulty-pool")).expect("open");
+                    let outcome =
+                        client.synthesize(std::slice::from_ref(seed), |_| {}).expect("synthesize");
+                    client.close().expect("close");
+                    outcome.stats
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().expect("client thread")).collect()
+    });
+    let after = health(&pool);
+    handle.shutdown().expect("server shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let charged = stats.iter().fold([0usize; 3], |sum, s| {
+        [sum[0] + s.oracle_failures, sum[1] + s.timed_out_queries, sum[2] + s.tripped_workers]
+    });
+    let delta = [after[0] - before[0], after[1] - before[1], after[2] - before[2]];
+    assert_eq!(charged, delta, "tenants' [failures, timeouts, trips] vs the pool's");
+    assert!(delta[0] > 0, "open breakers left queries unanswered");
+    assert!(delta[1] > 0, "the workers hung past the deadline");
+    assert!(delta[2] > 0, "the flaky spawns tripped a breaker");
 }

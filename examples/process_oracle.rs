@@ -15,12 +15,13 @@
 //! of magnitude more queries/sec than spawning).
 //!
 //! Run with: `cargo run --release --example process_oracle`
-//! (Requires a Unix-like system with `grep` on PATH for part one; each
-//! part skips gracefully when its prerequisites are missing.)
+//! (Requires a Unix-like system with `grep` on PATH for part one, and
+//! Linux or macOS, where the pool is available, for part two; each part
+//! skips gracefully when its prerequisites are missing.)
 
-use glade_repro::core::{
-    testing::xml_like, CachingOracle, GladeBuilder, Oracle, PooledProcessOracle,
-};
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_repro::core::PooledProcessOracle;
+use glade_repro::core::{testing::xml_like, CachingOracle, GladeBuilder, Oracle};
 use glade_repro::grammar::Sampler;
 use rand::SeedableRng;
 use std::process::Command;
@@ -37,6 +38,7 @@ fn main() {
         return;
     }
 
+    #[cfg(any(target_os = "linux", target_os = "macos"))]
     pooled_demo();
 
     if !grep_available() {
@@ -106,6 +108,7 @@ fn main() {
 
 /// Part two: the full running example (Figures 1–3) posed to a pool of
 /// persistent worker processes instead of an in-process closure.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn pooled_demo() {
     let Ok(me) = std::env::current_exe() else {
         eprintln!("cannot locate the example binary; skipping the pooled demo.");

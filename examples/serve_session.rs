@@ -9,7 +9,7 @@
 //!    with an [`OracleFactory`] mapping `toy-xml` to the running-example
 //!    oracle, and a cache directory for persistent campaign caches.
 //! 2. **Two tenants** — two [`ServeClient`] campaigns run concurrently
-//!    over the shared oracle (interleaved by the fair scheduler), each
+//!    over the shared oracle (calling it at the same time), each
 //!    printing its live event stream; both grammars are byte-identical to
 //!    solo local runs.
 //! 3. **Cancel** — a third campaign is cancelled mid-run through a
@@ -40,7 +40,7 @@ fn main() -> std::io::Result<()> {
 
     // Act 1: the server. The factory decides what oracle specs mean; here
     // one spec, the running example. Campaigns naming the same spec share
-    // one oracle through the fair scheduler.
+    // one oracle and call it concurrently.
     let factory: Arc<dyn OracleFactory> =
         Arc::new(|spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
             match spec {

@@ -80,13 +80,13 @@ use glade_repro::core::serve::{
     drain_signal_count, install_drain_signals, OpenRequest, OracleFactory, ServeClient,
     ServeConfig, Server,
 };
-#[cfg(any(target_os = "linux", target_os = "macos"))]
-use glade_repro::core::PooledProcessOracle;
 use glade_repro::core::{
     is_binary_snapshot, serve_oracle_worker, snapshot_from_binary, snapshot_from_reader,
-    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, CacheFormat, CancelToken,
-    GladeBuilder, GladeConfig, InputMode, Oracle, ProcessOracle, SynthEvent, SynthesisObserver,
+    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, CacheFormat, GladeBuilder,
+    GladeConfig, InputMode, Oracle, ProcessOracle, SynthEvent, SynthesisObserver,
 };
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_repro::core::{CancelToken, PooledProcessOracle};
 use glade_repro::fuzz::{Fuzzer, GrammarFuzzer};
 use glade_repro::grammar::{grammar_from_text, grammar_to_text, Earley, Grammar, Sampler};
 use glade_repro::targets::languages::{section82_languages, toy_xml};

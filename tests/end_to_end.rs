@@ -3,9 +3,13 @@
 //! through the pooled process-oracle path (`glade worker` over batched
 //! protocol frames) at several pool sizes, which must be byte-identical.
 
-use glade_repro::core::{GladeBuilder, GladeConfig, Oracle, PooledProcessOracle};
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_repro::core::PooledProcessOracle;
+use glade_repro::core::{GladeBuilder, GladeConfig, Oracle};
 use glade_repro::fuzz::{run_campaign, GrammarFuzzer, NaiveFuzzer};
-use glade_repro::grammar::{grammar_to_text, Earley, Sampler};
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_repro::grammar::grammar_to_text;
+use glade_repro::grammar::{Earley, Sampler};
 use glade_repro::targets::programs::{target_by_name, Grep, Sed, Xml};
 use glade_repro::targets::{Target, TargetOracle};
 use rand::SeedableRng;
@@ -92,6 +96,7 @@ fn synthesis_on_every_target_keeps_seeds() {
     }
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn xml_synthesis_through_pooled_async_path_is_byte_identical() {
     // The instrumented XML target's own seeds, synthesized once in

@@ -3,7 +3,9 @@
 //! process-oracle path (the `glade worker` protocol harness) to prove
 //! real-process execution changes nothing.
 
-use glade_repro::core::{CachingOracle, GladeBuilder, PooledProcessOracle};
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_repro::core::PooledProcessOracle;
+use glade_repro::core::{CachingOracle, GladeBuilder};
 use glade_repro::eval::evaluate_grammar;
 use glade_repro::grammar::Earley;
 use glade_repro::targets::languages::toy_xml;
@@ -91,6 +93,7 @@ fn oracle_query_counts_are_modest() {
     assert!(oracle.total_queries() > 0);
 }
 
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
 fn running_example_through_pooled_async_path_is_byte_identical() {
     // The full Figures 1–3 run posed over pipes to pools of 1, 2, and 8
