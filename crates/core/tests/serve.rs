@@ -293,6 +293,18 @@ impl Oracle for GateOracle {
     }
 }
 
+/// A factory serving `gated-xml` (through `gate`) and a plain `xml`.
+fn gated_factory(gate: &Arc<GateOracle>) -> Arc<dyn OracleFactory> {
+    let gate = Arc::clone(gate);
+    Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
+        match spec {
+            "gated-xml" => Ok((Arc::clone(&gate) as Arc<dyn Oracle>, "test:gated-xml".into())),
+            "xml" => Ok((Arc::new(FnOracle::new(xml_like)), "test:xml-like".into())),
+            other => Err(format!("unknown test spec {other:?}")),
+        }
+    })
+}
+
 #[test]
 fn mid_run_cancel_degrades_one_tenant_without_disturbing_another() {
     let _watchdog = Watchdog::arm("mid_run_cancel_degrades_one_tenant_without_disturbing_another");
@@ -302,16 +314,7 @@ fn mid_run_cancel_degrades_one_tenant_without_disturbing_another() {
     let (clean_solo_grammar, clean_solo_stats) =
         solo_run(&FnOracle::new(xml_like), &[vec![b"<a>hi</a>".to_vec()]]);
 
-    let factory_gate = Arc::clone(&gate);
-    let factory = Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
-        match spec {
-            "gated-xml" => {
-                Ok((Arc::clone(&factory_gate) as Arc<dyn Oracle>, "test:gated-xml".into()))
-            }
-            "xml" => Ok((Arc::new(FnOracle::new(xml_like)), "test:xml-like".into())),
-            other => Err(format!("unknown test spec {other:?}")),
-        }
-    });
+    let factory = gated_factory(&gate);
     let handle = Server::new(factory, ServeConfig::default()).spawn(&socket).expect("spawn server");
 
     // Tenant A's client is built here so the main thread keeps a cancel
@@ -759,16 +762,7 @@ fn draining_server_finishes_campaigns_and_rejects_new_ones() {
     let (solo_grammar, solo_stats) =
         solo_run(&FnOracle::new(xml_like), &[vec![b"<a>hi</a>".to_vec()]]);
 
-    let factory_gate = Arc::clone(&gate);
-    let factory = Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
-        match spec {
-            "gated-xml" => {
-                Ok((Arc::clone(&factory_gate) as Arc<dyn Oracle>, "test:gated-xml".into()))
-            }
-            "xml" => Ok((Arc::new(FnOracle::new(xml_like)), "test:xml-like".into())),
-            other => Err(format!("unknown test spec {other:?}")),
-        }
-    });
+    let factory = gated_factory(&gate);
     let handle = Server::new(factory, ServeConfig::default()).spawn(&socket).expect("spawn");
 
     let mut client_a = ServeClient::connect(&socket).expect("connect A");
@@ -953,16 +947,7 @@ fn parked_campaign_does_not_delay_a_campaign_on_another_oracle() {
     let (solo_grammar, solo_stats) =
         solo_run(&FnOracle::new(xml_like), std::slice::from_ref(&seeds));
 
-    let factory_gate = Arc::clone(&gate);
-    let factory = Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
-        match spec {
-            "gated-xml" => {
-                Ok((Arc::clone(&factory_gate) as Arc<dyn Oracle>, "test:gated-xml".into()))
-            }
-            "xml" => Ok((Arc::new(FnOracle::new(xml_like)), "test:xml-like".into())),
-            other => Err(format!("unknown test spec {other:?}")),
-        }
-    });
+    let factory = gated_factory(&gate);
     let handle = Server::new(factory, ServeConfig::default()).spawn(&socket).expect("spawn server");
 
     std::thread::scope(|s| {
