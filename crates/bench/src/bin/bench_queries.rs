@@ -55,10 +55,11 @@
 //!    replay re-pays zero unique queries and reproduces the bytes.
 //! 9. **`cache_scale`** — the binary snapshot codec at production cache
 //!    sizes (`GLADE_BENCH_CACHE_N` synthetic entries, default 100 000):
-//!    timed full loads in both formats plus the indexed partial-load
-//!    path over a sparse query set. Asserts the binary full load is
-//!    ≥ 5× faster than text (at the default size) and that the sparse
-//!    partial load touches < 10% of the file.
+//!    timed full loads of the binary snapshot and of the same cache as a
+//!    legacy text snapshot (through the read-only text importer), plus
+//!    the indexed partial-load path over a sparse query set. Asserts the
+//!    binary full load is ≥ 5× faster than text (at the default size) and
+//!    that the sparse partial load touches < 10% of the file.
 //!
 //! Usage: `cargo run --release -p glade-bench --bin bench-queries`
 //! (writes `BENCH_queries.json` to the current directory, override with
@@ -71,8 +72,7 @@
 
 use glade_core::{
     serve_faulty_worker, serve_oracle_worker, snapshot_from_binary_reader, snapshot_from_reader,
-    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, FaultPlan, FnOracle,
-    GladeBuilder, Oracle, SynthesisStats,
+    snapshot_to_binary, BinaryCacheFile, FaultPlan, FnOracle, GladeBuilder, Oracle, SynthesisStats,
 };
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_core::{PooledProcessOracle, ProcessOracle};
@@ -131,11 +131,31 @@ fn run_cache_reuse(oracle_delay: Duration) -> (glade_core::Synthesis, glade_core
     });
     let mut cold_session = GladeBuilder::new().session(&oracle);
     let cold = cold_session.add_seeds(&[b"<a>hi</a>".to_vec()]).expect("valid seed");
-    let snapshot = cold_session.export_cache();
+    let snapshot = cold_session.export_cache_binary();
     let mut warm_session = GladeBuilder::new().session(&oracle);
     warm_session.import_cache(&snapshot).expect("snapshot parses");
     let warm = warm_session.add_seeds(&[b"<a>hi</a>".to_vec()]).expect("valid seed");
     (cold, warm)
+}
+
+/// Encodes sorted entries as a legacy `glade-cache` v1/v2 text snapshot,
+/// the format the `cache_scale` text load reads. Nothing writes this
+/// format any more; the importer that reads it still ships.
+fn legacy_text(sorted: &[(Vec<u8>, bool)], fingerprint: Option<&str>) -> String {
+    let hex = |bytes: &[u8]| {
+        bytes.iter().fold(String::new(), |mut out, b| {
+            let _ = write!(out, "{b:02x}");
+            out
+        })
+    };
+    let mut out = match fingerprint {
+        Some(fp) => format!("glade-cache v2\noracle {}\n", hex(fp.as_bytes())),
+        None => "glade-cache v1\n".to_owned(),
+    };
+    for (query, verdict) in sorted {
+        let _ = writeln!(out, "q {} {}", u8::from(*verdict), hex(query));
+    }
+    out
 }
 
 fn secs(d: Duration) -> f64 {
@@ -729,7 +749,8 @@ fn main() {
     // ---- Experiment 9: cache_scale — the binary snapshot codec at
     // production cache sizes. A synthetic cache of `GLADE_BENCH_CACHE_N`
     // entries (deterministic ~36-byte queries, the scale of a long-lived
-    // serve deployment) is written in both formats; full loads are timed
+    // serve deployment) is written as binary and, by `legacy_text`, as a
+    // legacy text snapshot; full loads are timed
     // best-of-3, then the indexed partial-load path answers a sparse query
     // set through `BinaryCacheFile` and reports the fraction of the file
     // it touched. Pins (enforced at the full default size): binary full
@@ -747,7 +768,7 @@ fn main() {
             .collect();
         entries.sort();
         let fingerprint = Some("bench:cache-scale");
-        let text = snapshot_to_text_with_memo(&entries, &[], fingerprint);
+        let text = legacy_text(&entries, fingerprint);
         let binary = snapshot_to_binary(&entries, &[], fingerprint);
         let dir = std::env::temp_dir();
         let text_path = dir.join(format!("glade-bench-cache-{}.txt", std::process::id()));

@@ -36,7 +36,7 @@
 //!   length-prefixed `(original bytes, every context's (γ, δ), candidate
 //!   alphabet)` tuple; see `memo::memo_key`. Terminals whose key matches a
 //!   session [`ByteClassMemo`](crate::memo::ByteClassMemo) entry (learned
-//!   by an earlier run or loaded from a `glade-cache v3` snapshot) adopt
+//!   by an earlier run or loaded from a cache snapshot) adopt
 //!   the stored classes without posing a single probe; terminals sharing a
 //!   key *within* one plan are generalized once, with the siblings copying
 //!   the representative's result.
@@ -263,7 +263,7 @@ impl<'t> StagedChargen<'t> {
     /// or poses exactly one check. Returns the number of distinct checks
     /// planned (pose them through [`StagedChargen::keys_mut`]); zero means
     /// the staged run is complete (every probe resolved).
-    pub fn plan_wave(&mut self, cache: &mut CacheEntries) -> usize {
+    pub fn plan_wave(&mut self, cache: &CacheEntries) -> usize {
         debug_assert!(self.keys.len() == 0, "previous wave not folded");
         for mut probe in std::mem::take(&mut self.active) {
             loop {
@@ -493,7 +493,7 @@ mod tests {
     ) -> (usize, usize, usize) {
         let outcome = {
             let mut staged = StagedChargen::new(trees, test_bytes, memo);
-            while staged.plan_wave(&mut cache.lock()) > 0 {
+            while staged.plan_wave(&cache.lock()) > 0 {
                 let verdicts = runner.pose(&mut [staged.keys_mut()]);
                 staged.fold_wave(&verdicts);
             }

@@ -36,8 +36,9 @@
 //!   batches; like budget exhaustion, cancellation fails closed and the
 //!   degraded grammar still contains every seed.
 //! * **Warm-startable** — [`Session::save_cache`]/[`Session::load_cache`]
-//!   snapshot the query cache in a stable text format (see [`cache_to_text`]),
-//!   so repeated runs against the same target stop re-paying oracle calls.
+//!   snapshot the query cache in the indexed `glade-cachebin v1` format
+//!   (see [`CacheSnapshot`]), so repeated runs against the same target
+//!   stop re-paying oracle calls.
 //! * **Query-frugal** — character generalization and phase two plan their
 //!   checks through a query-reduction layer that memoizes learned byte
 //!   classes across identical terminals, short-circuits per-context
@@ -45,7 +46,7 @@
 //!   provably-redundant merge checks — every elision is exact, so the
 //!   grammar is byte-identical to posing every check
 //!   ([`SynthesisStats::probes_elided`] counts the savings). The memo
-//!   table rides along in cache snapshots (`glade-cache v3`).
+//!   table rides along in cache snapshots.
 //!
 //! # Quick start
 //!
@@ -153,12 +154,11 @@ pub use events::{CancelToken, EventLog, SynthEvent, SynthPhase, SynthesisObserve
 pub use fault::{flaky_spawn_should_die, serve_faulty_worker, FaultPlan, FaultyOracle};
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 pub use oracle::PooledProcessOracle;
-pub use oracle::{serve_oracle_worker, CachingOracle, FnOracle, InputMode, Oracle, ProcessOracle};
+pub use oracle::{serve_oracle_worker, FnOracle, InputMode, Oracle, ProcessOracle};
 pub use persist::{
-    cache_from_text, cache_to_text, is_binary_snapshot, snapshot_from_binary,
-    snapshot_from_binary_reader, snapshot_from_reader, snapshot_from_text, snapshot_to_binary,
-    snapshot_to_text, snapshot_to_text_with_memo, BinaryCacheFile, CacheError, CacheFormat,
-    CacheSnapshot, IntoEntries, MemoEntry, SnapshotEntries,
+    is_binary_snapshot, snapshot_from_binary, snapshot_from_binary_reader, snapshot_from_reader,
+    snapshot_to_binary, BinaryCacheFile, CacheError, CacheSnapshot, IntoEntries, MemoEntry,
+    SnapshotEntries,
 };
 pub use session::{GladeBuilder, Session};
 pub use synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};

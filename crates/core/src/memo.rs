@@ -14,7 +14,7 @@
 //! alphabet; the value is the learned per-position byte classes. The table
 //! lives in the [`Session`](crate::Session) beside the query cache, is
 //! consulted by the staged chargen planner (see `chargen.rs`) before any
-//! probe is posed, and persists through `glade-cache v3` snapshots (see
+//! probe is posed, and persists through cache snapshots (see
 //! `persist.rs`) so later sessions warm-start past whole terminals.
 //!
 //! Entries are only recorded by runs that finished without degradation

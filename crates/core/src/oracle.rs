@@ -7,8 +7,6 @@
 //!
 //! * [`FnOracle`] — wrap any predicate closure (used for handwritten
 //!   grammars and the instrumented target parsers).
-//! * [`CachingOracle`] — memoize queries and count them (synthesis statistics
-//!   report query counts through this wrapper).
 //! * [`ProcessOracle`] — spawn an external executable per query, concluding
 //!   validity from its exit status, exactly like the paper's setup where "we
 //!   run the program on input α … and conclude that α is a valid input if
@@ -188,7 +186,6 @@
 //! threads and queried concurrently. See the crate-level documentation for
 //! the full contract (determinism + thread safety).
 
-use crate::cache::QueryCache;
 use crate::wire;
 use std::io::{BufReader, Write as _};
 use std::path::PathBuf;
@@ -588,131 +585,6 @@ impl<F: Fn(&[u8]) -> bool + Send + Sync> Oracle for FnOracle<F> {
     }
 }
 
-/// Memoizing, counting wrapper around another oracle.
-///
-/// GLADE issues many duplicate membership queries (identical checks arise
-/// from different candidates); caching them is the paper's implicit
-/// assumption that "each query to O takes constant time" (Section 4.4).
-/// The cache is one mutex-guarded map, locked once per lookup and once
-/// per insert, and the counters are atomic, so a single `CachingOracle`
-/// serves all query worker threads concurrently.
-///
-/// # Examples
-///
-/// ```
-/// use glade_core::{CachingOracle, FnOracle, Oracle};
-///
-/// let inner = FnOracle::new(|i: &[u8]| i.len() % 2 == 0);
-/// let oracle = CachingOracle::new(inner);
-/// assert!(oracle.accepts(b"ab"));
-/// assert!(oracle.accepts(b"ab"));
-/// assert_eq!(oracle.unique_queries(), 1);
-/// assert_eq!(oracle.total_queries(), 2);
-/// ```
-#[derive(Debug)]
-pub struct CachingOracle<O> {
-    inner: O,
-    cache: QueryCache,
-    total: AtomicUsize,
-}
-
-impl<O: Oracle> CachingOracle<O> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: O) -> Self {
-        CachingOracle { inner, cache: QueryCache::new(), total: AtomicUsize::new(0) }
-    }
-
-    /// Number of queries answered (including cache hits).
-    pub fn total_queries(&self) -> usize {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct inputs forwarded to the inner oracle.
-    ///
-    /// Under concurrency, racing misses for the same input may each reach
-    /// the inner oracle; the count reflects distinct *cached* inputs, which
-    /// is the paper's cost measure.
-    pub fn unique_queries(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Consumes the wrapper, returning the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: Oracle> Oracle for CachingOracle<O> {
-    fn accepts(&self, input: &[u8]) -> bool {
-        self.accepts_checked(input).unwrap_or(false)
-    }
-
-    fn accepts_checked(&self, input: &[u8]) -> Option<bool> {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        if let Some(v) = self.cache.get(input) {
-            return Some(v);
-        }
-        // Failed executions answer `None` and are deliberately not cached:
-        // only real verdicts may be memoized.
-        let v = self.inner.accepts_checked(input)?;
-        self.cache.insert(input.to_vec(), v);
-        Some(v)
-    }
-
-    fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
-        // Answer what the cache can, forward the misses to the inner
-        // oracle as one batch (preserving its native batching, if any),
-        // and memoize only real verdicts.
-        self.total.fetch_add(inputs.len(), Ordering::Relaxed);
-        let mut results: Vec<Option<bool>> = Vec::with_capacity(inputs.len());
-        let mut miss_positions = Vec::new();
-        for (i, input) in inputs.iter().enumerate() {
-            let hit = self.cache.get(input);
-            if hit.is_none() {
-                miss_positions.push(i);
-            }
-            results.push(hit);
-        }
-        if miss_positions.is_empty() {
-            return results;
-        }
-        let misses: Vec<&[u8]> = miss_positions.iter().map(|&i| inputs[i]).collect();
-        let verdicts = self.inner.accepts_batch_checked(&misses);
-        debug_assert_eq!(verdicts.len(), misses.len());
-        for (&i, verdict) in miss_positions.iter().zip(verdicts) {
-            if let Some(v) = verdict {
-                self.cache.insert(inputs[i].to_vec(), v);
-            }
-            results[i] = verdict;
-        }
-        results
-    }
-
-    fn native_batching(&self) -> bool {
-        self.inner.native_batching()
-    }
-
-    fn failure_count(&self) -> usize {
-        self.inner.failure_count()
-    }
-
-    fn configure_timeout(&self, timeout: Option<Duration>) {
-        self.inner.configure_timeout(timeout)
-    }
-
-    fn timed_out_count(&self) -> usize {
-        self.inner.timed_out_count()
-    }
-
-    fn tripped_worker_count(&self) -> usize {
-        self.inner.tripped_worker_count()
-    }
-
-    fn recovered_worker_count(&self) -> usize {
-        self.inner.recovered_worker_count()
-    }
-}
-
 /// How a [`ProcessOracle`] delivers the candidate input to the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InputMode {
@@ -875,7 +747,7 @@ impl ProcessOracle {
     /// arguments, input mode, and stderr policy — for tagging persisted
     /// query-cache snapshots (see
     /// [`GladeBuilder::oracle_fingerprint`](crate::GladeBuilder::oracle_fingerprint)
-    /// and the `glade-cache v2` format in `persist.rs`). Verdicts are facts
+    /// and `persist.rs`). Verdicts are facts
     /// about one target: replaying a snapshot against a different program
     /// silently corrupts synthesis, and the fingerprint lets `load_cache`
     /// reject that.
@@ -2113,39 +1985,6 @@ mod tests {
     }
 
     #[test]
-    fn caching_oracle_counts_and_memoizes() {
-        let calls = AtomicUsize::new(0);
-        let o = CachingOracle::new(FnOracle::new(|i: &[u8]| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i.is_empty()
-        }));
-        assert!(o.accepts(b""));
-        assert!(o.accepts(b""));
-        assert!(!o.accepts(b"x"));
-        assert_eq!(o.total_queries(), 3);
-        assert_eq!(o.unique_queries(), 2);
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn caching_oracle_is_consistent_under_concurrency() {
-        let o = CachingOracle::new(FnOracle::new(|i: &[u8]| i.len().is_multiple_of(2)));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let o = &o;
-                s.spawn(move || {
-                    for i in 0..200u32 {
-                        let input = i.to_le_bytes();
-                        assert_eq!(o.accepts(&input), input.len() % 2 == 0);
-                    }
-                });
-            }
-        });
-        assert_eq!(o.unique_queries(), 200);
-        assert_eq!(o.total_queries(), 800);
-    }
-
-    #[test]
     fn oracle_by_reference_works() {
         fn takes_oracle(o: &dyn Oracle) -> bool {
             o.accepts(b"y")
@@ -2161,7 +2000,6 @@ mod tests {
     fn oracle_impls_are_send_sync() {
         fn assert_oracle<T: Oracle + Send + Sync>() {}
         assert_oracle::<FnOracle<fn(&[u8]) -> bool>>();
-        assert_oracle::<CachingOracle<FnOracle<fn(&[u8]) -> bool>>>();
         assert_oracle::<ProcessOracle>();
         #[cfg(any(target_os = "linux", target_os = "macos"))]
         assert_oracle::<PooledProcessOracle>();

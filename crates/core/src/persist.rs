@@ -3,70 +3,29 @@
 //! The paper measures synthesis cost purely in oracle calls, and for real
 //! targets each distinct call runs the program under test. A multi-target
 //! campaign or a repeated `eval`/`bench` run re-pays that cost from zero on
-//! every process start — unless the query cache survives the process. This
-//! module defines a stable, line-oriented snapshot format (in the same
-//! spirit as `glade_grammar::text`'s grammar format) with full
-//! round-tripping:
+//! every process start — unless the query cache survives the process.
+//! [`Session::save_cache`](crate::Session::save_cache) and
+//! [`Session::load_cache`](crate::Session::load_cache) persist it.
 //!
-//! ```text
-//! glade-cache v2
-//! oracle 70726f636573733a786d6c6c696e74
-//! q 1 3c613e68693c2f613e
-//! q 0 3c613e3c2f613e
-//! ```
-//!
-//! Each `q` line is one cached verdict: `1`/`0` for accept/reject followed
-//! by the query bytes hex-encoded (queries are arbitrary byte strings, so
-//! no text escaping scheme is safe). Entries are written sorted by query
-//! bytes, making snapshots byte-stable for identical caches regardless of
-//! insertion order.
-//!
-//! A snapshot is only meaningful for the oracle that produced it: verdicts
-//! are facts about one target language, and replaying them against a
-//! different target silently corrupts synthesis. The **v2** format
-//! therefore carries an optional `oracle` directive — a caller-supplied
-//! fingerprint string (hex-encoded UTF-8; e.g.
+//! A [`CacheSnapshot`] holds the cached verdicts, the byte-class memo table
+//! of the query-reduction layer (see `memo.rs`; a loaded memo entry lets a
+//! later session skip *every* probe of a terminal it has already
+//! generalized), and an optional oracle fingerprint. A snapshot is only
+//! meaningful for the oracle that produced it: verdicts are facts about one
+//! target language, and replaying them against a different target silently
+//! corrupts synthesis. The fingerprint is a caller-supplied string (e.g.
 //! [`ProcessOracle::fingerprint`](crate::ProcessOracle::fingerprint) for
 //! process oracles, a target name for in-process ones). A session
 //! configured with
 //! [`GladeBuilder::oracle_fingerprint`](crate::GladeBuilder::oracle_fingerprint)
-//! writes the directive into its
-//! snapshots and **rejects** loading a snapshot whose fingerprint differs
-//! ([`CacheError::OracleMismatch`]). Version-1 snapshots (no fingerprint)
-//! still load everywhere; fingerprint-less sessions load anything.
+//! writes it into its snapshots and **rejects** loading a snapshot whose
+//! fingerprint differs ([`CacheError::OracleMismatch`]). Untagged snapshots
+//! load everywhere; fingerprint-less sessions load anything.
 //!
-//! The **v3** format additionally persists the byte-class memo table of
-//! the query-reduction layer (see `memo.rs`) through `m` directives:
+//! # The format: `glade-cachebin v1`
 //!
-//! ```text
-//! glade-cache v3
-//! m 00112233445566778899aabbccddeeff 68,69
-//! q 1 3c613e68693c2f613e
-//! ```
-//!
-//! Each `m` line carries a 128-bit [`memo key`](crate::MemoEntry) as 32
-//! hex digits, then the learned per-position byte classes as a
-//! comma-separated list of hex-encoded member-byte sets. A loaded memo
-//! entry lets a later session skip *every* probe of a terminal it has
-//! already generalized. [`snapshot_to_text_with_memo`] only emits the v3
-//! header when memo entries are present, so sessions that never memoize —
-//! or pre-memo consumers re-serializing old snapshots — keep producing
-//! byte-identical v1/v2 output, and v1/v2 snapshots load unchanged
-//! (`memo: []`).
-//!
-//! [`Session::save_cache`](crate::Session::save_cache) and
-//! [`Session::load_cache`](crate::Session::load_cache) wrap this format
-//! with file I/O; [`cache_to_text`], [`cache_from_text`], and the
-//! fingerprint-aware [`CacheSnapshot`] round-trip expose the text layer
-//! directly.
-//!
-//! # Binary snapshots (`glade-cachebin v1`)
-//!
-//! The text format is built for inspection and diffing, not for the 10⁷+
-//! entries a long-lived `glade serve` fleet accumulates: hex doubles every
-//! query byte and parsing decodes them one nibble at a time. The binary
-//! format stores the same [`CacheSnapshot`] — entries, memo table, oracle
-//! fingerprint — in an indexed, length-prefixed layout. All integers are
+//! Every snapshot this crate writes — sessions, the CLI, the serve daemon
+//! — is one indexed, length-prefixed binary layout. All integers are
 //! little-endian; sections are laid out back to back:
 //!
 //! | section | offset | layout |
@@ -79,42 +38,49 @@
 //! | memo | header's memo offset | memo count × (16-byte key, `u32` class count, classes), keys sorted; each class is a `u32` member count followed by its member bytes |
 //!
 //! Entries and the index are sorted, so equal caches serialize to
-//! byte-identical snapshots — the same stability guarantee as the text
-//! format. The header's total length and per-section offsets make every
-//! truncation detectable up front ([`CacheError::Corrupt`]), and the
-//! sorted hash index lets [`BinaryCacheFile`] answer point lookups by
-//! binary-searching the index *on disk* — a multi-gigabyte snapshot is
-//! opened by reading ~100 bytes of header and faulted in one record at a
-//! time. The index hash is part of the format: [`index_hash`] pins it as
-//! SipHash-1-3 with zero keys over the query's little-endian `u64` length
-//! followed by its bytes, so snapshots written by one build keep answering
-//! lookups in every later build. [`is_binary_snapshot`] sniffs the magic
-//! so load paths accept either format transparently; text v1–v3 snapshots
-//! keep loading forever.
+//! byte-identical snapshots regardless of insertion order. The header's
+//! total length and per-section offsets make every truncation detectable
+//! up front ([`CacheError::Corrupt`]), and the sorted hash index lets
+//! [`BinaryCacheFile`] answer point lookups by binary-searching the index
+//! *on disk* — a multi-gigabyte snapshot is opened by reading ~100 bytes of
+//! header and faulted in one record at a time (`glade cache inspect` reads
+//! only the header; sessions always load a snapshot in full). The index
+//! hash is part of the format: [`index_hash`] pins it as SipHash-1-3 with
+//! zero keys over the query's little-endian `u64` length followed by its
+//! bytes, so snapshots written by one build keep answering lookups in
+//! every later build. Every save goes through one durable write (temporary
+//! file, `fsync`, rename, directory `fsync`), so a crash never leaves a
+//! torn snapshot.
 //!
-//! # Ops note: cache sizing and eviction
+//! # Legacy text import (`glade-cache v1`–`v3`)
 //!
-//! A cache entry costs its query bytes plus map overhead, and the engine's
-//! in-memory tier ([`GladeBuilder::max_cache_entries`](crate::GladeBuilder::max_cache_entries))
-//! can cap residency for long-lived campaigns. Trade-offs to size by:
+//! Earlier builds wrote a line-oriented text format. It is read, never
+//! written: every load path ([`CacheSnapshot::load`],
+//! [`Session::import_cache`](crate::Session::import_cache)) sniffs the
+//! magic ([`is_binary_snapshot`]) and hands text to the one streaming
+//! importer, [`snapshot_from_reader`]. So every text snapshot already on
+//! disk still warm-starts, and the next save rewrites it as binary
+//! (`glade cache convert` does the same offline).
 //!
-//! * **Uncapped** (the default) never re-pays a query but holds every
-//!   distinct query string for the session's lifetime. Right for
-//!   single-campaign runs and anything below ~10⁶ entries.
-//! * **Capped** bounds key-byte residency with second-chance eviction; an
-//!   evicted entry re-queried later re-pays one oracle call with an
-//!   identical verdict, so grammars and `unique_queries` are unchanged —
-//!   only oracle traffic can grow. An 8-byte-per-distinct-query ledger
-//!   remains so `unique_queries` stays exact under eviction.
-//! * **Point lookups** ([`BinaryCacheFile`]) answer single queries from
-//!   a binary snapshot on disk without loading it (`glade cache inspect`
-//!   reads only its header). Sessions always load a snapshot in full
-//!   ([`Session::load_cache`](crate::Session::load_cache)).
+//! ```text
+//! glade-cache v3
+//! oracle 70726f636573733a786d6c6c696e74
+//! m 00112233445566778899aabbccddeeff 68,69
+//! q 1 3c613e68693c2f613e
+//! q 0 3c613e3c2f613e
+//! ```
+//!
+//! Each `q` line is one cached verdict: `1`/`0` for accept/reject followed
+//! by the query bytes hex-encoded. The `oracle` directive (v2 and v3)
+//! carries the fingerprint as hex-encoded UTF-8. Each `m` line (v3 only)
+//! carries a 128-bit [`memo key`](crate::MemoEntry) as 32 hex digits, then
+//! the learned per-position byte classes as a comma-separated list of
+//! hex-encoded member-byte sets. Blank lines and `#` comments are skipped.
 
 use glade_grammar::CharClass;
-use std::fmt::Write as _;
 use std::io::{BufRead, Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Errors from loading a cache snapshot.
 ///
@@ -242,11 +208,6 @@ impl SnapshotEntries {
     pub fn to_vec(&self) -> Vec<(Vec<u8>, bool)> {
         self.iter().map(|(q, v)| (q.to_vec(), v)).collect()
     }
-
-    /// Consumes the entries into owned `(query, verdict)` pairs.
-    pub fn into_vec(self) -> Vec<(Vec<u8>, bool)> {
-        self.to_vec()
-    }
 }
 
 impl From<Vec<(Vec<u8>, bool)>> for SnapshotEntries {
@@ -326,186 +287,90 @@ pub struct MemoEntry {
     pub classes: Vec<CharClass>,
 }
 
-fn push_hex(out: &mut String, bytes: &[u8]) {
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
+impl CacheSnapshot {
+    /// Reads the snapshot file at `path`, sniffing the format from its
+    /// magic: a `glade-cachebin v1` snapshot takes the binary decoder,
+    /// anything else the legacy text importer ([`snapshot_from_reader`]).
+    /// Every load path shares this sniff. The file is streamed, not
+    /// slurped: peak memory is the decoded entries, not entries plus the
+    /// raw file.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Io`] if the file cannot be read, or a format error for
+    /// a malformed snapshot.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, CacheError> {
+        CacheSnapshot::read(std::io::BufReader::new(std::fs::File::open(path)?))
     }
-}
 
-/// Serializes `(query, verdict)` entries to snapshot text, tagged with an
-/// oracle fingerprint when one is supplied.
-///
-/// With a fingerprint the `glade-cache v2` format is written (header,
-/// `oracle` directive, sorted `q` lines); without one the output is a
-/// plain v1 snapshot, readable by any consumer of the original format.
-/// Entries are sorted by query bytes first, so equal caches serialize to
-/// byte-identical snapshots.
-pub fn snapshot_to_text(entries: &[(Vec<u8>, bool)], oracle_fingerprint: Option<&str>) -> String {
-    snapshot_to_text_with_memo(entries, &[], oracle_fingerprint)
-}
-
-/// Serializes `(query, verdict)` entries plus byte-class memo entries to
-/// snapshot text.
-///
-/// With memo entries present the `glade-cache v3` format is written
-/// (header, optional `oracle` directive, `m` lines sorted by key, `q`
-/// lines sorted by query bytes); with an empty `memo` the output is
-/// byte-identical to [`snapshot_to_text`]'s v1/v2, so memo-free sessions
-/// keep producing snapshots every historical consumer can read.
-pub fn snapshot_to_text_with_memo(
-    entries: &[(Vec<u8>, bool)],
-    memo: &[MemoEntry],
-    oracle_fingerprint: Option<&str>,
-) -> String {
-    let mut sorted: Vec<&(Vec<u8>, bool)> = entries.iter().collect();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::new();
-    match (memo.is_empty(), oracle_fingerprint) {
-        (false, fp) => {
-            out.push_str("glade-cache v3\n");
-            if let Some(fp) = fp {
-                out.push_str("oracle ");
-                push_hex(&mut out, fp.as_bytes());
-                out.push('\n');
-            }
+    /// [`CacheSnapshot::load`] from any seekable reader.
+    pub(crate) fn read(mut reader: impl BufRead + Seek) -> Result<Self, CacheError> {
+        if is_binary_snapshot(reader.fill_buf()?) {
+            snapshot_from_binary_reader(&mut reader)
+        } else {
+            snapshot_from_reader(reader)
         }
-        (true, Some(fp)) => {
-            out.push_str("glade-cache v2\n");
-            out.push_str("oracle ");
-            push_hex(&mut out, fp.as_bytes());
-            out.push('\n');
-        }
-        (true, None) => out.push_str("glade-cache v1\n"),
     }
-    let mut memo_sorted: Vec<&MemoEntry> = memo.iter().collect();
-    memo_sorted.sort_by_key(|a| a.key);
-    for entry in memo_sorted {
-        out.push_str("m ");
-        push_hex(&mut out, &entry.key);
-        out.push(' ');
-        for (i, class) in entry.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let members: Vec<u8> = class.iter().collect();
-            push_hex(&mut out, &members);
-        }
-        out.push('\n');
+
+    /// Writes the snapshot to `path` as `glade-cachebin v1`, atomically and
+    /// durably (see [`Session::save_cache`](crate::Session::save_cache)).
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Io`] if the file cannot be written.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
+        let fp = self.oracle_fingerprint.as_deref();
+        save_durable(path.as_ref(), &snapshot_to_binary(&self.entries.to_vec(), &self.memo, fp))
     }
-    for (query, verdict) in sorted {
-        let _ = write!(out, "q {} ", u8::from(*verdict));
-        push_hex(&mut out, query);
-        out.push('\n');
-    }
-    out
 }
 
-/// Serializes `(query, verdict)` entries to the v1 snapshot text (no
-/// oracle fingerprint). Equivalent to [`snapshot_to_text`] with `None`.
-pub fn cache_to_text(entries: &[(Vec<u8>, bool)]) -> String {
-    snapshot_to_text(entries, None)
-}
-
-/// Parses snapshot text (v1, v2, or v3) into a [`CacheSnapshot`].
+/// Imports a legacy text snapshot (`glade-cache` v1, v2, or v3; see the
+/// module docs) from a buffered reader, one line at a time — the file is
+/// never materialized in memory, so loading a large snapshot costs the
+/// entries alone. A final line without a newline is read as-is.
 ///
 /// # Errors
 ///
-/// Returns a [`CacheError`] describing the first malformed line. (Oracle
-/// fingerprints are parsed, never *checked*, here — matching is the
-/// loading session's policy, see
-/// [`Session::import_cache`](crate::Session::import_cache).)
-pub fn snapshot_from_text(text: &str) -> Result<CacheSnapshot, CacheError> {
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err(CacheError::BadHeader);
-    };
-    let mut parser = TextParser::new(header)?;
-    for (lineno, raw) in lines {
-        parser.line(lineno + 1, raw)?;
-    }
-    Ok(parser.finish())
-}
-
-/// Parses snapshot text (v1, v2, or v3) from a buffered reader, one line
-/// at a time — the file is never materialized in memory, so loading a
-/// large snapshot costs the entries alone instead of ~2× their size
-/// (file text plus decoded entries). Error values — including
-/// [`CacheError::BadLine`]/[`CacheError::BadField`] line numbers and the
-/// handling of a torn final line — are identical to
-/// [`snapshot_from_text`] on the same bytes.
-///
-/// # Errors
-///
-/// Returns a [`CacheError`] describing the first malformed line, or
-/// [`CacheError::Io`] for read failures (including non-UTF-8 content,
-/// exactly as a whole-file read would report it).
+/// [`CacheError::BadHeader`] for a missing or unknown header,
+/// [`CacheError::BadLine`]/[`CacheError::BadField`] naming the first
+/// malformed line, or [`CacheError::Io`] for read failures (including
+/// non-UTF-8 content). Oracle fingerprints are parsed, never *checked*,
+/// here — matching is the loading session's policy.
 pub fn snapshot_from_reader(mut reader: impl BufRead) -> Result<CacheSnapshot, CacheError> {
-    // `str::lines` semantics, line by line: split on `\n`, strip one
-    // trailing `\r`, and surface a final line without a newline as-is.
     let mut buf = String::new();
-    let mut read_line = |buf: &mut String| -> Result<bool, CacheError> {
-        buf.clear();
-        let n = reader.read_line(buf)?;
-        if buf.ends_with('\n') {
-            buf.pop();
-            if buf.ends_with('\r') {
-                buf.pop();
-            }
-        }
-        Ok(n > 0)
-    };
-    if !read_line(&mut buf)? {
+    if reader.read_line(&mut buf)? == 0 {
         return Err(CacheError::BadHeader);
     }
-    let mut parser = TextParser::new(&buf)?;
+    let version: u8 = match buf.trim() {
+        "glade-cache v1" => 1,
+        "glade-cache v2" => 2,
+        "glade-cache v3" => 3,
+        _ => return Err(CacheError::BadHeader),
+    };
+    let mut fingerprint = None;
+    let mut entries = Vec::new();
+    let mut memo = Vec::new();
     let mut lineno = 1;
-    while read_line(&mut buf)? {
+    loop {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            break;
+        }
         lineno += 1;
-        parser.line(lineno, &buf)?;
-    }
-    Ok(parser.finish())
-}
-
-/// Shared per-line logic of [`snapshot_from_text`] and
-/// [`snapshot_from_reader`]: one parser, two line sources, so the
-/// streaming path can never drift from the in-memory path's error
-/// numbering or directive handling.
-struct TextParser {
-    version: u8,
-    fingerprint: Option<String>,
-    entries: Vec<(Vec<u8>, bool)>,
-    memo: Vec<MemoEntry>,
-}
-
-impl TextParser {
-    fn new(header: &str) -> Result<Self, CacheError> {
-        let version: u8 = match header.trim() {
-            "glade-cache v1" => 1,
-            "glade-cache v2" => 2,
-            "glade-cache v3" => 3,
-            _ => return Err(CacheError::BadHeader),
-        };
-        Ok(TextParser { version, fingerprint: None, entries: Vec::new(), memo: Vec::new() })
-    }
-
-    fn line(&mut self, lineno: usize, raw: &str) -> Result<(), CacheError> {
-        let line = raw.trim();
+        let line = buf.trim();
         if line.is_empty() || line.starts_with('#') {
-            return Ok(());
+            continue;
         }
         if let Some(hex) = line.strip_prefix("oracle ") {
             // The directive is v2+-only and at most one is meaningful.
-            if self.version < 2 || self.fingerprint.is_some() {
+            if version < 2 || fingerprint.is_some() {
                 return Err(CacheError::BadLine(lineno));
             }
             let bytes = decode_hex(hex, lineno)?;
-            self.fingerprint =
-                Some(String::from_utf8(bytes).map_err(|_| CacheError::BadField(lineno))?);
-            return Ok(());
-        }
-        if let Some(rest) = line.strip_prefix("m ") {
+            fingerprint = Some(String::from_utf8(bytes).map_err(|_| CacheError::BadField(lineno))?);
+        } else if let Some(rest) = line.strip_prefix("m ") {
             // Memo entries are v3-only.
-            if self.version < 3 {
+            if version < 3 {
                 return Err(CacheError::BadLine(lineno));
             }
             let Some((key_hex, classes_hex)) = rest.split_once(' ') else {
@@ -522,77 +387,21 @@ impl TextParser {
                 }
                 classes.push(CharClass::from_bytes(&decode_hex(class_hex, lineno)?));
             }
-            self.memo.push(MemoEntry { key, classes });
-            return Ok(());
-        }
-        let Some(rest) = line.strip_prefix("q ") else {
-            return Err(CacheError::BadLine(lineno));
-        };
-        let (verdict, hex) = match rest.split_once(' ') {
-            Some((v, h)) => (v, h),
+            memo.push(MemoEntry { key, classes });
+        } else if let Some(rest) = line.strip_prefix("q ") {
             // An empty query has no hex field ("q 1").
-            None => (rest, ""),
-        };
-        let verdict = match verdict {
-            "0" => false,
-            "1" => true,
-            _ => return Err(CacheError::BadField(lineno)),
-        };
-        self.entries.push((decode_hex(hex, lineno)?, verdict));
-        Ok(())
-    }
-
-    fn finish(self) -> CacheSnapshot {
-        CacheSnapshot {
-            oracle_fingerprint: self.fingerprint,
-            entries: self.entries.into(),
-            memo: self.memo,
+            let (verdict, hex) = rest.split_once(' ').unwrap_or((rest, ""));
+            let verdict = match verdict {
+                "0" => false,
+                "1" => true,
+                _ => return Err(CacheError::BadField(lineno)),
+            };
+            entries.push((decode_hex(hex, lineno)?, verdict));
+        } else {
+            return Err(CacheError::BadLine(lineno));
         }
     }
-}
-
-/// Parses snapshot text (v1, v2, or v3) back into `(query, verdict)`
-/// entries, discarding any oracle fingerprint and memo entries.
-///
-/// # Errors
-///
-/// Returns a [`CacheError`] describing the first malformed line.
-pub fn cache_from_text(text: &str) -> Result<Vec<(Vec<u8>, bool)>, CacheError> {
-    snapshot_from_text(text).map(|s| s.entries.into_vec())
-}
-
-/// On-disk cache snapshot format selector (see the module docs for both
-/// layouts). Load paths sniff the format from the file itself
-/// ([`is_binary_snapshot`]); this enum picks the format on *save*.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CacheFormat {
-    /// Line-oriented `glade-cache v1`–`v3` text: grep-able, diff-able,
-    /// and readable by every historical consumer. The default.
-    #[default]
-    Text,
-    /// Indexed `glade-cachebin v1`: compact, fast to load, and partially
-    /// loadable through [`BinaryCacheFile`].
-    Binary,
-}
-
-impl CacheFormat {
-    /// Parses the CLI/env spelling: `text`, or `binary`/`bin`.
-    pub fn parse(s: &str) -> Option<CacheFormat> {
-        match s {
-            "text" => Some(CacheFormat::Text),
-            "binary" | "bin" => Some(CacheFormat::Binary),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for CacheFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CacheFormat::Text => "text",
-            CacheFormat::Binary => "binary",
-        })
-    }
+    Ok(CacheSnapshot { oracle_fingerprint: fingerprint, entries: entries.into(), memo })
 }
 
 /// Magic prefix of a `glade-cachebin v1` snapshot. Deliberately *not* a
@@ -664,8 +473,8 @@ pub(crate) fn index_hash(query: &[u8]) -> u64 {
     v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
-/// Whether `prefix` begins a `glade-cachebin v1` snapshot. Callers sniff
-/// the first [`BufRead::fill_buf`] of a snapshot file to route between
+/// Whether `prefix` begins a `glade-cachebin v1` snapshot — the sniff
+/// [`CacheSnapshot::load`] applies to route between
 /// [`snapshot_from_binary_reader`] and [`snapshot_from_reader`].
 pub fn is_binary_snapshot(prefix: &[u8]) -> bool {
     prefix.len() >= BINARY_MAGIC.len() && &prefix[..BINARY_MAGIC.len()] == BINARY_MAGIC
@@ -675,8 +484,8 @@ pub fn is_binary_snapshot(prefix: &[u8]) -> bool {
 /// to a `glade-cachebin v1` snapshot (layout table in the module docs).
 ///
 /// Entries are sorted by query bytes and the index by (hash, offset), so
-/// — like [`snapshot_to_text_with_memo`] — equal caches serialize to
-/// byte-identical snapshots regardless of insertion order.
+/// equal caches serialize to byte-identical snapshots regardless of
+/// insertion order.
 pub fn snapshot_to_binary(
     entries: &[(Vec<u8>, bool)],
     memo: &[MemoEntry],
@@ -1121,6 +930,18 @@ pub(crate) fn write_durable(path: &Path, tmp: &Path, bytes: &[u8]) -> std::io::R
     fsync_dir_of(path)
 }
 
+/// Durably replaces the snapshot at `path` with `bytes` (see
+/// [`write_durable`]) — the one write path of every snapshot save. The
+/// temporary sibling is unique to this process and call, so concurrent
+/// saves to one path (two CLI runs, two daemon campaigns of one oracle)
+/// never write into one shared temporary file: the last rename wins whole.
+pub(crate) fn save_durable(path: &Path, bytes: &[u8]) -> Result<(), CacheError> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}-{}.tmp", std::process::id(), SAVES.fetch_add(1, Ordering::Relaxed)));
+    Ok(write_durable(path, Path::new(&tmp), bytes)?)
+}
+
 /// Fsyncs the directory containing `path` (best effort on platforms or
 /// filesystems where directories cannot be opened for sync).
 pub(crate) fn fsync_dir_of(path: &Path) -> std::io::Result<()> {
@@ -1155,8 +976,52 @@ fn decode_hex(hex: &str, lineno: usize) -> Result<Vec<u8>, CacheError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::fmt::Write as _;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Encodes a legacy text snapshot, exactly as earlier builds wrote it:
+    /// `glade-cache v3` when memo entries are present, else `v2` with a
+    /// fingerprint, else `v1`; memo lines sorted by key, then query lines
+    /// sorted by query bytes. Fixtures for the read-only importer.
+    pub(crate) fn text_snapshot(
+        entries: &[(Vec<u8>, bool)],
+        memo: &[MemoEntry],
+        fingerprint: Option<&str>,
+    ) -> String {
+        let version = if !memo.is_empty() {
+            3
+        } else if fingerprint.is_some() {
+            2
+        } else {
+            1
+        };
+        let mut out = format!("glade-cache v{version}\n");
+        if let Some(fp) = fingerprint {
+            let _ = writeln!(out, "oracle {}", hex(fp.as_bytes()));
+        }
+        let mut memo: Vec<&MemoEntry> = memo.iter().collect();
+        memo.sort_by_key(|m| m.key);
+        for entry in memo {
+            let classes: Vec<String> =
+                entry.classes.iter().map(|c| hex(&c.iter().collect::<Vec<u8>>())).collect();
+            let _ = writeln!(out, "m {} {}", hex(&entry.key), classes.join(","));
+        }
+        let mut entries: Vec<&(Vec<u8>, bool)> = entries.iter().collect();
+        entries.sort();
+        for (query, verdict) in entries {
+            let _ = writeln!(out, "q {} {}", u8::from(*verdict), hex(query));
+        }
+        out
+    }
+
+    fn parse(text: &str) -> Result<CacheSnapshot, CacheError> {
+        snapshot_from_reader(text.as_bytes())
+    }
 
     #[test]
     fn index_hash_golden_vectors() {
@@ -1199,111 +1064,92 @@ mod tests {
             (b"<a>".to_vec(), false),
             (vec![0x00, 0xff, 0x0a], false),
         ];
-        let text = cache_to_text(&entries);
-        let mut parsed = cache_from_text(&text).expect("roundtrip parses");
-        parsed.sort();
         let mut expected = entries.clone();
         expected.sort();
-        assert_eq!(parsed, expected);
+        let parsed = parse(&text_snapshot(&entries, &[], None)).expect("roundtrip parses");
+        assert_eq!(parsed.entries, expected);
+        let bin = snapshot_from_binary(&snapshot_to_binary(&entries, &[], None)).unwrap();
+        assert_eq!(bin.entries, expected);
     }
 
     #[test]
     fn snapshot_is_sorted_and_stable() {
         let a = vec![(b"bb".to_vec(), true), (b"aa".to_vec(), false)];
         let b = vec![(b"aa".to_vec(), false), (b"bb".to_vec(), true)];
-        let ta = cache_to_text(&a);
-        assert_eq!(ta, cache_to_text(&b), "insertion order must not matter");
-        assert_eq!(ta, "glade-cache v1\nq 0 6161\nq 1 6262\n");
-        // Idempotent through a second roundtrip.
-        let reparsed = cache_from_text(&ta).unwrap();
-        assert_eq!(cache_to_text(&reparsed), ta);
+        let bin = snapshot_to_binary(&a, &[], None);
+        assert_eq!(bin, snapshot_to_binary(&b, &[], None), "insertion order must not matter");
+        // Idempotent through a second roundtrip, and equal to the import of
+        // the same cache written as text.
+        let reparsed = snapshot_from_binary(&bin).unwrap();
+        assert_eq!(reparsed.entries, b);
+        assert_eq!(snapshot_to_binary(&reparsed.entries.to_vec(), &[], None), bin);
+        assert_eq!(parse("glade-cache v1\nq 0 6161\nq 1 6262\n").unwrap(), reparsed);
     }
 
     #[test]
     fn fingerprinted_snapshot_roundtrips_as_v2() {
         let entries = vec![(b"a".to_vec(), true)];
-        let text = snapshot_to_text(&entries, Some("process:xmllint"));
+        let text = text_snapshot(&entries, &[], Some("process:xmllint"));
         assert!(text.starts_with("glade-cache v2\noracle "), "{text}");
-        let snap = snapshot_from_text(&text).unwrap();
+        let snap = parse(&text).unwrap();
         assert_eq!(snap.oracle_fingerprint.as_deref(), Some("process:xmllint"));
         assert_eq!(snap.entries, entries);
-        // Byte-stable through a rewrite.
-        assert_eq!(
-            snapshot_to_text(&snap.entries.to_vec(), snap.oracle_fingerprint.as_deref()),
-            text
-        );
+        // A binary rewrite keeps the fingerprint.
+        let bin =
+            snapshot_to_binary(&snap.entries.to_vec(), &[], snap.oracle_fingerprint.as_deref());
+        assert_eq!(snapshot_from_binary(&bin).unwrap(), snap);
     }
 
     #[test]
     fn v1_snapshots_parse_with_no_fingerprint() {
-        let snap = snapshot_from_text("glade-cache v1\nq 1 61\n").unwrap();
+        let snap = parse("glade-cache v1\nq 1 61\n").unwrap();
         assert_eq!(snap.oracle_fingerprint, None);
         assert_eq!(snap.entries, vec![(b"a".to_vec(), true)]);
     }
 
     #[test]
     fn v2_without_oracle_directive_is_valid() {
-        let snap = snapshot_from_text("glade-cache v2\nq 0 62\n").unwrap();
+        let snap = parse("glade-cache v2\nq 0 62\n").unwrap();
         assert_eq!(snap.oracle_fingerprint, None);
         assert_eq!(snap.entries, vec![(b"b".to_vec(), false)]);
     }
 
     #[test]
     fn oracle_directive_rejected_in_v1_and_when_duplicated() {
+        assert!(matches!(parse("glade-cache v1\noracle 61\n"), Err(CacheError::BadLine(2))));
         assert!(matches!(
-            snapshot_from_text("glade-cache v1\noracle 61\n"),
-            Err(CacheError::BadLine(2))
-        ));
-        assert!(matches!(
-            snapshot_from_text("glade-cache v2\noracle 61\noracle 62\n"),
+            parse("glade-cache v2\noracle 61\noracle 62\n"),
             Err(CacheError::BadLine(3))
         ));
         // Malformed fingerprint hex / non-UTF-8 fingerprints error too.
-        assert!(matches!(
-            snapshot_from_text("glade-cache v2\noracle 6\n"),
-            Err(CacheError::BadField(2))
-        ));
-        assert!(matches!(
-            snapshot_from_text("glade-cache v2\noracle ff\n"),
-            Err(CacheError::BadField(2))
-        ));
+        assert!(matches!(parse("glade-cache v2\noracle 6\n"), Err(CacheError::BadField(2))));
+        assert!(matches!(parse("glade-cache v2\noracle ff\n"), Err(CacheError::BadField(2))));
     }
 
     #[test]
     fn empty_query_roundtrips() {
         let entries = vec![(Vec::new(), true)];
-        let text = cache_to_text(&entries);
-        assert_eq!(cache_from_text(&text).unwrap(), entries);
+        assert_eq!(parse(&text_snapshot(&entries, &[], None)).unwrap().entries, entries);
+        let bin = snapshot_to_binary(&entries, &[], None);
+        assert_eq!(snapshot_from_binary(&bin).unwrap().entries, entries);
     }
 
     #[test]
     fn rejects_bad_header() {
-        assert!(matches!(cache_from_text(""), Err(CacheError::BadHeader)));
-        assert!(matches!(cache_from_text("glade-cache v9\n"), Err(CacheError::BadHeader)));
+        assert!(matches!(parse(""), Err(CacheError::BadHeader)));
+        assert!(matches!(parse("glade-cache v9\n"), Err(CacheError::BadHeader)));
     }
 
     #[test]
     fn rejects_malformed_lines() {
         let base = "glade-cache v1\n";
-        assert!(matches!(
-            cache_from_text(&format!("{base}verdict 1 61\n")),
-            Err(CacheError::BadLine(2))
-        ));
-        assert!(matches!(
-            cache_from_text(&format!("{base}q 2 61\n")),
-            Err(CacheError::BadField(2))
-        ));
-        assert!(matches!(cache_from_text(&format!("{base}q 1 6\n")), Err(CacheError::BadField(2))));
-        assert!(matches!(
-            cache_from_text(&format!("{base}q 1 zz\n")),
-            Err(CacheError::BadField(2))
-        ));
+        assert!(matches!(parse(&format!("{base}verdict 1 61\n")), Err(CacheError::BadLine(2))));
+        assert!(matches!(parse(&format!("{base}q 2 61\n")), Err(CacheError::BadField(2))));
+        assert!(matches!(parse(&format!("{base}q 1 6\n")), Err(CacheError::BadField(2))));
+        assert!(matches!(parse(&format!("{base}q 1 zz\n")), Err(CacheError::BadField(2))));
         // Multi-byte UTF-8 in the hex field must error, not panic (the
         // even-length guard alone would let `aéa` through to str slicing).
-        assert!(matches!(
-            cache_from_text(&format!("{base}q 1 aéa\n")),
-            Err(CacheError::BadField(2))
-        ));
+        assert!(matches!(parse(&format!("{base}q 1 aéa\n")), Err(CacheError::BadField(2))));
     }
 
     #[test]
@@ -1316,9 +1162,9 @@ mod tests {
                 classes: vec![CharClass::single(b'x'), CharClass::from_bytes(b"yz")],
             },
         ];
-        let text = snapshot_to_text_with_memo(&entries, &memo, Some("target:toy"));
+        let text = text_snapshot(&entries, &memo, Some("target:toy"));
         assert!(text.starts_with("glade-cache v3\noracle "), "{text}");
-        let snap = snapshot_from_text(&text).unwrap();
+        let snap = parse(&text).unwrap();
         assert_eq!(snap.oracle_fingerprint.as_deref(), Some("target:toy"));
         assert_eq!(snap.entries, entries);
         // Entries come back sorted by key.
@@ -1328,57 +1174,49 @@ mod tests {
         assert!(snap.memo[0].classes[1].contains(b'y'));
         assert_eq!(snap.memo[1].key, [0xab; 16]);
         assert!(snap.memo[1].classes[0].contains(b'h'));
-        // Byte-stable through a rewrite.
-        assert_eq!(
-            snapshot_to_text_with_memo(&snap.entries.to_vec(), &snap.memo, Some("target:toy")),
-            text
-        );
         // No fingerprint: still v3 when memo entries exist.
-        let untagged = snapshot_to_text_with_memo(&entries, &memo, None);
+        let untagged = text_snapshot(&entries, &memo, None);
         assert!(untagged.starts_with("glade-cache v3\nm "), "{untagged}");
-        assert!(snapshot_from_text(&untagged).unwrap().oracle_fingerprint.is_none());
+        assert!(parse(&untagged).unwrap().oracle_fingerprint.is_none());
     }
 
     #[test]
     fn empty_memo_keeps_historical_formats_byte_identical() {
+        // Pre-memo (v1/v2) snapshots import with an empty memo table, and
+        // their binary rewrite is byte-identical to encoding the same
+        // cache directly.
         let entries = vec![(b"aa".to_vec(), false), (b"bb".to_vec(), true)];
-        assert_eq!(
-            snapshot_to_text_with_memo(&entries, &[], None),
-            snapshot_to_text(&entries, None)
-        );
-        assert_eq!(
-            snapshot_to_text_with_memo(&entries, &[], Some("fp")),
-            snapshot_to_text(&entries, Some("fp"))
-        );
-        // And pre-memo snapshots parse with an empty memo table.
-        let snap = snapshot_from_text("glade-cache v2\nq 1 61\n").unwrap();
-        assert!(snap.memo.is_empty());
+        for fp in [None, Some("fp")] {
+            let snap = parse(&text_snapshot(&entries, &[], fp)).unwrap();
+            assert!(snap.memo.is_empty());
+            assert_eq!(
+                snapshot_to_binary(&snap.entries.to_vec(), &snap.memo, fp),
+                snapshot_to_binary(&entries, &[], fp)
+            );
+        }
     }
 
     #[test]
     fn memo_directive_rejected_below_v3_and_when_malformed() {
         assert!(matches!(
-            snapshot_from_text("glade-cache v2\nm 000102030405060708090a0b0c0d0e0f 61\n"),
+            parse("glade-cache v2\nm 000102030405060708090a0b0c0d0e0f 61\n"),
             Err(CacheError::BadLine(2))
         ));
         // Missing classes field.
         assert!(matches!(
-            snapshot_from_text("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f\n"),
+            parse("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f\n"),
             Err(CacheError::BadField(2))
         ));
         // Key of the wrong width.
-        assert!(matches!(
-            snapshot_from_text("glade-cache v3\nm 0001 61\n"),
-            Err(CacheError::BadField(2))
-        ));
+        assert!(matches!(parse("glade-cache v3\nm 0001 61\n"), Err(CacheError::BadField(2))));
         // Empty class member set.
         assert!(matches!(
-            snapshot_from_text("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f 61,,62\n"),
+            parse("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f 61,,62\n"),
             Err(CacheError::BadField(2))
         ));
         // Bad class hex.
         assert!(matches!(
-            snapshot_from_text("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f zz\n"),
+            parse("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f zz\n"),
             Err(CacheError::BadField(2))
         ));
     }
@@ -1386,7 +1224,7 @@ mod tests {
     #[test]
     fn comments_and_blanks_are_ignored() {
         let text = "glade-cache v1\n# warm-start for toy-xml\n\nq 1 61\n";
-        assert_eq!(cache_from_text(text).unwrap(), vec![(b"a".to_vec(), true)]);
+        assert_eq!(parse(text).unwrap().entries, vec![(b"a".to_vec(), true)]);
     }
 
     #[test]
@@ -1408,47 +1246,41 @@ mod tests {
 
     #[test]
     fn reader_parse_matches_text_parse() {
-        // "oracle" carries the fingerprint hex-encoded ("74" = "t").
+        // The sniffing load path hands text to the one importer unchanged.
+        // ("oracle" carries the fingerprint hex-encoded: "74" = "t".)
+        let read = |text: &str| CacheSnapshot::read(std::io::Cursor::new(text.as_bytes()));
         let text = "glade-cache v3\noracle 74\n# comment\n\nq 1 61\nq 0 6262\n\
                     m 000102030405060708090a0b0c0d0e0f 6162,63\n";
-        let from_text = snapshot_from_text(text).unwrap();
-        let from_reader = snapshot_from_reader(std::io::Cursor::new(text.as_bytes())).unwrap();
-        assert_eq!(from_text, from_reader);
-        // Torn tail (no trailing newline) parses identically too.
-        let torn = "glade-cache v1\nq 1 61\nq 0 62";
-        assert_eq!(
-            snapshot_from_text(torn).unwrap(),
-            snapshot_from_reader(std::io::Cursor::new(torn.as_bytes())).unwrap()
-        );
-        // CRLF line endings are tolerated the same way `str::lines` does.
-        let crlf = "glade-cache v1\r\nq 1 61\r\n";
-        assert_eq!(
-            snapshot_from_text(crlf).unwrap().entries,
-            snapshot_from_reader(std::io::Cursor::new(crlf.as_bytes())).unwrap().entries
-        );
+        let snap = read(text).unwrap();
+        assert_eq!(snap, parse(text).unwrap());
+        assert_eq!(snap.oracle_fingerprint.as_deref(), Some("t"));
+        assert_eq!(snap.entries, vec![(b"a".to_vec(), true), (b"bb".to_vec(), false)]);
+        assert_eq!(snap.memo.len(), 1);
+        // A torn tail (no trailing newline) and CRLF line endings import
+        // like their tidy equivalents.
+        let tidy = parse("glade-cache v1\nq 1 61\nq 0 62\n").unwrap();
+        assert_eq!(read("glade-cache v1\nq 1 61\nq 0 62").unwrap(), tidy);
+        assert_eq!(read("glade-cache v1\r\nq 1 61\r\nq 0 62\r\n").unwrap(), tidy);
+        // And binary bytes take the binary decoder.
+        let bin = snapshot_to_binary(&tidy.entries.to_vec(), &[], None);
+        assert_eq!(CacheSnapshot::read(std::io::Cursor::new(&bin[..])).unwrap(), tidy);
     }
 
     #[test]
     fn reader_parse_preserves_error_line_numbers() {
-        for (text, want_text, want_reader) in [
-            ("nope\n", "BadHeader", "BadHeader"),
-            ("glade-cache v1\nbogus\n", "BadLine(2)", "BadLine(2)"),
-            ("glade-cache v1\nq 9 61\n", "BadField(2)", "BadField(2)"),
-            ("glade-cache v2\noracle 74\nq 1 zz\n", "BadField(3)", "BadField(3)"),
-            ("glade-cache v2\noracle zz\n", "BadField(2)", "BadField(2)"),
+        for (text, want) in [
+            ("nope\n", "BadHeader"),
+            ("glade-cache v1\nbogus\n", "BadLine(2)"),
+            ("glade-cache v1\nq 9 61\n", "BadField(2)"),
+            ("glade-cache v2\noracle 74\nq 1 zz\n", "BadField(3)"),
+            ("glade-cache v2\noracle zz\n", "BadField(2)"),
+            ("glade-cache v1\n# note\n\nq 1 6\n", "BadField(4)"),
         ] {
-            let a = snapshot_from_text(text).unwrap_err();
-            let b = snapshot_from_reader(std::io::Cursor::new(text.as_bytes())).unwrap_err();
-            assert_eq!(format!("{a:?}"), want_text, "{text:?}");
-            assert_eq!(format!("{b:?}"), want_reader, "{text:?}");
+            assert_eq!(format!("{:?}", parse(text).unwrap_err()), want, "{text:?}");
         }
-        // Invalid UTF-8 surfaces as an I/O error from the reader path,
-        // mirroring what `read_to_string` + `snapshot_from_text` produced.
+        // Invalid UTF-8 surfaces as an I/O error.
         let bad = b"glade-cache v1\nq 1 61\n\xff\xfe\n";
-        assert!(matches!(
-            snapshot_from_reader(std::io::Cursor::new(&bad[..])).unwrap_err(),
-            CacheError::Io(_)
-        ));
+        assert!(matches!(snapshot_from_reader(&bad[..]).unwrap_err(), CacheError::Io(_)));
     }
 
     fn sample_memo() -> Vec<MemoEntry> {
@@ -1505,7 +1337,7 @@ mod tests {
     #[test]
     fn format_sniffing_and_cross_feeding() {
         let bin = snapshot_to_binary(&[(b"a".to_vec(), true)], &[], None);
-        let text = snapshot_to_text(&[(b"a".to_vec(), true)], None);
+        let text = text_snapshot(&[(b"a".to_vec(), true)], &[], None);
         assert!(is_binary_snapshot(&bin));
         assert!(!is_binary_snapshot(text.as_bytes()));
         assert!(!is_binary_snapshot(b"glade-cachebin v"));
@@ -1515,7 +1347,7 @@ mod tests {
             CacheError::BadHeader | CacheError::Corrupt { .. }
         ));
         let as_text = String::from_utf8_lossy(&bin);
-        assert!(matches!(snapshot_from_text(&as_text).unwrap_err(), CacheError::BadHeader));
+        assert!(matches!(parse(&as_text).unwrap_err(), CacheError::BadHeader));
     }
 
     #[test]
@@ -1523,14 +1355,14 @@ mod tests {
         let entries =
             vec![(b"<a>x</a>".to_vec(), true), (b"!".to_vec(), false), (b"".to_vec(), true)];
         let memo = sample_memo();
-        let text = snapshot_to_text_with_memo(&entries, &memo, Some("t"));
+        let text = text_snapshot(&entries, &memo, Some("t"));
         let bin = snapshot_to_binary(&entries, &memo, Some("t"));
-        let a = snapshot_from_text(&text).unwrap();
+        let a = parse(&text).unwrap();
         let b = snapshot_from_binary(&bin).unwrap();
         assert_eq!(a.oracle_fingerprint, b.oracle_fingerprint);
-        let mut ae = a.entries.into_vec();
+        let mut ae = a.entries.to_vec();
         ae.sort();
-        let mut be = b.entries.into_vec();
+        let mut be = b.entries.to_vec();
         be.sort();
         assert_eq!(ae, be);
         let mut am = a.memo;
@@ -1635,13 +1467,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_format_parses_and_displays() {
-        assert_eq!(CacheFormat::parse("text"), Some(CacheFormat::Text));
-        assert_eq!(CacheFormat::parse("binary"), Some(CacheFormat::Binary));
-        assert_eq!(CacheFormat::parse("bin"), Some(CacheFormat::Binary));
-        assert_eq!(CacheFormat::parse("hex"), None);
-        assert_eq!(CacheFormat::Text.to_string(), "text");
-        assert_eq!(CacheFormat::Binary.to_string(), "binary");
-        assert_eq!(CacheFormat::default(), CacheFormat::Text);
+    fn save_writes_binary_that_load_reads_back() {
+        let snap = CacheSnapshot {
+            oracle_fingerprint: Some("fp".into()),
+            entries: vec![(b"x".to_vec(), true), (b"y".to_vec(), false)].into(),
+            memo: sample_memo(),
+        };
+        let path = write_temp("save.glade-cache", b"stale");
+        snap.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(is_binary_snapshot(&bytes));
+        let mut memo = snap.memo.clone();
+        memo.sort_by_key(|m| m.key);
+        assert_eq!(CacheSnapshot::load(&path).unwrap(), CacheSnapshot { memo, ..snap });
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -141,7 +141,7 @@ impl<'t> StagedMerge<'t> {
     /// session cache as far as possible, then poses at most one check.
     /// Returns the number of distinct checks planned (pose them through
     /// [`StagedMerge::keys_mut`]); zero means every pair is resolved.
-    pub fn plan_wave(&mut self, cache: &mut CacheEntries) -> usize {
+    pub fn plan_wave(&mut self, cache: &CacheEntries) -> usize {
         debug_assert!(self.keys.len() == 0, "previous wave not folded");
         for idx in 0..self.pairs.len() {
             loop {
@@ -379,7 +379,7 @@ mod tests {
         cache: &QueryCache,
     ) -> MergeOutcome {
         let mut staged = StagedMerge::new(trees, num_stars);
-        while staged.plan_wave(&mut cache.lock()) > 0 {
+        while staged.plan_wave(&cache.lock()) > 0 {
             let verdicts = runner.pose(&mut [staged.keys_mut()]);
             staged.fold_wave(&verdicts);
         }

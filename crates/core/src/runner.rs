@@ -425,7 +425,7 @@ impl<'s> QueryRunner<'s> {
             let mut results = vec![false; checks.len()];
             let mut cached = 0;
             {
-                let mut cache = self.cache.lock();
+                let cache = self.cache.lock();
                 for (i, spec) in checks.iter().enumerate() {
                     let h = scratch.keys.stage(|buf| spec.write_into(buf));
                     match cache.get_hashed(h, scratch.keys.staged()) {
@@ -484,7 +484,7 @@ impl<'s> QueryRunner<'s> {
     fn any_slot_cached(&self, sets: &[&mut KeySet]) -> bool {
         let cache = self.cache.lock();
         sets.iter()
-            .any(|set| (0..set.len()).any(|s| cache.contains_hashed(set.hash(s), set.key(s))))
+            .any(|set| (0..set.len()).any(|s| cache.get_hashed(set.hash(s), set.key(s)).is_some()))
     }
 
     /// [`QueryRunner::pose`] into `buf.verdicts`. `checks` is the number

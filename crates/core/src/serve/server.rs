@@ -16,7 +16,6 @@ use super::protocol::{
 use super::scheduler::ScheduledOracle;
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::oracle::{sys, Oracle};
-use crate::persist::CacheFormat;
 use crate::session::{GladeBuilder, Session};
 use crate::synth::SynthesisStats;
 use std::collections::{HashMap, VecDeque};
@@ -103,14 +102,6 @@ pub struct ServeConfig {
     /// `Some(0)` demotes every connection immediately (result-only
     /// service).
     pub max_event_buffer: Option<usize>,
-    /// On-disk format for per-campaign cache checkpoints under
-    /// [`cache_dir`](ServeConfig::cache_dir). `None` means
-    /// [`CacheFormat::Binary`] — the indexed format loads in one header
-    /// read plus on-demand record faults, which is what a daemon
-    /// checkpointing after every batch wants. Loads always sniff the
-    /// magic, so flipping the format (or pointing at a directory of old
-    /// text snapshots) never loses a warm start.
-    pub cache_format: Option<CacheFormat>,
 }
 
 /// What a campaign thread sends back to the accept loop.
@@ -379,7 +370,6 @@ struct CampaignCtx {
     req: OpenRequest,
     default_max_queries: Option<usize>,
     cache_path: Option<PathBuf>,
-    cache_format: CacheFormat,
     cancel: CancelToken,
     out: mpsc::Sender<(u64, Outbound)>,
     wake: WakeHandle,
@@ -394,17 +384,6 @@ struct CampaignCtx {
     /// recorded, when the checkpoint covered every journaled batch — used
     /// purely as a post-replay consistency check.
     replay_expect_unique: Option<usize>,
-}
-
-fn save_cache_atomic(session: &Session<'_>, path: &Path, campaign: u32, format: CacheFormat) {
-    let bytes = match format {
-        CacheFormat::Text => session.export_cache().into_bytes(),
-        CacheFormat::Binary => session.export_cache_binary(),
-    };
-    let tmp = path.with_extension(format!("tmp{campaign}"));
-    if let Err(e) = crate::persist::write_durable(path, &tmp, &bytes) {
-        eprintln!("glade serve: campaign {campaign}: cache save failed: {e}");
-    }
 }
 
 /// Appends one journal record, downgrading failures to a warning: a
@@ -547,8 +526,9 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
     let mut run_batch = |session: &mut Session<'_>, seeds: &[Vec<u8>]| {
         let outcome = match session.add_seeds(seeds) {
             Ok(result) => {
-                if let Some(path) = &ctx.cache_path {
-                    save_cache_atomic(session, path, ctx.campaign_id, ctx.cache_format);
+                // A failed save costs warm starts, not the campaign.
+                if let Some(Err(e)) = ctx.cache_path.as_ref().map(|path| session.save_cache(path)) {
+                    eprintln!("glade serve: campaign {}: cache save failed: {e}", ctx.campaign_id);
                 }
                 journal_append(&ctx.journal, ctx.campaign_id, |j| {
                     j.append_checkpoint(ctx.campaign_id, batch_index, result.stats.unique_queries)
@@ -741,7 +721,6 @@ impl Server {
             req,
             default_max_queries: self.config.default_max_queries,
             cache_path,
-            cache_format: self.config.cache_format.unwrap_or(CacheFormat::Binary),
             cancel: cancel.clone(),
             out: out_tx.clone(),
             wake: wake.clone(),
@@ -1307,7 +1286,6 @@ mod tests {
             req: OpenRequest::new("test"),
             default_max_queries: None,
             cache_path: None,
-            cache_format: CacheFormat::Binary,
             cancel: CancelToken::new(),
             out,
             wake: wake.clone(),

@@ -40,11 +40,7 @@ use crate::cache::{hash_query, QueryCache};
 use crate::chargen::{apply_staged_classes, StagedChargen};
 use crate::events::{CancelToken, SynthEvent, SynthPhase, SynthesisObserver};
 use crate::memo::ByteClassMemo;
-use crate::persist::{
-    is_binary_snapshot, snapshot_from_binary_reader, snapshot_from_reader, snapshot_from_text,
-    snapshot_to_binary, snapshot_to_text_with_memo, CacheError, CacheFormat, CacheSnapshot,
-    MemoEntry,
-};
+use crate::persist::{save_durable, snapshot_to_binary, CacheError, CacheSnapshot, MemoEntry};
 use crate::phase1::Phase1;
 use crate::phase2::StagedMerge;
 use crate::runner::{QueryRunner, RunnerOptions};
@@ -52,9 +48,8 @@ use crate::synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};
 use crate::tree::{trees_to_grammar, Node, UnionFind};
 use crate::Oracle;
 use glade_grammar::Regex;
-use std::io::BufRead;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fluent configuration for the session API.
@@ -88,9 +83,6 @@ pub struct GladeBuilder {
     /// Oracle identity written into (and checked against) persisted cache
     /// snapshots; see [`GladeBuilder::oracle_fingerprint`].
     fingerprint: Option<String>,
-    /// Resident-entry cap for the session cache; see
-    /// [`GladeBuilder::max_cache_entries`].
-    max_cache_entries: Option<usize>,
 }
 
 impl std::fmt::Debug for GladeBuilder {
@@ -100,7 +92,6 @@ impl std::fmt::Debug for GladeBuilder {
             .field("observer", &self.observer.as_ref().map(|_| "dyn SynthesisObserver"))
             .field("cancel", &self.cancel)
             .field("fingerprint", &self.fingerprint)
-            .field("max_cache_entries", &self.max_cache_entries)
             .finish()
     }
 }
@@ -220,10 +211,10 @@ impl GladeBuilder {
     /// Declares the identity of the oracle this session will query, for
     /// persisted cache snapshots. Cached verdicts are facts about one
     /// target: with a fingerprint installed, [`Session::save_cache`] tags
-    /// snapshots with it (`glade-cache v2`) and [`Session::load_cache`]
-    /// **rejects** snapshots tagged with a different fingerprint
-    /// ([`CacheError::OracleMismatch`]) instead of silently replaying stale
-    /// verdicts. Untagged (v1) snapshots still load.
+    /// snapshots with it and [`Session::load_cache`] **rejects** snapshots
+    /// tagged with a different fingerprint ([`CacheError::OracleMismatch`])
+    /// instead of silently replaying stale verdicts. Untagged snapshots
+    /// still load.
     ///
     /// Use [`ProcessOracle::fingerprint`](crate::ProcessOracle::fingerprint)
     /// / [`PooledProcessOracle::fingerprint`](crate::PooledProcessOracle::fingerprint)
@@ -231,20 +222,6 @@ impl GladeBuilder {
     /// in-process oracles.
     pub fn oracle_fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
         self.fingerprint = Some(fingerprint.into());
-        self
-    }
-
-    /// Caps the session cache's *resident* entries at `limit`, evicting
-    /// with a second-chance sweep once the cache is full (see the
-    /// `persist.rs` ops note for sizing guidance). For long-lived serve
-    /// campaigns whose cache would otherwise grow without bound: eviction
-    /// may make the session re-pay an oracle query it once knew, but the
-    /// oracle is deterministic, so verdicts — and grammar bytes — never
-    /// change, and `unique_queries` accounting stays exact (distinct keys
-    /// are counted by a ledger that survives eviction). Unbounded by
-    /// default.
-    pub fn max_cache_entries(mut self, limit: usize) -> Self {
-        self.max_cache_entries = Some(limit);
         self
     }
 
@@ -262,8 +239,8 @@ impl GladeBuilder {
             observer: self.observer,
             cancel: self.cancel.unwrap_or_default(),
             fingerprint: self.fingerprint,
-            cache: QueryCache::with_max_entries(self.max_cache_entries),
-            memo: Mutex::new(ByteClassMemo::new()),
+            cache: QueryCache::new(),
+            memo: ByteClassMemo::new(),
             trees: Vec::new(),
             chargen_done: 0,
             combined: None,
@@ -323,9 +300,8 @@ pub struct Session<'o> {
     /// Session-lifetime membership-query cache (snapshot-able).
     cache: QueryCache,
     /// Session-lifetime byte-class memo table (snapshot-able alongside the
-    /// cache; see `memo.rs`). Behind a mutex so [`Session::import_cache`]
-    /// — which takes `&self`, like the cache it feeds — can extend it.
-    memo: Mutex<ByteClassMemo>,
+    /// cache; see `memo.rs`).
+    memo: ByteClassMemo,
     /// Per-seed generalization trees, post character generalization for
     /// indices below `chargen_done`.
     trees: Vec<Node>,
@@ -372,23 +348,10 @@ impl<'o> Session<'o> {
         &self.seeds
     }
 
-    /// Distinct membership queries known so far: every distinct key ever
-    /// inserted into the cache.
+    /// Distinct membership queries known so far: every distinct key in
+    /// the cache.
     pub fn unique_queries(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Entries currently resident in the in-memory cache. Differs from
-    /// [`Session::unique_queries`] only under a
-    /// [`GladeBuilder::max_cache_entries`] cap.
-    pub fn cache_resident(&self) -> usize {
-        self.cache.resident()
-    }
-
-    /// Entries evicted by the [`GladeBuilder::max_cache_entries`] cap so
-    /// far.
-    pub fn cache_evictions(&self) -> usize {
-        self.cache.evictions()
     }
 
     /// Extends the synthesis with `seeds` and returns the full result over
@@ -518,11 +481,10 @@ impl<'o> Session<'o> {
         let t1 = Instant::now();
         let mut staged_cg = if do_chargen {
             emit(SynthEvent::PhaseStarted { phase: SynthPhase::CharGeneralization });
-            let memo = self.memo.lock().expect("memo mutex poisoned");
             Some(StagedChargen::new(
                 &self.trees[self.chargen_done..],
                 &self.config.char_test_bytes,
-                &memo,
+                &self.memo,
             ))
         } else {
             None
@@ -541,10 +503,10 @@ impl<'o> Session<'o> {
         loop {
             // One cache lock for the whole wave's plan-time lookups.
             let (cg_n, mg_n) = {
-                let mut cache = self.cache.lock();
+                let cache = self.cache.lock();
                 (
-                    staged_cg.as_mut().map_or(0, |s| s.plan_wave(&mut cache)),
-                    staged_mg.as_mut().map_or(0, |s| s.plan_wave(&mut cache)),
+                    staged_cg.as_mut().map_or(0, |s| s.plan_wave(&cache)),
+                    staged_mg.as_mut().map_or(0, |s| s.plan_wave(&cache)),
                 )
             };
             if cg_n + mg_n == 0 {
@@ -587,9 +549,8 @@ impl<'o> Session<'o> {
             // are safe for *this* run's grammar but are not facts about the
             // language, so they must never be memoized.
             if !runner.exhausted() {
-                let mut memo = self.memo.lock().expect("memo mutex poisoned");
                 for (key, classes) in outcome.memo_inserts {
-                    memo.insert(key, classes);
+                    self.memo.insert(key, classes);
                 }
             }
             stats.chargen_time = t1.elapsed().saturating_sub(batch_total) + chargen_batch_share;
@@ -654,29 +615,10 @@ impl<'o> Session<'o> {
         Ok(Synthesis { grammar, regex, stats })
     }
 
-    /// Serializes the session's query cache — and, when non-empty, its
-    /// byte-class memo table — to snapshot text (see `persist.rs`):
-    /// `glade-cache v3` when memo entries are present, otherwise
-    /// `glade-cache v2` tagged with the session's oracle fingerprint when
-    /// one was declared through [`GladeBuilder::oracle_fingerprint`], or
-    /// plain `glade-cache v1`. Entries are sorted, so equal sessions
-    /// produce byte-identical snapshots.
-    pub fn export_cache(&self) -> String {
-        snapshot_to_text_with_memo(
-            &self.cache.snapshot(),
-            &self.memo_entries(),
-            self.fingerprint.as_deref(),
-        )
-    }
-
-    /// Serializes the session's query cache and memo table to a
-    /// `glade-cachebin v1` binary snapshot — same contents as
-    /// [`Session::export_cache`] in the compact indexed format (see
-    /// `persist.rs`), and equally canonical: equal sessions produce
-    /// byte-identical snapshots.
-    ///
-    /// Both exports serialize the *resident* cache: entries evicted by a
-    /// [`GladeBuilder::max_cache_entries`] cap are not re-exported.
+    /// Serializes the session's query cache, byte-class memo table and
+    /// oracle fingerprint (see [`GladeBuilder::oracle_fingerprint`]) to a
+    /// `glade-cachebin v1` snapshot (see `persist.rs`). Entries are sorted,
+    /// so equal sessions produce byte-identical snapshots.
     pub fn export_cache_binary(&self) -> Vec<u8> {
         snapshot_to_binary(
             &self.cache.snapshot(),
@@ -687,57 +629,39 @@ impl<'o> Session<'o> {
 
     fn memo_entries(&self) -> Vec<MemoEntry> {
         self.memo
-            .lock()
-            .expect("memo mutex poisoned")
             .entries_sorted()
             .into_iter()
             .map(|(key, classes)| MemoEntry { key: key.to_be_bytes(), classes })
             .collect()
     }
 
-    /// Loads snapshot text (v1, v2, or v3) into the session cache,
-    /// returning the number of *query* entries read. A v3 snapshot's memo
-    /// entries load into the byte-class memo table (they are not counted),
-    /// warm-starting character generalization past whole terminals.
-    /// Existing entries keep their verdict (a snapshot from the same
-    /// deterministic oracle always agrees).
+    /// Loads snapshot bytes — a [`Session::export_cache_binary`] export,
+    /// or a legacy text snapshot (`glade-cache` v1–v3), sniffed from the
+    /// magic — into the session cache, returning the number of *query*
+    /// entries read. Memo entries load into the byte-class memo table
+    /// (they are not counted), warm-starting character generalization past
+    /// whole terminals. Existing entries keep their verdict (a snapshot
+    /// from the same deterministic oracle always agrees).
     ///
     /// # Errors
     ///
-    /// Returns a [`CacheError`] describing the first malformed line, or
-    /// [`CacheError::OracleMismatch`] — without touching the cache — when
-    /// both the session and the snapshot declare oracle fingerprints and
-    /// they differ (the verdicts are facts about a *different* target;
-    /// replaying them would silently corrupt synthesis). Untagged v1
-    /// snapshots always load.
-    pub fn import_cache(&self, text: &str) -> Result<usize, CacheError> {
-        self.import_snapshot(snapshot_from_text(text)?)
+    /// Returns a [`CacheError`] describing the first malformed line or
+    /// byte, or [`CacheError::OracleMismatch`] — without touching the
+    /// cache — when both the session and the snapshot declare oracle
+    /// fingerprints and they differ (the verdicts are facts about a
+    /// *different* target; replaying them would silently corrupt
+    /// synthesis). Untagged snapshots always load.
+    pub fn import_cache(&mut self, bytes: &[u8]) -> Result<usize, CacheError> {
+        self.import_snapshot(CacheSnapshot::read(std::io::Cursor::new(bytes))?)
     }
 
     /// Validates a parsed snapshot's fingerprint against the session's
     /// and folds its entries and memo classes in — the shared tail of
-    /// every load path (text or binary, slice or stream).
-    fn import_snapshot(&self, snapshot: CacheSnapshot) -> Result<usize, CacheError> {
-        self.check_fingerprint(snapshot.oracle_fingerprint.as_deref())?;
-        let count = snapshot.entries.len();
-        let mut cache = self.cache.lock();
-        for (query, verdict) in snapshot.entries {
-            cache.insert_hashed(hash_query(&query), query.into_boxed_slice(), verdict);
-        }
-        drop(cache);
-        if !snapshot.memo.is_empty() {
-            let mut memo = self.memo.lock().expect("memo mutex poisoned");
-            for entry in snapshot.memo {
-                memo.insert(u128::from_be_bytes(entry.key), entry.classes);
-            }
-        }
-        Ok(count)
-    }
-
-    /// [`CacheError::OracleMismatch`] when both the session and a snapshot
-    /// declare fingerprints and they differ.
-    fn check_fingerprint(&self, found: Option<&str>) -> Result<(), CacheError> {
-        if let (Some(expected), Some(found)) = (self.fingerprint.as_deref(), found) {
+    /// every load path.
+    fn import_snapshot(&mut self, snapshot: CacheSnapshot) -> Result<usize, CacheError> {
+        if let (Some(expected), Some(found)) =
+            (self.fingerprint.as_deref(), snapshot.oracle_fingerprint.as_deref())
+        {
             if expected != found {
                 return Err(CacheError::OracleMismatch {
                     snapshot: found.to_owned(),
@@ -745,67 +669,42 @@ impl<'o> Session<'o> {
                 });
             }
         }
-        Ok(())
+        let count = snapshot.entries.len();
+        let mut cache = self.cache.lock();
+        for (query, verdict) in snapshot.entries {
+            cache.insert_hashed(hash_query(&query), query.into_boxed_slice(), verdict);
+        }
+        drop(cache);
+        for entry in snapshot.memo {
+            self.memo.insert(u128::from_be_bytes(entry.key), entry.classes);
+        }
+        Ok(count)
     }
 
-    /// Writes the cache snapshot to `path`, atomically and durably: the
-    /// snapshot is written to a sibling temporary file, fsynced, renamed
-    /// over `path`, and the directory entry is fsynced — a crash or power
-    /// loss mid-save leaves either the old snapshot or the new one, never
-    /// a truncated hybrid.
+    /// Writes the cache snapshot ([`Session::export_cache_binary`]) to
+    /// `path`, atomically and durably: the snapshot is written to a
+    /// sibling temporary file, fsynced, renamed over `path`, and the
+    /// directory entry is fsynced — a crash or power loss mid-save leaves
+    /// either the old snapshot or the new one, never a truncated hybrid.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError::Io`] if the file cannot be written.
     pub fn save_cache(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
-        self.save_cache_as(path, CacheFormat::Text)
-    }
-
-    /// [`Session::save_cache`] with an explicit on-disk format: text
-    /// (`glade-cache v1`–`v3`) or binary (`glade-cachebin v1`). Both are
-    /// written with the same atomic-and-durable protocol, and
-    /// [`Session::load_cache`] reads either back by sniffing the magic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::Io`] if the file cannot be written.
-    pub fn save_cache_as(
-        &self,
-        path: impl AsRef<Path>,
-        format: CacheFormat,
-    ) -> Result<(), CacheError> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let bytes = match format {
-            CacheFormat::Text => self.export_cache().into_bytes(),
-            CacheFormat::Binary => self.export_cache_binary(),
-        };
-        crate::persist::write_durable(path, Path::new(&tmp), &bytes)?;
-        Ok(())
+        save_durable(path.as_ref(), &self.export_cache_binary())
     }
 
     /// Reads a cache snapshot from `path` into the session cache,
-    /// returning the number of entries read. The format is sniffed from
-    /// the file's magic: `glade-cachebin v1` snapshots take the binary
-    /// loader, anything else the streaming text parser (v1–v3) — so
-    /// every historical snapshot keeps loading unchanged. Either way the
-    /// file is streamed, not slurped: peak memory is the decoded entries,
-    /// not entries plus the raw file.
+    /// returning the number of entries read. The format is sniffed as in
+    /// [`Session::import_cache`], so every historical text snapshot keeps
+    /// loading; the file is streamed, not slurped.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError::Io`] if the file cannot be read, or a format
     /// error for a malformed snapshot.
-    pub fn load_cache(&self, path: impl AsRef<Path>) -> Result<usize, CacheError> {
-        let file = std::fs::File::open(path)?;
-        let mut reader = std::io::BufReader::new(file);
-        let snapshot = if is_binary_snapshot(reader.fill_buf()?) {
-            snapshot_from_binary_reader(&mut reader)?
-        } else {
-            snapshot_from_reader(reader)?
-        };
-        self.import_snapshot(snapshot)
+    pub fn load_cache(&mut self, path: impl AsRef<Path>) -> Result<usize, CacheError> {
+        self.import_snapshot(CacheSnapshot::load(path)?)
     }
 }
 
@@ -813,6 +712,7 @@ impl<'o> Session<'o> {
 mod tests {
     use super::*;
     use crate::events::EventLog;
+    use crate::persist::tests::text_snapshot;
     use crate::testing::xml_like;
     use crate::FnOracle;
     use glade_grammar::Earley;
@@ -1001,7 +901,7 @@ mod tests {
         let oracle = FnOracle::new(xml_like);
         let mut warm = GladeBuilder::new().session(&oracle);
         let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let snapshot = warm.export_cache();
+        let snapshot = warm.export_cache_binary();
 
         let counted = AtomicUsize::new(0);
         let counting_oracle = FnOracle::new(|i: &[u8]| {
@@ -1023,58 +923,70 @@ mod tests {
     #[test]
     fn import_rejects_malformed_snapshots() {
         let oracle = FnOracle::new(xml_like);
-        let session = GladeBuilder::new().session(&oracle);
-        assert!(matches!(session.import_cache("nope"), Err(CacheError::BadHeader)));
+        let mut session = GladeBuilder::new().session(&oracle);
+        assert!(matches!(session.import_cache(b"nope"), Err(CacheError::BadHeader)));
         assert!(matches!(
-            session.import_cache("glade-cache v1\nq 9 61\n"),
+            session.import_cache(b"glade-cache v1\nq 9 61\n"),
             Err(CacheError::BadField(2))
         ));
+        let mut torn = session.export_cache_binary();
+        torn.pop();
+        assert!(matches!(session.import_cache(&torn), Err(CacheError::Corrupt { .. })));
+    }
+
+    /// This session's cache as a legacy text snapshot.
+    fn legacy_text(session: &Session<'_>, memo: bool, fingerprint: Option<&str>) -> Vec<u8> {
+        let memo = if memo { session.memo_entries() } else { Vec::new() };
+        text_snapshot(&session.cache.snapshot(), &memo, fingerprint).into_bytes()
     }
 
     #[test]
     fn fingerprinted_sessions_tag_and_validate_snapshots() {
         let oracle = FnOracle::new(xml_like);
-        // No character generalization, so no memo entries: tagged
-        // snapshots keep the historical v2 format byte-for-byte.
         let mut tagged = GladeBuilder::new()
             .character_generalization(false)
             .oracle_fingerprint("target:toy-xml")
             .session(&oracle);
         tagged.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let snapshot = tagged.export_cache();
-        assert!(snapshot.starts_with("glade-cache v2\noracle "), "tagged snapshots are v2");
+        let binary = tagged.export_cache_binary();
+        let v2 = legacy_text(&tagged, false, Some("target:toy-xml"));
+        assert!(v2.starts_with(b"glade-cache v2\noracle "));
 
-        // Same fingerprint: loads.
-        let same = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
-        assert!(same.import_cache(&snapshot).unwrap() > 0);
+        for snapshot in [&binary, &v2] {
+            // Same fingerprint: loads.
+            let mut same =
+                GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
+            assert!(same.import_cache(snapshot).unwrap() > 0);
 
-        // Different fingerprint: rejected without touching the cache.
-        let other = GladeBuilder::new().oracle_fingerprint("target:lisp").session(&oracle);
-        let err = other.import_cache(&snapshot).unwrap_err();
-        assert!(
-            matches!(&err, CacheError::OracleMismatch { snapshot, expected }
-                if snapshot == "target:toy-xml" && expected == "target:lisp"),
-            "{err}"
-        );
-        assert_eq!(other.unique_queries(), 0, "rejected snapshot left no verdicts behind");
+            // Different fingerprint: rejected without touching the cache.
+            let mut other = GladeBuilder::new().oracle_fingerprint("target:lisp").session(&oracle);
+            let err = other.import_cache(snapshot).unwrap_err();
+            assert!(
+                matches!(&err, CacheError::OracleMismatch { snapshot, expected }
+                    if snapshot == "target:toy-xml" && expected == "target:lisp"),
+                "{err}"
+            );
+            assert_eq!(other.unique_queries(), 0, "rejected snapshot left no verdicts behind");
 
-        // A session without a declared fingerprint loads anything.
-        let unfingerprinted = GladeBuilder::new().session(&oracle);
-        assert!(unfingerprinted.import_cache(&snapshot).unwrap() > 0);
+            // A session without a declared fingerprint loads anything.
+            let mut unfingerprinted = GladeBuilder::new().session(&oracle);
+            assert!(unfingerprinted.import_cache(snapshot).unwrap() > 0);
+        }
 
-        // And a tagged session still accepts legacy untagged v1 snapshots.
-        let untagged = GladeBuilder::new().session(&oracle);
-        let v1 = untagged.export_cache();
-        assert!(v1.starts_with("glade-cache v1\n"));
-        let tagged2 = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
-        assert_eq!(tagged2.import_cache(&v1).unwrap(), 0);
+        // A tagged session still accepts legacy untagged v1 snapshots.
+        let v1 = legacy_text(&tagged, false, None);
+        assert!(v1.starts_with(b"glade-cache v1\n"));
+        let mut tagged2 = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
+        assert_eq!(tagged2.import_cache(&v1).unwrap(), tagged.unique_queries());
 
-        // Binary snapshots carry the tag too, and `load_cache` checks it.
+        // `save_cache` writes the tag, and `load_cache` checks it.
         let path = temp_path("fp.glade-cache");
-        tagged.save_cache_as(&path, crate::persist::CacheFormat::Binary).unwrap();
+        tagged.save_cache(&path).unwrap();
+        let mut other = GladeBuilder::new().oracle_fingerprint("target:lisp").session(&oracle);
         let err = other.load_cache(&path).unwrap_err();
         assert!(matches!(err, CacheError::OracleMismatch { .. }), "{err}");
         assert_eq!(other.unique_queries(), 0);
+        let mut same = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
         assert!(same.load_cache(&path).unwrap() > 0);
         std::fs::remove_file(&path).ok();
     }
@@ -1120,28 +1032,32 @@ mod tests {
         let oracle = FnOracle::new(xml_like);
         let mut warm = GladeBuilder::new().session(&oracle);
         let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let snapshot = warm.export_cache();
-        assert!(snapshot.starts_with("glade-cache v3\n"), "memoizing sessions export v3");
+        let binary = warm.export_cache_binary();
+        let v3 = legacy_text(&warm, true, None);
+        assert!(v3.starts_with(b"glade-cache v3\n"), "memoizing sessions have memo entries");
 
         // A memo-laden snapshot warm-starts chargen wholesale: the second
         // session adopts every terminal's classes (memo hits) and poses
-        // strictly fewer probes than the first session did.
-        let mut cold = GladeBuilder::new().session(&oracle);
-        cold.import_cache(&snapshot).unwrap();
-        let second = cold.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        assert!(second.stats.memo_hits > 0, "imported memo entries unused");
-        assert!(second.stats.probes_elided > first.stats.probes_elided);
-        assert_eq!(second.stats.new_unique_queries, 0);
-        assert_eq!(
-            glade_grammar::grammar_to_text(&first.grammar),
-            glade_grammar::grammar_to_text(&second.grammar)
-        );
+        // strictly fewer probes than the first session did — from the
+        // binary export and from a legacy v3 text snapshot alike.
+        for snapshot in [&binary, &v3] {
+            let mut cold = GladeBuilder::new().session(&oracle);
+            cold.import_cache(snapshot).unwrap();
+            let second = cold.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+            assert!(second.stats.memo_hits > 0, "imported memo entries unused");
+            assert!(second.stats.probes_elided > first.stats.probes_elided);
+            assert_eq!(second.stats.new_unique_queries, 0);
+            assert_eq!(
+                glade_grammar::grammar_to_text(&first.grammar),
+                glade_grammar::grammar_to_text(&second.grammar)
+            );
+        }
 
         // And a pre-memo (v1) snapshot of the same cache still warm-starts
         // cleanly: every verdict answered, just no memo adoption beyond the
         // run's own in-plan siblings.
-        let v1 = crate::persist::snapshot_to_text(&warm.cache.snapshot(), None);
-        assert!(v1.starts_with("glade-cache v1\n"));
+        let v1 = legacy_text(&warm, false, None);
+        assert!(v1.starts_with(b"glade-cache v1\n"));
         let mut legacy = GladeBuilder::new().session(&oracle);
         assert_eq!(legacy.import_cache(&v1).unwrap(), first.stats.unique_queries);
         let replay = legacy.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
@@ -1163,7 +1079,8 @@ mod tests {
         let mut warm = GladeBuilder::new().session(&oracle);
         let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
         let path = temp_path("binary-roundtrip.glade-cache");
-        warm.save_cache_as(&path, crate::persist::CacheFormat::Binary).unwrap();
+        warm.save_cache(&path).unwrap();
+        assert!(crate::is_binary_snapshot(&std::fs::read(&path).unwrap()));
 
         let counted = AtomicUsize::new(0);
         let counting_oracle = FnOracle::new(|i: &[u8]| {
@@ -1191,42 +1108,78 @@ mod tests {
         warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
         let text_path = temp_path("fmt-equiv.text.glade-cache");
         let bin_path = temp_path("fmt-equiv.bin.glade-cache");
-        warm.save_cache(&text_path).unwrap();
-        warm.save_cache_as(&bin_path, crate::persist::CacheFormat::Text).unwrap();
-        // Explicit Text equals the default save byte-for-byte.
-        assert_eq!(std::fs::read(&text_path).unwrap(), std::fs::read(&bin_path).unwrap());
-        warm.save_cache_as(&bin_path, crate::persist::CacheFormat::Binary).unwrap();
+        std::fs::write(&text_path, legacy_text(&warm, true, None)).unwrap();
+        warm.save_cache(&bin_path).unwrap();
 
-        let via_text = GladeBuilder::new().session(&oracle);
-        let via_bin = GladeBuilder::new().session(&oracle);
+        let mut via_text = GladeBuilder::new().session(&oracle);
+        let mut via_bin = GladeBuilder::new().session(&oracle);
         assert_eq!(
             via_text.load_cache(&text_path).unwrap(),
             via_bin.load_cache(&bin_path).unwrap(),
             "formats disagree on entry count"
         );
         assert_eq!(via_text.unique_queries(), via_bin.unique_queries());
+        // A re-save of the text-loaded session is the binary snapshot.
+        assert_eq!(via_text.export_cache_binary(), std::fs::read(&bin_path).unwrap());
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&bin_path).ok();
     }
 
     #[test]
-    fn eviction_cap_changes_neither_grammar_nor_unique_queries() {
-        let seeds = [b"<a>hi</a>".to_vec(), b"<a><a>x</a></a>".to_vec()];
+    fn every_legacy_text_version_loads_from_disk() {
+        // v1 (untagged), v2 (fingerprinted) and v3 (memo) text snapshots
+        // each warm-start `load_cache` with nothing re-paid, and a tagged
+        // one is still refused by a session expecting another oracle.
         let oracle = FnOracle::new(xml_like);
-        let mut uncapped = GladeBuilder::new().session(&oracle);
-        let mut capped = GladeBuilder::new().max_cache_entries(64).session(&oracle);
-        let free = uncapped.add_seeds(&seeds).unwrap();
-        let tight = capped.add_seeds(&seeds).unwrap();
-        assert_eq!(
-            glade_grammar::grammar_to_text(&free.grammar),
-            glade_grammar::grammar_to_text(&tight.grammar),
-            "eviction changed grammar bytes"
-        );
-        assert_eq!(free.stats.unique_queries, tight.stats.unique_queries);
-        assert!(capped.cache_evictions() > 0, "cap of 64 never evicted");
-        assert!(capped.cache_resident() <= 64);
-        assert_eq!(uncapped.cache_evictions(), 0);
-        // Eviction may only raise re-paid (total) queries, never verdicts.
-        assert!(tight.stats.total_queries >= free.stats.total_queries);
+        let tag = "target:toy-xml";
+        let mut warm = GladeBuilder::new().oracle_fingerprint(tag).session(&oracle);
+        let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+        let path = temp_path("legacy-versions.glade-cache");
+        for (version, memo, fingerprint) in
+            [(1, false, None), (2, false, Some(tag)), (3, true, Some(tag))]
+        {
+            let text = legacy_text(&warm, memo, fingerprint);
+            assert!(text.starts_with(format!("glade-cache v{version}\n").as_bytes()));
+            std::fs::write(&path, text).unwrap();
+            let mut cold = GladeBuilder::new().oracle_fingerprint(tag).session(&oracle);
+            assert_eq!(cold.load_cache(&path).unwrap(), first.stats.unique_queries, "v{version}");
+            let replay = cold.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+            assert_eq!(replay.stats.new_unique_queries, 0, "v{version}");
+            let mut other = GladeBuilder::new().oracle_fingerprint("target:lisp").session(&oracle);
+            let loaded = other.load_cache(&path);
+            match fingerprint {
+                Some(_) => assert!(matches!(loaded, Err(CacheError::OracleMismatch { .. }))),
+                None => assert_eq!(loaded.unwrap(), first.stats.unique_queries),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_all_succeed() {
+        // Two saves racing to one path each write their own temporary
+        // file: both succeed, and the snapshot left behind is whole.
+        let oracle = FnOracle::new(xml_like);
+        let mut session = GladeBuilder::new().session(&oracle);
+        session.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+        let path = temp_path("racing-saves.glade-cache");
+        let barrier = std::sync::Barrier::new(2);
+        let failed = AtomicUsize::new(0);
+        let session = &session;
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        barrier.wait();
+                        if session.save_cache(&path).is_err() {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(failed.load(Ordering::Relaxed), 0, "racing saves failed");
+        assert_eq!(std::fs::read(&path).unwrap(), session.export_cache_binary());
+        std::fs::remove_file(&path).ok();
     }
 }

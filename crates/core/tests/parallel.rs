@@ -18,7 +18,7 @@ use glade_core::testing::xml_like;
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_core::PooledProcessOracle;
 use glade_core::{
-    is_binary_snapshot, CacheFormat, CachingOracle, CancelToken, EventLog, FnOracle, GladeBuilder,
+    is_binary_snapshot, snapshot_from_binary, CancelToken, EventLog, FnOracle, GladeBuilder,
     Oracle, ProcessOracle, SynthEvent, SynthesisStats,
 };
 use glade_eval::sample_seeds;
@@ -42,17 +42,6 @@ const GOLDEN_UNIQUE: usize = 965;
 /// Golden total-query count (including cache hits) for the same run.
 const GOLDEN_TOTAL: usize = 985;
 
-/// Cache snapshot format for the matrix; `GLADE_TEST_CACHE_FMT=bin` (or
-/// `binary`) runs the persistence round-trips through the indexed binary
-/// format (the CI matrix sweeps it). Default: text, matching
-/// `Session::save_cache`.
-fn matrix_cache_format() -> CacheFormat {
-    match std::env::var("GLADE_TEST_CACHE_FMT").as_deref() {
-        Ok("bin") | Ok("binary") => CacheFormat::Binary,
-        _ => CacheFormat::Text,
-    }
-}
-
 #[test]
 fn oracle_types_are_send_sync() {
     // Compile-time assertions: the whole oracle surface must be shareable
@@ -60,7 +49,6 @@ fn oracle_types_are_send_sync() {
     // has the same assertion in its unit tests.)
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<FnOracle<fn(&[u8]) -> bool>>();
-    assert_send_sync::<CachingOracle<FnOracle<fn(&[u8]) -> bool>>>();
     assert_send_sync::<ProcessOracle>();
     assert_send_sync::<Box<dyn Oracle>>();
     assert_send_sync::<&dyn Oracle>();
@@ -146,17 +134,20 @@ fn default_config_uses_available_parallelism_and_stays_correct() {
 
 #[test]
 fn concurrent_oracle_sees_consistent_snapshot() {
-    // A shared CachingOracle under the engine: totals line up and the
-    // verdicts stay deterministic.
-    let oracle = CachingOracle::new(FnOracle::new(xml_like));
+    // One oracle called by 8 engine workers at once: the session cache
+    // dedups before dispatch, so the oracle is called exactly once per
+    // distinct query, and the verdicts stay deterministic.
+    let calls = AtomicUsize::new(0);
+    let oracle = FnOracle::new(|i: &[u8]| {
+        calls.fetch_add(1, Ordering::Relaxed);
+        xml_like(i)
+    });
     let result = GladeBuilder::new()
         .worker_threads(8)
         .synthesize(&[b"<a>hi</a>".to_vec()], &oracle)
         .expect("valid");
-    // The runner's own cache dedups, so the CachingOracle sees exactly the
-    // distinct queries.
-    assert_eq!(oracle.total_queries(), result.stats.unique_queries);
-    assert_eq!(oracle.unique_queries(), result.stats.unique_queries);
+    assert_eq!(result.stats.unique_queries, GOLDEN_UNIQUE);
+    assert_eq!(calls.load(Ordering::Relaxed), result.stats.unique_queries);
 }
 
 #[test]
@@ -984,10 +975,10 @@ fn oracle_execution_failures_are_counted_and_surfaced() {
     // rejects.
     let answered = oracle.answered.lock().expect("answered set").len();
     assert_eq!(result.stats.unique_queries, answered, "failed executions leaked into the cache");
-    let persisted = glade_core::cache_from_text(&session.export_cache()).expect("snapshot parses");
-    assert_eq!(persisted.len(), answered);
+    let persisted = snapshot_from_binary(&session.export_cache_binary()).expect("snapshot parses");
+    assert_eq!(persisted.entries.len(), answered);
     assert!(
-        persisted.iter().all(|(query, _)| !query.contains(&b'~')),
+        persisted.entries.iter().all(|(query, _)| !query.contains(&b'~')),
         "a failed '~' query was persisted into the snapshot"
     );
 }
@@ -1026,23 +1017,17 @@ fn cancellation_mid_phase_still_yields_seed_accepting_grammar() {
 #[test]
 fn cache_snapshot_roundtrip_answers_full_run_with_zero_new_queries() {
     // The acceptance invariant for persistent caches: save → load → re-run
-    // answers the entire running-example run from the snapshot. The
-    // snapshot format comes from the matrix (`GLADE_TEST_CACHE_FMT`), so
-    // CI proves the invariant for text and binary alike.
-    let format = matrix_cache_format();
+    // answers the entire running-example run from the snapshot.
     let oracle = FnOracle::new(xml_like);
     let mut warm = GladeBuilder::new().session(&oracle);
     let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).expect("valid seed");
     assert_eq!(first.stats.unique_queries, GOLDEN_UNIQUE);
 
-    let path = std::env::temp_dir().join(format!("glade-cache-test-{}.txt", std::process::id()));
-    warm.save_cache_as(&path, format).expect("snapshot written");
+    let path =
+        std::env::temp_dir().join(format!("glade-cache-test-{}.glade-cache", std::process::id()));
+    warm.save_cache(&path).expect("snapshot written");
     let on_disk = std::fs::read(&path).expect("snapshot readable");
-    assert_eq!(
-        is_binary_snapshot(&on_disk),
-        format == CacheFormat::Binary,
-        "the snapshot on disk must be in the matrix's format"
-    );
+    assert!(is_binary_snapshot(&on_disk), "snapshots are written in the binary format");
 
     // The cold session's oracle counts calls: it must never be consulted.
     let calls = AtomicUsize::new(0);

@@ -1,17 +1,20 @@
-//! Property-based tests of the cache snapshot codecs: the text and binary
-//! formats must be lossless, mutually equivalent, byte-stable across
-//! re-serialization, and *clean* under truncation — a torn binary
-//! snapshot may only ever produce a [`CacheError`], never a panic or a
-//! silently short load. The indexed partial-load path
-//! ([`BinaryCacheFile`]) must agree with a full load on every key. The
-//! text decoders, which read whatever is on disk, never panic on
-//! arbitrary input, and the slice and streaming parsers always agree.
+//! Property-based tests of the cache snapshot codecs: the binary format
+//! must be lossless, byte-stable across re-serialization, and *clean*
+//! under truncation — a torn binary snapshot may only ever produce a
+//! [`CacheError`](glade_core::CacheError), never a panic or a silently
+//! short load. The indexed partial-load path ([`BinaryCacheFile`]) must
+//! agree with a full load on every key. The read-only legacy text
+//! importer decodes exactly what the binary codec round-trips, and never
+//! panics on arbitrary input.
+
+mod legacy_text;
 
 use glade_core::{
-    is_binary_snapshot, snapshot_from_binary, snapshot_from_reader, snapshot_from_text,
-    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, CacheSnapshot, MemoEntry,
+    is_binary_snapshot, snapshot_from_binary, snapshot_from_reader, snapshot_to_binary,
+    BinaryCacheFile, CacheSnapshot, MemoEntry,
 };
 use glade_grammar::CharClass;
+use legacy_text::legacy_text;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -112,45 +115,33 @@ fn arb_text_snapshot() -> impl Strategy<Value = String> {
     )
 }
 
-/// Runs both text decoders on `text`: neither may panic, and they must
-/// agree on the snapshot or on the error.
-fn decode_text_both_ways(text: &str) -> Result<(), TestCaseError> {
-    let from_text = snapshot_from_text(text);
-    let from_reader = snapshot_from_reader(text.as_bytes());
-    match (&from_text, &from_reader) {
-        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-        (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
-        _ => prop_assert!(false, "decoders disagree on {text:?}: {from_text:?} vs {from_reader:?}"),
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary bytes and snapshot-shaped text never panic the text
-    /// decoders, and the slice and streaming parsers agree.
+    /// importer — the one decoder for whatever text is on disk.
     #[test]
     fn arbitrary_text_never_panics_the_text_decoders(
         bytes in proptest::collection::vec(any::<u8>(), 0..96), text in arb_text_snapshot()
     ) {
-        decode_text_both_ways(&String::from_utf8_lossy(&bytes))?;
-        decode_text_both_ways(&text)?;
+        let _ = snapshot_from_reader(&bytes[..]);
+        let _ = snapshot_from_reader(String::from_utf8_lossy(&bytes).as_bytes());
+        let _ = snapshot_from_reader(text.as_bytes());
     }
 
-    /// Text roundtrip is lossless, and re-serializing the parse is
-    /// byte-identical.
+    /// A legacy text snapshot imports losslessly, and its binary rewrite
+    /// is byte-identical to encoding the same cache directly.
     #[test]
     fn text_roundtrip_is_lossless_and_byte_stable(
         entries in arb_entries(), memo in arb_memo(), fp in arb_fingerprint()
     ) {
-        let text = snapshot_to_text_with_memo(&entries, &memo, fp.as_deref());
-        let parsed = snapshot_from_text(&text).expect("roundtrip parses");
-        prop_assert_eq!(&parsed, &expected(&entries, &memo, &fp));
-        let again = snapshot_to_text_with_memo(
+        let want = expected(&entries, &memo, &fp);
+        let parsed = snapshot_from_reader(legacy_text(&want).as_bytes()).expect("import parses");
+        prop_assert_eq!(&parsed, &want);
+        let rewrite = snapshot_to_binary(
             &parsed.entries.to_vec(), &parsed.memo, parsed.oracle_fingerprint.as_deref(),
         );
-        prop_assert_eq!(again, text);
+        prop_assert_eq!(rewrite, snapshot_to_binary(&entries, &memo, fp.as_deref()));
     }
 
     /// Binary roundtrip is lossless, and re-serializing the parse is
@@ -168,22 +159,21 @@ proptest! {
         prop_assert_eq!(again, bytes);
     }
 
-    /// The text and binary codecs decode to the same snapshot — flipping
-    /// a cache file's format can never change a verdict, a memo class, or
-    /// the fingerprint.
+    /// The text importer decodes exactly what the binary codec
+    /// round-trips — converting a legacy cache file can never change a
+    /// verdict, a memo class, or the fingerprint.
     #[test]
     fn text_and_binary_formats_are_equivalent(
         entries in arb_entries(), memo in arb_memo(), fp in arb_fingerprint()
     ) {
-        let text = snapshot_to_text_with_memo(&entries, &memo, fp.as_deref());
+        let want = expected(&entries, &memo, &fp);
+        let text = legacy_text(&want);
         prop_assert!(!is_binary_snapshot(text.as_bytes()));
-        let from_text = snapshot_from_text(&text).expect("text parses");
-        let from_reader = snapshot_from_reader(text.as_bytes()).expect("reader parses");
+        let from_text = snapshot_from_reader(text.as_bytes()).expect("text parses");
         let bin = snapshot_to_binary(&entries, &memo, fp.as_deref());
         let from_binary = snapshot_from_binary(&bin).expect("binary parses");
         prop_assert_eq!(&from_text, &from_binary);
-        prop_assert_eq!(&from_reader, &from_binary);
-        prop_assert_eq!(&from_binary, &expected(&entries, &memo, &fp));
+        prop_assert_eq!(&from_binary, &want);
     }
 
     /// Truncating a binary snapshot at *any* byte boundary is a clean

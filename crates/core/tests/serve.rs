@@ -10,6 +10,8 @@
 
 #![cfg(any(target_os = "linux", target_os = "macos"))]
 
+mod legacy_text;
+
 use glade_core::serve::{OpenRequest, OracleFactory, ServeClient, ServeConfig, Server};
 use glade_core::testing::{xml_like, xml_like_with_self_closing};
 use glade_core::{
@@ -17,6 +19,7 @@ use glade_core::{
     SynthesisStats,
 };
 use glade_grammar::grammar_to_text;
+use legacy_text::legacy_text;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -710,42 +713,52 @@ fn serve_cache_format_flip_keeps_warm_starts() {
     let seeds = vec![b"<a>hi</a>".to_vec()];
     let mut request = OpenRequest::new("xml");
     request.cache = true;
+    let config = ServeConfig { cache_dir: Some(cache_dir.clone()), ..ServeConfig::default() };
 
-    // Cold run on a server checkpointing in *text* format.
-    let text_config = ServeConfig {
-        cache_dir: Some(cache_dir.clone()),
-        cache_format: Some(glade_core::CacheFormat::Text),
-        ..ServeConfig::default()
-    };
-    let handle = Server::new(test_factory(), text_config).spawn(&socket).expect("first spawn");
+    // Cold run: the daemon checkpoints in the binary format.
+    let handle = Server::new(test_factory(), config.clone()).spawn(&socket).expect("first spawn");
     let (cold_grammar, cold_stats, _) = client_run(&socket, &request, std::slice::from_ref(&seeds));
     assert_eq!(cold_stats.new_unique_queries, GOLDEN_UNIQUE, "cold start fills the cache");
     handle.shutdown().expect("first shutdown");
 
-    let snapshot_is_binary = || {
-        let entry = std::fs::read_dir(&cache_dir)
-            .expect("read cache dir")
-            .map(|e| e.expect("dir entry").path())
-            .find(|p| p.extension().is_some_and(|e| e == "glade-cache"))
-            .expect("one cache snapshot");
-        let bytes = std::fs::read(entry).expect("read snapshot");
-        glade_core::is_binary_snapshot(&bytes)
+    let snapshot_path = std::fs::read_dir(&cache_dir)
+        .expect("read cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|e| e == "glade-cache"))
+        .expect("one cache snapshot");
+    let snapshot_is_binary =
+        || glade_core::is_binary_snapshot(&std::fs::read(&snapshot_path).expect("read snapshot"));
+    assert!(snapshot_is_binary(), "the daemon checkpoints in binary");
+
+    // Replace the checkpoint with the same cache as a legacy text
+    // snapshot of each version: it loads via format sniffing, re-pays
+    // nothing, and the next checkpoint rewrites it as binary. A snapshot
+    // tagged for another oracle is refused: that campaign starts cold.
+    let bytes = std::fs::read(&snapshot_path).expect("read snapshot");
+    let snapshot = glade_core::snapshot_from_binary(&bytes).expect("binary snapshot parses");
+    let v2 = glade_core::CacheSnapshot { memo: Vec::new(), ..snapshot.clone() };
+    let v1 = glade_core::CacheSnapshot { oracle_fingerprint: None, ..v2.clone() };
+    let foreign = glade_core::CacheSnapshot {
+        oracle_fingerprint: Some("test:other".into()),
+        ..snapshot.clone()
     };
-    assert!(!snapshot_is_binary(), "the first server checkpointed in text");
+    for (legacy, repaid) in [(&v1, 0), (&v2, 0), (&snapshot, 0), (&foreign, GOLDEN_UNIQUE)] {
+        let text = legacy_text(legacy);
+        std::fs::write(&snapshot_path, &text).expect("write text snapshot");
+        assert!(!snapshot_is_binary());
+        let handle = Server::new(test_factory(), config.clone()).spawn(&socket).expect("respawn");
+        let (warm_grammar, warm_stats, _) =
+            client_run(&socket, &request, std::slice::from_ref(&seeds));
+        let header = text.lines().next().expect("header");
+        assert_eq!(warm_grammar, cold_grammar, "{header} snapshot changed the grammar");
+        assert_eq!(warm_stats.new_unique_queries, repaid, "{header} snapshot warm start");
+        handle.shutdown().expect("warm shutdown");
+        assert!(snapshot_is_binary(), "the daemon rewrote the {header} checkpoint as binary");
+        assert_eq!(std::fs::read(&snapshot_path).expect("read snapshot"), bytes, "{header}");
+    }
 
-    // Warm run on a server with the default (binary) checkpoint format:
-    // the text snapshot loads via format sniffing, re-pays nothing, and
-    // the next checkpoint rewrites it as binary.
-    let bin_config = ServeConfig { cache_dir: Some(cache_dir.clone()), ..ServeConfig::default() };
-    let handle = Server::new(test_factory(), bin_config.clone()).spawn(&socket).expect("respawn");
-    let (warm_grammar, warm_stats, _) = client_run(&socket, &request, std::slice::from_ref(&seeds));
-    assert_eq!(warm_grammar, cold_grammar, "text snapshot warm-starts a binary server");
-    assert_eq!(warm_stats.new_unique_queries, 0, "warm start re-pays no queries");
-    handle.shutdown().expect("second shutdown");
-    assert!(snapshot_is_binary(), "the binary server rewrote the checkpoint");
-
-    // And back: the binary snapshot warm-starts the next server too.
-    let handle = Server::new(test_factory(), bin_config).spawn(&socket).expect("third spawn");
+    // And the binary rewrite warm-starts the next daemon too.
+    let handle = Server::new(test_factory(), config).spawn(&socket).expect("third spawn");
     let (rewarm_grammar, rewarm_stats, _) =
         client_run(&socket, &request, std::slice::from_ref(&seeds));
     assert_eq!(rewarm_grammar, cold_grammar, "binary snapshot reproduces the bytes");

@@ -249,8 +249,11 @@ mod tests {
         let builder =
             || GladeBuilder::new().max_queries(2_000).character_generalization(false).phase2(false);
         learn_target_grammar(&Xml, builder(), Some(&path)).expect("seeds valid");
-        let text = std::fs::read_to_string(&path).expect("snapshot written");
-        assert!(text.starts_with("glade-cache v2\noracle "), "campaign snapshots are tagged");
+        let fingerprint = |path: &std::path::Path| {
+            let file = glade_core::BinaryCacheFile::open(path).expect("binary snapshot written");
+            file.fingerprint().map(str::to_owned)
+        };
+        assert_eq!(fingerprint(&path).as_deref(), Some("target:xml"), "snapshots are tagged");
 
         let grep = learn_target_grammar(&Grep, builder(), Some(&path)).expect("seeds valid");
         assert_eq!(
@@ -258,10 +261,9 @@ mod tests {
             "the xml-tagged snapshot must not seed the grep session"
         );
         // The refreshed snapshot is now grep's.
-        let retagged = std::fs::read_to_string(&path).expect("snapshot rewritten");
+        let retagged = fingerprint(&path);
         let _ = std::fs::remove_file(&path);
-        let hex: String = b"target:grep".iter().map(|b| format!("{b:02x}")).collect();
-        assert!(retagged.contains(&format!("oracle {hex}")), "snapshot re-tagged for grep");
+        assert_eq!(retagged.as_deref(), Some("target:grep"), "snapshot re-tagged for grep");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::core::PooledProcessOracle;
-use glade_repro::core::{testing::xml_like, CachingOracle, GladeBuilder, Oracle};
+use glade_repro::core::{testing::xml_like, GladeBuilder, Oracle};
 use glade_repro::grammar::Sampler;
 use rand::SeedableRng;
 use std::process::Command;
@@ -68,7 +68,7 @@ fn main() {
         }
     }
 
-    let oracle = CachingOracle::new(GrepPattern);
+    let oracle = GrepPattern;
     let seeds = vec![b"(ab|c)*x".to_vec()];
 
     println!("Learning grep -E pattern syntax by spawning grep per query…");
@@ -81,10 +81,12 @@ fn main() {
     let start = std::time::Instant::now();
     match builder.synthesize(&seeds, &oracle) {
         Ok(result) => {
+            // The session cache answers repeated checks, so each distinct
+            // query costs exactly one spawn.
             println!(
                 "Done in {:?} after {} process spawns.",
                 start.elapsed(),
-                oracle.unique_queries()
+                result.stats.unique_queries
             );
             println!("\nSynthesized grammar:");
             for line in result.grammar.to_string().lines() {

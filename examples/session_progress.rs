@@ -104,7 +104,7 @@ fn main() {
 
     // ---- Act 3: cache save / reload across two runs. ----
     println!("== Act 3: persistent query cache ==");
-    let cache_path = std::env::temp_dir().join("glade-session-progress-cache.txt");
+    let cache_path = std::env::temp_dir().join("glade-session-progress.glade-cache");
     session.save_cache(&cache_path).expect("cache saved");
     println!("  saved {} cached verdicts to {}", session.unique_queries(), cache_path.display());
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! glade synth  --seed FILE...  (--cmd 'PROG ARGS…' | --target NAME)  [-o grammar.txt]
-//!              [--cache FILE] [--cache-format text|binary]
+//!              [--cache FILE]
 //!              [--stdin|--tempfile|--pool N] [--frame-batch N]
 //!              [--oracle-timeout SECS] [--max-respawns N]
 //!              [--max-queries N] [--no-chargen] [--no-phase2]
@@ -10,12 +10,11 @@
 //! glade check  --grammar grammar.txt [FILE]       # membership test (stdin default)
 //! glade fuzz   --grammar grammar.txt --seed FILE... [--count N]    # splice fuzzing
 //! glade cache  inspect FILE                        # snapshot format + counts
-//! glade cache  convert SRC DST [--format text|binary]  # re-encode a snapshot
+//! glade cache  convert SRC DST                    # legacy text snapshot -> binary
 //! glade worker NAME                                # serve a built-in subject
 //! glade targets                                    # list built-in targets
 //! glade serve  --socket PATH [--pool N] [--oracle-timeout S] [--cache-dir DIR]
-//!              [--cache-format text|binary] [--max-queries N] [--drain-timeout S]
-//!              [--max-event-buffer N]
+//!              [--max-queries N] [--drain-timeout S] [--max-event-buffer N]
 //!                                                  # multi-tenant synthesis daemon
 //! glade client --socket PATH (--oracle SPEC | --resume ID) [--seed FILE...]
 //!              [-o OUT] [--max-queries N] [--no-events] [--cache]
@@ -48,11 +47,12 @@
 //! and re-pay only genuinely new oracle calls. Snapshots are fingerprinted
 //! with the oracle's identity (command line or target name); loading a
 //! snapshot produced by a *different* oracle is refused rather than
-//! silently replaying stale verdicts. Snapshots come in two formats —
-//! the original line-oriented text and an indexed binary format built for
-//! large caches (`--cache-format binary`, see `glade_core::CacheFormat`);
-//! loads sniff the format from the file, and `glade cache inspect` /
-//! `glade cache convert` examine and re-encode snapshots offline.
+//! silently replaying stale verdicts. Snapshots are written in the indexed
+//! binary format (`glade-cachebin v1`, see `glade_core::CacheSnapshot`);
+//! snapshots in the legacy line-oriented text format still load (the
+//! format is sniffed from the file) and are rewritten as binary on save.
+//! `glade cache inspect` examines a snapshot offline, and `glade cache
+//! convert` rewrites a text snapshot as binary.
 //!
 //! `glade serve` runs the multi-tenant synthesis daemon (`glade-serve v2`
 //! over a unix socket; see `glade_core::serve`): concurrent clients open
@@ -81,8 +81,7 @@ use glade_repro::core::serve::{
     ServeConfig, Server,
 };
 use glade_repro::core::{
-    is_binary_snapshot, serve_oracle_worker, snapshot_from_binary, snapshot_from_reader,
-    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, CacheFormat, GladeBuilder,
+    is_binary_snapshot, serve_oracle_worker, BinaryCacheFile, CacheSnapshot, GladeBuilder,
     GladeConfig, InputMode, Oracle, ProcessOracle, SynthEvent, SynthesisObserver,
 };
 #[cfg(any(target_os = "linux", target_os = "macos"))]
@@ -163,7 +162,7 @@ glade — grammar synthesis from examples and blackbox membership queries
 
 USAGE:
   glade synth  --seed FILE... (--cmd 'PROG ARGS…' | --target NAME) [-o OUT]
-               [--cache FILE] [--cache-format text|binary]
+               [--cache FILE]
                [--stdin|--tempfile|--pool N] [--frame-batch N]
                [--oracle-timeout SECS] [--max-respawns N]
                [--max-queries N] [--no-chargen] [--no-phase2]
@@ -172,15 +171,13 @@ USAGE:
   glade check  --grammar FILE [INPUT-FILE]
   glade fuzz   --grammar FILE --seed FILE... [--count N] [--seed-rng S]
   glade cache  inspect FILE        # print a snapshot's format and counts
-  glade cache  convert SRC DST [--format text|binary]
-                                   # re-encode a snapshot (default: the
-                                   # opposite of the source format)
+  glade cache  convert SRC DST     # rewrite a legacy text snapshot as
+                                   # binary (the format every save writes)
   glade worker NAME                # serve a built-in subject over the
                                    # pooled-oracle protocol (for --pool)
   glade targets
   glade serve  --socket PATH [--pool N] [--oracle-timeout SECS]
-               [--cache-dir DIR] [--cache-format text|binary]
-               [--max-queries N] [--drain-timeout SECS]
+               [--cache-dir DIR] [--max-queries N] [--drain-timeout SECS]
                [--max-event-buffer N]
                # SIGTERM/SIGINT drains (campaigns finish or checkpoint);
                # a second signal hard-stops
@@ -231,7 +228,6 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     let mut target_name: Option<String> = None;
     let mut out: Option<String> = None;
     let mut cache_path: Option<String> = None;
-    let mut cache_format: Option<CacheFormat> = None;
     let mut input_mode = InputMode::Stdin;
     let mut pool: Option<usize> = None;
     let mut frame_batch: Option<usize> = None;
@@ -246,9 +242,6 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
             "--target" => target_name = Some(args.value("--target")?.to_owned()),
             "-o" | "--out" => out = Some(args.value("-o")?.to_owned()),
             "--cache" => cache_path = Some(args.value("--cache")?.to_owned()),
-            "--cache-format" => {
-                cache_format = Some(parse_cache_format("--cache-format", &mut args)?)
-            }
             "--stdin" => input_mode = InputMode::Stdin,
             "--tempfile" => input_mode = InputMode::TempFile,
             "--pool" => {
@@ -315,9 +308,6 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     }
     if pool.is_none() && max_respawns.is_some() {
         return Err("--max-respawns tunes pooled oracles; add --pool N".into());
-    }
-    if cache_path.is_none() && cache_format.is_some() {
-        return Err("--cache-format picks the snapshot format; add --cache FILE".into());
     }
 
     // Build the oracle plus its identity fingerprint (used to tag the
@@ -430,11 +420,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
         );
     }
     if let Some(path) = &cache_path {
-        // Without an explicit --cache-format, a re-save keeps the format
-        // the snapshot already has on disk — loads sniff either format,
-        // so a warm run must not silently flip a binary cache to text.
-        let fmt = cache_format.unwrap_or_else(|| sniff_cache_format(path));
-        session.save_cache_as(path, fmt).map_err(|e| format!("{path}: {e}"))?;
+        session.save_cache(path).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("query cache saved to {path}");
     }
 
@@ -449,24 +435,6 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The format an existing cache snapshot has on disk; [`CacheFormat::Text`]
-/// for a missing or unreadable file (a fresh cache defaults to text).
-fn sniff_cache_format(path: &str) -> CacheFormat {
-    let mut magic = [0u8; 32];
-    let n = std::fs::File::open(path).and_then(|mut f| f.read(&mut magic)).unwrap_or(0);
-    if is_binary_snapshot(&magic[..n]) {
-        CacheFormat::Binary
-    } else {
-        CacheFormat::Text
-    }
-}
-
-/// Parses a `text`/`binary` cache-format flag value.
-fn parse_cache_format(flag: &str, args: &mut Args<'_>) -> Result<CacheFormat, String> {
-    let v = args.value(flag)?;
-    CacheFormat::parse(v).ok_or_else(|| format!("{flag} must be `text` or `binary`, not `{v}`"))
-}
-
 /// `glade cache inspect|convert` — offline snapshot tooling. Both
 /// subcommands sniff the source format from the file itself, exactly like
 /// warm-start loading does.
@@ -476,8 +444,11 @@ fn cmd_cache(argv: &[String]) -> Result<(), String> {
             [path] => cache_inspect(path),
             _ => Err("usage: glade cache inspect FILE".into()),
         },
-        Some("convert") => cache_convert(&argv[1..]),
-        _ => Err("cache subcommands: inspect FILE | convert SRC DST [--format text|binary]".into()),
+        Some("convert") => match &argv[1..] {
+            [src, dst] => cache_convert(src, dst),
+            _ => Err("usage: glade cache convert SRC DST".into()),
+        },
+        _ => Err("cache subcommands: inspect FILE | convert SRC DST".into()),
     }
 }
 
@@ -504,57 +475,31 @@ fn cache_inspect(path: &str) -> Result<(), String> {
         outln!("oracle:       {}", snapshot.fingerprint().unwrap_or("(untagged)"));
         outln!("file size:    {} bytes", snapshot.file_len());
     } else {
-        let bytes = read_file(path)?;
-        let header = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
-        let snapshot = snapshot_from_reader(&bytes[..]).map_err(|e| format!("{path}: {e}"))?;
-        outln!("format:       text ({})", String::from_utf8_lossy(header).trim_end());
+        let header = String::from_utf8_lossy(&magic[..got]);
+        let header = header.lines().next().unwrap_or("").trim_end().to_owned();
+        let snapshot = CacheSnapshot::load(path).map_err(|e| format!("{path}: {e}"))?;
+        let size = std::fs::metadata(path).map_err(|e| format!("cannot stat {path}: {e}"))?.len();
+        outln!("format:       legacy text ({header})");
         outln!("entries:      {}", snapshot.entries.len());
         outln!("memo entries: {}", snapshot.memo.len());
         outln!("oracle:       {}", snapshot.oracle_fingerprint.as_deref().unwrap_or("(untagged)"));
-        outln!("file size:    {} bytes", bytes.len());
+        outln!("file size:    {size} bytes");
     }
     Ok(())
 }
 
-/// Re-encodes a snapshot, preserving fingerprint and memo entries. With no
-/// `--format`, converts to the opposite of the source format. The output
-/// is written to a temp file and renamed into place, so a crash mid-write
-/// never leaves a torn destination.
-fn cache_convert(argv: &[String]) -> Result<(), String> {
-    let mut args = Args::new(argv);
-    let mut positional: Vec<&str> = Vec::new();
-    let mut format: Option<CacheFormat> = None;
-    while let Some(flag) = args.next() {
-        match flag {
-            "--format" => format = Some(parse_cache_format("--format", &mut args)?),
-            other if !other.starts_with('-') => positional.push(other),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let [src, dst] = positional[..] else {
-        return Err("usage: glade cache convert SRC DST [--format text|binary]".into());
-    };
-    let bytes = read_file(src)?;
-    let src_binary = is_binary_snapshot(&bytes);
-    let snapshot =
-        if src_binary { snapshot_from_binary(&bytes) } else { snapshot_from_reader(&bytes[..]) }
-            .map_err(|e| format!("{src}: {e}"))?;
-    let target = format.unwrap_or(if src_binary { CacheFormat::Text } else { CacheFormat::Binary });
-    let fp = snapshot.oracle_fingerprint.as_deref();
-    let entries = snapshot.entries.to_vec();
-    let out = match target {
-        CacheFormat::Binary => snapshot_to_binary(&entries, &snapshot.memo, fp),
-        CacheFormat::Text => snapshot_to_text_with_memo(&entries, &snapshot.memo, fp).into_bytes(),
-    };
-    let tmp = format!("{dst}.tmp");
-    std::fs::write(&tmp, &out).map_err(|e| format!("cannot write {tmp}: {e}"))?;
-    std::fs::rename(&tmp, dst).map_err(|e| format!("cannot move {tmp} to {dst}: {e}"))?;
+/// Rewrites a snapshot as binary, preserving fingerprint and memo entries.
+/// The source is read through the same sniffing load path as a warm start,
+/// and the destination written through the same durable save (temporary
+/// file, fsync, rename, directory fsync), so a crash never leaves a torn
+/// destination. A binary source is re-encoded canonically.
+fn cache_convert(src: &str, dst: &str) -> Result<(), String> {
+    let snapshot = CacheSnapshot::load(src).map_err(|e| format!("{src}: {e}"))?;
+    snapshot.save(dst).map_err(|e| format!("{dst}: {e}"))?;
     eprintln!(
-        "converted {src} ({}) to {dst} ({target}): {} entries, {} memo entries, {} bytes",
-        if src_binary { "binary" } else { "text" },
+        "converted {src} to {dst} (binary): {} entries, {} memo entries",
         snapshot.entries.len(),
         snapshot.memo.len(),
-        out.len()
     );
     Ok(())
 }
@@ -680,9 +625,6 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
             }
             "--cache-dir" => {
                 config.cache_dir = Some(args.value("--cache-dir")?.into());
-            }
-            "--cache-format" => {
-                config.cache_format = Some(parse_cache_format("--cache-format", &mut args)?);
             }
             "--max-queries" => {
                 config.default_max_queries = Some(

@@ -3,9 +3,15 @@
 //! through the pooled process-oracle path (`glade worker` over batched
 //! protocol frames) at several pool sizes, which must be byte-identical.
 
+#[path = "../crates/core/tests/legacy_text/mod.rs"]
+mod legacy_text;
+
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::core::PooledProcessOracle;
-use glade_repro::core::{GladeBuilder, GladeConfig, Oracle};
+use glade_repro::core::{
+    is_binary_snapshot, snapshot_from_binary, snapshot_to_binary, CacheSnapshot, GladeBuilder,
+    GladeConfig, Oracle,
+};
 use glade_repro::fuzz::{run_campaign, GrammarFuzzer, NaiveFuzzer};
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::grammar::grammar_to_text;
@@ -204,4 +210,73 @@ fn p1_ablation_never_invents_recursion() {
         assert!(result.regex.is_match(&s), "grammar/regex mismatch on {s:?}");
         assert!(parser.accepts(&s));
     }
+}
+
+/// Runs the `glade` binary, asserting success; returns its stderr.
+fn glade(args: &[&std::ffi::OsStr]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_glade"))
+        .args(args)
+        .output()
+        .expect("run glade");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "glade {args:?} failed: {stderr}");
+    stderr
+}
+
+#[test]
+fn cli_cache_is_written_binary_and_legacy_text_warm_starts() {
+    // `glade synth --cache` writes one format, binary. A legacy text
+    // snapshot of the same cache still warm-starts it with nothing
+    // re-paid, and is rewritten as binary; `glade cache convert` turns
+    // the text back into the identical binary bytes.
+    let dir = std::env::temp_dir().join(format!("glade-e2e-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (seed, cache, grammar) = (dir.join("seed.xml"), dir.join("c"), dir.join("g.txt"));
+    std::fs::write(&seed, b"<a>hi</a>").expect("write seed");
+    let synth = [
+        "synth".as_ref(),
+        "--target".as_ref(),
+        "toy-xml".as_ref(),
+        "--seed".as_ref(),
+        seed.as_os_str(),
+        "--cache".as_ref(),
+        cache.as_os_str(),
+        "-o".as_ref(),
+        grammar.as_os_str(),
+    ];
+
+    glade(&synth);
+    let binary = std::fs::read(&cache).expect("cache written");
+    assert!(is_binary_snapshot(&binary), "a fresh --cache is written binary");
+    let snapshot = snapshot_from_binary(&binary).expect("binary snapshot parses");
+    assert_eq!(snapshot.entries.len(), 965);
+    let text = legacy_text::legacy_text(&snapshot);
+    assert!(text.starts_with("glade-cache v3\noracle "), "a memo-laden, tagged snapshot");
+    std::fs::write(&cache, &text).expect("rewrite as text");
+
+    let stderr = glade(&synth);
+    assert!(stderr.contains("loaded 965 cached oracle verdicts"), "{stderr}");
+    assert!(stderr.contains("(0 new this run)"), "{stderr}");
+    assert_eq!(std::fs::read(&cache).expect("cache rewritten"), binary, "re-saved as binary");
+
+    // `convert` of each legacy text version yields the canonical binary
+    // encoding of the same snapshot; for the full v3 text, exactly the
+    // bytes `--cache` wrote.
+    let v2 = CacheSnapshot { memo: Vec::new(), ..snapshot.clone() };
+    let v1 = CacheSnapshot { oracle_fingerprint: None, ..v2.clone() };
+    let (text_path, converted) = (dir.join("legacy"), dir.join("converted"));
+    for legacy in [&v1, &v2, &snapshot] {
+        std::fs::write(&text_path, legacy_text::legacy_text(legacy)).expect("write text");
+        glade(&[
+            "cache".as_ref(),
+            "convert".as_ref(),
+            text_path.as_os_str(),
+            converted.as_os_str(),
+        ]);
+        let out = std::fs::read(&converted).expect("converted");
+        let fp = legacy.oracle_fingerprint.as_deref();
+        assert_eq!(out, snapshot_to_binary(&legacy.entries.to_vec(), &legacy.memo, fp));
+    }
+    assert_eq!(std::fs::read(&converted).expect("converted"), binary, "convert is canonical");
+    let _ = std::fs::remove_dir_all(&dir);
 }
