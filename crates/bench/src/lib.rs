@@ -1,9 +1,11 @@
 //! Shared scaffolding for the figure-regeneration benches.
 //!
 //! Every bench target in this crate regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index). Scale knobs are
-//! read from the environment so `cargo bench` finishes in minutes by
-//! default while `GLADE_SCALE=paper` reproduces the paper's sample sizes:
+//! paper's evaluation (the `[[bench]]` list in `crates/bench/Cargo.toml`
+//! names them; ROADMAP direction 2 tracks which figures they reproduce).
+//! Scale knobs are read from the environment so `cargo bench` finishes in
+//! minutes by default while `GLADE_SCALE=paper` reproduces the paper's
+//! sample sizes:
 //!
 //! | Variable | Meaning | default | `paper` |
 //! |---|---|---|---|
@@ -36,11 +38,7 @@ impl Scale {
     pub fn from_env() -> Scale {
         let paper = std::env::var("GLADE_SCALE").is_ok_and(|v| v == "paper");
         let get = |name: &str, dflt: usize, paper_v: usize| {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(if paper {
-                paper_v
-            } else {
-                dflt
-            })
+            env_usize(name, if paper { paper_v } else { dflt })
         };
         Scale {
             seeds: get("GLADE_SEEDS", 20, 50),
@@ -71,6 +69,24 @@ pub fn banner(title: &str) {
     println!("==============================================================");
 }
 
+/// Reads the numeric knob `name`, or `default` when it is unset.
+///
+/// # Panics
+///
+/// When `name` is set to something that is not a `usize`, naming the
+/// variable and its value: a typo must not silently run the default size.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, value.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn parse_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
+    }
+}
+
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -78,6 +94,23 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
+}
+
+/// Sorts `xs` and returns its lower quartile, median and upper quartile
+/// (linear interpolation between closest ranks).
+///
+/// # Panics
+///
+/// When `xs` is empty.
+pub fn quartiles(xs: &mut [f64]) -> [f64; 3] {
+    assert!(!xs.is_empty(), "quartiles of an empty sample");
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (xs.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
 }
 
 #[cfg(test)]
@@ -98,5 +131,33 @@ mod tests {
     fn mean_of_empty_is_zero() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
+    }
+
+    #[test]
+    fn knob_parses_unset_valid_and_rejects_garbage() {
+        assert_eq!(parse_knob("GLADE_BENCH_CACHE_N", None, 100_000), Ok(100_000));
+        assert_eq!(parse_knob("GLADE_BENCH_CACHE_N", Some("2000"), 100_000), Ok(2000));
+        for bad in ["2k", "", "-1", " 7"] {
+            let err = parse_knob("GLADE_BENCH_CACHE_N", Some(bad), 100_000).unwrap_err();
+            assert!(err.contains("GLADE_BENCH_CACHE_N"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_ranks() {
+        // Odd length, unsorted: the middle rank is the median.
+        let mut odd = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(quartiles(&mut odd), [2.0, 3.0, 4.0]);
+        assert_eq!(odd, [1.0, 2.0, 3.0, 4.0, 5.0]);
+        // Even length: every quartile falls between two ranks.
+        assert_eq!(quartiles(&mut [4.0, 1.0, 3.0, 2.0]), [1.75, 2.5, 3.25]);
+        assert_eq!(quartiles(&mut [7.0]), [7.0, 7.0, 7.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "quartiles of an empty sample")]
+    fn quartiles_of_empty_sample_panics() {
+        quartiles(&mut []);
     }
 }
