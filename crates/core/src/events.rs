@@ -30,11 +30,9 @@
 //! behind a `Mutex` or atomics ([`EventLog`] is the reference
 //! implementation), never in `Cell`/`RefCell`. Observers installed through
 //! [`GladeBuilder::observer`](crate::GladeBuilder::observer) are wrapped in
-//! an `Arc` automatically; callers that already hold an
-//! `Arc<dyn SynthesisObserver>` should pass it via
-//! [`GladeBuilder::observer_shared`](crate::GladeBuilder::observer_shared)
-//! so the same instance (not a re-wrapped clone of the handle) is shared
-//! between the session and the code inspecting it.
+//! an `Arc` automatically. A caller that wants to inspect the observer
+//! while the session runs passes a clone of its own `Arc`: `Arc<O>` is
+//! itself an observer, so the session and the caller share one instance.
 //!
 //! # Wire lines
 //!

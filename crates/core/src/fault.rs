@@ -278,11 +278,6 @@ impl<O: Oracle> FaultyOracle<O> {
     pub fn injected_faults(&self) -> usize {
         self.injected.load(Ordering::Relaxed)
     }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
 }
 
 impl<O: Oracle> Oracle for FaultyOracle<O> {

@@ -595,40 +595,6 @@ pub enum InputMode {
     TempFile,
 }
 
-/// Counting semaphore bounding concurrent child processes.
-#[derive(Debug)]
-struct Semaphore {
-    permits: Mutex<usize>,
-    available: Condvar,
-}
-
-impl Semaphore {
-    fn new(permits: usize) -> Self {
-        Semaphore { permits: Mutex::new(permits), available: Condvar::new() }
-    }
-
-    fn acquire(&self) -> SemaphoreGuard<'_> {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
-        while *permits == 0 {
-            permits = self.available.wait(permits).expect("semaphore poisoned");
-        }
-        *permits -= 1;
-        SemaphoreGuard { sem: self }
-    }
-}
-
-struct SemaphoreGuard<'s> {
-    sem: &'s Semaphore,
-}
-
-impl Drop for SemaphoreGuard<'_> {
-    fn drop(&mut self) {
-        let mut permits = self.sem.permits.lock().expect("semaphore poisoned");
-        *permits += 1;
-        self.sem.available.notify_one();
-    }
-}
-
 /// Process-wide counter distinguishing concurrent temp files. The previous
 /// scheme (`input.as_ptr() ^ input.len()`) collided for identical-length
 /// inputs whose buffers reused an address — guaranteed corruption once
@@ -654,11 +620,9 @@ static TEMP_FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// once. Because validity is read from the *exit status*, each query
 /// inherently needs its own child process; a persistent in-process worker
 /// would change the oracle's semantics (that is what the explicit worker
-/// protocol of [`PooledProcessOracle`] is for). What the paper's cost model
-/// needs from *this* oracle is admission control, not process reuse:
-/// [`ProcessOracle::max_concurrent`] installs a counting semaphore so a
-/// large batch fan-out cannot fork-bomb the machine. Clones share the same
-/// limiter and the same failure counter.
+/// protocol of [`PooledProcessOracle`] is for). The engine bounds how many
+/// queries run at once: it calls the oracle from at most `worker_threads`
+/// threads. Clones share the same failure and timeout counters.
 ///
 /// # Examples
 ///
@@ -669,8 +633,7 @@ static TEMP_FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// let oracle = ProcessOracle::new("xmllint")
 ///     .arg("--noout")
 ///     .arg("{}")
-///     .input_mode(InputMode::TempFile)
-///     .max_concurrent(8);
+///     .input_mode(InputMode::TempFile);
 /// let _ = oracle.accepts(b"<a>hi</a>");
 /// ```
 #[derive(Debug, Clone)]
@@ -679,7 +642,6 @@ pub struct ProcessOracle {
     args: Vec<String>,
     input_mode: InputMode,
     require_empty_stderr: bool,
-    limiter: Option<Arc<Semaphore>>,
     /// Shared by clones so a fanned-out run reports one total.
     failures: Arc<AtomicUsize>,
     /// Per-query deadline in nanoseconds (`0` = wait forever). Shared by
@@ -697,7 +659,6 @@ impl ProcessOracle {
             args: Vec::new(),
             input_mode: InputMode::Stdin,
             require_empty_stderr: false,
-            limiter: None,
             failures: Arc::new(AtomicUsize::new(0)),
             timeout_nanos: Arc::new(AtomicU64::new(0)),
             timeouts: Arc::new(AtomicUsize::new(0)),
@@ -721,14 +682,6 @@ impl ProcessOracle {
     /// valid (the paper's "does not print an error message" criterion).
     pub fn require_empty_stderr(mut self, yes: bool) -> Self {
         self.require_empty_stderr = yes;
-        self
-    }
-
-    /// Bounds the number of child processes in flight at once (shared by
-    /// clones of this oracle). `n` must be nonzero.
-    pub fn max_concurrent(mut self, n: usize) -> Self {
-        assert!(n > 0, "max_concurrent requires at least one permit");
-        self.limiter = Some(Arc::new(Semaphore::new(n)));
         self
     }
 
@@ -840,8 +793,6 @@ impl Oracle for ProcessOracle {
     }
 
     fn accepts_checked(&self, input: &[u8]) -> Option<bool> {
-        let _permit = self.limiter.as_ref().map(|l| l.acquire());
-
         let run = |cmd: &mut Command, stdin_payload: Option<&[u8]>| -> Option<(bool, Vec<u8>)> {
             cmd.stdout(Stdio::null()).stderr(Stdio::piped());
             cmd.stdin(if stdin_payload.is_some() { Stdio::piped() } else { Stdio::null() });
@@ -1144,8 +1095,7 @@ struct PoolInner {
 /// worker binary.
 ///
 /// Workers are spawned lazily and checked out exclusively per call, so
-/// the pool also bounds process concurrency the way
-/// [`ProcessOracle::max_concurrent`] does. Every call — a single query or
+/// the pool bounds process concurrency at its size. Every call — a single query or
 /// a batch — runs one `poll(2)` dispatcher loop over the checked-out
 /// workers' nonblocking pipes; a single query is its one-query case. A
 /// crashed or hung worker is reaped and replaced, and each query it held
@@ -2040,8 +1990,7 @@ mod tests {
             .arg("-q")
             .arg("needle")
             .arg("{}")
-            .input_mode(InputMode::TempFile)
-            .max_concurrent(8);
+            .input_mode(InputMode::TempFile);
         std::thread::scope(|s| {
             for t in 0..8 {
                 let o = &o;
@@ -2169,25 +2118,5 @@ mod tests {
             p.fingerprint(),
             PooledProcessOracle::new("prog").arg("-x").pool_size(7).fingerprint()
         );
-    }
-
-    #[test]
-    fn semaphore_bounds_concurrency() {
-        let sem = Semaphore::new(2);
-        let active = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let (sem, active, peak) = (&sem, &active, &peak);
-                s.spawn(move || {
-                    let _g = sem.acquire();
-                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    active.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "peak {}", peak.load(Ordering::SeqCst));
     }
 }

@@ -40,17 +40,14 @@
 //! Entries and the index are sorted, so equal caches serialize to
 //! byte-identical snapshots regardless of insertion order. The header's
 //! total length and per-section offsets make every truncation detectable
-//! up front ([`CacheError::Corrupt`]), and the sorted hash index lets
-//! [`BinaryCacheFile`] answer point lookups by binary-searching the index
-//! *on disk* — a multi-gigabyte snapshot is opened by reading ~100 bytes of
-//! header and faulted in one record at a time (`glade cache inspect` reads
-//! only the header; sessions always load a snapshot in full). The index
-//! hash is part of the format: [`index_hash`] pins it as SipHash-1-3 with
-//! zero keys over the query's little-endian `u64` length followed by its
-//! bytes, so snapshots written by one build keep answering lookups in
-//! every later build. Every save goes through one durable write (temporary
-//! file, `fsync`, rename, directory `fsync`), so a crash never leaves a
-//! torn snapshot.
+//! up front ([`CacheError::Corrupt`]). The index is written so the format
+//! stays byte for byte what earlier builds wrote; nothing in this crate
+//! reads it. Loads read the records in full, and [`BinaryCacheFile`]
+//! (`glade cache inspect`) reads only the header. The index hash is part of
+//! the format: [`index_hash`] pins it as SipHash-1-3 with zero keys over
+//! the query's little-endian `u64` length followed by its bytes. Every save
+//! goes through one durable write (temporary file, `fsync`, rename,
+//! directory `fsync`), so a crash never leaves a torn snapshot.
 //!
 //! # Legacy text import (`glade-cache v1`–`v3`)
 //!
@@ -422,10 +419,9 @@ const BIN_INDEX_SLOT: usize = 16;
 /// This is the value `std::hash::DefaultHasher` produced for a `&[u8]` on
 /// 64-bit little-endian targets when the format was defined. The standard
 /// library leaves that hasher's algorithm unspecified across releases, so
-/// the format spells the function out here instead: a snapshot written by
-/// one toolchain must keep answering [`BinaryCacheFile::lookup`] in every
-/// later one. The in-memory query cache keys its map by the same value
-/// (see `cache.rs`).
+/// the format spells the function out here instead, so every toolchain
+/// writes the same index bytes for the same snapshot. The in-memory query
+/// cache keys its map by the same value (see `cache.rs`).
 pub(crate) fn index_hash(query: &[u8]) -> u64 {
     const C_ROUNDS: usize = 1;
     const D_ROUNDS: usize = 3;
@@ -710,9 +706,8 @@ pub fn snapshot_from_binary_reader<R: Read + Seek>(r: &mut R) -> Result<CacheSna
     if pos != h.memo_off {
         return Err(corrupt(pos, "record section size mismatch"));
     }
-    // Memo entries are few and structurally richer; the streaming parser
-    // (shared with `BinaryCacheFile::load_memo`) handles them over the
-    // in-memory section.
+    // Memo entries are few and structurally richer; a streaming parser
+    // handles them over the in-memory section.
     let mut cursor = std::io::Cursor::new(&body[local(pos)..]);
     let mut memo = Vec::with_capacity(h.memo_count as usize);
     for _ in 0..h.memo_count {
@@ -738,22 +733,15 @@ pub fn snapshot_from_binary(bytes: &[u8]) -> Result<CacheSnapshot, CacheError> {
     snapshot_from_binary_reader(&mut std::io::Cursor::new(bytes))
 }
 
-/// An opened `glade-cachebin v1` snapshot answering point lookups without
-/// loading the file — the index-first partial-load path.
+/// The header of a `glade-cachebin v1` snapshot, read without loading
+/// the file: what `glade cache inspect` prints.
 ///
 /// [`open`](BinaryCacheFile::open) reads and validates only the magic,
-/// header, and fingerprint (~100 bytes); [`lookup`](BinaryCacheFile::lookup)
-/// binary-searches the sorted on-disk hash index and faults in candidate
-/// records one at a time. A campaign can therefore warm-start from a
-/// snapshot far larger than memory, paying I/O only for the queries it
-/// actually poses — [`bytes_touched`](BinaryCacheFile::bytes_touched)
-/// measures exactly how little (the `cache_scale` bench pins it under 10%
-/// of the file for sparse query sets).
+/// header, and fingerprint (~100 bytes), so it costs the same for any
+/// snapshot size.
 #[derive(Debug)]
 pub struct BinaryCacheFile {
-    file: std::fs::File,
     header: BinHeader,
-    bytes_touched: u64,
 }
 
 impl BinaryCacheFile {
@@ -764,11 +752,8 @@ impl BinaryCacheFile {
     /// As [`snapshot_from_binary_reader`] (the header carries enough
     /// redundancy that truncation anywhere is detected here).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheError> {
-        let mut file = std::fs::File::open(path)?;
-        let header = read_binary_header(&mut file)?;
-        // Everything open() read: magic + header + fingerprint.
-        let bytes_touched = header.index_off;
-        Ok(BinaryCacheFile { file, header, bytes_touched })
+        let header = read_binary_header(&mut std::fs::File::open(path)?)?;
+        Ok(BinaryCacheFile { header })
     }
 
     /// Number of cached query entries in the snapshot.
@@ -794,117 +779,6 @@ impl BinaryCacheFile {
     /// Total snapshot size in bytes (as recorded in the header).
     pub fn file_len(&self) -> u64 {
         self.header.total_len
-    }
-
-    /// Bytes read from the snapshot so far, including the header read by
-    /// [`open`](BinaryCacheFile::open) — the partial-load cost metric.
-    pub fn bytes_touched(&self) -> u64 {
-        self.bytes_touched
-    }
-
-    fn read_at(&mut self, off: u64, buf: &mut [u8]) -> Result<(), CacheError> {
-        self.file.seek(SeekFrom::Start(off))?;
-        read_bin(&mut self.file, off, buf)?;
-        self.bytes_touched += buf.len() as u64;
-        Ok(())
-    }
-
-    /// The `i`-th on-disk index slot: (query hash, record offset).
-    fn index_slot(&mut self, i: u64) -> Result<(u64, u64), CacheError> {
-        let mut slot = [0u8; BIN_INDEX_SLOT];
-        self.read_at(self.header.index_off + i * BIN_INDEX_SLOT as u64, &mut slot)?;
-        Ok((
-            u64::from_le_bytes(slot[..8].try_into().unwrap()),
-            u64::from_le_bytes(slot[8..].try_into().unwrap()),
-        ))
-    }
-
-    /// Whether the record at `off` caches exactly `query`; returns its
-    /// verdict if so. The query bytes are only read when the lengths
-    /// already match.
-    fn record_matches(&mut self, off: u64, query: &[u8]) -> Result<Option<bool>, CacheError> {
-        if !(self.header.records_off..self.header.memo_off).contains(&off) {
-            return Err(corrupt(off, "index points outside the record section"));
-        }
-        let mut head = [0u8; 5];
-        self.read_at(off, &mut head)?;
-        let verdict = match head[0] {
-            0 => false,
-            1 => true,
-            _ => return Err(corrupt(off, "record verdict byte is neither 0 nor 1")),
-        };
-        let qlen = u64::from(u32::from_le_bytes(head[1..5].try_into().unwrap()));
-        if qlen != query.len() as u64 {
-            return Ok(None);
-        }
-        if off.checked_add(5 + qlen).is_none_or(|end| end > self.header.memo_off) {
-            return Err(corrupt(off, "record overruns its section"));
-        }
-        let mut bytes = vec![0u8; qlen as usize];
-        self.read_at(off + 5, &mut bytes)?;
-        Ok((bytes == query).then_some(verdict))
-    }
-
-    /// Looks up the cached verdict for `query`, faulting in at most the
-    /// index slots on one binary-search path plus the records whose hash
-    /// collides with the query's — `O(log n)` reads, independent of
-    /// snapshot size.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::Io`] for read failures, [`CacheError::Corrupt`] if
-    /// the index or a record is inconsistent. Absence is `Ok(None)`.
-    pub fn lookup(&mut self, query: &[u8]) -> Result<Option<bool>, CacheError> {
-        let target = index_hash(query);
-        // Lower bound of `target` in the sorted (hash, offset) index.
-        let (mut lo, mut hi) = (0u64, self.header.entry_count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let (hash, _) = self.index_slot(mid)?;
-            if hash < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        // Scan the (almost always singleton) run of colliding hashes.
-        while lo < self.header.entry_count {
-            let (hash, off) = self.index_slot(lo)?;
-            if hash != target {
-                break;
-            }
-            if let Some(verdict) = self.record_matches(off, query)? {
-                return Ok(Some(verdict));
-            }
-            lo += 1;
-        }
-        Ok(None)
-    }
-
-    /// Loads the snapshot's byte-class memo entries (the memo section is
-    /// small relative to the record section, so partial loading reads it
-    /// eagerly rather than faulting per key).
-    ///
-    /// # Errors
-    ///
-    /// As [`snapshot_from_binary_reader`].
-    pub fn load_memo(&mut self) -> Result<Vec<MemoEntry>, CacheError> {
-        let mut section = vec![0u8; (self.header.total_len - self.header.memo_off) as usize];
-        self.read_at(self.header.memo_off, &mut section)?;
-        let mut cursor = std::io::Cursor::new(&section[..]);
-        let mut pos = self.header.memo_off;
-        let mut memo = Vec::with_capacity(self.header.memo_count as usize);
-        for _ in 0..self.header.memo_count {
-            // `pos` is tracked in absolute file offsets for error
-            // attribution; the cursor reads the in-memory copy.
-            let before = pos - self.header.memo_off;
-            cursor.set_position(before);
-            memo.push(read_bin_memo(&mut cursor, &mut pos, self.header.total_len)?);
-        }
-        if pos != self.header.total_len {
-            return Err(corrupt(pos, "memo section size mismatch"));
-        }
-        Ok(memo)
     }
 }
 
@@ -1412,58 +1286,6 @@ pub(crate) mod tests {
             std::env::temp_dir().join(format!("glade-persist-{}-{name}", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
         path
-    }
-
-    #[test]
-    fn binary_file_lookup_agrees_with_full_load() {
-        let entries: Vec<(Vec<u8>, bool)> =
-            (0..500u32).map(|i| (format!("query-{i:04}").into_bytes(), i % 3 == 0)).collect();
-        let bin = snapshot_to_binary(&entries, &[], Some("fp"));
-        let path = write_temp("lookup.glade-cache", &bin);
-        let mut file = BinaryCacheFile::open(&path).unwrap();
-        assert_eq!(file.len(), 500);
-        assert!(!file.is_empty());
-        assert_eq!(file.fingerprint(), Some("fp"));
-        assert_eq!(file.file_len(), bin.len() as u64);
-        for (query, verdict) in &entries {
-            assert_eq!(file.lookup(query).unwrap(), Some(*verdict));
-        }
-        for absent in ["query-0500", "query-", "", "nope"] {
-            assert_eq!(file.lookup(absent.as_bytes()).unwrap(), None);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn binary_file_partial_load_touches_a_fraction_of_the_file() {
-        let entries: Vec<(Vec<u8>, bool)> = (0..2000u32)
-            .map(|i| (format!("some-longer-query-string-{i:06}").into_bytes(), i % 2 == 0))
-            .collect();
-        let bin = snapshot_to_binary(&entries, &[], None);
-        let path = write_temp("sparse.glade-cache", &bin);
-        let mut file = BinaryCacheFile::open(&path).unwrap();
-        let header_cost = file.bytes_touched();
-        assert!(header_cost < 256, "open() read {header_cost} bytes");
-        // A sparse probe set: 5 present, 5 absent.
-        for i in (0..10u32).map(|i| i * 199) {
-            file.lookup(format!("some-longer-query-string-{i:06}").as_bytes()).unwrap();
-            file.lookup(format!("absent-{i}").as_bytes()).unwrap();
-        }
-        let frac = file.bytes_touched() as f64 / file.file_len() as f64;
-        assert!(frac < 0.10, "sparse lookups touched {:.1}% of the file", frac * 100.0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn binary_file_load_memo_matches_full_load() {
-        let memo = sample_memo();
-        let bin = snapshot_to_binary(&[(b"q".to_vec(), true)], &memo, None);
-        let path = write_temp("memo.glade-cache", &bin);
-        let mut file = BinaryCacheFile::open(&path).unwrap();
-        assert_eq!(file.memo_len(), 2);
-        let loaded = file.load_memo().unwrap();
-        assert_eq!(loaded, snapshot_from_binary(&bin).unwrap().memo);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

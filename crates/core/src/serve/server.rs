@@ -498,7 +498,7 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
         .events
         .then(|| Arc::new(StreamObserver::new(ctx.conn, ctx.out.clone(), ctx.wake.clone())));
     if let Some(observer) = &observer {
-        builder = builder.observer_shared(Arc::clone(observer) as Arc<dyn SynthesisObserver>);
+        builder = builder.observer(Arc::clone(observer));
     }
     // Sends a batch's answer after the tallies still pending for it.
     let answer = |outcome: Outbound| {
@@ -1164,21 +1164,6 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// The unix socket path the server listens on.
-    pub fn socket_path(&self) -> &Path {
-        &self.path
-    }
-
-    /// A token that stops the accept loop when cancelled.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.shutdown.clone()
-    }
-
-    /// A token that puts the server into drain mode when cancelled.
-    pub fn drain_token(&self) -> CancelToken {
-        self.drain.clone()
-    }
-
     /// Asks the server to drain: stop accepting work, finish (or
     /// checkpoint) running campaigns, then exit. Non-blocking; pair with
     /// [`wait`](ServerHandle::wait).

@@ -183,20 +183,6 @@ impl GladeBuilder {
         self
     }
 
-    /// Installs an observer the caller already holds as a shared
-    /// `Arc<dyn SynthesisObserver>`.
-    ///
-    /// [`observer`](GladeBuilder::observer) wraps its argument in a fresh
-    /// `Arc`, so passing it an `Arc<dyn SynthesisObserver>` would nest the
-    /// handle rather than share the instance. This variant installs the
-    /// given `Arc` directly — the session and the caller (e.g. a serving
-    /// dispatcher draining events concurrently; see the threading contract
-    /// on [`SynthesisObserver`]) observe the same object.
-    pub fn observer_shared(mut self, observer: Arc<dyn SynthesisObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
     /// Installs an external cancellation token; keep a clone and call
     /// [`CancelToken::cancel`] to stop runs early. Without this, every
     /// session built from this builder (or a clone of it) gets its own

@@ -1126,7 +1126,7 @@ fn served_event_stream_matches_a_local_event_log() {
     let oracle = FnOracle::new(xml_like);
     let local: Vec<Vec<SynthEvent>> = {
         let log = Arc::new(EventLog::new());
-        let mut session = GladeBuilder::new().observer_shared(log.clone()).session(&oracle);
+        let mut session = GladeBuilder::new().observer(log.clone()).session(&oracle);
         let mut runs = Vec::new();
         for batch in &batches {
             let before = log.events().len();

@@ -38,51 +38,20 @@
 //! mode; PATH is the cross-process spawn counter). With none of these
 //! flags the serve path is byte-identical to the clean worker.
 //!
-//! `NAME` resolves an instrumented target first (`xml`, `grep`, `sed`, …)
-//! and then a handwritten language (`url-lang`, `lisp-lang`, `toy-xml`, …
-//! — suffixed to avoid clashing with the same-named targets).
+//! `NAME` is any of `glade_targets::subject_names`: an instrumented target
+//! (`xml`, `grep`, `sed`, …) or a handwritten language (`url-lang`,
+//! `lisp-lang`, `toy-xml`, … — suffixed to avoid clashing with the
+//! same-named targets).
 
-use glade_core::{flaky_spawn_should_die, serve_faulty_worker, FaultPlan, Oracle};
-use glade_targets::languages::{section82_languages, toy_xml};
-use glade_targets::programs::{all_targets, target_by_name};
-use glade_targets::TargetOracle;
+use glade_core::{flaky_spawn_should_die, serve_faulty_worker, FaultPlan};
+use glade_targets::{subject_names, subject_oracle};
 use std::io::Read as _;
 use std::process::ExitCode;
-
-/// Resolves `name` to a boxed oracle. Languages are suffixed `-lang`
-/// (except `toy-xml`, which has no target twin).
-fn oracle_by_name(name: &str) -> Option<Box<dyn Oracle>> {
-    if let Some(target) = target_by_name(name) {
-        // Leak is fine for a one-shot worker process.
-        let target: &'static dyn glade_targets::Target = Box::leak(target);
-        return Some(Box::new(TargetOracle::new(target)));
-    }
-    let mut languages = section82_languages();
-    languages.push(toy_xml());
-    for language in languages {
-        let lang_name = if language.name() == "toy-xml" {
-            language.name().to_owned()
-        } else {
-            format!("{}-lang", language.name())
-        };
-        if lang_name == name {
-            return Some(Box::new(language.oracle()));
-        }
-    }
-    None
-}
-
-fn known_names() -> Vec<String> {
-    let mut names: Vec<String> = all_targets().iter().map(|t| t.name().to_owned()).collect();
-    names.extend(section82_languages().iter().map(|l| format!("{}-lang", l.name())));
-    names.push("toy-xml".to_owned());
-    names
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--list") {
-        for name in known_names() {
+        for name in subject_names() {
             println!("{name}");
         }
         return ExitCode::SUCCESS;
@@ -151,7 +120,7 @@ fn main() -> ExitCode {
             return ExitCode::from(43);
         }
     }
-    let Some(oracle) = oracle_by_name(name) else {
+    let Some(oracle) = subject_oracle(name) else {
         eprintln!("glade-oracle-worker: unknown subject `{name}` (try --list)");
         return ExitCode::FAILURE;
     };

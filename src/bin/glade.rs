@@ -88,9 +88,8 @@ use glade_repro::core::{
 use glade_repro::core::{CancelToken, PooledProcessOracle};
 use glade_repro::fuzz::{Fuzzer, GrammarFuzzer};
 use glade_repro::grammar::{grammar_from_text, grammar_to_text, Earley, Grammar, Sampler};
-use glade_repro::targets::languages::{section82_languages, toy_xml};
-use glade_repro::targets::programs::{all_targets, target_by_name};
-use glade_repro::targets::TargetOracle;
+use glade_repro::targets::programs::all_targets;
+use glade_repro::targets::subject_oracle;
 use rand::SeedableRng;
 use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
@@ -356,8 +355,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
             if pool.is_some() {
                 return Err("--pool applies to --cmd oracles (targets run in-process)".into());
             }
-            // Same namespace as `glade worker` and serve's `target:` specs:
-            // instrumented programs first, then the `-lang` languages.
+            // Same names as `glade worker` and serve's `target:` specs.
             let oracle = subject_oracle(&name)
                 .ok_or_else(|| format!("unknown target `{name}` (see `glade targets`)"))?;
             (oracle, format!("target:{name}"))
@@ -507,8 +505,8 @@ fn cache_convert(src: &str, dst: &str) -> Result<(), String> {
 /// `glade worker NAME` — serve a built-in instrumented target
 /// or Section 8.2 language over the pooled-oracle wire protocol, so
 /// `glade synth --cmd 'glade worker NAME' --pool N` (and the test suites)
-/// need no separate harness binary. Targets resolve first; languages are
-/// suffixed `-lang` (except `toy-xml`), mirroring `glade-oracle-worker`.
+/// need no separate harness binary. Names resolve through
+/// `glade_targets::subject_oracle`, as in `glade-oracle-worker`.
 fn cmd_worker(argv: &[String]) -> ExitCode {
     let [name] = argv else {
         eprintln!("usage: glade worker NAME");
@@ -528,29 +526,6 @@ fn cmd_worker(argv: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Resolves a built-in subject name to an in-process oracle: instrumented
-/// targets first, then the Section 8.2 languages suffixed `-lang` (except
-/// `toy-xml`). Shared by `glade worker` and the `glade serve` oracle
-/// factory so `target:` specs and worker names agree.
-fn subject_oracle(name: &str) -> Option<Box<dyn Oracle>> {
-    if let Some(target) = target_by_name(name) {
-        // Leak is fine: worker processes and serve daemons hold their
-        // oracles for the whole process lifetime.
-        let target: &'static dyn glade_repro::targets::Target = Box::leak(target);
-        return Some(Box::new(TargetOracle::new(target)));
-    }
-    let mut languages = section82_languages();
-    languages.push(toy_xml());
-    let found = languages.into_iter().find(|l| {
-        if l.name() == "toy-xml" {
-            l.name() == name
-        } else {
-            name.strip_suffix("-lang").is_some_and(|stem| stem == l.name())
-        }
-    });
-    found.map(|language| Box::new(language.oracle()) as Box<dyn Oracle>)
 }
 
 /// Prints every synthesis event as a wire line on stderr (`--events`).
