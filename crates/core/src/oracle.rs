@@ -143,20 +143,14 @@
 //! ([`PooledProcessOracle::max_respawns`]) the slot trips open: queries
 //! route to the remaining workers — or degrade through the
 //! fallback/failure path when every slot is open — until the cool-down
-//! elapses and a single half-open probe spawn is allowed. Trips and
-//! recoveries are counted ([`Oracle::tripped_worker_count`],
-//! [`Oracle::recovered_worker_count`]) and surfaced per run as
-//! [`SynthEvent::WorkerHung`](crate::SynthEvent::WorkerHung),
-//! [`SynthEvent::BreakerTripped`](crate::SynthEvent::BreakerTripped), and
-//! [`SynthEvent::BreakerRecovered`](crate::SynthEvent::BreakerRecovered)
-//! events plus the
-//! [`SynthesisStats::timed_out_queries`](crate::SynthesisStats::timed_out_queries)
-//! and
-//! [`SynthesisStats::tripped_workers`](crate::SynthesisStats::tripped_workers)
-//! statistics. Backoff jitter is deterministic (hashed from the slot index
-//! and strike count, never entropy), and none of these knobs affects
-//! verdicts: with no timeout configured and healthy workers, grammar bytes
-//! and query counts are byte-identical to a pool without the machinery.
+//! elapses and a single half-open probe spawn is allowed. Timeouts, trips
+//! and recoveries are counted on the thread that ran the call, so each run
+//! sees its own as [`SynthEvent`](crate::SynthEvent)s and in its
+//! [`SynthesisStats`](crate::SynthesisStats). Backoff jitter is
+//! deterministic (hashed from the slot index and strike count, never
+//! entropy), and none of these knobs affects verdicts: with no timeout
+//! configured and healthy workers, grammar bytes and query counts are
+//! byte-identical to a pool without the machinery.
 //!
 //! Any `fn(&[u8]) -> bool` target becomes a protocol-speaking worker with
 //! [`serve_oracle_worker`] — call it from a binary's `main` (the
@@ -171,13 +165,10 @@
 //! same degradation contract as the query budget), are **never cached**
 //! (the engine queries through [`Oracle::accepts_checked`], whose `None`
 //! keeps degraded answers out of the session cache and out of persisted
-//! snapshots), and are **counted**:
-//! [`Oracle::failure_count`] exposes the running total, the engine surfaces
-//! the per-run delta as
+//! snapshots), and are **counted**: a run's `None` answers are its
 //! [`SynthesisStats::oracle_failures`](crate::SynthesisStats::oracle_failures)
-//! and emits
-//! [`SynthEvent::OracleFailures`](crate::SynthEvent::OracleFailures), so a
-//! degraded run is diagnosable instead of silently under-generalizing.
+//! and [`SynthEvent::OracleFailures`](crate::SynthEvent::OracleFailures),
+//! so a degraded run is diagnosable instead of silently under-generalizing.
 //!
 //! # Thread safety
 //!
@@ -343,38 +334,56 @@ pub(crate) fn retry_backoff_delay(base: Duration, salt: u64, strikes: u32) -> Op
     Some(base.saturating_mul(1 << exp).saturating_add(jitter))
 }
 
-/// Health events the calling thread's own oracle calls caused: queries
-/// abandoned to a deadline, breaker trips and breaker recoveries.
-///
-/// Each is counted on the thread that runs the call, beside the oracle's
-/// shared counter (see [`count_health`]), so a wrapper can attribute the
-/// events of one call to its caller by reading the tally before and after
-/// the call, even while other threads call the same oracle.
-#[cfg(any(target_os = "linux", target_os = "macos"))]
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ThreadHealth {
+/// Oracle health counts: queries that failed to execute, queries
+/// abandoned to a deadline, breaker trips and breaker recoveries. The
+/// query engine sums one per run from its own oracle calls (see
+/// [`OracleHealth::of`]); an oracle counts the last three on the thread
+/// that runs the call, beside its shared counter (see [`count_health`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct OracleHealth {
+    pub(crate) failures: usize,
     pub(crate) timeouts: usize,
     pub(crate) trips: usize,
     pub(crate) recoveries: usize,
 }
 
-#[cfg(any(target_os = "linux", target_os = "macos"))]
 thread_local! {
-    static THREAD_HEALTH: std::cell::Cell<ThreadHealth> =
-        const { std::cell::Cell::new(ThreadHealth { timeouts: 0, trips: 0, recoveries: 0 }) };
+    static THREAD_HEALTH: std::cell::Cell<OracleHealth> = const {
+        std::cell::Cell::new(OracleHealth { failures: 0, timeouts: 0, trips: 0, recoveries: 0 })
+    };
 }
 
-#[cfg(any(target_os = "linux", target_os = "macos"))]
-impl ThreadHealth {
-    /// The calling thread's running tally.
-    pub(crate) fn current() -> Self {
-        THREAD_HEALTH.with(std::cell::Cell::get)
+impl OracleHealth {
+    /// Runs `calls`, oracle calls on this thread that return how many
+    /// `None` answers they got back, and returns their health: those
+    /// failures, plus what the thread's tally counted meanwhile. Other
+    /// threads' calls to the same oracle never show in it.
+    pub(crate) fn of(calls: impl FnOnce() -> usize) -> Self {
+        let before = THREAD_HEALTH.with(std::cell::Cell::get);
+        let failures = calls();
+        OracleHealth { failures, ..THREAD_HEALTH.with(std::cell::Cell::get) - before }
     }
+}
 
-    /// What this thread counted since `earlier`, a previous
-    /// [`ThreadHealth::current`].
-    pub(crate) fn since(self, earlier: Self) -> Self {
-        ThreadHealth {
+impl std::ops::Add for OracleHealth {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        OracleHealth {
+            failures: self.failures.wrapping_add(other.failures),
+            timeouts: self.timeouts.wrapping_add(other.timeouts),
+            trips: self.trips.wrapping_add(other.trips),
+            recoveries: self.recoveries.wrapping_add(other.recoveries),
+        }
+    }
+}
+
+impl std::ops::Sub for OracleHealth {
+    type Output = Self;
+
+    fn sub(self, earlier: Self) -> Self {
+        OracleHealth {
+            failures: self.failures.wrapping_sub(earlier.failures),
             timeouts: self.timeouts.wrapping_sub(earlier.timeouts),
             trips: self.trips.wrapping_sub(earlier.trips),
             recoveries: self.recoveries.wrapping_sub(earlier.recoveries),
@@ -383,9 +392,9 @@ impl ThreadHealth {
 }
 
 /// Adds `n` to one of an oracle's shared health counters and to the same
-/// field of the calling thread's [`ThreadHealth`].
+/// field of the calling thread's [`OracleHealth`] tally.
 #[cfg(any(target_os = "linux", target_os = "macos"))]
-fn count_health(counter: &AtomicUsize, n: usize, field: fn(&mut ThreadHealth) -> &mut usize) {
+fn count_health(counter: &AtomicUsize, n: usize, field: fn(&mut OracleHealth) -> &mut usize) {
     counter.fetch_add(n, Ordering::Relaxed);
     THREAD_HEALTH.with(|cell| {
         let mut tally = cell.get();
@@ -407,6 +416,12 @@ fn count_health(counter: &AtomicUsize, n: usize, field: fn(&mut ThreadHealth) ->
 /// Implementations must be **thread-safe** (`Send + Sync`): membership
 /// checks are batched and dispatched concurrently from a scoped worker
 /// pool, all sharing `&self`.
+///
+/// A run's [`SynthesisStats`](crate::SynthesisStats) count only its own
+/// calls: the `None` answers they got back, and the timeouts, breaker
+/// trips and recoveries the oracle counted on the calling thread during
+/// them. The four counting methods below (`failure_count` and the rest)
+/// are lifetime totals over every caller; the engine does not read them.
 pub trait Oracle: Send + Sync {
     /// Returns whether `input` is a valid program input (`input ∈ L*`).
     fn accepts(&self, input: &[u8]) -> bool;
@@ -463,12 +478,12 @@ pub trait Oracle: Send + Sync {
         false
     }
 
-    /// Number of queries (so far, across the oracle's lifetime) that failed
-    /// to *execute* — the verdict could not be obtained and `accepts`
-    /// answered a degraded `false`. In-process oracles never fail; process
-    /// oracles count spawn and I/O errors here so runs against a broken
-    /// target are diagnosable (see
-    /// [`SynthesisStats::oracle_failures`](crate::SynthesisStats::oracle_failures)).
+    /// Number of queries (so far, across the oracle's lifetime and every
+    /// caller) that failed to *execute* — the verdict could not be obtained
+    /// and `accepts` answered a degraded `false`. In-process oracles never
+    /// fail; process oracles count spawn and I/O errors here. A run's own
+    /// share is the `None` answers it got back
+    /// ([`SynthesisStats::oracle_failures`](crate::SynthesisStats::oracle_failures)).
     fn failure_count(&self) -> usize {
         0
     }
@@ -482,11 +497,11 @@ pub trait Oracle: Send + Sync {
     /// child process can). Wrappers forward to the inner oracle.
     fn configure_timeout(&self, _timeout: Option<Duration>) {}
 
-    /// Number of queries (across the oracle's lifetime) whose deadline
-    /// expired — a hung worker or child was killed before answering. Every
-    /// timed-out query is also retried/degraded through the ordinary
-    /// failure machinery; this counter exists so hangs are distinguishable
-    /// from crashes in run statistics
+    /// Number of queries (across the oracle's lifetime and every caller)
+    /// whose deadline expired — a hung worker or child was killed before
+    /// answering. Every timed-out query is also retried/degraded through
+    /// the ordinary failure machinery; timeouts are counted so hangs are
+    /// distinguishable from crashes in run statistics
     /// ([`SynthesisStats::timed_out_queries`](crate::SynthesisStats::timed_out_queries)).
     fn timed_out_count(&self) -> usize {
         0

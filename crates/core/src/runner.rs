@@ -49,7 +49,9 @@
 //! observer, budget exhaustion and cancellation emit their events exactly
 //! once, and a [`CancelToken`] is checked both at budget-reservation time
 //! and between the queries of an in-flight batch — cancellation takes the
-//! same fail-closed path as the deadline.
+//! same fail-closed path as the deadline. It is also where a run's oracle
+//! health is counted, from its own calls only (see `OracleHealth` in
+//! `oracle.rs`), so runs sharing one oracle never count each other's faults.
 //!
 //! Determinism: with no time limit and no cancellation, batch results
 //! depend only on the oracle (which must be deterministic, see
@@ -64,6 +66,7 @@
 use crate::arena::{KeyArena, KeySet};
 use crate::cache::{hash_query, QueryCache};
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
+use crate::oracle::OracleHealth;
 use crate::tree::Context;
 use crate::Oracle;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -191,20 +194,8 @@ pub(crate) struct QueryRunner<'s> {
     cancel_event_sent: AtomicBool,
     /// Worker threads a batch of misses fans out to (1 = fully sequential).
     workers: usize,
-    /// Oracle execution failures already accumulated before this run, so
-    /// the runner reports per-run deltas (see [`Oracle::failure_count`]).
-    failures_at_start: usize,
-    /// Failures already surfaced through `SynthEvent::OracleFailures`.
-    failures_reported: AtomicUsize,
-    /// Pre-run baselines and already-surfaced marks for the oracle health
-    /// counters (deadline timeouts, breaker trips/recoveries), mirroring
-    /// the failure-count delta reporting above.
-    timeouts_at_start: usize,
-    timeouts_reported: AtomicUsize,
-    trips_at_start: usize,
-    trips_reported: AtomicUsize,
-    recoveries_at_start: usize,
-    recoveries_reported: AtomicUsize,
+    /// This run's oracle health, and the part already reported as events.
+    health: Mutex<(OracleHealth, OracleHealth)>,
     /// Batch scratch reused across calls (see [`QueryRunner::with_scratch`]).
     scratch: Mutex<BatchScratch>,
 }
@@ -243,10 +234,6 @@ struct Miss {
 
 impl<'s> QueryRunner<'s> {
     pub fn new(oracle: &'s dyn Oracle, cache: &'s QueryCache, opts: RunnerOptions<'s>) -> Self {
-        let failures_at_start = oracle.failure_count();
-        let timeouts_at_start = oracle.timed_out_count();
-        let trips_at_start = oracle.tripped_worker_count();
-        let recoveries_at_start = oracle.recovered_worker_count();
         QueryRunner {
             oracle,
             cache,
@@ -261,14 +248,7 @@ impl<'s> QueryRunner<'s> {
             budget_event_sent: AtomicBool::new(false),
             cancel_event_sent: AtomicBool::new(false),
             workers: opts.workers.max(1),
-            failures_at_start,
-            failures_reported: AtomicUsize::new(failures_at_start),
-            timeouts_at_start,
-            timeouts_reported: AtomicUsize::new(timeouts_at_start),
-            trips_at_start,
-            trips_reported: AtomicUsize::new(trips_at_start),
-            recoveries_at_start,
-            recoveries_reported: AtomicUsize::new(recoveries_at_start),
+            health: Mutex::default(),
             scratch: Mutex::default(),
         }
     }
@@ -297,69 +277,49 @@ impl<'s> QueryRunner<'s> {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Surfaces newly observed oracle execution failures (see
-    /// [`Oracle::failure_count`]) as a [`SynthEvent::OracleFailures`]
-    /// event. Called after every batch; emits only when the count grew.
-    fn report_oracle_failures(&self) {
-        let current = self.oracle.failure_count();
-        let previous = self.failures_reported.swap(current, Ordering::Relaxed);
-        if current > previous {
+    /// Adds the health of some of this run's own oracle calls (see
+    /// [`OracleHealth::of`]) to the run's total.
+    fn charge(&self, calls: OracleHealth) {
+        let mut health = self.health.lock().expect("runner health poisoned");
+        health.0 = health.0 + calls;
+    }
+
+    /// Emits one event per health count that grew since the last report
+    /// ([`SynthEvent::OracleFailures`], [`SynthEvent::WorkerHung`],
+    /// [`SynthEvent::BreakerTripped`], [`SynthEvent::BreakerRecovered`]).
+    fn report_health(&self) {
+        let (run, new) = {
+            let mut health = self.health.lock().expect("runner health poisoned");
+            let (run, reported) = *health;
+            health.1 = run;
+            (run, run - reported)
+        };
+        if new.failures > 0 {
             self.emit(SynthEvent::OracleFailures {
-                new_failures: current - previous,
-                run_failures: current - self.failures_at_start,
+                new_failures: new.failures,
+                run_failures: run.failures,
             });
         }
-    }
-
-    /// Oracle execution failures observed during this run (queries whose
-    /// verdict could not be obtained and degraded to `false`).
-    pub fn oracle_failures(&self) -> usize {
-        self.oracle.failure_count().saturating_sub(self.failures_at_start)
-    }
-
-    /// Surfaces newly observed oracle health transitions — deadline
-    /// timeouts ([`SynthEvent::WorkerHung`]), breaker trips
-    /// ([`SynthEvent::BreakerTripped`]) and recoveries
-    /// ([`SynthEvent::BreakerRecovered`]) — with the same swap-delta
-    /// pattern as [`QueryRunner::report_oracle_failures`]. Called after
-    /// every batch; emits only when a counter grew.
-    fn report_oracle_health(&self) {
-        let current = self.oracle.timed_out_count();
-        let previous = self.timeouts_reported.swap(current, Ordering::Relaxed);
-        if current > previous {
+        if new.timeouts > 0 {
             self.emit(SynthEvent::WorkerHung {
-                new_timeouts: current - previous,
-                run_timeouts: current - self.timeouts_at_start,
+                new_timeouts: new.timeouts,
+                run_timeouts: run.timeouts,
             });
         }
-        let current = self.oracle.tripped_worker_count();
-        let previous = self.trips_reported.swap(current, Ordering::Relaxed);
-        if current > previous {
-            self.emit(SynthEvent::BreakerTripped {
-                new_trips: current - previous,
-                run_trips: current - self.trips_at_start,
-            });
+        if new.trips > 0 {
+            self.emit(SynthEvent::BreakerTripped { new_trips: new.trips, run_trips: run.trips });
         }
-        let current = self.oracle.recovered_worker_count();
-        let previous = self.recoveries_reported.swap(current, Ordering::Relaxed);
-        if current > previous {
+        if new.recoveries > 0 {
             self.emit(SynthEvent::BreakerRecovered {
-                new_recoveries: current - previous,
-                run_recoveries: current - self.recoveries_at_start,
+                new_recoveries: new.recoveries,
+                run_recoveries: run.recoveries,
             });
         }
     }
 
-    /// Queries abandoned to the per-query deadline during this run (each
-    /// was also retried or degraded, so it is *additionally* visible in
-    /// [`QueryRunner::oracle_failures`] unless rescued).
-    pub fn timed_out_queries(&self) -> usize {
-        self.oracle.timed_out_count().saturating_sub(self.timeouts_at_start)
-    }
-
-    /// Worker-slot circuit-breaker trips during this run.
-    pub fn tripped_workers(&self) -> usize {
-        self.oracle.tripped_worker_count().saturating_sub(self.trips_at_start)
+    /// This run's oracle health so far (its own calls only).
+    pub fn oracle_health(&self) -> OracleHealth {
+        self.health.lock().expect("runner health poisoned").0
     }
 
     /// Reserves one budget slot, or trips the exhausted flag and fails.
@@ -387,33 +347,14 @@ impl<'s> QueryRunner<'s> {
         reserved
     }
 
-    /// Budget-aware membership query (single-check form of
-    /// [`QueryRunner::accepts_batch`]; the synthesis phases all batch, so
-    /// production builds reach this only through the batch path).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn accepts(&self, input: &[u8]) -> bool {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        let h = hash_query(input);
-        if let Some(v) = self.cache.get_hashed(h, input) {
-            return v;
-        }
-        if !self.reserve_budget() {
-            return false;
-        }
-        // Execution failures answer `false` but are not cached.
-        let Some(v) = self.oracle.accepts_checked(input) else { return false };
-        self.cache.insert_hashed(h, input.into(), v);
-        v
-    }
-
     /// Budget-aware batched membership query.
     ///
     /// Answers what it can from the cache, interns the remaining checks
     /// into the runner's scratch arena (deduplicating on the bytes — equal
     /// hashes alone never merge two checks), and poses that arena through
-    /// [`QueryRunner::pose`]: misses beyond the budget answer `false`,
-    /// exactly like [`QueryRunner::accepts`]. Results are returned in input
-    /// order and are identical for every worker count.
+    /// [`QueryRunner::pose`]: misses beyond the budget answer `false`.
+    /// Results are returned in input order and are identical for every
+    /// worker count.
     ///
     /// Budget note: a batch charges every distinct miss it poses. Callers
     /// that previously short-circuited (stop at the first failing check of
@@ -534,8 +475,7 @@ impl<'s> QueryRunner<'s> {
         }
         buf.verdicts.resize(at, None);
         self.dispatch(&*sets, &buf.misses, &mut buf.verdicts);
-        self.report_oracle_failures();
-        self.report_oracle_health();
+        self.report_health();
 
         if self.observer.is_some() {
             // `posed` counts misses that actually reached the oracle —
@@ -592,45 +532,62 @@ impl<'s> QueryRunner<'s> {
         // inline). Results are identical either way.
         let n = misses.len();
         let threads = if n >= MIN_PARALLEL_MISSES { self.workers.min(n) } else { 1 };
+        // Each strategy charges the run with the `None` answers its calls
+        // got back; a slot the deadline or a cancel skipped is no failure.
         if self.oracle.native_batching() {
             // A sub-batch's keys are listed on the stack when they fit
             // (phase one's pairs), else in one buffer per call.
             let mut inline: [&[u8]; 2] = [&[]; 2];
             let mut heap: Vec<&[u8]> = Vec::new();
-            for chunk in misses.chunks(NATIVE_DISPATCH_SUB_BATCH) {
-                if self.stop_requested() {
-                    break;
-                }
-                let refs: &[&[u8]] = if chunk.len() <= inline.len() {
-                    for (r, m) in inline.iter_mut().zip(chunk) {
-                        *r = key(m);
+            self.charge(OracleHealth::of(|| {
+                let mut failures = 0;
+                for chunk in misses.chunks(NATIVE_DISPATCH_SUB_BATCH) {
+                    if self.stop_requested() {
+                        break;
                     }
-                    &inline[..chunk.len()]
-                } else {
-                    heap.clear();
-                    heap.extend(chunk.iter().map(key));
-                    &heap
-                };
-                let answers = self.oracle.accepts_batch_checked(refs);
-                debug_assert_eq!(answers.len(), refs.len());
-                for (m, answer) in chunk.iter().zip(answers) {
-                    verdicts[m.at] = answer;
+                    let refs: &[&[u8]] = if chunk.len() <= inline.len() {
+                        for (r, m) in inline.iter_mut().zip(chunk) {
+                            *r = key(m);
+                        }
+                        &inline[..chunk.len()]
+                    } else {
+                        heap.clear();
+                        heap.extend(chunk.iter().map(key));
+                        &heap
+                    };
+                    let answers = self.oracle.accepts_batch_checked(refs);
+                    debug_assert_eq!(answers.len(), refs.len());
+                    for (m, answer) in chunk.iter().zip(answers) {
+                        failures += usize::from(answer.is_none());
+                        verdicts[m.at] = answer;
+                    }
                 }
-            }
+                failures
+            }));
         } else if threads > 1 {
             const SLOT_SKIPPED: u8 = 0;
             const SLOT_REJECT: u8 = 1;
             const SLOT_ACCEPT: u8 = 2;
             let slots: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(SLOT_SKIPPED)).collect();
             let cursor = AtomicUsize::new(0);
-            let steal_loop = || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n || self.stop_requested() {
-                    break;
-                }
-                if let Some(v) = self.oracle.accepts_checked(key(&misses[i])) {
-                    slots[i].store(if v { SLOT_ACCEPT } else { SLOT_REJECT }, Ordering::Relaxed);
-                }
+            // Each thread charges its own calls, once, when it runs out.
+            let steal_loop = || {
+                self.charge(OracleHealth::of(|| {
+                    let mut failures = 0;
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n || self.stop_requested() {
+                            break failures;
+                        }
+                        match self.oracle.accepts_checked(key(&misses[i])) {
+                            Some(v) => slots[i].store(
+                                if v { SLOT_ACCEPT } else { SLOT_REJECT },
+                                Ordering::Relaxed,
+                            ),
+                            None => failures += 1,
+                        }
+                    }
+                }))
             };
             std::thread::scope(|scope| {
                 for _ in 0..threads {
@@ -644,12 +601,17 @@ impl<'s> QueryRunner<'s> {
                 };
             }
         } else {
-            for m in misses {
-                if self.stop_requested() {
-                    break;
+            self.charge(OracleHealth::of(|| {
+                let mut failures = 0;
+                for m in misses {
+                    if self.stop_requested() {
+                        break;
+                    }
+                    verdicts[m.at] = self.oracle.accepts_checked(key(m));
+                    failures += usize::from(verdicts[m.at].is_none());
                 }
-                verdicts[m.at] = self.oracle.accepts_checked(key(m));
-            }
+                failures
+            }));
         }
     }
 
@@ -678,8 +640,13 @@ impl<'s> QueryRunner<'s> {
         }
         // A seed whose validation *execution* fails is rejected (the
         // premise `E_in ⊆ L*` cannot be confirmed) without caching the
-        // non-verdict.
-        let Some(v) = self.oracle.accepts_checked(input) else { return false };
+        // non-verdict, and counts as one of the run's failures.
+        let mut answer = None;
+        self.charge(OracleHealth::of(|| {
+            answer = self.oracle.accepts_checked(input);
+            usize::from(answer.is_none())
+        }));
+        let Some(v) = answer else { return false };
         self.cache.insert_hashed(h, input.into(), v);
         v
     }
@@ -717,6 +684,11 @@ mod tests {
         CheckSpec::new(&[bytes])
     }
 
+    /// Poses `input` as a one-check batch.
+    fn accepts(r: &QueryRunner<'_>, input: &[u8]) -> bool {
+        r.accepts_batch(&[spec(input)])[0]
+    }
+
     fn runner<'s>(
         oracle: &'s dyn Oracle,
         cache: &'s QueryCache,
@@ -736,9 +708,9 @@ mod tests {
         let o = FnOracle::new(|i: &[u8]| i.len() < 2);
         let cache = QueryCache::new();
         let r = runner(&o, &cache, None, None, 1);
-        assert!(r.accepts(b"a"));
-        assert!(r.accepts(b"a"));
-        assert!(!r.accepts(b"ab"));
+        assert!(accepts(&r, b"a"));
+        assert!(accepts(&r, b"a"));
+        assert!(!accepts(&r, b"ab"));
         assert_eq!(r.unique_queries(), 2);
         assert_eq!(r.total_queries(), 3);
         assert!(!r.exhausted());
@@ -749,13 +721,13 @@ mod tests {
         let o = FnOracle::new(|_: &[u8]| true);
         let cache = QueryCache::new();
         let r = runner(&o, &cache, Some(2), None, 1);
-        assert!(r.accepts(b"1"));
-        assert!(r.accepts(b"2"));
+        assert!(accepts(&r, b"1"));
+        assert!(accepts(&r, b"2"));
         // Third distinct query exceeds the budget: rejected.
-        assert!(!r.accepts(b"3"));
+        assert!(!accepts(&r, b"3"));
         assert!(r.exhausted());
         // Cached answers stay available.
-        assert!(r.accepts(b"1"));
+        assert!(accepts(&r, b"1"));
         // Unbudgeted path still works.
         assert!(r.accepts_unbudgeted(b"4"));
     }
@@ -772,9 +744,9 @@ mod tests {
         assert!(r.accepts_unbudgeted(b"seed-2"));
         assert!(r.accepts_unbudgeted(b"seed-3"));
         // The full budget of 2 distinct budgeted queries remains.
-        assert!(r.accepts(b"q1"));
-        assert!(r.accepts(b"q2"));
-        assert!(!r.accepts(b"q3"));
+        assert!(accepts(&r, b"q1"));
+        assert!(accepts(&r, b"q2"));
+        assert!(!accepts(&r, b"q3"));
         assert!(r.exhausted());
         assert_eq!(r.unique_queries(), 5, "cache still holds seeds + budgeted");
     }
@@ -785,7 +757,7 @@ mod tests {
         let cache = QueryCache::new();
         let r = runner(&o, &cache, None, Some(Duration::from_nanos(1)), 1);
         std::thread::sleep(Duration::from_millis(2));
-        assert!(!r.accepts(b"x"));
+        assert!(!accepts(&r, b"x"));
         assert!(r.exhausted());
         assert!(!r.was_cancelled());
     }
@@ -809,15 +781,15 @@ mod tests {
                 ..RunnerOptions::default()
             },
         );
-        assert!(r.accepts(b"before"));
+        assert!(accepts(&r, b"before"));
         token.cancel();
-        assert!(!r.accepts(b"after"), "cancelled runs answer false");
-        assert!(!r.accepts(b"again"));
+        assert!(!accepts(&r, b"after"), "cancelled runs answer false");
+        assert!(!accepts(&r, b"again"));
         assert!(r.exhausted(), "cancellation shares the fail-closed path");
         assert!(r.was_cancelled());
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no oracle calls after cancel");
         // Cached answers stay available, unbudgeted validation still works.
-        assert!(r.accepts(b"before"));
+        assert!(accepts(&r, b"before"));
         assert!(r.accepts_unbudgeted(b"seed"));
         let cancels = log.events().iter().filter(|e| matches!(e, SynthEvent::Cancelled)).count();
         assert_eq!(cancels, 1, "Cancelled is emitted exactly once");
@@ -960,7 +932,7 @@ mod tests {
             (0..64).map(|n| std::iter::repeat_n(b'x', n % 7).collect()).collect();
         let specs: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
         let par_verdicts = par.accepts_batch(&specs);
-        let seq_verdicts: Vec<bool> = inputs.iter().map(|i| seq.accepts(i)).collect();
+        let seq_verdicts: Vec<bool> = inputs.iter().map(|i| accepts(&seq, i)).collect();
         assert_eq!(par_verdicts, seq_verdicts);
         assert_eq!(par.unique_queries(), seq.unique_queries());
     }
@@ -1076,26 +1048,32 @@ mod tests {
         assert_eq!((cache.get(b"3"), cache.get(b"4")), (None, None), "over budget is not cached");
     }
 
+    /// A natively batching oracle that accepts everything and flips
+    /// `token` on its first batch.
+    struct CancellingOracle {
+        token: CancelToken,
+    }
+
+    impl Oracle for CancellingOracle {
+        fn accepts(&self, _input: &[u8]) -> bool {
+            true
+        }
+
+        fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
+            self.token.cancel();
+            inputs.iter().map(|_| Some(true)).collect()
+        }
+
+        fn native_batching(&self) -> bool {
+            true
+        }
+    }
+
     #[test]
     fn pose_cancelled_between_sub_batches_skips_the_rest() {
         // The first native sub-batch flips the cancel token: the second is
         // never posed, and its slots, and a twin of one of them, answer
         // false and stay uncached.
-        struct CancellingOracle {
-            token: CancelToken,
-        }
-        impl Oracle for CancellingOracle {
-            fn accepts(&self, _input: &[u8]) -> bool {
-                true
-            }
-            fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
-                self.token.cancel();
-                inputs.iter().map(|_| Some(true)).collect()
-            }
-            fn native_batching(&self) -> bool {
-                true
-            }
-        }
         let token = CancelToken::new();
         let o = CancellingOracle { token: token.clone() };
         let cache = QueryCache::new();
@@ -1128,6 +1106,49 @@ mod tests {
         let mut arena = planned(&cache, &[b"seen"]);
         cache.insert(b"seen".to_vec(), true);
         r.pose(&mut [arena.keys_mut()]);
+    }
+
+    #[test]
+    fn health_counts_the_none_answers_of_posed_misses_only() {
+        // Inputs with a '~' fail to execute. Another caller's failures on
+        // the same oracle, and slots the budget skipped, are not the run's.
+        struct TildeFails(AtomicUsize);
+        impl Oracle for TildeFails {
+            fn accepts(&self, input: &[u8]) -> bool {
+                self.accepts_checked(input).unwrap_or(false)
+            }
+            fn accepts_checked(&self, input: &[u8]) -> Option<bool> {
+                let fails = input.contains(&b'~');
+                self.0.fetch_add(usize::from(fails), Ordering::Relaxed);
+                (!fails).then_some(true)
+            }
+        }
+        let o = TildeFails(AtomicUsize::new(0));
+        for workers in [1, 4] {
+            let cache = QueryCache::new();
+            let log = EventLog::new();
+            let r = QueryRunner::new(
+                &o,
+                &cache,
+                RunnerOptions {
+                    max_queries: Some(6),
+                    workers,
+                    observer: Some(&log),
+                    ..RunnerOptions::default()
+                },
+            );
+            o.accepts_checked(b"~other");
+            assert!(!r.accepts_unbudgeted(b"~seed"));
+            let inputs: Vec<Vec<u8>> = (0..8u8).map(|b| vec![b'~', b]).collect();
+            let specs: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
+            assert!(r.accepts_batch(&specs).iter().all(|&v| !v));
+            assert!(r.exhausted(), "two misses were over budget");
+            assert_eq!(r.oracle_health().failures, 7, "workers={workers}");
+            assert_eq!(r.unique_queries(), 0, "failures are not cached");
+            let failures = SynthEvent::OracleFailures { new_failures: 7, run_failures: 7 };
+            assert!(log.events().contains(&failures), "workers={workers}");
+        }
+        assert_eq!(o.0.load(Ordering::Relaxed), 16);
     }
 
     #[test]
@@ -1215,21 +1236,6 @@ mod tests {
         // A cancel flipped during the batch is honored at the next
         // sub-batch boundary: remaining misses answer false and are not
         // cached.
-        struct CancellingOracle {
-            token: CancelToken,
-        }
-        impl Oracle for CancellingOracle {
-            fn accepts(&self, _input: &[u8]) -> bool {
-                true
-            }
-            fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
-                self.token.cancel();
-                inputs.iter().map(|_| Some(true)).collect()
-            }
-            fn native_batching(&self) -> bool {
-                true
-            }
-        }
         let token = CancelToken::new();
         let o = CancellingOracle { token: token.clone() };
         let cache = QueryCache::new();

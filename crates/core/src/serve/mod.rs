@@ -140,13 +140,12 @@
 //!
 //! # Sharing an oracle
 //!
-//! Each campaign reaches its oracle through a [`ScheduledOracle`], its own
-//! view of the shared instance. The query engine hands the view whole miss
-//! sets (it declares [`native_batching`](crate::Oracle::native_batching))
-//! in bounded sub-batches of up to 1024 queries, and the view passes each
-//! sub-batch straight to the shared oracle: campaigns call it at the same
-//! time, and nothing in the server serializes them. An in-process oracle
-//! answers each campaign on that campaign's thread. A
+//! Each campaign's session calls the shared oracle directly, from the
+//! campaign's own thread only (it runs with one worker thread): a natively
+//! batching oracle gets whole miss sets in bounded sub-batches of up to
+//! 1024 queries, any other oracle one query at a time. Campaigns call the
+//! oracle at the same time, and nothing in the server serializes them. An
+//! in-process oracle answers each campaign on that campaign's thread. A
 //! [`PooledProcessOracle`](crate::PooledProcessOracle) shares its workers:
 //! a call that finds every worker busy waits for one, waiting calls get
 //! released workers first in, first out, and a call only widens onto extra
@@ -154,12 +153,9 @@
 //! sub-batches cannot starve another one, and a lone tenant still keeps
 //! every worker busy.
 //!
-//! Oracle health is charged per tenant and per call: a campaign's
-//! `oracle_failures` are the unanswered queries its own calls got back,
-//! and its `timed_out_queries`, `tripped_workers` and breaker recoveries
-//! are what the shared oracle counted on the campaign's thread during
-//! those calls. One tenant's faults never show in another's statistics,
-//! and the tenants' counts add up to the shared oracle's.
+//! Like any run, a campaign counts only its own calls' oracle health (see
+//! [`Oracle`](crate::Oracle)): one tenant's faults never show in another's
+//! statistics, and the tenants' counts add up to the shared oracle's.
 //!
 //! # Budgets, preemption, and determinism
 //!
@@ -209,12 +205,10 @@
 mod client;
 mod journal;
 mod protocol;
-mod scheduler;
 mod server;
 
 pub use client::{CancelHandle, RunOutcome, ServeClient};
 pub use protocol::{OpenRequest, ProtocolError, SERVE_PROTOCOL, SERVE_PROTOCOL_V1};
-pub use scheduler::ScheduledOracle;
 pub use server::{
     drain_signal_count, install_drain_signals, OracleFactory, ServeConfig, Server, ServerHandle,
 };

@@ -13,7 +13,6 @@ use super::protocol::{
     OpenRequest, SERVE_PROTOCOL, SERVE_PROTOCOL_V1, TAG_CANCEL, TAG_CLOSE, TAG_ERROR, TAG_EVENT,
     TAG_HELLO, TAG_HELLO_ACK, TAG_OPEN, TAG_OPEN_ACK, TAG_RESULT, TAG_RESUME, TAG_SEEDS,
 };
-use super::scheduler::ScheduledOracle;
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::oracle::{sys, Oracle};
 use crate::session::{GladeBuilder, Session};
@@ -81,7 +80,7 @@ const OUTBUF_SOFT_CAP: usize = 1 << 16;
 pub struct ServeConfig {
     /// Per-query deadline pushed onto every shared oracle at creation
     /// (tenants cannot override it — a shared pool's deadline is server
-    /// policy, see [`ScheduledOracle`]).
+    /// policy, and campaigns never configure one).
     pub oracle_timeout: Option<Duration>,
     /// Directory for per-campaign persistent query caches, namespaced by
     /// oracle fingerprint, and for the campaign journal that makes open
@@ -479,15 +478,16 @@ impl CampaignThreads {
     }
 }
 
-/// Body of one campaign thread: a private [`Session`] over its
-/// [`ScheduledOracle`] view of the shared oracle, fed seed batches until
+/// Body of one campaign thread: a private [`Session`] over the shared
+/// oracle, posing from this thread only, fed seed batches until
 /// the accept loop drops the channel. A resumed campaign first re-runs its
 /// journaled batches (over the warm persistent cache, so completed work
 /// re-pays no oracle queries) and answers with a single `RESULT` for the
 /// replayed state.
 fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
-    let oracle = ScheduledOracle::new(ctx.oracle);
+    let oracle = ctx.oracle;
     let mut builder = GladeBuilder::new()
+        .worker_threads(1)
         .oracle_fingerprint(ctx.fingerprint.clone())
         .cancel_token(ctx.cancel.clone());
     if let Some(limit) = ctx.req.max_queries.or(ctx.default_max_queries) {
@@ -509,7 +509,7 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
         ctx.wake.wake();
         sent
     };
-    let mut session = builder.session(&oracle);
+    let mut session = builder.session(&*oracle);
     if let Some(path) = &ctx.cache_path {
         if path.exists() {
             // A stale or foreign snapshot is not fatal — the fingerprint

@@ -594,9 +594,10 @@ impl<'o> Session<'o> {
         stats.total_queries = runner.total_queries();
         stats.budget_exhausted = runner.exhausted();
         stats.cancelled = runner.was_cancelled();
-        stats.oracle_failures = runner.oracle_failures();
-        stats.timed_out_queries = runner.timed_out_queries();
-        stats.tripped_workers = runner.tripped_workers();
+        let health = runner.oracle_health();
+        stats.oracle_failures = health.failures;
+        stats.timed_out_queries = health.timeouts;
+        stats.tripped_workers = health.trips;
 
         Ok(Synthesis { grammar, regex, stats })
     }

@@ -129,14 +129,15 @@ pub struct SynthesisStats {
     /// duplicates, plan-time cache folds, and pruned merge checks).
     /// Cumulative across the session.
     pub probes_elided: usize,
-    /// Oracle *execution* failures during this run: queries for which no
-    /// real verdict could be obtained (process spawn failed, pooled worker
-    /// crashed beyond recovery) and which therefore answered a degraded
-    /// `false`. Nonzero means the grammar may be under-generalized for
-    /// environmental reasons rather than language reasons — exactly the
-    /// situation that used to be silent. See
-    /// [`Oracle::failure_count`](crate::Oracle::failure_count) and
-    /// [`SynthEvent::OracleFailures`](crate::SynthEvent::OracleFailures).
+    /// Oracle *execution* failures of this run's own oracle calls: queries
+    /// for which no real verdict could be obtained (process spawn failed,
+    /// pooled worker crashed beyond recovery) and which therefore answered
+    /// a degraded `false`. Nonzero means the grammar may be
+    /// under-generalized for environmental reasons rather than language
+    /// reasons — exactly the situation that used to be silent. Other
+    /// callers of a shared oracle do not count here (see the
+    /// [`Oracle`](crate::Oracle) docs and
+    /// [`SynthEvent::OracleFailures`](crate::SynthEvent::OracleFailures)).
     pub oracle_failures: usize,
     /// Queries abandoned because an oracle worker hung past the configured
     /// [`oracle_timeout`](GladeConfig::oracle_timeout) and was killed. Each

@@ -19,7 +19,7 @@ use glade_core::testing::xml_like;
 use glade_core::PooledProcessOracle;
 use glade_core::{
     is_binary_snapshot, snapshot_from_binary, CancelToken, EventLog, FnOracle, GladeBuilder,
-    Oracle, ProcessOracle, SynthEvent, SynthesisStats,
+    Oracle, ProcessOracle, SynthEvent, SynthesisObserver, SynthesisStats,
 };
 use glade_eval::sample_seeds;
 use glade_grammar::{grammar_to_text, Recognizer};
@@ -980,6 +980,85 @@ fn oracle_execution_failures_are_counted_and_surfaced() {
     assert!(
         persisted.entries.iter().all(|(query, _)| !query.contains(&b'~')),
         "a failed '~' query was persisted into the snapshot"
+    );
+}
+
+#[test]
+fn run_health_counts_only_the_runs_own_calls() {
+    // A run's oracle health is what its own calls got back, not the shared
+    // oracle's lifetime count. An observer stands in for another tenant of
+    // the same oracle: at every phase start it poses a query that fails.
+    // The run's stats and events must match a solo run's, and only the
+    // oracle's own counter shows the other tenant's failures.
+    #[derive(Default)]
+    struct TildeFails(AtomicUsize);
+    impl Oracle for TildeFails {
+        fn accepts(&self, input: &[u8]) -> bool {
+            self.accepts_checked(input).unwrap_or(false)
+        }
+        fn accepts_checked(&self, input: &[u8]) -> Option<bool> {
+            let fails = input.contains(&b'~');
+            self.0.fetch_add(usize::from(fails), Ordering::Relaxed);
+            (!fails).then(|| xml_like(input))
+        }
+        fn failure_count(&self) -> usize {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+    struct OtherTenant {
+        oracle: Arc<TildeFails>,
+        calls: AtomicUsize,
+        log: EventLog,
+    }
+    impl SynthesisObserver for OtherTenant {
+        fn on_event(&self, event: &SynthEvent) {
+            if matches!(event, SynthEvent::PhaseStarted { .. }) {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(self.oracle.accepts_checked(b"~"), None);
+            }
+            self.log.on_event(event);
+        }
+    }
+    let reported = |log: &EventLog| -> usize {
+        log.events()
+            .iter()
+            .filter_map(|e| match e {
+                SynthEvent::OracleFailures { new_failures, .. } => Some(*new_failures),
+                _ => None,
+            })
+            .sum()
+    };
+
+    let seeds = [b"<a>hi</a>".to_vec()];
+    let solo_oracle = TildeFails::default();
+    let solo_log = Arc::new(EventLog::new());
+    let solo = GladeBuilder::new()
+        .observer(Arc::clone(&solo_log))
+        .synthesize(&seeds, &solo_oracle)
+        .expect("valid seed");
+    assert!(solo.stats.oracle_failures > 0, "chargen probes contain '~'");
+    assert_eq!(solo.stats.oracle_failures, solo_oracle.failure_count());
+
+    let shared = Arc::new(TildeFails::default());
+    let tenant = Arc::new(OtherTenant {
+        oracle: Arc::clone(&shared),
+        calls: AtomicUsize::new(0),
+        log: EventLog::new(),
+    });
+    let shared_run = GladeBuilder::new()
+        .observer(Arc::clone(&tenant))
+        .synthesize(&seeds, &*shared)
+        .expect("valid seed");
+    let other_calls = tenant.calls.load(Ordering::Relaxed);
+    assert!(other_calls > 0, "the other tenant called during the run");
+    assert_eq!(shared_run.stats.oracle_failures, solo.stats.oracle_failures);
+    assert_eq!(reported(&tenant.log), reported(&solo_log));
+    assert_eq!(reported(&tenant.log), solo.stats.oracle_failures);
+    assert_eq!(shared.failure_count(), shared_run.stats.oracle_failures + other_calls);
+    assert_eq!(
+        grammar_to_text(&shared_run.grammar),
+        grammar_to_text(&solo.grammar),
+        "another caller's failures changed the grammar"
     );
 }
 

@@ -983,7 +983,8 @@ fn parked_campaign_does_not_delay_a_campaign_on_another_oracle() {
 }
 
 /// An [`xml_like`] oracle whose batch calls meet in pairs: each call blocks
-/// until a second call is in flight at the same time. Campaign threads
+/// until a second call is in flight at the same time. It batches natively,
+/// so the engine hands it whole miss sets. Campaign threads
 /// call one at a time, so a pair is always one call from each of two
 /// tenants. A call that waits longer than the limit records the miss and
 /// stops the meeting for good, so a serializing server fails the test
@@ -1041,6 +1042,10 @@ impl Oracle for RendezvousOracle {
     fn accepts_batch_checked(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
         self.meet();
         inputs.iter().map(|i| Some(xml_like(i))).collect()
+    }
+
+    fn native_batching(&self) -> bool {
+        true
     }
 }
 

@@ -12,7 +12,7 @@
 //! glade cache  inspect FILE                        # snapshot format + counts
 //! glade cache  convert SRC DST                    # legacy text snapshot -> binary
 //! glade worker NAME                                # serve a built-in subject
-//! glade targets                                    # list built-in targets
+//! glade targets                                    # list built-in subjects
 //! glade serve  --socket PATH [--pool N] [--oracle-timeout S] [--cache-dir DIR]
 //!              [--max-queries N] [--drain-timeout S] [--max-event-buffer N]
 //!                                                  # multi-tenant synthesis daemon
@@ -89,7 +89,7 @@ use glade_repro::core::{CancelToken, PooledProcessOracle};
 use glade_repro::fuzz::{Fuzzer, GrammarFuzzer};
 use glade_repro::grammar::{grammar_from_text, grammar_to_text, Earley, Grammar, Sampler};
 use glade_repro::targets::programs::all_targets;
-use glade_repro::targets::subject_oracle;
+use glade_repro::targets::{subject_names, subject_oracle};
 use rand::SeedableRng;
 use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
@@ -130,14 +130,17 @@ fn main() -> ExitCode {
         #[cfg(any(target_os = "linux", target_os = "macos"))]
         Some("client") => cmd_client(&args[1..]),
         Some("targets") => {
-            for t in all_targets() {
-                outln!(
-                    "{:<12} {:>5} source lines, {:>4} coverage points, {} seeds",
-                    t.name(),
-                    t.source_lines(),
-                    t.coverable_lines(),
-                    t.seeds().len()
-                );
+            let programs = all_targets();
+            for name in subject_names() {
+                match programs.iter().find(|t| t.name() == name) {
+                    Some(t) => outln!(
+                        "{name:<12} {:>5} source lines, {:>4} coverage points, {} seeds",
+                        t.source_lines(),
+                        t.coverable_lines(),
+                        t.seeds().len()
+                    ),
+                    None => outln!("{name:<12} in-process grammar oracle"),
+                }
             }
             Ok(())
         }
@@ -174,7 +177,7 @@ USAGE:
                                    # binary (the format every save writes)
   glade worker NAME                # serve a built-in subject over the
                                    # pooled-oracle protocol (for --pool)
-  glade targets
+  glade targets                    # list the built-in subjects
   glade serve  --socket PATH [--pool N] [--oracle-timeout SECS]
                [--cache-dir DIR] [--max-queries N] [--drain-timeout SECS]
                [--max-event-buffer N]

@@ -4,6 +4,7 @@
 
 use glade_repro::grammar::grammar_to_text;
 use glade_repro::targets::languages::toy_xml;
+use glade_repro::targets::subject_names;
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
 
@@ -25,6 +26,25 @@ fn targets_into_a_closed_pipe_exits_cleanly() {
         .output()
         .expect("run glade targets");
     assert_clean_exit("glade targets", &output);
+}
+
+/// `glade targets` lists every name the subject registry resolves, so the
+/// unknown-name errors that point at it name a complete list.
+#[test]
+fn targets_lists_every_subject_name() {
+    let output = Command::new(env!("CARGO_BIN_EXE_glade"))
+        .arg("targets")
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run glade targets");
+    assert_clean_exit("glade targets", &output);
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 listing");
+    for name in subject_names() {
+        assert!(
+            stdout.lines().any(|line| line.split_whitespace().next() == Some(name.as_str())),
+            "`{name}` starts no line of:\n{stdout}"
+        );
+    }
 }
 
 /// The reader takes one line of a long stream, then closes.
