@@ -573,7 +573,10 @@ mod tests {
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let (first_accepted, ..) = run_staged(&mut trees, &runner, &cache, &mut memo, &tb);
-        assert!(memo.len() > 0, "completed run must memoize its representatives");
+        assert!(
+            !memo.entries_sorted().is_empty(),
+            "completed run must memoize its representatives"
+        );
 
         // Fresh cache, fresh trees, warm memo: every terminal adopts, the
         // runner sees zero chargen checks, and the classes are identical.

@@ -78,12 +78,6 @@ impl ByteClassMemo {
         self.entries.entry(key).or_insert(classes);
     }
 
-    /// Number of memoized terminals.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Copies every entry out, sorted by key, for stable serialization.
     pub fn entries_sorted(&self) -> Vec<(u128, Vec<CharClass>)> {
         let mut out: Vec<(u128, Vec<CharClass>)> =
@@ -135,8 +129,8 @@ mod tests {
         memo.insert(7, vec![CharClass::single(b'z')]);
         assert_eq!(memo.get(7), Some(&vec![CharClass::single(b'a')]), "first verdict wins");
         memo.insert(3, vec![CharClass::single(b'b')]);
-        assert_eq!(memo.len(), 2);
         let sorted = memo.entries_sorted();
+        assert_eq!(sorted.len(), 2);
         assert_eq!(sorted[0].0, 3);
         assert_eq!(sorted[1].0, 7);
     }

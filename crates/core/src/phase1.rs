@@ -221,10 +221,15 @@ mod tests {
         assert_eq!(stars.len(), 2, "outer tag star and inner (h+i) star");
         // Outer star: the whole seed repeats in the empty context.
         assert_eq!(stars[0].original, b"<a>hi</a>".to_vec());
-        assert_eq!(stars[0].ctx.wrap(b"X"), b"X".to_vec());
+        let wrap = |ctx: &Context| {
+            let mut check = Vec::new();
+            CheckSpec::wrapped(ctx, &[b"X"]).write_into(&mut check);
+            check
+        };
+        assert_eq!(wrap(&stars[0].ctx), b"X".to_vec());
         // Inner star: "hi" repeats between the tags (Figure 2, step R3).
         assert_eq!(stars[1].original, b"hi".to_vec());
-        assert_eq!(stars[1].ctx.wrap(b"X"), b"<a>X</a>".to_vec());
+        assert_eq!(wrap(&stars[1].ctx), b"<a>X</a>".to_vec());
     }
 
     #[test]

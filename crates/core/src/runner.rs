@@ -94,8 +94,7 @@ const NATIVE_DISPATCH_SUB_BATCH: usize = 1024;
 /// A membership check described as a concatenation of byte slices, built
 /// without allocating.
 ///
-/// `CheckSpec` replaces the seed implementation's per-candidate
-/// `Vec::concat` + `Context::wrap` allocations: the segments are borrowed
+/// No check string is allocated per candidate: the segments are borrowed
 /// from the seed string and the context, and are materialized into a
 /// reusable scratch buffer only at lookup time.
 #[derive(Debug, Clone, Copy)]

@@ -34,31 +34,6 @@ impl Context {
         Context { before: Vec::new(), after: Vec::new() }
     }
 
-    /// Builds the full check string `γ·ρ·δ`.
-    ///
-    /// The synthesis hot paths describe checks as `CheckSpec` segment lists
-    /// instead; this allocating form remains for tests and diagnostics.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn wrap(&self, residual: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.before.len() + residual.len() + self.after.len());
-        self.wrap_into(residual, &mut out);
-        out
-    }
-
-    /// Appends `γ·ρ·δ` to `out` without allocating a fresh buffer.
-    ///
-    /// Note: the synthesis hot paths do their allocation-free construction
-    /// through `CheckSpec::write_into` in `runner.rs` (segments, one shared
-    /// scratch buffer); this method is the same idea for callers that
-    /// already hold a contiguous residual.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn wrap_into(&self, residual: &[u8], out: &mut Vec<u8>) {
-        out.reserve(self.before.len() + residual.len() + self.after.len());
-        out.extend_from_slice(&self.before);
-        out.extend_from_slice(residual);
-        out.extend_from_slice(&self.after);
-    }
-
     /// Derives `(γ·x, y·δ)`.
     pub fn narrowed(&self, x: &[u8], y: &[u8]) -> Context {
         let mut before = self.before.clone();
@@ -108,15 +83,6 @@ pub(crate) struct StarNode {
 }
 
 impl StarNode {
-    /// The phase-two residual `α2 α2 ∈ L(R) \ {α2}` as an owned string
-    /// (the merge phase itself uses the borrowed [`StarNode::residual_parts`]).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn residual(&self) -> Vec<u8> {
-        let mut r = self.original.clone();
-        r.extend_from_slice(&self.original);
-        r
-    }
-
     /// The residual as borrowed segments (`[α2, α2]`), for building merge
     /// checks without materializing the doubled string.
     pub fn residual_parts(&self) -> [&[u8]; 2] {
@@ -394,6 +360,7 @@ pub(crate) fn trees_to_grammar(trees: &[Node], merges: &mut UnionFind) -> Gramma
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::CheckSpec;
     use glade_grammar::Earley;
 
     fn const_node(s: &[u8]) -> Node {
@@ -480,14 +447,16 @@ mod tests {
         let mut stars = Vec::new();
         t.collect_stars(&mut stars);
         assert_eq!(stars.len(), 2);
-        assert_eq!(stars[0].residual(), b"<a>hi</a><a>hi</a>".to_vec());
-        assert_eq!(stars[1].residual(), b"hihi".to_vec());
+        assert_eq!(stars[0].residual_parts().concat(), b"<a>hi</a><a>hi</a>".to_vec());
+        assert_eq!(stars[1].residual_parts().concat(), b"hihi".to_vec());
     }
 
     #[test]
     fn context_wrap_and_narrow() {
         let ctx = Context { before: b"<a>".to_vec(), after: b"</a>".to_vec() };
-        assert_eq!(ctx.wrap(b"hi"), b"<a>hi</a>".to_vec());
+        let mut check = Vec::new();
+        CheckSpec::wrapped(&ctx, &[b"hi"]).write_into(&mut check);
+        assert_eq!(check, b"<a>hi</a>".to_vec());
         let n = ctx.narrowed(b"h", b"x");
         assert_eq!(n.before, b"<a>h".to_vec());
         assert_eq!(n.after, b"x</a>".to_vec());

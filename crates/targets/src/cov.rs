@@ -6,13 +6,27 @@
 //! macro, which expands to `line!()`), and the denominator — the number of
 //! coverable lines — is counted statically from the target's own source
 //! text, exactly like gcov's per-line accounting.
+//!
+//! A [`Coverage`] is a bitmap over source line numbers, one bit per line.
+//! Each program sizes it once per run from its source line count
+//! ([`Coverage::with_lines`]), so a `cov!` hit costs a bounds check and an
+//! OR: no hashing and no allocation. Membership queries run a program once
+//! per distinct input and read only its verdict, so this cost is paid on
+//! every query GLADE poses to a [`crate::TargetOracle`].
 
-use std::collections::HashSet;
+use std::fmt;
 
 /// The set of instrumented source lines executed by one or more runs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Stored as a bitmap over line numbers (`u64` words, bit `l % 64` of word
+/// `l / 64` for line `l`), so its size follows the largest line recorded,
+/// not the number of lines. Recording a line past the bitmap's end grows
+/// it. Set operations work a word at a time, [`Coverage::iter`] yields
+/// lines in ascending order, and equality ignores how many trailing words
+/// are allocated.
+#[derive(Clone, Default)]
 pub struct Coverage {
-    lines: HashSet<u32>,
+    words: Vec<u64>,
 }
 
 impl Coverage {
@@ -21,52 +35,110 @@ impl Coverage {
         Self::default()
     }
 
+    /// Creates an empty coverage set with room for every line of a
+    /// `lines`-line source file (line numbers `1..=lines`), so recording
+    /// those lines never reallocates.
+    pub fn with_lines(lines: usize) -> Self {
+        Coverage { words: vec![0; lines / 64 + 1] }
+    }
+
     /// Records a hit at source line `line`.
+    #[inline]
     pub fn hit(&mut self, line: u32) {
-        self.lines.insert(line);
+        let (word, bit) = (line as usize / 64, 1u64 << (line % 64));
+        match self.words.get_mut(word) {
+            Some(w) => *w |= bit,
+            None => self.grow_and_set(word, bit),
+        }
+    }
+
+    #[cold]
+    fn grow_and_set(&mut self, word: usize, bit: u64) {
+        self.words.resize(word + 1, 0);
+        self.words[word] |= bit;
     }
 
     /// Number of distinct lines covered.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether nothing has been covered.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Whether `line` was covered.
     pub fn contains(&self, line: u32) -> bool {
-        self.lines.contains(&line)
+        self.word(line as usize / 64) & (1u64 << (line % 64)) != 0
     }
 
     /// Merges `other` into `self`.
     pub fn merge(&mut self, other: &Coverage) {
-        self.lines.extend(other.lines.iter().copied());
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
     }
 
     /// Lines in `self` that are not in `other` (the "incremental" part of
     /// the paper's valid incremental coverage).
     pub fn difference(&self, other: &Coverage) -> Coverage {
-        Coverage { lines: self.lines.difference(&other.lines).copied().collect() }
+        let words = self.words.iter().enumerate().map(|(i, &w)| w & !other.word(i)).collect();
+        Coverage { words }
     }
 
     /// Whether `other` covers a line that `self` does not (the afl-style
     /// "new coverage" trigger).
     pub fn would_grow(&self, other: &Coverage) -> bool {
-        other.lines.iter().any(|l| !self.lines.contains(l))
+        other.words.iter().enumerate().any(|(i, &o)| o & !self.word(i) != 0)
     }
 
-    /// Iterates over covered lines in unspecified order.
+    /// Iterates over covered lines in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.lines.iter().copied()
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let base = i as u32 * 64;
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros();
+                (rest != 0).then(|| {
+                    rest &= rest - 1;
+                    base + bit
+                })
+            })
+        })
+    }
+
+    /// Word `i` of the bitmap, zero past its end.
+    fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+}
+
+impl PartialEq for Coverage {
+    fn eq(&self, other: &Self) -> bool {
+        let n = self.words.len().max(other.words.len());
+        (0..n).all(|i| self.word(i) == other.word(i))
+    }
+}
+
+impl Eq for Coverage {}
+
+impl fmt::Debug for Coverage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
 impl FromIterator<u32> for Coverage {
     fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        Coverage { lines: iter.into_iter().collect() }
+        let mut cov = Coverage::new();
+        for line in iter {
+            cov.hit(line);
+        }
+        cov
     }
 }
 
@@ -102,6 +174,25 @@ pub const fn count_points(src: &str) -> usize {
         i += 1;
     }
     count
+}
+
+/// Counts a source file's lines the way `str::lines` does (a final line
+/// without a newline counts, a trailing newline adds none). A `const fn`,
+/// so a target counts its own source once, at compile time, for both its
+/// `source_lines` figure and its coverage bitmap's size.
+pub(crate) const fn count_lines(src: &str) -> usize {
+    let src = src.as_bytes();
+    let (mut lines, mut i) = (0, 0);
+    while i < src.len() {
+        if src[i] == b'\n' {
+            lines += 1;
+        }
+        i += 1;
+    }
+    if !src.is_empty() && src[src.len() - 1] != b'\n' {
+        lines += 1;
+    }
+    lines
 }
 
 /// The outcome of running a target program on one input.
@@ -149,6 +240,19 @@ mod tests {
         let new: Coverage = [2u32, 9].into_iter().collect();
         assert!(!a.would_grow(&same));
         assert!(a.would_grow(&new));
+    }
+
+    #[test]
+    fn iter_is_ascending_across_words() {
+        let c: Coverage = [700u32, 64, 3, 63, 0, 128].into_iter().collect();
+        assert_eq!(c.iter().collect::<Vec<_>>(), [0, 3, 63, 64, 128, 700]);
+    }
+
+    #[test]
+    fn count_lines_matches_str_lines() {
+        for src in ["", "a", "a\n", "\n", "\n\n", "a\nb", "a\r\nb\r\n", include_str!("cov.rs")] {
+            assert_eq!(count_lines(src), src.lines().count(), "{src:?}");
+        }
     }
 
     #[test]

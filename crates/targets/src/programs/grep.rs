@@ -9,10 +9,12 @@
 //! escapes. An input is *valid* iff the whole pattern compiles.
 
 use crate::cov;
-use crate::cov::{count_points, Coverage, RunOutcome};
+use crate::cov::{count_lines, count_points, Coverage, RunOutcome};
 use crate::target::Target;
 
 const SRC: &str = include_str!("grep.rs");
+/// Source lines: the `source_lines` figure and the coverage bitmap's size.
+const LINES: usize = count_lines(SRC);
 
 /// The grep target program.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,7 +26,13 @@ impl Target for Grep {
     }
 
     fn run(&self, input: &[u8]) -> RunOutcome {
-        let mut p = Parser { s: input, i: 0, cov: Coverage::new(), groups_open: 0, groups_done: 0 };
+        let mut p = Parser {
+            s: input,
+            i: 0,
+            cov: Coverage::with_lines(LINES),
+            groups_open: 0,
+            groups_done: 0,
+        };
         let valid = p.pattern(true) && p.i == p.s.len() && p.groups_open == 0;
         RunOutcome { valid, coverage: p.cov }
     }
@@ -34,7 +42,7 @@ impl Target for Grep {
     }
 
     fn source_lines(&self) -> usize {
-        SRC.lines().count()
+        LINES
     }
 
     fn seeds(&self) -> Vec<Vec<u8>> {

@@ -102,6 +102,18 @@ mod tests {
     }
 
     #[test]
+    fn covered_lines_fit_the_sized_bitmap() {
+        // Every run sizes its bitmap from `source_lines()`; a line past it
+        // would still be recorded, but would reallocate mid-run.
+        for t in all_targets() {
+            for s in t.seeds().iter().chain(&t.corpus()) {
+                let max = t.run(s).coverage.iter().last().expect("a run covers a line");
+                assert!(max as usize <= t.source_lines(), "{}: line {max}", t.name());
+            }
+        }
+    }
+
+    #[test]
     fn target_lookup_by_name() {
         assert!(target_by_name("sed").is_some());
         assert!(target_by_name("javascript").is_some());

@@ -14,10 +14,12 @@
 //! paper wraps inputs in `if False:` to the same effect.
 
 use crate::cov;
-use crate::cov::{count_points, Coverage, RunOutcome};
+use crate::cov::{count_lines, count_points, Coverage, RunOutcome};
 use crate::target::Target;
 
 const SRC: &str = include_str!("python.rs");
+/// Source lines: the `source_lines` figure and the coverage bitmap's size.
+const LINES: usize = count_lines(SRC);
 
 /// The Python front-end target.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,7 +31,7 @@ impl Target for Python {
     }
 
     fn run(&self, input: &[u8]) -> RunOutcome {
-        let mut p = Parser { s: input, i: 0, cov: Coverage::new(), depth: 0 };
+        let mut p = Parser { s: input, i: 0, cov: Coverage::with_lines(LINES), depth: 0 };
         let valid = p.program();
         RunOutcome { valid, coverage: p.cov }
     }
@@ -39,7 +41,7 @@ impl Target for Python {
     }
 
     fn source_lines(&self) -> usize {
-        SRC.lines().count()
+        LINES
     }
 
     fn seeds(&self) -> Vec<Vec<u8>> {

@@ -12,10 +12,12 @@
 //! never executed, so name resolution and runtime errors are out of scope.
 
 use crate::cov;
-use crate::cov::{count_points, Coverage, RunOutcome};
+use crate::cov::{count_lines, count_points, Coverage, RunOutcome};
 use crate::target::Target;
 
 const SRC: &str = include_str!("ruby.rs");
+/// Source lines: the `source_lines` figure and the coverage bitmap's size.
+const LINES: usize = count_lines(SRC);
 
 /// The Ruby front-end target.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,7 +29,7 @@ impl Target for Ruby {
     }
 
     fn run(&self, input: &[u8]) -> RunOutcome {
-        let mut p = Parser { s: input, i: 0, cov: Coverage::new(), depth: 0 };
+        let mut p = Parser { s: input, i: 0, cov: Coverage::with_lines(LINES), depth: 0 };
         let valid = p.program();
         RunOutcome { valid, coverage: p.cov }
     }
@@ -37,7 +39,7 @@ impl Target for Ruby {
     }
 
     fn source_lines(&self) -> usize {
-        SRC.lines().count()
+        LINES
     }
 
     fn seeds(&self) -> Vec<Vec<u8>> {
