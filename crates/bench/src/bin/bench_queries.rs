@@ -2,7 +2,7 @@
 //! `BENCH_queries.json`.
 //!
 //! perfbench (`BENCHMARK.json`) times synthesis end to end and layer by
-//! layer. This binary keeps only the four properties it does not measure.
+//! layer. This binary keeps only the three properties it does not measure.
 //! Each experiment runs [`RUNS`] times; every timing and throughput is
 //! written as its median with lower and upper quartiles, and every
 //! timing gate reads the median:
@@ -30,11 +30,6 @@
 //!    alternating direct/served pairs. The served grammar and query count
 //!    must match, and the gate is the median per-pair served/direct
 //!    ratio ≤ 1.5.
-//! 4. **`cache_scale`** — the binary snapshot codec at production cache
-//!    sizes: full loads of a binary snapshot and of the same cache as a
-//!    legacy text snapshot (through the read-only text importer). Gate:
-//!    the median binary-over-text load speedup is ≥ 5× (at n ≥ 100 000
-//!    only; smaller sizes measure per-call constants).
 //!
 //! Every experiment runs before any gate is judged, so one missed gate
 //! does not discard the other experiments' numbers. The JSON lists the
@@ -46,15 +41,11 @@
 //! Usage: `cargo run --release -p glade-bench --bin bench-queries`
 //! (writes `BENCH_queries.json` to the current directory, override with
 //! `GLADE_BENCH_OUT`). Workload sizes are env-tunable for CI smoke runs:
-//! `GLADE_BENCH_SPAWN_QUERIES` (default 48), `GLADE_BENCH_POOLED_QUERIES`
-//! (512) and `GLADE_BENCH_CACHE_N` (100 000). A knob set to something
-//! that is not a number stops the bench.
+//! `GLADE_BENCH_SPAWN_QUERIES` (default 48) and `GLADE_BENCH_POOLED_QUERIES`
+//! (512). A knob set to something that is not a number stops the bench.
 
 use glade_bench::{env_usize, quartiles};
-use glade_core::{
-    serve_faulty_worker, serve_oracle_worker, snapshot_from_binary_reader, snapshot_from_reader,
-    snapshot_to_binary, FaultPlan, Oracle,
-};
+use glade_core::{serve_faulty_worker, serve_oracle_worker, FaultPlan, Oracle};
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_core::{GladeBuilder, PooledProcessOracle, ProcessOracle};
 #[cfg(any(target_os = "linux", target_os = "macos"))]
@@ -93,26 +84,6 @@ const RUNS: usize = 15;
 const FAULT_QUERIES: usize = 512;
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 const FAULT_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Encodes sorted entries as a legacy `glade-cache` v1/v2 text snapshot,
-/// the format the `cache_scale` text load reads. Nothing writes this
-/// format any more; the importer that reads it still ships.
-fn legacy_text(sorted: &[(Vec<u8>, bool)], fingerprint: Option<&str>) -> String {
-    let hex = |bytes: &[u8]| {
-        bytes.iter().fold(String::new(), |mut out, b| {
-            let _ = write!(out, "{b:02x}");
-            out
-        })
-    };
-    let mut out = match fingerprint {
-        Some(fp) => format!("glade-cache v2\noracle {}\n", hex(fp.as_bytes())),
-        None => "glade-cache v1\n".to_owned(),
-    };
-    for (query, verdict) in sorted {
-        let _ = writeln!(out, "q {} {}", u8::from(*verdict), hex(query));
-    }
-    out
-}
 
 /// Seconds since `start`.
 fn secs_since(start: Instant) -> f64 {
@@ -262,7 +233,6 @@ fn main() {
         fault_recovery(&mut j, &self_exe);
         gates.push(("serve_overhead", serve_overhead(&mut j)));
     }
-    gates.push(("cache_scale", cache_scale(&mut j)));
 
     let failed: Vec<&str> =
         gates.iter().filter(|(_, verdict)| verdict.is_err()).map(|(name, _)| *name).collect();
@@ -545,88 +515,6 @@ fn serve_overhead(j: &mut Json) -> Gate {
         format!(
             "the serve path must stay within 1.5x of a direct Session \
              (median ratio x{median:.2} over {RUNS} pairs, IQR {q1:.2}..{q3:.2})"
-        )
-    })
-}
-
-/// The binary snapshot codec at production cache sizes. A synthetic cache
-/// of `GLADE_BENCH_CACHE_N` entries (deterministic ~36-byte queries, the
-/// scale of a long-lived serve deployment) is written as binary and, by
-/// `legacy_text`, as a legacy text snapshot; each run times one full load
-/// of each.
-fn cache_scale(j: &mut Json) -> Gate {
-    let n = env_usize("GLADE_BENCH_CACHE_N", 100_000);
-    eprintln!("[bench-queries] cache_scale: {n} synthetic cache entries");
-    let mut entries: Vec<(Vec<u8>, bool)> = (0..n)
-        .map(|i| {
-            // Deterministic, realistic-length queries (~36 bytes, the
-            // running example's context-wrapped candidate shape).
-            let pad = (i as u64).wrapping_mul(0x9e3779b97f4a7c15);
-            (format!("<tag id=\"{i:08}\" pad=\"{pad:016x}\"/>").into_bytes(), i % 3 != 0)
-        })
-        .collect();
-    entries.sort();
-    let fingerprint = Some("bench:cache-scale");
-    let text = legacy_text(&entries, fingerprint);
-    let binary = snapshot_to_binary(&entries, &[], fingerprint);
-    let dir = std::env::temp_dir();
-    let text_path = dir.join(format!("glade-bench-cache-{}.txt", std::process::id()));
-    let bin_path = dir.join(format!("glade-bench-cache-{}.bin", std::process::id()));
-    std::fs::write(&text_path, &text).expect("write text snapshot");
-    std::fs::write(&bin_path, &binary).expect("write binary snapshot");
-
-    // Each codec is timed in its own loop: interleaved, every load would
-    // run on the pages the other codec's decode just handed back to the
-    // allocator, so the binary load (the smaller one) would pay the text
-    // load's page faults.
-    let timed_loads = |load: &dyn Fn() -> usize| -> Vec<f64> {
-        (0..RUNS)
-            .map(|_| {
-                let start = Instant::now();
-                assert_eq!(load(), n, "full load must decode every entry");
-                secs_since(start)
-            })
-            .collect()
-    };
-    let mut text_secs = timed_loads(&|| {
-        let file = std::fs::File::open(&text_path).expect("open text snapshot");
-        snapshot_from_reader(std::io::BufReader::new(file)).expect("text load").entries.len()
-    });
-    let mut bin_secs = timed_loads(&|| {
-        let file = std::fs::File::open(&bin_path).expect("open binary snapshot");
-        snapshot_from_binary_reader(&mut std::io::BufReader::new(file))
-            .expect("binary load")
-            .entries
-            .len()
-    });
-    // Run i of one loop against run i of the other.
-    let mut speedups: Vec<f64> =
-        text_secs.iter().zip(&bin_secs).map(|(text, bin)| text / bin.max(1e-9)).collect();
-
-    let _ = std::fs::remove_file(&text_path);
-    let _ = std::fs::remove_file(&bin_path);
-
-    j.open_obj(Some("cache_scale"));
-    j.string("target", "synthetic query cache (binary vs text snapshot codecs)");
-    j.int("entries", n);
-    j.int("text_bytes", text.len());
-    j.int("binary_bytes", binary.len());
-    let text_median = j.spread("text_load_secs", &mut text_secs)[1];
-    let bin_median = j.spread("binary_load_secs", &mut bin_secs)[1];
-    let [q1, speedup, q3] = j.spread("binary_load_speedup", &mut speedups);
-    j.close_obj();
-    eprintln!(
-        "[bench-queries] cache_scale: text load {:.1}ms, binary load {:.1}ms (median \
-         x{speedup:.1}, IQR {q1:.1}..{q3:.1})",
-        text_median * 1e3,
-        bin_median * 1e3,
-    );
-    // The speedup pin only binds at production scale — tiny CI smoke sizes
-    // are dominated by per-call constants, not decode rate.
-    gate(n < 100_000 || speedup >= 5.0, || {
-        format!(
-            "binary load was only x{speedup:.1} faster than text at {n} entries \
-             (median over {RUNS} runs, IQR {q1:.1}..{q3:.1}; pin: >=5x)"
         )
     })
 }

@@ -135,11 +135,11 @@ mod tests {
 
     #[test]
     fn knob_parses_unset_valid_and_rejects_garbage() {
-        assert_eq!(parse_knob("GLADE_BENCH_CACHE_N", None, 100_000), Ok(100_000));
-        assert_eq!(parse_knob("GLADE_BENCH_CACHE_N", Some("2000"), 100_000), Ok(2000));
+        assert_eq!(parse_knob("GLADE_BENCH_POOLED_QUERIES", None, 512), Ok(512));
+        assert_eq!(parse_knob("GLADE_BENCH_POOLED_QUERIES", Some("128"), 512), Ok(128));
         for bad in ["2k", "", "-1", " 7"] {
-            let err = parse_knob("GLADE_BENCH_CACHE_N", Some(bad), 100_000).unwrap_err();
-            assert!(err.contains("GLADE_BENCH_CACHE_N"), "{err}");
+            let err = parse_knob("GLADE_BENCH_POOLED_QUERIES", Some(bad), 512).unwrap_err();
+            assert!(err.contains("GLADE_BENCH_POOLED_QUERIES"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
     }

@@ -156,9 +156,8 @@ pub use fault::{flaky_spawn_should_die, serve_faulty_worker, FaultPlan, FaultyOr
 pub use oracle::PooledProcessOracle;
 pub use oracle::{serve_oracle_worker, FnOracle, InputMode, Oracle, ProcessOracle};
 pub use persist::{
-    is_binary_snapshot, snapshot_from_binary, snapshot_from_binary_reader, snapshot_from_reader,
-    snapshot_to_binary, BinaryCacheFile, CacheError, CacheSnapshot, IntoEntries, MemoEntry,
-    SnapshotEntries,
+    snapshot_from_binary, snapshot_from_binary_reader, snapshot_to_binary, BinaryCacheFile,
+    CacheError, CacheSnapshot, IntoEntries, MemoEntry, SnapshotEntries,
 };
 pub use session::{GladeBuilder, Session};
 pub use synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};

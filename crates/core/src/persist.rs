@@ -48,34 +48,9 @@
 //! the query's little-endian `u64` length followed by its bytes. Every save
 //! goes through one durable write (temporary file, `fsync`, rename,
 //! directory `fsync`), so a crash never leaves a torn snapshot.
-//!
-//! # Legacy text import (`glade-cache v1`–`v3`)
-//!
-//! Earlier builds wrote a line-oriented text format. It is read, never
-//! written: every load path ([`CacheSnapshot::load`],
-//! [`Session::import_cache`](crate::Session::import_cache)) sniffs the
-//! magic ([`is_binary_snapshot`]) and hands text to the one streaming
-//! importer, [`snapshot_from_reader`]. So every text snapshot already on
-//! disk still warm-starts, and the next save rewrites it as binary
-//! (`glade cache convert` does the same offline).
-//!
-//! ```text
-//! glade-cache v3
-//! oracle 70726f636573733a786d6c6c696e74
-//! m 00112233445566778899aabbccddeeff 68,69
-//! q 1 3c613e68693c2f613e
-//! q 0 3c613e3c2f613e
-//! ```
-//!
-//! Each `q` line is one cached verdict: `1`/`0` for accept/reject followed
-//! by the query bytes hex-encoded. The `oracle` directive (v2 and v3)
-//! carries the fingerprint as hex-encoded UTF-8. Each `m` line (v3 only)
-//! carries a 128-bit [`memo key`](crate::MemoEntry) as 32 hex digits, then
-//! the learned per-position byte classes as a comma-separated list of
-//! hex-encoded member-byte sets. Blank lines and `#` comments are skipped.
 
 use glade_grammar::CharClass;
-use std::io::{BufRead, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -87,12 +62,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum CacheError {
     /// Reading or writing the snapshot file failed.
     Io(std::io::Error),
-    /// The header line is missing or names an unsupported version.
+    /// The file does not begin with the `glade-cachebin v1` magic.
     BadHeader,
-    /// A line does not match any directive.
-    BadLine(usize),
-    /// A directive has a malformed verdict or hex field.
-    BadField(usize),
     /// A binary snapshot is truncated or structurally inconsistent.
     Corrupt {
         /// Byte offset of the first inconsistency.
@@ -114,9 +85,7 @@ impl std::fmt::Display for CacheError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CacheError::Io(e) => write!(f, "cache snapshot i/o error: {e}"),
-            CacheError::BadHeader => write!(f, "missing or unsupported cache header"),
-            CacheError::BadLine(n) => write!(f, "unrecognized cache directive on line {n}"),
-            CacheError::BadField(n) => write!(f, "malformed cache field on line {n}"),
+            CacheError::BadHeader => write!(f, "not a glade-cachebin v1 snapshot"),
             CacheError::Corrupt { offset, what } => {
                 write!(f, "corrupt binary cache snapshot at byte {offset}: {what}")
             }
@@ -145,17 +114,15 @@ impl From<std::io::Error> for CacheError {
 }
 
 /// A parsed cache snapshot: the cached verdicts plus the optional oracle
-/// fingerprint the snapshot was tagged with (v2+ snapshots only; v1
-/// snapshots parse with `oracle_fingerprint: None`) and the byte-class
-/// memo entries (v3 snapshots only; older snapshots parse with an empty
-/// `memo`).
+/// fingerprint the snapshot was tagged with and the byte-class memo
+/// entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// Identity of the oracle the verdicts are facts about, when recorded.
     pub oracle_fingerprint: Option<String>,
     /// The cached `(query, verdict)` entries.
     pub entries: SnapshotEntries,
-    /// Persisted byte-class memo entries (empty for v1/v2 snapshots).
+    /// Persisted byte-class memo entries.
     pub memo: Vec<MemoEntry>,
 }
 
@@ -285,125 +252,22 @@ pub struct MemoEntry {
 }
 
 impl CacheSnapshot {
-    /// Reads the snapshot file at `path`, sniffing the format from its
-    /// magic: a `glade-cachebin v1` snapshot takes the binary decoder,
-    /// anything else the legacy text importer ([`snapshot_from_reader`]).
-    /// Every load path shares this sniff. The file is streamed, not
+    /// Reads the `glade-cachebin v1` snapshot file at `path` (see
+    /// [`snapshot_from_binary_reader`]). The file is streamed, not
     /// slurped: peak memory is the decoded entries, not entries plus the
     /// raw file.
     ///
     /// # Errors
     ///
-    /// [`CacheError::Io`] if the file cannot be read, or a format error for
-    /// a malformed snapshot.
+    /// [`CacheError::Io`] if the file cannot be read,
+    /// [`CacheError::BadHeader`] if it is not a `glade-cachebin v1`
+    /// snapshot, or [`CacheError::Corrupt`] for a malformed one.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CacheError> {
-        CacheSnapshot::read(std::io::BufReader::new(std::fs::File::open(path)?))
-    }
-
-    /// [`CacheSnapshot::load`] from any seekable reader.
-    pub(crate) fn read(mut reader: impl BufRead + Seek) -> Result<Self, CacheError> {
-        if is_binary_snapshot(reader.fill_buf()?) {
-            snapshot_from_binary_reader(&mut reader)
-        } else {
-            snapshot_from_reader(reader)
-        }
-    }
-
-    /// Writes the snapshot to `path` as `glade-cachebin v1`, atomically and
-    /// durably (see [`Session::save_cache`](crate::Session::save_cache)).
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::Io`] if the file cannot be written.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
-        let fp = self.oracle_fingerprint.as_deref();
-        save_durable(path.as_ref(), &snapshot_to_binary(&self.entries.to_vec(), &self.memo, fp))
+        snapshot_from_binary_reader(&mut std::io::BufReader::new(std::fs::File::open(path)?))
     }
 }
 
-/// Imports a legacy text snapshot (`glade-cache` v1, v2, or v3; see the
-/// module docs) from a buffered reader, one line at a time — the file is
-/// never materialized in memory, so loading a large snapshot costs the
-/// entries alone. A final line without a newline is read as-is.
-///
-/// # Errors
-///
-/// [`CacheError::BadHeader`] for a missing or unknown header,
-/// [`CacheError::BadLine`]/[`CacheError::BadField`] naming the first
-/// malformed line, or [`CacheError::Io`] for read failures (including
-/// non-UTF-8 content). Oracle fingerprints are parsed, never *checked*,
-/// here — matching is the loading session's policy.
-pub fn snapshot_from_reader(mut reader: impl BufRead) -> Result<CacheSnapshot, CacheError> {
-    let mut buf = String::new();
-    if reader.read_line(&mut buf)? == 0 {
-        return Err(CacheError::BadHeader);
-    }
-    let version: u8 = match buf.trim() {
-        "glade-cache v1" => 1,
-        "glade-cache v2" => 2,
-        "glade-cache v3" => 3,
-        _ => return Err(CacheError::BadHeader),
-    };
-    let mut fingerprint = None;
-    let mut entries = Vec::new();
-    let mut memo = Vec::new();
-    let mut lineno = 1;
-    loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
-        }
-        lineno += 1;
-        let line = buf.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(hex) = line.strip_prefix("oracle ") {
-            // The directive is v2+-only and at most one is meaningful.
-            if version < 2 || fingerprint.is_some() {
-                return Err(CacheError::BadLine(lineno));
-            }
-            let bytes = decode_hex(hex, lineno)?;
-            fingerprint = Some(String::from_utf8(bytes).map_err(|_| CacheError::BadField(lineno))?);
-        } else if let Some(rest) = line.strip_prefix("m ") {
-            // Memo entries are v3-only.
-            if version < 3 {
-                return Err(CacheError::BadLine(lineno));
-            }
-            let Some((key_hex, classes_hex)) = rest.split_once(' ') else {
-                return Err(CacheError::BadField(lineno));
-            };
-            let key_bytes = decode_hex(key_hex, lineno)?;
-            let key: [u8; 16] = key_bytes.try_into().map_err(|_| CacheError::BadField(lineno))?;
-            let mut classes = Vec::new();
-            for class_hex in classes_hex.split(',') {
-                // A learned class always contains at least the original
-                // byte; an empty member set marks a corrupted snapshot.
-                if class_hex.is_empty() {
-                    return Err(CacheError::BadField(lineno));
-                }
-                classes.push(CharClass::from_bytes(&decode_hex(class_hex, lineno)?));
-            }
-            memo.push(MemoEntry { key, classes });
-        } else if let Some(rest) = line.strip_prefix("q ") {
-            // An empty query has no hex field ("q 1").
-            let (verdict, hex) = rest.split_once(' ').unwrap_or((rest, ""));
-            let verdict = match verdict {
-                "0" => false,
-                "1" => true,
-                _ => return Err(CacheError::BadField(lineno)),
-            };
-            entries.push((decode_hex(hex, lineno)?, verdict));
-        } else {
-            return Err(CacheError::BadLine(lineno));
-        }
-    }
-    Ok(CacheSnapshot { oracle_fingerprint: fingerprint, entries: entries.into(), memo })
-}
-
-/// Magic prefix of a `glade-cachebin v1` snapshot. Deliberately *not* a
-/// valid text header ("glade-cachebin v1" matches no text version), so
-/// feeding either format to the other parser fails cleanly.
+/// Magic prefix of a `glade-cachebin v1` snapshot.
 const BINARY_MAGIC: &[u8; 18] = b"glade-cachebin v1\n";
 /// Fixed header bytes after the magic: `u32` fingerprint length plus six
 /// `u64` fields (entry count, memo count, index/records/memo offsets,
@@ -467,13 +331,6 @@ pub(crate) fn index_hash(query: &[u8]) -> u64 {
         round(&mut v);
     }
     v[0] ^ v[1] ^ v[2] ^ v[3]
-}
-
-/// Whether `prefix` begins a `glade-cachebin v1` snapshot — the sniff
-/// [`CacheSnapshot::load`] applies to route between
-/// [`snapshot_from_binary_reader`] and [`snapshot_from_reader`].
-pub fn is_binary_snapshot(prefix: &[u8]) -> bool {
-    prefix.len() >= BINARY_MAGIC.len() && &prefix[..BINARY_MAGIC.len()] == BINARY_MAGIC
 }
 
 /// Serializes entries, memo entries, and an optional oracle fingerprint
@@ -563,18 +420,23 @@ fn read_bin<R: Read>(r: &mut R, pos: u64, buf: &mut [u8]) -> Result<(), CacheErr
     })
 }
 
-/// Reads and cross-validates the magic, header, and fingerprint. Every
-/// section offset is checked against the neighbors and the real stream
-/// length, so truncation — at any cut — and header corruption surface
-/// here as [`CacheError::Corrupt`], never as a panic or a huge
-/// allocation downstream.
+/// Reads and cross-validates the magic, header, and fingerprint. A stream
+/// that does not begin with the magic (as far as it goes) is
+/// [`CacheError::BadHeader`]. Every section offset is checked against the
+/// neighbors and the real stream length, so truncation — at any cut — and
+/// header corruption surface here as [`CacheError::Corrupt`], never as a
+/// panic or a huge allocation downstream.
 fn read_binary_header<R: Read + Seek>(r: &mut R) -> Result<BinHeader, CacheError> {
     let stream_len = r.seek(SeekFrom::End(0))?;
     r.seek(SeekFrom::Start(0))?;
     let mut magic = [0u8; BINARY_MAGIC.len()];
-    read_bin(r, 0, &mut magic)?;
-    if &magic != BINARY_MAGIC {
+    let present = magic.len().min(stream_len as usize);
+    read_bin(r, 0, &mut magic[..present])?;
+    if magic[..present] != BINARY_MAGIC[..present] {
         return Err(CacheError::BadHeader);
+    }
+    if present < magic.len() {
+        return Err(corrupt(stream_len, "unexpected end of snapshot"));
     }
     let mut header = [0u8; BIN_HEADER_LEN];
     read_bin(r, BINARY_MAGIC.len() as u64, &mut header)?;
@@ -641,8 +503,8 @@ fn read_bin_memo<R: Read>(r: &mut R, pos: &mut u64, limit: u64) -> Result<MemoEn
         read_bin(r, *pos, &mut len_buf)?;
         let members_len = u64::from(u32::from_le_bytes(len_buf));
         if members_len == 0 {
-            // Parity with the text parser: a learned class always
-            // contains at least the original byte.
+            // A learned class always contains at least the original
+            // byte: an empty member set marks a corrupted snapshot.
             return Err(corrupt(*pos, "empty byte-class member set"));
         }
         if pos.checked_add(4 + members_len).is_none_or(|end| end > limit) {
@@ -671,10 +533,9 @@ pub fn snapshot_from_binary_reader<R: Read + Seek>(r: &mut R) -> Result<CacheSna
     r.seek(SeekFrom::Start(h.records_off))?;
     // One bulk read of the record and memo sections (the index is derived
     // data and skipped), which then *becomes* the entry arena: decoding
-    // allocates the body buffer, the span table, and nothing else. This
-    // is most of the binary format's load-speed advantage at production
-    // cache sizes — the text path pays an allocation per query, which
-    // dominates its decode at 10⁵ entries. The header already validated
+    // allocates the body buffer, the span table, and nothing else; an
+    // allocation per query would dominate the decode at production cache
+    // sizes (10⁵ entries). The header already validated
     // `total_len` against the real stream length, so a short read here
     // means the file shrank underneath us.
     let body_len = (h.total_len - h.records_off) as usize;
@@ -828,74 +689,9 @@ pub(crate) fn fsync_dir_of(path: &Path) -> std::io::Result<()> {
     }
 }
 
-/// Decodes one hex field, byte-wise (not via `str` slicing, which would
-/// panic on a corrupted snapshot containing multi-byte UTF-8).
-fn decode_hex(hex: &str, lineno: usize) -> Result<Vec<u8>, CacheError> {
-    if !hex.len().is_multiple_of(2) {
-        return Err(CacheError::BadField(lineno));
-    }
-    let nibble = |b: u8| -> Result<u8, CacheError> {
-        match b {
-            b'0'..=b'9' => Ok(b - b'0'),
-            b'a'..=b'f' => Ok(b - b'a' + 10),
-            b'A'..=b'F' => Ok(b - b'A' + 10),
-            _ => Err(CacheError::BadField(lineno)),
-        }
-    };
-    let mut out = Vec::with_capacity(hex.len() / 2);
-    for pair in hex.as_bytes().chunks_exact(2) {
-        out.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use std::fmt::Write as _;
-
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    /// Encodes a legacy text snapshot, exactly as earlier builds wrote it:
-    /// `glade-cache v3` when memo entries are present, else `v2` with a
-    /// fingerprint, else `v1`; memo lines sorted by key, then query lines
-    /// sorted by query bytes. Fixtures for the read-only importer.
-    pub(crate) fn text_snapshot(
-        entries: &[(Vec<u8>, bool)],
-        memo: &[MemoEntry],
-        fingerprint: Option<&str>,
-    ) -> String {
-        let version = if !memo.is_empty() {
-            3
-        } else if fingerprint.is_some() {
-            2
-        } else {
-            1
-        };
-        let mut out = format!("glade-cache v{version}\n");
-        if let Some(fp) = fingerprint {
-            let _ = writeln!(out, "oracle {}", hex(fp.as_bytes()));
-        }
-        let mut memo: Vec<&MemoEntry> = memo.iter().collect();
-        memo.sort_by_key(|m| m.key);
-        for entry in memo {
-            let classes: Vec<String> =
-                entry.classes.iter().map(|c| hex(&c.iter().collect::<Vec<u8>>())).collect();
-            let _ = writeln!(out, "m {} {}", hex(&entry.key), classes.join(","));
-        }
-        let mut entries: Vec<&(Vec<u8>, bool)> = entries.iter().collect();
-        entries.sort();
-        for (query, verdict) in entries {
-            let _ = writeln!(out, "q {} {}", u8::from(*verdict), hex(query));
-        }
-        out
-    }
-
-    fn parse(text: &str) -> Result<CacheSnapshot, CacheError> {
-        snapshot_from_reader(text.as_bytes())
-    }
 
     #[test]
     fn index_hash_golden_vectors() {
@@ -940,8 +736,6 @@ pub(crate) mod tests {
         ];
         let mut expected = entries.clone();
         expected.sort();
-        let parsed = parse(&text_snapshot(&entries, &[], None)).expect("roundtrip parses");
-        assert_eq!(parsed.entries, expected);
         let bin = snapshot_from_binary(&snapshot_to_binary(&entries, &[], None)).unwrap();
         assert_eq!(bin.entries, expected);
     }
@@ -952,153 +746,38 @@ pub(crate) mod tests {
         let b = vec![(b"aa".to_vec(), false), (b"bb".to_vec(), true)];
         let bin = snapshot_to_binary(&a, &[], None);
         assert_eq!(bin, snapshot_to_binary(&b, &[], None), "insertion order must not matter");
-        // Idempotent through a second roundtrip, and equal to the import of
-        // the same cache written as text.
+        // Idempotent through a second roundtrip.
         let reparsed = snapshot_from_binary(&bin).unwrap();
         assert_eq!(reparsed.entries, b);
         assert_eq!(snapshot_to_binary(&reparsed.entries.to_vec(), &[], None), bin);
-        assert_eq!(parse("glade-cache v1\nq 0 6161\nq 1 6262\n").unwrap(), reparsed);
-    }
-
-    #[test]
-    fn fingerprinted_snapshot_roundtrips_as_v2() {
-        let entries = vec![(b"a".to_vec(), true)];
-        let text = text_snapshot(&entries, &[], Some("process:xmllint"));
-        assert!(text.starts_with("glade-cache v2\noracle "), "{text}");
-        let snap = parse(&text).unwrap();
-        assert_eq!(snap.oracle_fingerprint.as_deref(), Some("process:xmllint"));
-        assert_eq!(snap.entries, entries);
-        // A binary rewrite keeps the fingerprint.
-        let bin =
-            snapshot_to_binary(&snap.entries.to_vec(), &[], snap.oracle_fingerprint.as_deref());
-        assert_eq!(snapshot_from_binary(&bin).unwrap(), snap);
-    }
-
-    #[test]
-    fn v1_snapshots_parse_with_no_fingerprint() {
-        let snap = parse("glade-cache v1\nq 1 61\n").unwrap();
-        assert_eq!(snap.oracle_fingerprint, None);
-        assert_eq!(snap.entries, vec![(b"a".to_vec(), true)]);
-    }
-
-    #[test]
-    fn v2_without_oracle_directive_is_valid() {
-        let snap = parse("glade-cache v2\nq 0 62\n").unwrap();
-        assert_eq!(snap.oracle_fingerprint, None);
-        assert_eq!(snap.entries, vec![(b"b".to_vec(), false)]);
-    }
-
-    #[test]
-    fn oracle_directive_rejected_in_v1_and_when_duplicated() {
-        assert!(matches!(parse("glade-cache v1\noracle 61\n"), Err(CacheError::BadLine(2))));
-        assert!(matches!(
-            parse("glade-cache v2\noracle 61\noracle 62\n"),
-            Err(CacheError::BadLine(3))
-        ));
-        // Malformed fingerprint hex / non-UTF-8 fingerprints error too.
-        assert!(matches!(parse("glade-cache v2\noracle 6\n"), Err(CacheError::BadField(2))));
-        assert!(matches!(parse("glade-cache v2\noracle ff\n"), Err(CacheError::BadField(2))));
     }
 
     #[test]
     fn empty_query_roundtrips() {
         let entries = vec![(Vec::new(), true)];
-        assert_eq!(parse(&text_snapshot(&entries, &[], None)).unwrap().entries, entries);
         let bin = snapshot_to_binary(&entries, &[], None);
         assert_eq!(snapshot_from_binary(&bin).unwrap().entries, entries);
     }
 
     #[test]
     fn rejects_bad_header() {
-        assert!(matches!(parse(""), Err(CacheError::BadHeader)));
-        assert!(matches!(parse("glade-cache v9\n"), Err(CacheError::BadHeader)));
-    }
-
-    #[test]
-    fn rejects_malformed_lines() {
-        let base = "glade-cache v1\n";
-        assert!(matches!(parse(&format!("{base}verdict 1 61\n")), Err(CacheError::BadLine(2))));
-        assert!(matches!(parse(&format!("{base}q 2 61\n")), Err(CacheError::BadField(2))));
-        assert!(matches!(parse(&format!("{base}q 1 6\n")), Err(CacheError::BadField(2))));
-        assert!(matches!(parse(&format!("{base}q 1 zz\n")), Err(CacheError::BadField(2))));
-        // Multi-byte UTF-8 in the hex field must error, not panic (the
-        // even-length guard alone would let `aéa` through to str slicing).
-        assert!(matches!(parse(&format!("{base}q 1 aéa\n")), Err(CacheError::BadField(2))));
-    }
-
-    #[test]
-    fn memo_snapshot_roundtrips_as_v3() {
-        let entries = vec![(b"a".to_vec(), true)];
-        let memo = vec![
-            MemoEntry { key: [0xab; 16], classes: vec![CharClass::from_bytes(b"hi")] },
-            MemoEntry {
-                key: [0x01; 16],
-                classes: vec![CharClass::single(b'x'), CharClass::from_bytes(b"yz")],
-            },
-        ];
-        let text = text_snapshot(&entries, &memo, Some("target:toy"));
-        assert!(text.starts_with("glade-cache v3\noracle "), "{text}");
-        let snap = parse(&text).unwrap();
-        assert_eq!(snap.oracle_fingerprint.as_deref(), Some("target:toy"));
-        assert_eq!(snap.entries, entries);
-        // Entries come back sorted by key.
-        assert_eq!(snap.memo.len(), 2);
-        assert_eq!(snap.memo[0].key, [0x01; 16]);
-        assert_eq!(snap.memo[0].classes.len(), 2);
-        assert!(snap.memo[0].classes[1].contains(b'y'));
-        assert_eq!(snap.memo[1].key, [0xab; 16]);
-        assert!(snap.memo[1].classes[0].contains(b'h'));
-        // No fingerprint: still v3 when memo entries exist.
-        let untagged = text_snapshot(&entries, &memo, None);
-        assert!(untagged.starts_with("glade-cache v3\nm "), "{untagged}");
-        assert!(parse(&untagged).unwrap().oracle_fingerprint.is_none());
-    }
-
-    #[test]
-    fn empty_memo_keeps_historical_formats_byte_identical() {
-        // Pre-memo (v1/v2) snapshots import with an empty memo table, and
-        // their binary rewrite is byte-identical to encoding the same
-        // cache directly.
-        let entries = vec![(b"aa".to_vec(), false), (b"bb".to_vec(), true)];
-        for fp in [None, Some("fp")] {
-            let snap = parse(&text_snapshot(&entries, &[], fp)).unwrap();
-            assert!(snap.memo.is_empty());
-            assert_eq!(
-                snapshot_to_binary(&snap.entries.to_vec(), &snap.memo, fp),
-                snapshot_to_binary(&entries, &[], fp)
-            );
+        // Anything that does not begin with the magic is `BadHeader`,
+        // however short: a pre-binary text snapshot (its empty form is
+        // shorter than the magic), another version, arbitrary bytes.
+        for bytes in [
+            &b"glade-cache v1\n"[..],
+            b"glade-cache v3\noracle 74\nq 1 61\n",
+            b"glade-cachebin v2\n0123456789012345678901234567890123456789012345678901",
+            b"nope",
+        ] {
+            let err = snapshot_from_binary(bytes).unwrap_err();
+            assert!(matches!(err, CacheError::BadHeader), "{bytes:?}: {err}");
         }
-    }
-
-    #[test]
-    fn memo_directive_rejected_below_v3_and_when_malformed() {
-        assert!(matches!(
-            parse("glade-cache v2\nm 000102030405060708090a0b0c0d0e0f 61\n"),
-            Err(CacheError::BadLine(2))
-        ));
-        // Missing classes field.
-        assert!(matches!(
-            parse("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f\n"),
-            Err(CacheError::BadField(2))
-        ));
-        // Key of the wrong width.
-        assert!(matches!(parse("glade-cache v3\nm 0001 61\n"), Err(CacheError::BadField(2))));
-        // Empty class member set.
-        assert!(matches!(
-            parse("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f 61,,62\n"),
-            Err(CacheError::BadField(2))
-        ));
-        // Bad class hex.
-        assert!(matches!(
-            parse("glade-cache v3\nm 000102030405060708090a0b0c0d0e0f zz\n"),
-            Err(CacheError::BadField(2))
-        ));
-    }
-
-    #[test]
-    fn comments_and_blanks_are_ignored() {
-        let text = "glade-cache v1\n# warm-start for toy-xml\n\nq 1 61\n";
-        assert_eq!(parse(text).unwrap().entries, vec![(b"a".to_vec(), true)]);
+        // A cut inside the magic itself is a truncated snapshot.
+        for bytes in [&b""[..], b"glade-cachebin"] {
+            let err = snapshot_from_binary(bytes).unwrap_err();
+            assert!(matches!(err, CacheError::Corrupt { .. }), "{bytes:?}: {err}");
+        }
     }
 
     #[test]
@@ -1108,7 +787,7 @@ pub(crate) mod tests {
         assert!(io.to_string().contains("boom"));
         assert!(io.source().is_some());
         assert!(CacheError::BadHeader.source().is_none());
-        assert!(CacheError::BadLine(3).to_string().contains("line 3"));
+        assert!(CacheError::BadHeader.to_string().contains("not a glade-cachebin v1 snapshot"));
         let mismatch = CacheError::OracleMismatch { snapshot: "a".into(), expected: "b".into() };
         assert!(mismatch.to_string().contains("different oracle"));
         assert!(mismatch.source().is_none());
@@ -1116,45 +795,6 @@ pub(crate) mod tests {
         assert!(corrupt.to_string().contains("byte 42"));
         assert!(corrupt.to_string().contains("testing"));
         assert!(corrupt.source().is_none());
-    }
-
-    #[test]
-    fn reader_parse_matches_text_parse() {
-        // The sniffing load path hands text to the one importer unchanged.
-        // ("oracle" carries the fingerprint hex-encoded: "74" = "t".)
-        let read = |text: &str| CacheSnapshot::read(std::io::Cursor::new(text.as_bytes()));
-        let text = "glade-cache v3\noracle 74\n# comment\n\nq 1 61\nq 0 6262\n\
-                    m 000102030405060708090a0b0c0d0e0f 6162,63\n";
-        let snap = read(text).unwrap();
-        assert_eq!(snap, parse(text).unwrap());
-        assert_eq!(snap.oracle_fingerprint.as_deref(), Some("t"));
-        assert_eq!(snap.entries, vec![(b"a".to_vec(), true), (b"bb".to_vec(), false)]);
-        assert_eq!(snap.memo.len(), 1);
-        // A torn tail (no trailing newline) and CRLF line endings import
-        // like their tidy equivalents.
-        let tidy = parse("glade-cache v1\nq 1 61\nq 0 62\n").unwrap();
-        assert_eq!(read("glade-cache v1\nq 1 61\nq 0 62").unwrap(), tidy);
-        assert_eq!(read("glade-cache v1\r\nq 1 61\r\nq 0 62\r\n").unwrap(), tidy);
-        // And binary bytes take the binary decoder.
-        let bin = snapshot_to_binary(&tidy.entries.to_vec(), &[], None);
-        assert_eq!(CacheSnapshot::read(std::io::Cursor::new(&bin[..])).unwrap(), tidy);
-    }
-
-    #[test]
-    fn reader_parse_preserves_error_line_numbers() {
-        for (text, want) in [
-            ("nope\n", "BadHeader"),
-            ("glade-cache v1\nbogus\n", "BadLine(2)"),
-            ("glade-cache v1\nq 9 61\n", "BadField(2)"),
-            ("glade-cache v2\noracle 74\nq 1 zz\n", "BadField(3)"),
-            ("glade-cache v2\noracle zz\n", "BadField(2)"),
-            ("glade-cache v1\n# note\n\nq 1 6\n", "BadField(4)"),
-        ] {
-            assert_eq!(format!("{:?}", parse(text).unwrap_err()), want, "{text:?}");
-        }
-        // Invalid UTF-8 surfaces as an I/O error.
-        let bad = b"glade-cache v1\nq 1 61\n\xff\xfe\n";
-        assert!(matches!(snapshot_from_reader(&bad[..]).unwrap_err(), CacheError::Io(_)));
     }
 
     fn sample_memo() -> Vec<MemoEntry> {
@@ -1176,7 +816,7 @@ pub(crate) mod tests {
         ];
         let memo = sample_memo();
         let bin = snapshot_to_binary(&entries, &memo, Some("process:xmllint"));
-        assert!(is_binary_snapshot(&bin));
+        assert!(bin.starts_with(BINARY_MAGIC));
         let snap = snapshot_from_binary(&bin).unwrap();
         assert_eq!(snap.oracle_fingerprint.as_deref(), Some("process:xmllint"));
         let mut expected = entries.clone();
@@ -1195,7 +835,6 @@ pub(crate) mod tests {
         shuffled.reverse();
         assert_eq!(snapshot_to_binary(&shuffled, &memo, Some("process:xmllint")), bin);
     }
-
     #[test]
     fn binary_snapshot_without_fingerprint_or_memo() {
         let bin = snapshot_to_binary(&[(b"a".to_vec(), true)], &[], None);
@@ -1206,44 +845,6 @@ pub(crate) mod tests {
         // Empty snapshot is valid too.
         let empty = snapshot_to_binary(&[], &[], None);
         assert_eq!(snapshot_from_binary(&empty).unwrap().entries, vec![]);
-    }
-
-    #[test]
-    fn format_sniffing_and_cross_feeding() {
-        let bin = snapshot_to_binary(&[(b"a".to_vec(), true)], &[], None);
-        let text = text_snapshot(&[(b"a".to_vec(), true)], &[], None);
-        assert!(is_binary_snapshot(&bin));
-        assert!(!is_binary_snapshot(text.as_bytes()));
-        assert!(!is_binary_snapshot(b"glade-cachebin v"));
-        // Feeding either format to the other parser is a clean BadHeader.
-        assert!(matches!(
-            snapshot_from_binary(text.as_bytes()).unwrap_err(),
-            CacheError::BadHeader | CacheError::Corrupt { .. }
-        ));
-        let as_text = String::from_utf8_lossy(&bin);
-        assert!(matches!(parse(&as_text).unwrap_err(), CacheError::BadHeader));
-    }
-
-    #[test]
-    fn binary_and_text_decode_to_the_same_snapshot() {
-        let entries =
-            vec![(b"<a>x</a>".to_vec(), true), (b"!".to_vec(), false), (b"".to_vec(), true)];
-        let memo = sample_memo();
-        let text = text_snapshot(&entries, &memo, Some("t"));
-        let bin = snapshot_to_binary(&entries, &memo, Some("t"));
-        let a = parse(&text).unwrap();
-        let b = snapshot_from_binary(&bin).unwrap();
-        assert_eq!(a.oracle_fingerprint, b.oracle_fingerprint);
-        let mut ae = a.entries.to_vec();
-        ae.sort();
-        let mut be = b.entries.to_vec();
-        be.sort();
-        assert_eq!(ae, be);
-        let mut am = a.memo;
-        am.sort_by_key(|m| m.key);
-        let mut bm = b.memo;
-        bm.sort_by_key(|m| m.key);
-        assert_eq!(am, bm);
     }
 
     #[test]
@@ -1296,9 +897,10 @@ pub(crate) mod tests {
             memo: sample_memo(),
         };
         let path = write_temp("save.glade-cache", b"stale");
-        snap.save(&path).unwrap();
+        let bytes = snapshot_to_binary(&snap.entries.to_vec(), &snap.memo, Some("fp"));
+        save_durable(&path, &bytes).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert!(is_binary_snapshot(&bytes));
+        assert!(bytes.starts_with(BINARY_MAGIC));
         let mut memo = snap.memo.clone();
         memo.sort_by_key(|m| m.key);
         assert_eq!(CacheSnapshot::load(&path).unwrap(), CacheSnapshot { memo, ..snap });

@@ -37,7 +37,7 @@
 //!
 //! | tag | name | body |
 //! |---|---|---|
-//! | `0x01` | `HELLO` | the literal bytes `glade-serve v2` (or `glade-serve v1`; see versioning below) |
+//! | `0x01` | `HELLO` | the literal bytes `glade-serve v2` (see versioning below) |
 //! | `0x02` | `OPEN` | UTF-8 option lines, see below |
 //! | `0x03` | `SEEDS` | `u32` LE seed count, then per seed a `u32` LE length and the seed bytes (the [`wire`](crate::wire) batch body; a zero count is a legal empty re-synthesis batch) |
 //! | `0x04` | `CANCEL` | empty |
@@ -67,11 +67,11 @@
 //! tags are answered with `ERROR` — a peer never wedges on a newer peer's
 //! traffic.
 //!
-//! **Versioning.** v2 adds only the `RESUME` frame; every v1 frame is
-//! unchanged. The server accepts either banner and echoes back the one
-//! the client sent, so v1 clients interoperate untouched (a v1 client
-//! that somehow sent `0x06` would get the ordinary unknown-tag `ERROR`
-//! from a v1 server, and a real `RESUME` reply from this one).
+//! **Versioning.** The banner names the one protocol version the server
+//! speaks, `glade-serve v2` (v1 had no `RESUME` frame). A `HELLO` with
+//! any other banner, the retired `glade-serve v1` included, is answered
+//! with an `unsupported protocol version` `ERROR` and the connection is
+//! closed.
 //!
 //! # Campaign journal and restart resume
 //!
@@ -208,7 +208,7 @@ mod protocol;
 mod server;
 
 pub use client::{CancelHandle, RunOutcome, ServeClient};
-pub use protocol::{OpenRequest, ProtocolError, SERVE_PROTOCOL, SERVE_PROTOCOL_V1};
+pub use protocol::{OpenRequest, ProtocolError, SERVE_PROTOCOL};
 pub use server::{
     drain_signal_count, install_drain_signals, OracleFactory, ServeConfig, Server, ServerHandle,
 };

@@ -9,15 +9,9 @@ use crate::wire::{decode_batch_frame_after_count, encode_batch_frame, FrameError
 use std::io::Read;
 use std::time::Duration;
 
-/// The current protocol banner exchanged in `HELLO`/`HELLO_ACK`.
-/// Version 2 adds the `RESUME` frame; everything a v1 peer sends means
-/// the same thing in v2.
+/// The protocol banner exchanged in `HELLO`/`HELLO_ACK`; the server
+/// refuses any other.
 pub const SERVE_PROTOCOL: &[u8] = b"glade-serve v2";
-
-/// The version-1 banner. The server still accepts it (`HELLO_ACK` echoes
-/// the banner the client sent), so v1 clients keep working unchanged; a
-/// v1 session simply has no `RESUME`.
-pub const SERVE_PROTOCOL_V1: &[u8] = b"glade-serve v1";
 
 /// Largest payload (tag byte + body) a peer will accept. Matches the
 /// batched worker protocol's frame cap: the bound exists to fail fast on a
@@ -498,8 +492,9 @@ mod tests {
 
     #[test]
     fn banners_are_distinct_and_versioned() {
+        // The bytes are the wire contract; the retired v1 banner is refused.
         assert_eq!(SERVE_PROTOCOL, b"glade-serve v2");
-        assert_eq!(SERVE_PROTOCOL_V1, b"glade-serve v1");
+        assert_ne!(SERVE_PROTOCOL, b"glade-serve v1");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use super::journal::{Journal, JournaledCampaign};
 use super::protocol::{
     decode_resume, decode_seeds_body, drain_frames, encode_frame, encode_open_ack, encode_result,
-    OpenRequest, SERVE_PROTOCOL, SERVE_PROTOCOL_V1, TAG_CANCEL, TAG_CLOSE, TAG_ERROR, TAG_EVENT,
-    TAG_HELLO, TAG_HELLO_ACK, TAG_OPEN, TAG_OPEN_ACK, TAG_RESULT, TAG_RESUME, TAG_SEEDS,
+    OpenRequest, SERVE_PROTOCOL, TAG_CANCEL, TAG_CLOSE, TAG_ERROR, TAG_EVENT, TAG_HELLO,
+    TAG_HELLO_ACK, TAG_OPEN, TAG_OPEN_ACK, TAG_RESULT, TAG_RESUME, TAG_SEEDS,
 };
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::oracle::{sys, Oracle};
@@ -749,13 +749,11 @@ impl Server {
     ) -> Option<CampaignStart> {
         match tag {
             TAG_HELLO => {
-                if body != SERVE_PROTOCOL && body != SERVE_PROTOCOL_V1 {
+                if body != SERVE_PROTOCOL {
                     conn.fail("unsupported protocol version");
                 } else if conn.greeted {
                     conn.fail("duplicate HELLO");
                 } else {
-                    // Echo the banner the client sent: a v1 client keeps
-                    // its v1 session, a v2 client gets v2.
                     conn.greeted = true;
                     conn.queue(TAG_HELLO_ACK, &body);
                 }

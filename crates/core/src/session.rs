@@ -40,7 +40,9 @@ use crate::cache::{hash_query, QueryCache};
 use crate::chargen::{apply_staged_classes, StagedChargen};
 use crate::events::{CancelToken, SynthEvent, SynthPhase, SynthesisObserver};
 use crate::memo::ByteClassMemo;
-use crate::persist::{save_durable, snapshot_to_binary, CacheError, CacheSnapshot, MemoEntry};
+use crate::persist::{
+    save_durable, snapshot_from_binary, snapshot_to_binary, CacheError, CacheSnapshot, MemoEntry,
+};
 use crate::phase1::Phase1;
 use crate::phase2::StagedMerge;
 use crate::runner::{QueryRunner, RunnerOptions};
@@ -622,24 +624,24 @@ impl<'o> Session<'o> {
             .collect()
     }
 
-    /// Loads snapshot bytes — a [`Session::export_cache_binary`] export,
-    /// or a legacy text snapshot (`glade-cache` v1–v3), sniffed from the
-    /// magic — into the session cache, returning the number of *query*
-    /// entries read. Memo entries load into the byte-class memo table
+    /// Loads `glade-cachebin v1` snapshot bytes (a
+    /// [`Session::export_cache_binary`] export) into the session cache,
+    /// returning the number of *query* entries read. Memo entries load into the byte-class memo table
     /// (they are not counted), warm-starting character generalization past
     /// whole terminals. Existing entries keep their verdict (a snapshot
     /// from the same deterministic oracle always agrees).
     ///
     /// # Errors
     ///
-    /// Returns a [`CacheError`] describing the first malformed line or
-    /// byte, or [`CacheError::OracleMismatch`] — without touching the
+    /// Returns [`CacheError::BadHeader`] for bytes that are not a
+    /// `glade-cachebin v1` snapshot, [`CacheError::Corrupt`] naming the
+    /// first inconsistent byte of one, or [`CacheError::OracleMismatch`] — without touching the
     /// cache — when both the session and the snapshot declare oracle
     /// fingerprints and they differ (the verdicts are facts about a
     /// *different* target; replaying them would silently corrupt
     /// synthesis). Untagged snapshots always load.
     pub fn import_cache(&mut self, bytes: &[u8]) -> Result<usize, CacheError> {
-        self.import_snapshot(CacheSnapshot::read(std::io::Cursor::new(bytes))?)
+        self.import_snapshot(snapshot_from_binary(bytes)?)
     }
 
     /// Validates a parsed snapshot's fingerprint against the session's
@@ -681,15 +683,14 @@ impl<'o> Session<'o> {
         save_durable(path.as_ref(), &self.export_cache_binary())
     }
 
-    /// Reads a cache snapshot from `path` into the session cache,
-    /// returning the number of entries read. The format is sniffed as in
-    /// [`Session::import_cache`], so every historical text snapshot keeps
-    /// loading; the file is streamed, not slurped.
+    /// Reads a `glade-cachebin v1` snapshot from `path` into the session
+    /// cache, returning the number of entries read; the file is streamed,
+    /// not slurped ([`CacheSnapshot::load`]).
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError::Io`] if the file cannot be read, or a format
-    /// error for a malformed snapshot.
+    /// As [`Session::import_cache`], plus [`CacheError::Io`] if the file
+    /// cannot be read.
     pub fn load_cache(&mut self, path: impl AsRef<Path>) -> Result<usize, CacheError> {
         self.import_snapshot(CacheSnapshot::load(path)?)
     }
@@ -699,7 +700,6 @@ impl<'o> Session<'o> {
 mod tests {
     use super::*;
     use crate::events::EventLog;
-    use crate::persist::tests::text_snapshot;
     use crate::testing::xml_like;
     use crate::FnOracle;
     use glade_grammar::Earley;
@@ -912,19 +912,20 @@ mod tests {
         let oracle = FnOracle::new(xml_like);
         let mut session = GladeBuilder::new().session(&oracle);
         assert!(matches!(session.import_cache(b"nope"), Err(CacheError::BadHeader)));
+        // A pre-binary text snapshot is not imported.
         assert!(matches!(
-            session.import_cache(b"glade-cache v1\nq 9 61\n"),
-            Err(CacheError::BadField(2))
+            session.import_cache(b"glade-cache v1\nq 1 61\n"),
+            Err(CacheError::BadHeader)
         ));
         let mut torn = session.export_cache_binary();
         torn.pop();
         assert!(matches!(session.import_cache(&torn), Err(CacheError::Corrupt { .. })));
     }
 
-    /// This session's cache as a legacy text snapshot.
-    fn legacy_text(session: &Session<'_>, memo: bool, fingerprint: Option<&str>) -> Vec<u8> {
-        let memo = if memo { session.memo_entries() } else { Vec::new() };
-        text_snapshot(&session.cache.snapshot(), &memo, fingerprint).into_bytes()
+    /// This session's verdicts as a binary snapshot, without memo entries,
+    /// tagged with `fingerprint`.
+    fn verdicts_only(session: &Session<'_>, fingerprint: Option<&str>) -> Vec<u8> {
+        snapshot_to_binary(&session.cache.snapshot(), &[], fingerprint)
     }
 
     #[test]
@@ -935,36 +936,30 @@ mod tests {
             .oracle_fingerprint("target:toy-xml")
             .session(&oracle);
         tagged.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let binary = tagged.export_cache_binary();
-        let v2 = legacy_text(&tagged, false, Some("target:toy-xml"));
-        assert!(v2.starts_with(b"glade-cache v2\noracle "));
+        let snapshot = tagged.export_cache_binary();
 
-        for snapshot in [&binary, &v2] {
-            // Same fingerprint: loads.
-            let mut same =
-                GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
-            assert!(same.import_cache(snapshot).unwrap() > 0);
+        // Same fingerprint: loads.
+        let mut same = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
+        assert!(same.import_cache(&snapshot).unwrap() > 0);
 
-            // Different fingerprint: rejected without touching the cache.
-            let mut other = GladeBuilder::new().oracle_fingerprint("target:lisp").session(&oracle);
-            let err = other.import_cache(snapshot).unwrap_err();
-            assert!(
-                matches!(&err, CacheError::OracleMismatch { snapshot, expected }
-                    if snapshot == "target:toy-xml" && expected == "target:lisp"),
-                "{err}"
-            );
-            assert_eq!(other.unique_queries(), 0, "rejected snapshot left no verdicts behind");
+        // Different fingerprint: rejected without touching the cache.
+        let mut other = GladeBuilder::new().oracle_fingerprint("target:lisp").session(&oracle);
+        let err = other.import_cache(&snapshot).unwrap_err();
+        assert!(
+            matches!(&err, CacheError::OracleMismatch { snapshot, expected }
+                if snapshot == "target:toy-xml" && expected == "target:lisp"),
+            "{err}"
+        );
+        assert_eq!(other.unique_queries(), 0, "rejected snapshot left no verdicts behind");
 
-            // A session without a declared fingerprint loads anything.
-            let mut unfingerprinted = GladeBuilder::new().session(&oracle);
-            assert!(unfingerprinted.import_cache(snapshot).unwrap() > 0);
-        }
+        // A session without a declared fingerprint loads anything.
+        let mut unfingerprinted = GladeBuilder::new().session(&oracle);
+        assert!(unfingerprinted.import_cache(&snapshot).unwrap() > 0);
 
-        // A tagged session still accepts legacy untagged v1 snapshots.
-        let v1 = legacy_text(&tagged, false, None);
-        assert!(v1.starts_with(b"glade-cache v1\n"));
+        // A tagged session accepts an untagged snapshot.
+        let untagged = verdicts_only(&tagged, None);
         let mut tagged2 = GladeBuilder::new().oracle_fingerprint("target:toy-xml").session(&oracle);
-        assert_eq!(tagged2.import_cache(&v1).unwrap(), tagged.unique_queries());
+        assert_eq!(tagged2.import_cache(&untagged).unwrap(), tagged.unique_queries());
 
         // `save_cache` writes the tag, and `load_cache` checks it.
         let path = temp_path("fp.glade-cache");
@@ -1020,34 +1015,31 @@ mod tests {
         let mut warm = GladeBuilder::new().session(&oracle);
         let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
         let binary = warm.export_cache_binary();
-        let v3 = legacy_text(&warm, true, None);
-        assert!(v3.starts_with(b"glade-cache v3\n"), "memoizing sessions have memo entries");
+        assert!(!warm.memo_entries().is_empty(), "memoizing sessions have memo entries");
 
         // A memo-laden snapshot warm-starts chargen wholesale: the second
         // session adopts every terminal's classes (memo hits) and poses
-        // strictly fewer probes than the first session did — from the
-        // binary export and from a legacy v3 text snapshot alike.
-        for snapshot in [&binary, &v3] {
-            let mut cold = GladeBuilder::new().session(&oracle);
-            cold.import_cache(snapshot).unwrap();
-            let second = cold.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-            assert!(second.stats.memo_hits > 0, "imported memo entries unused");
-            assert!(second.stats.probes_elided > first.stats.probes_elided);
-            assert_eq!(second.stats.new_unique_queries, 0);
-            assert_eq!(
-                glade_grammar::grammar_to_text(&first.grammar),
-                glade_grammar::grammar_to_text(&second.grammar)
-            );
-        }
+        // strictly fewer probes than the first session did.
+        let mut cold = GladeBuilder::new().session(&oracle);
+        cold.import_cache(&binary).unwrap();
+        let second = cold.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+        assert!(second.stats.memo_hits > 0, "imported memo entries unused");
+        assert!(second.stats.probes_elided > first.stats.probes_elided);
+        assert_eq!(second.stats.new_unique_queries, 0);
+        assert_eq!(
+            glade_grammar::grammar_to_text(&first.grammar),
+            glade_grammar::grammar_to_text(&second.grammar)
+        );
 
-        // And a pre-memo (v1) snapshot of the same cache still warm-starts
+        // And a memo-free snapshot of the same cache still warm-starts
         // cleanly: every verdict answered, just no memo adoption beyond the
         // run's own in-plan siblings.
-        let v1 = legacy_text(&warm, false, None);
-        assert!(v1.starts_with(b"glade-cache v1\n"));
-        let mut legacy = GladeBuilder::new().session(&oracle);
-        assert_eq!(legacy.import_cache(&v1).unwrap(), first.stats.unique_queries);
-        let replay = legacy.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+        let mut verdicts = GladeBuilder::new().session(&oracle);
+        assert_eq!(
+            verdicts.import_cache(&verdicts_only(&warm, None)).unwrap(),
+            first.stats.unique_queries
+        );
+        let replay = verdicts.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
         assert_eq!(replay.stats.new_unique_queries, 0);
         assert_eq!(replay.stats.memo_hits, first.stats.memo_hits);
         assert_eq!(
@@ -1067,7 +1059,7 @@ mod tests {
         let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
         let path = temp_path("binary-roundtrip.glade-cache");
         warm.save_cache(&path).unwrap();
-        assert!(crate::is_binary_snapshot(&std::fs::read(&path).unwrap()));
+        assert_eq!(std::fs::read(&path).unwrap(), warm.export_cache_binary());
 
         let counted = AtomicUsize::new(0);
         let counting_oracle = FnOracle::new(|i: &[u8]| {
@@ -1085,60 +1077,6 @@ mod tests {
             glade_grammar::grammar_to_text(&first.grammar),
             glade_grammar::grammar_to_text(&second.grammar)
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn text_and_binary_snapshots_load_identically() {
-        let oracle = FnOracle::new(xml_like);
-        let mut warm = GladeBuilder::new().session(&oracle);
-        warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let text_path = temp_path("fmt-equiv.text.glade-cache");
-        let bin_path = temp_path("fmt-equiv.bin.glade-cache");
-        std::fs::write(&text_path, legacy_text(&warm, true, None)).unwrap();
-        warm.save_cache(&bin_path).unwrap();
-
-        let mut via_text = GladeBuilder::new().session(&oracle);
-        let mut via_bin = GladeBuilder::new().session(&oracle);
-        assert_eq!(
-            via_text.load_cache(&text_path).unwrap(),
-            via_bin.load_cache(&bin_path).unwrap(),
-            "formats disagree on entry count"
-        );
-        assert_eq!(via_text.unique_queries(), via_bin.unique_queries());
-        // A re-save of the text-loaded session is the binary snapshot.
-        assert_eq!(via_text.export_cache_binary(), std::fs::read(&bin_path).unwrap());
-        std::fs::remove_file(&text_path).ok();
-        std::fs::remove_file(&bin_path).ok();
-    }
-
-    #[test]
-    fn every_legacy_text_version_loads_from_disk() {
-        // v1 (untagged), v2 (fingerprinted) and v3 (memo) text snapshots
-        // each warm-start `load_cache` with nothing re-paid, and a tagged
-        // one is still refused by a session expecting another oracle.
-        let oracle = FnOracle::new(xml_like);
-        let tag = "target:toy-xml";
-        let mut warm = GladeBuilder::new().oracle_fingerprint(tag).session(&oracle);
-        let first = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-        let path = temp_path("legacy-versions.glade-cache");
-        for (version, memo, fingerprint) in
-            [(1, false, None), (2, false, Some(tag)), (3, true, Some(tag))]
-        {
-            let text = legacy_text(&warm, memo, fingerprint);
-            assert!(text.starts_with(format!("glade-cache v{version}\n").as_bytes()));
-            std::fs::write(&path, text).unwrap();
-            let mut cold = GladeBuilder::new().oracle_fingerprint(tag).session(&oracle);
-            assert_eq!(cold.load_cache(&path).unwrap(), first.stats.unique_queries, "v{version}");
-            let replay = cold.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
-            assert_eq!(replay.stats.new_unique_queries, 0, "v{version}");
-            let mut other = GladeBuilder::new().oracle_fingerprint("target:lisp").session(&oracle);
-            let loaded = other.load_cache(&path);
-            match fingerprint {
-                Some(_) => assert!(matches!(loaded, Err(CacheError::OracleMismatch { .. }))),
-                None => assert_eq!(loaded.unwrap(), first.stats.unique_queries),
-            }
-        }
         std::fs::remove_file(&path).ok();
     }
 

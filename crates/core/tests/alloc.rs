@@ -10,45 +10,16 @@
 //! runner or the cache shows up as a failure here.
 //!
 //! The counting allocator is global to this test binary, which therefore
-//! holds this single test: a concurrently running test would add its own
-//! allocations to the count.
+//! holds this single test.
 
+mod counting_alloc;
+
+use counting_alloc::blocks_during;
 use glade_core::GladeBuilder;
 use glade_eval::sample_seeds;
 use glade_targets::languages::url;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Heap blocks allocated so far (a `realloc` counts as one block).
-static BLOCKS: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BLOCKS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Bound on heap blocks per distinct query for a cold `add_seeds`. Measured
 /// at 1.28 on the url language below; the bound leaves headroom for
@@ -64,9 +35,8 @@ fn cold_add_seeds_allocates_a_bounded_number_of_blocks_per_query() {
     let oracle = language.oracle();
     let mut session = GladeBuilder::new().worker_threads(1).session(&oracle);
 
-    let before = BLOCKS.load(Ordering::Relaxed);
-    let result = session.add_seeds(&seeds).expect("sampled seeds are members");
-    let blocks = BLOCKS.load(Ordering::Relaxed) - before;
+    let (result, blocks) =
+        blocks_during(|| session.add_seeds(&seeds).expect("sampled seeds are members"));
 
     let queries = result.stats.unique_queries;
     assert!(queries > 1000, "too few queries to measure: {queries}");

@@ -1,21 +1,17 @@
-//! Property-based tests of the cache snapshot codecs: the binary format
+//! Property-based tests of the cache snapshot codec: the binary format
 //! must be lossless, byte-stable across re-serialization, and *clean*
-//! under truncation — a torn binary snapshot may only ever produce a
-//! [`CacheError`](glade_core::CacheError), never a panic or a silently
-//! short load. The header-only reader ([`BinaryCacheFile`], what
-//! `glade cache inspect` prints) must agree with a full load. The
-//! read-only legacy text importer decodes exactly what the binary codec
-//! round-trips, and never panics on arbitrary input.
-
-mod legacy_text;
+//! under truncation and corruption — a torn or damaged snapshot may only
+//! ever produce a [`CacheError`](glade_core::CacheError), never a panic or
+//! a silently short load. The header-only reader ([`BinaryCacheFile`],
+//! what `glade cache inspect` prints) must agree with a full load.
 
 use glade_core::{
-    is_binary_snapshot, snapshot_from_binary, snapshot_from_reader, snapshot_to_binary,
-    BinaryCacheFile, CacheSnapshot, MemoEntry,
+    snapshot_from_binary, snapshot_to_binary, BinaryCacheFile, CacheSnapshot, FnOracle,
+    GladeBuilder, MemoEntry,
 };
 use glade_grammar::CharClass;
-use legacy_text::legacy_text;
 use proptest::prelude::*;
+use proptest::sample::Index;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Distinct queries with arbitrary bytes (including empty and non-UTF-8),
@@ -49,13 +45,13 @@ fn arb_memo() -> impl Strategy<Value = Vec<MemoEntry>> {
 }
 
 /// Optional nonempty fingerprint (an empty fingerprint is not a thing —
-/// both formats encode "no fingerprint" as its absence).
+/// the format encodes "no fingerprint" as its absence).
 fn arb_fingerprint() -> impl Strategy<Value = Option<String>> {
     (any::<bool>(), proptest::collection::vec(any::<u8>(), 1..12))
         .prop_map(|(present, bytes)| present.then(|| String::from_utf8_lossy(&bytes).into_owned()))
 }
 
-/// The canonical form both decoders must produce: entries sorted by query
+/// The canonical form the decoder must produce: entries sorted by query
 /// bytes, memo sorted by key (generator output is already sorted).
 fn expected(entries: &[(Vec<u8>, bool)], memo: &[MemoEntry], fp: &Option<String>) -> CacheSnapshot {
     CacheSnapshot {
@@ -76,73 +72,50 @@ fn scratch_file(bytes: &[u8]) -> std::path::PathBuf {
     path
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+/// Byte offsets of the header's integer fields: the `u32` fingerprint
+/// length after the 18-byte magic, then six `u64`s (entry count, memo
+/// count, index, records and memo offsets, total length). Every snapshot
+/// holds the whole header.
+const HEADER_FIELDS: [usize; 7] = [18, 22, 30, 38, 46, 54, 62];
+
+/// One corruption of a snapshot's bytes.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// Overwrite one byte.
+    Overwrite(Index, u8),
+    /// Flip one bit.
+    FlipBit(Index, u8),
+    /// Write a value over one header field (its low 4 bytes for the `u32`).
+    HeaderField(usize, u64),
 }
 
-/// Text-snapshot-shaped input: a known (or foreign) header, then lines
-/// whose directives the parser knows, with fields drawn from verdicts,
-/// hex, comma-separated class lists, and noise.
-fn arb_text_snapshot() -> impl Strategy<Value = String> {
-    let header = prop_oneof![
-        Just("glade-cache v1"),
-        Just("glade-cache v2"),
-        Just("glade-cache v3"),
-        Just("glade-cache v9"),
-    ];
-    let field = prop_oneof![
-        Just("0".to_string()),
-        Just("1".to_string()),
-        proptest::collection::vec(any::<u8>(), 0..17).prop_map(|b| hex(&b)),
-        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..3), 1..4)
-            .prop_map(|classes| classes.iter().map(|c| hex(c)).collect::<Vec<_>>().join(",")),
-        proptest::collection::vec(0x20u8..0x7f, 0..6)
-            .prop_map(|b| String::from_utf8(b).expect("ASCII")),
-    ];
-    let directive =
-        prop_oneof![Just("q"), Just("m"), Just("oracle"), Just("#"), Just(""), Just("x")];
-    let line = (directive, proptest::collection::vec(field, 0..3))
-        .prop_map(|(directive, fields)| format!("{directive} {}", fields.join(" ")));
-    (header, proptest::collection::vec(line, 0..6), prop_oneof![Just("\n"), Just("\r\n")]).prop_map(
-        |(header, lines, eol)| {
-            let mut text = format!("{header}{eol}");
-            for line in lines {
-                text.push_str(&line);
-                text.push_str(eol);
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    // Header values: anything, small values near real offsets and
+    // counts, and the extremes that overflow offset arithmetic.
+    let value = prop_oneof![any::<u64>(), 0u64..512, Just(u64::MAX), Just(u64::MAX / 5)];
+    prop_oneof![
+        (any::<Index>(), any::<u8>()).prop_map(|(at, byte)| Mutation::Overwrite(at, byte)),
+        (any::<Index>(), 0u8..8).prop_map(|(at, bit)| Mutation::FlipBit(at, bit)),
+        (0..HEADER_FIELDS.len(), value).prop_map(|(field, v)| Mutation::HeaderField(field, v)),
+    ]
+}
+
+impl Mutation {
+    fn apply(&self, bytes: &mut [u8]) {
+        match *self {
+            Mutation::Overwrite(at, byte) => bytes[at.index(bytes.len())] = byte,
+            Mutation::FlipBit(at, bit) => bytes[at.index(bytes.len())] ^= 1 << bit,
+            Mutation::HeaderField(field, value) => {
+                let at = HEADER_FIELDS[field];
+                let width = if field == 0 { 4 } else { 8 };
+                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
             }
-            text
-        },
-    )
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Arbitrary bytes and snapshot-shaped text never panic the text
-    /// importer — the one decoder for whatever text is on disk.
-    #[test]
-    fn arbitrary_text_never_panics_the_text_decoders(
-        bytes in proptest::collection::vec(any::<u8>(), 0..96), text in arb_text_snapshot()
-    ) {
-        let _ = snapshot_from_reader(&bytes[..]);
-        let _ = snapshot_from_reader(String::from_utf8_lossy(&bytes).as_bytes());
-        let _ = snapshot_from_reader(text.as_bytes());
-    }
-
-    /// A legacy text snapshot imports losslessly, and its binary rewrite
-    /// is byte-identical to encoding the same cache directly.
-    #[test]
-    fn text_roundtrip_is_lossless_and_byte_stable(
-        entries in arb_entries(), memo in arb_memo(), fp in arb_fingerprint()
-    ) {
-        let want = expected(&entries, &memo, &fp);
-        let parsed = snapshot_from_reader(legacy_text(&want).as_bytes()).expect("import parses");
-        prop_assert_eq!(&parsed, &want);
-        let rewrite = snapshot_to_binary(
-            &parsed.entries.to_vec(), &parsed.memo, parsed.oracle_fingerprint.as_deref(),
-        );
-        prop_assert_eq!(rewrite, snapshot_to_binary(&entries, &memo, fp.as_deref()));
-    }
 
     /// Binary roundtrip is lossless, and re-serializing the parse is
     /// byte-identical (the format is canonical: one cache, one encoding).
@@ -151,29 +124,12 @@ proptest! {
         entries in arb_entries(), memo in arb_memo(), fp in arb_fingerprint()
     ) {
         let bytes = snapshot_to_binary(&entries, &memo, fp.as_deref());
-        prop_assert!(is_binary_snapshot(&bytes));
+        prop_assert!(bytes.starts_with(b"glade-cachebin v1\n"));
         let parsed = snapshot_from_binary(&bytes).expect("roundtrip parses");
         prop_assert_eq!(&parsed, &expected(&entries, &memo, &fp));
         let again =
             snapshot_to_binary(&parsed.entries.to_vec(), &parsed.memo, parsed.oracle_fingerprint.as_deref());
         prop_assert_eq!(again, bytes);
-    }
-
-    /// The text importer decodes exactly what the binary codec
-    /// round-trips — converting a legacy cache file can never change a
-    /// verdict, a memo class, or the fingerprint.
-    #[test]
-    fn text_and_binary_formats_are_equivalent(
-        entries in arb_entries(), memo in arb_memo(), fp in arb_fingerprint()
-    ) {
-        let want = expected(&entries, &memo, &fp);
-        let text = legacy_text(&want);
-        prop_assert!(!is_binary_snapshot(text.as_bytes()));
-        let from_text = snapshot_from_reader(text.as_bytes()).expect("text parses");
-        let bin = snapshot_to_binary(&entries, &memo, fp.as_deref());
-        let from_binary = snapshot_from_binary(&bin).expect("binary parses");
-        prop_assert_eq!(&from_text, &from_binary);
-        prop_assert_eq!(&from_binary, &want);
     }
 
     /// Truncating a binary snapshot at *any* byte boundary is a clean
@@ -211,5 +167,28 @@ proptest! {
         prop_assert_eq!(file.memo_len(), full.memo.len());
         prop_assert_eq!(file.fingerprint(), full.oracle_fingerprint.as_deref());
         prop_assert_eq!(file.file_len(), bytes.len() as u64);
+    }
+
+    /// Corrupting a valid snapshot — overwritten bytes, flipped bits,
+    /// arbitrary values in header fields — never panics any load path:
+    /// the byte decoder, the header-only reader and a session import each
+    /// return `Ok` or a `CacheError`.
+    #[test]
+    fn corrupted_binary_never_panics_a_load_path(
+        entries in arb_entries(),
+        memo in arb_memo(),
+        fp in arb_fingerprint(),
+        mutations in proptest::collection::vec(arb_mutation(), 1..4),
+    ) {
+        let mut bytes = snapshot_to_binary(&entries, &memo, fp.as_deref());
+        for mutation in &mutations {
+            mutation.apply(&mut bytes);
+        }
+        let _ = snapshot_from_binary(&bytes);
+        let path = scratch_file(&bytes);
+        let _ = BinaryCacheFile::open(&path);
+        let _ = std::fs::remove_file(&path);
+        let oracle = FnOracle::new(|_: &[u8]| false);
+        let _ = GladeBuilder::new().session(&oracle).import_cache(&bytes);
     }
 }

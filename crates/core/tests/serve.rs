@@ -10,8 +10,6 @@
 
 #![cfg(any(target_os = "linux", target_os = "macos"))]
 
-mod legacy_text;
-
 use glade_core::serve::{OpenRequest, OracleFactory, ServeClient, ServeConfig, Server};
 use glade_core::testing::{xml_like, xml_like_with_self_closing};
 use glade_core::{
@@ -19,7 +17,6 @@ use glade_core::{
     SynthesisStats,
 };
 use glade_grammar::grammar_to_text;
-use legacy_text::legacy_text;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -703,6 +700,9 @@ fn resume_against_a_journalless_server_names_the_missing_journal() {
     handle.shutdown().expect("server shutdown");
 }
 
+/// A cache-dir file the daemon must not replay (another oracle's, or not
+/// a `glade-cachebin v1` snapshot at all) costs one cold campaign, never
+/// a verdict: the checkpoint replaces it, and warm starts resume.
 #[test]
 fn serve_cache_format_flip_keeps_warm_starts() {
     let _watchdog = Watchdog::arm("serve_cache_format_flip_keeps_warm_starts");
@@ -726,35 +726,30 @@ fn serve_cache_format_flip_keeps_warm_starts() {
         .map(|e| e.expect("dir entry").path())
         .find(|p| p.extension().is_some_and(|e| e == "glade-cache"))
         .expect("one cache snapshot");
-    let snapshot_is_binary =
-        || glade_core::is_binary_snapshot(&std::fs::read(&snapshot_path).expect("read snapshot"));
-    assert!(snapshot_is_binary(), "the daemon checkpoints in binary");
-
-    // Replace the checkpoint with the same cache as a legacy text
-    // snapshot of each version: it loads via format sniffing, re-pays
-    // nothing, and the next checkpoint rewrites it as binary. A snapshot
-    // tagged for another oracle is refused: that campaign starts cold.
     let bytes = std::fs::read(&snapshot_path).expect("read snapshot");
+    assert!(bytes.starts_with(b"glade-cachebin v1\n"), "the daemon checkpoints in binary");
+
+    // Replace the checkpoint with a file the daemon must not replay: a
+    // binary snapshot tagged for another oracle, then a pre-binary text
+    // snapshot. Either way the campaign starts cold, learns the same
+    // grammar, and its checkpoint replaces the file with the binary
+    // snapshot of this oracle's cache.
     let snapshot = glade_core::snapshot_from_binary(&bytes).expect("binary snapshot parses");
-    let v2 = glade_core::CacheSnapshot { memo: Vec::new(), ..snapshot.clone() };
-    let v1 = glade_core::CacheSnapshot { oracle_fingerprint: None, ..v2.clone() };
-    let foreign = glade_core::CacheSnapshot {
-        oracle_fingerprint: Some("test:other".into()),
-        ..snapshot.clone()
-    };
-    for (legacy, repaid) in [(&v1, 0), (&v2, 0), (&snapshot, 0), (&foreign, GOLDEN_UNIQUE)] {
-        let text = legacy_text(legacy);
-        std::fs::write(&snapshot_path, &text).expect("write text snapshot");
-        assert!(!snapshot_is_binary());
+    let foreign = glade_core::snapshot_to_binary(
+        &snapshot.entries.to_vec(),
+        &snapshot.memo,
+        Some("test:other"),
+    );
+    let text = b"glade-cache v1\nq 1 3c613e68693c2f613e\n".to_vec();
+    for (name, file) in [("foreign-tagged", foreign), ("text", text)] {
+        std::fs::write(&snapshot_path, &file).expect("write snapshot");
         let handle = Server::new(test_factory(), config.clone()).spawn(&socket).expect("respawn");
-        let (warm_grammar, warm_stats, _) =
-            client_run(&socket, &request, std::slice::from_ref(&seeds));
-        let header = text.lines().next().expect("header");
-        assert_eq!(warm_grammar, cold_grammar, "{header} snapshot changed the grammar");
-        assert_eq!(warm_stats.new_unique_queries, repaid, "{header} snapshot warm start");
-        handle.shutdown().expect("warm shutdown");
-        assert!(snapshot_is_binary(), "the daemon rewrote the {header} checkpoint as binary");
-        assert_eq!(std::fs::read(&snapshot_path).expect("read snapshot"), bytes, "{header}");
+        let (grammar, stats, _) = client_run(&socket, &request, std::slice::from_ref(&seeds));
+        assert_eq!(grammar, cold_grammar, "{name} snapshot changed the grammar");
+        assert_eq!(stats.new_unique_queries, GOLDEN_UNIQUE, "{name} snapshot was replayed");
+        handle.shutdown().expect("cold shutdown");
+        let rewritten = std::fs::read(&snapshot_path).expect("read snapshot");
+        assert_eq!(rewritten, bytes, "the checkpoint replaced the {name} snapshot");
     }
 
     // And the binary rewrite warm-starts the next daemon too.
@@ -871,31 +866,36 @@ fn read_raw_frame(stream: &mut std::os::unix::net::UnixStream) -> (u8, Vec<u8>) 
 }
 
 #[test]
-fn v1_clients_still_interoperate() {
-    let _watchdog = Watchdog::arm("v1_clients_still_interoperate");
-    let dir = scratch_dir("v1-compat");
+fn only_the_v2_banner_opens_a_session() {
+    let _watchdog = Watchdog::arm("only_the_v2_banner_opens_a_session");
+    let dir = scratch_dir("banners");
     let socket = dir.join("sock");
     let handle = Server::new(test_factory(), ServeConfig::default()).spawn(&socket).expect("spawn");
 
-    // A hand-rolled v1 session: the v2 server accepts the old banner and
-    // echoes it back, and every v1 frame behaves as before.
-    let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
-    write_raw_frame(&mut stream, 0x01, b"glade-serve v1");
+    // The retired v1 banner and an unknown one are refused with a clean
+    // ERROR, and the server hangs up.
+    for banner in [&b"glade-serve v1"[..], b"glade-serve v3"] {
+        let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+        write_raw_frame(&mut stream, 0x01, banner);
+        let (tag, body) = read_raw_frame(&mut stream);
+        assert_eq!(tag, 0x85, "ERROR for {:?}", String::from_utf8_lossy(banner));
+        assert!(String::from_utf8_lossy(&body).contains("protocol"), "{body:?}");
+        let mut rest = Vec::new();
+        std::io::Read::read_to_end(&mut stream, &mut rest).expect("read to hang-up");
+        assert!(rest.is_empty(), "nothing follows the refusal");
+    }
+
+    // A v2 HELLO on the same server still opens a campaign.
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect v2");
+    write_raw_frame(&mut stream, 0x01, b"glade-serve v2");
     let (tag, body) = read_raw_frame(&mut stream);
     assert_eq!(tag, 0x81, "HELLO_ACK");
-    assert_eq!(body, b"glade-serve v1", "the server echoes the v1 banner to a v1 client");
+    assert_eq!(body, b"glade-serve v2", "the server echoes the banner");
     write_raw_frame(&mut stream, 0x02, b"oracle xml\n");
     let (tag, body) = read_raw_frame(&mut stream);
     assert_eq!(tag, 0x82, "OPEN_ACK");
     assert!(body.len() > 4, "OPEN_ACK carries id + fingerprint");
     write_raw_frame(&mut stream, 0x05, b"");
-
-    // An unrecognized banner is still refused.
-    let mut bad = std::os::unix::net::UnixStream::connect(&socket).expect("connect bad");
-    write_raw_frame(&mut bad, 0x01, b"glade-serve v3");
-    let (tag, body) = read_raw_frame(&mut bad);
-    assert_eq!(tag, 0x85, "ERROR");
-    assert!(String::from_utf8_lossy(&body).contains("protocol"));
 
     handle.shutdown().expect("shutdown");
 }

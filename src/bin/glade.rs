@@ -10,7 +10,6 @@
 //! glade check  --grammar grammar.txt [FILE]       # membership test (stdin default)
 //! glade fuzz   --grammar grammar.txt --seed FILE... [--count N]    # splice fuzzing
 //! glade cache  inspect FILE                        # snapshot format + counts
-//! glade cache  convert SRC DST                    # legacy text snapshot -> binary
 //! glade worker NAME                                # serve a built-in subject
 //! glade targets                                    # list built-in subjects
 //! glade serve  --socket PATH [--pool N] [--oracle-timeout S] [--cache-dir DIR]
@@ -47,12 +46,10 @@
 //! and re-pay only genuinely new oracle calls. Snapshots are fingerprinted
 //! with the oracle's identity (command line or target name); loading a
 //! snapshot produced by a *different* oracle is refused rather than
-//! silently replaying stale verdicts. Snapshots are written in the indexed
-//! binary format (`glade-cachebin v1`, see `glade_core::CacheSnapshot`);
-//! snapshots in the legacy line-oriented text format still load (the
-//! format is sniffed from the file) and are rewritten as binary on save.
-//! `glade cache inspect` examines a snapshot offline, and `glade cache
-//! convert` rewrites a text snapshot as binary.
+//! silently replaying stale verdicts. Snapshots are in the indexed binary
+//! format (`glade-cachebin v1`, see `glade_core::CacheSnapshot`); a file
+//! in any other format is refused with an error naming it and left as it
+//! is. `glade cache inspect` prints a snapshot's header offline.
 //!
 //! `glade serve` runs the multi-tenant synthesis daemon (`glade-serve v2`
 //! over a unix socket; see `glade_core::serve`): concurrent clients open
@@ -81,8 +78,8 @@ use glade_repro::core::serve::{
     ServeConfig, Server,
 };
 use glade_repro::core::{
-    is_binary_snapshot, serve_oracle_worker, BinaryCacheFile, CacheSnapshot, GladeBuilder,
-    GladeConfig, InputMode, Oracle, ProcessOracle, SynthEvent, SynthesisObserver,
+    serve_oracle_worker, BinaryCacheFile, GladeBuilder, GladeConfig, InputMode, Oracle,
+    ProcessOracle, SynthEvent, SynthesisObserver,
 };
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::core::{CancelToken, PooledProcessOracle};
@@ -173,8 +170,6 @@ USAGE:
   glade check  --grammar FILE [INPUT-FILE]
   glade fuzz   --grammar FILE --seed FILE... [--count N] [--seed-rng S]
   glade cache  inspect FILE        # print a snapshot's format and counts
-  glade cache  convert SRC DST     # rewrite a legacy text snapshot as
-                                   # binary (the format every save writes)
   glade worker NAME                # serve a built-in subject over the
                                    # pooled-oracle protocol (for --pool)
   glade targets                    # list the built-in subjects
@@ -436,72 +431,20 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `glade cache inspect|convert` — offline snapshot tooling. Both
-/// subcommands sniff the source format from the file itself, exactly like
-/// warm-start loading does.
+/// `glade cache inspect FILE` — prints a snapshot's format, entry counts,
+/// fingerprint, and size. The snapshot is inspected from its header alone
+/// (no full load), so this stays fast on multi-gigabyte caches.
 fn cmd_cache(argv: &[String]) -> Result<(), String> {
-    match argv.first().map(String::as_str) {
-        Some("inspect") => match &argv[1..] {
-            [path] => cache_inspect(path),
-            _ => Err("usage: glade cache inspect FILE".into()),
-        },
-        Some("convert") => match &argv[1..] {
-            [src, dst] => cache_convert(src, dst),
-            _ => Err("usage: glade cache convert SRC DST".into()),
-        },
-        _ => Err("cache subcommands: inspect FILE | convert SRC DST".into()),
-    }
-}
-
-/// Prints a snapshot's format, entry counts, fingerprint, and size. A
-/// binary snapshot is inspected from its header alone (no full load), so
-/// this stays fast on multi-gigabyte caches.
-fn cache_inspect(path: &str) -> Result<(), String> {
-    let mut file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let mut magic = [0u8; 32];
-    let mut got = 0;
-    while got < magic.len() {
-        match file.read(&mut magic[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) => return Err(format!("cannot read {path}: {e}")),
-        }
-    }
-    drop(file);
-    if is_binary_snapshot(&magic[..got]) {
-        let snapshot = BinaryCacheFile::open(path).map_err(|e| format!("{path}: {e}"))?;
-        outln!("format:       binary (glade-cachebin v1)");
-        outln!("entries:      {}", snapshot.len());
-        outln!("memo entries: {}", snapshot.memo_len());
-        outln!("oracle:       {}", snapshot.fingerprint().unwrap_or("(untagged)"));
-        outln!("file size:    {} bytes", snapshot.file_len());
-    } else {
-        let header = String::from_utf8_lossy(&magic[..got]);
-        let header = header.lines().next().unwrap_or("").trim_end().to_owned();
-        let snapshot = CacheSnapshot::load(path).map_err(|e| format!("{path}: {e}"))?;
-        let size = std::fs::metadata(path).map_err(|e| format!("cannot stat {path}: {e}"))?.len();
-        outln!("format:       legacy text ({header})");
-        outln!("entries:      {}", snapshot.entries.len());
-        outln!("memo entries: {}", snapshot.memo.len());
-        outln!("oracle:       {}", snapshot.oracle_fingerprint.as_deref().unwrap_or("(untagged)"));
-        outln!("file size:    {size} bytes");
-    }
-    Ok(())
-}
-
-/// Rewrites a snapshot as binary, preserving fingerprint and memo entries.
-/// The source is read through the same sniffing load path as a warm start,
-/// and the destination written through the same durable save (temporary
-/// file, fsync, rename, directory fsync), so a crash never leaves a torn
-/// destination. A binary source is re-encoded canonically.
-fn cache_convert(src: &str, dst: &str) -> Result<(), String> {
-    let snapshot = CacheSnapshot::load(src).map_err(|e| format!("{src}: {e}"))?;
-    snapshot.save(dst).map_err(|e| format!("{dst}: {e}"))?;
-    eprintln!(
-        "converted {src} to {dst} (binary): {} entries, {} memo entries",
-        snapshot.entries.len(),
-        snapshot.memo.len(),
-    );
+    let path = match argv {
+        [cmd, path] if cmd == "inspect" => path,
+        _ => return Err("usage: glade cache inspect FILE".into()),
+    };
+    let snapshot = BinaryCacheFile::open(path).map_err(|e| format!("{path}: {e}"))?;
+    outln!("format:       binary (glade-cachebin v1)");
+    outln!("entries:      {}", snapshot.len());
+    outln!("memo entries: {}", snapshot.memo_len());
+    outln!("oracle:       {}", snapshot.fingerprint().unwrap_or("(untagged)"));
+    outln!("file size:    {} bytes", snapshot.file_len());
     Ok(())
 }
 

@@ -3,15 +3,9 @@
 //! through the pooled process-oracle path (`glade worker` over batched
 //! protocol frames) at several pool sizes, which must be byte-identical.
 
-#[path = "../crates/core/tests/legacy_text/mod.rs"]
-mod legacy_text;
-
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::core::PooledProcessOracle;
-use glade_repro::core::{
-    is_binary_snapshot, snapshot_from_binary, snapshot_to_binary, CacheSnapshot, GladeBuilder,
-    GladeConfig, Oracle,
-};
+use glade_repro::core::{snapshot_from_binary, GladeBuilder, GladeConfig, Oracle};
 use glade_repro::fuzz::{run_campaign, GrammarFuzzer, NaiveFuzzer};
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::grammar::grammar_to_text;
@@ -212,71 +206,91 @@ fn p1_ablation_never_invents_recursion() {
     }
 }
 
-/// Runs the `glade` binary, asserting success; returns its stderr.
-fn glade(args: &[&std::ffi::OsStr]) -> String {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_glade"))
-        .args(args)
-        .output()
-        .expect("run glade");
+/// Runs the `glade` binary.
+fn run_glade(args: &[&std::ffi::OsStr]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_glade")).args(args).output().expect("run glade")
+}
+
+/// Runs the `glade` binary, asserting success; returns its stdout and stderr.
+fn glade(args: &[&std::ffi::OsStr]) -> (String, String) {
+    let out = run_glade(args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(out.status.success(), "glade {args:?} failed: {stderr}");
-    stderr
+    (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+}
+
+/// A scratch directory and the `glade synth --target toy-xml` arguments
+/// that learn from `<a>hi</a>` with `--cache DIR/c`.
+fn synth_with_cache(name: &str) -> (std::path::PathBuf, [std::ffi::OsString; 9]) {
+    let dir = std::env::temp_dir().join(format!("glade-e2e-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let seed = dir.join("seed.xml");
+    std::fs::write(&seed, b"<a>hi</a>").expect("write seed");
+    let args = [
+        "synth".into(),
+        "--target".into(),
+        "toy-xml".into(),
+        "--seed".into(),
+        seed.into_os_string(),
+        "--cache".into(),
+        dir.join("c").into_os_string(),
+        "-o".into(),
+        dir.join("g.txt").into_os_string(),
+    ];
+    (dir, args)
 }
 
 #[test]
-fn cli_cache_is_written_binary_and_legacy_text_warm_starts() {
-    // `glade synth --cache` writes one format, binary. A legacy text
-    // snapshot of the same cache still warm-starts it with nothing
-    // re-paid, and is rewritten as binary; `glade cache convert` turns
-    // the text back into the identical binary bytes.
-    let dir = std::env::temp_dir().join(format!("glade-e2e-cache-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let (seed, cache, grammar) = (dir.join("seed.xml"), dir.join("c"), dir.join("g.txt"));
-    std::fs::write(&seed, b"<a>hi</a>").expect("write seed");
-    let synth = [
-        "synth".as_ref(),
-        "--target".as_ref(),
-        "toy-xml".as_ref(),
-        "--seed".as_ref(),
-        seed.as_os_str(),
-        "--cache".as_ref(),
-        cache.as_os_str(),
-        "-o".as_ref(),
-        grammar.as_os_str(),
-    ];
+fn cli_cache_is_written_binary_and_warm_starts() {
+    // `glade synth --cache` writes a binary snapshot, a second run loads
+    // every verdict from it and re-pays nothing, and `glade cache inspect`
+    // reads its header.
+    let (dir, args) = synth_with_cache("cache");
+    let synth: Vec<&std::ffi::OsStr> = args.iter().map(|a| a.as_os_str()).collect();
+    let cache = dir.join("c");
 
     glade(&synth);
     let binary = std::fs::read(&cache).expect("cache written");
-    assert!(is_binary_snapshot(&binary), "a fresh --cache is written binary");
+    assert!(binary.starts_with(b"glade-cachebin v1\n"), "a fresh --cache is written binary");
     let snapshot = snapshot_from_binary(&binary).expect("binary snapshot parses");
     assert_eq!(snapshot.entries.len(), 965);
-    let text = legacy_text::legacy_text(&snapshot);
-    assert!(text.starts_with("glade-cache v3\noracle "), "a memo-laden, tagged snapshot");
-    std::fs::write(&cache, &text).expect("rewrite as text");
 
-    let stderr = glade(&synth);
+    let (_, stderr) = glade(&synth);
     assert!(stderr.contains("loaded 965 cached oracle verdicts"), "{stderr}");
     assert!(stderr.contains("(0 new this run)"), "{stderr}");
-    assert_eq!(std::fs::read(&cache).expect("cache rewritten"), binary, "re-saved as binary");
+    assert_eq!(std::fs::read(&cache).expect("cache re-saved"), binary, "same cache, same bytes");
 
-    // `convert` of each legacy text version yields the canonical binary
-    // encoding of the same snapshot; for the full v3 text, exactly the
-    // bytes `--cache` wrote.
-    let v2 = CacheSnapshot { memo: Vec::new(), ..snapshot.clone() };
-    let v1 = CacheSnapshot { oracle_fingerprint: None, ..v2.clone() };
-    let (text_path, converted) = (dir.join("legacy"), dir.join("converted"));
-    for legacy in [&v1, &v2, &snapshot] {
-        std::fs::write(&text_path, legacy_text::legacy_text(legacy)).expect("write text");
-        glade(&[
-            "cache".as_ref(),
-            "convert".as_ref(),
-            text_path.as_os_str(),
-            converted.as_os_str(),
-        ]);
-        let out = std::fs::read(&converted).expect("converted");
-        let fp = legacy.oracle_fingerprint.as_deref();
-        assert_eq!(out, snapshot_to_binary(&legacy.entries.to_vec(), &legacy.memo, fp));
+    let (stdout, _) = glade(&["cache".as_ref(), "inspect".as_ref(), cache.as_os_str()]);
+    for line in [
+        "format:       binary (glade-cachebin v1)".to_owned(),
+        "entries:      965".to_owned(),
+        "oracle:       target:toy-xml".to_owned(),
+        format!("file size:    {} bytes", binary.len()),
+    ] {
+        assert!(stdout.lines().any(|l| l == line), "missing {line:?} in:\n{stdout}");
     }
-    assert_eq!(std::fs::read(&converted).expect("converted"), binary, "convert is canonical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_refuses_a_text_snapshot_and_leaves_it_untouched() {
+    // A pre-binary text snapshot is not a cache `glade` reads: `synth
+    // --cache` and `cache inspect` both fail naming the file, and neither
+    // rewrites it.
+    let (dir, args) = synth_with_cache("text-cache");
+    let synth: Vec<&std::ffi::OsStr> = args.iter().map(|a| a.as_os_str()).collect();
+    let cache = dir.join("c");
+    let text = b"glade-cache v1\nq 1 3c613e68693c2f613e\n";
+    std::fs::write(&cache, text).expect("write text snapshot");
+
+    let inspect = ["cache".as_ref(), "inspect".as_ref(), cache.as_os_str()];
+    for argv in [&synth[..], &inspect[..]] {
+        let out = run_glade(argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "glade {argv:?} accepted a text snapshot");
+        assert!(stderr.contains(&*cache.to_string_lossy()), "error names the file: {stderr}");
+        assert!(stderr.contains("not a glade-cachebin v1 snapshot"), "{stderr}");
+        assert_eq!(std::fs::read(&cache).expect("read cache"), text, "file left untouched");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
