@@ -44,28 +44,29 @@
 //! `GLADE_BENCH_SPAWN_QUERIES` (default 48) and `GLADE_BENCH_POOLED_QUERIES`
 //! (512). A knob set to something that is not a number stops the bench.
 
-use glade_bench::{env_usize, quartiles};
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+use glade_bench::env_usize;
+use glade_bench::Json;
 use glade_core::{serve_faulty_worker, serve_oracle_worker, FaultPlan, Oracle};
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_core::{GladeBuilder, PooledProcessOracle, ProcessOracle};
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_grammar::grammar_to_text;
 use glade_targets::languages::toy_xml;
-use std::fmt::Write as _;
 use std::io::Read as _;
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use std::path::Path;
-use std::time::Instant;
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use std::{
     sync::atomic::{AtomicUsize, Ordering},
-    time::Duration,
+    time::{Duration, Instant},
 };
 
 /// A timing gate's verdict: `Err` carries the miss's message.
 type Gate = Result<(), String>;
 
 /// `Ok` when `pass` holds, else the message `why` builds.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn gate(pass: bool, why: impl FnOnce() -> String) -> Gate {
     if pass {
         Ok(())
@@ -86,6 +87,7 @@ const FAULT_QUERIES: usize = 512;
 const FAULT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Seconds since `start`.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
 fn secs_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64()
 }
@@ -105,73 +107,6 @@ fn process_workload(count: usize, offset: usize) -> Vec<Vec<u8>> {
             }
         })
         .collect()
-}
-
-/// Minimal JSON writer (no serde in the dependency set).
-struct Json {
-    out: String,
-    needs_comma: Vec<bool>,
-}
-
-impl Json {
-    fn new() -> Self {
-        Json { out: String::new(), needs_comma: Vec::new() }
-    }
-
-    fn sep(&mut self) {
-        if let Some(need) = self.needs_comma.last_mut() {
-            if *need {
-                self.out.push(',');
-            }
-            *need = true;
-        }
-    }
-
-    fn open_obj(&mut self, key: Option<&str>) {
-        self.sep();
-        if let Some(k) = key {
-            write!(self.out, "{:?}:", k).unwrap();
-        }
-        self.out.push('{');
-        self.needs_comma.push(false);
-    }
-
-    fn close_obj(&mut self) {
-        self.out.push('}');
-        self.needs_comma.pop();
-    }
-
-    fn num(&mut self, key: &str, v: f64) {
-        self.sep();
-        write!(self.out, "{:?}:{:.6}", key, v).unwrap();
-    }
-
-    fn int(&mut self, key: &str, v: usize) {
-        self.sep();
-        write!(self.out, "{:?}:{}", key, v).unwrap();
-    }
-
-    fn string(&mut self, key: &str, v: &str) {
-        self.sep();
-        write!(self.out, "{:?}:{:?}", key, v).unwrap();
-    }
-
-    fn strings(&mut self, key: &str, vs: &[&str]) {
-        self.sep();
-        write!(self.out, "{:?}:{:?}", key, vs).unwrap();
-    }
-
-    /// Writes one sample per run as `{"median", "q1", "q3"}` and returns
-    /// `[q1, median, q3]` for the caller's gate.
-    fn spread(&mut self, key: &str, samples: &mut [f64]) -> [f64; 3] {
-        let q = quartiles(samples);
-        self.open_obj(Some(key));
-        self.num("median", q[1]);
-        self.num("q1", q[0]);
-        self.num("q3", q[2]);
-        self.close_obj();
-        q
-    }
 }
 
 fn main() {
@@ -224,21 +159,22 @@ fn main() {
     j.int("available_parallelism", std::thread::available_parallelism().map_or(1, |n| n.get()));
     j.int("runs", RUNS);
 
-    let mut gates: Vec<(&str, Gate)> = Vec::new();
     // The process pool and the server exist on Linux and macOS only.
     #[cfg(any(target_os = "linux", target_os = "macos"))]
-    {
+    let gates = {
         let self_exe = std::env::current_exe().expect("current_exe");
-        gates.push(("pooled_vs_spawn", pooled_vs_spawn(&mut j, &self_exe)));
+        let pooled = pooled_vs_spawn(&mut j, &self_exe);
         fault_recovery(&mut j, &self_exe);
-        gates.push(("serve_overhead", serve_overhead(&mut j)));
-    }
+        vec![("pooled_vs_spawn", pooled), ("serve_overhead", serve_overhead(&mut j))]
+    };
+    #[cfg(not(any(target_os = "linux", target_os = "macos")))]
+    let gates: Vec<(&str, Gate)> = Vec::new();
 
     let failed: Vec<&str> =
         gates.iter().filter(|(_, verdict)| verdict.is_err()).map(|(name, _)| *name).collect();
     j.strings("failed_gates", &failed);
     j.close_obj();
-    std::fs::write(&out_path, format!("{}\n", j.out)).expect("write BENCH_queries.json");
+    std::fs::write(&out_path, format!("{}\n", j.finish())).expect("write BENCH_queries.json");
     eprintln!("[bench-queries] wrote {out_path}");
     for (name, verdict) in &gates {
         if let Err(why) = verdict {

@@ -1,72 +1,129 @@
-//! Shared scaffolding for the figure-regeneration benches.
-//!
-//! Every bench target in this crate regenerates one table or figure of the
-//! paper's evaluation (the `[[bench]]` list in `crates/bench/Cargo.toml`
-//! names them; ROADMAP direction 2 tracks which figures they reproduce).
-//! Scale knobs are read from the environment so `cargo bench` finishes in
-//! minutes by default while `GLADE_SCALE=paper` reproduces the paper's
-//! sample sizes:
-//!
-//! | Variable | Meaning | default | `paper` |
-//! |---|---|---|---|
-//! | `GLADE_SEEDS` | seeds per language (Fig 4) | 20 | 50 |
-//! | `GLADE_EVAL_SAMPLES` | precision/recall samples | 300 | 1000 |
-//! | `GLADE_FUZZ_SAMPLES` | inputs per fuzzer (Fig 7) | 2000 | 50000 |
-//! | `GLADE_RUNS` | repetitions to average | 1 | 5 |
-//! | `GLADE_TIME_LIMIT_SECS` | per-learner budget | 20 | 300 |
+//! Shared pieces of this crate's two benchmark binaries: `paper`
+//! regenerates the paper's evaluation figures into `BENCH_paper.json`, and
+//! `bench-queries` records the query-engine gates perfbench cannot see in
+//! `BENCH_queries.json`. Both write their results through [`Json`].
 
-use glade_eval::EvalConfig;
-use std::time::Duration;
+use std::fmt::Write as _;
 
-/// Scale parameters for the benches.
-#[derive(Debug, Clone)]
-pub struct Scale {
-    /// Seeds per language in the Fig 4 experiment.
-    pub seeds: usize,
-    /// Samples per precision/recall estimate.
-    pub eval_samples: usize,
-    /// Inputs per fuzzer per target in the Fig 7 experiment.
-    pub fuzz_samples: usize,
-    /// Repetitions to average over (paper: 5).
-    pub runs: usize,
-    /// Per-learner time budget.
-    pub time_limit: Duration,
+/// Minimal streaming JSON writer (no serde in the dependency set). Every
+/// key and string goes through RFC 8259 escaping, so any text (grammar
+/// text, lossily decoded sample bytes) yields valid JSON.
+#[derive(Debug, Default)]
+pub struct Json {
+    out: String,
+    needs_comma: Vec<bool>,
 }
 
-impl Scale {
-    /// Reads the scale from the environment.
-    pub fn from_env() -> Scale {
-        let paper = std::env::var("GLADE_SCALE").is_ok_and(|v| v == "paper");
-        let get = |name: &str, dflt: usize, paper_v: usize| {
-            env_usize(name, if paper { paper_v } else { dflt })
-        };
-        Scale {
-            seeds: get("GLADE_SEEDS", 20, 50),
-            eval_samples: get("GLADE_EVAL_SAMPLES", 300, 1000),
-            fuzz_samples: get("GLADE_FUZZ_SAMPLES", 2000, 50_000),
-            runs: get("GLADE_RUNS", 1, 5),
-            time_limit: Duration::from_secs(get("GLADE_TIME_LIMIT_SECS", 20, 300) as u64),
+impl Json {
+    /// An empty document.
+    pub fn new() -> Self {
+        Json::default()
+    }
+
+    /// Writes the separator and, inside an object, the quoted `key`.
+    fn key(&mut self, key: Option<&str>) {
+        if let Some(need) = self.needs_comma.last_mut() {
+            if *need {
+                self.out.push(',');
+            }
+            *need = true;
+        }
+        if let Some(k) = key {
+            quote(&mut self.out, k);
+            self.out.push(':');
         }
     }
 
-    /// The matching learner-evaluation config.
-    pub fn eval_config(&self) -> EvalConfig {
-        EvalConfig {
-            num_seeds: self.seeds,
-            eval_samples: self.eval_samples,
-            time_limit: self.time_limit,
-            equivalence_samples: 50,
-            num_negatives: 50,
-            max_queries: 300_000,
+    /// Opens an object: the top-level one (`key` `None`) or a member.
+    pub fn open_obj(&mut self, key: Option<&str>) {
+        self.key(key);
+        self.out.push('{');
+        self.needs_comma.push(false);
+    }
+
+    /// Closes the innermost open object.
+    pub fn close_obj(&mut self) {
+        self.out.push('}');
+        self.needs_comma.pop();
+    }
+
+    /// A number with six decimals.
+    pub fn num(&mut self, key: &str, v: f64) {
+        self.key(Some(key));
+        write!(self.out, "{v:.6}").expect("writing to a String cannot fail");
+    }
+
+    /// An integer.
+    pub fn int(&mut self, key: &str, v: usize) {
+        self.key(Some(key));
+        write!(self.out, "{v}").expect("writing to a String cannot fail");
+    }
+
+    /// A string.
+    pub fn string(&mut self, key: &str, v: &str) {
+        self.key(Some(key));
+        quote(&mut self.out, v);
+    }
+
+    /// An array of strings.
+    pub fn strings(&mut self, key: &str, vs: &[impl AsRef<str>]) {
+        self.key(Some(key));
+        self.out.push('[');
+        for (i, v) in vs.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            quote(&mut self.out, v.as_ref());
         }
+        self.out.push(']');
+    }
+
+    /// Writes one sample per run as `{"median", "q1", "q3"}` and returns
+    /// `[q1, median, q3]` for the caller's gate.
+    pub fn spread(&mut self, key: &str, samples: &mut [f64]) -> [f64; 3] {
+        let q = quartiles(samples);
+        self.open_obj(Some(key));
+        self.num("median", q[1]);
+        self.num("q1", q[0]);
+        self.num("q3", q[2]);
+        self.close_obj();
+        q
+    }
+
+    /// Writes one sample per rng seed as `{"median", "min", "max"}`, each in
+    /// the shortest form that reads back as the same `f64`.
+    ///
+    /// # Panics
+    ///
+    /// When `samples` is empty.
+    pub fn range(&mut self, key: &str, samples: impl IntoIterator<Item = f64>) {
+        let mut xs: Vec<f64> = samples.into_iter().collect();
+        let median = quartiles(&mut xs)[1];
+        self.key(Some(key));
+        write!(self.out, r#"{{"median":{median},"min":{},"max":{}}}"#, xs[0], xs[xs.len() - 1])
+            .expect("writing to a String cannot fail");
+    }
+
+    /// The document text.
+    pub fn finish(self) -> String {
+        self.out
     }
 }
 
-/// Prints a figure banner.
-pub fn banner(title: &str) {
-    println!("\n==============================================================");
-    println!("{title}");
-    println!("==============================================================");
+/// Appends `s` as a JSON string: quotes and backslashes escaped, control
+/// characters as `\uXXXX` (Rust's `{:?}` would write `\u{1}`, which JSON
+/// does not allow).
+fn quote(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => write!(out, "\\u{:04x}", c as u32).expect("writing to a String"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Reads the numeric knob `name`, or `default` when it is unset.
@@ -84,15 +141,6 @@ fn parse_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, 
     match value {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
-    }
-}
-
-/// Mean of a slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 
@@ -118,22 +166,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_scale_is_small() {
-        // Only check the defaults when the env leaves them alone.
-        if std::env::var("GLADE_SCALE").is_err() && std::env::var("GLADE_SEEDS").is_err() {
-            let s = Scale::from_env();
-            assert_eq!(s.seeds, 20);
-            assert!(s.fuzz_samples <= 50_000);
-        }
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-    }
-
-    #[test]
     fn knob_parses_unset_valid_and_rejects_garbage() {
         assert_eq!(parse_knob("GLADE_BENCH_POOLED_QUERIES", None, 512), Ok(512));
         assert_eq!(parse_knob("GLADE_BENCH_POOLED_QUERIES", Some("128"), 512), Ok(128));
@@ -142,6 +174,31 @@ mod tests {
             assert!(err.contains("GLADE_BENCH_POOLED_QUERIES"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
+    }
+
+    #[test]
+    fn json_escapes_every_string_per_rfc_8259() {
+        let sample = String::from_utf8_lossy(b"<a x='\xff'>\x01\x1f\x7f</a>");
+        let mut j = Json::new();
+        j.open_obj(None);
+        j.string("k\"\\", "S ::= \"\\\"\t\n\r ⟨S⟩");
+        j.strings("samples", &[sample.as_ref(), ""]);
+        j.open_obj(Some("f1"));
+        j.range("url", [0.5, 0.25, 1.0]);
+        j.int("n", 3);
+        j.close_obj();
+        j.close_obj();
+        assert_eq!(
+            j.finish(),
+            concat!(
+                r#"{"k\"\\":"S ::= \"\\\"\u0009\u000a\u000d ⟨S⟩","#,
+                r#""samples":["<a x='"#,
+                "\u{fffd}",
+                r#"'>\u0001\u001f"#,
+                "\u{7f}",
+                r#"</a>",""],"f1":{"url":{"median":0.5,"min":0.25,"max":1},"n":3}}"#
+            )
+        );
     }
 
     #[test]

@@ -68,13 +68,10 @@ use crate::tree::{ConstNode, Node};
 use glade_grammar::CharClass;
 use std::collections::HashMap;
 
-/// The default test alphabet: printable ASCII plus tab and newline.
-pub(crate) fn default_test_bytes() -> Vec<u8> {
-    let mut v: Vec<u8> = (0x20..=0x7eu8).collect();
-    v.push(b'\t');
-    v.push(b'\n');
-    v
-}
+/// The bytes character generalization tries at each terminal position:
+/// printable ASCII (0x20..=0x7e) plus tab and newline.
+pub(crate) const TEST_BYTES: &[u8] =
+    b" !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\t\n";
 
 /// How one planned terminal obtains its byte classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -509,26 +506,26 @@ mod tests {
     /// Widens `trees` through a staged run with a fresh memo table over
     /// the default alphabet; returns the accepted (position, byte) pairs.
     fn widen(trees: &mut [Node], runner: &QueryRunner<'_>, cache: &QueryCache) -> usize {
-        run_staged(trees, runner, cache, &mut ByteClassMemo::new(), &default_test_bytes()).0
+        run_staged(trees, runner, cache, &mut ByteClassMemo::new(), TEST_BYTES).0
     }
 
     #[test]
     fn staged_run_matches_one_shot_classes_and_counts() {
         let oracle = FnOracle::new(xml_like);
-        let tb = default_test_bytes();
 
         let legacy_cache = QueryCache::new();
         let legacy_runner = test_runner(&oracle, &legacy_cache);
         let mut p1 = Phase1::new(&legacy_runner, 0);
         let mut legacy_trees = vec![p1.generalize_seed(b"<a>hi</a>")];
-        let legacy_n = crate::reference::generalize_chars(&mut legacy_trees, &legacy_runner, &tb);
+        let legacy_n =
+            crate::reference::generalize_chars(&mut legacy_trees, &legacy_runner, TEST_BYTES);
 
         let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let mut memo = ByteClassMemo::new();
-        let (accepted, _, elided) = run_staged(&mut trees, &runner, &cache, &mut memo, &tb);
+        let (accepted, _, elided) = run_staged(&mut trees, &runner, &cache, &mut memo, TEST_BYTES);
 
         assert_eq!(accepted, legacy_n, "accepted-pair parity");
         assert_eq!(
@@ -549,9 +546,9 @@ mod tests {
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m"), p1.generalize_seed(b"m")];
-        let tb = default_test_bytes();
         let mut memo = ByteClassMemo::new();
-        let (accepted, memo_hits, elided) = run_staged(&mut trees, &runner, &cache, &mut memo, &tb);
+        let (accepted, memo_hits, elided) =
+            run_staged(&mut trees, &runner, &cache, &mut memo, TEST_BYTES);
         assert_eq!(accepted, 50, "both trees widen to the 25 other lowercase letters");
         assert!(memo_hits >= 1, "duplicate terminal not shared");
         assert!(elided > 0);
@@ -565,14 +562,13 @@ mod tests {
     #[test]
     fn memo_adoption_poses_no_probes_and_reproduces_classes() {
         let oracle = FnOracle::new(xml_like);
-        let tb = default_test_bytes();
         let mut memo = ByteClassMemo::new();
 
         let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
-        let (first_accepted, ..) = run_staged(&mut trees, &runner, &cache, &mut memo, &tb);
+        let (first_accepted, ..) = run_staged(&mut trees, &runner, &cache, &mut memo, TEST_BYTES);
         assert!(
             !memo.entries_sorted().is_empty(),
             "completed run must memoize its representatives"
@@ -585,7 +581,8 @@ mod tests {
         let mut p1 = Phase1::new(&runner2, 0);
         let mut trees2 = vec![p1.generalize_seed(b"<a>hi</a>")];
         let after_phase1 = cache2.len();
-        let (accepted2, memo_hits2, _) = run_staged(&mut trees2, &runner2, &cache2, &mut memo, &tb);
+        let (accepted2, memo_hits2, _) =
+            run_staged(&mut trees2, &runner2, &cache2, &mut memo, TEST_BYTES);
         assert_eq!(cache2.len(), after_phase1, "memo adoption posed a query");
         assert!(memo_hits2 > 0);
         assert_eq!(accepted2, first_accepted, "chars_generalized parity under adoption");

@@ -21,6 +21,7 @@
 //! `crates/grammar/tests/reference` plays for the old Earley chart.
 
 use crate::cache::QueryCache;
+use crate::chargen::TEST_BYTES;
 use crate::events::{SynthEvent, SynthesisObserver};
 use crate::phase1::Phase1;
 use crate::phase2::MergeStats;
@@ -235,10 +236,9 @@ pub(crate) fn merge_stars(
 /// phase one with the Section 6.1 redundant-seed skip, then every
 /// character-generalization probe and every merge check posed as one
 /// aggregated batch. Honors `phase2`, `character_generalization`,
-/// `char_test_bytes`, `skip_redundant_seeds`, `max_queries` and
-/// `worker_threads` (default 1); ignores the time limit and the oracle
-/// timeout. Its stats carry the query counts, the budget flag, and the
-/// character and merge counters.
+/// `skip_redundant_seeds`, `max_queries` and `worker_threads` (default
+/// 1); ignores the time limit and the oracle timeout. Its stats carry the
+/// query counts, the budget flag, and the character and merge counters.
 pub(crate) fn synthesize(
     config: &GladeConfig,
     seeds: &[Vec<u8>],
@@ -278,9 +278,8 @@ pub(crate) fn synthesize(
     let num_stars = phase1.next_star_id();
 
     let mut checks = Vec::new();
-    let chargen = config
-        .character_generalization
-        .then(|| plan_char_probes(&trees, &config.char_test_bytes, &mut checks));
+    let chargen =
+        config.character_generalization.then(|| plan_char_probes(&trees, TEST_BYTES, &mut checks));
     let merge = config.phase2.then(|| plan_merge_checks(&trees, num_stars, &mut checks));
     let verdicts = if checks.is_empty() { Vec::new() } else { runner.accepts_batch(&checks) };
     drop(checks);
@@ -402,7 +401,8 @@ mod tests {
             let recognizer = glade_grammar::Recognizer::new(language.grammar());
             let oracle = FnOracle::new(move |i: &[u8]| recognizer.accepts(i));
             let reference = synthesize(&config, &seeds, &oracle).expect("sampled seeds");
-            let staged = GladeBuilder::from_config(config.clone())
+            let staged = GladeBuilder::new()
+                .max_queries(200_000)
                 .synthesize(&seeds, &oracle)
                 .expect("sampled seeds");
             assert!(!reference.stats.budget_exhausted, "{} exhausted", language.name());

@@ -37,7 +37,7 @@
 
 use crate::arena::KeySet;
 use crate::cache::{hash_query, QueryCache};
-use crate::chargen::{apply_staged_classes, StagedChargen};
+use crate::chargen::{apply_staged_classes, StagedChargen, TEST_BYTES};
 use crate::events::{CancelToken, SynthEvent, SynthPhase, SynthesisObserver};
 use crate::memo::ByteClassMemo;
 use crate::persist::{
@@ -105,12 +105,6 @@ impl GladeBuilder {
         GladeBuilder::default()
     }
 
-    /// Starts from an existing [`GladeConfig`] (migration aid for callers
-    /// that already assemble configs programmatically).
-    pub fn from_config(config: GladeConfig) -> Self {
-        GladeBuilder { config, ..GladeBuilder::default() }
-    }
-
     /// Enables or disables the merge phase (Section 5). Disabling yields
     /// the paper's `P1` ablation.
     pub fn phase2(mut self, enabled: bool) -> Self {
@@ -121,12 +115,6 @@ impl GladeBuilder {
     /// Enables or disables character generalization (Section 6.2).
     pub fn character_generalization(mut self, enabled: bool) -> Self {
         self.config.character_generalization = enabled;
-        self
-    }
-
-    /// Sets the candidate bytes tried during character generalization.
-    pub fn char_test_bytes(mut self, bytes: Vec<u8>) -> Self {
-        self.config.char_test_bytes = bytes;
         self
     }
 
@@ -469,11 +457,7 @@ impl<'o> Session<'o> {
         let t1 = Instant::now();
         let mut staged_cg = if do_chargen {
             emit(SynthEvent::PhaseStarted { phase: SynthPhase::CharGeneralization });
-            Some(StagedChargen::new(
-                &self.trees[self.chargen_done..],
-                &self.config.char_test_bytes,
-                &self.memo,
-            ))
+            Some(StagedChargen::new(&self.trees[self.chargen_done..], TEST_BYTES, &self.memo))
         } else {
             None
         };
@@ -710,7 +694,6 @@ mod tests {
         let b = GladeBuilder::new()
             .phase2(false)
             .character_generalization(false)
-            .char_test_bytes(vec![b'a', b'b'])
             .max_queries(7)
             .time_limit(Duration::from_secs(3))
             .oracle_timeout(Duration::from_secs(9))
@@ -719,7 +702,6 @@ mod tests {
         let c = b.config();
         assert!(!c.phase2);
         assert!(!c.character_generalization);
-        assert_eq!(c.char_test_bytes, vec![b'a', b'b']);
         assert_eq!(c.max_queries, Some(7));
         assert_eq!(c.time_limit, Some(Duration::from_secs(3)));
         assert_eq!(c.oracle_timeout, Some(Duration::from_secs(9)));

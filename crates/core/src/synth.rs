@@ -5,19 +5,19 @@
 //! `session.rs`; this module holds the shared value types —
 //! [`GladeConfig`], [`SynthesisStats`], [`Synthesis`], [`SynthesisError`].
 
-use crate::chargen::default_test_bytes;
 use glade_grammar::{Grammar, Regex};
 use std::fmt;
 use std::time::Duration;
 
 /// Configuration of a synthesis run.
 ///
-/// Construct through [`GladeBuilder`](crate::GladeBuilder) (each field has
-/// a fluent setter); the struct remains public so configurations can be
-/// stored, compared, and passed around. The defaults reproduce the full
-/// GLADE pipeline; the `phase2` and `character_generalization` switches
-/// provide the paper's ablations (Section 8.2 evaluates "GLADE omitting
-/// phase two" as `P1`, and a variant without character generalization).
+/// Set through [`GladeBuilder`](crate::GladeBuilder)'s fluent setters (one
+/// per field) and read back with
+/// [`GladeBuilder::config`](crate::GladeBuilder::config). The defaults
+/// reproduce the full GLADE pipeline; the `phase2` and
+/// `character_generalization` switches provide the paper's ablations
+/// (Section 8.2 evaluates "GLADE omitting phase two" as `P1`, and a
+/// variant without character generalization).
 #[derive(Debug, Clone)]
 pub struct GladeConfig {
     /// Run the merge phase (Section 5). Disabling restricts GLADE to
@@ -25,9 +25,6 @@ pub struct GladeConfig {
     pub phase2: bool,
     /// Run character generalization (Section 6.2).
     pub character_generalization: bool,
-    /// Candidate bytes tried during character generalization. Defaults to
-    /// printable ASCII plus tab and newline.
-    pub char_test_bytes: Vec<u8>,
     /// Maximum number of *distinct* oracle queries per run before it
     /// degrades gracefully (stops generalizing further). `None` =
     /// unlimited. A [`Session`](crate::Session) applies the budget per
@@ -65,25 +62,12 @@ impl Default for GladeConfig {
         GladeConfig {
             phase2: true,
             character_generalization: true,
-            char_test_bytes: default_test_bytes(),
             max_queries: None,
             time_limit: None,
             skip_redundant_seeds: true,
             worker_threads: None,
             oracle_timeout: None,
         }
-    }
-}
-
-impl GladeConfig {
-    /// The `P1` ablation: phase one (plus character generalization) only.
-    pub fn phase1_only() -> Self {
-        GladeConfig { phase2: false, ..GladeConfig::default() }
-    }
-
-    /// The no-character-generalization ablation.
-    pub fn without_char_generalization() -> Self {
-        GladeConfig { character_generalization: false, ..GladeConfig::default() }
     }
 }
 
@@ -286,7 +270,8 @@ mod tests {
     #[test]
     fn no_chargen_ablation_keeps_seed_letters_only() {
         let oracle = FnOracle::new(xml_like);
-        let result = GladeBuilder::from_config(GladeConfig::without_char_generalization())
+        let result = GladeBuilder::new()
+            .character_generalization(false)
             .synthesize(&[b"<a>hi</a>".to_vec()], &oracle)
             .unwrap();
         let e = Earley::new(&result.grammar);

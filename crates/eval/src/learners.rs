@@ -91,6 +91,9 @@ pub struct LearnRow {
     pub timed_out: bool,
     /// Number of seeds actually consumed before timeout.
     pub seeds_used: usize,
+    /// Membership queries the learner posed: GLADE's unique queries,
+    /// L-Star's membership queries, 0 for RPNI (which poses none).
+    pub queries: usize,
 }
 
 impl LearnRow {
@@ -212,6 +215,7 @@ fn run_glade(
         time,
         timed_out: result.stats.budget_exhausted,
         seeds_used: result.stats.seeds_used,
+        queries: result.stats.unique_queries,
     }
 }
 
@@ -260,6 +264,7 @@ fn run_lstar(
         time,
         timed_out: !result.completed,
         seeds_used: seeds.len(),
+        queries: result.membership_queries,
     }
 }
 
@@ -298,6 +303,7 @@ fn run_rpni(
         time,
         timed_out,
         seeds_used: used,
+        queries: 0,
     }
 }
 

@@ -78,8 +78,8 @@ use glade_repro::core::serve::{
     ServeConfig, Server,
 };
 use glade_repro::core::{
-    serve_oracle_worker, BinaryCacheFile, GladeBuilder, GladeConfig, InputMode, Oracle,
-    ProcessOracle, SynthEvent, SynthesisObserver,
+    serve_oracle_worker, BinaryCacheFile, GladeBuilder, InputMode, Oracle, ProcessOracle,
+    SynthEvent, SynthesisObserver,
 };
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::core::{CancelToken, PooledProcessOracle};
@@ -230,7 +230,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     let mut frame_batch: Option<usize> = None;
     let mut max_respawns: Option<u32> = None;
     let mut events = false;
-    let mut config = GladeConfig::default();
+    let mut builder = GladeBuilder::new();
 
     while let Some(flag) = args.next() {
         match flag {
@@ -272,7 +272,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
                 if !(secs > 0.0 && secs.is_finite()) {
                     return Err("--oracle-timeout needs a positive number of seconds".into());
                 }
-                config.oracle_timeout = Some(std::time::Duration::from_secs_f64(secs));
+                builder = builder.oracle_timeout(std::time::Duration::from_secs_f64(secs));
             }
             "--max-respawns" => {
                 let n: u32 = args
@@ -285,14 +285,14 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
                 max_respawns = Some(n);
             }
             "--max-queries" => {
-                config.max_queries = Some(
+                builder = builder.max_queries(
                     args.value("--max-queries")?
                         .parse()
                         .map_err(|_| "--max-queries needs an integer".to_owned())?,
                 )
             }
-            "--no-chargen" => config.character_generalization = false,
-            "--no-phase2" => config.phase2 = false,
+            "--no-chargen" => builder = builder.character_generalization(false),
+            "--no-phase2" => builder = builder.phase2(false),
             "--events" => events = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -363,7 +363,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     };
 
     let start = std::time::Instant::now();
-    let mut builder = GladeBuilder::from_config(config).oracle_fingerprint(fingerprint);
+    let mut builder = builder.oracle_fingerprint(fingerprint);
     if events {
         builder = builder.observer(StderrEvents);
     }

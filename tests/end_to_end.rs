@@ -5,7 +5,7 @@
 
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::core::PooledProcessOracle;
-use glade_repro::core::{snapshot_from_binary, GladeBuilder, GladeConfig, Oracle};
+use glade_repro::core::{snapshot_from_binary, GladeBuilder, Oracle};
 use glade_repro::fuzz::{run_campaign, GrammarFuzzer, NaiveFuzzer};
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 use glade_repro::grammar::grammar_to_text;
@@ -14,8 +14,8 @@ use glade_repro::targets::programs::{target_by_name, Grep, Sed, Xml};
 use glade_repro::targets::{Target, TargetOracle};
 use rand::SeedableRng;
 
-fn capped_config() -> GladeConfig {
-    GladeConfig { max_queries: Some(120_000), ..GladeConfig::default() }
+fn capped_builder() -> GladeBuilder {
+    GladeBuilder::new().max_queries(120_000)
 }
 
 /// Synthesize a grammar for a target from its seeds; the grammar must parse
@@ -23,9 +23,8 @@ fn capped_config() -> GladeConfig {
 fn synthesize_and_check(target: &dyn Target, min_precision: f64) {
     let oracle = TargetOracle::new(target);
     let seeds = target.seeds();
-    let result = GladeBuilder::from_config(capped_config())
-        .synthesize(&seeds, &oracle)
-        .expect("target accepts its own seeds");
+    let result =
+        capped_builder().synthesize(&seeds, &oracle).expect("target accepts its own seeds");
 
     let parser = Earley::new(&result.grammar);
     for seed in &seeds {
@@ -137,9 +136,7 @@ fn grammar_fuzzer_beats_naive_on_xml_validity() {
     let xml = Xml;
     let oracle = TargetOracle::new(&xml);
     let seeds = xml.seeds();
-    let synthesis = GladeBuilder::from_config(capped_config())
-        .synthesize(&seeds, &oracle)
-        .expect("valid seeds");
+    let synthesis = capped_builder().synthesize(&seeds, &oracle).expect("valid seeds");
 
     let samples = 800;
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -173,9 +170,8 @@ fn synthesized_xml_grammar_has_figure5_shape() {
     // structure differs from the natural grammar.
     let xml = Xml;
     let oracle = TargetOracle::new(&xml);
-    let result = GladeBuilder::from_config(capped_config())
-        .synthesize(&[b"<a><a>x</a>y</a>".to_vec()], &oracle)
-        .expect("valid seed");
+    let result =
+        capped_builder().synthesize(&[b"<a><a>x</a>y</a>".to_vec()], &oracle).expect("valid seed");
     let parser = Earley::new(&result.grammar);
     // Zero repetitions of the inner block.
     assert!(parser.accepts(b"<a>y</a>"));
