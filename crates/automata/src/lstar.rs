@@ -161,10 +161,11 @@ impl LStar {
         loop {
             // Close and make consistent, querying as needed.
             loop {
-                if over_budget(queries, start_time, &self.budget) {
-                    return self.bail(table, membership, &mut queries, eq_queries, last_hypothesis);
+                if over_budget(queries, start_time, &self.budget)
+                    || !table.fill(membership, &mut queries, self.budget.max_queries)
+                {
+                    return self.bail(table, queries, eq_queries, last_hypothesis);
                 }
-                table.fill(membership, &mut queries);
                 if let Some(unclosed) = table.find_unclosed() {
                     table.add_prefix(unclosed);
                     continue;
@@ -196,24 +197,18 @@ impl LStar {
                         }
                     }
                     if over_budget(queries, start_time, &self.budget) {
-                        return self.bail(
-                            table,
-                            membership,
-                            &mut queries,
-                            eq_queries,
-                            last_hypothesis,
-                        );
+                        return self.bail(table, queries, eq_queries, last_hypothesis);
                     }
                 }
             }
         }
     }
 
+    /// Ends a run that hit its budget with the last hypothesis built.
     fn bail(
         &self,
         table: ObservationTable,
-        _membership: &mut dyn FnMut(&[u8]) -> bool,
-        queries: &mut usize,
+        queries: usize,
         eq_queries: usize,
         last_hypothesis: Option<Dfa>,
     ) -> LearnResult {
@@ -226,7 +221,7 @@ impl LStar {
         });
         LearnResult {
             dfa,
-            membership_queries: *queries,
+            membership_queries: queries,
             equivalence_queries: eq_queries,
             completed: false,
         }
@@ -266,8 +261,14 @@ impl ObservationTable {
         }
     }
 
-    /// Ensures every needed cell is cached.
-    fn fill(&mut self, membership: &mut dyn FnMut(&[u8]) -> bool, queries: &mut usize) {
+    /// Ensures every needed cell is cached, posing queries only while
+    /// `queries` is below `max_queries`; returns whether every cell is.
+    fn fill(
+        &mut self,
+        membership: &mut dyn FnMut(&[u8]) -> bool,
+        queries: &mut usize,
+        max_queries: usize,
+    ) -> bool {
         let mut words: Vec<Vec<u8>> = Vec::new();
         for p in &self.prefixes {
             for ext in self.one_extensions(p) {
@@ -280,11 +281,15 @@ impl ObservationTable {
         }
         for w in words {
             if let std::collections::hash_map::Entry::Vacant(e) = self.cache.entry(w) {
+                if *queries >= max_queries {
+                    return false;
+                }
                 *queries += 1;
                 let v = membership(e.key());
                 e.insert(v);
             }
         }
+        true
     }
 
     /// `p` itself plus `p·a` for every symbol `a`.
@@ -454,6 +459,30 @@ mod tests {
         assert!(!r.completed);
         // A best-effort DFA is still produced.
         assert!(r.dfa.num_states() >= 1);
+    }
+
+    #[test]
+    fn query_cap_bounds_the_queries_posed() {
+        // Learning this language needs more queries than any cap below
+        // (the first table fill alone needs |Σ| + 1 = 6): each capped run
+        // stops at its cap, even in the middle of a fill.
+        let sigma = Alphabet::from_bytes(b"abcde");
+        let target = dfa_from_regex(&Regex::star(Regex::lit(b"abc")), sigma.clone());
+        let needed = exact_learn(&target).membership_queries;
+        for cap in [4, 20, 50, needed - 1] {
+            let t1 = target.clone();
+            let mut membership = move |w: &[u8]| t1.accepts(w);
+            let mut equiv = PerfectEquivalence::new(target.clone());
+            let budget = LearnBudget { max_queries: cap, time_limit: Duration::from_secs(300) };
+            let r =
+                LStar::new(sigma.clone()).with_budget(budget).learn(&mut membership, &mut equiv);
+            assert!(
+                r.membership_queries <= cap,
+                "{} queries over a cap of {cap}",
+                r.membership_queries
+            );
+            assert!(!r.completed, "cap {cap} of {needed}");
+        }
     }
 
     #[test]

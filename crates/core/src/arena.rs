@@ -23,7 +23,8 @@
 //!   planning order exactly.
 //!
 //! **Admitted once.** Whoever fills an arena looks each staged key up in
-//! the session cache *before* interning it, so every slot is a distinct
+//! the session cache *before* interning it (the wave planners through
+//! `QueryRunner::cache`, between waves), so every slot is a distinct
 //! check that missed the cache. The runner poses an arena's key half
 //! ([`KeySet`]) as it stands — `QueryRunner::pose` charges budget per
 //! slot, dispatches, and moves the posed keys into the cache — and hands

@@ -1,19 +1,17 @@
-//! The session's query cache: one mutex around one map keyed by a
-//! precomputed hash.
+//! The session's query cache: one map keyed by a precomputed hash.
 //!
 //! The internal `QueryRunner` memoizes membership queries here, and the
 //! owning [`Session`](crate::Session) is its only user: a session's cache
-//! is touched only by the session thread. Engine workers call the oracle,
-//! never the cache, and verdicts are inserted after dispatch. So the wave
-//! planners take the lock once for a whole wave's plan-time lookups
-//! ([`QueryCache::lock`]), and the runner once for a wave's insert pass.
-//! The lock stays, uncontended, because the runner shares `&QueryCache`
-//! with the planners, and the query path uses no `RefCell`.
+//! is touched only by the session thread. A run's runner borrows it
+//! mutably for the run's length, and the wave planners read it through the
+//! runner between waves. Engine workers call the oracle, never the cache,
+//! and verdicts are inserted after dispatch. So the cache is a plain map,
+//! with no lock and no `RefCell`.
 //!
 //! **One hash per query.** A key is the pair `(hash, bytes)`, where the
 //! hash is [`hash_query`] — computed once, where a check's bytes are first
 //! assembled (see `arena.rs`), and carried from there into
-//! [`CacheEntries::get_hashed`] and [`CacheEntries::insert_hashed`]. The
+//! [`QueryCache::get_hashed`] and [`QueryCache::insert_hashed`]. The
 //! map uses a pass-through hasher, so neither a lookup, an insert, nor the
 //! map's growth ever hashes the key bytes again; equal hashes are always
 //! confirmed on the bytes, so colliding keys never share an entry. Keys are
@@ -27,7 +25,6 @@ use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::{Mutex, MutexGuard};
 
 /// Hashes a query string. This is the snapshot index hash
 /// ([`index_hash`](crate::persist::index_hash)): deterministic across
@@ -127,13 +124,17 @@ impl PartialEq for Key {
 
 impl Eq for Key {}
 
-/// The cache's contents, reached through [`QueryCache::lock`].
+/// A map from query strings to oracle verdicts. See the module docs.
 #[derive(Debug, Default)]
-pub(crate) struct CacheEntries {
+pub(crate) struct QueryCache {
     map: HashMap<Key, bool, PassThroughState>,
 }
 
-impl CacheEntries {
+impl QueryCache {
+    pub fn new() -> Self {
+        QueryCache::default()
+    }
+
     /// Looks up the cached verdict of `key`, whose [`hash_query`] value is
     /// `h`.
     pub fn get_hashed(&self, h: u64, key: &[u8]) -> Option<bool> {
@@ -153,53 +154,24 @@ impl CacheEntries {
             }
         }
     }
-}
-
-/// A `Sync` map from query strings to oracle verdicts. See the module docs.
-#[derive(Debug, Default)]
-pub(crate) struct QueryCache {
-    entries: Mutex<CacheEntries>,
-}
-
-impl QueryCache {
-    pub fn new() -> Self {
-        QueryCache::default()
-    }
-
-    /// Locks the cache for a run of lookups and inserts — a wave's
-    /// plan-time lookups, or its insert pass.
-    pub fn lock(&self) -> MutexGuard<'_, CacheEntries> {
-        self.entries.lock().expect("query cache poisoned")
-    }
-
-    /// [`CacheEntries::get_hashed`] under its own lock.
-    pub fn get_hashed(&self, h: u64, key: &[u8]) -> Option<bool> {
-        self.lock().get_hashed(h, key)
-    }
-
-    /// [`CacheEntries::insert_hashed`] under its own lock.
-    pub fn insert_hashed(&self, h: u64, key: Box<[u8]>, verdict: bool) -> bool {
-        self.lock().insert_hashed(h, key, verdict)
-    }
 
     /// Number of distinct cached queries.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.map.len()
     }
 
     /// Copies every `(query, verdict)` entry out, in unspecified order
     /// (`persist::snapshot_to_binary` sorts; sorting here too would be a
-    /// redundant O(n log n) pass on every snapshot). The copy is taken
-    /// under the lock, so it is consistent.
+    /// redundant O(n log n) pass on every snapshot).
     pub fn snapshot(&self) -> Vec<(Vec<u8>, bool)> {
-        let entries = self.lock();
-        entries.map.iter().map(|(k, &verdict)| (k.bytes.to_vec(), verdict)).collect()
+        self.map.iter().map(|(k, &verdict)| (k.bytes.to_vec(), verdict)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Unhashed conveniences for tests across the crate.
     impl QueryCache {
@@ -207,14 +179,14 @@ mod tests {
             self.get_hashed(hash_query(key), key)
         }
 
-        pub(crate) fn insert(&self, key: Vec<u8>, verdict: bool) -> bool {
+        pub(crate) fn insert(&mut self, key: Vec<u8>, verdict: bool) -> bool {
             self.insert_hashed(hash_query(&key), key.into_boxed_slice(), verdict)
         }
     }
 
     #[test]
     fn get_insert_len() {
-        let c = QueryCache::new();
+        let mut c = QueryCache::new();
         assert_eq!(c.get(b"x"), None);
         assert!(c.insert(b"x".to_vec(), true));
         assert!(!c.insert(b"x".to_vec(), false), "duplicate insert is not fresh");
@@ -225,23 +197,25 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_count_once_per_key() {
-        let c = QueryCache::new();
+        // The cache has no lock of its own; an owner that shares one
+        // across threads (as a server could) wraps it, which needs `Send`.
+        let c = Mutex::new(QueryCache::new());
         std::thread::scope(|s| {
             for t in 0..8 {
                 let c = &c;
                 s.spawn(move || {
                     for i in 0..100u32 {
-                        c.insert(i.to_le_bytes().to_vec(), t % 2 == 0);
+                        c.lock().unwrap().insert(i.to_le_bytes().to_vec(), t % 2 == 0);
                     }
                 });
             }
         });
-        assert_eq!(c.len(), 100);
+        assert_eq!(c.lock().unwrap().len(), 100);
     }
 
     #[test]
     fn snapshot_is_complete() {
-        let c = QueryCache::new();
+        let mut c = QueryCache::new();
         c.insert(b"zz".to_vec(), true);
         c.insert(b"a".to_vec(), false);
         c.insert(b"mm".to_vec(), true);
@@ -256,32 +230,32 @@ mod tests {
     #[test]
     fn snapshot_under_concurrent_inserts_is_well_formed() {
         // Regression for the stale-capacity/inconsistent-pass bug: snapshot
-        // while writers insert; every snapshotted key must appear exactly
+        // while a writer inserts; every snapshotted key must appear exactly
         // once with a valid verdict, and the size must equal its contents.
-        let c = QueryCache::new();
+        let c = Mutex::new(QueryCache::new());
         std::thread::scope(|s| {
             let c = &c;
             s.spawn(move || {
                 for i in 0..2000u32 {
-                    c.insert(i.to_le_bytes().to_vec(), i % 2 == 0);
+                    c.lock().unwrap().insert(i.to_le_bytes().to_vec(), i % 2 == 0);
                 }
             });
             for _ in 0..50 {
-                let snap = c.snapshot();
+                let snap = c.lock().unwrap().snapshot();
                 let mut keys: Vec<&Vec<u8>> = snap.iter().map(|(k, _)| k).collect();
                 keys.sort();
                 keys.dedup();
                 assert_eq!(keys.len(), snap.len(), "a key appeared in two states");
             }
         });
-        assert_eq!(c.snapshot().len(), 2000);
+        assert_eq!(c.lock().unwrap().snapshot().len(), 2000);
     }
 
     #[test]
     fn colliding_hashes_never_alias() {
         // Two different keys forced onto one hash keep separate entries.
         let h = 0x5eed_c0de_0000_0000;
-        let c = QueryCache::new();
+        let mut c = QueryCache::new();
         assert!(c.insert_hashed(h, b"<a>hi</I>"[..].into(), true));
         assert!(c.insert_hashed(h, b"<a>hi</a9"[..].into(), false), "a colliding key is fresh");
         assert!(!c.insert_hashed(h, b"<a>hi</I>"[..].into(), false), "a repeat is not");
@@ -295,11 +269,5 @@ mod tests {
     fn hash_is_deterministic() {
         assert_eq!(hash_query(b"abc"), hash_query(b"abc"));
         assert_ne!(hash_query(b"abc"), hash_query(b"abd"));
-    }
-
-    #[test]
-    fn cache_is_sync() {
-        fn assert_sync<T: Send + Sync>() {}
-        assert_sync::<QueryCache>();
     }
 }

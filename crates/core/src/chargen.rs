@@ -61,7 +61,7 @@
 //! event.
 
 use crate::arena::{KeyArena, KeySet};
-use crate::cache::CacheEntries;
+use crate::cache::QueryCache;
 use crate::memo::{memo_key, ByteClassMemo};
 use crate::runner::CheckSpec;
 use crate::tree::{ConstNode, Node};
@@ -260,7 +260,7 @@ impl<'t> StagedChargen<'t> {
     /// or poses exactly one check. Returns the number of distinct checks
     /// planned (pose them through [`StagedChargen::keys_mut`]); zero means
     /// the staged run is complete (every probe resolved).
-    pub fn plan_wave(&mut self, cache: &CacheEntries) -> usize {
+    pub fn plan_wave(&mut self, cache: &QueryCache) -> usize {
         debug_assert!(self.keys.len() == 0, "previous wave not folded");
         for mut probe in std::mem::take(&mut self.active) {
             loop {
@@ -391,7 +391,7 @@ mod tests {
     use crate::testing::xml_like;
     use crate::{FnOracle, Oracle};
 
-    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
+    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s mut QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
     }
 
@@ -400,11 +400,11 @@ mod tests {
         // Section 6.2: h and i generalize to a..z; the tag bytes < a > /
         // do not generalize.
         let oracle = FnOracle::new(xml_like);
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
-        widen(&mut trees, &runner, &cache);
+        widen(&mut trees, &mut runner);
         let r = trees[0].to_regex();
         // Letters widened.
         assert!(r.is_match(b"<a>zz</a>"));
@@ -419,11 +419,11 @@ mod tests {
     fn digits_generalize_in_digit_language() {
         // L = nonempty digit strings.
         let oracle = FnOracle::new(|i: &[u8]| !i.is_empty() && i.iter().all(u8::is_ascii_digit));
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let mut trees = vec![p1.generalize_seed(b"7")];
-        widen(&mut trees, &runner, &cache);
+        widen(&mut trees, &mut runner);
         let r = trees[0].to_regex();
         for d in b'0'..=b'9' {
             assert!(r.is_match(&[d]), "digit {}", d as char);
@@ -434,11 +434,11 @@ mod tests {
     #[test]
     fn counts_accepted_pairs() {
         let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m")];
-        let n = widen(&mut trees, &runner, &cache);
+        let n = widen(&mut trees, &mut runner);
         // 25 other lowercase letters accepted... unless phase 1 starred the
         // single letter; in this language "mm" is invalid so no star forms.
         assert_eq!(n, 25);
@@ -449,11 +449,11 @@ mod tests {
         // Two single-letter seeds in one plan: the aggregated batch answers
         // both trees' probes, and applying distributes verdicts per tree.
         let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m"), p1.generalize_seed(b"q")];
-        let n = widen(&mut trees, &runner, &cache);
+        let n = widen(&mut trees, &mut runner);
         // Each tree widens to the full lowercase class (25 accepted each).
         assert_eq!(n, 50);
         for tree in &trees {
@@ -466,15 +466,15 @@ mod tests {
     #[test]
     fn respects_budget() {
         let oracle = FnOracle::new(|_: &[u8]| true);
-        let cache = QueryCache::new();
-        let runner = QueryRunner::new(
+        let mut cache = QueryCache::new();
+        let mut runner = QueryRunner::new(
             &oracle,
-            &cache,
+            &mut cache,
             RunnerOptions { max_queries: Some(0), workers: 2, ..RunnerOptions::default() },
         );
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let mut trees = vec![p1.generalize_seed(b"q")];
-        let n = widen(&mut trees, &runner, &cache);
+        let n = widen(&mut trees, &mut runner);
         assert_eq!(n, 0, "no budget, no generalization");
     }
 
@@ -483,14 +483,13 @@ mod tests {
     /// probes_elided).
     fn run_staged(
         trees: &mut [Node],
-        runner: &QueryRunner<'_>,
-        cache: &QueryCache,
+        runner: &mut QueryRunner<'_>,
         memo: &mut ByteClassMemo,
         test_bytes: &[u8],
     ) -> (usize, usize, usize) {
         let outcome = {
             let mut staged = StagedChargen::new(trees, test_bytes, memo);
-            while staged.plan_wave(&cache.lock()) > 0 {
+            while staged.plan_wave(runner.cache()) > 0 {
                 let verdicts = runner.pose(&mut [staged.keys_mut()]);
                 staged.fold_wave(&verdicts);
             }
@@ -505,27 +504,27 @@ mod tests {
 
     /// Widens `trees` through a staged run with a fresh memo table over
     /// the default alphabet; returns the accepted (position, byte) pairs.
-    fn widen(trees: &mut [Node], runner: &QueryRunner<'_>, cache: &QueryCache) -> usize {
-        run_staged(trees, runner, cache, &mut ByteClassMemo::new(), TEST_BYTES).0
+    fn widen(trees: &mut [Node], runner: &mut QueryRunner<'_>) -> usize {
+        run_staged(trees, runner, &mut ByteClassMemo::new(), TEST_BYTES).0
     }
 
     #[test]
     fn staged_run_matches_one_shot_classes_and_counts() {
         let oracle = FnOracle::new(xml_like);
 
-        let legacy_cache = QueryCache::new();
-        let legacy_runner = test_runner(&oracle, &legacy_cache);
-        let mut p1 = Phase1::new(&legacy_runner, 0);
+        let mut legacy_cache = QueryCache::new();
+        let mut legacy_runner = test_runner(&oracle, &mut legacy_cache);
+        let mut p1 = Phase1::new(&mut legacy_runner, 0);
         let mut legacy_trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let legacy_n =
-            crate::reference::generalize_chars(&mut legacy_trees, &legacy_runner, TEST_BYTES);
+            crate::reference::generalize_chars(&mut legacy_trees, &mut legacy_runner, TEST_BYTES);
 
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let mut memo = ByteClassMemo::new();
-        let (accepted, _, elided) = run_staged(&mut trees, &runner, &cache, &mut memo, TEST_BYTES);
+        let (accepted, _, elided) = run_staged(&mut trees, &mut runner, &mut memo, TEST_BYTES);
 
         assert_eq!(accepted, legacy_n, "accepted-pair parity");
         assert_eq!(
@@ -534,7 +533,10 @@ mod tests {
             "staged classes must equal the one-shot plan's"
         );
         assert!(elided > 0, "context short-circuiting elided nothing");
-        assert!(cache.len() < legacy_cache.len(), "staged run posed no fewer distinct queries");
+        assert!(
+            runner.unique_queries() < legacy_runner.unique_queries(),
+            "staged run posed no fewer distinct queries"
+        );
     }
 
     #[test]
@@ -542,13 +544,13 @@ mod tests {
         // Two identical seeds yield byte-identical terminals in identical
         // contexts: one representative is probed, siblings adopt.
         let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m"), p1.generalize_seed(b"m")];
         let mut memo = ByteClassMemo::new();
         let (accepted, memo_hits, elided) =
-            run_staged(&mut trees, &runner, &cache, &mut memo, TEST_BYTES);
+            run_staged(&mut trees, &mut runner, &mut memo, TEST_BYTES);
         assert_eq!(accepted, 50, "both trees widen to the 25 other lowercase letters");
         assert!(memo_hits >= 1, "duplicate terminal not shared");
         assert!(elided > 0);
@@ -564,11 +566,11 @@ mod tests {
         let oracle = FnOracle::new(xml_like);
         let mut memo = ByteClassMemo::new();
 
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
-        let (first_accepted, ..) = run_staged(&mut trees, &runner, &cache, &mut memo, TEST_BYTES);
+        let (first_accepted, ..) = run_staged(&mut trees, &mut runner, &mut memo, TEST_BYTES);
         assert!(
             !memo.entries_sorted().is_empty(),
             "completed run must memoize its representatives"
@@ -576,14 +578,14 @@ mod tests {
 
         // Fresh cache, fresh trees, warm memo: every terminal adopts, the
         // runner sees zero chargen checks, and the classes are identical.
-        let cache2 = QueryCache::new();
-        let runner2 = test_runner(&oracle, &cache2);
-        let mut p1 = Phase1::new(&runner2, 0);
+        let mut cache2 = QueryCache::new();
+        let mut runner2 = test_runner(&oracle, &mut cache2);
+        let mut p1 = Phase1::new(&mut runner2, 0);
         let mut trees2 = vec![p1.generalize_seed(b"<a>hi</a>")];
-        let after_phase1 = cache2.len();
+        let after_phase1 = runner2.unique_queries();
         let (accepted2, memo_hits2, _) =
-            run_staged(&mut trees2, &runner2, &cache2, &mut memo, TEST_BYTES);
-        assert_eq!(cache2.len(), after_phase1, "memo adoption posed a query");
+            run_staged(&mut trees2, &mut runner2, &mut memo, TEST_BYTES);
+        assert_eq!(runner2.unique_queries(), after_phase1, "memo adoption posed a query");
         assert!(memo_hits2 > 0);
         assert_eq!(accepted2, first_accepted, "chars_generalized parity under adoption");
         assert_eq!(trees2[0].to_regex().to_string(), trees[0].to_regex().to_string());

@@ -19,11 +19,10 @@
 //! # Observer threading contract
 //!
 //! [`SynthesisObserver`] requires `Send + Sync`, and that requirement is
-//! load-bearing: the engine emits most events from the thread driving
-//! [`Session::add_seeds`](crate::Session::add_seeds), but `QueryBatch`,
-//! `BudgetExhausted`, and `Cancelled` can be emitted from query worker
-//! threads mid-batch, and server deployments (see [`serve`](crate::serve))
-//! hold one observer per tenant in an `Arc` that is invoked from the
+//! load-bearing: the engine emits every event from the thread driving
+//! [`Session::add_seeds`](crate::Session::add_seeds) (query worker threads
+//! only call the oracle), but a session can run on any thread, and server
+//! deployments (see [`serve`](crate::serve)) hold one observer per tenant in an `Arc` that is invoked from the
 //! campaign thread while the serving dispatcher concurrently drains what
 //! the observer produced. Implementations therefore must tolerate
 //! concurrent `on_event` calls through `&self` — interior state belongs
@@ -444,12 +443,12 @@ impl SynthEvent {
 
 /// Receives [`SynthEvent`]s during a synthesis run.
 ///
-/// Observers must be `Send + Sync`: most events are emitted from the thread
-/// driving the session, but budget/cancellation trips can be observed from
-/// query worker threads. Implementations should return quickly — the engine
-/// calls them inline on the query path.
+/// Observers must be `Send + Sync`: every event is emitted from the thread
+/// driving the session, but the observer may be shared with other threads
+/// (see the module docs). Implementations should return quickly — the
+/// engine calls them inline on the query path.
 pub trait SynthesisObserver: Send + Sync {
-    /// Called once per event, in emission order per thread.
+    /// Called once per event, in emission order.
     fn on_event(&self, event: &SynthEvent);
 }
 

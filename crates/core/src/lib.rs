@@ -91,9 +91,10 @@
 //! Membership queries dominate GLADE's cost, so the query layer is built
 //! for concurrency: phase two's pairwise merge checks and character
 //! generalization's byte probes are aggregated into one batch and fanned
-//! out across a scoped worker pool with work-stealing dispatch, and every
-//! cache on the query path sits behind a mutex (no `RefCell`/`Cell`
-//! anywhere on the hot path). For real process targets,
+//! out across a scoped worker pool, where an idle worker takes the next
+//! query. The session thread owns the query cache and every counter, and
+//! worker threads only call the oracle, so the query path takes no lock.
+//! For real process targets,
 //! [`PooledProcessOracle`] amortizes the per-query process spawn across a
 //! pool of persistent protocol-speaking workers (see
 //! [`serve_oracle_worker`]) — and oracles that multiplex whole batches
@@ -108,10 +109,9 @@
 //!    `Cell`/`RefCell`.
 //! 2. **Determinism** — repeated queries for the same input must return
 //!    the same verdict, across threads and across time. The synthesis
-//!    algorithm's monotonicity argument depends on it, the batched engine
-//!    may let duplicate in-flight queries race to the cache (first verdict
-//!    wins — harmless only when verdicts agree), and cache snapshots
-//!    replay old verdicts into later runs.
+//!    algorithm's monotonicity argument depends on it, a cache keeps the
+//!    first verdict it records for an input (harmless only when verdicts
+//!    agree), and cache snapshots replay old verdicts into later runs.
 //!
 //! Given a deterministic oracle, no `time_limit`, and no cancellation,
 //! synthesis is deterministic and *independent of the worker count*

@@ -409,9 +409,9 @@ fn count_health(counter: &AtomicUsize, n: usize, field: fn(&mut OracleHealth) ->
 ///
 /// Implementations must be **deterministic**: repeated queries for the same
 /// input must agree, across threads and across time. GLADE's monotonicity
-/// argument assumes this, and so does the parallel query engine — duplicate
-/// in-flight queries may each reach the oracle, and whichever verdict lands
-/// in the cache first is kept.
+/// argument assumes this, and so do the query caches — runs sharing an
+/// oracle may each pose the same input, and a cache keeps the first
+/// verdict it records for an input (a snapshot's included).
 ///
 /// Implementations must be **thread-safe** (`Send + Sync`): membership
 /// checks are batched and dispatched concurrently from a scoped worker

@@ -46,12 +46,12 @@ use crate::tree::{AltNode, ConstNode, Context, Node, RepNode, StarNode};
 
 /// Phase-one synthesizer state.
 pub(crate) struct Phase1<'a, 'o> {
-    runner: &'a QueryRunner<'o>,
+    runner: &'a mut QueryRunner<'o>,
     next_star_id: usize,
 }
 
 impl<'a, 'o> Phase1<'a, 'o> {
-    pub fn new(runner: &'a QueryRunner<'o>, first_star_id: usize) -> Self {
+    pub fn new(runner: &'a mut QueryRunner<'o>, first_star_id: usize) -> Self {
         Phase1 { runner, next_star_id: first_star_id }
     }
 
@@ -74,10 +74,12 @@ impl<'a, 'o> Phase1<'a, 'o> {
 
     /// Poses the two residual checks of one candidate as a single batch:
     /// the pair is built from borrowed segments (no per-candidate
-    /// concatenation) and can hit the oracle concurrently. The greedy
+    /// concatenation), and a natively batching oracle answers it in one
+    /// call (a per-query oracle answers it inline: two misses are too few
+    /// to spawn threads for). The greedy
     /// candidate loop itself stays sequential — each decision feeds the
     /// next — but its two checks per candidate are independent.
-    fn check_pair(&self, ctx: &Context, first: &[&[u8]], second: &[&[u8]]) -> bool {
+    fn check_pair(&mut self, ctx: &Context, first: &[&[u8]], second: &[&[u8]]) -> bool {
         let checks = [CheckSpec::wrapped(ctx, first), CheckSpec::wrapped(ctx, second)];
         let verdicts = self.runner.accepts_batch(&checks);
         verdicts[0] && verdicts[1]
@@ -173,15 +175,15 @@ mod tests {
     use crate::{FnOracle, Oracle};
     use glade_grammar::Regex;
 
-    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
+    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s mut QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
     }
 
     fn synthesize_regex(seed: &[u8]) -> Regex {
         let oracle = FnOracle::new(xml_like);
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         p1.generalize_seed(seed).to_regex()
     }
 
@@ -212,9 +214,9 @@ mod tests {
     #[test]
     fn running_example_star_metadata() {
         let oracle = FnOracle::new(xml_like);
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let tree = p1.generalize_seed(b"<a>hi</a>");
         let mut stars = Vec::new();
         tree.collect_stars(&mut stars);
@@ -251,9 +253,9 @@ mod tests {
     fn fixed_format_stays_constant() {
         // Language: exactly "ab". Nothing can generalize.
         let oracle = FnOracle::new(|i: &[u8]| i == b"ab");
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let r = p1.generalize_seed(b"ab").to_regex();
         assert!(r.is_match(b"ab"));
         assert!(!r.is_match(b""));
@@ -264,13 +266,13 @@ mod tests {
     #[test]
     fn budget_exhaustion_degrades_to_seed() {
         let oracle = FnOracle::new(xml_like);
-        let cache = QueryCache::new();
-        let runner = QueryRunner::new(
+        let mut cache = QueryCache::new();
+        let mut runner = QueryRunner::new(
             &oracle,
-            &cache,
+            &mut cache,
             RunnerOptions { max_queries: Some(0), workers: 2, ..RunnerOptions::default() },
         );
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let r = p1.generalize_seed(b"<a>hi</a>").to_regex();
         // With no query budget every candidate is rejected: the language
         // collapses to exactly the seed (never *less* than the seed).
@@ -309,9 +311,9 @@ mod tests {
         ];
         for (seed, f) in oracles {
             let oracle = FnOracle::new(f);
-            let cache = QueryCache::new();
-            let runner = test_runner(&oracle, &cache);
-            let mut p1 = Phase1::new(&runner, 0);
+            let mut cache = QueryCache::new();
+            let mut runner = test_runner(&oracle, &mut cache);
+            let mut p1 = Phase1::new(&mut runner, 0);
             let r = p1.generalize_seed(seed).to_regex();
             assert!(r.is_match(seed), "seed {:?} lost", String::from_utf8_lossy(seed));
         }
@@ -321,9 +323,9 @@ mod tests {
     fn terminates_on_permissive_oracle() {
         // Σ* accepts everything: the greedy search must still terminate.
         let oracle = FnOracle::new(|_: &[u8]| true);
-        let cache = QueryCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = test_runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let r = p1.generalize_seed(b"abcd").to_regex();
         assert!(r.is_match(b"abcd"));
         assert!(r.is_match(b""));

@@ -32,7 +32,7 @@
 //! unreduced plan's, byte for byte, at every worker count.
 
 use crate::arena::{KeyArena, KeySet};
-use crate::cache::CacheEntries;
+use crate::cache::QueryCache;
 use crate::runner::CheckSpec;
 use crate::tree::{Node, StarNode, UnionFind};
 
@@ -141,7 +141,7 @@ impl<'t> StagedMerge<'t> {
     /// session cache as far as possible, then poses at most one check.
     /// Returns the number of distinct checks planned (pose them through
     /// [`StagedMerge::keys_mut`]); zero means every pair is resolved.
-    pub fn plan_wave(&mut self, cache: &CacheEntries) -> usize {
+    pub fn plan_wave(&mut self, cache: &QueryCache) -> usize {
         debug_assert!(self.keys.len() == 0, "previous wave not folded");
         for idx in 0..self.pairs.len() {
             loop {
@@ -251,7 +251,7 @@ mod tests {
     use crate::FnOracle;
     use glade_grammar::Earley;
 
-    fn runner<'s>(oracle: &'s dyn crate::Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
+    fn runner<'s>(oracle: &'s dyn crate::Oracle, cache: &'s mut QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
     }
 
@@ -260,15 +260,15 @@ mod tests {
         // Figure 2 steps C1–C2: the two stars of (<a>(h+i)*</a>)* merge,
         // yielding the recursive grammar A → (<a>A</a>)* , A → (h+i)*.
         let oracle = FnOracle::new(xml_like);
-        let cache = QueryCache::new();
-        let runner = runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let tree = p1.generalize_seed(b"<a>hi</a>");
         let num_stars = p1.next_star_id();
         assert_eq!(num_stars, 2);
 
         let trees = vec![tree];
-        let (mut uf, stats) = merge(&trees, num_stars, &runner, &cache);
+        let (mut uf, stats) = merge(&trees, num_stars, &mut runner);
         assert_eq!(stats.pairs_tried, 1);
         assert_eq!(stats.merges_accepted, 1);
 
@@ -293,13 +293,13 @@ mod tests {
             let split = i.iter().position(|&b| b == b'y').unwrap_or(i.len());
             i[..split].iter().all(|&b| b == b'x') && i[split..].iter().all(|&b| b == b'y')
         });
-        let cache = QueryCache::new();
-        let runner = runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let tree = p1.generalize_seed(b"xy");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (_, stats) = merge(&trees, num_stars, &runner, &cache);
+        let (_, stats) = merge(&trees, num_stars, &mut runner);
         assert_eq!(stats.merges_accepted, 1);
     }
 
@@ -313,13 +313,13 @@ mod tests {
             let Some(x) = i.iter().position(|&b| b == b'x') else { return false };
             i[..x].iter().all(|&b| b == b'a') && i[x + 1..].iter().all(|&b| b == b'b')
         });
-        let cache = QueryCache::new();
-        let runner = runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let tree = p1.generalize_seed(b"axb");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (mut uf, stats) = merge(&trees, num_stars, &runner, &cache);
+        let (mut uf, stats) = merge(&trees, num_stars, &mut runner);
         assert_eq!(stats.merges_accepted, 0);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
@@ -335,13 +335,13 @@ mod tests {
         // <a><a/></a> yields a suboptimal (but still valid) grammar whose
         // stars cannot merge, because the check ><a/ is invalid.
         let oracle = FnOracle::new(xml_like_with_self_closing);
-        let cache = QueryCache::new();
-        let runner = runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let tree = p1.generalize_seed(b"<a><a/></a>");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (mut uf, _) = merge(&trees, num_stars, &runner, &cache);
+        let (mut uf, _) = merge(&trees, num_stars, &mut runner);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
         // The synthesized language is a valid subset…
@@ -355,14 +355,14 @@ mod tests {
     fn section7_recovery_with_two_seeds() {
         // Section 7 continued: seeds {<a/>, <a>hi</a>} recover the target.
         let oracle = FnOracle::new(xml_like_with_self_closing);
-        let cache = QueryCache::new();
-        let runner = runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let t1 = p1.generalize_seed(b"<a/>");
         let t2 = p1.generalize_seed(b"<a>hi</a>");
         let num_stars = p1.next_star_id();
         let trees = vec![t1, t2];
-        let (mut uf, stats) = merge(&trees, num_stars, &runner, &cache);
+        let (mut uf, stats) = merge(&trees, num_stars, &mut runner);
         assert!(stats.merges_accepted > 0);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
@@ -372,14 +372,9 @@ mod tests {
     }
 
     /// Drives a staged merge run to completion against `runner`.
-    fn run_staged(
-        trees: &[Node],
-        num_stars: usize,
-        runner: &QueryRunner<'_>,
-        cache: &QueryCache,
-    ) -> MergeOutcome {
+    fn run_staged(trees: &[Node], num_stars: usize, runner: &mut QueryRunner<'_>) -> MergeOutcome {
         let mut staged = StagedMerge::new(trees, num_stars);
-        while staged.plan_wave(&cache.lock()) > 0 {
+        while staged.plan_wave(runner.cache()) > 0 {
             let verdicts = runner.pose(&mut [staged.keys_mut()]);
             staged.fold_wave(&verdicts);
         }
@@ -391,10 +386,9 @@ mod tests {
     fn merge(
         trees: &[Node],
         num_stars: usize,
-        runner: &QueryRunner<'_>,
-        cache: &QueryCache,
+        runner: &mut QueryRunner<'_>,
     ) -> (UnionFind, MergeStats) {
-        let outcome = run_staged(trees, num_stars, runner, cache);
+        let outcome = run_staged(trees, num_stars, runner);
         (outcome.uf, outcome.stats)
     }
 
@@ -403,14 +397,15 @@ mod tests {
         // The staged planner must reproduce the one-shot reference's accept set
         // (and union order) exactly on the running example.
         let oracle = FnOracle::new(xml_like);
-        let cache = QueryCache::new();
-        let runner = runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let num_stars = p1.next_star_id();
 
-        let (legacy_uf, legacy_stats) = reference::merge_stars(&trees, num_stars, &runner, None);
-        let outcome = run_staged(&trees, num_stars, &runner, &cache);
+        let (legacy_uf, legacy_stats) =
+            reference::merge_stars(&trees, num_stars, &mut runner, None);
+        let outcome = run_staged(&trees, num_stars, &mut runner);
         assert_eq!(outcome.stats, legacy_stats);
         let (mut uf_a, mut uf_b) = (legacy_uf, outcome.uf);
         for s in 0..num_stars {
@@ -425,27 +420,27 @@ mod tests {
         // byte-identical originals; their cross-checks are the accepted
         // creation checks, so the staged run unions them structurally.
         let oracle = FnOracle::new(xml_like);
-        let cache = QueryCache::new();
-        let runner = runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let t1 = p1.generalize_seed(b"<a>hi</a>");
         let t2 = p1.generalize_seed(b"<a>hi</a>");
         let num_stars = p1.next_star_id();
         let trees = vec![t1, t2];
 
-        let before = cache.len();
-        let outcome = run_staged(&trees, num_stars, &runner, &cache);
+        let before = runner.unique_queries();
+        let outcome = run_staged(&trees, num_stars, &mut runner);
         // Stars: 0=outer₁, 1=inner₁, 2=outer₂, 3=inner₂. The equal-original
         // pairs (0,2) and (1,3) pre-accept without a query; the four mixed
         // pairs all assemble the same two check strings a single tree's
         // (outer, inner) pair would, so dedup + cache folding collapse them
         // to exactly those two novel queries.
-        assert_eq!(cache.len(), before + 2, "duplicate pairs posed duplicate queries");
+        assert_eq!(runner.unique_queries(), before + 2, "duplicate pairs posed duplicate queries");
         assert!(outcome.probes_elided >= 2 * 2 + 3, "pre-accepts + folded duplicates");
 
         // And the accept set still matches the one-shot reference's.
         let (mut legacy_uf, legacy_stats) =
-            reference::merge_stars(&trees, num_stars, &runner, None);
+            reference::merge_stars(&trees, num_stars, &mut runner, None);
         assert_eq!(outcome.stats, legacy_stats);
         let mut uf = outcome.uf;
         for s in 0..num_stars {
@@ -461,13 +456,13 @@ mod tests {
             let Some(x) = i.iter().position(|&b| b == b'x') else { return false };
             i[..x].iter().all(|&b| b == b'a') && i[x + 1..].iter().all(|&b| b == b'b')
         });
-        let cache = QueryCache::new();
-        let runner = runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
+        let mut cache = QueryCache::new();
+        let mut runner = runner(&oracle, &mut cache);
+        let mut p1 = Phase1::new(&mut runner, 0);
         let trees = vec![p1.generalize_seed(b"axb")];
         let num_stars = p1.next_star_id();
 
-        let outcome = run_staged(&trees, num_stars, &runner, &cache);
+        let outcome = run_staged(&trees, num_stars, &mut runner);
         assert_eq!(outcome.stats.merges_accepted, 0);
         assert!(outcome.probes_elided >= 1, "failed A must elide B");
     }

@@ -143,7 +143,7 @@ pub(crate) fn apply_char_probes(
 /// (position, byte) pairs accepted.
 pub(crate) fn generalize_chars(
     trees: &mut [Node],
-    runner: &QueryRunner<'_>,
+    runner: &mut QueryRunner<'_>,
     test_bytes: &[u8],
 ) -> usize {
     let mut checks: Vec<CheckSpec<'_>> = Vec::new();
@@ -223,7 +223,7 @@ pub(crate) fn apply_merge_verdicts(
 pub(crate) fn merge_stars(
     trees: &[Node],
     num_stars: usize,
-    runner: &QueryRunner<'_>,
+    runner: &mut QueryRunner<'_>,
     observer: Option<&dyn SynthesisObserver>,
 ) -> (UnionFind, MergeStats) {
     let mut checks: Vec<CheckSpec<'_>> = Vec::new();
@@ -244,10 +244,10 @@ pub(crate) fn synthesize(
     seeds: &[Vec<u8>],
     oracle: &dyn Oracle,
 ) -> Result<Synthesis, SynthesisError> {
-    let cache = QueryCache::new();
-    let runner = QueryRunner::new(
+    let mut cache = QueryCache::new();
+    let mut runner = QueryRunner::new(
         oracle,
-        &cache,
+        &mut cache,
         RunnerOptions {
             max_queries: config.max_queries,
             workers: config.worker_threads.unwrap_or(1),
@@ -260,7 +260,7 @@ pub(crate) fn synthesize(
         }
     }
     let mut stats = SynthesisStats::default();
-    let mut phase1 = Phase1::new(&runner, 0);
+    let mut phase1 = Phase1::new(&mut runner, 0);
     let mut trees: Vec<Node> = Vec::new();
     let mut combined: Option<Regex> = None;
     for seed in seeds {

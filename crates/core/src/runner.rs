@@ -3,55 +3,46 @@
 //!
 //! The paper measures synthesis cost purely in membership queries, and the
 //! query layer dominates wall-clock time for any real target (each query
-//! runs the program under test). This module is therefore built for
-//! concurrency end to end:
+//! runs the program under test). The session thread owns this layer: one
+//! [`QueryRunner`] per run borrows the session's [`QueryCache`] mutably,
+//! and every method takes `&mut self`, so nothing on the query path needs
+//! a lock or an atomic counter. Worker threads only call the oracle.
 //!
-//! * the query cache is a [`QueryCache`] owned by the
-//!   [`Session`](crate::Session) — it outlives any single run, so
-//!   incremental `add_seeds` calls and warm-started runs (see
-//!   `persist.rs`) answer repeated checks without re-paying oracle calls —
-//!   and all counters are atomics, making [`QueryRunner`] `Sync`;
+//! * the query cache outlives any single run, so incremental `add_seeds`
+//!   calls and warm-started runs (see `persist.rs`) answer repeated checks
+//!   without re-paying oracle calls;
 //! * **each check is admitted once, one hash and one allocation per
 //!   distinct query:** a check is hashed exactly once, where its bytes are
 //!   first assembled in a [`KeyArena`] (see `arena.rs`), looked up in the
 //!   cache once, and interned once. The chargen and merge wave planners do
-//!   this at plan time under one cache lock per wave, and hand their
-//!   arenas' keys ([`KeySet`]s) to [`QueryRunner::pose`] as they stand:
-//!   every slot is a distinct plan-time miss. Phase one's
-//!   [`QueryRunner::accepts_batch`] does the same into an arena the runner
-//!   reuses across calls, then poses it the same way. The hash is reused
-//!   for the in-arena dedup and the cache insert; cache hits and duplicates
-//!   allocate nothing, and a posed key moves into the cache;
+//!   this at plan time, reading the cache through [`QueryRunner::cache`]
+//!   between waves, and hand their arenas' keys ([`KeySet`]s) to
+//!   [`QueryRunner::pose`] as they stand: every slot is a distinct
+//!   plan-time miss. Phase one's [`QueryRunner::accepts_batch`] does the
+//!   same into an arena the runner reuses across calls, then poses it the
+//!   same way. The hash is reused for the in-arena dedup and the cache
+//!   insert; cache hits and duplicates allocate nothing, and a posed key
+//!   moves into the cache;
 //! * [`QueryRunner::pose`] charges budget per slot in slot order, poses
 //!   each key once even when two planners' arenas hold it (the later slot
-//!   is its earlier twin's co-owner), inserts the verdicts under one cache
-//!   lock, and answers every slot;
-//! * misses fan out across a scoped worker pool (`std::thread::scope` —
-//!   no dependencies);
-//! * dispatch inside a batch is **work-stealing**: workers pull the next
-//!   un-posed miss from a shared atomic cursor instead of owning a static
-//!   chunk, so one slow query (real oracles have heavy-tailed latencies —
-//!   a pathological input can take 100× the median) delays only the worker
-//!   running it while the rest drain the remaining misses;
-//! * oracles that batch natively ([`Oracle::native_batching`]) are
-//!   instead handed the whole miss set on the calling (session) thread in
-//!   bounded sub-batches, and the engine's `worker_threads` setting does
-//!   not apply to them. The pooled process oracle's `poll(2)` dispatcher
-//!   keeps its own worker processes saturated from that one thread, with
-//!   no engine thread parked per in-flight query. The in-process
-//!   `GrammarOracle` (`glade-targets`) answers a sub-batch on one Earley
-//!   chart, reusing the work neighbouring queries share; splitting it
-//!   across threads would lose that reuse and pay thread spawns and cold
-//!   per-thread charts instead.
+//!   is its earlier twin's co-owner), inserts the verdicts, and answers
+//!   every slot;
+//! * misses are dispatched by one loop over a shared cursor (see
+//!   [`QueryRunner::dispatch`]): a natively batching oracle
+//!   ([`Oracle::native_batching`]) gets bounded sub-batches on the session
+//!   thread, any other oracle single misses across a scoped worker pool
+//!   (`std::thread::scope`), where an idle worker takes the next miss, so
+//!   one slow query delays only the worker running it.
 //!
 //! The runner is also the engine's observation and cancellation point:
 //! every batch emits a [`SynthEvent::QueryBatch`] to the installed
 //! observer, budget exhaustion and cancellation emit their events exactly
-//! once, and a [`CancelToken`] is checked both at budget-reservation time
-//! and between the queries of an in-flight batch — cancellation takes the
-//! same fail-closed path as the deadline. It is also where a run's oracle
-//! health is counted, from its own calls only (see `OracleHealth` in
-//! `oracle.rs`), so runs sharing one oracle never count each other's faults.
+//! once, all from the session thread, and a [`CancelToken`] is checked both
+//! at budget-reservation time and between the queries of an in-flight
+//! batch — cancellation takes the same fail-closed path as the deadline.
+//! It is also where a run's oracle health is counted, from its own calls
+//! only (see `OracleHealth` in `oracle.rs`), so runs sharing one oracle
+//! never count each other's faults.
 //!
 //! Determinism: with no time limit and no cancellation, batch results
 //! depend only on the oracle (which must be deterministic, see
@@ -69,8 +60,7 @@ use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::oracle::OracleHealth;
 use crate::tree::Context;
 use crate::Oracle;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Maximum number of byte-slice segments in a [`CheckSpec`].
@@ -175,36 +165,30 @@ impl Default for RunnerOptions<'_> {
 /// size, silently charging seed validation to the synthesis budget).
 pub(crate) struct QueryRunner<'s> {
     oracle: &'s dyn Oracle,
-    /// Session-owned cache; shared across the runs of one session.
-    cache: &'s QueryCache,
+    /// Session-owned cache; this run has it to itself.
+    cache: &'s mut QueryCache,
     observer: Option<&'s dyn SynthesisObserver>,
     cancel: Option<&'s CancelToken>,
     /// All queries, including cache hits.
-    total: AtomicUsize,
+    total: usize,
     /// Distinct budgeted queries actually charged against `max_queries`.
-    budget_used: AtomicUsize,
+    budget_used: usize,
     max_queries: usize,
     deadline: Option<Instant>,
-    exhausted: AtomicBool,
-    /// Whether cancellation was actually observed by this run.
-    cancelled: AtomicBool,
-    /// One-shot latches so `BudgetExhausted`/`Cancelled` are emitted once.
-    budget_event_sent: AtomicBool,
-    cancel_event_sent: AtomicBool,
+    exhausted: bool,
+    /// Whether this run observed a cancel (and emitted `Cancelled`).
+    cancelled: bool,
+    /// Whether `BudgetExhausted` was emitted (it is, at most once).
+    budget_event_sent: bool,
     /// Worker threads a batch of misses fans out to (1 = fully sequential).
     workers: usize,
     /// This run's oracle health, and the part already reported as events.
-    health: Mutex<(OracleHealth, OracleHealth)>,
-    /// Batch scratch reused across calls (see [`QueryRunner::with_scratch`]).
-    scratch: Mutex<BatchScratch>,
-}
-
-/// Scratch reused across calls (see [`QueryRunner::with_scratch`]):
-/// phase one's arena, whose owners are check positions, and the buffers
-/// of [`QueryRunner::pose`].
-#[derive(Debug, Default)]
-struct BatchScratch {
+    health: OracleHealth,
+    reported: OracleHealth,
+    /// Phase one's arena, reused across [`QueryRunner::accepts_batch`]
+    /// calls; its owners are check positions.
     keys: KeyArena<usize>,
+    /// The buffers of [`QueryRunner::pose`], reused across calls.
     pose: PoseScratch,
 }
 
@@ -231,25 +215,36 @@ struct Miss {
     at: usize,
 }
 
+/// Whether a cancel or a passed deadline must stop a batch from posing.
+fn stop_due(cancel: Option<&CancelToken>, deadline: Option<Instant>) -> bool {
+    cancel.is_some_and(CancelToken::is_cancelled) || deadline.is_some_and(|d| Instant::now() >= d)
+}
+
 impl<'s> QueryRunner<'s> {
-    pub fn new(oracle: &'s dyn Oracle, cache: &'s QueryCache, opts: RunnerOptions<'s>) -> Self {
+    pub fn new(oracle: &'s dyn Oracle, cache: &'s mut QueryCache, opts: RunnerOptions<'s>) -> Self {
         QueryRunner {
             oracle,
             cache,
             observer: opts.observer,
             cancel: opts.cancel,
-            total: AtomicUsize::new(0),
-            budget_used: AtomicUsize::new(0),
+            total: 0,
+            budget_used: 0,
             max_queries: opts.max_queries.unwrap_or(usize::MAX),
             deadline: opts.time_limit.map(|d| Instant::now() + d),
-            exhausted: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            budget_event_sent: AtomicBool::new(false),
-            cancel_event_sent: AtomicBool::new(false),
+            exhausted: false,
+            cancelled: false,
+            budget_event_sent: false,
             workers: opts.workers.max(1),
-            health: Mutex::default(),
-            scratch: Mutex::default(),
+            health: OracleHealth::default(),
+            reported: OracleHealth::default(),
+            keys: KeyArena::default(),
+            pose: PoseScratch::default(),
         }
+    }
+
+    /// The session cache, for the wave planners' plan-time lookups.
+    pub fn cache(&self) -> &QueryCache {
+        self.cache
     }
 
     fn emit(&self, event: SynthEvent) {
@@ -259,14 +254,15 @@ impl<'s> QueryRunner<'s> {
     }
 
     /// Trips the fail-closed flag; emits the matching event exactly once.
-    fn trip_exhausted(&self, by_cancel: bool) {
-        self.exhausted.store(true, Ordering::Relaxed);
+    fn trip_exhausted(&mut self, by_cancel: bool) {
+        self.exhausted = true;
         if by_cancel {
-            self.cancelled.store(true, Ordering::Relaxed);
-            if !self.cancel_event_sent.swap(true, Ordering::Relaxed) {
+            if !self.cancelled {
+                self.cancelled = true;
                 self.emit(SynthEvent::Cancelled);
             }
-        } else if !self.budget_event_sent.swap(true, Ordering::Relaxed) {
+        } else if !self.budget_event_sent {
+            self.budget_event_sent = true;
             self.emit(SynthEvent::BudgetExhausted);
         }
     }
@@ -276,23 +272,12 @@ impl<'s> QueryRunner<'s> {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Adds the health of some of this run's own oracle calls (see
-    /// [`OracleHealth::of`]) to the run's total.
-    fn charge(&self, calls: OracleHealth) {
-        let mut health = self.health.lock().expect("runner health poisoned");
-        health.0 = health.0 + calls;
-    }
-
     /// Emits one event per health count that grew since the last report
     /// ([`SynthEvent::OracleFailures`], [`SynthEvent::WorkerHung`],
     /// [`SynthEvent::BreakerTripped`], [`SynthEvent::BreakerRecovered`]).
-    fn report_health(&self) {
-        let (run, new) = {
-            let mut health = self.health.lock().expect("runner health poisoned");
-            let (run, reported) = *health;
-            health.1 = run;
-            (run, run - reported)
-        };
+    fn report_health(&mut self) {
+        let (run, new) = (self.health, self.health - self.reported);
+        self.reported = run;
         if new.failures > 0 {
             self.emit(SynthEvent::OracleFailures {
                 new_failures: new.failures,
@@ -318,38 +303,32 @@ impl<'s> QueryRunner<'s> {
 
     /// This run's oracle health so far (its own calls only).
     pub fn oracle_health(&self) -> OracleHealth {
-        self.health.lock().expect("runner health poisoned").0
+        self.health
     }
 
     /// Reserves one budget slot, or trips the exhausted flag and fails.
-    fn reserve_budget(&self) -> bool {
+    fn reserve_budget(&mut self) -> bool {
         if self.cancel_requested() {
             self.trip_exhausted(true);
             return false;
         }
-        if self.exhausted.load(Ordering::Relaxed) {
+        if self.exhausted {
             return false;
         }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+        if self.deadline.is_some_and(|d| Instant::now() >= d)
+            || self.budget_used >= self.max_queries
+        {
             self.trip_exhausted(false);
             return false;
         }
-        let reserved = self
-            .budget_used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
-                (used < self.max_queries).then_some(used + 1)
-            })
-            .is_ok();
-        if !reserved {
-            self.trip_exhausted(false);
-        }
-        reserved
+        self.budget_used += 1;
+        true
     }
 
     /// Budget-aware batched membership query.
     ///
     /// Answers what it can from the cache, interns the remaining checks
-    /// into the runner's scratch arena (deduplicating on the bytes — equal
+    /// into the runner's arena (deduplicating on the bytes — equal
     /// hashes alone never merge two checks), and poses that arena through
     /// [`QueryRunner::pose`]: misses beyond the budget answer `false`.
     /// Results are returned in input order and are identical for every
@@ -360,34 +339,31 @@ impl<'s> QueryRunner<'s> {
     /// a candidate) now pay for the whole batch — that is the price of
     /// posing the checks concurrently, and it is the same in sequential
     /// mode so query counts stay worker-count-independent.
-    pub fn accepts_batch(&self, checks: &[CheckSpec<'_>]) -> Vec<bool> {
-        self.with_scratch(|scratch| {
-            let mut results = vec![false; checks.len()];
-            let mut cached = 0;
-            {
-                let cache = self.cache.lock();
-                for (i, spec) in checks.iter().enumerate() {
-                    let h = scratch.keys.stage(|buf| spec.write_into(buf));
-                    match cache.get_hashed(h, scratch.keys.staged()) {
-                        Some(v) => {
-                            results[i] = v;
-                            cached += 1;
-                        }
-                        None => {
-                            scratch.keys.intern_staged(h, i);
-                        }
-                    }
+    pub fn accepts_batch(&mut self, checks: &[CheckSpec<'_>]) -> Vec<bool> {
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        let mut results = vec![false; checks.len()];
+        let mut cached = 0;
+        for (i, spec) in checks.iter().enumerate() {
+            let h = keys.stage(|buf| spec.write_into(buf));
+            match self.cache.get_hashed(h, keys.staged()) {
+                Some(v) => {
+                    results[i] = v;
+                    cached += 1;
+                }
+                None => {
+                    keys.intern_staged(h, i);
                 }
             }
-            let pose = &mut scratch.pose;
-            self.pose_into(pose, &mut [scratch.keys.keys_mut()], checks.len(), cached);
-            for (slot, verdict) in pose.verdicts.iter().enumerate() {
-                for &i in scratch.keys.owners(slot) {
-                    results[i] = verdict.unwrap_or(false);
-                }
+        }
+        self.pose_into(&mut [keys.keys_mut()], checks.len(), cached);
+        for (slot, verdict) in self.pose.verdicts.iter().enumerate() {
+            for &i in keys.owners(slot) {
+                results[i] = verdict.unwrap_or(false);
             }
-            results
-        })
+        }
+        self.keys = keys;
+        results
     }
 
     /// Poses the distinct misses of a wave: `sets` are the planners' key
@@ -399,37 +375,23 @@ impl<'s> QueryRunner<'s> {
     /// and charged once, through that earlier slot, and both slots get its
     /// verdict. Every slot still counts as one query in
     /// [`QueryRunner::total_queries`]. The posed keys move into the cache.
-    pub fn pose(&self, sets: &mut [&mut KeySet]) -> Vec<bool> {
+    pub fn pose(&mut self, sets: &mut [&mut KeySet]) -> Vec<bool> {
         let checks = sets.iter().map(|set| set.len()).sum();
-        self.with_scratch(|scratch| {
-            self.pose_into(&mut scratch.pose, sets, checks, 0);
-            scratch.pose.verdicts.iter().map(|v| v.unwrap_or(false)).collect()
-        })
-    }
-
-    /// Runs `f` on the runner's reusable scratch, or on a fresh one if
-    /// another thread is using it.
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut BatchScratch) -> R) -> R {
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => {
-                scratch.keys.clear();
-                f(&mut scratch)
-            }
-            Err(_) => f(&mut BatchScratch::default()),
-        }
+        self.pose_into(sets, checks, 0);
+        self.pose.verdicts.iter().map(|v| v.unwrap_or(false)).collect()
     }
 
     /// Whether any slot of `sets` is already cached — a planner that
     /// interned a key without looking it up first.
     fn any_slot_cached(&self, sets: &[&mut KeySet]) -> bool {
-        let cache = self.cache.lock();
-        sets.iter()
-            .any(|set| (0..set.len()).any(|s| cache.get_hashed(set.hash(s), set.key(s)).is_some()))
+        sets.iter().any(|set| {
+            (0..set.len()).any(|s| self.cache.get_hashed(set.hash(s), set.key(s)).is_some())
+        })
     }
 
-    /// [`QueryRunner::pose`] into `buf.verdicts`. `checks` is the number
-    /// of checks the batch was planned from, `cached` how many of them the
-    /// cache answered before interning: both go to
+    /// [`QueryRunner::pose`] into `self.pose.verdicts`. `checks` is the
+    /// number of checks the batch was planned from, `cached` how many of
+    /// them the cache answered before interning: both go to
     /// [`QueryRunner::total_queries`] and the [`SynthEvent::QueryBatch`]
     /// event.
     ///
@@ -437,15 +399,10 @@ impl<'s> QueryRunner<'s> {
     /// too: once the deadline passes or the token flips, remaining misses
     /// are skipped (answering `false`, *not* cached — only real oracle
     /// verdicts enter the cache) and the runner is marked exhausted.
-    fn pose_into(
-        &self,
-        buf: &mut PoseScratch,
-        sets: &mut [&mut KeySet],
-        checks: usize,
-        cached: usize,
-    ) {
+    fn pose_into(&mut self, sets: &mut [&mut KeySet], checks: usize, cached: usize) {
         debug_assert!(!self.any_slot_cached(sets), "a planner interned a key the cache answers");
-        self.total.fetch_add(checks, Ordering::Relaxed);
+        self.total += checks;
+        let mut buf = std::mem::take(&mut self.pose);
         buf.verdicts.clear();
         buf.misses.clear();
         buf.twins.clear();
@@ -473,7 +430,7 @@ impl<'s> QueryRunner<'s> {
             }
         }
         buf.verdicts.resize(at, None);
-        self.dispatch(&*sets, &buf.misses, &mut buf.verdicts);
+        self.dispatch(sets, &buf.misses, &mut buf.verdicts);
         self.report_health();
 
         if self.observer.is_some() {
@@ -483,66 +440,86 @@ impl<'s> QueryRunner<'s> {
             self.emit(SynthEvent::QueryBatch { checks, cached, posed });
         }
 
-        let mut cache = self.cache.lock();
         for m in &buf.misses {
             if let Some(verdict) = buf.verdicts[m.at] {
                 let set = &mut sets[m.set];
-                cache.insert_hashed(set.hash(m.slot), set.take_key(m.slot), verdict);
+                self.cache.insert_hashed(set.hash(m.slot), set.take_key(m.slot), verdict);
             }
         }
-        drop(cache);
         for &(at, twin) in &buf.twins {
             buf.verdicts[at] = buf.verdicts[twin];
         }
+        self.pose = buf;
     }
 
     /// Poses `misses`, writing each real verdict to its `verdicts` index.
-    fn dispatch(&self, sets: &[&mut KeySet], misses: &[Miss], verdicts: &mut [Option<bool>]) {
+    ///
+    /// One loop serves every oracle: dispatching threads take the next
+    /// misses from a shared cursor until it runs out or a cancel or the
+    /// deadline stops them.
+    ///
+    /// * An oracle that batches natively ([`Oracle::native_batching`]: the
+    ///   pooled process oracle's `poll(2)` dispatcher, the in-process
+    ///   Earley `GrammarOracle`) takes up to [`NATIVE_DISPATCH_SUB_BATCH`]
+    ///   misses per call on this thread, whatever `workers` says. No
+    ///   engine thread is parked per in-flight query; the oracle keeps its
+    ///   own workers saturated or reuses work across the sub-batch. The
+    ///   bound exists so the deadline and the cancel token are still
+    ///   honored *during* a large batch.
+    /// * Any other oracle takes one miss per [`Oracle::accepts_checked`]
+    ///   call, across `min(workers, misses)` threads, so one slow query
+    ///   (heterogeneous latencies are the norm for real targets) stalls
+    ///   one thread instead of a static chunk scheduled behind it. Spawning
+    ///   threads costs tens of microseconds, so a single worker, or fewer
+    ///   than [`MIN_PARALLEL_MISSES`] misses (phase one's residual pairs),
+    ///   runs inline.
+    ///
+    /// Spawned threads only call the oracle: they hand back their answers
+    /// by miss index, the health of their calls and whether they saw a
+    /// stop, and this thread writes the verdicts, trips the
+    /// fail-closed flag and emits every event. Every miss is posed at most
+    /// once and the oracle is deterministic, so results — and the set of
+    /// cached queries — are identical for every worker count. A verdict
+    /// left `None` marks a miss skipped because the deadline expired (or
+    /// the run was cancelled) mid-batch, or an oracle execution failure:
+    /// it answers `false` but is not cached (only real oracle verdicts may
+    /// enter the cache, or a persisted snapshot would poison every warm
+    /// start). The health charged is the `None` answers the calls got
+    /// back; a skipped miss is no failure.
+    fn dispatch(&mut self, sets: &[&mut KeySet], misses: &[Miss], verdicts: &mut [Option<bool>]) {
+        let (oracle, cancel, deadline) = (self.oracle, self.cancel, self.deadline);
         let key = |m: &Miss| sets[m.set].key(m.slot);
-        // Two strategies, same results:
-        //
-        // * **Native batch dispatch** — oracles that batch themselves
-        //   ([`Oracle::native_batching`]: the pooled process oracle's
-        //   poll(2) dispatcher, the in-process Earley `GrammarOracle`) are
-        //   handed the miss set in bounded sub-batches from this thread,
-        //   whatever `workers` says. No engine thread is parked per
-        //   in-flight query; the oracle keeps its own workers saturated or
-        //   reuses work across the sub-batch. The sub-batch bound exists so
-        //   the deadline and the cancel token are still honored *during* a
-        //   large batch.
-        // * **Work stealing** — for ordinary per-query oracles, a shared
-        //   atomic cursor hands each idle engine worker the next un-posed
-        //   miss, so a single slow query (heterogeneous latencies are the
-        //   norm for real targets) stalls one worker instead of the whole
-        //   static chunk scheduled behind it.
-        //
-        // Every miss is posed exactly once and the oracle is
-        // deterministic, so results — and the set of cached queries — are
-        // identical for every worker count and for either strategy. A
-        // verdict left `None` marks a miss skipped because the deadline
-        // expired (or the run was cancelled) mid-batch, or an oracle
-        // execution failure: it answers `false` but is not cached (only
-        // real oracle verdicts may enter the cache, or a persisted
-        // snapshot would poison every warm start).
-        //
-        // Spawning threads costs tens of microseconds; only fan out when
-        // the batch is big enough to amortize it (tiny batches — e.g.
-        // phase 1's residual pairs against an in-process oracle — run
-        // inline). Results are identical either way.
         let n = misses.len();
-        let threads = if n >= MIN_PARALLEL_MISSES { self.workers.min(n) } else { 1 };
-        // Each strategy charges the run with the `None` answers its calls
-        // got back; a slot the deadline or a cancel skipped is no failure.
-        if self.oracle.native_batching() {
+        let native = oracle.native_batching();
+        let step = if native { NATIVE_DISPATCH_SUB_BATCH } else { 1 };
+        let threads = if native || n < MIN_PARALLEL_MISSES { 1 } else { self.workers.min(n) };
+        let cursor = AtomicUsize::new(0);
+        // The loop each dispatching thread runs: `record` gets every
+        // answer by miss index. Returns the health of the thread's calls
+        // and whether a stop ended it.
+        let drain = |record: &mut dyn FnMut(usize, Option<bool>)| {
+            let mut stopped = false;
             // A sub-batch's keys are listed on the stack when they fit
             // (phase one's pairs), else in one buffer per call.
             let mut inline: [&[u8]; 2] = [&[]; 2];
             let mut heap: Vec<&[u8]> = Vec::new();
-            self.charge(OracleHealth::of(|| {
+            let health = OracleHealth::of(|| {
                 let mut failures = 0;
-                for chunk in misses.chunks(NATIVE_DISPATCH_SUB_BATCH) {
-                    if self.stop_requested() {
-                        break;
+                loop {
+                    let start = cursor.fetch_add(step, Ordering::Relaxed);
+                    if start >= n {
+                        break failures;
+                    }
+                    if stop_due(cancel, deadline) {
+                        stopped = true;
+                        break failures;
+                    }
+                    let chunk = &misses[start..(start + step).min(n)];
+                    if !native {
+                        let answer = oracle.accepts_checked(key(&chunk[0]));
+                        failures += usize::from(answer.is_none());
+                        record(start, answer);
+                        continue;
                     }
                     let refs: &[&[u8]] = if chunk.len() <= inline.len() {
                         for (r, m) in inline.iter_mut().zip(chunk) {
@@ -554,85 +531,57 @@ impl<'s> QueryRunner<'s> {
                         heap.extend(chunk.iter().map(key));
                         &heap
                     };
-                    let answers = self.oracle.accepts_batch_checked(refs);
+                    let answers = oracle.accepts_batch_checked(refs);
                     debug_assert_eq!(answers.len(), refs.len());
-                    for (m, answer) in chunk.iter().zip(answers) {
+                    for (i, answer) in (start..).zip(answers) {
                         failures += usize::from(answer.is_none());
-                        verdicts[m.at] = answer;
+                        record(i, answer);
                     }
-                }
-                failures
-            }));
-        } else if threads > 1 {
-            const SLOT_SKIPPED: u8 = 0;
-            const SLOT_REJECT: u8 = 1;
-            const SLOT_ACCEPT: u8 = 2;
-            let slots: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(SLOT_SKIPPED)).collect();
-            let cursor = AtomicUsize::new(0);
-            // Each thread charges its own calls, once, when it runs out.
-            let steal_loop = || {
-                self.charge(OracleHealth::of(|| {
-                    let mut failures = 0;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n || self.stop_requested() {
-                            break failures;
-                        }
-                        match self.oracle.accepts_checked(key(&misses[i])) {
-                            Some(v) => slots[i].store(
-                                if v { SLOT_ACCEPT } else { SLOT_REJECT },
-                                Ordering::Relaxed,
-                            ),
-                            None => failures += 1,
-                        }
-                    }
-                }))
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(steal_loop);
                 }
             });
-            for (m, slot) in misses.iter().zip(&slots) {
-                verdicts[m.at] = match slot.load(Ordering::Relaxed) {
-                    SLOT_SKIPPED => None,
-                    v => Some(v == SLOT_ACCEPT),
-                };
-            }
+            (health, stopped)
+        };
+        let (health, stopped) = if threads == 1 {
+            drain(&mut |i, answer| verdicts[misses[i].at] = answer)
         } else {
-            self.charge(OracleHealth::of(|| {
-                let mut failures = 0;
-                for m in misses {
-                    if self.stop_requested() {
-                        break;
+            let drain = &drain;
+            std::thread::scope(|scope| {
+                // Each thread answers into its own vector, allocated here so
+                // that worker threads allocate nothing of the engine's.
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let mut answers = vec![None; n];
+                        scope.spawn(move || {
+                            let (health, stopped) = drain(&mut |i, a| answers[i] = a);
+                            (answers, health, stopped)
+                        })
+                    })
+                    .collect();
+                let mut total = (OracleHealth::default(), false);
+                for handle in handles {
+                    let (answers, health, stopped) =
+                        handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                    for (m, answer) in misses.iter().zip(answers) {
+                        if answer.is_some() {
+                            verdicts[m.at] = answer;
+                        }
                     }
-                    verdicts[m.at] = self.oracle.accepts_checked(key(m));
-                    failures += usize::from(verdicts[m.at].is_none());
+                    total = (total.0 + health, total.1 || stopped);
                 }
-                failures
-            }));
+                total
+            })
+        };
+        self.health = self.health + health;
+        if stopped {
+            self.trip_exhausted(self.cancel_requested());
         }
-    }
-
-    /// Whether a batch in flight must stop posing: trips the fail-closed
-    /// flag (and emits its event) on a cancel or a passed deadline.
-    fn stop_requested(&self) -> bool {
-        if self.cancel_requested() {
-            self.trip_exhausted(true);
-            return true;
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.trip_exhausted(false);
-            return true;
-        }
-        false
     }
 
     /// Unbudgeted query used for seed validation (seeds must be consulted
     /// even if the budget is already gone). Shares the cache but is not
     /// charged against `max_queries`, and ignores cancellation — a
     /// returned `Synthesis` must always have validated its seeds.
-    pub fn accepts_unbudgeted(&self, input: &[u8]) -> bool {
+    pub fn accepts_unbudgeted(&mut self, input: &[u8]) -> bool {
         let h = hash_query(input);
         if let Some(v) = self.cache.get_hashed(h, input) {
             return v;
@@ -641,10 +590,11 @@ impl<'s> QueryRunner<'s> {
         // premise `E_in ⊆ L*` cannot be confirmed) without caching the
         // non-verdict, and counts as one of the run's failures.
         let mut answer = None;
-        self.charge(OracleHealth::of(|| {
+        let health = OracleHealth::of(|| {
             answer = self.oracle.accepts_checked(input);
             usize::from(answer.is_none())
-        }));
+        });
+        self.health = self.health + health;
         let Some(v) = answer else { return false };
         self.cache.insert_hashed(h, input.into(), v);
         v
@@ -658,17 +608,17 @@ impl<'s> QueryRunner<'s> {
 
     /// Total queries posed through this runner, including cache hits.
     pub fn total_queries(&self) -> usize {
-        self.total.load(Ordering::Relaxed)
+        self.total
     }
 
     /// Whether the budget ran out (or the run was cancelled) at some point.
     pub fn exhausted(&self) -> bool {
-        self.exhausted.load(Ordering::Relaxed)
+        self.exhausted
     }
 
     /// Whether cancellation was observed by this run.
     pub fn was_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
+        self.cancelled
     }
 }
 
@@ -677,20 +627,20 @@ mod tests {
     use super::*;
     use crate::events::EventLog;
     use crate::FnOracle;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     fn spec<'a>(bytes: &'a [u8]) -> CheckSpec<'a> {
         CheckSpec::new(&[bytes])
     }
 
     /// Poses `input` as a one-check batch.
-    fn accepts(r: &QueryRunner<'_>, input: &[u8]) -> bool {
+    fn accepts(r: &mut QueryRunner<'_>, input: &[u8]) -> bool {
         r.accepts_batch(&[spec(input)])[0]
     }
 
     fn runner<'s>(
         oracle: &'s dyn Oracle,
-        cache: &'s QueryCache,
+        cache: &'s mut QueryCache,
         max_queries: Option<usize>,
         time_limit: Option<Duration>,
         workers: usize,
@@ -705,11 +655,11 @@ mod tests {
     #[test]
     fn caches_and_counts() {
         let o = FnOracle::new(|i: &[u8]| i.len() < 2);
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, None, None, 1);
-        assert!(accepts(&r, b"a"));
-        assert!(accepts(&r, b"a"));
-        assert!(!accepts(&r, b"ab"));
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, None, None, 1);
+        assert!(accepts(&mut r, b"a"));
+        assert!(accepts(&mut r, b"a"));
+        assert!(!accepts(&mut r, b"ab"));
         assert_eq!(r.unique_queries(), 2);
         assert_eq!(r.total_queries(), 3);
         assert!(!r.exhausted());
@@ -718,15 +668,15 @@ mod tests {
     #[test]
     fn budget_exhaustion_fails_closed() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, Some(2), None, 1);
-        assert!(accepts(&r, b"1"));
-        assert!(accepts(&r, b"2"));
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, Some(2), None, 1);
+        assert!(accepts(&mut r, b"1"));
+        assert!(accepts(&mut r, b"2"));
         // Third distinct query exceeds the budget: rejected.
-        assert!(!accepts(&r, b"3"));
+        assert!(!accepts(&mut r, b"3"));
         assert!(r.exhausted());
         // Cached answers stay available.
-        assert!(accepts(&r, b"1"));
+        assert!(accepts(&mut r, b"1"));
         // Unbudgeted path still works.
         assert!(r.accepts_unbudgeted(b"4"));
     }
@@ -737,15 +687,15 @@ mod tests {
         // the *cache size*, so seed validation (unbudgeted) silently ate
         // distinct-query budget.
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, Some(2), None, 1);
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, Some(2), None, 1);
         assert!(r.accepts_unbudgeted(b"seed-1"));
         assert!(r.accepts_unbudgeted(b"seed-2"));
         assert!(r.accepts_unbudgeted(b"seed-3"));
         // The full budget of 2 distinct budgeted queries remains.
-        assert!(accepts(&r, b"q1"));
-        assert!(accepts(&r, b"q2"));
-        assert!(!accepts(&r, b"q3"));
+        assert!(accepts(&mut r, b"q1"));
+        assert!(accepts(&mut r, b"q2"));
+        assert!(!accepts(&mut r, b"q3"));
         assert!(r.exhausted());
         assert_eq!(r.unique_queries(), 5, "cache still holds seeds + budgeted");
     }
@@ -753,10 +703,10 @@ mod tests {
     #[test]
     fn time_limit_expires() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, None, Some(Duration::from_nanos(1)), 1);
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, None, Some(Duration::from_nanos(1)), 1);
         std::thread::sleep(Duration::from_millis(2));
-        assert!(!accepts(&r, b"x"));
+        assert!(!accepts(&mut r, b"x"));
         assert!(r.exhausted());
         assert!(!r.was_cancelled());
     }
@@ -768,27 +718,27 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             true
         });
-        let cache = QueryCache::new();
+        let mut cache = QueryCache::new();
         let token = CancelToken::new();
         let log = EventLog::new();
-        let r = QueryRunner::new(
+        let mut r = QueryRunner::new(
             &o,
-            &cache,
+            &mut cache,
             RunnerOptions {
                 cancel: Some(&token),
                 observer: Some(&log),
                 ..RunnerOptions::default()
             },
         );
-        assert!(accepts(&r, b"before"));
+        assert!(accepts(&mut r, b"before"));
         token.cancel();
-        assert!(!accepts(&r, b"after"), "cancelled runs answer false");
-        assert!(!accepts(&r, b"again"));
+        assert!(!accepts(&mut r, b"after"), "cancelled runs answer false");
+        assert!(!accepts(&mut r, b"again"));
         assert!(r.exhausted(), "cancellation shares the fail-closed path");
         assert!(r.was_cancelled());
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no oracle calls after cancel");
         // Cached answers stay available, unbudgeted validation still works.
-        assert!(accepts(&r, b"before"));
+        assert!(accepts(&mut r, b"before"));
         assert!(r.accepts_unbudgeted(b"seed"));
         let cancels = log.events().iter().filter(|e| matches!(e, SynthEvent::Cancelled)).count();
         assert_eq!(cancels, 1, "Cancelled is emitted exactly once");
@@ -805,10 +755,10 @@ mod tests {
             }
             true
         });
-        let cache = QueryCache::new();
-        let r = QueryRunner::new(
+        let mut cache = QueryCache::new();
+        let mut r = QueryRunner::new(
             &o,
-            &cache,
+            &mut cache,
             RunnerOptions { cancel: Some(&token), ..RunnerOptions::default() },
         );
         let inputs: Vec<Vec<u8>> = (0..10u8).map(|b| vec![b]).collect();
@@ -820,6 +770,55 @@ mod tests {
     }
 
     #[test]
+    fn events_come_from_the_calling_thread() {
+        // A per-query oracle at 4 workers flips the cancel token on its
+        // third call, mid-batch. Worker threads only call the oracle:
+        // every event reaches the observer on this thread, and `Cancelled`
+        // arrives once, before the batch's `QueryBatch`.
+        struct ThreadLog(Mutex<Vec<(std::thread::ThreadId, SynthEvent)>>);
+        impl SynthesisObserver for ThreadLog {
+            fn on_event(&self, event: &SynthEvent) {
+                let mut log = self.0.lock().unwrap();
+                log.push((std::thread::current().id(), event.clone()));
+            }
+        }
+        let calls = AtomicUsize::new(0);
+        let token = CancelToken::new();
+        let token_in_oracle = token.clone();
+        let o = FnOracle::new(move |_: &[u8]| {
+            if calls.fetch_add(1, Ordering::Relaxed) + 1 == 3 {
+                token_in_oracle.cancel();
+            }
+            true
+        });
+        let log = ThreadLog(Mutex::default());
+        let mut cache = QueryCache::new();
+        let mut r = QueryRunner::new(
+            &o,
+            &mut cache,
+            RunnerOptions {
+                workers: 4,
+                observer: Some(&log),
+                cancel: Some(&token),
+                ..RunnerOptions::default()
+            },
+        );
+        let inputs: Vec<Vec<u8>> = (0..64u8).map(|b| vec![b]).collect();
+        let specs: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
+        r.accepts_batch(&specs);
+        assert!(r.was_cancelled());
+        let events = log.0.lock().unwrap().clone();
+        let here = std::thread::current().id();
+        assert!(events.iter().all(|(thread, _)| *thread == here), "{events:?}");
+        let kinds: Vec<&SynthEvent> = events.iter().map(|(_, e)| e).collect();
+        let cancels: Vec<usize> =
+            (0..kinds.len()).filter(|&i| matches!(kinds[i], SynthEvent::Cancelled)).collect();
+        let batch = kinds.iter().position(|e| matches!(e, SynthEvent::QueryBatch { .. }));
+        assert_eq!(cancels.len(), 1, "{kinds:?}");
+        assert!(batch.is_some_and(|b| cancels[0] < b), "{kinds:?}");
+    }
+
+    #[test]
     fn batch_results_preserve_order_and_dedup() {
         let calls = AtomicUsize::new(0);
         let o = FnOracle::new(|i: &[u8]| {
@@ -828,8 +827,8 @@ mod tests {
         });
         for workers in [1, 4] {
             calls.store(0, Ordering::Relaxed);
-            let cache = QueryCache::new();
-            let r = runner(&o, &cache, None, None, workers);
+            let mut cache = QueryCache::new();
+            let mut r = runner(&o, &mut cache, None, None, workers);
             let checks =
                 [spec(b"aa"), spec(b"b"), spec(b"aa"), spec(b"cccc"), spec(b"b"), spec(b"")];
             let verdicts = r.accepts_batch(&checks);
@@ -843,12 +842,12 @@ mod tests {
     #[test]
     fn batch_emits_query_batch_event() {
         let o = FnOracle::new(|i: &[u8]| i.len().is_multiple_of(2));
-        let cache = QueryCache::new();
+        let mut cache = QueryCache::new();
         cache.insert(b"hit".to_vec(), false);
         let log = EventLog::new();
-        let r = QueryRunner::new(
+        let mut r = QueryRunner::new(
             &o,
-            &cache,
+            &mut cache,
             RunnerOptions { observer: Some(&log), ..RunnerOptions::default() },
         );
         let checks = [spec(b"hit"), spec(b"miss"), spec(b"miss"), spec(b"other")];
@@ -859,8 +858,8 @@ mod tests {
     #[test]
     fn batch_mixed_segments_concatenate() {
         let o = FnOracle::new(|i: &[u8]| i == b"<a>hi</a>");
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, None, None, 2);
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, None, None, 2);
         let (pre, mid, post) = (&b"<a>"[..], &b"hi"[..], &b"</a>"[..]);
         let checks = [CheckSpec::new(&[pre, mid, post]), CheckSpec::new(&[pre, post])];
         assert_eq!(r.accepts_batch(&checks), vec![true, false]);
@@ -873,11 +872,11 @@ mod tests {
     #[test]
     fn batch_budget_answers_false_beyond_limit() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = QueryCache::new();
+        let mut cache = QueryCache::new();
         let log = EventLog::new();
-        let r = QueryRunner::new(
+        let mut r = QueryRunner::new(
             &o,
-            &cache,
+            &mut cache,
             RunnerOptions {
                 max_queries: Some(2),
                 workers: 4,
@@ -908,8 +907,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             true
         });
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, None, Some(Duration::from_millis(30)), 1);
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, None, Some(Duration::from_millis(30)), 1);
         let inputs: Vec<Vec<u8>> = (0..10u8).map(|b| vec![b]).collect();
         let specs: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
         let verdicts = r.accepts_batch(&specs);
@@ -923,15 +922,15 @@ mod tests {
     #[test]
     fn batch_agrees_with_sequential_accepts() {
         let o = FnOracle::new(|i: &[u8]| i.iter().all(|&b| b == b'x'));
-        let seq_cache = QueryCache::new();
-        let par_cache = QueryCache::new();
-        let seq = runner(&o, &seq_cache, None, None, 1);
-        let par = runner(&o, &par_cache, None, None, 8);
+        let mut seq_cache = QueryCache::new();
+        let mut par_cache = QueryCache::new();
+        let mut seq = runner(&o, &mut seq_cache, None, None, 1);
+        let mut par = runner(&o, &mut par_cache, None, None, 8);
         let inputs: Vec<Vec<u8>> =
             (0..64).map(|n| std::iter::repeat_n(b'x', n % 7).collect()).collect();
         let specs: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
         let par_verdicts = par.accepts_batch(&specs);
-        let seq_verdicts: Vec<bool> = inputs.iter().map(|i| accepts(&seq, i)).collect();
+        let seq_verdicts: Vec<bool> = inputs.iter().map(|i| accepts(&mut seq, i)).collect();
         assert_eq!(par_verdicts, seq_verdicts);
         assert_eq!(par.unique_queries(), seq.unique_queries());
     }
@@ -946,10 +945,10 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             true
         });
-        let cache = QueryCache::new();
+        let mut cache = QueryCache::new();
         cache.insert(b"p".to_vec(), true);
         cache.insert(b"q".to_vec(), false);
-        let r = runner(&o, &cache, Some(0), None, 2);
+        let mut r = runner(&o, &mut cache, Some(0), None, 2);
         // Budget of zero: any miss would fail, proving these are all hits.
         assert_eq!(r.accepts_batch(&[spec(b"p"), spec(b"q"), spec(b"p")]), vec![true, false, true]);
         assert_eq!(calls.load(Ordering::Relaxed), 0);
@@ -979,8 +978,8 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             i == b"yes"
         });
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, None, None, 1);
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, None, None, 1);
         let mut arena = KeyArena::default();
         for (owner, key) in [&b"yes"[..], b"no", b"yes", b"no"].into_iter().enumerate() {
             arena.stage(|buf| buf.extend_from_slice(key));
@@ -1005,11 +1004,11 @@ mod tests {
         });
         for workers in [1, 4] {
             calls.store(0, Ordering::Relaxed);
-            let cache = QueryCache::new();
+            let mut cache = QueryCache::new();
             let log = EventLog::new();
-            let r = QueryRunner::new(
+            let mut r = QueryRunner::new(
                 &o,
-                &cache,
+                &mut cache,
                 RunnerOptions {
                     max_queries: Some(3),
                     workers,
@@ -1017,8 +1016,8 @@ mod tests {
                     ..RunnerOptions::default()
                 },
             );
-            let mut first = planned(&cache, &[b"both", b"a"]);
-            let mut second = planned(&cache, &[b"bb", b"both"]);
+            let mut first = planned(r.cache(), &[b"both", b"a"]);
+            let mut second = planned(r.cache(), &[b"bb", b"both"]);
             let verdicts = r.pose(&mut [first.keys_mut(), second.keys_mut()]);
             assert_eq!(verdicts, vec![true, false, false, true], "workers={workers}");
             assert_eq!(calls.load(Ordering::Relaxed), 3, "the shared key is posed once");
@@ -1034,10 +1033,10 @@ mod tests {
     #[test]
     fn pose_over_budget_slots_and_their_twins_stay_uncached() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, Some(2), None, 1);
-        let mut first = planned(&cache, &[b"1", b"2", b"3"]);
-        let mut second = planned(&cache, &[b"3", b"1", b"4"]);
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, Some(2), None, 1);
+        let mut first = planned(r.cache(), &[b"1", b"2", b"3"]);
+        let mut second = planned(r.cache(), &[b"3", b"1", b"4"]);
         let verdicts = r.pose(&mut [first.keys_mut(), second.keys_mut()]);
         // Budget goes in slot order: "1" and "2" fit, "3" runs it out, and
         // its twin answers false with it; "1"'s twin shares its verdict.
@@ -1075,17 +1074,17 @@ mod tests {
         // false and stay uncached.
         let token = CancelToken::new();
         let o = CancellingOracle { token: token.clone() };
-        let cache = QueryCache::new();
-        let r = QueryRunner::new(
+        let mut cache = QueryCache::new();
+        let mut r = QueryRunner::new(
             &o,
-            &cache,
+            &mut cache,
             RunnerOptions { cancel: Some(&token), ..RunnerOptions::default() },
         );
         let n = super::NATIVE_DISPATCH_SUB_BATCH + 10;
         let inputs: Vec<Vec<u8>> = (0..n as u32).map(|b| b.to_le_bytes().to_vec()).collect();
         let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        let mut first = planned(&cache, &refs);
-        let mut second = planned(&cache, &[&inputs[n - 1], b"fresh"]);
+        let mut first = planned(r.cache(), &refs);
+        let mut second = planned(r.cache(), &[&inputs[n - 1], b"fresh"]);
         let verdicts = r.pose(&mut [first.keys_mut(), second.keys_mut()]);
         assert!(r.was_cancelled());
         let answered = super::NATIVE_DISPATCH_SUB_BATCH;
@@ -1100,10 +1099,10 @@ mod tests {
     #[should_panic(expected = "a planner interned a key the cache answers")]
     fn pose_rejects_a_cached_slot() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = QueryCache::new();
-        let r = runner(&o, &cache, None, None, 1);
-        let mut arena = planned(&cache, &[b"seen"]);
-        cache.insert(b"seen".to_vec(), true);
+        let mut cache = QueryCache::new();
+        let mut r = runner(&o, &mut cache, None, None, 1);
+        let mut arena = planned(r.cache(), &[b"seen"]);
+        r.accepts_unbudgeted(b"seen");
         r.pose(&mut [arena.keys_mut()]);
     }
 
@@ -1124,11 +1123,11 @@ mod tests {
         }
         let o = TildeFails(AtomicUsize::new(0));
         for workers in [1, 4] {
-            let cache = QueryCache::new();
+            let mut cache = QueryCache::new();
             let log = EventLog::new();
-            let r = QueryRunner::new(
+            let mut r = QueryRunner::new(
                 &o,
-                &cache,
+                &mut cache,
                 RunnerOptions {
                     max_queries: Some(6),
                     workers,
@@ -1148,12 +1147,6 @@ mod tests {
             assert!(log.events().contains(&failures), "workers={workers}");
         }
         assert_eq!(o.0.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn runner_is_sync() {
-        fn assert_sync<T: Send + Sync>() {}
-        assert_sync::<QueryRunner<'static>>();
     }
 
     /// In-process stand-in for a natively batching oracle (the pooled
@@ -1194,9 +1187,9 @@ mod tests {
     #[test]
     fn native_batching_oracle_receives_whole_miss_sets() {
         let o = BatchingOracle::new();
-        let cache = QueryCache::new();
+        let mut cache = QueryCache::new();
         cache.insert(b"zz".to_vec(), true); // a hit that must not be posed
-        let r = runner(&o, &cache, None, None, 8);
+        let mut r = runner(&o, &mut cache, None, None, 8);
         let inputs: Vec<Vec<u8>> = (0..40u8).map(|b| vec![b'x'; b as usize % 5]).collect();
         let mut checks: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
         checks.push(spec(b"zz"));
@@ -1219,10 +1212,10 @@ mod tests {
         // verdicts and the same cached set.
         let native = BatchingOracle::new();
         let plain = FnOracle::new(|i: &[u8]| i.len().is_multiple_of(2));
-        let native_cache = QueryCache::new();
-        let plain_cache = QueryCache::new();
-        let rn = runner(&native, &native_cache, None, None, 4);
-        let rp = runner(&plain, &plain_cache, None, None, 4);
+        let mut native_cache = QueryCache::new();
+        let mut plain_cache = QueryCache::new();
+        let mut rn = runner(&native, &mut native_cache, None, None, 4);
+        let mut rp = runner(&plain, &mut plain_cache, None, None, 4);
         let inputs: Vec<Vec<u8>> = (0..64u16).map(|b| vec![b'y'; (b % 9) as usize]).collect();
         let checks: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
         assert_eq!(rn.accepts_batch(&checks), rp.accepts_batch(&checks));
@@ -1237,10 +1230,10 @@ mod tests {
         // cached.
         let token = CancelToken::new();
         let o = CancellingOracle { token: token.clone() };
-        let cache = QueryCache::new();
-        let r = QueryRunner::new(
+        let mut cache = QueryCache::new();
+        let mut r = QueryRunner::new(
             &o,
-            &cache,
+            &mut cache,
             RunnerOptions { cancel: Some(&token), ..RunnerOptions::default() },
         );
         // More misses than one sub-batch so at least one boundary exists.

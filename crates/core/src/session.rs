@@ -364,9 +364,9 @@ impl<'o> Session<'o> {
             // `PooledProcessOracle::query_timeout`).
             self.oracle.configure_timeout(Some(limit));
         }
-        let runner = QueryRunner::new(
+        let mut runner = QueryRunner::new(
             self.oracle,
-            &self.cache,
+            &mut self.cache,
             RunnerOptions {
                 max_queries: self.config.max_queries,
                 time_limit: self.config.time_limit,
@@ -396,7 +396,7 @@ impl<'o> Session<'o> {
         if !seeds.is_empty() {
             emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase1 });
         }
-        let mut phase1 = Phase1::new(&runner, self.next_star_id);
+        let mut phase1 = Phase1::new(&mut runner, self.next_star_id);
         for seed in seeds {
             let seed_index = self.seeds.len();
             self.seeds.push(seed.clone());
@@ -473,14 +473,10 @@ impl<'o> Session<'o> {
         let mut batch_total = Duration::ZERO;
         let mut chargen_batch_share = Duration::ZERO;
         loop {
-            // One cache lock for the whole wave's plan-time lookups.
-            let (cg_n, mg_n) = {
-                let cache = self.cache.lock();
-                (
-                    staged_cg.as_mut().map_or(0, |s| s.plan_wave(&cache)),
-                    staged_mg.as_mut().map_or(0, |s| s.plan_wave(&cache)),
-                )
-            };
+            // The planners look the wave's checks up in the cache through
+            // the runner, which owns it between waves.
+            let cg_n = staged_cg.as_mut().map_or(0, |s| s.plan_wave(runner.cache()));
+            let mg_n = staged_mg.as_mut().map_or(0, |s| s.plan_wave(runner.cache()));
             if cg_n + mg_n == 0 {
                 break;
             }
@@ -643,11 +639,9 @@ impl<'o> Session<'o> {
             }
         }
         let count = snapshot.entries.len();
-        let mut cache = self.cache.lock();
         for (query, verdict) in snapshot.entries {
-            cache.insert_hashed(hash_query(&query), query.into_boxed_slice(), verdict);
+            self.cache.insert_hashed(hash_query(&query), query.into_boxed_slice(), verdict);
         }
-        drop(cache);
         for entry in snapshot.memo {
             self.memo.insert(u128::from_be_bytes(entry.key), entry.classes);
         }
