@@ -9,7 +9,7 @@
 //!   an [`EquivalenceOracle`]. In the paper's blackbox setting the
 //!   equivalence oracle is approximated by sampling
 //!   ([`SamplingEquivalence`]).
-//! * [`rpni`] — the RPNI passive learner over positive and negative
+//! * [`rpni`](fn@rpni) — the RPNI passive learner over positive and negative
 //!   examples.
 //!
 //! Supporting machinery: [`Alphabet`]s, complete [`Dfa`]s with minimization,

@@ -35,7 +35,7 @@
 //!   function of its *memo key* — the 128-bit FNV-1a fingerprint of the
 //!   length-prefixed `(original bytes, every context's (γ, δ), candidate
 //!   alphabet)` tuple; see `memo::memo_key`. Terminals whose key matches a
-//!   session [`ByteClassMemo`](crate::memo::ByteClassMemo) entry (learned
+//!   session [`ByteClassMemo`] entry (learned
 //!   by an earlier run or loaded from a cache snapshot) adopt
 //!   the stored classes without posing a single probe; terminals sharing a
 //!   key *within* one plan are generalized once, with the siblings copying

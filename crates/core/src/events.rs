@@ -3,10 +3,10 @@
 //! A [`Session`](crate::Session) run is observable: the engine emits
 //! [`SynthEvent`]s at phase boundaries, per-seed decisions, accepted merges,
 //! and every membership-query batch. Callers install a
-//! [`SynthesisObserver`] through [`GladeBuilder::observer`]
-//! (crate::GladeBuilder::observer) to drive progress bars, structured logs,
-//! or live dashboards; [`EventLog`] is a ready-made collecting observer for
-//! tests and small tools.
+//! [`SynthesisObserver`] through
+//! [`GladeBuilder::observer`](crate::GladeBuilder::observer) to drive
+//! progress bars, structured logs, or live dashboards; [`EventLog`] is a
+//! ready-made collecting observer for tests and small tools.
 //!
 //! Runs are also cancellable: a [`CancelToken`] is a cheap clonable handle
 //! whose [`CancelToken::cancel`] flips an atomic flag the query engine
@@ -155,9 +155,9 @@ pub enum SynthEvent {
         run_failures: usize,
     },
     /// One or more oracle workers hung — accepted queries but never
-    /// answered within the configured
-    /// [`oracle_timeout`](crate::GladeBuilder::oracle_timeout) — and were
-    /// killed. The abandoned queries took the ordinary crash-recovery path
+    /// answered within the oracle's per-query deadline (see
+    /// [`PooledProcessOracle::query_timeout`](crate::PooledProcessOracle::query_timeout))
+    /// — and were killed. The abandoned queries took the ordinary crash-recovery path
     /// (retry, fallback, counted failure); see
     /// [`SynthesisStats::timed_out_queries`](crate::SynthesisStats::timed_out_queries).
     WorkerHung {

@@ -42,8 +42,8 @@
 //!
 //! **Handshake.** The oracle opens every freshly spawned worker with one
 //! frame: the `u32` little-endian byte length 16, then the fixed payload
-//! [`wire::WIRE_V2_PROBE`](crate::wire::WIRE_V2_PROBE). A conforming worker
-//! answers the single byte [`wire::WIRE_V2_ACK`](crate::wire::WIRE_V2_ACK)
+//! [`wire::WIRE_V2_PROBE`]. A conforming worker
+//! answers the single byte [`wire::WIRE_V2_ACK`]
 //! (`0x02`). The handshake is the pool's dead-on-arrival check: a worker
 //! that cannot complete it counts as a spawn failure (fallback, circuit
 //! breaker, failure counting). A worker that answers a verdict byte
@@ -64,7 +64,7 @@
 //!                              in frame order
 //! ```
 //!
-//! The frame codec lives in [`wire`](crate::wire) (encode/decode are pure
+//! The frame codec lives in [`wire`] (encode/decode are pure
 //! functions, property-tested in isolation). A frame whose count or length
 //! prefixes exceed the caps is malformed; conforming workers treat it as a
 //! protocol error and exit nonzero, and the oracle treats the resulting
@@ -102,17 +102,15 @@
 //! crashes, and degraded queries are always visible in
 //! [`Oracle::failure_count`].
 //!
-//! **Deadlines.** Every oracle interaction can be time-bounded: install a
-//! per-query deadline with [`PooledProcessOracle::query_timeout`], or let
-//! the engine flow one in through
-//! [`GladeBuilder::oracle_timeout`](crate::GladeBuilder::oracle_timeout)
-//! and [`Oracle::configure_timeout`]. The dispatcher then polls with a
-//! finite timeout and tracks one deadline per worker, re-armed by every
-//! verdict byte — a slow-but-steady worker (or a slow-loris writer
-//! dribbling one verdict byte at a time) never trips it, while a worker
-//! that stops answering for a whole window is *hung*: it is killed,
-//! reaped, counted in [`Oracle::timed_out_count`], and its in-flight
-//! queries take the ordinary crash path. The spawn-time handshake is
+//! **Deadlines.** Every oracle interaction can be time-bounded: whoever
+//! builds the pool installs a per-query deadline with
+//! [`PooledProcessOracle::query_timeout`] (the engine never sets one). The
+//! dispatcher then polls with a finite timeout and tracks one deadline per
+//! worker, re-armed by every verdict byte — a slow-but-steady worker (or
+//! a slow-loris writer dribbling one verdict byte at a time) never trips
+//! it, while a worker that stops answering for a whole window is *hung*:
+//! it is killed, reaped, counted in [`Oracle::timed_out_count`], and its
+//! in-flight queries take the ordinary crash path. The spawn-time handshake is
 //! bounded by the same deadline, and [`ProcessOracle::timeout`] bounds
 //! spawn-per-query children with a kill-on-expiry wait. A timed-out query
 //! is never a silent `false`: it either recovers on a fresh
@@ -489,12 +487,13 @@ pub trait Oracle: Send + Sync {
     }
 
     /// Installs (`Some`) or clears (`None`) a per-query deadline on oracles
-    /// that support one. The engine calls this when
-    /// [`GladeBuilder::oracle_timeout`](crate::GladeBuilder::oracle_timeout)
-    /// is configured; [`ProcessOracle`] and [`PooledProcessOracle`] honor
-    /// it (see the module docs), in-process oracles ignore it (the default
-    /// is a no-op — a predicate cannot hang the engine the way a wedged
-    /// child process can). Wrappers forward to the inner oracle.
+    /// that support one. No engine code calls it: whoever builds an oracle
+    /// sets its deadline ([`ProcessOracle::timeout`],
+    /// [`PooledProcessOracle::query_timeout`]). [`ProcessOracle`] and
+    /// [`PooledProcessOracle`] honor it (see the module docs), in-process
+    /// oracles ignore it (the default is a no-op — a predicate cannot hang
+    /// the engine the way a wedged child process can). Wrappers forward to
+    /// the inner oracle.
     fn configure_timeout(&self, _timeout: Option<Duration>) {}
 
     /// Number of queries (across the oracle's lifetime and every caller)

@@ -4,7 +4,7 @@
 //! (or [`resume`](ServeClient::resume) a journaled campaign after a
 //! server restart), then any number of
 //! [`synthesize`](ServeClient::synthesize) calls, each streaming live
-//! [`SynthEvent`](crate::SynthEvent)s into a callback and returning the
+//! [`SynthEvent`]s into a callback and returning the
 //! final grammar text plus run statistics. A [`CancelHandle`] (a second
 //! handle on the same socket) can cancel the campaign from another thread
 //! while `synthesize` is blocked reading the event stream.
@@ -121,10 +121,7 @@ impl ServeClient {
     ) -> std::io::Result<Self> {
         let socket = socket.as_ref();
         // Stable per-path salt so concurrent clients de-synchronize.
-        let salt =
-            socket.as_os_str().as_encoded_bytes().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
+        let salt = super::fnv1a64(socket.as_os_str().as_encoded_bytes());
         let mut attempt: u32 = 0;
         loop {
             match Self::connect(socket) {

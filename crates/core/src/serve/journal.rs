@@ -51,6 +51,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// The journal's file name inside [`ServeConfig::cache_dir`](super::ServeConfig).
 pub(crate) const JOURNAL_FILE: &str = "serve.journal";
@@ -80,11 +81,12 @@ pub(crate) struct JournalState {
     pub max_seen_id: u32,
 }
 
-/// Appending handle on the journal file. Shared across campaign threads
-/// behind a mutex; every append is fsynced before returning.
+/// Appending handle on the journal file, shared by the accept loop and
+/// campaign threads. Appends take turns on the file, so records never
+/// interleave; every append is fsynced before returning.
 #[derive(Debug)]
 pub(crate) struct Journal {
-    file: File,
+    file: Mutex<File>,
     path: PathBuf,
 }
 
@@ -102,7 +104,7 @@ impl Journal {
         let tmp = dir.join(format!("{JOURNAL_FILE}.tmp"));
         write_durable(&path, &tmp, compacted.as_bytes())?;
         let file = OpenOptions::new().append(true).open(&path)?;
-        Ok((Journal { file, path }, state))
+        Ok((Journal { file: Mutex::new(file), path }, state))
     }
 
     /// The journal's path (for diagnostics).
@@ -110,22 +112,23 @@ impl Journal {
         &self.path
     }
 
-    fn append_line(&mut self, line: &str) -> std::io::Result<()> {
+    fn append_line(&self, line: &str) -> std::io::Result<()> {
         let mut buf = Vec::with_capacity(line.len() + 1);
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');
-        self.file.write_all(&buf)?;
-        self.file.sync_data()
+        let mut file = self.file.lock().expect("campaign journal poisoned");
+        file.write_all(&buf)?;
+        file.sync_data()
     }
 
     /// Records a campaign's `OPEN`.
-    pub(crate) fn append_open(&mut self, id: u32, req: &OpenRequest) -> std::io::Result<()> {
+    pub(crate) fn append_open(&self, id: u32, req: &OpenRequest) -> std::io::Result<()> {
         self.append_line(&format!("o {id} {}", hex_encode(&req.to_body())))
     }
 
     /// Records a seed batch at receipt, before it runs.
     pub(crate) fn append_seeds(
-        &mut self,
+        &self,
         id: u32,
         index: usize,
         seeds: &[Vec<u8>],
@@ -137,7 +140,7 @@ impl Journal {
     /// Checkpoints a completed batch with the cumulative unique-query
     /// count (the budget spent so far).
     pub(crate) fn append_checkpoint(
-        &mut self,
+        &self,
         id: u32,
         index: usize,
         unique_queries: usize,
@@ -146,7 +149,7 @@ impl Journal {
     }
 
     /// Records a clean `CLOSE`: the campaign is no longer resumable.
-    pub(crate) fn append_closed(&mut self, id: u32) -> std::io::Result<()> {
+    pub(crate) fn append_closed(&self, id: u32) -> std::io::Result<()> {
         self.append_line(&format!("x {id}"))
     }
 }
@@ -319,7 +322,7 @@ mod tests {
     #[test]
     fn appends_round_trip_through_parse() {
         let dir = scratch_dir("round-trip");
-        let (mut journal, state) = Journal::open(&dir).expect("open");
+        let (journal, state) = Journal::open(&dir).expect("open");
         assert!(state.campaigns.is_empty());
         journal.append_open(1, &request("target:xml")).unwrap();
         journal.append_seeds(1, 0, &[b"<a>hi</a>".to_vec(), vec![0u8, 255u8]]).unwrap();
@@ -349,7 +352,7 @@ mod tests {
     #[test]
     fn torn_trailing_record_is_ignored() {
         let dir = scratch_dir("torn");
-        let (mut journal, _) = Journal::open(&dir).expect("open");
+        let (journal, _) = Journal::open(&dir).expect("open");
         journal.append_open(1, &request("target:xml")).unwrap();
         journal.append_seeds(1, 0, &[b"seed".to_vec()]).unwrap();
         drop(journal);

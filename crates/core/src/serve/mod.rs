@@ -13,7 +13,9 @@
 //!
 //! One **accept loop** thread owns every socket (nonblocking fds driven by
 //! the same `poll(2)` discipline as the pooled oracle's batched
-//! dispatcher); it never blocks on a client or a campaign. Each open
+//! dispatcher) and the server itself: the oracle registry, the resumable
+//! campaigns and the campaign ids are plain fields only it touches. It
+//! never blocks on a client or a campaign. Each open
 //! campaign runs on its own **campaign thread** driving a private
 //! [`Session`](crate::Session); commands flow accept-loop → campaign over
 //! an mpsc channel, and events/results flow back over a shared outbound
@@ -101,8 +103,9 @@
 //! is **byte-identical** to an uninterrupted run, and every check already
 //! answered before the crash is a cache hit — a fully-checkpointed
 //! campaign re-pays zero unique oracle queries. A claim removes the
-//! campaign from the resumable set (a second `RESUME` gets an `ERROR`);
-//! if the oracle fails to resolve, the claim is returned.
+//! campaign from the resumable set (a second `RESUME` gets an `ERROR`).
+//! The claim is taken only once the oracle resolves, so a `RESUME` whose
+//! oracle fails to build leaves the campaign for the next one.
 //!
 //! # Graceful drain
 //!
@@ -152,6 +155,13 @@
 //! idle workers while no other call waits. So a tenant streaming large
 //! sub-batches cannot starve another one, and a lone tenant still keeps
 //! every worker busy.
+//!
+//! The server never configures an oracle: the [`OracleFactory`] builds
+//! each shared oracle with its settings, a per-query deadline included
+//! (the CLI's factory sets `glade serve --oracle-timeout` on every
+//! `cmd:` pool it builds, with
+//! [`PooledProcessOracle::query_timeout`](crate::PooledProcessOracle::query_timeout)).
+//! A tenant cannot change them.
 //!
 //! Like any run, a campaign counts only its own calls' oracle health (see
 //! [`Oracle`](crate::Oracle)): one tenant's faults never show in another's
@@ -212,3 +222,11 @@ pub use protocol::{OpenRequest, ProtocolError, SERVE_PROTOCOL};
 pub use server::{
     drain_signal_count, install_drain_signals, OracleFactory, ServeConfig, Server, ServerHandle,
 };
+
+/// 64-bit FNV-1a of `data`: the daemon's per-fingerprint cache file names
+/// and the client's per-socket backoff salt.
+fn fnv1a64(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

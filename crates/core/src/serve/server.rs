@@ -7,6 +7,7 @@
 //! dispatcher). Campaigns run on their own threads and communicate with
 //! the loop through channels plus a wake pipe.
 
+use super::fnv1a64;
 use super::journal::{Journal, JournaledCampaign};
 use super::protocol::{
     decode_resume, decode_seeds_body, drain_frames, encode_frame, encode_open_ack, encode_result,
@@ -22,7 +23,7 @@ use std::io::{Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -73,15 +74,13 @@ const OUTBUF_SOFT_CAP: usize = 1 << 16;
 
 /// Server-wide policy knobs.
 ///
-/// None of them schedules oracle access: campaigns sharing an oracle call
-/// it concurrently, and a shared pool hands its workers to waiting
-/// campaigns first in, first out (see the [module docs](super)).
+/// None of them configures or schedules an oracle: the [`OracleFactory`]
+/// builds each shared oracle with its settings (a per-query deadline
+/// included), campaigns sharing an oracle call it concurrently, and a
+/// shared pool hands its workers to waiting campaigns first in, first out
+/// (see the [module docs](super)).
 #[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
-    /// Per-query deadline pushed onto every shared oracle at creation
-    /// (tenants cannot override it — a shared pool's deadline is server
-    /// policy, and campaigns never configure one).
-    pub oracle_timeout: Option<Duration>,
     /// Directory for per-campaign persistent query caches, namespaced by
     /// oracle fingerprint, and for the campaign journal that makes open
     /// campaigns survive a restart. `None` disables persistence (and
@@ -165,35 +164,47 @@ impl EventQueue {
     }
 }
 
-/// Wakes the accept loop out of its poll sleep. Writes never block (the
-/// pipe is nonblocking); a full pipe already guarantees a pending wake.
+/// Where a campaign's events and answers go: its connection's slot on the
+/// accept loop's outbound channel, plus the wake pipe that ends the loop's
+/// poll sleep.
 #[derive(Clone)]
-struct WakeHandle {
-    tx: Arc<UnixStream>,
+struct Outlet {
+    conn: u64,
+    tx: mpsc::Sender<(u64, Outbound)>,
+    wake: Arc<UnixStream>,
 }
 
-impl WakeHandle {
-    fn wake(&self) {
-        let _ = (&*self.tx).write(&[1u8]);
+impl Outlet {
+    /// Queues `outbound` without waking the loop, for a message the
+    /// caller's next [`send`](Outlet::send) follows at once.
+    fn post(&self, outbound: Outbound) -> bool {
+        self.tx.send((self.conn, outbound)).is_ok()
+    }
+
+    /// Queues `outbound` and wakes the loop; `false` once the loop is
+    /// gone. The wake never blocks (the pipe is nonblocking); a full pipe
+    /// already guarantees a pending wake.
+    fn send(&self, outbound: Outbound) -> bool {
+        let sent = self.post(outbound);
+        let _ = (&*self.wake).write(&[1u8]);
+        sent
     }
 }
 
 /// Longest a campaign holds back summed query tallies while more arrive.
 const TALLY_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Streams a campaign's events into the outbound channel.
+/// Streams a campaign's events to its connection.
 ///
-/// Lifecycle events go out at once, one channel send and one wake each.
-/// Query tallies are summed into one pending tally instead, which goes out
-/// just before the next lifecycle event, before the batch's
-/// `RESULT`/`ERROR` ([`StreamObserver::flush`]), or with the first tally
-/// that arrives [`TALLY_INTERVAL`] after the last one sent. A phase-one
-/// wave poses one small batch per candidate, so sending every tally would
-/// wake the accept loop and the client once per oracle round trip.
+/// Lifecycle events go out at once, one send and one wake each. Query
+/// tallies are summed into one pending tally instead, which goes out just
+/// before the next lifecycle event, before the batch's `RESULT`/`ERROR`
+/// ([`StreamObserver::flush`]), or with the first tally that arrives
+/// [`TALLY_INTERVAL`] after the last one sent. A phase-one wave poses one
+/// small batch per candidate, so sending every tally would wake the accept
+/// loop and the client once per oracle round trip.
 struct StreamObserver {
-    conn: u64,
-    out: mpsc::Sender<(u64, Outbound)>,
-    wake: WakeHandle,
+    outlet: Outlet,
     tally: Mutex<PendingTally>,
 }
 
@@ -203,30 +214,33 @@ struct PendingTally {
     last_sent: Instant,
 }
 
+impl PendingTally {
+    /// Takes the summed tally, if any, as the event to send now.
+    fn take(&mut self) -> Option<Outbound> {
+        let sum = self.sum.take()?;
+        self.last_sent = Instant::now();
+        Some(Outbound::Event(sum))
+    }
+}
+
 impl StreamObserver {
-    fn new(conn: u64, out: mpsc::Sender<(u64, Outbound)>, wake: WakeHandle) -> Self {
+    fn new(outlet: Outlet) -> Self {
         let tally = Mutex::new(PendingTally { sum: None, last_sent: Instant::now() });
-        StreamObserver { conn, out, wake, tally }
+        StreamObserver { outlet, tally }
     }
 
-    /// Sends the pending tally, if any; callers hold the lock, so events
-    /// keep their order.
-    fn send_pending(&self, pending: &mut PendingTally) {
-        if let Some(sum) = pending.sum.take() {
-            pending.last_sent = Instant::now();
-            let _ = self.out.send((self.conn, Outbound::Event(sum)));
-        }
-    }
-
-    /// Sends the pending tally ahead of a `RESULT`/`ERROR`; the caller
-    /// wakes the accept loop after sending that.
+    /// Posts the pending tally ahead of a `RESULT`/`ERROR`, which the
+    /// caller sends next.
     fn flush(&self) {
-        self.send_pending(&mut self.tally.lock().expect("pending tally poisoned"));
+        if let Some(sum) = self.tally.lock().expect("pending tally poisoned").take() {
+            self.outlet.post(sum);
+        }
     }
 }
 
 impl SynthesisObserver for StreamObserver {
     fn on_event(&self, event: &SynthEvent) {
+        // Sends happen under the lock, so events keep their order.
         let mut pending = self.tally.lock().expect("pending tally poisoned");
         if event.is_query_tally() {
             if !pending.sum.as_mut().is_some_and(|sum| sum.absorb_tally(event)) {
@@ -235,13 +249,15 @@ impl SynthesisObserver for StreamObserver {
             if pending.last_sent.elapsed() < TALLY_INTERVAL {
                 return;
             }
-            self.send_pending(&mut pending);
+            if let Some(sum) = pending.take() {
+                self.outlet.send(sum);
+            }
         } else {
-            self.send_pending(&mut pending);
-            let _ = self.out.send((self.conn, Outbound::Event(event.clone())));
+            if let Some(sum) = pending.take() {
+                self.outlet.post(sum);
+            }
+            self.outlet.send(Outbound::Event(event.clone()));
         }
-        drop(pending);
-        self.wake.wake();
     }
 }
 
@@ -270,10 +286,12 @@ struct Conn {
     /// Fatal error or EOF: flush what is queued, then drop.
     dead: bool,
     campaign: Option<CampaignSeat>,
+    /// Where this connection's campaign sends its events and answers.
+    outlet: Outlet,
 }
 
 impl Conn {
-    fn new(stream: UnixStream, max_event_buffer: usize) -> Self {
+    fn new(stream: UnixStream, max_event_buffer: usize, outlet: Outlet) -> Self {
         Conn {
             stream,
             inbuf: Vec::new(),
@@ -283,6 +301,7 @@ impl Conn {
             closing: false,
             dead: false,
             campaign: None,
+            outlet,
         }
     }
 
@@ -362,7 +381,6 @@ impl Conn {
 /// Everything a campaign thread needs; owned, so the thread outlives the
 /// connection that spawned it without borrowing the accept loop.
 struct CampaignCtx {
-    conn: u64,
     campaign_id: u32,
     oracle: Arc<dyn Oracle>,
     fingerprint: String,
@@ -370,31 +388,42 @@ struct CampaignCtx {
     default_max_queries: Option<usize>,
     cache_path: Option<PathBuf>,
     cancel: CancelToken,
-    out: mpsc::Sender<(u64, Outbound)>,
-    wake: WakeHandle,
-    journal: Option<Arc<Mutex<Journal>>>,
-    /// Whether this campaign re-attaches a journaled campaign (`RESUME`)
-    /// rather than opening a fresh one.
-    is_resume: bool,
-    /// Journaled seed batches to re-run before serving new ones (restart
-    /// resume); empty for fresh campaigns.
-    replay: Vec<Vec<Vec<u8>>>,
+    outlet: Outlet,
+    journal: Option<Arc<Journal>>,
+    /// The journaled campaign a `RESUME` re-attaches; `None` for a fresh
+    /// `OPEN`.
+    replay: Option<Replay>,
+}
+
+/// What a resumed campaign re-runs before it serves new seed batches.
+struct Replay {
+    /// Every journaled seed batch, in submission order.
+    batches: Vec<Vec<Vec<u8>>>,
     /// The cumulative unique-query count the journal's last checkpoint
     /// recorded, when the checkpoint covered every journaled batch — used
     /// purely as a post-replay consistency check.
-    replay_expect_unique: Option<usize>,
+    expect_unique: Option<usize>,
+}
+
+impl From<JournaledCampaign> for Replay {
+    fn from(campaign: JournaledCampaign) -> Self {
+        let complete = campaign.checkpointed == campaign.batches.len();
+        Replay {
+            expect_unique: campaign.last_unique.filter(|_| complete),
+            batches: campaign.batches,
+        }
+    }
 }
 
 /// Appends one journal record, downgrading failures to a warning: a
 /// campaign must keep serving even when its crash insurance lapses.
 fn journal_append(
-    journal: &Option<Arc<Mutex<Journal>>>,
+    journal: Option<&Journal>,
     campaign: u32,
-    append: impl FnOnce(&mut Journal) -> std::io::Result<()>,
+    append: impl FnOnce(&Journal) -> std::io::Result<()>,
 ) {
     let Some(journal) = journal else { return };
-    let mut journal = journal.lock().expect("campaign journal poisoned");
-    if let Err(e) = append(&mut journal) {
+    if let Err(e) = append(journal) {
         eprintln!(
             "glade serve: campaign {campaign}: journal append failed ({}): {e}",
             journal.path().display()
@@ -493,10 +522,7 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
     if let Some(limit) = ctx.req.max_queries.or(ctx.default_max_queries) {
         builder = builder.max_queries(limit);
     }
-    let observer = ctx
-        .req
-        .events
-        .then(|| Arc::new(StreamObserver::new(ctx.conn, ctx.out.clone(), ctx.wake.clone())));
+    let observer = ctx.req.events.then(|| Arc::new(StreamObserver::new(ctx.outlet.clone())));
     if let Some(observer) = &observer {
         builder = builder.observer(Arc::clone(observer));
     }
@@ -505,9 +531,7 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
         if let Some(observer) = &observer {
             observer.flush();
         }
-        let sent = ctx.out.send((ctx.conn, outcome)).is_ok();
-        ctx.wake.wake();
-        sent
+        ctx.outlet.send(outcome)
     };
     let mut session = builder.session(&*oracle);
     if let Some(path) = &ctx.cache_path {
@@ -530,7 +554,7 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
                 if let Some(Err(e)) = ctx.cache_path.as_ref().map(|path| session.save_cache(path)) {
                     eprintln!("glade serve: campaign {}: cache save failed: {e}", ctx.campaign_id);
                 }
-                journal_append(&ctx.journal, ctx.campaign_id, |j| {
+                journal_append(ctx.journal.as_deref(), ctx.campaign_id, |j| {
                     j.append_checkpoint(ctx.campaign_id, batch_index, result.stats.unique_queries)
                 });
                 Outbound::Result {
@@ -546,20 +570,18 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
         outcome
     };
 
-    if ctx.is_resume {
+    if let Some(replay) = &ctx.replay {
         // Restart resume: replay every journaled batch in order, then
         // answer with exactly one frame describing the replayed state —
         // the latest successful result, or the first error if nothing
         // succeeded.
         let mut last: Option<Outbound> = None;
         let mut last_unique: Option<usize> = None;
-        for seeds in &ctx.replay {
+        for seeds in &replay.batches {
             match run_batch(&mut session, seeds) {
-                result @ Outbound::Result { .. } => {
-                    if let Outbound::Result { stats, .. } = &result {
-                        last_unique = Some(stats.unique_queries);
-                    }
-                    last = Some(result);
+                Outbound::Result { stats, grammar } => {
+                    last_unique = Some(stats.unique_queries);
+                    last = Some(Outbound::Result { stats, grammar });
                 }
                 error => {
                     if last.is_none() {
@@ -568,7 +590,7 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
                 }
             }
         }
-        if let (Some(expect), Some(got)) = (ctx.replay_expect_unique, last_unique) {
+        if let (Some(expect), Some(got)) = (replay.expect_unique, last_unique) {
             if expect != got {
                 eprintln!(
                     "glade serve: campaign {}: replay disagreed with the journal checkpoint \
@@ -594,38 +616,32 @@ fn run_campaign(ctx: CampaignCtx, seeds_rx: mpsc::Receiver<Vec<Vec<u8>>>) {
     }
 }
 
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// A resolved oracle spec: the shared oracle plus its fingerprint.
 type OracleEntry = (Arc<dyn Oracle>, String);
 
 /// A multi-tenant synthesis server.
 ///
 /// Construct with an [`OracleFactory`] and a [`ServeConfig`], then either
-/// [`run`](Server::run) the accept loop on the current thread or
+/// [`run_with`](Server::run_with) the accept loop on the current thread or
 /// [`spawn`](Server::spawn) it onto a background thread with a
-/// [`ServerHandle`] for shutdown. Every campaign runs on its own thread
-/// and calls its shared oracle directly; the server holds no lock across
-/// an oracle call. See the [module docs](super) for the protocol, oracle
-/// sharing, and determinism guarantees.
+/// [`ServerHandle`] for shutdown. The accept loop owns the server: only it
+/// reads or changes the oracle registry, the resumable campaigns and the
+/// campaign ids. Every campaign runs on its own thread and calls its
+/// shared oracle directly; the server holds no lock across an oracle
+/// call. See the [module docs](super) for the protocol, oracle sharing,
+/// and determinism guarantees.
 pub struct Server {
     factory: Arc<dyn OracleFactory>,
     config: ServeConfig,
-    registry: Mutex<HashMap<String, OracleEntry>>,
-    /// The campaign journal (present when `cache_dir` is set and usable).
-    journal: Option<Arc<Mutex<Journal>>>,
+    registry: HashMap<String, OracleEntry>,
+    /// The campaign journal (present when `cache_dir` is set and usable),
+    /// appended by the accept loop and by campaign threads.
+    journal: Option<Arc<Journal>>,
     /// Journaled campaigns awaiting a `RESUME` claim, loaded at startup.
-    resumable: Mutex<HashMap<u32, JournaledCampaign>>,
+    resumable: HashMap<u32, JournaledCampaign>,
     /// Next fresh campaign id; starts past everything the journal has
     /// ever recorded so ids stay stable across restarts.
-    next_campaign: AtomicU32,
+    next_campaign: u32,
 }
 
 impl Server {
@@ -639,7 +655,7 @@ impl Server {
         let (journal, resumable, max_seen_id) = match &config.cache_dir {
             Some(dir) => match Journal::open(dir) {
                 Ok((journal, state)) => {
-                    (Some(Arc::new(Mutex::new(journal))), state.campaigns, state.max_seen_id)
+                    (Some(Arc::new(journal)), state.campaigns, state.max_seen_id)
                 }
                 Err(e) => {
                     eprintln!("glade serve: campaign journal disabled ({}): {e}", dir.display());
@@ -651,34 +667,29 @@ impl Server {
         Server {
             factory,
             config,
-            registry: Mutex::new(HashMap::new()),
+            registry: HashMap::new(),
             journal,
-            resumable: Mutex::new(resumable),
-            next_campaign: AtomicU32::new(max_seen_id.saturating_add(1)),
+            resumable,
+            next_campaign: max_seen_id.saturating_add(1),
         }
     }
 
     /// Ids of journaled campaigns currently claimable via `RESUME`.
     pub fn resumable_campaigns(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> =
-            self.resumable.lock().expect("resumable registry poisoned").keys().copied().collect();
+        let mut ids: Vec<u32> = self.resumable.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
-    /// Resolves `spec` to a shared oracle, creating (and deadline-
-    /// configuring) it on first use.
-    fn resolve_oracle(&self, spec: &str) -> Result<(Arc<dyn Oracle>, String), String> {
-        let mut registry = self.registry.lock().expect("oracle registry poisoned");
-        if let Some(entry) = registry.get(spec) {
+    /// Resolves `spec` to a shared oracle, creating it on first use. The
+    /// factory configures what it builds; the server only shares it.
+    fn resolve_oracle(&mut self, spec: &str) -> Result<OracleEntry, String> {
+        if let Some(entry) = self.registry.get(spec) {
             return Ok(entry.clone());
         }
-        let (oracle, fingerprint) = self.factory.create(spec)?;
-        if let Some(limit) = self.config.oracle_timeout {
-            oracle.configure_timeout(Some(limit));
-        }
-        registry.insert(spec.to_string(), (Arc::clone(&oracle), fingerprint.clone()));
-        Ok((oracle, fingerprint))
+        let entry = self.factory.create(spec).map_err(|e| format!("oracle {spec:?}: {e}"))?;
+        self.registry.insert(spec.to_string(), entry.clone());
+        Ok(entry)
     }
 
     fn cache_path_for(&self, fingerprint: &str, requested: bool) -> Option<PathBuf> {
@@ -689,62 +700,84 @@ impl Server {
         Some(dir.join(format!("{:016x}.glade-cache", fnv1a64(fingerprint.as_bytes()))))
     }
 
-    /// Seats one campaign (fresh `OPEN` or `RESUME` replay) on `conn`,
-    /// answering with `OPEN_ACK`, and returns what its thread needs; the
-    /// accept loop spawns that thread once the `OPEN_ACK` is flushed.
-    #[allow(clippy::too_many_arguments)]
+    /// The request of the journaled campaign a `RESUME` body names. The
+    /// campaign stays resumable: [`seat_campaign`](Server::seat_campaign)
+    /// claims it once its oracle resolves.
+    fn resumable_request(&self, body: &[u8]) -> Result<(u32, OpenRequest), String> {
+        let id = decode_resume(body).map_err(|e| e.to_string())?;
+        // A server started without `--cache-dir` keeps no journal, so
+        // *nothing* is resumable — tell the client that, not a generic
+        // "unknown campaign": the fix is restarting the server with
+        // persistence, not retrying another id.
+        if self.journal.is_none() {
+            return Err(format!(
+                "server has no journal (started without --cache-dir): \
+                 campaign {id} is not resumable"
+            ));
+        }
+        match self.resumable.get(&id) {
+            Some(campaign) => Ok((id, campaign.req.clone())),
+            None => Err(format!("campaign {id} is not resumable on this server")),
+        }
+    }
+
+    /// Seats a campaign on `conn` — a fresh `OPEN` of `req`, or the
+    /// journaled campaign `resumed` — and answers with `OPEN_ACK`. Returns
+    /// what the campaign's thread needs; the accept loop starts that
+    /// thread once the `OPEN_ACK` is flushed. Nothing is claimed, numbered
+    /// or journaled until the oracle resolves, so a failed resolve leaves
+    /// a journaled campaign resumable.
     fn seat_campaign(
-        &self,
-        conn_id: u64,
+        &mut self,
         conn: &mut Conn,
-        campaign_id: u32,
         req: OpenRequest,
-        oracle: Arc<dyn Oracle>,
-        fingerprint: String,
-        out_tx: &mpsc::Sender<(u64, Outbound)>,
-        wake: &WakeHandle,
-        replay: Vec<Vec<Vec<u8>>>,
-        replay_expect_unique: Option<usize>,
-        is_resume: bool,
-    ) -> CampaignStart {
+        resumed: Option<u32>,
+    ) -> Result<CampaignStart, String> {
+        let (oracle, fingerprint) = self.resolve_oracle(&req.oracle_spec)?;
+        let (id, replay) = match resumed {
+            Some(id) => (id, self.resumable.remove(&id).map(Replay::from)),
+            None => {
+                let id = self.next_campaign;
+                self.next_campaign = id.wrapping_add(1);
+                // Journal the open before the campaign exists, so no `s`
+                // or `c` record can ever precede its `o`.
+                journal_append(self.journal.as_deref(), id, |j| j.append_open(id, &req));
+                (id, None)
+            }
+        };
         let cancel = CancelToken::new();
-        let cache_path = self.cache_path_for(&fingerprint, req.cache);
         let (cmd_tx, cmd_rx) = mpsc::channel();
-        let next_batch = replay.len();
-        // A resume owes the client one RESULT (or ERROR) for the replay.
-        let pending = usize::from(is_resume);
+        conn.campaign = Some(CampaignSeat {
+            cmd_tx,
+            cancel: cancel.clone(),
+            id,
+            next_batch: replay.as_ref().map_or(0, |replay| replay.batches.len()),
+            // A resume owes the client one RESULT (or ERROR) for the replay.
+            pending: usize::from(replay.is_some()),
+        });
+        conn.queue(TAG_OPEN_ACK, &encode_open_ack(id, &fingerprint));
         let ctx = CampaignCtx {
-            conn: conn_id,
-            campaign_id,
+            campaign_id: id,
             oracle,
-            fingerprint: fingerprint.clone(),
+            cache_path: self.cache_path_for(&fingerprint, req.cache),
+            fingerprint,
             req,
             default_max_queries: self.config.default_max_queries,
-            cache_path,
-            cancel: cancel.clone(),
-            out: out_tx.clone(),
-            wake: wake.clone(),
+            cancel,
+            outlet: conn.outlet.clone(),
             journal: self.journal.clone(),
-            is_resume,
             replay,
-            replay_expect_unique,
         };
-        conn.campaign = Some(CampaignSeat { cmd_tx, cancel, id: campaign_id, next_batch, pending });
-        conn.queue(TAG_OPEN_ACK, &encode_open_ack(campaign_id, &fingerprint));
-        (ctx, cmd_rx)
+        Ok((ctx, cmd_rx))
     }
 
     /// Handles one parsed frame for `conn`. Returns the campaign to start
     /// when the frame opened (or resumed) one.
-    #[allow(clippy::too_many_arguments)]
     fn handle_frame(
-        &self,
-        conn_id: u64,
+        &mut self,
         conn: &mut Conn,
         tag: u8,
         body: Vec<u8>,
-        out_tx: &mpsc::Sender<(u64, Outbound)>,
-        wake: &WakeHandle,
         draining: bool,
     ) -> Option<CampaignStart> {
         match tag {
@@ -763,112 +796,20 @@ impl Server {
                 conn.fail("expected HELLO first");
                 None
             }
-            TAG_OPEN => {
-                if conn.campaign.is_some() {
-                    conn.fail("campaign already open on this connection");
-                    return None;
-                }
-                if draining {
-                    conn.fail("server is draining; no new campaigns");
-                    return None;
-                }
-                let req = match OpenRequest::from_body(&body) {
-                    Ok(req) => req,
-                    Err(e) => {
-                        conn.fail(&e.to_string());
-                        return None;
-                    }
-                };
-                let (oracle, fingerprint) = match self.resolve_oracle(&req.oracle_spec) {
-                    Ok(resolved) => resolved,
-                    Err(e) => {
-                        conn.fail(&format!("oracle {:?}: {e}", req.oracle_spec));
-                        return None;
-                    }
-                };
-                let campaign_id = self.next_campaign.fetch_add(1, Ordering::SeqCst);
-                // Journal the open before the campaign exists, so no `s`
-                // or `c` record can ever precede its `o`.
-                journal_append(&self.journal, campaign_id, |j| j.append_open(campaign_id, &req));
-                Some(self.seat_campaign(
-                    conn_id,
-                    conn,
-                    campaign_id,
-                    req,
-                    oracle,
-                    fingerprint,
-                    out_tx,
-                    wake,
-                    Vec::new(),
-                    None,
-                    false,
-                ))
-            }
-            TAG_RESUME => {
-                if conn.campaign.is_some() {
-                    conn.fail("campaign already open on this connection");
-                    return None;
-                }
-                if draining {
-                    conn.fail("server is draining; no new campaigns");
-                    return None;
-                }
-                let id = match decode_resume(&body) {
-                    Ok(id) => id,
-                    Err(e) => {
-                        conn.fail(&e.to_string());
-                        return None;
-                    }
-                };
-                // A server started without `--cache-dir` keeps no journal,
-                // so *nothing* is resumable — tell the client that, not a
-                // generic "unknown campaign": the fix is restarting the
-                // server with persistence, not retrying another id.
-                if self.journal.is_none() {
-                    conn.fail(&format!(
-                        "server has no journal (started without --cache-dir): \
-                         campaign {id} is not resumable"
-                    ));
-                    return None;
-                }
-                let Some(entry) =
-                    self.resumable.lock().expect("resumable registry poisoned").remove(&id)
-                else {
-                    conn.fail(&format!("campaign {id} is not resumable on this server"));
-                    return None;
-                };
-                let (oracle, fingerprint) = match self.resolve_oracle(&entry.req.oracle_spec) {
-                    Ok(resolved) => resolved,
-                    Err(e) => {
-                        let spec = entry.req.oracle_spec.clone();
-                        // Put the claim back: a transient factory failure
-                        // should not burn the campaign.
-                        self.resumable
-                            .lock()
-                            .expect("resumable registry poisoned")
-                            .insert(id, entry);
-                        conn.fail(&format!("oracle {spec:?}: {e}"));
-                        return None;
-                    }
-                };
-                let expect = if entry.checkpointed == entry.batches.len() {
-                    entry.last_unique
+            TAG_OPEN | TAG_RESUME => {
+                let seated = if conn.campaign.is_some() {
+                    Err("campaign already open on this connection".to_owned())
+                } else if draining {
+                    Err("server is draining; no new campaigns".to_owned())
+                } else if tag == TAG_OPEN {
+                    OpenRequest::from_body(&body)
+                        .map_err(|e| e.to_string())
+                        .and_then(|req| self.seat_campaign(conn, req, None))
                 } else {
-                    None
+                    self.resumable_request(&body)
+                        .and_then(|(id, req)| self.seat_campaign(conn, req, Some(id)))
                 };
-                Some(self.seat_campaign(
-                    conn_id,
-                    conn,
-                    id,
-                    entry.req,
-                    oracle,
-                    fingerprint,
-                    out_tx,
-                    wake,
-                    entry.batches,
-                    expect,
-                    true,
-                ))
+                seated.map_err(|message| conn.fail(&message)).ok()
             }
             TAG_SEEDS => {
                 let Some(seat) = conn.campaign.as_mut() else {
@@ -879,7 +820,7 @@ impl Server {
                     Ok(seeds) => {
                         // Journal at receipt, before the run: a crash
                         // mid-run must not lose the batch.
-                        journal_append(&self.journal, seat.id, |j| {
+                        journal_append(self.journal.as_deref(), seat.id, |j| {
                             j.append_seeds(seat.id, seat.next_batch, &seeds)
                         });
                         seat.next_batch += 1;
@@ -917,19 +858,16 @@ impl Server {
     }
 
     /// Runs the accept loop until `shutdown` is cancelled or the listener
-    /// fails. Campaign threads are cancelled and joined before returning.
-    pub fn run(&self, listener: UnixListener, shutdown: CancelToken) -> std::io::Result<()> {
-        self.run_with(listener, shutdown, CancelToken::new(), None)
-    }
-
-    /// Runs the accept loop with a drain control: cancelling `drain` stops
-    /// accepting connections and rejects new `OPEN`/`RESUME` frames, but
-    /// lets running campaigns finish (bounded by
-    /// [`ServeConfig::drain_timeout`]) before the loop exits, caches are
-    /// saved, and `socket_path` (when given) is unlinked. Cancelling
-    /// `shutdown` still hard-stops immediately via the fail-closed path.
+    /// fails; cancelling `drain` stops accepting connections and rejects
+    /// new `OPEN`/`RESUME` frames, but lets running campaigns finish
+    /// (bounded by [`ServeConfig::drain_timeout`]) before the loop exits,
+    /// caches are saved, and `socket_path` (when given) is unlinked.
+    /// Cancelling `shutdown` still hard-stops immediately via the
+    /// fail-closed path. Campaign threads are cancelled and joined before
+    /// returning. The loop takes the server: it is the only owner of the
+    /// server's state.
     pub fn run_with(
-        &self,
+        self,
         listener: UnixListener,
         shutdown: CancelToken,
         drain: CancelToken,
@@ -943,7 +881,7 @@ impl Server {
     }
 
     fn run_inner(
-        &self,
+        mut self,
         listener: UnixListener,
         shutdown: CancelToken,
         drain: CancelToken,
@@ -952,7 +890,7 @@ impl Server {
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
-        let wake = WakeHandle { tx: Arc::new(wake_tx) };
+        let wake = Arc::new(wake_tx);
         let (out_tx, out_rx) = mpsc::channel::<(u64, Outbound)>();
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut threads = CampaignThreads::new();
@@ -1041,7 +979,12 @@ impl Server {
                     match listener.accept() {
                         Ok((stream, _addr)) => {
                             stream.set_nonblocking(true)?;
-                            conns.insert(next_conn, Conn::new(stream, max_event_buffer));
+                            let outlet = Outlet {
+                                conn: next_conn,
+                                tx: out_tx.clone(),
+                                wake: Arc::clone(&wake),
+                            };
+                            conns.insert(next_conn, Conn::new(stream, max_event_buffer, outlet));
                             next_conn += 1;
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -1072,9 +1015,7 @@ impl Server {
                                 if conn.dead || conn.closing {
                                     break;
                                 }
-                                opened.extend(self.handle_frame(
-                                    conn_id, conn, tag, frame_body, &out_tx, &wake, draining,
-                                ));
+                                opened.extend(self.handle_frame(conn, tag, frame_body, draining));
                             }
                         }
                         Err(e) => conn.fail(&e.to_string()),
@@ -1114,7 +1055,9 @@ impl Server {
                         } else {
                             // Clean close: retire the campaign from the
                             // journal so a restart won't offer it.
-                            journal_append(&self.journal, seat.id, |j| j.append_closed(seat.id));
+                            journal_append(self.journal.as_deref(), seat.id, |j| {
+                                j.append_closed(seat.id)
+                            });
                         }
                         drop(seat.cmd_tx);
                     }
@@ -1171,24 +1114,18 @@ impl ServerHandle {
 
     /// Waits for the accept loop to exit without forcing a shutdown.
     pub fn wait(mut self) -> std::io::Result<()> {
-        let result = match self.join.take() {
-            Some(join) => join
-                .join()
-                .unwrap_or_else(|_| Err(std::io::Error::other("serve accept loop panicked"))),
-            None => Ok(()),
-        };
-        let _ = std::fs::remove_file(&self.path);
-        result
+        self.join_loop()
     }
 
     /// Stops the server and waits for the accept loop (and every campaign
     /// thread) to exit.
     pub fn shutdown(mut self) -> std::io::Result<()> {
-        self.finish()
+        self.shutdown.cancel();
+        self.join_loop()
     }
 
-    fn finish(&mut self) -> std::io::Result<()> {
-        self.shutdown.cancel();
+    /// Waits for the accept loop, then removes the socket file.
+    fn join_loop(&mut self) -> std::io::Result<()> {
         let result = match self.join.take() {
             Some(join) => join
                 .join()
@@ -1203,14 +1140,15 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         if self.join.is_some() {
-            let _ = self.finish();
+            self.shutdown.cancel();
+            let _ = self.join_loop();
         }
     }
 }
 
 /// Signals received since [`install_drain_signals`]; written from the
 /// handler, so reads must tolerate any count.
-static DRAIN_SIGNALS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+static DRAIN_SIGNALS: AtomicUsize = AtomicUsize::new(0);
 
 extern "C" fn count_drain_signal(_signum: std::os::raw::c_int) {
     // Lock-free atomic increment: async-signal-safe.
@@ -1256,13 +1194,20 @@ pub fn drain_signal_count() -> usize {
 mod tests {
     use super::*;
 
+    /// An outlet for connection `conn`, with the loop's ends of its
+    /// channel and wake pipe.
+    fn outlet(conn: u64) -> (Outlet, mpsc::Receiver<(u64, Outbound)>, UnixStream) {
+        let (wake_rx, wake_tx) = UnixStream::pair().expect("wake pipe");
+        wake_tx.set_nonblocking(true).expect("nonblocking wake pipe");
+        let (tx, rx) = mpsc::channel();
+        (Outlet { conn, tx, wake: Arc::new(wake_tx) }, rx, wake_rx)
+    }
+
     /// A campaign that ends at once: its seed channel is already closed.
-    fn ended_campaign(campaign_id: u32, wake: &WakeHandle) -> CampaignStart {
-        let (out, _) = mpsc::channel();
+    fn ended_campaign(campaign_id: u32) -> CampaignStart {
         let (_, seeds_rx) = mpsc::channel();
         let oracle: Arc<dyn Oracle> = Arc::new(crate::FnOracle::new(|_: &[u8]| true));
         let ctx = CampaignCtx {
-            conn: 0,
             campaign_id,
             oracle,
             fingerprint: "test".into(),
@@ -1270,21 +1215,15 @@ mod tests {
             default_max_queries: None,
             cache_path: None,
             cancel: CancelToken::new(),
-            out,
-            wake: wake.clone(),
+            outlet: outlet(0).0,
             journal: None,
-            is_resume: false,
-            replay: Vec::new(),
-            replay_expect_unique: None,
+            replay: None,
         };
         (ctx, seeds_rx)
     }
 
     #[test]
     fn campaign_threads_keep_a_bounded_number_waiting() {
-        let (_wake_rx, wake_tx) = UnixStream::pair().expect("wake pipe");
-        wake_tx.set_nonblocking(true).expect("nonblocking wake pipe");
-        let wake = WakeHandle { tx: Arc::new(wake_tx) };
         let waiting =
             |threads: &CampaignThreads| threads.idle.lock().unwrap().as_ref().map_or(0, Vec::len);
         let settle = |threads: &CampaignThreads, waiting_now: usize| {
@@ -1299,12 +1238,12 @@ mod tests {
 
         let mut threads = CampaignThreads::new();
         for id in 0..5 {
-            threads.start(ended_campaign(id, &wake));
+            threads.start(ended_campaign(id));
         }
         settle(&threads, MAX_IDLE_CAMPAIGN_THREADS);
         // A waiting thread runs the next campaign and waits again.
         let spawned = threads.joins.len();
-        threads.start(ended_campaign(5, &wake));
+        threads.start(ended_campaign(5));
         settle(&threads, MAX_IDLE_CAMPAIGN_THREADS);
         assert_eq!(threads.joins.len(), spawned, "a waiting thread took the campaign");
         threads.join();
@@ -1320,10 +1259,8 @@ mod tests {
 
     #[test]
     fn stream_observer_sends_summed_tallies_ahead_of_lifecycle_events() {
-        let (_wake_rx, wake_tx) = UnixStream::pair().expect("wake pipe");
-        wake_tx.set_nonblocking(true).expect("nonblocking wake pipe");
-        let (out, rx) = mpsc::channel();
-        let observer = StreamObserver::new(7, out, WakeHandle { tx: Arc::new(wake_tx) });
+        let (outlet, rx, _wake_rx) = outlet(7);
+        let observer = StreamObserver::new(outlet);
         let sent = || -> Vec<SynthEvent> {
             rx.try_iter()
                 .map(|(conn, outbound)| match outbound {

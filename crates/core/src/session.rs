@@ -10,7 +10,7 @@
 //!   earlier seeds (the paper's Section 6.1 loop, made resumable). The
 //!   result is byte-identical to a fresh run on the combined seed set.
 //! * **Observation** — a [`SynthesisObserver`] receives structured
-//!   [`SynthEvent`](crate::SynthEvent)s for phase boundaries, per-seed
+//!   [`SynthEvent`]s for phase boundaries, per-seed
 //!   decisions, accepted merges, and query batches.
 //! * **Cancellation** — a [`CancelToken`] stops a runaway run between
 //!   query batches; the degraded result still contains every seed.
@@ -132,18 +132,6 @@ impl GladeBuilder {
         self
     }
 
-    /// Bounds every oracle query with a per-query deadline (see
-    /// [`GladeConfig::oracle_timeout`](crate::GladeConfig::oracle_timeout)):
-    /// a worker that accepts a query but never answers within `limit` is
-    /// killed, the query is retried or counted as a failure, and synthesis
-    /// keeps moving — a hung parser binary can cost queries, never the
-    /// run. In-process oracles ignore it. Affects liveness only, never
-    /// verdicts.
-    pub fn oracle_timeout(mut self, limit: Duration) -> Self {
-        self.config.oracle_timeout = Some(limit);
-        self
-    }
-
     /// Enables or disables the Section 6.1 redundant-seed skip.
     pub fn skip_redundant_seeds(mut self, enabled: bool) -> Self {
         self.config.skip_redundant_seeds = enabled;
@@ -155,7 +143,7 @@ impl GladeBuilder {
     /// machine's available parallelism).
     ///
     /// Oracles that batch natively (see
-    /// [`Oracle::native_batching`](crate::Oracle::native_batching), e.g.
+    /// [`Oracle::native_batching`], e.g.
     /// [`PooledProcessOracle`](crate::PooledProcessOracle)) are handed
     /// whole miss sets from the calling thread instead — their own pool
     /// size, not this knob, governs their parallelism. Either way the
@@ -165,7 +153,7 @@ impl GladeBuilder {
         self
     }
 
-    /// Installs a progress observer (see [`SynthEvent`](crate::SynthEvent)
+    /// Installs a progress observer (see [`SynthEvent`]
     /// for the event vocabulary). Pass an `Arc` to keep a handle for
     /// inspection after the run.
     pub fn observer(mut self, observer: impl SynthesisObserver + 'static) -> Self {
@@ -358,12 +346,6 @@ impl<'o> Session<'o> {
             .worker_threads
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let observer: Option<&dyn SynthesisObserver> = self.observer.as_deref();
-        if let Some(limit) = self.config.oracle_timeout {
-            // Only push a configured deadline down; `None` must not
-            // clobber a timeout set directly on the oracle (e.g. via
-            // `PooledProcessOracle::query_timeout`).
-            self.oracle.configure_timeout(Some(limit));
-        }
         let mut runner = QueryRunner::new(
             self.oracle,
             &mut self.cache,
@@ -690,7 +672,6 @@ mod tests {
             .character_generalization(false)
             .max_queries(7)
             .time_limit(Duration::from_secs(3))
-            .oracle_timeout(Duration::from_secs(9))
             .skip_redundant_seeds(false)
             .worker_threads(2);
         let c = b.config();
@@ -698,7 +679,6 @@ mod tests {
         assert!(!c.character_generalization);
         assert_eq!(c.max_queries, Some(7));
         assert_eq!(c.time_limit, Some(Duration::from_secs(3)));
-        assert_eq!(c.oracle_timeout, Some(Duration::from_secs(9)));
         assert!(!c.skip_redundant_seeds);
         assert_eq!(c.worker_threads, Some(2));
     }

@@ -47,14 +47,6 @@ pub struct GladeConfig {
     /// cutoff), just as the deadline made the sequential seed
     /// implementation timing-dependent.
     pub worker_threads: Option<usize>,
-    /// Per-query deadline applied to the oracle (see
-    /// [`Oracle::configure_timeout`](crate::Oracle::configure_timeout)): a
-    /// worker that accepts a query but never answers within this limit is
-    /// killed and the query is retried or counted as a failure, so a hung
-    /// parser binary cannot stall synthesis forever. `None` (the default)
-    /// waits forever. Affects liveness only, never verdicts — in-process
-    /// oracles ignore it.
-    pub oracle_timeout: Option<Duration>,
 }
 
 impl Default for GladeConfig {
@@ -66,7 +58,6 @@ impl Default for GladeConfig {
             time_limit: None,
             skip_redundant_seeds: true,
             worker_threads: None,
-            oracle_timeout: None,
         }
     }
 }
@@ -123,8 +114,10 @@ pub struct SynthesisStats {
     /// [`Oracle`](crate::Oracle) docs and
     /// [`SynthEvent::OracleFailures`](crate::SynthEvent::OracleFailures)).
     pub oracle_failures: usize,
-    /// Queries abandoned because an oracle worker hung past the configured
-    /// [`oracle_timeout`](GladeConfig::oracle_timeout) and was killed. Each
+    /// Queries abandoned because an oracle worker hung past its per-query
+    /// deadline (set where the oracle is built, e.g.
+    /// [`PooledProcessOracle::query_timeout`](crate::PooledProcessOracle::query_timeout))
+    /// and was killed. Each
     /// such query was retried on a fresh worker or degraded (and is then
     /// also visible in
     /// [`oracle_failures`](SynthesisStats::oracle_failures)); see

@@ -859,13 +859,14 @@ fn full_synthesis_with_hanging_workers_stays_exact_and_reports_hangs() {
     let seeds = vec![b"xx".to_vec()];
     let reference =
         GladeBuilder::new().synthesize(&seeds, &FnOracle::new(x_language)).expect("valid seed");
-    let pool = PooledProcessOracle::new(bin).arg("--hang-after").arg("29").pool_size(2);
+    let pool = PooledProcessOracle::new(bin)
+        .arg("--hang-after")
+        .arg("29")
+        .pool_size(2)
+        .query_timeout(Duration::from_millis(250));
     let log = Arc::new(EventLog::new());
-    let result = GladeBuilder::new()
-        .observer(log.clone())
-        .oracle_timeout(Duration::from_millis(250))
-        .synthesize(&seeds, &pool)
-        .expect("valid seed");
+    let result =
+        GladeBuilder::new().observer(log.clone()).synthesize(&seeds, &pool).expect("valid seed");
     assert_eq!(
         grammar_to_text(&result.grammar),
         grammar_to_text(&reference.grammar),

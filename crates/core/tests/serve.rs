@@ -900,6 +900,133 @@ fn only_the_v2_banner_opens_a_session() {
     handle.shutdown().expect("shutdown");
 }
 
+/// Connects raw and completes the `HELLO` exchange.
+fn raw_greeted(socket: &std::path::Path) -> std::os::unix::net::UnixStream {
+    let mut stream = std::os::unix::net::UnixStream::connect(socket).expect("connect");
+    write_raw_frame(&mut stream, 0x01, b"glade-serve v2");
+    assert_eq!(read_raw_frame(&mut stream).0, 0x81, "HELLO_ACK");
+    stream
+}
+
+/// Reads the ERROR frame that ends a connection, and the hang-up after it.
+fn read_refusal(stream: &mut std::os::unix::net::UnixStream) -> String {
+    let (tag, body) = read_raw_frame(stream);
+    assert_eq!(tag, 0x85, "ERROR, got {:?}", String::from_utf8_lossy(&body));
+    let mut rest = Vec::new();
+    std::io::Read::read_to_end(stream, &mut rest).expect("read to hang-up");
+    assert!(rest.is_empty(), "nothing follows the refusal");
+    String::from_utf8(body).expect("utf-8 message")
+}
+
+/// `OPEN` and `RESUME` share their refusals: a connection seats one
+/// campaign, whichever frame asks for a second.
+#[test]
+fn a_second_open_or_resume_on_a_connection_is_refused() {
+    let _watchdog = Watchdog::arm("a_second_open_or_resume_on_a_connection_is_refused");
+    let dir = scratch_dir("second-seat");
+    let socket = dir.join("sock");
+    let handle = Server::new(test_factory(), ServeConfig::default()).spawn(&socket).expect("spawn");
+
+    for (tag, body) in [(0x02, b"oracle xml\n".to_vec()), (0x06, 1u32.to_le_bytes().to_vec())] {
+        let mut stream = raw_greeted(&socket);
+        write_raw_frame(&mut stream, 0x02, b"oracle xml\n");
+        assert_eq!(read_raw_frame(&mut stream).0, 0x82, "OPEN_ACK");
+        write_raw_frame(&mut stream, tag, &body);
+        assert_eq!(read_refusal(&mut stream), "campaign already open on this connection");
+    }
+
+    handle.shutdown().expect("shutdown");
+}
+
+#[test]
+fn resume_to_a_draining_server_is_refused() {
+    let _watchdog = Watchdog::arm("resume_to_a_draining_server_is_refused");
+    let dir = scratch_dir("drain-resume");
+    let socket = dir.join("sock");
+    let gate = Arc::new(GateOracle::new(50));
+    let handle =
+        Server::new(gated_factory(&gate), ServeConfig::default()).spawn(&socket).expect("spawn");
+
+    // A parked campaign keeps the draining loop alive; the second
+    // connection is accepted before the drain stops the listener.
+    let mut running = ServeClient::connect(&socket).expect("connect");
+    running.open(&OpenRequest::new("gated-xml")).expect("open");
+    let mut late = raw_greeted(&socket);
+    let refusal = std::thread::scope(|s| {
+        let run = s.spawn(move || {
+            running.synthesize(&[b"<a>hi</a>".to_vec()], |_| {}).expect("run");
+            let _ = running.close();
+        });
+        gate.wait_until_parked();
+        handle.drain();
+        std::thread::sleep(std::time::Duration::from_millis(400));
+        write_raw_frame(&mut late, 0x06, 1u32.to_le_bytes().as_slice());
+        let refusal = read_raw_frame(&mut late);
+        gate.release();
+        run.join().expect("running campaign thread");
+        refusal
+    });
+    assert_eq!(refusal, (0x85, b"server is draining; no new campaigns".to_vec()), "ERROR");
+
+    handle.wait().expect("drained server exits cleanly");
+}
+
+/// A `RESUME` whose oracle fails to build takes nothing: the error names
+/// the spec, and the next `RESUME` claims the campaign and replays it.
+#[test]
+fn resume_whose_oracle_fails_keeps_the_campaign_resumable() {
+    let _watchdog = Watchdog::arm("resume_whose_oracle_fails_keeps_the_campaign_resumable");
+    let dir = scratch_dir("resume-retry");
+    let socket = dir.join("sock");
+    let cache_dir = dir.join("caches");
+    std::fs::create_dir_all(&cache_dir).expect("create cache dir");
+    let config = ServeConfig { cache_dir: Some(cache_dir), ..ServeConfig::default() };
+    let seeds = vec![b"<a>hi</a>".to_vec()];
+    let (solo_grammar, _) = solo_run(&FnOracle::new(xml_like), std::slice::from_ref(&seeds));
+    let mut request = OpenRequest::new("xml");
+    request.cache = true;
+
+    // Run one batch, then drop the connection without CLOSE.
+    let handle = Server::new(test_factory(), config.clone()).spawn(&socket).expect("first spawn");
+    let campaign_id = {
+        let mut client = ServeClient::connect(&socket).expect("connect");
+        let (id, _) = client.open(&request).expect("open");
+        client.synthesize(&seeds, |_| {}).expect("batch");
+        id
+    };
+    handle.shutdown().expect("first shutdown");
+
+    // The restarted server's factory fails its first call.
+    let failed_once = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let factory: Arc<dyn OracleFactory> = {
+        let (inner, failed_once) = (test_factory(), Arc::clone(&failed_once));
+        Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
+            if !failed_once.swap(true, Ordering::SeqCst) {
+                return Err("factory unavailable".into());
+            }
+            inner.create(spec)
+        })
+    };
+    let server = Server::new(factory, config);
+    assert_eq!(server.resumable_campaigns(), vec![campaign_id]);
+    let handle = server.spawn(&socket).expect("second spawn");
+
+    let mut first = raw_greeted(&socket);
+    write_raw_frame(&mut first, 0x06, &campaign_id.to_le_bytes());
+    let err = read_refusal(&mut first);
+    assert!(err.contains("\"xml\"") && err.contains("factory unavailable"), "{err}");
+    assert!(failed_once.load(Ordering::SeqCst), "the factory was asked");
+
+    let mut client = ServeClient::connect(&socket).expect("reconnect");
+    let (resumed_id, _) = client.resume(campaign_id).expect("second resume claims it");
+    assert_eq!(resumed_id, campaign_id);
+    let replayed = client.resume_result(|_| {}).expect("replay result");
+    assert_eq!(replayed.grammar_text, solo_grammar, "resume reproduces the bytes");
+    assert_eq!(replayed.stats.new_unique_queries, 0, "the replay runs over the warm cache");
+    client.close().expect("clean close");
+    handle.shutdown().expect("second shutdown");
+}
+
 #[test]
 fn unknown_oracle_specs_are_rejected_by_name() {
     let _watchdog = Watchdog::arm("unknown_oracle_specs_are_rejected_by_name");

@@ -4,8 +4,8 @@
 //! uniformly selects a seed input α ∈ E_in and constructs the parse tree
 //! for α according to Ĉ. Second, it performs a series of n modifications to
 //! α, where n is chosen uniformly between 0 and 50. A single modification
-//! … randomly choose[s] a node N of the parse tree … and [replaces the
-//! subtree's substring] with a random sample α' ~ P_{L(C,A)}."
+//! … randomly choose\[s\] a node N of the parse tree … and \[replaces the
+//! subtree's substring\] with a random sample α' ~ P_{L(C,A)}."
 //!
 //! Implementation note: each modification replaces a subtree with a freshly
 //! sampled derivation. The replacement is kept as an opaque span labelled

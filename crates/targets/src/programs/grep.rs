@@ -160,7 +160,7 @@ impl Parser<'_> {
         true
     }
 
-    /// interval := m [ ',' [n] ] '\}' with m ≤ n ≤ 255.
+    /// interval := m \[ ',' \[n\] \] '\}' with m ≤ n ≤ 255.
     fn interval(&mut self) -> bool {
         cov!(self.cov);
         let m = self.number();

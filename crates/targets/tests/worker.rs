@@ -221,8 +221,8 @@ fn synthesis_over_crashing_workers_matches_in_process_synthesis() {
 fn synthesis_over_hanging_workers_keeps_golden_pins() {
     // Deadline acceptance at the harness level: every worker answers 150
     // queries and then hangs mid-batch *without exiting* (`--hang-after`
-    // routes through the deterministic fault harness). With an oracle
-    // timeout configured through the session builder, the run completes —
+    // routes through the deterministic fault harness). With a per-query
+    // deadline set on the pool, the run completes —
     // each hang is detected at the deadline, the worker killed, and the
     // abandoned queries replayed — reproducing the golden pins
     // byte-identically with every hang accounted for: no silent `false`,
@@ -238,11 +238,9 @@ fn synthesis_over_hanging_workers_keeps_golden_pins() {
         .arg("toy-xml")
         .arg("--hang-after")
         .arg("150")
-        .pool_size(2);
-    let mut session = GladeBuilder::new()
-        .worker_threads(4)
-        .oracle_timeout(Duration::from_millis(250))
-        .session(&pooled_oracle);
+        .pool_size(2)
+        .query_timeout(Duration::from_millis(250));
+    let mut session = GladeBuilder::new().worker_threads(4).session(&pooled_oracle);
     let pooled = session.add_seeds(&seeds).expect("valid seed");
     assert_eq!(
         glade_grammar::grammar_to_text(&pooled.grammar),
@@ -406,7 +404,8 @@ fn served_tenants_split_a_faulty_pools_health_counts_exactly() {
         .arg(counter.to_str().expect("temp path is utf-8"))
         .pool_size(2)
         .max_respawns(2)
-        .respawn_backoff(Duration::from_millis(1));
+        .respawn_backoff(Duration::from_millis(1))
+        .query_timeout(Duration::from_millis(100));
     let shared = pool.clone();
     let factory: Arc<dyn OracleFactory> =
         Arc::new(move |spec: &str| -> Result<(Arc<dyn Oracle>, String), String> {
@@ -415,10 +414,8 @@ fn served_tenants_split_a_faulty_pools_health_counts_exactly() {
                 other => Err(format!("unknown test spec {other:?}")),
             }
         });
-    let config =
-        ServeConfig { oracle_timeout: Some(Duration::from_millis(100)), ..ServeConfig::default() };
     let socket = dir.join("sock");
-    let handle = Server::new(factory, config).spawn(&socket).expect("spawn server");
+    let handle = Server::new(factory, ServeConfig::default()).spawn(&socket).expect("spawn server");
 
     let health = |o: &PooledProcessOracle| {
         [o.failure_count(), o.timed_out_count(), o.tripped_worker_count()]

@@ -32,9 +32,10 @@
 //! answer *batched frames* (many queries per pipe round-trip, dispatched
 //! from one event loop over nonblocking pipes) after a one-frame handshake
 //! at spawn; `--frame-batch N` tunes the batch size. `--oracle-timeout SECS`
-//! bounds every oracle interaction with a per-query deadline (a worker or
-//! process that hangs is killed and the query retried or counted as a
-//! failure — a hung parser can cost queries, never the run), and
+//! gives the `--cmd` oracle a per-query deadline (a worker or process that
+//! hangs is killed and the query retried or counted as a failure — a hung
+//! parser can cost queries, never the run; `--target` subjects run
+//! in-process and refuse it), and
 //! `--max-respawns N` tunes how many consecutive unanswered worker
 //! failures trip a pool slot's circuit breaker. `glade worker NAME`
 //! serves any built-in target or Section 8.2 language over the protocol,
@@ -54,7 +55,8 @@
 //! `glade serve` runs the multi-tenant synthesis daemon (`glade-serve v2`
 //! over a unix socket; see `glade_core::serve`): concurrent clients open
 //! campaigns against `target:NAME` (in-process built-ins, same names as
-//! `glade worker`) or `cmd:CMDLINE` (a pooled worker command) oracles,
+//! `glade worker`) or `cmd:CMDLINE` (a pooled worker command, built with
+//! the daemon's `--pool` size and `--oracle-timeout` deadline) oracles,
 //! stream seed batches, and receive live synthesis events plus grammars
 //! that are byte-identical to local runs. `glade client` drives one
 //! campaign from the command line, printing event wire lines to stderr
@@ -166,6 +168,7 @@ USAGE:
                [--oracle-timeout SECS] [--max-respawns N]
                [--max-queries N] [--no-chargen] [--no-phase2]
                [--events]
+               # --oracle-timeout applies to --cmd oracles
   glade sample --grammar FILE [--count N] [--max-depth D] [--seed-rng S]
   glade check  --grammar FILE [INPUT-FILE]
   glade fuzz   --grammar FILE --seed FILE... [--count N] [--seed-rng S]
@@ -176,6 +179,7 @@ USAGE:
   glade serve  --socket PATH [--pool N] [--oracle-timeout SECS]
                [--cache-dir DIR] [--max-queries N] [--drain-timeout SECS]
                [--max-event-buffer N]
+               # --pool and --oracle-timeout configure each cmd: pool
                # SIGTERM/SIGINT drains (campaigns finish or checkpoint);
                # a second signal hard-stops
   glade client --socket PATH (--oracle SPEC | --resume ID) [--seed FILE...]
@@ -209,6 +213,18 @@ impl<'a> Args<'a> {
     }
 }
 
+/// Reads `--oracle-timeout`'s value: a positive number of seconds.
+fn parse_oracle_timeout(args: &mut Args<'_>) -> Result<std::time::Duration, String> {
+    let secs: f64 = args
+        .value("--oracle-timeout")?
+        .parse()
+        .map_err(|_| "--oracle-timeout needs seconds".to_owned())?;
+    if !(secs > 0.0 && secs.is_finite()) {
+        return Err("--oracle-timeout needs a positive number of seconds".into());
+    }
+    Ok(std::time::Duration::from_secs_f64(secs))
+}
+
 fn read_file(path: &str) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
@@ -229,6 +245,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     let mut pool: Option<usize> = None;
     let mut frame_batch: Option<usize> = None;
     let mut max_respawns: Option<u32> = None;
+    let mut oracle_timeout: Option<std::time::Duration> = None;
     let mut events = false;
     let mut builder = GladeBuilder::new();
 
@@ -264,16 +281,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
                 }
                 frame_batch = Some(n);
             }
-            "--oracle-timeout" => {
-                let secs: f64 = args
-                    .value("--oracle-timeout")?
-                    .parse()
-                    .map_err(|_| "--oracle-timeout needs seconds".to_owned())?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--oracle-timeout needs a positive number of seconds".into());
-                }
-                builder = builder.oracle_timeout(std::time::Duration::from_secs_f64(secs));
-            }
+            "--oracle-timeout" => oracle_timeout = Some(parse_oracle_timeout(&mut args)?),
             "--max-respawns" => {
                 let n: u32 = args
                     .value("--max-respawns")?
@@ -336,6 +344,9 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
                     if let Some(k) = max_respawns {
                         o = o.max_respawns(k);
                     }
+                    if let Some(limit) = oracle_timeout {
+                        o = o.query_timeout(limit);
+                    }
                     let fp = o.fingerprint();
                     (Box::new(o), fp)
                 }
@@ -343,6 +354,9 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
                     let mut o = ProcessOracle::new(prog).input_mode(input_mode);
                     for a in &cmd_args {
                         o = o.arg(*a);
+                    }
+                    if let Some(limit) = oracle_timeout {
+                        o = o.timeout(limit);
                     }
                     let fp = o.fingerprint();
                     (Box::new(o), fp)
@@ -352,6 +366,11 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
         (None, Some(name)) => {
             if pool.is_some() {
                 return Err("--pool applies to --cmd oracles (targets run in-process)".into());
+            }
+            if oracle_timeout.is_some() {
+                return Err(
+                    "--oracle-timeout applies to --cmd oracles (targets run in-process)".into()
+                );
             }
             // Same names as `glade worker` and serve's `target:` specs.
             let oracle = subject_oracle(&name)
@@ -484,10 +503,13 @@ impl SynthesisObserver for StderrEvents {
 }
 
 /// The `glade serve` oracle factory: `target:NAME` resolves a built-in
-/// subject in-process, `cmd:CMDLINE` spawns a pooled worker command.
+/// subject in-process, `cmd:CMDLINE` spawns a pooled worker command. It
+/// configures each pool it builds (`--pool`, `--oracle-timeout`); the
+/// server only shares what it builds.
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 struct CliOracleFactory {
     pool: Option<usize>,
+    query_timeout: Option<std::time::Duration>,
 }
 
 #[cfg(any(target_os = "linux", target_os = "macos"))]
@@ -507,6 +529,9 @@ impl OracleFactory for CliOracleFactory {
             if let Some(n) = self.pool {
                 oracle = oracle.pool_size(n);
             }
+            if let Some(limit) = self.query_timeout {
+                oracle = oracle.query_timeout(limit);
+            }
             let fingerprint = oracle.fingerprint();
             Ok((std::sync::Arc::new(oracle), fingerprint))
         } else {
@@ -520,6 +545,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
     let mut args = Args::new(argv);
     let mut socket: Option<String> = None;
     let mut pool: Option<usize> = None;
+    let mut query_timeout: Option<std::time::Duration> = None;
     let mut config = ServeConfig::default();
     while let Some(flag) = args.next() {
         match flag {
@@ -534,16 +560,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
                 }
                 pool = Some(n);
             }
-            "--oracle-timeout" => {
-                let secs: f64 = args
-                    .value("--oracle-timeout")?
-                    .parse()
-                    .map_err(|_| "--oracle-timeout needs seconds".to_owned())?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--oracle-timeout needs a positive number of seconds".into());
-                }
-                config.oracle_timeout = Some(std::time::Duration::from_secs_f64(secs));
-            }
+            "--oracle-timeout" => query_timeout = Some(parse_oracle_timeout(&mut args)?),
             "--cache-dir" => {
                 config.cache_dir = Some(args.value("--cache-dir")?.into());
             }
@@ -579,7 +596,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    let server = Server::new(std::sync::Arc::new(CliOracleFactory { pool }), config);
+    let server = Server::new(std::sync::Arc::new(CliOracleFactory { pool, query_timeout }), config);
     let resumable = server.resumable_campaigns();
     let _ = std::fs::remove_file(&socket);
     let listener = std::os::unix::net::UnixListener::bind(&socket)

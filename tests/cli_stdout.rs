@@ -66,3 +66,45 @@ fn sample_into_an_early_closing_reader_exits_cleanly() {
     let output = child.wait_with_output().expect("wait for glade sample");
     assert_clean_exit("glade sample", &output);
 }
+
+/// `--oracle-timeout` sets the deadline on the `--cmd` oracle the CLI
+/// builds. A `--target` subject runs in-process, so the flag is refused
+/// there (like `--pool`) instead of being silently ignored.
+#[test]
+fn synth_takes_an_oracle_timeout_only_for_cmd_oracles() {
+    let seed = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_timeout_seed.xml");
+    std::fs::write(&seed, b"<a>hi</a>").expect("write seed");
+    let synth = |oracle: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_glade"))
+            .arg("synth")
+            .arg("--seed")
+            .arg(&seed)
+            .args(oracle)
+            .args(["--oracle-timeout", "5"])
+            .output()
+            .expect("run glade synth")
+    };
+
+    let refused = synth(&["--target", "toy-xml"]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(!refused.status.success(), "--target accepted --oracle-timeout:\n{stderr}");
+    assert!(stderr.contains("--oracle-timeout applies to --cmd oracles"), "{stderr}");
+    assert!(refused.stdout.is_empty(), "a refused run prints no grammar");
+
+    // `--pool` needs poll(2), like the pooled oracle itself.
+    if cfg!(any(target_os = "linux", target_os = "macos")) {
+        let worker = format!("{} worker toy-xml", env!("CARGO_BIN_EXE_glade"));
+        let pooled = synth(&["--cmd", &worker, "--pool", "1"]);
+        assert_clean_exit("glade synth --cmd --oracle-timeout", &pooled);
+        let grammar = String::from_utf8(pooled.stdout).expect("utf-8 grammar");
+        assert_eq!(
+            grammar,
+            grammar_to_text(
+                &glade_repro::core::GladeBuilder::new()
+                    .synthesize(&[b"<a>hi</a>".to_vec()], &toy_xml().oracle())
+                    .expect("valid seed")
+                    .grammar
+            )
+        );
+    }
+}
