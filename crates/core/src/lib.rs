@@ -157,7 +157,7 @@ pub use oracle::PooledProcessOracle;
 pub use oracle::{serve_oracle_worker, FnOracle, InputMode, Oracle, ProcessOracle};
 pub use persist::{
     snapshot_from_binary, snapshot_from_binary_reader, snapshot_to_binary, BinaryCacheFile,
-    CacheError, CacheSnapshot, IntoEntries, MemoEntry, SnapshotEntries,
+    CacheError, CacheSnapshot, MemoEntry,
 };
 pub use session::{GladeBuilder, Session};
 pub use synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};

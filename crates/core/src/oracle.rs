@@ -110,8 +110,10 @@
 //! a slow-loris writer dribbling one verdict byte at a time) never trips
 //! it, while a worker that stops answering for a whole window is *hung*:
 //! it is killed, reaped, counted in [`Oracle::timed_out_count`], and its
-//! in-flight queries take the ordinary crash path. The spawn-time handshake is
-//! bounded by the same deadline, and [`ProcessOracle::timeout`] bounds
+//! in-flight queries take the ordinary crash path. The spawn-time handshake
+//! has a fixed deadline of its own (`HANDSHAKE_TIMEOUT`, 10 s): start-up is
+//! not a query, and a worker slower to start than one query's deadline
+//! still serves. [`ProcessOracle::timeout`] bounds
 //! spawn-per-query children with a kill-on-expiry wait. A timed-out query
 //! is never a silent `false`: it either recovers on a fresh
 //! worker/fallback or surfaces as a counted failure.
@@ -206,6 +208,13 @@ const DEFAULT_MAX_RESPAWNS: u32 = 4;
 /// [`PooledProcessOracle::respawn_backoff`]).
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(10);
+
+/// How long a freshly spawned worker has to answer the handshake. Start-up
+/// (exec, loading, building the subject) is not a query, so the per-query
+/// deadline does not bound it: a worker that takes longer to start than
+/// one query may take to answer can still serve.
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Raw `poll(2)`/`fcntl(2)` bindings for the pool's dispatcher and the
 /// serve accept loop. The workspace builds offline (no `libc` crate), so
@@ -948,12 +957,12 @@ struct PooledWorker {
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 impl PooledWorker {
     /// Runs the spawn-time handshake and classifies the one response byte,
-    /// waiting in `poll(2)` for at most `timeout` in all (`None` waits
-    /// forever). Any I/O failure, an expired deadline, or another byte
-    /// than [`wire::WIRE_V2_ACK`] is an error — the caller treats the
-    /// worker as dead on arrival.
-    fn handshake(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+    /// waiting in `poll(2)` for at most [`HANDSHAKE_TIMEOUT`] in all. Any
+    /// I/O failure, an expired deadline, or another byte than
+    /// [`wire::WIRE_V2_ACK`] is an error — the caller treats the worker as
+    /// dead on arrival.
+    fn handshake(&mut self) -> std::io::Result<()> {
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let frame = wire::handshake_frame();
         let stdin = self.stdin.as_mut().expect("stdin open until drop");
         let mut written = 0;
@@ -977,14 +986,14 @@ impl PooledWorker {
                     Err(e) => return Err(e),
                 }
             };
-            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if left.is_some_and(|l| l.is_zero()) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     "worker blew the handshake deadline",
                 ));
             }
-            sys::poll_ready(&mut [sys::PollFd { fd, events, revents: 0 }], left)?;
+            sys::poll_ready(&mut [sys::PollFd { fd, events, revents: 0 }], Some(left))?;
         }
         match ack[0] {
             wire::WIRE_V2_ACK => Ok(()),
@@ -1219,7 +1228,7 @@ impl PooledProcessOracle {
     /// counted in [`Oracle::timed_out_count`], and its in-flight queries
     /// take the ordinary crash path (retry once, then fallback rescue or
     /// a counted failure — never a silent `false`). The spawn handshake
-    /// gets the same limit. Unset
+    /// has its own fixed limit instead (see the module docs). Unset
     /// (the default) waits forever. Runtime-configurable on a live pool
     /// via [`Oracle::configure_timeout`]. Affects liveness only, never
     /// verdicts.
@@ -1288,9 +1297,9 @@ impl PooledProcessOracle {
         // A worker that cannot complete the handshake is dead on arrival:
         // report it as a spawn failure so the callers' degradation paths
         // (fallback oracle, breaker, failure counting) apply. The handshake
-        // honors the query deadline too — a worker hung at hello is as dead
-        // as one hung mid-query.
-        worker.handshake(self.query_timeout_duration())?;
+        // has its own fixed deadline — a worker hung at hello is as dead as
+        // one hung mid-query, but a slow start is not a hang.
+        worker.handshake()?;
         Ok(worker)
     }
 

@@ -42,7 +42,9 @@
 //! total length and per-section offsets make every truncation detectable
 //! up front ([`CacheError::Corrupt`]). The index is written so the format
 //! stays byte for byte what earlier builds wrote; nothing in this crate
-//! reads it. Loads read the records in full, and [`BinaryCacheFile`]
+//! reads it. A load reads the records one at a time, each query straight
+//! into the buffer its session cache will keep as the key (one allocation
+//! per query, no copy of the record section), and [`BinaryCacheFile`]
 //! (`glade cache inspect`) reads only the header. The index hash is part of
 //! the format: [`index_hash`] pins it as SipHash-1-3 with zero keys over
 //! the query's little-endian `u64` length followed by its bytes. Every save
@@ -120,123 +122,11 @@ impl From<std::io::Error> for CacheError {
 pub struct CacheSnapshot {
     /// Identity of the oracle the verdicts are facts about, when recorded.
     pub oracle_fingerprint: Option<String>,
-    /// The cached `(query, verdict)` entries.
-    pub entries: SnapshotEntries,
+    /// The cached `(query, verdict)` entries, each query in its own
+    /// exactly sized buffer (a session moves it into its cache as is).
+    pub entries: Vec<(Vec<u8>, bool)>,
     /// Persisted byte-class memo entries.
     pub memo: Vec<MemoEntry>,
-}
-
-/// Decoded `(query, verdict)` entries, backed by a single arena buffer.
-///
-/// Decoding a snapshot is O(1) allocations, not one per query: the
-/// binary loader adopts the raw record section as the arena and records
-/// a span per entry, so loading a 10⁵-entry cache is bounded by the
-/// file read, not by 10⁵ small allocations (which would otherwise
-/// dominate it). Owned query bytes are materialized only when a
-/// consumer takes them — iterating by reference ([`iter`]) is free,
-/// [`into_iter`](IntoIterator) / [`to_vec`] copy one query at a time.
-///
-/// [`iter`]: SnapshotEntries::iter
-/// [`to_vec`]: SnapshotEntries::to_vec
-#[derive(Clone, Default)]
-pub struct SnapshotEntries {
-    arena: Vec<u8>,
-    spans: Vec<EntrySpan>,
-}
-
-#[derive(Clone, Copy)]
-struct EntrySpan {
-    off: usize,
-    len: usize,
-    verdict: bool,
-}
-
-impl SnapshotEntries {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Iterates the entries as borrowed `(query, verdict)` pairs,
-    /// in stored (sorted) order, without copying the query bytes.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], bool)> + '_ {
-        self.spans.iter().map(|s| (&self.arena[s.off..s.off + s.len], s.verdict))
-    }
-
-    /// Copies the entries into the owned form the serializers accept.
-    pub fn to_vec(&self) -> Vec<(Vec<u8>, bool)> {
-        self.iter().map(|(q, v)| (q.to_vec(), v)).collect()
-    }
-}
-
-impl From<Vec<(Vec<u8>, bool)>> for SnapshotEntries {
-    fn from(entries: Vec<(Vec<u8>, bool)>) -> Self {
-        let total = entries.iter().map(|(q, _)| q.len()).sum();
-        let mut arena = Vec::with_capacity(total);
-        let mut spans = Vec::with_capacity(entries.len());
-        for (query, verdict) in &entries {
-            spans.push(EntrySpan { off: arena.len(), len: query.len(), verdict: *verdict });
-            arena.extend_from_slice(query);
-        }
-        SnapshotEntries { arena, spans }
-    }
-}
-
-impl IntoIterator for SnapshotEntries {
-    type Item = (Vec<u8>, bool);
-    type IntoIter = IntoEntries;
-    fn into_iter(self) -> IntoEntries {
-        IntoEntries { entries: self, next: 0 }
-    }
-}
-
-/// Owning iterator over [`SnapshotEntries`]; each query is copied out of
-/// the shared arena as it is yielded.
-pub struct IntoEntries {
-    entries: SnapshotEntries,
-    next: usize,
-}
-
-impl Iterator for IntoEntries {
-    type Item = (Vec<u8>, bool);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let s = *self.entries.spans.get(self.next)?;
-        self.next += 1;
-        Some((self.entries.arena[s.off..s.off + s.len].to_vec(), s.verdict))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.entries.spans.len() - self.next;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for IntoEntries {}
-
-impl PartialEq for SnapshotEntries {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for SnapshotEntries {}
-
-impl PartialEq<Vec<(Vec<u8>, bool)>> for SnapshotEntries {
-    fn eq(&self, other: &Vec<(Vec<u8>, bool)>) -> bool {
-        self.iter().eq(other.iter().map(|(q, v)| (q.as_slice(), *v)))
-    }
-}
-
-impl std::fmt::Debug for SnapshotEntries {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
 }
 
 /// One persisted byte-class memo entry: a memoized character-generalization
@@ -253,9 +143,9 @@ pub struct MemoEntry {
 
 impl CacheSnapshot {
     /// Reads the `glade-cachebin v1` snapshot file at `path` (see
-    /// [`snapshot_from_binary_reader`]). The file is streamed, not
-    /// slurped: peak memory is the decoded entries, not entries plus the
-    /// raw file.
+    /// [`snapshot_from_binary_reader`]). The file is streamed through a
+    /// buffered reader, not slurped: records are read one at a time, so
+    /// peak memory is the decoded entries, not entries plus the raw file.
     ///
     /// # Errors
     ///
@@ -338,42 +228,35 @@ pub(crate) fn index_hash(query: &[u8]) -> u64 {
 ///
 /// Entries are sorted by query bytes and the index by (hash, offset), so
 /// equal caches serialize to byte-identical snapshots regardless of
-/// insertion order.
-pub fn snapshot_to_binary(
-    entries: &[(Vec<u8>, bool)],
+/// insertion order. The queries may be borrowed (`&[u8]`, as a session
+/// passes its cache keys) or owned; each is copied once, straight into
+/// the returned buffer.
+pub fn snapshot_to_binary<Q: AsRef<[u8]>>(
+    entries: &[(Q, bool)],
     memo: &[MemoEntry],
     oracle_fingerprint: Option<&str>,
 ) -> Vec<u8> {
-    let mut sorted: Vec<&(Vec<u8>, bool)> = entries.iter().collect();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut sorted: Vec<(&[u8], bool)> = entries.iter().map(|(q, v)| (q.as_ref(), *v)).collect();
+    sorted.sort_by(|a, b| a.0.cmp(b.0));
     let mut memo_sorted: Vec<&MemoEntry> = memo.iter().collect();
     memo_sorted.sort_by_key(|m| m.key);
     let fp = oracle_fingerprint.map_or(&b""[..], str::as_bytes);
 
+    // Every section's length is known before a byte is written, so the
+    // header comes first and each section goes straight into `out`.
     let index_off = (BINARY_MAGIC.len() + BIN_HEADER_LEN + fp.len()) as u64;
     let records_off = index_off + (sorted.len() * BIN_INDEX_SLOT) as u64;
-    let mut records = Vec::new();
     let mut index: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
-    for (query, verdict) in &sorted {
-        index.push((index_hash(query), records_off + records.len() as u64));
-        records.push(u8::from(*verdict));
-        records
-            .extend_from_slice(&u32::try_from(query.len()).expect("query > 4 GiB").to_le_bytes());
-        records.extend_from_slice(query);
+    let mut record_off = records_off;
+    for (query, _) in &sorted {
+        index.push((index_hash(query), record_off));
+        record_off += 5 + query.len() as u64;
     }
     index.sort_unstable();
-    let memo_off = records_off + records.len() as u64;
-    let mut memo_bytes = Vec::new();
-    for entry in memo_sorted {
-        memo_bytes.extend_from_slice(&entry.key);
-        memo_bytes.extend_from_slice(&(entry.classes.len() as u32).to_le_bytes());
-        for class in &entry.classes {
-            let members: Vec<u8> = class.iter().collect();
-            memo_bytes.extend_from_slice(&(members.len() as u32).to_le_bytes());
-            memo_bytes.extend_from_slice(&members);
-        }
-    }
-    let total_len = memo_off + memo_bytes.len() as u64;
+    let memo_off = record_off;
+    let memo_len: usize =
+        memo_sorted.iter().map(|m| 20 + m.classes.iter().map(|c| 4 + c.len()).sum::<usize>()).sum();
+    let total_len = memo_off + memo_len as u64;
 
     let mut out = Vec::with_capacity(total_len as usize);
     out.extend_from_slice(BINARY_MAGIC);
@@ -389,8 +272,19 @@ pub fn snapshot_to_binary(
         out.extend_from_slice(&hash.to_le_bytes());
         out.extend_from_slice(&offset.to_le_bytes());
     }
-    out.extend_from_slice(&records);
-    out.extend_from_slice(&memo_bytes);
+    for (query, verdict) in &sorted {
+        out.push(u8::from(*verdict));
+        out.extend_from_slice(&u32::try_from(query.len()).expect("query > 4 GiB").to_le_bytes());
+        out.extend_from_slice(query);
+    }
+    for entry in memo_sorted {
+        out.extend_from_slice(&entry.key);
+        out.extend_from_slice(&(entry.classes.len() as u32).to_le_bytes());
+        for class in &entry.classes {
+            out.extend_from_slice(&(class.len() as u32).to_le_bytes());
+            out.extend(class.iter());
+        }
+    }
     debug_assert_eq!(out.len() as u64, total_len);
     out
 }
@@ -519,9 +413,10 @@ fn read_bin_memo<R: Read>(r: &mut R, pos: &mut u64, limit: u64) -> Result<MemoEn
 }
 
 /// Fully loads a `glade-cachebin v1` snapshot from a seekable reader into
-/// a [`CacheSnapshot`]. The load is sequential and streaming — the index
-/// section is skipped (it is derived data), and nothing beyond the
-/// decoded entries is materialized.
+/// a [`CacheSnapshot`]. The load is sequential: the index section is
+/// skipped (it is derived data), and each record is read as it comes,
+/// straight into its query's exactly sized buffer, so the record section
+/// is never held beside the decoded entries.
 ///
 /// # Errors
 ///
@@ -531,27 +426,11 @@ fn read_bin_memo<R: Read>(r: &mut R, pos: &mut u64, limit: u64) -> Result<MemoEn
 pub fn snapshot_from_binary_reader<R: Read + Seek>(r: &mut R) -> Result<CacheSnapshot, CacheError> {
     let h = read_binary_header(r)?;
     r.seek(SeekFrom::Start(h.records_off))?;
-    // One bulk read of the record and memo sections (the index is derived
-    // data and skipped), which then *becomes* the entry arena: decoding
-    // allocates the body buffer, the span table, and nothing else; an
-    // allocation per query would dominate the decode at production cache
-    // sizes (10⁵ entries). The header already validated
-    // `total_len` against the real stream length, so a short read here
-    // means the file shrank underneath us.
-    let body_len = (h.total_len - h.records_off) as usize;
-    let mut body = Vec::with_capacity(body_len);
-    let got = r.by_ref().take(body_len as u64).read_to_end(&mut body)?;
-    if got < body_len {
-        return Err(corrupt(h.records_off + got as u64, "unexpected end of snapshot"));
-    }
-
-    let local = |p: u64| (p - h.records_off) as usize;
     let mut pos = h.records_off;
-    let mut spans = Vec::with_capacity(h.entry_count as usize);
+    let mut entries = Vec::with_capacity(h.entry_count as usize);
     for _ in 0..h.entry_count {
-        let Some(head) = body.get(local(pos)..local(pos) + 5) else {
-            return Err(corrupt(pos, "unexpected end of snapshot"));
-        };
+        let mut head = [0u8; 5];
+        read_bin(r, pos, &mut head)?;
         let verdict = match head[0] {
             0 => false,
             1 => true,
@@ -561,27 +440,22 @@ pub fn snapshot_from_binary_reader<R: Read + Seek>(r: &mut R) -> Result<CacheSna
         if pos.checked_add(5 + qlen).is_none_or(|end| end > h.memo_off) {
             return Err(corrupt(pos, "record overruns its section"));
         }
-        spans.push(EntrySpan { off: local(pos + 5), len: qlen as usize, verdict });
+        let mut query = vec![0u8; qlen as usize];
+        read_bin(r, pos + 5, &mut query)?;
+        entries.push((query, verdict));
         pos += 5 + qlen;
     }
     if pos != h.memo_off {
         return Err(corrupt(pos, "record section size mismatch"));
     }
-    // Memo entries are few and structurally richer; a streaming parser
-    // handles them over the in-memory section.
-    let mut cursor = std::io::Cursor::new(&body[local(pos)..]);
     let mut memo = Vec::with_capacity(h.memo_count as usize);
     for _ in 0..h.memo_count {
-        memo.push(read_bin_memo(&mut cursor, &mut pos, h.total_len)?);
+        memo.push(read_bin_memo(r, &mut pos, h.total_len)?);
     }
     if pos != h.total_len {
         return Err(corrupt(pos, "memo section size mismatch"));
     }
-    Ok(CacheSnapshot {
-        oracle_fingerprint: h.fingerprint,
-        entries: SnapshotEntries { arena: body, spans },
-        memo,
-    })
+    Ok(CacheSnapshot { oracle_fingerprint: h.fingerprint, entries, memo })
 }
 
 /// Fully loads a `glade-cachebin v1` snapshot from a byte slice. See
@@ -749,7 +623,7 @@ mod tests {
         // Idempotent through a second roundtrip.
         let reparsed = snapshot_from_binary(&bin).unwrap();
         assert_eq!(reparsed.entries, b);
-        assert_eq!(snapshot_to_binary(&reparsed.entries.to_vec(), &[], None), bin);
+        assert_eq!(snapshot_to_binary(&reparsed.entries, &[], None), bin);
     }
 
     #[test]
@@ -827,10 +701,7 @@ mod tests {
         assert_eq!(snap.memo, memo_expected, "memo comes back sorted by key");
         // Byte-stable: re-serializing the parse reproduces the snapshot,
         // and insertion order never matters.
-        assert_eq!(
-            snapshot_to_binary(&snap.entries.to_vec(), &snap.memo, Some("process:xmllint")),
-            bin
-        );
+        assert_eq!(snapshot_to_binary(&snap.entries, &snap.memo, Some("process:xmllint")), bin);
         let mut shuffled = entries;
         shuffled.reverse();
         assert_eq!(snapshot_to_binary(&shuffled, &memo, Some("process:xmllint")), bin);
@@ -843,7 +714,7 @@ mod tests {
         assert_eq!(snap.entries, vec![(b"a".to_vec(), true)]);
         assert!(snap.memo.is_empty());
         // Empty snapshot is valid too.
-        let empty = snapshot_to_binary(&[], &[], None);
+        let empty = snapshot_to_binary::<&[u8]>(&[], &[], None);
         assert_eq!(snapshot_from_binary(&empty).unwrap().entries, vec![]);
     }
 
@@ -893,11 +764,11 @@ mod tests {
     fn save_writes_binary_that_load_reads_back() {
         let snap = CacheSnapshot {
             oracle_fingerprint: Some("fp".into()),
-            entries: vec![(b"x".to_vec(), true), (b"y".to_vec(), false)].into(),
+            entries: vec![(b"x".to_vec(), true), (b"y".to_vec(), false)],
             memo: sample_memo(),
         };
         let path = write_temp("save.glade-cache", b"stale");
-        let bytes = snapshot_to_binary(&snap.entries.to_vec(), &snap.memo, Some("fp"));
+        let bytes = snapshot_to_binary(&snap.entries, &snap.memo, Some("fp"));
         save_durable(&path, &bytes).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert!(bytes.starts_with(BINARY_MAGIC));

@@ -255,9 +255,7 @@ pub(crate) fn synthesize(
         },
     );
     for seed in seeds {
-        if !runner.accepts_unbudgeted(seed) {
-            return Err(SynthesisError::SeedRejected(seed.clone()));
-        }
+        runner.validate_seed(seed)?;
     }
     let mut stats = SynthesisStats::default();
     let mut phase1 = Phase1::new(&mut runner, 0);

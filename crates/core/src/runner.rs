@@ -60,6 +60,7 @@ use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::oracle::OracleHealth;
 use crate::tree::Context;
 use crate::Oracle;
+use crate::SynthesisError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -160,7 +161,7 @@ impl Default for RunnerOptions<'_> {
 /// learned".
 ///
 /// The budget counts **budgeted distinct queries only**: seed validation
-/// through [`QueryRunner::accepts_unbudgeted`] shares the cache but not the
+/// through [`QueryRunner::validate_seed`] shares the cache but not the
 /// budget (the seed implementation compared the budget against the cache
 /// size, silently charging seed validation to the synthesis budget).
 pub(crate) struct QueryRunner<'s> {
@@ -577,27 +578,38 @@ impl<'s> QueryRunner<'s> {
         }
     }
 
-    /// Unbudgeted query used for seed validation (seeds must be consulted
+    /// Validates a seed with an unbudgeted query (seeds must be consulted
     /// even if the budget is already gone). Shares the cache but is not
     /// charged against `max_queries`, and ignores cancellation — a
     /// returned `Synthesis` must always have validated its seeds.
-    pub fn accepts_unbudgeted(&mut self, input: &[u8]) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// [`SynthesisError::SeedRejected`] for a seed the oracle rejects, and
+    /// [`SynthesisError::SeedUnanswered`] for one whose execution failed:
+    /// the premise `E_in ⊆ L*` cannot be confirmed, the non-verdict is not
+    /// cached, and it counts as one of the run's failures.
+    pub fn validate_seed(&mut self, input: &[u8]) -> Result<(), SynthesisError> {
         let h = hash_query(input);
-        if let Some(v) = self.cache.get_hashed(h, input) {
-            return v;
+        let verdict = match self.cache.get_hashed(h, input) {
+            Some(v) => v,
+            None => {
+                let mut answer = None;
+                let health = OracleHealth::of(|| {
+                    answer = self.oracle.accepts_checked(input);
+                    usize::from(answer.is_none())
+                });
+                self.health = self.health + health;
+                let v = answer.ok_or_else(|| SynthesisError::SeedUnanswered(input.to_vec()))?;
+                self.cache.insert_hashed(h, input.into(), v);
+                v
+            }
+        };
+        if verdict {
+            Ok(())
+        } else {
+            Err(SynthesisError::SeedRejected(input.to_vec()))
         }
-        // A seed whose validation *execution* fails is rejected (the
-        // premise `E_in ⊆ L*` cannot be confirmed) without caching the
-        // non-verdict, and counts as one of the run's failures.
-        let mut answer = None;
-        let health = OracleHealth::of(|| {
-            answer = self.oracle.accepts_checked(input);
-            usize::from(answer.is_none())
-        });
-        self.health = self.health + health;
-        let Some(v) = answer else { return false };
-        self.cache.insert_hashed(h, input.into(), v);
-        v
     }
 
     /// Distinct inputs known so far (cumulative across the session): the
@@ -678,7 +690,7 @@ mod tests {
         // Cached answers stay available.
         assert!(accepts(&mut r, b"1"));
         // Unbudgeted path still works.
-        assert!(r.accepts_unbudgeted(b"4"));
+        r.validate_seed(b"4").unwrap();
     }
 
     #[test]
@@ -689,9 +701,9 @@ mod tests {
         let o = FnOracle::new(|_: &[u8]| true);
         let mut cache = QueryCache::new();
         let mut r = runner(&o, &mut cache, Some(2), None, 1);
-        assert!(r.accepts_unbudgeted(b"seed-1"));
-        assert!(r.accepts_unbudgeted(b"seed-2"));
-        assert!(r.accepts_unbudgeted(b"seed-3"));
+        r.validate_seed(b"seed-1").unwrap();
+        r.validate_seed(b"seed-2").unwrap();
+        r.validate_seed(b"seed-3").unwrap();
         // The full budget of 2 distinct budgeted queries remains.
         assert!(accepts(&mut r, b"q1"));
         assert!(accepts(&mut r, b"q2"));
@@ -739,7 +751,7 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no oracle calls after cancel");
         // Cached answers stay available, unbudgeted validation still works.
         assert!(accepts(&mut r, b"before"));
-        assert!(r.accepts_unbudgeted(b"seed"));
+        r.validate_seed(b"seed").unwrap();
         let cancels = log.events().iter().filter(|e| matches!(e, SynthEvent::Cancelled)).count();
         assert_eq!(cancels, 1, "Cancelled is emitted exactly once");
     }
@@ -1102,7 +1114,7 @@ mod tests {
         let mut cache = QueryCache::new();
         let mut r = runner(&o, &mut cache, None, None, 1);
         let mut arena = planned(r.cache(), &[b"seen"]);
-        r.accepts_unbudgeted(b"seen");
+        r.validate_seed(b"seen").unwrap();
         r.pose(&mut [arena.keys_mut()]);
     }
 
@@ -1136,7 +1148,10 @@ mod tests {
                 },
             );
             o.accepts_checked(b"~other");
-            assert!(!r.accepts_unbudgeted(b"~seed"));
+            assert_eq!(
+                r.validate_seed(b"~seed"),
+                Err(SynthesisError::SeedUnanswered(b"~seed".to_vec()))
+            );
             let inputs: Vec<Vec<u8>> = (0..8u8).map(|b| vec![b'~', b]).collect();
             let specs: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
             assert!(r.accepts_batch(&specs).iter().all(|&v| !v));

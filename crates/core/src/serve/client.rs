@@ -163,22 +163,7 @@ impl ServeClient {
     /// batch... or any new batch) afterwards, or read the replay's result
     /// first via [`resume_result`](ServeClient::resume_result).
     pub fn resume(&mut self, campaign: u32) -> std::io::Result<(u32, String)> {
-        if self.campaign.is_some() {
-            return Err(std::io::Error::other("campaign already open"));
-        }
-        let (tag, body) = self.request(TAG_RESUME, &encode_resume(campaign))?;
-        match tag {
-            TAG_OPEN_ACK => {
-                let (id, fingerprint) = decode_open_ack(&body).map_err(std::io::Error::from)?;
-                self.campaign = Some((id, fingerprint.clone()));
-                Ok((id, fingerprint))
-            }
-            TAG_ERROR => Err(server_error(&body)),
-            _ => {
-                Err(ProtocolError::Malformed(format!("unexpected frame {tag:#04x} to RESUME"))
-                    .into())
-            }
-        }
+        self.start_campaign(TAG_RESUME, &encode_resume(campaign), "RESUME")
     }
 
     /// Reads the replay outcome a [`resume`](ServeClient::resume) leaves
@@ -198,10 +183,21 @@ impl ServeClient {
     /// Opens the connection's campaign; returns the campaign id and the
     /// oracle fingerprint.
     pub fn open(&mut self, request: &OpenRequest) -> std::io::Result<(u32, String)> {
+        self.start_campaign(TAG_OPEN, &request.to_body(), "OPEN")
+    }
+
+    /// Sends the `OPEN` or `RESUME` frame `(tag, body)` (`name` for error
+    /// messages) and records the campaign its `OPEN_ACK` names.
+    fn start_campaign(
+        &mut self,
+        tag: u8,
+        body: &[u8],
+        name: &str,
+    ) -> std::io::Result<(u32, String)> {
         if self.campaign.is_some() {
             return Err(std::io::Error::other("campaign already open"));
         }
-        let (tag, body) = self.request(TAG_OPEN, &request.to_body())?;
+        let (tag, body) = self.request(tag, body)?;
         match tag {
             TAG_OPEN_ACK => {
                 let (id, fingerprint) = decode_open_ack(&body).map_err(std::io::Error::from)?;
@@ -210,7 +206,8 @@ impl ServeClient {
             }
             TAG_ERROR => Err(server_error(&body)),
             _ => {
-                Err(ProtocolError::Malformed(format!("unexpected frame {tag:#04x} to OPEN")).into())
+                Err(ProtocolError::Malformed(format!("unexpected frame {tag:#04x} to {name}"))
+                    .into())
             }
         }
     }

@@ -223,8 +223,9 @@ impl GladeBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthesisError::NoSeeds`] for an empty seed set and
-    /// [`SynthesisError::SeedRejected`] if the oracle rejects a seed.
+    /// Returns [`SynthesisError::NoSeeds`] for an empty seed set,
+    /// [`SynthesisError::SeedRejected`] if the oracle rejects a seed, and
+    /// [`SynthesisError::SeedUnanswered`] if it gives no verdict on one.
     pub fn synthesize(
         self,
         seeds: &[Vec<u8>],
@@ -335,8 +336,10 @@ impl<'o> Session<'o> {
     /// # Errors
     ///
     /// Returns [`SynthesisError::NoSeeds`] if the session has no seeds at
-    /// all, and [`SynthesisError::SeedRejected`] if the oracle rejects a
-    /// new seed (earlier seeds and session state stay untouched).
+    /// all, [`SynthesisError::SeedRejected`] if the oracle rejects a new
+    /// seed, and [`SynthesisError::SeedUnanswered`] if it gives no verdict
+    /// on one (either way, earlier seeds and session state stay
+    /// untouched).
     pub fn add_seeds(&mut self, seeds: &[Vec<u8>]) -> Result<Synthesis, SynthesisError> {
         if seeds.is_empty() && self.seeds.is_empty() {
             return Err(SynthesisError::NoSeeds);
@@ -361,9 +364,7 @@ impl<'o> Session<'o> {
         // Validate all new seeds before touching session state, so a
         // rejected seed leaves the session usable.
         for seed in seeds {
-            if !runner.accepts_unbudgeted(seed) {
-                return Err(SynthesisError::SeedRejected(seed.clone()));
-            }
+            runner.validate_seed(seed)?;
         }
 
         let emit = |event: SynthEvent| {
@@ -571,11 +572,8 @@ impl<'o> Session<'o> {
     /// `glade-cachebin v1` snapshot (see `persist.rs`). Entries are sorted,
     /// so equal sessions produce byte-identical snapshots.
     pub fn export_cache_binary(&self) -> Vec<u8> {
-        snapshot_to_binary(
-            &self.cache.snapshot(),
-            &self.memo_entries(),
-            self.fingerprint.as_deref(),
-        )
+        let entries: Vec<(&[u8], bool)> = self.cache.iter().collect();
+        snapshot_to_binary(&entries, &self.memo_entries(), self.fingerprint.as_deref())
     }
 
     fn memo_entries(&self) -> Vec<MemoEntry> {
@@ -621,6 +619,9 @@ impl<'o> Session<'o> {
             }
         }
         let count = snapshot.entries.len();
+        self.cache.reserve(count);
+        // Each decoded query is exactly sized, so it becomes the cache's
+        // key without a copy.
         for (query, verdict) in snapshot.entries {
             self.cache.insert_hashed(hash_query(&query), query.into_boxed_slice(), verdict);
         }
@@ -661,7 +662,7 @@ mod tests {
     use super::*;
     use crate::events::EventLog;
     use crate::testing::xml_like;
-    use crate::FnOracle;
+    use crate::{FaultPlan, FaultyOracle, FnOracle};
     use glade_grammar::Earley;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -723,6 +724,36 @@ mod tests {
         assert_eq!(session.seeds().len(), 1, "rejected batch not recorded");
         let ok = session.add_seeds(&[b"xy".to_vec()]).unwrap();
         assert!(Earley::new(&ok.grammar).accepts(b"xy"));
+    }
+
+    #[test]
+    fn unanswered_seed_is_not_reported_as_rejected() {
+        // A clean session's verdicts, including the reject of "<bad".
+        let clean = FnOracle::new(xml_like);
+        let mut warm = GladeBuilder::new().session(&clean);
+        let learned = warm.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+        assert!(warm.add_seeds(&[b"<bad".to_vec()]).is_err());
+        let verdicts = warm.export_cache_binary();
+
+        let crashing = FaultyOracle::new(FnOracle::new(xml_like), FaultPlan::new().crash_after(0));
+        let mut session = GladeBuilder::new().session(&crashing);
+        let err = session.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap_err();
+        assert_eq!(err, SynthesisError::SeedUnanswered(b"<a>hi</a>".to_vec()));
+        assert!(err.to_string().contains("no verdict"), "{err}");
+        assert!(session.seeds().is_empty(), "unanswered batch not recorded");
+        assert_eq!(session.unique_queries(), 0, "a non-verdict is not cached");
+
+        // Still usable: with the verdicts loaded, the same seed learns the
+        // same grammar without the oracle, and a known reject is a reject.
+        session.import_cache(&verdicts).unwrap();
+        let run = session.add_seeds(&[b"<a>hi</a>".to_vec()]).unwrap();
+        assert_eq!(
+            glade_grammar::grammar_to_text(&run.grammar),
+            glade_grammar::grammar_to_text(&learned.grammar)
+        );
+        assert_eq!(crashing.injected_faults(), 1, "only the first seed check reached the oracle");
+        let err = session.add_seeds(&[b"<bad".to_vec()]).unwrap_err();
+        assert_eq!(err, SynthesisError::SeedRejected(b"<bad".to_vec()));
     }
 
     #[test]
@@ -881,7 +912,8 @@ mod tests {
     /// This session's verdicts as a binary snapshot, without memo entries,
     /// tagged with `fingerprint`.
     fn verdicts_only(session: &Session<'_>, fingerprint: Option<&str>) -> Vec<u8> {
-        snapshot_to_binary(&session.cache.snapshot(), &[], fingerprint)
+        let entries: Vec<(&[u8], bool)> = session.cache.iter().collect();
+        snapshot_to_binary(&entries, &[], fingerprint)
     }
 
     #[test]

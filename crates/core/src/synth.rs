@@ -179,6 +179,10 @@ pub enum SynthesisError {
     /// A seed input is rejected by the oracle, violating the premise
     /// `E_in ⊆ L*` (Section 2).
     SeedRejected(Vec<u8>),
+    /// The oracle gave no verdict on a seed input: its execution failed
+    /// or timed out, so the premise `E_in ⊆ L*` could not be checked. The
+    /// fault is the oracle's, not the seed's.
+    SeedUnanswered(Vec<u8>),
 }
 
 impl fmt::Display for SynthesisError {
@@ -188,6 +192,11 @@ impl fmt::Display for SynthesisError {
             SynthesisError::SeedRejected(s) => {
                 write!(f, "seed input {:?} is rejected by the oracle", String::from_utf8_lossy(s))
             }
+            SynthesisError::SeedUnanswered(s) => write!(
+                f,
+                "the oracle gave no verdict on seed input {:?} (its execution failed or timed out)",
+                String::from_utf8_lossy(s)
+            ),
         }
     }
 }

@@ -2,12 +2,15 @@
 //! must be lossless, byte-stable across re-serialization, and *clean*
 //! under truncation and corruption — a torn or damaged snapshot may only
 //! ever produce a [`CacheError`](glade_core::CacheError), never a panic or
-//! a silently short load. The header-only reader ([`BinaryCacheFile`],
-//! what `glade cache inspect` prints) must agree with a full load.
+//! a silently short load. That holds for every loader: the byte decoder,
+//! the file loader, a session's import and its file load; a session whose
+//! load fails keeps its cache exactly as it was. The header-only reader
+//! ([`BinaryCacheFile`], what `glade cache inspect` prints) must agree
+//! with a full load.
 
 use glade_core::{
-    snapshot_from_binary, snapshot_to_binary, BinaryCacheFile, CacheSnapshot, FnOracle,
-    GladeBuilder, MemoEntry,
+    snapshot_from_binary, snapshot_to_binary, BinaryCacheFile, CacheError, CacheSnapshot, FnOracle,
+    GladeBuilder, MemoEntry, Session,
 };
 use glade_grammar::CharClass;
 use proptest::prelude::*;
@@ -54,11 +57,7 @@ fn arb_fingerprint() -> impl Strategy<Value = Option<String>> {
 /// The canonical form the decoder must produce: entries sorted by query
 /// bytes, memo sorted by key (generator output is already sorted).
 fn expected(entries: &[(Vec<u8>, bool)], memo: &[MemoEntry], fp: &Option<String>) -> CacheSnapshot {
-    CacheSnapshot {
-        oracle_fingerprint: fp.clone(),
-        entries: entries.to_vec().into(),
-        memo: memo.to_vec(),
-    }
+    CacheSnapshot { oracle_fingerprint: fp.clone(), entries: entries.to_vec(), memo: memo.to_vec() }
 }
 
 fn scratch_file(bytes: &[u8]) -> std::path::PathBuf {
@@ -70,6 +69,34 @@ fn scratch_file(bytes: &[u8]) -> std::path::PathBuf {
     ));
     std::fs::write(&path, bytes).expect("write scratch snapshot");
     path
+}
+
+/// Runs `load` on a session (tagged with `fp`, when there is one) that
+/// already holds verdicts and a memo entry of its own, and returns whether
+/// the load failed. A failed load must leave the session's cache as it
+/// was: the same number of queries and a byte-identical export.
+fn failed_atomically(
+    fp: &Option<String>,
+    load: impl FnOnce(&mut Session<'_>) -> Result<usize, CacheError>,
+) -> Result<bool, TestCaseError> {
+    let oracle = FnOracle::new(|_: &[u8]| false);
+    let builder = match fp {
+        Some(fp) => GladeBuilder::new().oracle_fingerprint(fp.clone()),
+        None => GladeBuilder::new(),
+    };
+    let mut session = builder.session(&oracle);
+    // Longer than any generated query, so a partial load would show.
+    let prior =
+        [(&b"a prior query no generator makes"[..], true), (b"another prior query!!", false)];
+    let prior_memo = [MemoEntry { key: [0xa5; 16], classes: vec![CharClass::from_bytes(b"xy")] }];
+    session.import_cache(&snapshot_to_binary(&prior, &prior_memo, fp.as_deref())).expect("prior");
+    let (queries, export) = (session.unique_queries(), session.export_cache_binary());
+    let failed = load(&mut session).is_err();
+    if failed {
+        prop_assert_eq!(session.unique_queries(), queries, "a failed load changed the cache");
+        prop_assert!(session.export_cache_binary() == export, "a failed load changed the export");
+    }
+    Ok(failed)
 }
 
 /// Byte offsets of the header's integer fields: the `u32` fingerprint
@@ -128,7 +155,7 @@ proptest! {
         let parsed = snapshot_from_binary(&bytes).expect("roundtrip parses");
         prop_assert_eq!(&parsed, &expected(&entries, &memo, &fp));
         let again =
-            snapshot_to_binary(&parsed.entries.to_vec(), &parsed.memo, parsed.oracle_fingerprint.as_deref());
+            snapshot_to_binary(&parsed.entries, &parsed.memo, parsed.oracle_fingerprint.as_deref());
         prop_assert_eq!(again, bytes);
     }
 
@@ -146,6 +173,44 @@ proptest! {
                 snapshot_from_binary(&bytes[..cut]).is_err(),
                 "truncation to {cut}/{} bytes must not parse",
                 bytes.len()
+            );
+        }
+    }
+
+    /// The file loaders fail cleanly on a truncated file too, and a
+    /// session's file load and import fail on every cut and on a whole
+    /// snapshot of another oracle (its last check); none of these failed
+    /// loads changes the session.
+    #[test]
+    fn failed_session_loads_leave_the_cache_untouched(
+        entries in arb_entries(),
+        memo in arb_memo(),
+        fp in arb_fingerprint(),
+        cuts in proptest::collection::vec(any::<Index>(), 1..12),
+    ) {
+        let bytes = snapshot_to_binary(&entries, &memo, fp.as_deref());
+        for cut in cuts {
+            let cut = cut.index(bytes.len());
+            let path = scratch_file(&bytes[..cut]);
+            let file_load = CacheSnapshot::load(&path);
+            let session_load = failed_atomically(&fp, |s| s.load_cache(&path));
+            let _ = std::fs::remove_file(&path);
+            prop_assert!(file_load.is_err(), "a file cut to {}/{} bytes loaded", cut, bytes.len());
+            prop_assert!(session_load?, "a session loaded a file cut to {} bytes", cut);
+            prop_assert!(
+                failed_atomically(&fp, |s| s.import_cache(&bytes[..cut]))?,
+                "a session imported a snapshot cut to {} bytes", cut
+            );
+        }
+        if let Some(fp) = &fp {
+            let other = Some(format!("not {fp}"));
+            let path = scratch_file(&bytes);
+            let session_load = failed_atomically(&other, |s| s.load_cache(&path));
+            let _ = std::fs::remove_file(&path);
+            prop_assert!(session_load?, "a session loaded another oracle's file");
+            prop_assert!(
+                failed_atomically(&other, |s| s.import_cache(&bytes))?,
+                "a session imported another oracle's snapshot"
             );
         }
     }
@@ -171,8 +236,9 @@ proptest! {
 
     /// Corrupting a valid snapshot — overwritten bytes, flipped bits,
     /// arbitrary values in header fields — never panics any load path:
-    /// the byte decoder, the header-only reader and a session import each
-    /// return `Ok` or a `CacheError`.
+    /// the byte decoder, the header-only reader, the file loader, and a
+    /// session's import and file load each return `Ok` or a `CacheError`,
+    /// and a session whose load failed is unchanged.
     #[test]
     fn corrupted_binary_never_panics_a_load_path(
         entries in arb_entries(),
@@ -187,8 +253,10 @@ proptest! {
         let _ = snapshot_from_binary(&bytes);
         let path = scratch_file(&bytes);
         let _ = BinaryCacheFile::open(&path);
+        let _ = CacheSnapshot::load(&path);
+        let session_load = failed_atomically(&fp, |s| s.load_cache(&path));
         let _ = std::fs::remove_file(&path);
-        let oracle = FnOracle::new(|_: &[u8]| false);
-        let _ = GladeBuilder::new().session(&oracle).import_cache(&bytes);
+        session_load?;
+        failed_atomically(&fp, |s| s.import_cache(&bytes))?;
     }
 }

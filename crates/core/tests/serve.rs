@@ -735,11 +735,8 @@ fn serve_cache_format_flip_keeps_warm_starts() {
     // grammar, and its checkpoint replaces the file with the binary
     // snapshot of this oracle's cache.
     let snapshot = glade_core::snapshot_from_binary(&bytes).expect("binary snapshot parses");
-    let foreign = glade_core::snapshot_to_binary(
-        &snapshot.entries.to_vec(),
-        &snapshot.memo,
-        Some("test:other"),
-    );
+    let foreign =
+        glade_core::snapshot_to_binary(&snapshot.entries, &snapshot.memo, Some("test:other"));
     let text = b"glade-cache v1\nq 1 3c613e68693c2f613e\n".to_vec();
     for (name, file) in [("foreign-tagged", foreign), ("text", text)] {
         std::fs::write(&snapshot_path, &file).expect("write snapshot");

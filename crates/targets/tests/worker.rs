@@ -295,6 +295,26 @@ fn stalling_worker_is_slow_but_healthy_under_a_deadline() {
 
 #[cfg(any(target_os = "linux", target_os = "macos"))]
 #[test]
+fn worker_slower_to_start_than_the_query_deadline_still_serves() {
+    // Start-up is not a query: a worker that needs 300 ms before it reads
+    // the handshake serves under a 100 ms query deadline, and its slow
+    // start costs no failure, timeout or respawn.
+    let _guard = Watchdog::arm("worker_slower_to_start_than_the_query_deadline_still_serves");
+    let pool = PooledProcessOracle::new("sh")
+        .arg("-c")
+        .arg("sleep 0.3; exec \"$0\" toy-xml")
+        .arg(worker_bin())
+        .pool_size(1)
+        .max_respawns(1)
+        .query_timeout(Duration::from_millis(100));
+    assert_eq!(pool.accepts_checked(b"<a>hi</a>"), Some(true));
+    assert_eq!(pool.accepts_checked(b"<a>hi</a"), Some(false));
+    let health = [pool.failure_count(), pool.timed_out_count(), pool.respawn_count()];
+    assert_eq!(health, [0, 0, 0], "[failures, timeouts, respawns]");
+}
+
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+#[test]
 fn flaky_spawns_trip_the_breaker_and_recover_via_fallback() {
     // `--flaky-spawn` makes alternate spawns of the worker die instantly
     // (a cross-process counter file carries the parity), and
